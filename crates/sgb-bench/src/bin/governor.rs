@@ -1,7 +1,9 @@
 //! Governor-overhead smoke bench: times the BENCH_grid SGB-Any grid row
-//! as the legacy infallible `run` vs `try_run` under an **unrestricted**
-//! `QueryGovernor`, and fails the run when the governor's cooperative
-//! deadline/cancellation checks cost more than the budgeted overhead.
+//! as `try_run` under an **unrestricted** `QueryGovernor` (what `run`
+//! executes) vs an **armed** one (a deadline one hour away plus a live
+//! `CancelToken`, so every check reads the token and the clock), and
+//! fails the run when the armed deadline/cancellation checks cost more
+//! than the budgeted overhead.
 //! Results are written as JSON so the repository accumulates the
 //! trajectory alongside the other BENCH_*.json reports.
 //!
@@ -40,10 +42,10 @@ fn main() -> ExitCode {
 
     let rows = governor_overhead(cli.scale);
 
-    eprintln!("# governor checks: run vs try_run(unrestricted), SGB-Any grid");
+    eprintln!("# governor checks: try_run unrestricted vs armed, SGB-Any grid");
     eprintln!(
         "{:<8} {:<6} {:>12} {:>12} {:>10} {:>8}",
-        "n", "eps", "run_s", "try_run_s", "overhead", "groups"
+        "n", "eps", "free_s", "armed_s", "overhead", "groups"
     );
     for r in &rows {
         eprintln!(

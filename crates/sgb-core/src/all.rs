@@ -185,7 +185,7 @@ struct Engine<const D: usize> {
 
 impl<const D: usize> Engine<D> {
     fn new(cfg: SgbAllConfig, rng: SmallRng) -> Self {
-        let algorithm = cost::resolve_all_streaming(cfg.algorithm, D);
+        let (algorithm, _) = cost::resolve_all_streaming(cfg.algorithm, D);
         let index = match algorithm {
             AllAlgorithm::Indexed => Some(RTree::with_max_entries(cfg.rtree_fanout)),
             _ => None,
@@ -710,17 +710,22 @@ impl<const D: usize> SgbAll<D> {
     }
 }
 
-/// One-shot convenience: runs SGB-All over a slice of points.
-/// [`AllAlgorithm::Auto`] resolves from the true cardinality here
-/// ([`cost::resolve_all`]); results never depend on the resolution — every
-/// concrete strategy is bit-identical.
+/// One-shot convenience: runs SGB-All over a slice of points — a wrapper
+/// over [`SgbQuery::run`](crate::SgbQuery::run), which resolves
+/// [`AllAlgorithm::Auto`] from the true cardinality.
+///
+/// # Panics
+/// `"points must have finite coordinates"` on a non-finite coordinate.
 pub fn sgb_all<const D: usize>(points: &[Point<D>], cfg: &SgbAllConfig) -> Grouping {
-    let (algorithm, _) = cost::resolve_all(cfg.algorithm, points.len(), D);
-    let mut op = SgbAll::new(cfg.clone().algorithm(algorithm));
-    for p in points {
-        op.push(*p);
-    }
-    op.finish()
+    crate::SgbQuery::all(cfg.eps)
+        .metric(cfg.metric)
+        .overlap(cfg.overlap)
+        .seed(cfg.seed)
+        .hull_threshold(cfg.hull_threshold)
+        .rtree_fanout(cfg.rtree_fanout)
+        .algorithm(cfg.algorithm.into())
+        .run(points)
+        .into_flat()
 }
 
 #[cfg(test)]

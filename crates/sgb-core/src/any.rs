@@ -16,27 +16,24 @@
 //!    candidate, or merges all candidates via Union-Find
 //!    (`MergeGroupsInsert`).
 //!
-//! The one-shot [`sgb_any`] additionally exploits knowing the complete
-//! point set: it resolves [`AnyAlgorithm::Auto`] from the true
-//! cardinality, bulk-loads the index (sort-tile-recursive packing for the
-//! R-tree, one pass for the grid) instead of paying insert-at-a-time
-//! construction, and probes each point against the full index — the
-//! ε-graph is symmetric, so restricting unions to earlier neighbours
-//! yields exactly the streaming components. On the grid path the ε-join
-//! can further run **sharded across worker threads** (see
-//! [`SgbAnyConfig::threads`]): cells partition by hashed key, each worker
-//! unions its shard's close pairs into a private forest, and the forests
-//! fold with [`DisjointSet::merge_from`] — connectivity depends only on
-//! the union of the edge sets, so the result is bit-identical to the
-//! sequential join.
+//! [`SgbAny`] is that streaming framework. One-shot execution (the
+//! [`SgbQuery`] run entry points and [`sgb_any`]) knows the whole point
+//! set instead: it resolves [`AnyAlgorithm::Auto`] from the true
+//! cardinality, bulk-loads its index (or takes it from the session cache)
+//! and runs one of three batch kernels — all-pairs, R-tree, ε-grid — each
+//! governed and telemetry-aware. The ε-graph is symmetric, so unioning
+//! each edge once yields exactly the streaming components. The grid
+//! kernel can shard its join across worker threads (see
+//! [`SgbAnyConfig::threads`]); connectivity depends only on the union of
+//! the edge sets, so the result is bit-identical to the sequential join.
 
 use sgb_dsu::DisjointSet;
-use sgb_geom::Point;
+use sgb_geom::{Metric, Point};
 use sgb_spatial::{Grid, JoinTally, RTree};
 use sgb_telemetry::{Counter, Phase, Telemetry};
 
 use crate::governor::{Pacer, QueryGovernor, SgbError, CHECK_INTERVAL};
-use crate::{cost, AnyAlgorithm, Grouping, RecordId, SgbAnyConfig};
+use crate::{cost, AnyAlgorithm, Grouping, RecordId, SgbAnyConfig, SgbQuery};
 
 /// The index state behind `FindCandidateGroups`, per algorithm.
 #[derive(Clone, Debug)]
@@ -85,7 +82,7 @@ pub struct SgbAny<const D: usize> {
 impl<const D: usize> SgbAny<D> {
     /// Creates the operator.
     pub fn new(cfg: SgbAnyConfig) -> Self {
-        let index = match cost::resolve_any_streaming(cfg.algorithm, D) {
+        let index = match cost::resolve_any_streaming(cfg.algorithm, D).0 {
             AnyAlgorithm::AllPairs => AnyIndex::Scan,
             AnyAlgorithm::Indexed => AnyIndex::Tree(RTree::with_max_entries(cfg.rtree_fanout)),
             AnyAlgorithm::Grid => {
@@ -208,254 +205,34 @@ impl<const D: usize> SgbAny<D> {
     }
 }
 
-/// One-shot convenience: runs SGB-Any over a slice of points.
+/// One-shot convenience: runs SGB-Any over a slice of points — a wrapper
+/// over [`SgbQuery::run`] under the configuration's knobs. Unlike the
+/// streaming interface it resolves [`AnyAlgorithm::Auto`] from the true
+/// cardinality and bulk-loads its index (see the [module docs](self)).
 ///
-/// Knowing the complete point set up front enables two things the
-/// streaming interface cannot do:
-///
-/// * [`AnyAlgorithm::Auto`] resolves from the true cardinality
-///   ([`cost::resolve_any`]);
-/// * the indexed paths **bulk-load** their index — sort-tile-recursive
-///   packing for the R-tree ([`RTree::from_points`]), a single pass for
-///   the ε-grid — instead of paying one-at-a-time construction, then probe
-///   every point against the full index. Only neighbours with a smaller
-///   record id are unioned (the ε-graph is symmetric, so each edge is seen
-///   from its later endpoint), which reproduces the streaming components
-///   bit for bit.
+/// # Panics
+/// `"points must have finite coordinates"` on a non-finite coordinate.
 pub fn sgb_any<const D: usize>(points: &[Point<D>], cfg: &SgbAnyConfig) -> Grouping {
-    sgb_any_with(points, cfg, &Telemetry::off())
+    SgbQuery::any(cfg.eps)
+        .metric(cfg.metric)
+        .algorithm(cfg.algorithm.into())
+        .rtree_fanout(cfg.rtree_fanout)
+        .threads(cfg.threads)
+        .run(points)
+        .into_flat()
 }
 
-/// [`sgb_any`] with a telemetry handle: the query surface routes through
-/// this so profiles capture index-build time and join candidate counts;
-/// the public one-shot passes [`Telemetry::off`], keeping its hot path
-/// byte-identical to the pre-telemetry engine.
-pub(crate) fn sgb_any_with<const D: usize>(
+/// The all-pairs batch kernel: the pairwise loop with a [`Pacer`] tick per
+/// comparison, unioning edge `(i, j)` for every `j < i` in ascending
+/// order — exactly the unions of the streaming [`SgbAny::push`] scan.
+pub(crate) fn join_all_pairs<const D: usize>(
     points: &[Point<D>],
-    cfg: &SgbAnyConfig,
-    tel: &Telemetry,
-) -> Grouping {
-    let (algorithm, _) = cost::resolve_any(cfg.algorithm, points.len(), D);
-    for p in points {
-        assert!(p.is_finite(), "points must have finite coordinates");
-    }
-    match algorithm {
-        AnyAlgorithm::AllPairs => {
-            let mut op = SgbAny::new(cfg.clone().algorithm(AnyAlgorithm::AllPairs));
-            let join = tel.phase(Phase::Join);
-            for p in points {
-                op.push(*p);
-            }
-            drop(join);
-            let n = points.len() as u64;
-            tel.add(Counter::CandidatePairs, n * n.saturating_sub(1) / 2);
-            let merge = tel.phase(Phase::Merge);
-            let grouping = op.finish();
-            drop(merge);
-            grouping
-        }
-        AnyAlgorithm::Indexed => {
-            let build = tel.phase(Phase::IndexBuild);
-            let index: RTree<D, RecordId> = RTree::from_points(
-                cfg.rtree_fanout,
-                points.iter().enumerate().map(|(i, p)| (*p, i)),
-            );
-            drop(build);
-            sgb_any_tree(points, cfg, &index, tel)
-        }
-        AnyAlgorithm::Grid => {
-            let build = tel.phase(Phase::IndexBuild);
-            let index: Grid<D, RecordId> = Grid::from_points(
-                Grid::<D, RecordId>::side_for_eps(cfg.eps),
-                points.iter().enumerate().map(|(i, p)| (*p, i)),
-            );
-            drop(build);
-            let (threads, _) = cost::threads_for_any(AnyAlgorithm::Grid, cfg.threads, points.len());
-            sgb_any_grid(points, cfg, &index, threads, tel)
-        }
-        AnyAlgorithm::Auto => unreachable!("resolve_any never returns Auto"),
-    }
-}
-
-/// The batch `Indexed` join of [`sgb_any`] over an already-built point
-/// R-tree — split out so the session index cache can run it against a
-/// tree shared across queries. Only neighbours with a smaller record id
-/// are unioned (the ε-graph is symmetric), reproducing the streaming
-/// components bit for bit.
-pub(crate) fn sgb_any_tree<const D: usize>(
-    points: &[Point<D>],
-    cfg: &SgbAnyConfig,
-    index: &RTree<D, RecordId>,
-    tel: &Telemetry,
-) -> Grouping {
-    let (eps, metric) = (cfg.eps, cfg.metric);
-    let mut dsu = DisjointSet::with_len(points.len());
-    let mut stack = Vec::new();
-    // Branchless candidate tally: `enabled` folds to 0 when the handle is
-    // off, so the probe loop stays a register add away from its
-    // pre-telemetry codegen.
-    let enabled = tel.is_enabled() as u64;
-    let mut visited: u64 = 0;
-    let join = tel.phase(Phase::Join);
-    for (i, p) in points.iter().enumerate() {
-        index.for_each_within(p, eps, metric, &mut stack, |_, &j| {
-            visited += enabled;
-            if j < i && metric.within(p, &points[j], eps) {
-                dsu.union(i, j);
-            }
-        });
-    }
-    drop(join);
-    tel.add(Counter::CandidatePairs, visited);
-    let merge = tel.phase(Phase::Merge);
-    let groups = dsu.into_groups();
-    drop(merge);
-    Grouping {
-        groups,
-        eliminated: Vec::new(),
-    }
-}
-
-/// The batch ε-join of [`sgb_any`] over an already-built ε-grid: each
-/// close pair surfaces exactly once from the neighbour-cell scan (a
-/// constant number of hash lookups per occupied cell), verified with the
-/// exact `Metric::within` arithmetic, unioned.
-///
-/// Split out so the session index cache can run it against a shared grid;
-/// the grid's cell side may be *smaller* than ε (ε-superset reuse — the
-/// probe window widens to `ceil(ε / cell) + 1` cells), which never changes
-/// the verified pair set, so the grouping is bit-identical to a grid built
-/// at cell side ε.
-pub(crate) fn sgb_any_grid<const D: usize>(
-    points: &[Point<D>],
-    cfg: &SgbAnyConfig,
-    index: &Grid<D, RecordId>,
-    threads: usize,
-    tel: &Telemetry,
-) -> Grouping {
-    let (eps, metric) = (cfg.eps, cfg.metric);
-    let mut dsu = DisjointSet::with_len(points.len());
-    if threads <= 1 {
-        if tel.is_enabled() {
-            // Tallied twin of the plain join (same cell enumeration, same
-            // verified pair set — asserted in `sgb_spatial::grid`); the
-            // pace budget is unbounded so no governance check ever fires.
-            let mut tally = JoinTally::default();
-            let join = tel.phase(Phase::Join);
-            index
-                .try_for_each_pair_within_sharded_paced_tallied(
-                    eps,
-                    metric,
-                    0,
-                    1,
-                    |&i, &j| {
-                        dsu.union(i, j);
-                    },
-                    usize::MAX,
-                    || Ok::<(), std::convert::Infallible>(()),
-                    Some(&mut tally),
-                )
-                .unwrap();
-            drop(join);
-            join_tally_into(tel, &tally);
-        } else {
-            // Disabled handle: the pre-telemetry join, untouched — the
-            // `telemetry` bench gate pins this path at < 2% overhead.
-            let join = tel.phase(Phase::Join);
-            index.for_each_pair_within(eps, metric, |&i, &j| {
-                dsu.union(i, j);
-            });
-            drop(join);
-        }
-    } else {
-        // Sharded join: cells are partitioned by hashed key across
-        // `threads` shards and every close pair belongs to exactly
-        // one shard, so the per-shard forests union the same edge
-        // set a sequential run sees. Merging forests is
-        // commutative over edges, hence the final `into_groups`
-        // output is bit-identical to the sequential twin
-        // (asserted by `tests/proptest_parallel.rs`).
-        let mut forests: Vec<DisjointSet> = (0..threads)
-            .map(|_| DisjointSet::with_len(points.len()))
-            .collect();
-        let enabled = tel.is_enabled();
-        let mut tallies: Vec<JoinTally> = vec![JoinTally::default(); threads];
-        let join = tel.phase(Phase::Join);
-        let mut pool = scoped_threadpool::Pool::new(threads as u32);
-        pool.scoped(|scope| {
-            for (shard, (forest, tally)) in forests.iter_mut().zip(tallies.iter_mut()).enumerate() {
-                scope.execute(move || {
-                    if enabled {
-                        index
-                            .try_for_each_pair_within_sharded_paced_tallied(
-                                eps,
-                                metric,
-                                shard,
-                                threads,
-                                |&i, &j| {
-                                    forest.union(i, j);
-                                },
-                                usize::MAX,
-                                || Ok::<(), std::convert::Infallible>(()),
-                                Some(tally),
-                            )
-                            .unwrap();
-                    } else {
-                        index.for_each_pair_within_sharded(
-                            eps,
-                            metric,
-                            shard,
-                            threads,
-                            |&i, &j| {
-                                forest.union(i, j);
-                            },
-                        );
-                    }
-                });
-            }
-        });
-        drop(join);
-        if enabled {
-            let mut total = JoinTally::default();
-            for tally in &tallies {
-                total.merge(tally);
-            }
-            join_tally_into(tel, &total);
-            tel.record_max(Counter::ThreadsUsed, threads as u64);
-        }
-        let merge = tel.phase(Phase::Merge);
-        for forest in &forests {
-            dsu.merge_from(forest);
-        }
-        drop(merge);
-    }
-    let merge = tel.phase(Phase::Merge);
-    let groups = dsu.into_groups();
-    drop(merge);
-    Grouping {
-        groups,
-        eliminated: Vec::new(),
-    }
-}
-
-/// Records a grid join's tally into the profile counters.
-fn join_tally_into(tel: &Telemetry, tally: &JoinTally) {
-    tel.add(Counter::CandidatePairs, tally.candidate_pairs);
-    tel.add(Counter::CellsProbed, tally.cells_visited);
-}
-
-/// Governed twin of the all-pairs scan: the direct pairwise loop with a
-/// [`Pacer`] tick per comparison. It unions edge `(i, j)` for every
-/// `j < i` in ascending order — exactly the unions the streaming
-/// [`SgbAny::push`] scan performs — so the grouping is bit-identical.
-pub(crate) fn try_sgb_any_all_pairs<const D: usize>(
-    points: &[Point<D>],
-    cfg: &SgbAnyConfig,
+    eps: f64,
+    metric: Metric,
     governor: &QueryGovernor,
     tel: &Telemetry,
 ) -> Result<Grouping, SgbError> {
     governor.check()?;
-    let (eps, metric) = (cfg.eps, cfg.metric);
     let mut dsu = DisjointSet::with_len(points.len());
     let mut pacer = Pacer::new();
     let join = tel.phase(Phase::Join);
@@ -470,7 +247,7 @@ pub(crate) fn try_sgb_any_all_pairs<const D: usize>(
     drop(join);
     // The scan's work is exactly the pair triangle, and the pacer polls
     // the governor once per CHECK_INTERVAL ticks (plus the entry check)
-    // — both are arithmetic, so the governed loop needs no inline tally.
+    // — both are arithmetic, so the loop needs no inline tally.
     let n = points.len() as u64;
     let pairs = n * n.saturating_sub(1) / 2;
     tel.add(Counter::CandidatePairs, pairs);
@@ -478,30 +255,28 @@ pub(crate) fn try_sgb_any_all_pairs<const D: usize>(
         Counter::GovernorPolls,
         1 + pairs / u64::from(CHECK_INTERVAL),
     );
-    let merge = tel.phase(Phase::Merge);
-    let groups = dsu.into_groups();
-    drop(merge);
-    Ok(Grouping {
-        groups,
-        eliminated: Vec::new(),
-    })
+    Ok(components(dsu, tel))
 }
 
-/// Governed twin of [`sgb_any_tree`]: same probes, same unions, plus a
-/// deadline/cancellation check per tuple (each probe is the unit of work
-/// worth pacing — the per-hit callback stays infallible and branch-free).
-pub(crate) fn try_sgb_any_tree<const D: usize>(
+/// The R-tree batch kernel over a bulk-loaded point tree (fresh or from
+/// the session cache): one metric-aware range probe per point, paced per
+/// probe. Only neighbours with a smaller record id are unioned (the
+/// ε-graph is symmetric), reproducing the streaming components.
+pub(crate) fn join_tree<const D: usize>(
     points: &[Point<D>],
-    cfg: &SgbAnyConfig,
+    eps: f64,
+    metric: Metric,
     index: &RTree<D, RecordId>,
     governor: &QueryGovernor,
     tel: &Telemetry,
 ) -> Result<Grouping, SgbError> {
     governor.check()?;
-    let (eps, metric) = (cfg.eps, cfg.metric);
     let mut dsu = DisjointSet::with_len(points.len());
     let mut stack = Vec::new();
     let mut pacer = Pacer::new();
+    // Branchless candidate tally: `enabled` folds to 0 when the handle is
+    // off, so the probe loop stays a register add away from an
+    // uninstrumented one.
     let enabled = tel.is_enabled() as u64;
     let mut visited: u64 = 0;
     let join = tel.phase(Phase::Join);
@@ -520,30 +295,34 @@ pub(crate) fn try_sgb_any_tree<const D: usize>(
         Counter::GovernorPolls,
         1 + points.len() as u64 / u64::from(CHECK_INTERVAL),
     );
-    let merge = tel.phase(Phase::Merge);
-    let groups = dsu.into_groups();
-    drop(merge);
-    Ok(Grouping {
-        groups,
-        eliminated: Vec::new(),
-    })
+    Ok(components(dsu, tel))
 }
 
-/// Governed twin of [`sgb_any_grid`]. Both the sequential and the sharded
-/// join run the grid's *paced* variant: the per-pair visitor is
-/// infallible (same codegen as the ungoverned join) and the governance
-/// check runs at cell-row boundaries, every ≤ [`CHECK_INTERVAL`]
-/// candidates. Each shard paces against the *shared* governor at its own
-/// cadence and parks its verdict in a per-shard slot — no cross-thread
-/// abort flag needed. A panicking worker surfaces
-/// as [`SgbError::WorkerPanicked`] (the pool cancels the remaining shards
-/// and keeps its queue lock un-poisoned — see `vendor/scoped_threadpool`).
+/// What one shard of the grid kernel leaves behind besides its unions.
+#[derive(Default)]
+struct ShardRun {
+    tally: JoinTally,
+    polls: u64,
+    error: Option<SgbError>,
+}
+
+/// The ε-grid batch kernel over a grid (fresh or from the session cache,
+/// whose cell side may be below ε — the verified pair set is the same):
+/// the grid's exact join surfaces each within-ε pair once, and the pair
+/// is unioned.
 ///
-/// On `Ok`, the grouping is bit-identical to [`sgb_any_grid`]; on `Err`,
+/// With `threads > 1` the join runs one shard per worker. Every pair
+/// belongs to exactly one shard, so the per-shard forests union the same
+/// edge set a sequential run sees, and merging them yields a bit-identical
+/// grouping (asserted by `tests/proptest_parallel.rs`). Each shard paces
+/// against the shared governor at cell-row boundaries, every ≤
+/// [`CHECK_INTERVAL`] candidates, and parks its verdict in its own slot; a
+/// panicking worker surfaces as [`SgbError::WorkerPanicked`]. On `Err`,
 /// everything built here is dropped — no partial grouping escapes.
-pub(crate) fn try_sgb_any_grid<const D: usize>(
+pub(crate) fn join_grid<const D: usize>(
     points: &[Point<D>],
-    cfg: &SgbAnyConfig,
+    eps: f64,
+    metric: Metric,
     index: &Grid<D, RecordId>,
     threads: usize,
     governor: &QueryGovernor,
@@ -551,115 +330,89 @@ pub(crate) fn try_sgb_any_grid<const D: usize>(
 ) -> Result<Grouping, SgbError> {
     failpoints::fail_point!("sgb_core::any::grid_join", |_| Err(SgbError::Cancelled));
     governor.check()?;
-    let (eps, metric) = (cfg.eps, cfg.metric);
+    let shards = threads.max(1);
+    let enabled = tel.is_enabled();
+    // Shard 0 unions straight into the result forest; every further shard
+    // unions into a private forest that is merged in afterwards.
     let mut dsu = DisjointSet::with_len(points.len());
-    if threads <= 1 {
-        if tel.is_enabled() {
-            // Tallied twin of the paced join: same pair enumeration, same
-            // governance cadence, plus the candidate/cell tally and a
-            // poll count from the pace closure (which runs once per
-            // ≤ CHECK_INTERVAL candidates — off the hot loop).
-            let mut tally = JoinTally::default();
-            let mut polls: u64 = 1;
-            let join = tel.phase(Phase::Join);
-            let verdict = index.try_for_each_pair_within_sharded_paced_tallied(
+    let mut forests: Vec<DisjointSet> = (1..shards)
+        .map(|_| DisjointSet::with_len(points.len()))
+        .collect();
+    let mut runs: Vec<ShardRun> = (0..shards).map(|_| ShardRun::default()).collect();
+    let run_shard = |shard: usize, forest: &mut DisjointSet, run: &mut ShardRun| {
+        let ShardRun {
+            tally,
+            polls,
+            error,
+        } = run;
+        *error = index
+            .try_for_each_pair_within(
                 eps,
                 metric,
-                0,
-                1,
+                shard,
+                shards,
                 |&i, &j| {
-                    dsu.union(i, j);
+                    forest.union(i, j);
                 },
                 CHECK_INTERVAL as usize,
                 || {
-                    polls += 1;
+                    *polls += 1;
                     governor.check()
                 },
-                Some(&mut tally),
-            );
-            drop(join);
-            join_tally_into(tel, &tally);
-            tel.add(Counter::GovernorPolls, polls);
-            verdict?;
-        } else {
-            // Paced join: the per-pair visitor stays infallible (identical
-            // codegen to the ungoverned join); the deadline/cancellation
-            // check runs at cell-row boundaries, every ≤ CHECK_INTERVAL
-            // candidate comparisons.
-            index.try_for_each_pair_within_paced(
-                eps,
-                metric,
-                |&i, &j| {
-                    dsu.union(i, j);
-                },
-                CHECK_INTERVAL as usize,
-                || governor.check(),
-            )?;
-        }
+                enabled.then_some(tally),
+            )
+            .err();
+    };
+    let join = tel.phase(Phase::Join);
+    if shards == 1 {
+        run_shard(0, &mut dsu, &mut runs[0]);
     } else {
-        let mut forests: Vec<DisjointSet> = (0..threads)
-            .map(|_| DisjointSet::with_len(points.len()))
-            .collect();
-        let mut verdicts: Vec<Result<(), SgbError>> = vec![Ok(()); threads];
-        let enabled = tel.is_enabled();
-        let mut tallies: Vec<JoinTally> = vec![JoinTally::default(); threads];
-        let join = tel.phase(Phase::Join);
-        let mut pool = scoped_threadpool::Pool::new(threads as u32);
-        pool.try_scoped(|scope| {
-            for (shard, ((forest, verdict), tally)) in forests
-                .iter_mut()
-                .zip(verdicts.iter_mut())
-                .zip(tallies.iter_mut())
-                .enumerate()
-            {
-                scope.execute(move || {
-                    *verdict = index.try_for_each_pair_within_sharded_paced_tallied(
-                        eps,
-                        metric,
-                        shard,
-                        threads,
-                        |&i, &j| {
-                            forest.union(i, j);
-                        },
-                        CHECK_INTERVAL as usize,
-                        || governor.check(),
-                        if enabled { Some(tally) } else { None },
-                    );
-                });
-            }
-        })
-        .map_err(|p| SgbError::WorkerPanicked {
-            message: p.message().to_owned(),
-        })?;
-        drop(join);
-        if enabled {
-            let mut total = JoinTally::default();
-            for tally in &tallies {
-                total.merge(tally);
-            }
-            join_tally_into(tel, &total);
-            tel.add(
-                Counter::GovernorPolls,
-                threads as u64 + total.candidate_pairs / u64::from(CHECK_INTERVAL),
-            );
-            tel.record_max(Counter::ThreadsUsed, threads as u64);
+        let run_shard = &run_shard;
+        let targets = std::iter::once(&mut dsu).chain(forests.iter_mut());
+        scoped_threadpool::Pool::new(shards as u32)
+            .try_scoped(|scope| {
+                for (shard, (forest, run)) in targets.zip(runs.iter_mut()).enumerate() {
+                    scope.execute(move || run_shard(shard, forest, run));
+                }
+            })
+            .map_err(|p| SgbError::WorkerPanicked {
+                message: p.message().to_owned(),
+            })?;
+    }
+    drop(join);
+    if enabled {
+        let mut total = JoinTally::default();
+        let mut polls = 1;
+        for run in &runs {
+            total.merge(&run.tally);
+            polls += run.polls;
         }
-        for verdict in verdicts {
-            verdict?;
+        tel.add(Counter::CandidatePairs, total.candidate_pairs);
+        tel.add(Counter::CellsProbed, total.cells_visited);
+        tel.add(Counter::GovernorPolls, polls);
+        if shards > 1 {
+            tel.record_max(Counter::ThreadsUsed, shards as u64);
         }
-        let merge = tel.phase(Phase::Merge);
-        for forest in &forests {
-            dsu.try_merge_from(forest, || governor.check())?;
-        }
-        drop(merge);
+    }
+    if let Some(error) = runs.into_iter().find_map(|run| run.error) {
+        return Err(error);
     }
     let merge = tel.phase(Phase::Merge);
-    let groups = dsu.into_groups();
+    for forest in &forests {
+        dsu.try_merge_from(forest, || governor.check())?;
+    }
     drop(merge);
-    Ok(Grouping {
-        groups,
+    Ok(components(dsu, tel))
+}
+
+/// The connected components of a kernel's finished forest as the answer
+/// set (the merge phase).
+fn components(dsu: DisjointSet, tel: &Telemetry) -> Grouping {
+    let _merge = tel.phase(Phase::Merge);
+    Grouping {
+        groups: dsu.into_groups(),
         eliminated: Vec::new(),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -948,48 +701,56 @@ mod tests {
         let points: Vec<Point<2>> = (0..900)
             .map(|_| Point::new([next() * 10.0, next() * 10.0]))
             .collect();
-        let eps = 0.3;
+        let (eps, metric) = (0.3, Metric::L2);
         let free = QueryGovernor::unrestricted();
-        let cfg = SgbAnyConfig::new(eps);
         let grid: Grid<2, RecordId> = Grid::from_points(
             Grid::<2, RecordId>::side_for_eps(eps),
             points.iter().enumerate().map(|(i, p)| (*p, i)),
         );
-        let tree: RTree<2, RecordId> = RTree::from_points(
-            cfg.rtree_fanout,
-            points.iter().enumerate().map(|(i, p)| (*p, i)),
-        );
+        let tree: RTree<2, RecordId> =
+            RTree::from_points(12, points.iter().enumerate().map(|(i, p)| (*p, i)));
         let off = Telemetry::off();
-        let expected = sgb_any(&points, &cfg.clone().algorithm(AnyAlgorithm::AllPairs));
+        // Every kernel matches the brute-force components and the
+        // streaming operator.
+        let expected = reference(&points, eps, metric);
+        let mut stream = SgbAny::new(
+            SgbAnyConfig::new(eps)
+                .metric(metric)
+                .algorithm(AnyAlgorithm::AllPairs),
+        );
+        for p in &points {
+            stream.push(*p);
+        }
+        assert_eq!(stream.finish(), expected);
         assert_eq!(
-            try_sgb_any_all_pairs(&points, &cfg, &free, &off).unwrap(),
+            join_all_pairs(&points, eps, metric, &free, &off).unwrap(),
             expected
         );
         assert_eq!(
-            try_sgb_any_tree(&points, &cfg, &tree, &free, &off).unwrap(),
+            join_tree(&points, eps, metric, &tree, &free, &off).unwrap(),
             expected
         );
         for threads in [1, 3] {
             assert_eq!(
-                try_sgb_any_grid(&points, &cfg, &grid, threads, &free, &off).unwrap(),
+                join_grid(&points, eps, metric, &grid, threads, &free, &off).unwrap(),
                 expected,
                 "threads={threads}"
             );
         }
-        // An already-expired deadline aborts every path with `Timeout`.
+        // An already-expired deadline aborts every kernel with `Timeout`.
         let expired =
             QueryGovernor::unrestricted().with_deadline(std::time::Duration::from_secs(0));
         assert!(matches!(
-            try_sgb_any_all_pairs(&points, &cfg, &expired, &off),
+            join_all_pairs(&points, eps, metric, &expired, &off),
             Err(SgbError::Timeout)
         ));
         assert!(matches!(
-            try_sgb_any_tree(&points, &cfg, &tree, &expired, &off),
+            join_tree(&points, eps, metric, &tree, &expired, &off),
             Err(SgbError::Timeout)
         ));
         for threads in [1, 3] {
             assert!(matches!(
-                try_sgb_any_grid(&points, &cfg, &grid, threads, &expired, &off),
+                join_grid(&points, eps, metric, &grid, threads, &expired, &off),
                 Err(SgbError::Timeout)
             ));
         }
@@ -1007,61 +768,52 @@ mod tests {
         let points: Vec<Point<2>> = (0..600)
             .map(|_| Point::new([next() * 10.0, next() * 10.0]))
             .collect();
-        let eps = 0.3;
+        let (eps, metric) = (0.3, Metric::L2);
         let free = QueryGovernor::unrestricted();
-        let cfg = SgbAnyConfig::new(eps);
         let grid: Grid<2, RecordId> = Grid::from_points(
             Grid::<2, RecordId>::side_for_eps(eps),
             points.iter().enumerate().map(|(i, p)| (*p, i)),
         );
-        let tree: RTree<2, RecordId> = RTree::from_points(
-            cfg.rtree_fanout,
-            points.iter().enumerate().map(|(i, p)| (*p, i)),
-        );
-        let expected = sgb_any(&points, &cfg.clone().algorithm(AnyAlgorithm::AllPairs));
+        let tree: RTree<2, RecordId> =
+            RTree::from_points(12, points.iter().enumerate().map(|(i, p)| (*p, i)));
+        let expected = reference(&points, eps, metric);
         // Connecting the components needs at least a spanning forest of
         // ε-edges, so every join must have visited at least this many
         // candidates (a component of size k can have as few as k-1 edges).
         let accepted = (points.len() - expected.groups.len()) as u64;
 
-        // Every instrumented path groups identically to its silent twin
+        // Every instrumented kernel groups identically to the reference
         // and reports at least as many candidates as the ε-graph's edge
         // lower bound, with the join/merge phases timed.
         let runs: Vec<(&str, Grouping, Telemetry)> = vec![
             {
                 let tel = Telemetry::new();
-                let out = sgb_any_with(&points, &cfg, &tel);
+                let out = SgbQuery::any(eps)
+                    .metric(metric)
+                    .telemetry(tel.clone())
+                    .run(&points)
+                    .into_flat();
                 ("auto", out, tel)
             },
             {
                 let tel = Telemetry::new();
-                let out = sgb_any_tree(&points, &cfg, &tree, &tel);
+                let out = join_all_pairs(&points, eps, metric, &free, &tel).unwrap();
+                ("allpairs", out, tel)
+            },
+            {
+                let tel = Telemetry::new();
+                let out = join_tree(&points, eps, metric, &tree, &free, &tel).unwrap();
                 ("tree", out, tel)
             },
             {
                 let tel = Telemetry::new();
-                let out = sgb_any_grid(&points, &cfg, &grid, 3, &tel);
+                let out = join_grid(&points, eps, metric, &grid, 1, &free, &tel).unwrap();
+                ("grid1", out, tel)
+            },
+            {
+                let tel = Telemetry::new();
+                let out = join_grid(&points, eps, metric, &grid, 3, &free, &tel).unwrap();
                 ("grid3", out, tel)
-            },
-            {
-                let tel = Telemetry::new();
-                let out = try_sgb_any_all_pairs(&points, &cfg, &free, &tel).unwrap();
-                ("try-allpairs", out, tel)
-            },
-            {
-                let tel = Telemetry::new();
-                let out = try_sgb_any_tree(&points, &cfg, &tree, &free, &tel).unwrap();
-                ("try-tree", out, tel)
-            },
-            {
-                let tel = Telemetry::new();
-                let out = try_sgb_any_grid(&points, &cfg, &grid, 1, &free, &tel).unwrap();
-                ("try-grid1", out, tel)
-            },
-            {
-                let tel = Telemetry::new();
-                let out = try_sgb_any_grid(&points, &cfg, &grid, 3, &free, &tel).unwrap();
-                ("try-grid3", out, tel)
             },
         ];
         for (label, out, tel) in runs {
@@ -1081,8 +833,8 @@ mod tests {
 
         // Sharded grid tallies agree with the sequential tally.
         let (seq, par) = (Telemetry::new(), Telemetry::new());
-        try_sgb_any_grid(&points, &cfg, &grid, 1, &free, &seq).unwrap();
-        try_sgb_any_grid(&points, &cfg, &grid, 3, &free, &par).unwrap();
+        join_grid(&points, eps, metric, &grid, 1, &free, &seq).unwrap();
+        join_grid(&points, eps, metric, &grid, 3, &free, &par).unwrap();
         let (seq, par) = (seq.profile().unwrap(), par.profile().unwrap());
         assert_eq!(
             seq.counter(Counter::CandidatePairs),

@@ -217,7 +217,7 @@ impl<const D: usize> SgbAround<D> {
     /// center count and bulk-loading the center index when an indexed
     /// algorithm is selected.
     pub fn new(cfg: SgbAroundConfig<D>) -> Self {
-        let (algorithm, _) = cost::resolve_around(cfg.algorithm, cfg.centers.len(), D);
+        let (algorithm, _) = cost::around_cost_model(cfg.algorithm, cfg.centers.len(), D);
         let index = Arc::new(build_center_index(
             algorithm,
             cfg.rtree_fanout,
@@ -268,22 +268,22 @@ impl<const D: usize> SgbAround<D> {
         self.pushed == 0
     }
 
-    /// The nearest center of `p`, ties towards the lowest center index.
-    fn nearest_center(&mut self, p: &Point<D>) -> CenterId {
-        nearest_center_in(&self.index, &self.cfg, &mut self.scratch, p)
-    }
-
     /// Assigns one point to its nearest center (or the outlier group),
     /// returning its record id.
     pub fn push(&mut self, p: Point<D>) -> RecordId {
         assert!(p.is_finite(), "points must have finite coordinates");
+        let c = nearest_center_in(&self.index, &self.cfg, &mut self.scratch, &p);
+        self.record((!is_outlier(&self.cfg, &p, c)).then_some(c))
+    }
+
+    /// Appends the next record id to center `c`'s group, or to the
+    /// outliers for `None`.
+    fn record(&mut self, c: Option<CenterId>) -> RecordId {
         let id = self.pushed;
         self.pushed += 1;
-        let c = self.nearest_center(&p);
-        if is_outlier(&self.cfg, &p, c) {
-            self.outliers.push(id);
-        } else {
-            self.groups[c].push(id);
+        match c {
+            Some(c) => self.groups[c].push(id),
+            None => self.outliers.push(id),
         }
         id
     }
@@ -292,68 +292,36 @@ impl<const D: usize> SgbAround<D> {
     /// order — but when the configuration requests (or the cost model
     /// grants, see [`crate::cost::threads_for_around`]) more than one
     /// worker, the nearest-center classification runs **in parallel over
-    /// tuple chunks**. Assignment depends only on the tuple itself, so
-    /// each worker classifies its chunk independently into a shared slot
-    /// array; a sequential arrival-order stitch then appends record ids to
-    /// their groups, reproducing the member order of a sequential run
-    /// exactly (asserted by `tests/proptest_parallel.rs`).
+    /// tuple chunks**. This is the query layer's governed batch assignment
+    /// under an unrestricted governor.
+    ///
+    /// # Panics
+    /// `"points must have finite coordinates"` on a non-finite coordinate,
+    /// before any point is assigned.
     pub fn extend_from_slice(&mut self, points: &[Point<D>]) {
-        let (threads, _) = cost::threads_for_around(self.cfg.threads, points.len());
-        if threads <= 1 {
-            for p in points {
-                self.push(*p);
-            }
-            return;
-        }
         assert!(
-            self.cfg.centers.len() < u32::MAX as usize,
-            "too many centers for the parallel assignment encoding"
+            points.iter().all(Point::is_finite),
+            "points must have finite coordinates"
         );
-        const OUTLIER: u32 = u32::MAX;
-        let mut assign = vec![OUTLIER; points.len()];
-        // Several chunks per worker so an uneven cluster layout still
-        // balances; chunk geometry never affects results.
-        let chunk = points.len().div_ceil(threads * 4).max(1);
-        let index = &self.index;
-        let cfg = &self.cfg;
-        let mut pool = scoped_threadpool::Pool::new(threads as u32);
-        pool.scoped(|scope| {
-            for (pts, out) in points.chunks(chunk).zip(assign.chunks_mut(chunk)) {
-                scope.execute(move || {
-                    let mut scratch = Vec::new();
-                    for (p, slot) in pts.iter().zip(out.iter_mut()) {
-                        assert!(p.is_finite(), "points must have finite coordinates");
-                        let c = nearest_center_in(index, cfg, &mut scratch, p);
-                        *slot = if is_outlier(cfg, p, c) {
-                            OUTLIER
-                        } else {
-                            c as u32
-                        };
-                    }
-                });
-            }
-        });
-        for &code in &assign {
-            let id = self.pushed;
-            self.pushed += 1;
-            if code == OUTLIER {
-                self.outliers.push(id);
-            } else {
-                self.groups[code as usize].push(id);
-            }
+        if let Err(e) = self.try_extend_from_slice(points, &QueryGovernor::unrestricted()) {
+            panic!("{e}");
         }
     }
 
-    /// Governed twin of [`extend_from_slice`](Self::extend_from_slice):
-    /// same classification, same arrival-order stitch, plus a
-    /// deadline/cancellation check per tuple (each parallel worker paces
-    /// its own chunk against the shared governor and parks its verdict in
-    /// a per-chunk slot; the stitch runs only when every chunk succeeded).
+    /// The batch assignment under a [`QueryGovernor`]: equivalent to
+    /// pushing each point in order, with a deadline/cancellation check
+    /// per tuple. With more than one worker, each worker classifies its
+    /// chunk independently into a shared slot array, pacing against the
+    /// shared governor and parking its verdict in a per-chunk slot; a
+    /// sequential arrival-order stitch then appends record ids to their
+    /// groups — only when every chunk succeeded — reproducing the member
+    /// order of a sequential run exactly (asserted by
+    /// `tests/proptest_parallel.rs`). Points must be finite (validated by
+    /// the callers).
     ///
-    /// On `Ok`, the operator state is bit-identical to the infallible
-    /// batch. On `Err`, the state may have absorbed a prefix of the batch
-    /// — **discard the operator**; the governed query entry points build a
-    /// fresh operator per call, so no partial grouping is observable.
+    /// On `Err`, the state may have absorbed a prefix of the batch —
+    /// **discard the operator**; the query entry points build a fresh
+    /// operator per call, so no partial grouping is observable.
     pub(crate) fn try_extend_from_slice(
         &mut self,
         points: &[Point<D>],
@@ -376,6 +344,8 @@ impl<const D: usize> SgbAround<D> {
         );
         const OUTLIER: u32 = u32::MAX;
         let mut assign = vec![OUTLIER; points.len()];
+        // Several chunks per worker so an uneven cluster layout still
+        // balances; chunk geometry never affects results.
         let chunk = points.len().div_ceil(threads * 4).max(1);
         let mut verdicts: Vec<Result<(), SgbError>> = vec![Ok(()); points.len().div_ceil(chunk)];
         let index = &self.index;
@@ -392,7 +362,7 @@ impl<const D: usize> SgbAround<D> {
                     let mut pacer = Pacer::new();
                     *verdict = pts.iter().zip(out.iter_mut()).try_for_each(|(p, slot)| {
                         pacer.tick(governor)?;
-                        debug_assert!(p.is_finite(), "validated at the query boundary");
+                        debug_assert!(p.is_finite(), "validated by the callers");
                         let c = nearest_center_in(index, cfg, &mut scratch, p);
                         *slot = if is_outlier(cfg, p, c) {
                             OUTLIER
@@ -411,13 +381,7 @@ impl<const D: usize> SgbAround<D> {
             verdict?;
         }
         for &code in &assign {
-            let id = self.pushed;
-            self.pushed += 1;
-            if code == OUTLIER {
-                self.outliers.push(id);
-            } else {
-                self.groups[code as usize].push(id);
-            }
+            self.record((code != OUTLIER).then_some(code as usize));
         }
         Ok(())
     }

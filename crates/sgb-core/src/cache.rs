@@ -196,17 +196,24 @@ impl<const D: usize> SgbCache<D> {
     /// # Panics
     /// Like `SgbQuery::run`: `"points must have finite coordinates"`.
     pub fn validate_once(&self, version: u64, points: &[Point<D>]) {
+        assert!(
+            self.points_finite(version, points),
+            "points must have finite coordinates"
+        );
+    }
+
+    /// Whether every point is finite, scanning only until one scan under
+    /// `version` has passed; later calls under the same version skip the
+    /// O(n·d) scan (counted in [`CacheStats::validations_skipped`]).
+    pub(crate) fn points_finite(&self, version: u64, points: &[Point<D>]) -> bool {
         let mut inner = self.lock();
         inner.enter_version(version);
         if inner.validated {
             inner.stats.validations_skipped += 1;
-            return;
+            return true;
         }
-        assert!(
-            points.iter().all(Point::is_finite),
-            "points must have finite coordinates"
-        );
-        inner.validated = true;
+        inner.validated = points.iter().all(Point::is_finite);
+        inner.validated
     }
 
     /// Read-only probe: would an ε-query over `version` find a usable
@@ -262,7 +269,7 @@ impl<const D: usize> SgbCache<D> {
 
     /// Read-only probe: the concrete algorithm of a cached center index
     /// for exactly these centers (and fan-out), if one exists. Feeds
-    /// [`crate::cost::resolve_around_with_cache`].
+    /// [`crate::cost::resolve_around`].
     pub fn cached_center_algorithm(
         &self,
         centers: &[Point<D>],

@@ -73,7 +73,10 @@ fn configured() -> String {
 }
 
 /// Resolves the SGB-All algorithm for a known input cardinality `n` in
-/// `dims` dimensions. Non-`Auto` inputs pass through unchanged.
+/// `dims` dimensions. Non-`Auto` inputs pass through unchanged. SGB-All
+/// has no cache or budget input: its index tracks the *live groups*,
+/// which exist only mid-run, so nothing is shared across queries and
+/// nothing table-sized is built up front.
 pub fn resolve_all(
     configured_algo: AllAlgorithm,
     n: usize,
@@ -115,13 +118,7 @@ pub fn resolve_all(
 /// scalable regime (streams are open-ended) and picks the group R-tree.
 /// One-shot entry points — including the SQL executor — know `n` and use
 /// [`resolve_all`] instead.
-pub fn resolve_all_streaming(configured_algo: AllAlgorithm, dims: usize) -> AllAlgorithm {
-    resolve_all_streaming_with_reason(configured_algo, dims).0
-}
-
-/// [`resolve_all_streaming`] plus the human-readable reason, for surfaces
-/// that report the selection (the unified `SgbStream`).
-pub fn resolve_all_streaming_with_reason(
+pub fn resolve_all_streaming(
     configured_algo: AllAlgorithm,
     _dims: usize,
 ) -> (AllAlgorithm, String) {
@@ -135,9 +132,13 @@ pub fn resolve_all_streaming_with_reason(
     }
 }
 
-/// Resolves the SGB-Any algorithm for a known input cardinality `n` in
-/// `dims` dimensions. Non-`Auto` inputs pass through unchanged.
-pub fn resolve_any(configured_algo: AnyAlgorithm, n: usize, dims: usize) -> (AnyAlgorithm, String) {
+/// The cost model's SGB-Any choice for `n` points in `dims` dimensions,
+/// before any cache or budget input is considered.
+pub(crate) fn any_cost_model(
+    configured_algo: AnyAlgorithm,
+    n: usize,
+    dims: usize,
+) -> (AnyAlgorithm, String) {
     match configured_algo {
         AnyAlgorithm::Auto => {
             if n <= ANY_ALL_PAIRS_MAX_N {
@@ -161,27 +162,6 @@ pub fn resolve_any(configured_algo: AnyAlgorithm, n: usize, dims: usize) -> (Any
         }
         other => (other, configured()),
     }
-}
-
-/// [`resolve_any`] for a session that may already hold a usable cached
-/// ε-grid for the input's table version. A cached grid has zero build
-/// cost, which flips the small-n trade-off: the plain scan only won
-/// because index *construction* dominated, so when construction is free
-/// the grid path wins at every cardinality (within its dimensionality
-/// sweet spot). Non-`Auto` inputs still pass through unchanged.
-pub fn resolve_any_with_cache(
-    configured_algo: AnyAlgorithm,
-    n: usize,
-    dims: usize,
-    cached_grid: bool,
-) -> (AnyAlgorithm, String) {
-    if configured_algo == AnyAlgorithm::Auto && cached_grid && dims <= GRID_MAX_DIMS {
-        return (
-            AnyAlgorithm::Grid,
-            format!("auto: cached eps-grid for this table version, zero build cost (n = {n})"),
-        );
-    }
-    resolve_any(configured_algo, n, dims)
 }
 
 /// Rough upper bound on the resident bytes of an ε-grid over `n` points
@@ -216,38 +196,22 @@ pub fn estimated_center_index_bytes(centers: usize, dims: usize) -> usize {
     estimated_rtree_bytes(centers, dims)
 }
 
-/// [`resolve_any_with_cache`] under a [`QueryGovernor`] memory budget,
-/// pricing only the ε-grid. Kept for callers without an R-tree cache
-/// probe; equivalent to [`resolve_any_governed_full`] with
-/// `cached_tree = false`.
-pub fn resolve_any_governed(
-    configured_algo: AnyAlgorithm,
-    n: usize,
-    dims: usize,
-    cached_grid: bool,
-    governor: &QueryGovernor,
-) -> Result<(AnyAlgorithm, String), SgbError> {
-    resolve_any_governed_full(configured_algo, n, dims, cached_grid, false, governor)
-}
-
-/// [`resolve_any_with_cache`] under a [`QueryGovernor`] memory budget.
+/// Resolves the SGB-Any algorithm for a known input cardinality `n` in
+/// `dims` dimensions, given what the session cache holds for the input's
+/// table version (`cached_grid`: a usable ε-grid, `cached_tree`: a point
+/// R-tree) and the [`QueryGovernor`]'s memory budget.
 ///
-/// The budget governs the structures whose footprint scales with the
-/// *table*: the ε-grid ([`estimated_grid_bytes`]) and the bulk-loaded
-/// point R-tree ([`estimated_rtree_bytes`]). When the estimated build
-/// would not fit:
+/// * A cached grid has zero build cost, so `Auto` picks it at every
+///   cardinality (the plain scan only wins while construction dominates).
+/// * A build over the budget ([`estimated_grid_bytes`],
+///   [`estimated_rtree_bytes`]) degrades `Auto` to the O(1)-memory
+///   all-pairs scan — bit-identical output, the fallback recorded in the
+///   reason for `EXPLAIN` — while an explicit `Grid` / `Indexed` fails.
+///   Cached structures allocate nothing new and are always admitted.
 ///
-/// * `Auto` **degrades gracefully** to the streaming all-pairs scan —
-///   O(1) extra memory, bit-identical output — and the returned reason
-///   records the fallback for `EXPLAIN`;
-/// * an **explicitly configured** `Grid` or `Indexed` fails with
-///   [`SgbError::BudgetExceeded`] instead of silently running something
-///   else.
-///
-/// A usable *cached* structure (`cached_grid` / `cached_tree`) is admitted
-/// regardless of the budget: it already exists, so running against it
-/// allocates nothing new.
-pub fn resolve_any_governed_full(
+/// # Errors
+/// [`SgbError::BudgetExceeded`] for an explicit index over the budget.
+pub fn resolve_any(
     configured_algo: AnyAlgorithm,
     n: usize,
     dims: usize,
@@ -255,84 +219,57 @@ pub fn resolve_any_governed_full(
     cached_tree: bool,
     governor: &QueryGovernor,
 ) -> Result<(AnyAlgorithm, String), SgbError> {
-    let (resolved, reason) = resolve_any_with_cache(configured_algo, n, dims, cached_grid);
-    let (needed, cached, structure) = match resolved {
-        AnyAlgorithm::Grid => (estimated_grid_bytes(n, dims), cached_grid, "eps-grid"),
-        AnyAlgorithm::Indexed => (estimated_rtree_bytes(n, dims), cached_tree, "point R-tree"),
-        _ => return Ok((resolved, reason)),
+    let auto = configured_algo == AnyAlgorithm::Auto;
+    let resolved = if auto && cached_grid && dims <= GRID_MAX_DIMS {
+        (
+            AnyAlgorithm::Grid,
+            format!("auto: cached eps-grid for this table version, zero build cost (n = {n})"),
+        )
+    } else {
+        any_cost_model(configured_algo, n, dims)
     };
-    if cached || governor.fits_budget(needed) {
-        return Ok((resolved, reason));
-    }
-    let budget = governor
-        .memory_budget()
-        .expect("a budget exists whenever fits_budget is false");
-    if configured_algo == AnyAlgorithm::Auto {
-        Ok((
-            AnyAlgorithm::AllPairs,
+    let (needed, structure) = match resolved.0 {
+        AnyAlgorithm::Grid if !cached_grid => (estimated_grid_bytes(n, dims), "eps-grid"),
+        AnyAlgorithm::Indexed if !cached_tree => (estimated_rtree_bytes(n, dims), "point R-tree"),
+        _ => return Ok(resolved),
+    };
+    admit(
+        resolved,
+        auto,
+        needed,
+        structure,
+        (AnyAlgorithm::AllPairs, "streaming all-pairs scan"),
+        governor,
+    )
+}
+
+/// Admits the build of a `structure` of ~`needed` bytes under the
+/// governor's memory budget: over it, `Auto` degrades to the
+/// structure-free `fallback` with the reason recorded, and an explicit
+/// choice fails.
+fn admit<A>(
+    resolved: (A, String),
+    auto: bool,
+    needed: usize,
+    structure: &str,
+    (fallback, fallback_name): (A, &str),
+    governor: &QueryGovernor,
+) -> Result<(A, String), SgbError> {
+    match governor.admit(needed) {
+        Err(SgbError::BudgetExceeded { budget, .. }) if auto => Ok((
+            fallback,
             format!(
                 "auto: {structure} needs ~{needed} B, over the {budget} B memory budget; \
-                 degraded to the streaming all-pairs scan"
+                 degraded to the {fallback_name}"
             ),
-        ))
-    } else {
-        Err(SgbError::BudgetExceeded { needed, budget })
+        )),
+        verdict => verdict.map(|()| resolved),
     }
 }
 
-/// [`resolve_around_with_cache`] under a [`QueryGovernor`] memory budget:
-/// the SGB-Around center-index builds (R-tree or center grid, priced by
-/// [`estimated_center_index_bytes`]) are admitted only when they fit.
-/// A cached index matching the resolved algorithm is admitted regardless —
-/// it already exists. On a miss, `Auto` degrades to the O(1)-memory brute
-/// center scan (bit-identical output; the reason records the fallback),
-/// while an explicitly configured index path fails with
-/// [`SgbError::BudgetExceeded`].
-pub fn resolve_around_governed(
-    configured_algo: AroundAlgorithm,
-    centers: usize,
-    dims: usize,
-    cached: Option<AroundAlgorithm>,
-    governor: &QueryGovernor,
-) -> Result<(AroundAlgorithm, String), SgbError> {
-    let (resolved, reason) = resolve_around_with_cache(configured_algo, centers, dims, cached);
-    if !matches!(resolved, AroundAlgorithm::Indexed | AroundAlgorithm::Grid)
-        || cached == Some(resolved)
-    {
-        return Ok((resolved, reason));
-    }
-    let needed = estimated_center_index_bytes(centers, dims);
-    if governor.fits_budget(needed) {
-        return Ok((resolved, reason));
-    }
-    let budget = governor
-        .memory_budget()
-        .expect("a budget exists whenever fits_budget is false");
-    if configured_algo == AroundAlgorithm::Auto {
-        Ok((
-            AroundAlgorithm::BruteForce,
-            format!(
-                "auto: center index needs ~{needed} B, over the {budget} B memory budget; \
-                 degraded to the brute center scan"
-            ),
-        ))
-    } else {
-        Err(SgbError::BudgetExceeded { needed, budget })
-    }
-}
-
-/// Streaming counterpart of [`resolve_any`] — see
+/// Resolves the SGB-Any algorithm for a streaming operator — see
 /// [`resolve_all_streaming`] for the rationale.
-pub fn resolve_any_streaming(configured_algo: AnyAlgorithm, dims: usize) -> AnyAlgorithm {
-    resolve_any_streaming_with_reason(configured_algo, dims).0
-}
-
-/// [`resolve_any_streaming`] plus the human-readable reason, for surfaces
-/// that report the selection (the unified `SgbStream`).
-pub fn resolve_any_streaming_with_reason(
-    configured_algo: AnyAlgorithm,
-    dims: usize,
-) -> (AnyAlgorithm, String) {
+pub fn resolve_any_streaming(configured_algo: AnyAlgorithm, dims: usize) -> (AnyAlgorithm, String) {
     match configured_algo {
         AnyAlgorithm::Auto if dims > GRID_MAX_DIMS => (
             AnyAlgorithm::Indexed,
@@ -346,10 +283,11 @@ pub fn resolve_any_streaming_with_reason(
     }
 }
 
-/// Resolves the SGB-Around algorithm from the center count (the quantity
+/// The cost model's SGB-Around choice from the center count (the quantity
 /// the per-tuple cost actually depends on — centers are known up front, so
-/// streaming and one-shot paths resolve identically) in `dims` dimensions.
-pub fn resolve_around(
+/// streaming and one-shot paths resolve identically) in `dims`
+/// dimensions, before any cache or budget input is considered.
+pub(crate) fn around_cost_model(
     configured_algo: AroundAlgorithm,
     centers: usize,
     dims: usize,
@@ -383,27 +321,52 @@ pub fn resolve_around(
     }
 }
 
-/// [`resolve_around`] for a session that may already hold a cached center
-/// index for this exact center set. Center indexes are built from the
-/// query's centers (not the table), so a hit means zero build cost and
-/// `Auto` reuses the cached structure even below the brute-force
-/// crossover. `cached` names the concrete algorithm of the cached index,
-/// when one exists. Non-`Auto` inputs still pass through unchanged.
-pub fn resolve_around_with_cache(
+/// Resolves the SGB-Around algorithm for `centers` centers in `dims`
+/// dimensions, given the algorithm of a center index the session cache
+/// holds for exactly these centers (`cached`) and the [`QueryGovernor`]'s
+/// memory budget.
+///
+/// * Center indexes read only the query's centers, so a cached one has
+///   zero build cost and `Auto` reuses it even below the brute crossover.
+/// * An index build over the budget ([`estimated_center_index_bytes`])
+///   degrades `Auto` to the brute center scan, with the fallback recorded;
+///   an explicit index path fails instead. A cached index of the resolved
+///   shape is always admitted.
+///
+/// # Errors
+/// [`SgbError::BudgetExceeded`] for an explicit index over the budget.
+pub fn resolve_around(
     configured_algo: AroundAlgorithm,
     centers: usize,
     dims: usize,
     cached: Option<AroundAlgorithm>,
-) -> (AroundAlgorithm, String) {
-    if configured_algo == AroundAlgorithm::Auto && dims <= GRID_MAX_DIMS {
-        if let Some(algo @ (AroundAlgorithm::Grid | AroundAlgorithm::Indexed)) = cached {
-            return (
+    governor: &QueryGovernor,
+) -> Result<(AroundAlgorithm, String), SgbError> {
+    let auto = configured_algo == AroundAlgorithm::Auto;
+    let resolved = match cached {
+        Some(algo @ (AroundAlgorithm::Grid | AroundAlgorithm::Indexed))
+            if auto && dims <= GRID_MAX_DIMS =>
+        {
+            (
                 algo,
                 format!("auto: cached center index, zero build cost ({centers} centers)"),
-            );
+            )
         }
+        _ => around_cost_model(configured_algo, centers, dims),
+    };
+    if !matches!(resolved.0, AroundAlgorithm::Indexed | AroundAlgorithm::Grid)
+        || cached == Some(resolved.0)
+    {
+        return Ok(resolved);
     }
-    resolve_around(configured_algo, centers, dims)
+    admit(
+        resolved,
+        auto,
+        estimated_center_index_bytes(centers, dims),
+        "center index",
+        (AroundAlgorithm::BruteForce, "brute center scan"),
+        governor,
+    )
 }
 
 /// Resolves the worker-thread count for a parallelisable path over `n`
@@ -471,6 +434,35 @@ pub fn threads_for_around(requested: usize, n: usize) -> (usize, String) {
 mod tests {
     use super::*;
 
+    /// [`resolve_any`] with nothing cached and no limits.
+    fn any(configured: AnyAlgorithm, n: usize, dims: usize) -> (AnyAlgorithm, String) {
+        resolve_any(
+            configured,
+            n,
+            dims,
+            false,
+            false,
+            &QueryGovernor::unrestricted(),
+        )
+        .unwrap()
+    }
+
+    /// [`resolve_around`] with nothing cached and no limits.
+    fn around(
+        configured: AroundAlgorithm,
+        centers: usize,
+        dims: usize,
+    ) -> (AroundAlgorithm, String) {
+        resolve_around(
+            configured,
+            centers,
+            dims,
+            None,
+            &QueryGovernor::unrestricted(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn non_auto_passes_through() {
         for algo in [
@@ -484,11 +476,11 @@ mod tests {
             assert!(reason.contains("configured"), "{reason}");
         }
         assert_eq!(
-            resolve_any(AnyAlgorithm::AllPairs, 1_000_000, 2).0,
+            any(AnyAlgorithm::AllPairs, 1_000_000, 2).0,
             AnyAlgorithm::AllPairs
         );
         assert_eq!(
-            resolve_around(AroundAlgorithm::Indexed, 5000, 2).0,
+            around(AroundAlgorithm::Indexed, 5000, 2).0,
             AroundAlgorithm::Indexed
         );
     }
@@ -500,11 +492,11 @@ mod tests {
             AllAlgorithm::AllPairs
         );
         assert_eq!(
-            resolve_any(AnyAlgorithm::Auto, ANY_ALL_PAIRS_MAX_N, 2).0,
+            any(AnyAlgorithm::Auto, ANY_ALL_PAIRS_MAX_N, 2).0,
             AnyAlgorithm::AllPairs
         );
         assert_eq!(
-            resolve_around(AroundAlgorithm::Auto, AROUND_BRUTE_MAX_CENTERS, 2).0,
+            around(AroundAlgorithm::Auto, AROUND_BRUTE_MAX_CENTERS, 2).0,
             AroundAlgorithm::BruteForce
         );
     }
@@ -523,12 +515,9 @@ mod tests {
                 resolve_all(AllAlgorithm::Auto, 20_000, dims).0,
                 AllAlgorithm::Indexed
             );
+            assert_eq!(any(AnyAlgorithm::Auto, 10_000, dims).0, AnyAlgorithm::Grid);
             assert_eq!(
-                resolve_any(AnyAlgorithm::Auto, 10_000, dims).0,
-                AnyAlgorithm::Grid
-            );
-            assert_eq!(
-                resolve_around(AroundAlgorithm::Auto, 4096, dims).0,
+                around(AroundAlgorithm::Auto, 4096, dims).0,
                 AroundAlgorithm::Grid
             );
         }
@@ -536,34 +525,28 @@ mod tests {
 
     #[test]
     fn auto_prefers_rtree_in_high_dims() {
+        assert_eq!(any(AnyAlgorithm::Auto, 10_000, 5).0, AnyAlgorithm::Indexed);
         assert_eq!(
-            resolve_any(AnyAlgorithm::Auto, 10_000, 5).0,
-            AnyAlgorithm::Indexed
-        );
-        assert_eq!(
-            resolve_around(AroundAlgorithm::Auto, 4096, 4).0,
+            around(AroundAlgorithm::Auto, 4096, 4).0,
             AroundAlgorithm::Indexed
         );
         assert_eq!(
-            resolve_any_streaming(AnyAlgorithm::Auto, 4),
+            resolve_any_streaming(AnyAlgorithm::Auto, 4).0,
             AnyAlgorithm::Indexed
         );
     }
 
     #[test]
     fn streaming_resolution_never_returns_auto() {
-        assert_eq!(
-            resolve_all_streaming(AllAlgorithm::Auto, 2),
-            AllAlgorithm::Indexed
-        );
-        assert_eq!(
-            resolve_any_streaming(AnyAlgorithm::Auto, 2),
-            AnyAlgorithm::Grid
-        );
-        assert_eq!(
-            resolve_all_streaming(AllAlgorithm::BoundsChecking, 2),
-            AllAlgorithm::BoundsChecking
-        );
+        let (algo, reason) = resolve_all_streaming(AllAlgorithm::Auto, 2);
+        assert_eq!(algo, AllAlgorithm::Indexed);
+        assert!(reason.contains("streaming"), "{reason}");
+        let (algo, reason) = resolve_any_streaming(AnyAlgorithm::Auto, 2);
+        assert_eq!(algo, AnyAlgorithm::Grid);
+        assert!(reason.contains("streaming"), "{reason}");
+        let (algo, reason) = resolve_all_streaming(AllAlgorithm::BoundsChecking, 2);
+        assert_eq!(algo, AllAlgorithm::BoundsChecking);
+        assert!(reason.contains("configured"), "{reason}");
     }
 
     #[test]
@@ -609,65 +592,81 @@ mod tests {
 
     #[test]
     fn cache_aware_resolution_prefers_the_free_index() {
+        let free = QueryGovernor::unrestricted();
+        let cached_grid =
+            |configured, n, dims| resolve_any(configured, n, dims, true, false, &free).unwrap();
         // A cached grid flips Auto onto the grid path even below the
         // build-amortisation threshold…
-        let (algo, reason) = resolve_any_with_cache(AnyAlgorithm::Auto, 10, 2, true);
+        let (algo, reason) = cached_grid(AnyAlgorithm::Auto, 10, 2);
         assert_eq!(algo, AnyAlgorithm::Grid);
         assert!(reason.contains("zero build cost"), "{reason}");
         // …but never outside the grid's dimensionality sweet spot, never
         // without a cached index, and never over an explicit choice.
         assert_eq!(
-            resolve_any_with_cache(AnyAlgorithm::Auto, 10_000, 5, true).0,
+            cached_grid(AnyAlgorithm::Auto, 10_000, 5).0,
             AnyAlgorithm::Indexed
         );
         assert_eq!(
-            resolve_any_with_cache(AnyAlgorithm::Auto, 10, 2, false),
-            resolve_any(AnyAlgorithm::Auto, 10, 2)
+            any(AnyAlgorithm::Auto, 10, 2),
+            any_cost_model(AnyAlgorithm::Auto, 10, 2)
         );
         assert_eq!(
-            resolve_any_with_cache(AnyAlgorithm::AllPairs, 10_000, 2, true).0,
+            cached_grid(AnyAlgorithm::AllPairs, 10_000, 2).0,
             AnyAlgorithm::AllPairs
         );
+        // A cached tree is no reason to leave the cost model's choice.
+        assert_eq!(
+            resolve_any(AnyAlgorithm::Auto, 10, 2, false, true, &free).unwrap(),
+            any(AnyAlgorithm::Auto, 10, 2)
+        );
 
-        let (algo, reason) =
-            resolve_around_with_cache(AroundAlgorithm::Auto, 3, 2, Some(AroundAlgorithm::Grid));
+        let (algo, reason) = resolve_around(
+            AroundAlgorithm::Auto,
+            3,
+            2,
+            Some(AroundAlgorithm::Grid),
+            &free,
+        )
+        .unwrap();
         assert_eq!(algo, AroundAlgorithm::Grid);
         assert!(reason.contains("zero build cost"), "{reason}");
         assert_eq!(
-            resolve_around_with_cache(AroundAlgorithm::Auto, 3, 2, None),
-            resolve_around(AroundAlgorithm::Auto, 3, 2)
+            around(AroundAlgorithm::Auto, 3, 2),
+            around_cost_model(AroundAlgorithm::Auto, 3, 2)
         );
         // A cached brute "index" is no index at all: fall through.
         assert_eq!(
-            resolve_around_with_cache(
+            resolve_around(
                 AroundAlgorithm::Auto,
                 3,
                 2,
-                Some(AroundAlgorithm::BruteForce)
-            ),
-            resolve_around(AroundAlgorithm::Auto, 3, 2)
+                Some(AroundAlgorithm::BruteForce),
+                &free
+            )
+            .unwrap(),
+            around(AroundAlgorithm::Auto, 3, 2)
         );
     }
 
     #[test]
     fn governed_resolution_enforces_the_memory_budget() {
-        let unrestricted = QueryGovernor::unrestricted();
-        // No budget: identical to the cache-aware resolver.
+        // No budget: the cost model's choice.
         assert_eq!(
-            resolve_any_governed(AnyAlgorithm::Auto, 10_000, 2, false, &unrestricted).unwrap(),
-            resolve_any_with_cache(AnyAlgorithm::Auto, 10_000, 2, false)
+            any(AnyAlgorithm::Auto, 10_000, 2),
+            any_cost_model(AnyAlgorithm::Auto, 10_000, 2)
         );
         // A budget too small for the grid degrades Auto to all-pairs…
         let tight = QueryGovernor::unrestricted().with_memory_budget(64);
         let (algo, reason) =
-            resolve_any_governed(AnyAlgorithm::Auto, 10_000, 2, false, &tight).unwrap();
+            resolve_any(AnyAlgorithm::Auto, 10_000, 2, false, false, &tight).unwrap();
         assert_eq!(algo, AnyAlgorithm::AllPairs);
         assert!(reason.contains("memory budget"), "{reason}");
+        assert!(reason.contains("eps-grid"), "{reason}");
         // …but an explicit Grid request fails loudly instead.
-        let err = resolve_any_governed(AnyAlgorithm::Grid, 10_000, 2, false, &tight).unwrap_err();
+        let err = resolve_any(AnyAlgorithm::Grid, 10_000, 2, false, false, &tight).unwrap_err();
         assert!(matches!(err, SgbError::BudgetExceeded { .. }), "{err:?}");
         // A cached grid allocates nothing new, so the budget never blocks it.
-        let (algo, _) = resolve_any_governed(AnyAlgorithm::Auto, 10_000, 2, true, &tight).unwrap();
+        let (algo, _) = resolve_any(AnyAlgorithm::Auto, 10_000, 2, true, false, &tight).unwrap();
         assert_eq!(algo, AnyAlgorithm::Grid);
         // The estimate grows with n and never panics at the extremes.
         assert!(estimated_grid_bytes(10, 2) < estimated_grid_bytes(10_000, 2));
@@ -680,18 +679,15 @@ mod tests {
         // Auto in high dimensions resolves to the R-tree, which no longer
         // fits: degrade to the all-pairs scan with the fallback recorded.
         let (algo, reason) =
-            resolve_any_governed_full(AnyAlgorithm::Auto, 10_000, 5, false, false, &tight).unwrap();
+            resolve_any(AnyAlgorithm::Auto, 10_000, 5, false, false, &tight).unwrap();
         assert_eq!(algo, AnyAlgorithm::AllPairs);
         assert!(reason.contains("memory budget"), "{reason}");
         assert!(reason.contains("R-tree"), "{reason}");
         // An explicit Indexed request fails loudly instead.
-        let err = resolve_any_governed_full(AnyAlgorithm::Indexed, 10_000, 2, false, false, &tight)
-            .unwrap_err();
+        let err = resolve_any(AnyAlgorithm::Indexed, 10_000, 2, false, false, &tight).unwrap_err();
         assert!(matches!(err, SgbError::BudgetExceeded { .. }), "{err:?}");
         // A cached tree allocates nothing new, so it is always admitted.
-        let (algo, _) =
-            resolve_any_governed_full(AnyAlgorithm::Indexed, 10_000, 2, false, true, &tight)
-                .unwrap();
+        let (algo, _) = resolve_any(AnyAlgorithm::Indexed, 10_000, 2, false, true, &tight).unwrap();
         assert_eq!(algo, AnyAlgorithm::Indexed);
         // The estimate grows with n and never panics at the extremes.
         assert!(estimated_rtree_bytes(10, 2) < estimated_rtree_bytes(10_000, 2));
@@ -700,25 +696,24 @@ mod tests {
 
     #[test]
     fn governed_resolution_prices_the_center_index_build() {
-        let unrestricted = QueryGovernor::unrestricted();
-        // No budget: identical to the cache-aware resolver.
+        // No budget: the cost model's choice.
         assert_eq!(
-            resolve_around_governed(AroundAlgorithm::Auto, 4096, 2, None, &unrestricted).unwrap(),
-            resolve_around_with_cache(AroundAlgorithm::Auto, 4096, 2, None)
+            around(AroundAlgorithm::Auto, 4096, 2),
+            around_cost_model(AroundAlgorithm::Auto, 4096, 2)
         );
         let tight = QueryGovernor::unrestricted().with_memory_budget(64);
         // Auto above the brute crossover degrades back to the brute scan…
-        let (algo, reason) =
-            resolve_around_governed(AroundAlgorithm::Auto, 4096, 2, None, &tight).unwrap();
+        let (algo, reason) = resolve_around(AroundAlgorithm::Auto, 4096, 2, None, &tight).unwrap();
         assert_eq!(algo, AroundAlgorithm::BruteForce);
         assert!(reason.contains("memory budget"), "{reason}");
+        assert!(reason.contains("brute center scan"), "{reason}");
         // …while explicit index requests fail loudly.
         for explicit in [AroundAlgorithm::Indexed, AroundAlgorithm::Grid] {
-            let err = resolve_around_governed(explicit, 4096, 2, None, &tight).unwrap_err();
+            let err = resolve_around(explicit, 4096, 2, None, &tight).unwrap_err();
             assert!(matches!(err, SgbError::BudgetExceeded { .. }), "{err:?}");
         }
         // A cached index of the resolved shape is admitted under any budget.
-        let (algo, _) = resolve_around_governed(
+        let (algo, _) = resolve_around(
             AroundAlgorithm::Grid,
             4096,
             2,
@@ -728,16 +723,15 @@ mod tests {
         .unwrap();
         assert_eq!(algo, AroundAlgorithm::Grid);
         // The brute scan needs no structure, so it always passes.
-        let (algo, _) =
-            resolve_around_governed(AroundAlgorithm::BruteForce, 4096, 2, None, &tight).unwrap();
+        let (algo, _) = resolve_around(AroundAlgorithm::BruteForce, 4096, 2, None, &tight).unwrap();
         assert_eq!(algo, AroundAlgorithm::BruteForce);
     }
 
     #[test]
     fn reasons_name_the_deciding_quantity() {
-        let (_, r) = resolve_any(AnyAlgorithm::Auto, 10, 2);
+        let (_, r) = any(AnyAlgorithm::Auto, 10, 2);
         assert!(r.contains("n = 10"), "{r}");
-        let (_, r) = resolve_around(AroundAlgorithm::Auto, 3, 2);
+        let (_, r) = around(AroundAlgorithm::Auto, 3, 2);
         assert!(r.contains("3 centers"), "{r}");
         let (_, r) = resolve_all(AllAlgorithm::Auto, 9999, 2);
         assert!(r.contains("rectangle directory"), "{r}");

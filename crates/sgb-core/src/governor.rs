@@ -22,10 +22,11 @@
 //! [`SgbQuery::try_run`](crate::SgbQuery::try_run) /
 //! [`try_run_cached`](crate::SgbQuery::try_run_cached) and the
 //! incremental [`MaintainedGrouping::try_insert`](crate::MaintainedGrouping::try_insert) /
-//! [`try_delete`](crate::MaintainedGrouping::try_delete). The infallible
-//! twins (`run`, `run_cached`, …) stay exactly as before — they execute
-//! under [`QueryGovernor::unrestricted`], whose checks constant-fold to
-//! `Ok(())`, so ungoverned hot loops pay nothing.
+//! [`try_delete`](crate::MaintainedGrouping::try_delete). Every query runs
+//! through that one governed body: the infallible `run` / `run_cached`
+//! pass [`QueryGovernor::unrestricted`], whose checks are a pair of `None`
+//! tests amortised over [`CHECK_INTERVAL`]-sized batches of work, and
+//! panic only where they always have (non-finite input).
 //!
 //! ```
 //! use std::time::Duration;
@@ -134,7 +135,7 @@ impl CancelToken {
 /// is `Sync`), so one deadline governs all workers. Construction is
 /// builder-style from [`unrestricted`](Self::unrestricted); an
 /// unrestricted governor's [`check`](Self::check) is a pair of `None`
-/// tests, which the optimiser folds out of ungoverned hot loops.
+/// tests.
 #[derive(Clone, Debug, Default)]
 pub struct QueryGovernor {
     deadline: Option<Instant>,
@@ -243,8 +244,8 @@ impl QueryGovernor {
 
 /// Work units between two governance checks. A clock read costs tens of
 /// nanoseconds; amortised over 1024 pair verifications or point
-/// assignments it disappears into the noise (the CI bench gate pins the
-/// ungoverned overhead below 2%), while still bounding the reaction time
+/// assignments it disappears into the noise (the CI bench gate pins an
+/// armed governor's overhead below 2%), while still bounding the reaction time
 /// to a deadline or cancellation by about a thousand loop iterations.
 pub const CHECK_INTERVAL: u32 = 1024;
 

@@ -38,6 +38,7 @@
 //! points in slot order — pinned across random edit scripts for all three
 //! operators × metrics by `tests/proptest_incremental.rs`.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use sgb_dsu::TrackedDsu;
@@ -50,7 +51,7 @@ use crate::around::{
 use crate::governor::{QueryGovernor, SgbError};
 use crate::grouping::Grouping as FlatGrouping;
 use crate::query::{Grouping, OpSpec, SgbQuery};
-use crate::{cost, AroundAlgorithm, RecordId, SgbAll, SgbAroundConfig};
+use crate::{cost, RecordId, SgbAll, SgbAroundConfig};
 use sgb_telemetry::{Counter, Telemetry};
 
 /// Stable identifier of a maintained point: its insertion slot. Slots are
@@ -148,9 +149,18 @@ impl<const D: usize> MaintainedGrouping<D> {
                 }
                 // The exact bulk ε-join surfaces each within-ε pair exactly
                 // once — the contract the edge counts rely on.
-                grid.for_each_pair_within(*eps, metric, |&a, &b| {
-                    dsu.add_edge(a, b);
-                });
+                let Ok(()) = grid.try_for_each_pair_within::<Infallible, _, _>(
+                    *eps,
+                    metric,
+                    0,
+                    1,
+                    |&a, &b| {
+                        dsu.add_edge(a, b);
+                    },
+                    usize::MAX,
+                    || Ok(()),
+                    None,
+                );
                 (Some(grid), OpState::Any { dsu })
             }
             OpSpec::Around {
@@ -161,7 +171,7 @@ impl<const D: usize> MaintainedGrouping<D> {
                     .configured_algorithm()
                     .for_around()
                     .expect("validated at query construction");
-                let (resolved, _) = cost::resolve_around(base, centers.len(), D);
+                let (resolved, _) = cost::around_cost_model(base, centers.len(), D);
                 let cfg = query
                     .around_config(centers.clone(), *max_radius)
                     .algorithm(resolved);
@@ -547,7 +557,7 @@ impl<const D: usize> MaintainedGrouping<D> {
                     .configured_algorithm()
                     .for_any()
                     .expect("validated at query construction");
-                let (resolved, _) = cost::resolve_any(base, self.live, D);
+                let (resolved, _) = cost::any_cost_model(base, self.live, D);
                 Grouping::from_flat(
                     FlatGrouping {
                         groups,
@@ -558,9 +568,7 @@ impl<const D: usize> MaintainedGrouping<D> {
                     1,
                 )
             }
-            OpState::Around {
-                cfg, index, assign, ..
-            } => {
+            OpState::Around { cfg, assign, .. } => {
                 let mut groups = vec![Vec::new(); cfg.centers.len()];
                 let mut outliers = Vec::new();
                 for (slot, s) in self.slots.iter().enumerate() {
@@ -572,14 +580,9 @@ impl<const D: usize> MaintainedGrouping<D> {
                         None => outliers.push(rank[slot]),
                     }
                 }
-                let resolved = match &**index {
-                    CenterIndex::Scan => AroundAlgorithm::BruteForce,
-                    CenterIndex::Tree(_) => AroundAlgorithm::Indexed,
-                    CenterIndex::Cells(_) => AroundAlgorithm::Grid,
-                };
                 Grouping::from_around(
                     AroundGrouping { groups, outliers },
-                    resolved.into(),
+                    cfg.algorithm.into(),
                     selection,
                     1,
                 )

@@ -69,8 +69,8 @@
 //! the cost model in [`cost`].
 //!
 //! The per-operator entry points (`sgb_all`/`sgb_any`/`sgb_around` with
-//! their `Sgb*Config` types) remain available as the execution layer the
-//! query surface lowers into; new code should prefer [`SgbQuery`].
+//! their `Sgb*Config` types) remain available as thin wrappers over the
+//! query surface's execution body; new code should prefer [`SgbQuery`].
 
 pub mod aggregate;
 pub mod all;

@@ -21,10 +21,12 @@
 //! * [`SgbStream`] — a single streaming operator wrapping the per-operator
 //!   engines behind one `push`/`finish` interface.
 //!
-//! Execution is delegated to the per-operator engines unchanged, so every
-//! grouping produced here is **bit-identical** to the legacy
-//! `sgb_all`/`sgb_any`/`sgb_around` entry points under the same knobs
-//! (asserted by `tests/api_equivalence.rs`).
+//! Each operator has **one execution body** — governed, cache-aware and
+//! telemetry-aware — and the four run entry points wrap it: the `try_`
+//! forms pass the caller's [`QueryGovernor`], [`run`](SgbQuery::run) and
+//! [`run_cached`](SgbQuery::run_cached) an unrestricted one. The legacy
+//! `sgb_all`/`sgb_any`/`sgb_around` entry points share the same code, so
+//! their groupings are **bit-identical** (`tests/api_equivalence.rs`).
 //!
 //! ```
 //! use sgb_core::{Algorithm, SgbQuery};
@@ -54,11 +56,8 @@ use sgb_spatial::{Grid, RTree};
 
 use sgb_telemetry::{Counter, Phase, QueryProfile, Telemetry};
 
-use crate::any::{
-    sgb_any_grid, sgb_any_tree, sgb_any_with, try_sgb_any_all_pairs, try_sgb_any_grid,
-    try_sgb_any_tree,
-};
-use crate::around::{AroundGrouping, CenterIndex};
+use crate::any;
+use crate::around::{build_center_index, AroundGrouping};
 use crate::cache::SgbCache;
 use crate::governor::{QueryGovernor, SgbError};
 use crate::grouping::Grouping as FlatGrouping;
@@ -162,6 +161,15 @@ impl Grouping {
             selection,
             threads,
             telemetry: Telemetry::off(),
+        }
+    }
+
+    /// The flat SGB-All / SGB-Any answer set (groups and the eliminated
+    /// set) — what the legacy one-shot entry points return.
+    pub(crate) fn into_flat(self) -> FlatGrouping {
+        FlatGrouping {
+            groups: self.groups,
+            eliminated: self.eliminated,
         }
     }
 
@@ -690,12 +698,6 @@ impl<const D: usize> SgbQuery<D> {
             .rtree_fanout(self.rtree_fanout)
     }
 
-    pub(crate) fn any_config(&self, eps: f64) -> SgbAnyConfig {
-        SgbAnyConfig::new(eps)
-            .metric(self.metric)
-            .rtree_fanout(self.rtree_fanout)
-    }
-
     pub(crate) fn around_config(
         &self,
         centers: Vec<Point<D>>,
@@ -728,254 +730,40 @@ impl<const D: usize> SgbQuery<D> {
         out
     }
 
-    /// Approximate SGB-Around candidate count: the brute scan compares
-    /// every point against every center; the indexed paths probe the
-    /// center index once per point.
-    fn around_candidates(&self, n: usize, centers: usize, resolved: AroundAlgorithm) -> u64 {
-        match resolved {
-            AroundAlgorithm::BruteForce => n as u64 * centers as u64,
-            _ => n as u64,
-        }
-    }
-
-    /// Runs the query over a complete point set.
+    /// Runs the query over a complete point set: [`try_run`](Self::try_run)
+    /// under [`QueryGovernor::unrestricted`].
     ///
     /// [`Algorithm::Auto`] resolves from the true cardinality (or center
     /// count) via the cost model; the resolution and its reason are
     /// recorded on the returned [`Grouping`]. Results never depend on the
     /// resolution — every concrete path is bit-identical.
+    ///
+    /// # Panics
+    /// `"points must have finite coordinates"` if any point has a
+    /// non-finite coordinate (where [`try_run`](Self::try_run) returns
+    /// [`SgbError::NonFinite`]).
     #[must_use]
     pub fn run(&self, points: &[Point<D>]) -> Grouping {
-        let tel = &self.telemetry;
-        // One shared contract for the whole family: non-finite coordinates
-        // are rejected here, at the query boundary, so every operator arm
-        // (including the parallel bulk paths, which bypass the streaming
-        // `push` asserts) fails identically and early.
-        let validate = tel.phase(Phase::Validate);
-        assert!(
-            points.iter().all(Point::is_finite),
-            "points must have finite coordinates"
-        );
-        drop(validate);
-        let out = match &self.op {
-            OpSpec::All { eps, overlap } => {
-                let (resolved, reason) =
-                    cost::resolve_all(self.algorithm.for_all(), points.len(), D);
-                // A requested thread count is accepted but resolves to 1:
-                // SGB-All's arbitration is arrival-order sensitive.
-                let (threads, _) = cost::threads_for_all();
-                let cfg = self.all_config(*eps, *overlap).algorithm(resolved);
-                let join = tel.phase(Phase::Join);
-                let mut op = SgbAll::new(cfg);
-                for p in points {
-                    op.push(*p);
-                }
-                drop(join);
-                tel.add(Counter::CandidatePairs, op.candidates_tested());
-                let merge = tel.phase(Phase::Merge);
-                let flat = op.finish();
-                drop(merge);
-                Grouping::from_flat(flat, resolved.into(), reason, threads)
-            }
-            OpSpec::Any { eps } => {
-                let base = self.algorithm.for_any().expect("validated by algorithm()");
-                let (resolved, reason) = cost::resolve_any(base, points.len(), D);
-                let (threads, _) = cost::threads_for_any(resolved, self.threads, points.len());
-                let cfg = self.any_config(*eps).algorithm(resolved).threads(threads);
-                Grouping::from_flat(
-                    sgb_any_with(points, &cfg, tel),
-                    resolved.into(),
-                    reason,
-                    threads,
-                )
-            }
-            OpSpec::Around {
-                centers,
-                max_radius,
-            } => {
-                let base = self
-                    .algorithm
-                    .for_around()
-                    .expect("validated by algorithm()");
-                let (resolved, reason) = cost::resolve_around(base, centers.len(), D);
-                let (threads, _) = cost::threads_for_around(self.threads, points.len());
-                let cfg = self
-                    .around_config(centers.clone(), *max_radius)
-                    .algorithm(resolved)
-                    .threads(threads);
-                // Feed the engine directly instead of going through
-                // `sgb_around(&cfg)`, which would clone the center list a
-                // second time per run. Same code path, bit-identical.
-                // `SgbAround::new` builds the center index eagerly, so it
-                // is the index-build phase; the extend is the assign join.
-                let build = tel.phase(Phase::IndexBuild);
-                let mut op = SgbAround::new(cfg);
-                drop(build);
-                let join = tel.phase(Phase::Join);
-                op.extend_from_slice(points);
-                drop(join);
-                tel.add(
-                    Counter::CandidatePairs,
-                    self.around_candidates(points.len(), centers.len(), resolved),
-                );
-                let merge = tel.phase(Phase::Merge);
-                let around = op.finish();
-                drop(merge);
-                Grouping::from_around(around, resolved.into(), reason, threads)
-            }
-        };
-        self.finalize(out)
+        infallible(self.execute(points, &QueryGovernor::unrestricted(), None))
     }
 
-    /// Runs the query through a shared-work [`SgbCache`], reusing spatial
-    /// indexes (and whole results) built by earlier queries over the same
-    /// point set.
-    ///
-    /// `version` is the caller's monotone counter for the point set: bump
-    /// it on every content change and cached state from older versions is
-    /// dropped, never served. Under an unchanged version the cache
-    /// supplies:
-    ///
-    /// * the SGB-Any ε-grid — including **ε-superset reuse**, where one
-    ///   grid serves nearby larger ε values by widening the probe window;
-    /// * the SGB-Any point R-tree (keyed on fan-out);
-    /// * the SGB-Around center index — version-free, since it is built
-    ///   from the query's centers, never the table;
-    /// * the complete [`Grouping`] of an exact repeat query;
-    /// * the once-per-version finiteness validation, skipping
-    ///   [`run`](Self::run)'s O(n·d) scan on every warm execution.
-    ///
-    /// [`Algorithm::Auto`] resolves cache-aware
-    /// ([`cost::resolve_any_with_cache`] /
-    /// [`cost::resolve_around_with_cache`]): a cached index has zero build
-    /// cost, so it can win below the cold crossover. Whatever path runs,
-    /// the answer sets are **bit-identical** to [`run`](Self::run) — index
-    /// probes verify with the canonical predicate and SGB-Any's component
-    /// extraction is union-order insensitive.
+    /// Runs the query through a shared-work [`SgbCache`]:
+    /// [`try_run_cached`](Self::try_run_cached) under
+    /// [`QueryGovernor::unrestricted`].
     ///
     /// # Panics
     /// Like [`run`](Self::run) if any point has a non-finite coordinate.
     #[must_use]
     pub fn run_cached(&self, points: &[Point<D>], cache: &SgbCache<D>, version: u64) -> Grouping {
-        let tel = &self.telemetry;
-        let validate = tel.phase(Phase::Validate);
-        cache.validate_once(version, points);
-        drop(validate);
-        let probe = tel.phase(Phase::CacheProbe);
-        let fingerprint = self.fingerprint();
-        let hit = cache.lookup_result(version, &fingerprint);
-        drop(probe);
-        if let Some(hit) = hit {
-            tel.add(Counter::CacheHits, 1);
-            return self.finalize(hit);
-        }
-        tel.add(Counter::CacheMisses, 1);
-        let out = match &self.op {
-            // SGB-All builds no reusable structure (its index tracks the
-            // *live groups*, which exist only mid-run), so only the whole
-            // result is cacheable — it is deterministic given the seed.
-            OpSpec::All { eps, overlap } => {
-                let (resolved, reason) =
-                    cost::resolve_all(self.algorithm.for_all(), points.len(), D);
-                let (threads, _) = cost::threads_for_all();
-                let cfg = self.all_config(*eps, *overlap).algorithm(resolved);
-                let join = tel.phase(Phase::Join);
-                let mut op = SgbAll::new(cfg);
-                for p in points {
-                    op.push(*p);
-                }
-                drop(join);
-                tel.add(Counter::CandidatePairs, op.candidates_tested());
-                let merge = tel.phase(Phase::Merge);
-                let flat = op.finish();
-                drop(merge);
-                Grouping::from_flat(flat, resolved.into(), reason, threads)
-            }
-            OpSpec::Any { eps } => {
-                let base = self.algorithm.for_any().expect("validated by algorithm()");
-                let (resolved, reason) = cost::resolve_any_with_cache(
-                    base,
-                    points.len(),
-                    D,
-                    cache.has_usable_grid(version, *eps),
-                );
-                let (threads, _) = cost::threads_for_any(resolved, self.threads, points.len());
-                let cfg = self.any_config(*eps).algorithm(resolved).threads(threads);
-                let flat = match resolved {
-                    AnyAlgorithm::AllPairs => sgb_any_with(points, &cfg, tel),
-                    AnyAlgorithm::Indexed => {
-                        let build = tel.phase(Phase::IndexBuild);
-                        let index = cache.get_or_build_tree(version, self.rtree_fanout, || {
-                            RTree::from_points(
-                                self.rtree_fanout,
-                                points.iter().enumerate().map(|(i, p)| (*p, i)),
-                            )
-                        });
-                        drop(build);
-                        sgb_any_tree(points, &cfg, &index, tel)
-                    }
-                    AnyAlgorithm::Grid => {
-                        let build = tel.phase(Phase::IndexBuild);
-                        let index = cache.get_or_build_grid(version, *eps, |side| {
-                            Grid::from_points(side, points.iter().enumerate().map(|(i, p)| (*p, i)))
-                        });
-                        drop(build);
-                        sgb_any_grid(points, &cfg, &index, threads, tel)
-                    }
-                    AnyAlgorithm::Auto => unreachable!("resolve_any never returns Auto"),
-                };
-                Grouping::from_flat(flat, resolved.into(), reason, threads)
-            }
-            OpSpec::Around {
-                centers,
-                max_radius,
-            } => {
-                let base = self
-                    .algorithm
-                    .for_around()
-                    .expect("validated by algorithm()");
-                let (resolved, reason) = cost::resolve_around_with_cache(
-                    base,
-                    centers.len(),
-                    D,
-                    cache.cached_center_algorithm(centers, self.rtree_fanout),
-                );
-                let (threads, _) = cost::threads_for_around(self.threads, points.len());
-                let cfg = self
-                    .around_config(centers.clone(), *max_radius)
-                    .algorithm(resolved)
-                    .threads(threads);
-                let build = tel.phase(Phase::IndexBuild);
-                let index = match resolved {
-                    // The brute scan has no structure worth caching.
-                    AroundAlgorithm::BruteForce => Arc::new(CenterIndex::Scan),
-                    AroundAlgorithm::Indexed | AroundAlgorithm::Grid => {
-                        cache.get_or_build_center_index(resolved, self.rtree_fanout, centers)
-                    }
-                    AroundAlgorithm::Auto => unreachable!("resolve_around never returns Auto"),
-                };
-                let mut op = SgbAround::with_center_index(cfg, index);
-                drop(build);
-                let join = tel.phase(Phase::Join);
-                op.extend_from_slice(points);
-                drop(join);
-                tel.add(
-                    Counter::CandidatePairs,
-                    self.around_candidates(points.len(), centers.len(), resolved),
-                );
-                let merge = tel.phase(Phase::Merge);
-                let around = op.finish();
-                drop(merge);
-                Grouping::from_around(around, resolved.into(), reason, threads)
-            }
-        };
-        cache.store_result(version, fingerprint, out.clone());
-        self.finalize(out)
+        infallible(self.execute(
+            points,
+            &QueryGovernor::unrestricted(),
+            Some((cache, version)),
+        ))
     }
 
-    /// Governed twin of [`run`](Self::run): executes under a
-    /// [`QueryGovernor`] and returns a typed [`SgbError`] instead of
-    /// panicking or running away.
+    /// Runs the query under a [`QueryGovernor`], returning a typed
+    /// [`SgbError`] instead of panicking or running away.
     ///
     /// * Non-finite coordinates yield [`SgbError::NonFinite`] (where
     ///   [`run`](Self::run) panics).
@@ -1000,115 +788,41 @@ impl<const D: usize> SgbQuery<D> {
         points: &[Point<D>],
         governor: &QueryGovernor,
     ) -> Result<Grouping, SgbError> {
-        let tel = &self.telemetry;
-        let validate = tel.phase(Phase::Validate);
-        let finite = points.iter().all(Point::is_finite);
-        drop(validate);
-        if !finite {
-            return Err(SgbError::NonFinite);
-        }
-        governor.check()?;
-        let out = match &self.op {
-            OpSpec::All { eps, overlap } => {
-                let (resolved, reason) =
-                    cost::resolve_all(self.algorithm.for_all(), points.len(), D);
-                let (threads, _) = cost::threads_for_all();
-                let cfg = self.all_config(*eps, *overlap).algorithm(resolved);
-                // Stream pushes exactly like `sgb_all`, with a governor
-                // check per tuple: each push does a candidate search, so
-                // the check is cheap relative to the work it bounds.
-                let join = tel.phase(Phase::Join);
-                let mut op = SgbAll::new(cfg);
-                for p in points {
-                    governor.check()?;
-                    op.push(*p);
-                }
-                drop(join);
-                tel.add(Counter::CandidatePairs, op.candidates_tested());
-                tel.add(Counter::GovernorPolls, 1 + points.len() as u64);
-                let merge = tel.phase(Phase::Merge);
-                let flat = op.finish();
-                drop(merge);
-                Grouping::from_flat(flat, resolved.into(), reason, threads)
-            }
-            OpSpec::Any { eps } => {
-                let base = self.algorithm.for_any().expect("validated by algorithm()");
-                let (resolved, reason) =
-                    cost::resolve_any_governed_full(base, points.len(), D, false, false, governor)?;
-                let (threads, _) = cost::threads_for_any(resolved, self.threads, points.len());
-                let cfg = self.any_config(*eps).algorithm(resolved).threads(threads);
-                let flat = match resolved {
-                    AnyAlgorithm::AllPairs => try_sgb_any_all_pairs(points, &cfg, governor, tel)?,
-                    AnyAlgorithm::Indexed => {
-                        // `resolve_any_governed_full` admitted the build.
-                        let build = tel.phase(Phase::IndexBuild);
-                        let index: RTree<D, RecordId> = RTree::from_points(
-                            self.rtree_fanout,
-                            points.iter().enumerate().map(|(i, p)| (*p, i)),
-                        );
-                        drop(build);
-                        try_sgb_any_tree(points, &cfg, &index, governor, tel)?
-                    }
-                    AnyAlgorithm::Grid => {
-                        // `resolve_any_governed_full` admitted the build.
-                        let build = tel.phase(Phase::IndexBuild);
-                        let index: Grid<D, RecordId> = Grid::from_points(
-                            Grid::<D, RecordId>::side_for_eps(*eps),
-                            points.iter().enumerate().map(|(i, p)| (*p, i)),
-                        );
-                        drop(build);
-                        try_sgb_any_grid(points, &cfg, &index, threads, governor, tel)?
-                    }
-                    AnyAlgorithm::Auto => {
-                        unreachable!("resolve_any_governed_full never returns Auto")
-                    }
-                };
-                Grouping::from_flat(flat, resolved.into(), reason, threads)
-            }
-            OpSpec::Around {
-                centers,
-                max_radius,
-            } => {
-                let base = self
-                    .algorithm
-                    .for_around()
-                    .expect("validated by algorithm()");
-                let (resolved, reason) =
-                    cost::resolve_around_governed(base, centers.len(), D, None, governor)?;
-                let (threads, _) = cost::threads_for_around(self.threads, points.len());
-                let cfg = self
-                    .around_config(centers.clone(), *max_radius)
-                    .algorithm(resolved)
-                    .threads(threads);
-                let build = tel.phase(Phase::IndexBuild);
-                let mut op = SgbAround::new(cfg);
-                drop(build);
-                let join = tel.phase(Phase::Join);
-                op.try_extend_from_slice(points, governor)?;
-                drop(join);
-                tel.add(
-                    Counter::CandidatePairs,
-                    self.around_candidates(points.len(), centers.len(), resolved),
-                );
-                let merge = tel.phase(Phase::Merge);
-                let around = op.finish();
-                drop(merge);
-                Grouping::from_around(around, resolved.into(), reason, threads)
-            }
-        };
-        Ok(self.finalize(out))
+        self.execute(points, governor, None)
     }
 
-    /// Governed twin of [`run_cached`](Self::run_cached): the shared-work
-    /// cache plus the [`QueryGovernor`] contract of [`try_run`](Self::try_run).
+    /// [`try_run`](Self::try_run) through a shared-work [`SgbCache`],
+    /// reusing spatial indexes (and whole results) built by earlier queries
+    /// over the same point set.
+    ///
+    /// `version` is the caller's monotone counter for the point set: bump
+    /// it on every content change and cached state from older versions is
+    /// dropped, never served. Under an unchanged version the cache
+    /// supplies:
+    ///
+    /// * the SGB-Any ε-grid — including **ε-superset reuse**, where one
+    ///   grid serves nearby larger ε values by widening the probe window;
+    /// * the SGB-Any point R-tree (keyed on fan-out);
+    /// * the SGB-Around center index — version-free, since it is built
+    ///   from the query's centers, never the table;
+    /// * the complete [`Grouping`] of an exact repeat query;
+    /// * the once-per-version finiteness validation, skipping the O(n·d)
+    ///   scan on every warm execution.
+    ///
+    /// [`Algorithm::Auto`] resolves cache-aware ([`cost::resolve_any`] /
+    /// [`cost::resolve_around`]): a cached index has zero build cost, so
+    /// it can win below the cold crossover, and is admitted past the
+    /// memory budget (running against it allocates nothing new). Whatever
+    /// path runs, the answer sets are **bit-identical** to
+    /// [`try_run`](Self::try_run) — index probes verify with the canonical
+    /// predicate and SGB-Any's component extraction is union-order
+    /// insensitive.
     ///
     /// Failure hygiene: a grouping is stored in the result cache **only on
-    /// success** — a timed-out, cancelled, or faulted execution never
-    /// plants a partial answer for a later query to reuse. Spatial indexes
-    /// the cache finished building before the failure remain cached; they
-    /// are complete, version-checked structures, so reusing them later is
-    /// sound. A usable cached ε-grid is admitted past the memory budget
-    /// (it already exists — running against it allocates nothing new).
+    /// success** — a failed execution never plants a partial answer for a
+    /// later query to reuse. Spatial indexes the cache finished building
+    /// before the failure remain cached; they are complete,
+    /// version-checked structures, so reusing them later is sound.
     pub fn try_run_cached(
         &self,
         points: &[Point<D>],
@@ -1116,134 +830,204 @@ impl<const D: usize> SgbQuery<D> {
         version: u64,
         governor: &QueryGovernor,
     ) -> Result<Grouping, SgbError> {
+        self.execute(points, governor, Some((cache, version)))
+    }
+
+    /// The one execution body behind every run entry point: validate,
+    /// probe the result cache, run the operator, store the result. The
+    /// per-operator arms poll `governor` in their hot loops and record into
+    /// the query's telemetry handle; with `cache` they take indexes from
+    /// (and publish them to) the cache, without it they build fresh ones
+    /// and never compute a fingerprint.
+    fn execute(
+        &self,
+        points: &[Point<D>],
+        governor: &QueryGovernor,
+        cache: Option<(&SgbCache<D>, u64)>,
+    ) -> Result<Grouping, SgbError> {
         let tel = &self.telemetry;
+        // One shared contract for the whole family: non-finite coordinates
+        // are rejected here, at the query boundary (once per version when
+        // a cache remembers the check), so every operator arm — including
+        // the parallel bulk paths, which bypass the streaming `push`
+        // asserts — fails identically and early.
         let validate = tel.phase(Phase::Validate);
-        let finite = points.iter().all(Point::is_finite);
-        if finite {
-            // Already validated above, so this only memoizes the version's
-            // validation flag (and can never hit the panicking path).
-            cache.validate_once(version, points);
-        }
+        let finite = match cache {
+            Some((cache, version)) => cache.points_finite(version, points),
+            None => points.iter().all(Point::is_finite),
+        };
         drop(validate);
         if !finite {
             return Err(SgbError::NonFinite);
         }
         governor.check()?;
-        let probe = tel.phase(Phase::CacheProbe);
-        let fingerprint = self.fingerprint();
-        let hit = cache.lookup_result(version, &fingerprint);
-        drop(probe);
-        if let Some(hit) = hit {
-            tel.add(Counter::CacheHits, 1);
-            return Ok(self.finalize(hit));
-        }
-        tel.add(Counter::CacheMisses, 1);
-        let out = match &self.op {
-            OpSpec::All { eps, overlap } => {
-                let (resolved, reason) =
-                    cost::resolve_all(self.algorithm.for_all(), points.len(), D);
-                let (threads, _) = cost::threads_for_all();
-                let cfg = self.all_config(*eps, *overlap).algorithm(resolved);
-                let join = tel.phase(Phase::Join);
-                let mut op = SgbAll::new(cfg);
-                for p in points {
-                    governor.check()?;
-                    op.push(*p);
+        let fingerprint = match cache {
+            Some((cache, version)) => {
+                let probe = tel.phase(Phase::CacheProbe);
+                let fingerprint = self.fingerprint();
+                let hit = cache.lookup_result(version, &fingerprint);
+                drop(probe);
+                if let Some(hit) = hit {
+                    tel.add(Counter::CacheHits, 1);
+                    return Ok(self.finalize(hit));
                 }
-                drop(join);
-                tel.add(Counter::CandidatePairs, op.candidates_tested());
-                tel.add(Counter::GovernorPolls, 1 + points.len() as u64);
-                let merge = tel.phase(Phase::Merge);
-                let flat = op.finish();
-                drop(merge);
-                Grouping::from_flat(flat, resolved.into(), reason, threads)
+                tel.add(Counter::CacheMisses, 1);
+                Some(fingerprint)
             }
-            OpSpec::Any { eps } => {
-                let base = self.algorithm.for_any().expect("validated by algorithm()");
-                let (resolved, reason) = cost::resolve_any_governed_full(
-                    base,
-                    points.len(),
-                    D,
-                    cache.has_usable_grid(version, *eps),
-                    cache.has_tree(version, self.rtree_fanout),
-                    governor,
-                )?;
-                let (threads, _) = cost::threads_for_any(resolved, self.threads, points.len());
-                let cfg = self.any_config(*eps).algorithm(resolved).threads(threads);
-                let flat = match resolved {
-                    AnyAlgorithm::AllPairs => try_sgb_any_all_pairs(points, &cfg, governor, tel)?,
-                    AnyAlgorithm::Indexed => {
-                        let build = tel.phase(Phase::IndexBuild);
-                        let index = cache.get_or_build_tree(version, self.rtree_fanout, || {
-                            RTree::from_points(
-                                self.rtree_fanout,
-                                points.iter().enumerate().map(|(i, p)| (*p, i)),
-                            )
-                        });
-                        drop(build);
-                        try_sgb_any_tree(points, &cfg, &index, governor, tel)?
-                    }
-                    AnyAlgorithm::Grid => {
-                        let build = tel.phase(Phase::IndexBuild);
-                        let index = cache.get_or_build_grid(version, *eps, |side| {
-                            Grid::from_points(side, points.iter().enumerate().map(|(i, p)| (*p, i)))
-                        });
-                        drop(build);
-                        try_sgb_any_grid(points, &cfg, &index, threads, governor, tel)?
-                    }
-                    AnyAlgorithm::Auto => {
-                        unreachable!("resolve_any_governed_full never returns Auto")
-                    }
-                };
-                Grouping::from_flat(flat, resolved.into(), reason, threads)
-            }
+            None => None,
+        };
+        let out = match &self.op {
+            OpSpec::All { eps, overlap } => self.execute_all(points, *eps, *overlap, governor)?,
+            OpSpec::Any { eps } => self.execute_any(points, *eps, governor, cache)?,
             OpSpec::Around {
                 centers,
                 max_radius,
-            } => {
-                let base = self
-                    .algorithm
-                    .for_around()
-                    .expect("validated by algorithm()");
-                let (resolved, reason) = cost::resolve_around_governed(
-                    base,
-                    centers.len(),
-                    D,
-                    cache.cached_center_algorithm(centers, self.rtree_fanout),
-                    governor,
-                )?;
-                let (threads, _) = cost::threads_for_around(self.threads, points.len());
-                let cfg = self
-                    .around_config(centers.clone(), *max_radius)
-                    .algorithm(resolved)
-                    .threads(threads);
+            } => self.execute_around(points, centers, *max_radius, governor, cache)?,
+        };
+        if let (Some((cache, version)), Some(fingerprint)) = (cache, fingerprint) {
+            cache.store_result(version, fingerprint, out.clone());
+        }
+        Ok(self.finalize(out))
+    }
+
+    /// SGB-All: the streaming engine fed in arrival order (its arbitration
+    /// is order-sensitive, so it never parallelises), with a governor
+    /// check per tuple — each push does a candidate search, so the check
+    /// is cheap relative to the work it bounds. It builds no reusable
+    /// structure (its index tracks the *live groups*, which exist only
+    /// mid-run), so only the whole result is cacheable.
+    fn execute_all(
+        &self,
+        points: &[Point<D>],
+        eps: f64,
+        overlap: OverlapAction,
+        governor: &QueryGovernor,
+    ) -> Result<Grouping, SgbError> {
+        let tel = &self.telemetry;
+        let (resolved, reason) = cost::resolve_all(self.algorithm.for_all(), points.len(), D);
+        let (threads, _) = cost::threads_for_all();
+        let cfg = self.all_config(eps, overlap).algorithm(resolved);
+        let join = tel.phase(Phase::Join);
+        let mut op = SgbAll::new(cfg);
+        for p in points {
+            governor.check()?;
+            op.push(*p);
+        }
+        drop(join);
+        tel.add(Counter::CandidatePairs, op.candidates_tested());
+        tel.add(Counter::GovernorPolls, 1 + points.len() as u64);
+        let merge = tel.phase(Phase::Merge);
+        let flat = op.finish();
+        drop(merge);
+        Ok(Grouping::from_flat(flat, resolved.into(), reason, threads))
+    }
+
+    /// SGB-Any: resolve against the cache view and the memory budget, take
+    /// the point index from the cache or build it fresh, and run its batch
+    /// kernel.
+    fn execute_any(
+        &self,
+        points: &[Point<D>],
+        eps: f64,
+        governor: &QueryGovernor,
+        cache: Option<(&SgbCache<D>, u64)>,
+    ) -> Result<Grouping, SgbError> {
+        let tel = &self.telemetry;
+        let (n, metric, fanout) = (points.len(), self.metric, self.rtree_fanout);
+        let base = self.algorithm.for_any().expect("validated by algorithm()");
+        let (resolved, reason) = cost::resolve_any(
+            base,
+            n,
+            D,
+            cache.is_some_and(|(cache, version)| cache.has_usable_grid(version, eps)),
+            cache.is_some_and(|(cache, version)| cache.has_tree(version, fanout)),
+            governor,
+        )?;
+        let (threads, _) = cost::threads_for_any(resolved, self.threads, n);
+        let entries = || points.iter().enumerate().map(|(i, p)| (*p, i));
+        // The resolver admitted any index build under the budget.
+        let flat = match resolved {
+            AnyAlgorithm::Indexed => {
                 let build = tel.phase(Phase::IndexBuild);
-                let index = match resolved {
-                    AroundAlgorithm::BruteForce => Arc::new(CenterIndex::Scan),
-                    AroundAlgorithm::Indexed | AroundAlgorithm::Grid => {
-                        cache.get_or_build_center_index(resolved, self.rtree_fanout, centers)
-                    }
-                    AroundAlgorithm::Auto => {
-                        unreachable!("resolve_around_governed never returns Auto")
-                    }
+                let fresh = || RTree::from_points(fanout, entries());
+                let index = match cache {
+                    Some((cache, version)) => cache.get_or_build_tree(version, fanout, fresh),
+                    None => Arc::new(fresh()),
                 };
-                let mut op = SgbAround::with_center_index(cfg, index);
                 drop(build);
-                let join = tel.phase(Phase::Join);
-                op.try_extend_from_slice(points, governor)?;
-                drop(join);
-                tel.add(
-                    Counter::CandidatePairs,
-                    self.around_candidates(points.len(), centers.len(), resolved),
-                );
-                let merge = tel.phase(Phase::Merge);
-                let around = op.finish();
-                drop(merge);
-                Grouping::from_around(around, resolved.into(), reason, threads)
+                any::join_tree(points, eps, metric, &index, governor, tel)?
+            }
+            AnyAlgorithm::Grid => {
+                let build = tel.phase(Phase::IndexBuild);
+                let fresh = |side| Grid::from_points(side, entries());
+                let index = match cache {
+                    Some((cache, version)) => cache.get_or_build_grid(version, eps, fresh),
+                    None => Arc::new(fresh(Grid::<D, RecordId>::side_for_eps(eps))),
+                };
+                drop(build);
+                any::join_grid(points, eps, metric, &index, threads, governor, tel)?
+            }
+            // Resolution never yields `Auto`; it shares the scan's arm.
+            AnyAlgorithm::AllPairs | AnyAlgorithm::Auto => {
+                any::join_all_pairs(points, eps, metric, governor, tel)?
             }
         };
-        cache.store_result(version, fingerprint, out.clone());
-        Ok(self.finalize(out))
+        Ok(Grouping::from_flat(flat, resolved.into(), reason, threads))
+    }
+
+    /// SGB-Around: resolve against the cached center index and the memory
+    /// budget, take the center index from the cache or build it fresh
+    /// (the index-build phase), then assign the batch (the join).
+    fn execute_around(
+        &self,
+        points: &[Point<D>],
+        centers: &[Point<D>],
+        max_radius: Option<f64>,
+        governor: &QueryGovernor,
+        cache: Option<(&SgbCache<D>, u64)>,
+    ) -> Result<Grouping, SgbError> {
+        let tel = &self.telemetry;
+        let fanout = self.rtree_fanout;
+        let base = self
+            .algorithm
+            .for_around()
+            .expect("validated by algorithm()");
+        let cached = cache.and_then(|(cache, _)| cache.cached_center_algorithm(centers, fanout));
+        let (resolved, reason) = cost::resolve_around(base, centers.len(), D, cached, governor)?;
+        let (threads, _) = cost::threads_for_around(self.threads, points.len());
+        let cfg = self
+            .around_config(centers.to_vec(), max_radius)
+            .algorithm(resolved)
+            .threads(threads);
+        let build = tel.phase(Phase::IndexBuild);
+        let index = match (cache, resolved) {
+            (Some((cache, _)), AroundAlgorithm::Indexed | AroundAlgorithm::Grid) => {
+                cache.get_or_build_center_index(resolved, fanout, centers)
+            }
+            // The brute scan has no structure worth caching.
+            _ => Arc::new(build_center_index(resolved, fanout, centers)),
+        };
+        let mut op = SgbAround::with_center_index(cfg, index);
+        drop(build);
+        let join = tel.phase(Phase::Join);
+        op.try_extend_from_slice(points, governor)?;
+        drop(join);
+        // Approximate candidate count: the brute scan compares every point
+        // against every center; the indexed paths probe once per point.
+        let per_point = match resolved {
+            AroundAlgorithm::BruteForce => centers.len() as u64,
+            _ => 1,
+        };
+        tel.add(Counter::CandidatePairs, points.len() as u64 * per_point);
+        let merge = tel.phase(Phase::Merge);
+        let around = op.finish();
+        drop(merge);
+        Ok(Grouping::from_around(
+            around,
+            resolved.into(),
+            reason,
+            threads,
+        ))
     }
 
     /// A total encoding of every knob that can influence this query's
@@ -1294,8 +1078,7 @@ impl<const D: usize> SgbQuery<D> {
     pub fn stream(self) -> SgbStream<D> {
         let (inner, algorithm, selection) = match &self.op {
             OpSpec::All { eps, overlap } => {
-                let (resolved, reason) =
-                    cost::resolve_all_streaming_with_reason(self.algorithm.for_all(), D);
+                let (resolved, reason) = cost::resolve_all_streaming(self.algorithm.for_all(), D);
                 let cfg = self.all_config(*eps, *overlap).algorithm(resolved);
                 (
                     StreamInner::All(Box::new(SgbAll::new(cfg))),
@@ -1305,8 +1088,11 @@ impl<const D: usize> SgbQuery<D> {
             }
             OpSpec::Any { eps } => {
                 let base = self.algorithm.for_any().expect("validated by algorithm()");
-                let (resolved, reason) = cost::resolve_any_streaming_with_reason(base, D);
-                let cfg = self.any_config(*eps).algorithm(resolved);
+                let (resolved, reason) = cost::resolve_any_streaming(base, D);
+                let cfg = SgbAnyConfig::new(*eps)
+                    .metric(self.metric)
+                    .rtree_fanout(self.rtree_fanout)
+                    .algorithm(resolved);
                 (
                     StreamInner::Any(Box::new(SgbAny::new(cfg))),
                     resolved.into(),
@@ -1321,7 +1107,7 @@ impl<const D: usize> SgbQuery<D> {
                     .algorithm
                     .for_around()
                     .expect("validated by algorithm()");
-                let (resolved, reason) = cost::resolve_around(base, centers.len(), D);
+                let (resolved, reason) = cost::around_cost_model(base, centers.len(), D);
                 let cfg = self
                     .around_config(centers.clone(), *max_radius)
                     .algorithm(resolved);
@@ -1337,6 +1123,16 @@ impl<const D: usize> SgbQuery<D> {
             algorithm,
             selection,
         }
+    }
+}
+
+/// The outcome of an execution under [`QueryGovernor::unrestricted`],
+/// which fails only where the infallible entry points document a panic
+/// (non-finite coordinates) or when a worker panicked — re-raised here.
+fn infallible(result: Result<Grouping, SgbError>) -> Grouping {
+    match result {
+        Ok(grouping) => grouping,
+        Err(e) => panic!("{e}"),
     }
 }
 
@@ -1624,6 +1420,183 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn run_rejects_non_finite_points_for_around() {
         let _ = SgbQuery::around(pts(&[[0.0, 0.0]])).run(&[Point::new([f64::NEG_INFINITY, 0.0])]);
+    }
+
+    /// One query per operator, over 2-D points.
+    fn one_per_operator() -> Vec<SgbQuery<2>> {
+        vec![
+            SgbQuery::all(1.0),
+            SgbQuery::any(1.0),
+            SgbQuery::around(pts(&[[0.0, 0.0], [5.0, 5.0]])).max_radius(2.0),
+        ]
+    }
+
+    #[test]
+    fn governed_entry_points_return_non_finite_on_every_operator() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let points = pts(&[[0.0, 0.0], [bad, 1.0], [2.0, 2.0]]);
+            for q in one_per_operator() {
+                let free = QueryGovernor::unrestricted();
+                let op = q.operator();
+                assert_eq!(q.try_run(&points, &free), Err(SgbError::NonFinite), "{op}");
+                let cache = SgbCache::new();
+                assert_eq!(
+                    q.try_run_cached(&points, &cache, 1, &free),
+                    Err(SgbError::NonFinite),
+                    "{op}"
+                );
+                // A rejected version stays rejected on a retry.
+                assert_eq!(
+                    q.try_run_cached(&points, &cache, 1, &free),
+                    Err(SgbError::NonFinite),
+                    "{op}"
+                );
+                assert_eq!(cache.stats().result_hits, 0, "{op}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "points must have finite coordinates")]
+    fn run_cached_rejects_non_finite_points() {
+        let _ = SgbQuery::any(1.0).run_cached(&[Point::new([f64::NAN, 0.0])], &SgbCache::new(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "points must have finite coordinates")]
+    fn legacy_sgb_all_rejects_non_finite_points() {
+        let points = pts(&[[0.0, 0.0], [f64::NAN, 1.0], [2.0, 2.0]]);
+        let _ = sgb_all(&points, &SgbAllConfig::new(1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "points must have finite coordinates")]
+    fn legacy_sgb_any_with_threads_rejects_non_finite_points() {
+        let points = pts(&[[0.0, 0.0], [1.0, f64::NAN], [2.0, 2.0], [3.0, 3.0]]);
+        let cfg = SgbAnyConfig::new(1.0)
+            .algorithm(AnyAlgorithm::Grid)
+            .threads(2);
+        let _ = sgb_any(&points, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "points must have finite coordinates")]
+    fn legacy_sgb_around_with_threads_rejects_non_finite_points() {
+        // The parallel batch assignment must not classify a NaN point: every
+        // distance comparison against NaN is false, so it would silently
+        // join center 0.
+        let points = pts(&[[0.0, 0.0], [1.0, 1.0], [f64::NAN, 2.0], [3.0, 3.0]]);
+        let cfg = SgbAroundConfig::new(pts(&[[0.0, 0.0], [3.0, 3.0]])).threads(2);
+        let _ = crate::sgb_around(&points, &cfg);
+    }
+
+    /// Deterministic pseudo-random cloud for the parity sweep.
+    fn cloud(n: usize, seed: u64, scale: f64) -> Vec<Point<2>> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64) / (u32::MAX as f64)
+        };
+        (0..n)
+            .map(|_| Point::new([next() * scale, next() * scale]))
+            .collect()
+    }
+
+    #[test]
+    fn every_entry_point_reports_the_same_groups_path_reason_and_threads() {
+        // `Grouping` equality ignores the execution metadata, so this pins
+        // it field by field: `run`, `try_run` under an unrestricted
+        // governor, and cold `run_cached` / `try_run_cached` must agree on
+        // the groups, the resolved path, the reason `EXPLAIN` prints and
+        // the thread count — for every operator, every applicable
+        // algorithm (`Auto` on both sides of its crossover) and threads
+        // 0 (auto), 1 and 2.
+        let all_n = [
+            cost::ALL_ALL_PAIRS_MAX_N - 56,
+            cost::ALL_ALL_PAIRS_MAX_N + 44,
+        ];
+        let any_n = [
+            cost::ANY_ALL_PAIRS_MAX_N - 112,
+            cost::ANY_ALL_PAIRS_MAX_N + 88,
+        ];
+        let around_centers = [
+            cost::AROUND_BRUTE_MAX_CENTERS - 28,
+            cost::AROUND_BRUTE_MAX_CENTERS + 22,
+        ];
+        let mut cases: Vec<(SgbQuery<2>, Vec<Point<2>>)> = Vec::new();
+        for (side, n) in all_n.into_iter().enumerate() {
+            for algorithm in Algorithm::ALL {
+                let q = SgbQuery::all(0.4).algorithm(algorithm);
+                cases.push((q, cloud(n, 11 + side as u64, 10.0)));
+            }
+        }
+        for (side, n) in any_n.into_iter().enumerate() {
+            for algorithm in Algorithm::ALL {
+                if algorithm.for_any().is_some() {
+                    let q = SgbQuery::any(0.3).algorithm(algorithm);
+                    cases.push((q, cloud(n, 21 + side as u64, 10.0)));
+                }
+            }
+        }
+        for (side, centers) in around_centers.into_iter().enumerate() {
+            for algorithm in Algorithm::ALL {
+                if algorithm.for_around().is_some() {
+                    let q = SgbQuery::around(cloud(centers, 31 + side as u64, 10.0))
+                        .max_radius(0.5)
+                        .algorithm(algorithm);
+                    cases.push((q, cloud(300, 41, 10.0)));
+                }
+            }
+        }
+        let free = QueryGovernor::unrestricted();
+        let mut auto_paths = std::collections::HashSet::new();
+        for (base, points) in cases {
+            for threads in [0, 1, 2] {
+                let q = base.clone().threads(threads);
+                let label = format!(
+                    "{} {} threads={threads} n={}",
+                    q.operator(),
+                    q.configured_algorithm(),
+                    points.len()
+                );
+                let runs = [
+                    q.run(&points),
+                    q.try_run(&points, &free).unwrap(),
+                    q.run_cached(&points, &SgbCache::new(), 1),
+                    q.try_run_cached(&points, &SgbCache::new(), 1, &free)
+                        .unwrap(),
+                ];
+                let first = &runs[0];
+                for other in &runs[1..] {
+                    assert_eq!(other, first, "{label}: groups");
+                    assert_eq!(
+                        other.resolved_algorithm(),
+                        first.resolved_algorithm(),
+                        "{label}: path"
+                    );
+                    assert_eq!(
+                        other.selection_reason(),
+                        first.selection_reason(),
+                        "{label}: reason"
+                    );
+                    assert_eq!(other.threads(), first.threads(), "{label}: threads");
+                }
+                if q.configured_algorithm() == Algorithm::Auto {
+                    auto_paths.insert((q.operator(), first.resolved_algorithm()));
+                }
+            }
+        }
+        // Each operator's Auto landed on both sides of its crossover.
+        for (op, below, above) in [
+            ("SGB-All", Algorithm::AllPairs, Algorithm::BoundsChecking),
+            ("SGB-Any", Algorithm::AllPairs, Algorithm::Grid),
+            ("SGB-Around", Algorithm::AllPairs, Algorithm::Grid),
+        ] {
+            assert!(auto_paths.contains(&(op, below)), "{op} below crossover");
+            assert!(auto_paths.contains(&(op, above)), "{op} above crossover");
+        }
     }
 
     #[test]

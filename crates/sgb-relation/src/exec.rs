@@ -11,6 +11,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use sgb_core::query::Grouping;
@@ -31,18 +32,8 @@ use crate::value::Value;
 /// governor drawn from the session options (deadline, memory budget,
 /// session cancel token).
 pub fn execute(plan: &Plan, db: &Database) -> Result<Table> {
-    let governor = db.statement_governor();
-    execute_governed(plan, db, &governor)
-}
-
-/// [`execute`] under an explicit governor; one governor (and thus one
-/// deadline) spans the whole plan tree.
-pub(crate) fn execute_governed(
-    plan: &Plan,
-    db: &Database,
-    governor: &QueryGovernor,
-) -> Result<Table> {
-    execute_node(plan, db, governor, 0, None)
+    // One governor (and thus one deadline) spans the whole plan tree.
+    execute_node(plan, db, &db.statement_governor(), 0, None)
 }
 
 /// `EXPLAIN ANALYZE` entry point: executes `plan` with per-node actuals
@@ -262,20 +253,17 @@ fn execute_inner(
                 &[("operator", op), ("algorithm", &algorithm.to_string())],
                 1,
             );
-            // Serve from a fresh subscription snapshot when one matches;
-            // otherwise route through the session's shared-work cache when
-            // the node reads a base table directly — only then does the
-            // table's version counter describe the operator's actual input.
-            let served = subscription_grouping(db, input, coords, &QueryKey::from_sgb_mode(mode));
-            let grouping = match served {
-                Some(g) => g,
-                None => match cached_scan_table(db, input) {
-                    Some(table) => {
-                        run_sgb_cached(db, &table, &t.rows, coords, mode, governor, &tel)?
-                    }
-                    None => run_sgb(&t.rows, coords, mode, governor, &tel)?,
-                },
-            };
+            let grouping = run_similarity(
+                db,
+                input,
+                &t.rows,
+                coords,
+                &QueryKey::from_sgb_mode(mode),
+                || sgb_query::<2>(mode),
+                || sgb_query::<3>(mode),
+                governor,
+                &tel,
+            )?;
             let out = {
                 let _agg = tel.phase(Phase::Aggregate);
                 aggregate_grouping(&t, &grouping, aggs, having, outputs, schema)
@@ -313,25 +301,17 @@ fn execute_inner(
                 ],
                 1,
             );
-            let served = subscription_grouping(
+            let grouping = run_similarity(
                 db,
                 input,
+                &t.rows,
                 coords,
                 &QueryKey::around(centers, *metric, *radius),
-            );
-            let grouping = match served {
-                Some(g) => g,
-                None => match cached_scan_table(db, input) {
-                    Some(table) => run_around_cached(
-                        db, &table, &t.rows, coords, centers, *metric, *radius, *algorithm,
-                        *threads, governor, &tel,
-                    )?,
-                    None => run_around(
-                        &t.rows, coords, centers, *metric, *radius, *algorithm, *threads, governor,
-                        &tel,
-                    )?,
-                },
-            };
+                || around_query::<2>(centers, *metric, *radius, *algorithm, *threads),
+                || around_query::<3>(centers, *metric, *radius, *algorithm, *threads),
+                governor,
+                &tel,
+            )?;
             let out = {
                 let _agg = tel.phase(Phase::Aggregate);
                 aggregate_grouping(&t, &grouping, aggs, having, outputs, schema)
@@ -438,42 +418,6 @@ fn similarity_detail(grouping: &Grouping, tel: &Telemetry) -> String {
     d
 }
 
-/// The grouping served from a fresh subscription snapshot, when one
-/// matches the node: the node reads a base table directly, an active
-/// subscription over it has the same grouping attributes and
-/// result-relevant operator parameters, and its published snapshot
-/// reflects the table's current version. Freshness is re-checked here at
-/// execution time, so serving is always consistent with what a recompute
-/// would produce.
-fn subscription_grouping(
-    db: &Database,
-    input: &Plan,
-    coords: &[BoundExpr],
-    key: &QueryKey,
-) -> Option<Grouping> {
-    let table = match input {
-        Plan::Scan { table, .. } if !table.is_empty() => table.to_ascii_lowercase(),
-        _ => return None,
-    };
-    let version = db.table(&table).ok()?.version();
-    db.subscriptions()
-        .serve(&table, &slot_key(coords), key, version)
-}
-
-/// The table a similarity node's cache slot is scoped to, when caching
-/// applies: the session cache is on and the node's input is a bare
-/// catalog scan (the planner's pushdown briefly uses empty-named `Scan`
-/// placeholders; those never qualify). Lower-cased, matching the catalog.
-fn cached_scan_table(db: &Database, input: &Plan) -> Option<String> {
-    if !db.session().cache {
-        return None;
-    }
-    match input {
-        Plan::Scan { table, .. } if !table.is_empty() => Some(table.to_ascii_lowercase()),
-        _ => None,
-    }
-}
-
 /// Extracts the 2-D or 3-D grouping points of every row (the paper's "two
 /// and three dimensional data space").
 pub(crate) fn extract_points<const D: usize>(
@@ -503,34 +447,82 @@ pub(crate) fn extract_points<const D: usize>(
     Ok(points)
 }
 
-/// Runs the configured SGB-All / SGB-Any operator over the grouping points.
-fn run_sgb(
+/// The grouping of a similarity node over its input rows. When the node
+/// reads a base table directly — only then does the table's version
+/// counter describe the operator's actual input — a fresh subscription
+/// snapshot matching `key` serves it (an active subscription with the same
+/// grouping attributes and result-relevant parameters, re-checked against
+/// the table's current version here, so serving always equals a
+/// recompute), and otherwise the run goes through the session's
+/// shared-work cache, which also supplies the extracted points of the
+/// current version. Anything else runs the core query — lowered by
+/// `query2` / `query3` for 2-D / 3-D grouping attributes (the paper's "two
+/// and three dimensional data space") — from scratch. Bit-identical
+/// either way.
+#[allow(clippy::too_many_arguments)]
+fn run_similarity(
+    db: &Database,
+    input: &Plan,
     rows: &[Row],
     coords: &[BoundExpr],
-    mode: &SgbMode,
+    key: &QueryKey,
+    query2: impl FnOnce() -> Result<SgbQuery<2>>,
+    query3: impl FnOnce() -> Result<SgbQuery<3>>,
     governor: &QueryGovernor,
     telemetry: &Telemetry,
 ) -> Result<Grouping> {
+    let coords_key = slot_key(coords);
+    let mut cached = None;
+    if let Plan::Scan { table, .. } = input {
+        // The planner's pushdown briefly uses empty-named placeholders.
+        if !table.is_empty() {
+            let table = table.to_ascii_lowercase();
+            let version = db.table(&table)?.version();
+            if let Some(served) = db.subscriptions().serve(&table, &coords_key, key, version) {
+                return Ok(served);
+            }
+            cached = db.session().cache.then_some((table, version));
+        }
+    }
     match coords.len() {
-        2 => run_sgb_d::<2>(rows, coords, mode, governor, telemetry),
-        3 => run_sgb_d::<3>(rows, coords, mode, governor, telemetry),
+        2 => {
+            let slot =
+                cached.map(|(table, version)| (db.caches().slot2(&table, &coords_key), version));
+            run_similarity_d(rows, coords, slot, query2, governor, telemetry)
+        }
+        3 => {
+            let slot =
+                cached.map(|(table, version)| (db.caches().slot3(&table, &coords_key), version));
+            run_similarity_d(rows, coords, slot, query3, governor, telemetry)
+        }
         n => Err(Error::Unsupported(format!(
             "similarity grouping over {n} attributes (2 or 3 supported)"
         ))),
     }
 }
 
-fn run_sgb_d<const D: usize>(
+/// [`run_similarity`] at a fixed dimensionality: extracts (or takes the
+/// slot's cached) points, lowers the query, and runs it through the core's
+/// governed entry point — cached when a slot and its table version are
+/// given.
+fn run_similarity_d<const D: usize>(
     rows: &[Row],
     coords: &[BoundExpr],
-    mode: &SgbMode,
+    slot: Option<(Arc<Slot<D>>, u64)>,
+    query: impl FnOnce() -> Result<SgbQuery<D>>,
     governor: &QueryGovernor,
     telemetry: &Telemetry,
 ) -> Result<Grouping> {
-    let points = extract_points::<D>(rows, coords)?;
-    Ok(sgb_query::<D>(mode)?
-        .telemetry(telemetry.clone())
-        .try_run(&points, governor)?)
+    let extract = || extract_points::<D>(rows, coords);
+    let points = match &slot {
+        Some((slot, version)) => slot.points_for(*version, extract)?,
+        None => Arc::new(extract()?),
+    };
+    let query = query()?.telemetry(telemetry.clone());
+    Ok(match &slot {
+        Some((slot, version)) => query.try_run_cached(&points, slot.core(), *version, governor)?,
+        None => query.try_run(&points, governor)?,
+    })
 }
 
 /// Lowers a plan's SGB-All / SGB-Any mode into the core query. The plan's
@@ -572,104 +564,9 @@ pub(crate) fn sgb_query<const D: usize>(mode: &SgbMode) -> Result<SgbQuery<D>> {
     })
 }
 
-/// [`run_sgb`] through the session's shared-work cache: the slot supplies
-/// the extracted points of the current table version (skipping the
-/// O(n·d) conversion-and-validation pass on repeats), the cached spatial
-/// indexes, and whole results of exact repeat queries. Bit-identical to
-/// the cold path.
-#[allow(clippy::too_many_arguments)]
-fn run_sgb_cached(
-    db: &Database,
-    table: &str,
-    rows: &[Row],
-    coords: &[BoundExpr],
-    mode: &SgbMode,
-    governor: &QueryGovernor,
-    telemetry: &Telemetry,
-) -> Result<Grouping> {
-    let key = slot_key(coords);
-    match coords.len() {
-        2 => {
-            let slot = db.caches().slot2(table, &key);
-            run_sgb_cached_d::<2>(db, table, rows, coords, mode, &slot, governor, telemetry)
-        }
-        3 => {
-            let slot = db.caches().slot3(table, &key);
-            run_sgb_cached_d::<3>(db, table, rows, coords, mode, &slot, governor, telemetry)
-        }
-        n => Err(Error::Unsupported(format!(
-            "similarity grouping over {n} attributes (2 or 3 supported)"
-        ))),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_sgb_cached_d<const D: usize>(
-    db: &Database,
-    table: &str,
-    rows: &[Row],
-    coords: &[BoundExpr],
-    mode: &SgbMode,
-    slot: &Slot<D>,
-    governor: &QueryGovernor,
-    telemetry: &Telemetry,
-) -> Result<Grouping> {
-    let version = db.table(table)?.version();
-    let points = slot.points_for(version, || extract_points::<D>(rows, coords))?;
-    Ok(sgb_query::<D>(mode)?
-        .telemetry(telemetry.clone())
-        .try_run_cached(&points, slot.core(), version, governor)?)
-}
-
-/// Runs SGB-Around over the grouping points: every row joins the group of
-/// its nearest center; rows beyond `radius` (when set) form the trailing
-/// outlier group.
-#[allow(clippy::too_many_arguments)]
-fn run_around(
-    rows: &[Row],
-    coords: &[BoundExpr],
-    centers: &[Vec<f64>],
-    metric: Metric,
-    radius: Option<f64>,
-    algorithm: Algorithm,
-    threads: usize,
-    governor: &QueryGovernor,
-    telemetry: &Telemetry,
-) -> Result<Grouping> {
-    match coords.len() {
-        2 => run_around_d::<2>(
-            rows, coords, centers, metric, radius, algorithm, threads, governor, telemetry,
-        ),
-        3 => run_around_d::<3>(
-            rows, coords, centers, metric, radius, algorithm, threads, governor, telemetry,
-        ),
-        n => Err(Error::Unsupported(format!(
-            "similarity grouping over {n} attributes (2 or 3 supported)"
-        ))),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_around_d<const D: usize>(
-    rows: &[Row],
-    coords: &[BoundExpr],
-    centers: &[Vec<f64>],
-    metric: Metric,
-    radius: Option<f64>,
-    algorithm: Algorithm,
-    threads: usize,
-    governor: &QueryGovernor,
-    telemetry: &Telemetry,
-) -> Result<Grouping> {
-    let points = extract_points::<D>(rows, coords)?;
-    Ok(
-        around_query::<D>(centers, metric, radius, algorithm, threads)?
-            .telemetry(telemetry.clone())
-            .try_run(&points, governor)?,
-    )
-}
-
-/// Lowers a plan's AROUND parameters into the core query.
+/// Lowers a plan's AROUND parameters into the core query: every row joins
+/// the group of its nearest center; rows beyond `radius` (when set) form
+/// the trailing outlier group.
 pub(crate) fn around_query<const D: usize>(
     centers: &[Vec<f64>],
     metric: Metric,
@@ -716,51 +613,6 @@ pub(crate) fn around_query<const D: usize>(
         query = query.max_radius(r);
     }
     Ok(query)
-}
-
-/// [`run_around`] through the session's shared-work cache; see
-/// [`run_sgb_cached`]. The center index additionally survives table
-/// mutations — it is built from the query's centers, never the table.
-#[allow(clippy::too_many_arguments)]
-fn run_around_cached(
-    db: &Database,
-    table: &str,
-    rows: &[Row],
-    coords: &[BoundExpr],
-    centers: &[Vec<f64>],
-    metric: Metric,
-    radius: Option<f64>,
-    algorithm: Algorithm,
-    threads: usize,
-    governor: &QueryGovernor,
-    telemetry: &Telemetry,
-) -> Result<Grouping> {
-    let key = slot_key(coords);
-    match coords.len() {
-        2 => {
-            let slot = db.caches().slot2(table, &key);
-            let version = db.table(table)?.version();
-            let points = slot.points_for(version, || extract_points::<2>(rows, coords))?;
-            Ok(
-                around_query::<2>(centers, metric, radius, algorithm, threads)?
-                    .telemetry(telemetry.clone())
-                    .try_run_cached(&points, slot.core(), version, governor)?,
-            )
-        }
-        3 => {
-            let slot = db.caches().slot3(table, &key);
-            let version = db.table(table)?.version();
-            let points = slot.points_for(version, || extract_points::<3>(rows, coords))?;
-            Ok(
-                around_query::<3>(centers, metric, radius, algorithm, threads)?
-                    .telemetry(telemetry.clone())
-                    .try_run_cached(&points, slot.core(), version, governor)?,
-            )
-        }
-        n => Err(Error::Unsupported(format!(
-            "similarity grouping over {n} attributes (2 or 3 supported)"
-        ))),
-    }
 }
 
 /// Running accumulator for one aggregate call.

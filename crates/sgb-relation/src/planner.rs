@@ -237,7 +237,7 @@ impl<'a> Planner<'a> {
                 // here with `BudgetExceeded`. Version-fresh cached
                 // structures cost no new memory and are always admitted.
                 let governor = self.db.statement_governor();
-                let (resolved, selection) = sgb_core::cost::resolve_any_governed_full(
+                let (resolved, selection) = sgb_core::cost::resolve_any(
                     base,
                     n,
                     exprs.len(),
@@ -503,13 +503,8 @@ impl<'a> Planner<'a> {
         // `Indexed` / `Grid` with `BudgetExceeded`; a cached center index
         // costs no new memory and is always admitted.
         let governor = self.db.statement_governor();
-        let (resolved, selection) = sgb_core::cost::resolve_around_governed(
-            base,
-            centers.len(),
-            grouping.len(),
-            cached,
-            &governor,
-        )?;
+        let (resolved, selection) =
+            sgb_core::cost::resolve_around(base, centers.len(), grouping.len(), cached, &governor)?;
         let (threads, _) = sgb_core::cost::threads_for_around(
             self.db.session().threads,
             estimate_rows(&input, self.db),

@@ -9,7 +9,7 @@
 //!
 //! Cells are keyed by `floor(coord / cell)` per dimension and stored in a
 //! hash map, so only occupied cells cost memory and the domain never needs
-//! bounds. Two query shapes are provided:
+//! bounds. Three query shapes are provided:
 //!
 //! * [`Grid::for_each_within`] — the ε-probe. It visits a guaranteed
 //!   **superset** of the entries satisfying the canonical predicate
@@ -23,6 +23,9 @@
 //!   SGB-Around. Distances are the canonical [`Metric::distance`] values
 //!   and exact ties resolve by ascending payload, bit-compatible with
 //!   [`crate::RTree::nearest_one_with`].
+//! * [`Grid::try_for_each_pair_within`] — the exact bulk ε-join behind
+//!   one-shot SGB-Any: every within-ε pair exactly once, sharded, paced
+//!   and optionally tallied.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -72,8 +75,8 @@ impl Hasher for CellHasher {
 type CellMap<const D: usize, T> =
     HashMap<CellKey<D>, Vec<(Point<D>, T)>, BuildHasherDefault<CellHasher>>;
 
-/// Execution tally of one bulk ε-join, filled in by the `*_tallied` join
-/// variants: how many candidate comparisons the join performed (pairs
+/// Execution tally of one bulk ε-join, filled in by
+/// [`Grid::try_for_each_pair_within`] when it is given one: how many candidate comparisons the join performed (pairs
 /// whose cells were close enough to be examined, before the exact
 /// [`Metric::within`] check) and how many cell jobs it visited (one per
 /// occupied owned cell for the intra-cell scan, plus one per admitted
@@ -337,263 +340,39 @@ impl<const D: usize, T> Grid<D, T> {
         }
     }
 
-    /// Bulk ε-join: invokes `visit` once for every unordered pair of
-    /// entries whose cells lie within the padded ε-window of each other —
-    /// a guaranteed superset of the pairs satisfying the canonical
-    /// predicate; callers verify each pair with [`Metric::within`].
+    /// The exact bulk ε-join: invokes `visit` once for every unordered
+    /// pair of entries within `eps` by the canonical [`Metric::within`].
     ///
-    /// This is the batch counterpart of per-point
-    /// [`for_each_within`](Self::for_each_within) probes: instead of
-    /// `len × window` hash lookups it pays a constant number of lookups
-    /// per **occupied cell** (each unordered cell pair is joined exactly
-    /// once via lexicographically-positive offsets), which is what makes
-    /// the one-shot SGB-Any ε-join fast. Offsets whose minimum inter-cell
-    /// distance under `metric` exceeds the (slack-padded) threshold are
-    /// pruned up front — e.g. the corner cells of the window under `L2`.
-    ///
-    /// `eps` may exceed the grid's cell side: the join widens its probe
-    /// window to `ceil(eps / cell) + 1` neighbour rings, visiting every
-    /// close pair regardless of the ratio. This is the contract the
-    /// shared-work cache's ε-superset reuse relies on — one grid built
-    /// for a small ε serves any larger ε′ query bit-identically (the
-    /// widened window only grows the candidate set; the exact `within`
-    /// check is unchanged).
-    pub fn for_each_close_pair<F: FnMut(&Point<D>, &T, &Point<D>, &T)>(
-        &self,
-        eps: f64,
-        metric: Metric,
-        visit: F,
-    ) {
-        self.for_each_close_pair_sharded(eps, metric, 0, 1, visit);
-    }
-
-    /// Fallible bulk ε-join: like
-    /// [`for_each_close_pair`](Self::for_each_close_pair), but `visit` may
-    /// return an error, which stops the join promptly (within the current
-    /// cell's hit scan) and is propagated to the caller. With an
-    /// always-`Ok` visitor the visited pair sequence is identical to the
-    /// infallible join — the infallible methods are thin wrappers over
-    /// this one, so there is only one join driver to trust.
-    ///
-    /// This is the governance hook: the similarity operators pass a
-    /// visitor that ticks a deadline/cancellation pacer and returns the
-    /// governor's error to abandon the join mid-flight.
+    /// * **Cell pairs.** The join pays a constant number of hash lookups
+    ///   per occupied cell: each unordered cell pair is joined once via
+    ///   lexicographically-positive offsets, and offsets whose minimum
+    ///   inter-cell distance under `metric` exceeds ε are pruned up front.
+    /// * **Any ε.** Above the cell side the window widens to
+    ///   `ceil(eps / cell) + 1` rings, so one grid serves every larger ε′
+    ///   bit-identically (the shared-work cache's ε-superset reuse).
+    /// * **Verification** runs over a structure-of-arrays mirror of the
+    ///   cells, so the distance loops read contiguous columns; the
+    ///   accepted set equals filtering every candidate through
+    ///   `Metric::within`.
+    /// * **Sharding.** Only pairs owned by shard `shard` of `shards` are
+    ///   visited (by hashed cell key; a cross-cell pair belongs to the cell
+    ///   its offset is lexicographically positive from). Every pair has one
+    ///   owner, so workers run one shard each over a shared `&Grid` and
+    ///   merge without deduplication; `0`/`1` visits every pair.
+    /// * **Pacing.** `visit` is infallible; `pace` runs at cell-row
+    ///   boundaries, at least once every `interval` candidates, and its
+    ///   first error stops the join.
+    /// * **Tally.** With `Some(tally)` the join also counts candidate
+    ///   comparisons and visited cell jobs (partial counts on `Err`).
     ///
     /// # Errors
-    ///
-    /// Returns the first error `visit` reports.
-    pub fn try_for_each_close_pair<E, F>(&self, eps: f64, metric: Metric, visit: F) -> Result<(), E>
-    where
-        F: FnMut(&Point<D>, &T, &Point<D>, &T) -> Result<(), E>,
-    {
-        self.try_for_each_close_pair_sharded(eps, metric, 0, 1, visit)
-    }
-
-    /// One shard of the bulk ε-join: like
-    /// [`for_each_close_pair`](Self::for_each_close_pair), but only for
-    /// candidate pairs **owned** by shard `shard` of a `shards`-way
-    /// partition of the cell space (ownership by hashed cell key: an
-    /// intra-cell pair belongs to its cell, a cross-cell pair to the cell
-    /// from which the offset to the other is lexicographically positive).
-    ///
-    /// Every candidate pair is owned by exactly one shard, so the union of
-    /// the pair sets over shards `0..shards` equals the unsharded join's
-    /// pair set with each pair surfacing exactly once — which is what lets
-    /// parallel callers run one shard per worker over a shared `&Grid` and
-    /// merge the results without deduplication.
+    /// The first error `pace` reports.
     ///
     /// # Panics
-    ///
-    /// Panics when `shards` is zero or `shard >= shards`.
-    pub fn for_each_close_pair_sharded<F: FnMut(&Point<D>, &T, &Point<D>, &T)>(
-        &self,
-        eps: f64,
-        metric: Metric,
-        shard: usize,
-        shards: usize,
-        mut visit: F,
-    ) {
-        self.try_for_each_close_pair_sharded::<std::convert::Infallible, _>(
-            eps,
-            metric,
-            shard,
-            shards,
-            |pa, ta, pb, tb| {
-                visit(pa, ta, pb, tb);
-                Ok(())
-            },
-        )
-        .unwrap_or(());
-    }
-
-    /// One shard of the fallible bulk ε-join: the sharded counterpart of
-    /// [`try_for_each_close_pair`](Self::try_for_each_close_pair), with
-    /// the ownership partition of
-    /// [`for_each_close_pair_sharded`](Self::for_each_close_pair_sharded).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error `visit` reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is zero or `shard >= shards`.
-    pub fn try_for_each_close_pair_sharded<E, F>(
-        &self,
-        eps: f64,
-        metric: Metric,
-        shard: usize,
-        shards: usize,
-        mut visit: F,
-    ) -> Result<(), E>
-    where
-        F: FnMut(&Point<D>, &T, &Point<D>, &T) -> Result<(), E>,
-    {
-        let flow = self.for_each_cell_join(eps, metric, shard, shards, |_, entries, other| {
-            match other {
-                None => {
-                    for i in 0..entries.len() {
-                        let (pa, ta) = &entries[i];
-                        for (pb, tb) in &entries[i + 1..] {
-                            if let Err(e) = visit(pa, ta, pb, tb) {
-                                return ControlFlow::Break(e);
-                            }
-                        }
-                    }
-                }
-                Some((_, others)) => {
-                    for (pa, ta) in entries {
-                        for (pb, tb) in others {
-                            if let Err(e) = visit(pa, ta, pb, tb) {
-                                return ControlFlow::Break(e);
-                            }
-                        }
-                    }
-                }
-            }
-            ControlFlow::Continue(())
-        });
-        match flow {
-            ControlFlow::Continue(()) => Ok(()),
-            ControlFlow::Break(e) => Err(e),
-        }
-    }
-
-    /// Exact bulk ε-join: invokes `visit` once for every unordered pair of
-    /// entries satisfying the canonical predicate [`Metric::within`] —
-    /// the verified counterpart of the candidate-pair join
-    /// [`for_each_close_pair`](Self::for_each_close_pair), with the
-    /// verification run inside the grid over a structure-of-arrays mirror
-    /// of the cell contents, so the per-pair distance loops read
-    /// contiguous coordinate columns instead of strided `(Point, T)`
-    /// tuples. The accepted pair set is bit-identical to filtering the
-    /// candidate join through `Metric::within`.
-    pub fn for_each_pair_within<F: FnMut(&T, &T)>(&self, eps: f64, metric: Metric, visit: F) {
-        self.for_each_pair_within_sharded(eps, metric, 0, 1, visit);
-    }
-
-    /// Fallible exact bulk ε-join: like
-    /// [`for_each_pair_within`](Self::for_each_pair_within), but `visit`
-    /// may return an error, which stops the join promptly and is
-    /// propagated. With an always-`Ok` visitor the accepted pair sequence
-    /// is identical to the infallible join.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error `visit` reports.
-    pub fn try_for_each_pair_within<E, F>(
-        &self,
-        eps: f64,
-        metric: Metric,
-        visit: F,
-    ) -> Result<(), E>
-    where
-        F: FnMut(&T, &T) -> Result<(), E>,
-    {
-        self.try_for_each_pair_within_sharded(eps, metric, 0, 1, visit)
-    }
-
-    /// Exact bulk ε-join with the governance check hoisted *out* of the
-    /// hot loop: `visit` stays infallible — the per-pair codegen is the
-    /// same as [`for_each_pair_within`](Self::for_each_pair_within) — and
-    /// `pace` runs at cell-row boundaries instead, at least once every
-    /// `interval` candidate comparisons. The first error `pace` reports
-    /// stops the join promptly (one cell row is the response-time
-    /// granularity: bounded by the occupancy of a single cell). With a
-    /// never-`Err` `pace` the accepted pair sequence is identical to the
-    /// infallible join.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error `pace` reports.
-    pub fn try_for_each_pair_within_paced<E, F, P>(
-        &self,
-        eps: f64,
-        metric: Metric,
-        visit: F,
-        interval: usize,
-        pace: P,
-    ) -> Result<(), E>
-    where
-        F: FnMut(&T, &T),
-        P: FnMut() -> Result<(), E>,
-    {
-        self.try_for_each_pair_within_sharded_paced(eps, metric, 0, 1, visit, interval, pace)
-    }
-
-    /// One shard of the paced exact bulk ε-join: the sharded counterpart
-    /// of
-    /// [`try_for_each_pair_within_paced`](Self::try_for_each_pair_within_paced),
-    /// with the ownership partition of
-    /// [`for_each_pair_within_sharded`](Self::for_each_pair_within_sharded).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error `pace` reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is zero or `shard >= shards`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_for_each_pair_within_sharded_paced<E, F, P>(
-        &self,
-        eps: f64,
-        metric: Metric,
-        shard: usize,
-        shards: usize,
-        visit: F,
-        interval: usize,
-        pace: P,
-    ) -> Result<(), E>
-    where
-        F: FnMut(&T, &T),
-        P: FnMut() -> Result<(), E>,
-    {
-        self.try_for_each_pair_within_sharded_paced_tallied(
-            eps, metric, shard, shards, visit, interval, pace, None,
-        )
-    }
-
-    /// One shard of the paced exact bulk ε-join with an optional execution
-    /// [`JoinTally`]: identical pair sequence and pacing behaviour to
-    /// [`try_for_each_pair_within_sharded_paced`](Self::try_for_each_pair_within_sharded_paced),
-    /// but when `tally` is `Some` the join additionally counts candidate
-    /// comparisons and visited cell jobs into it. Passing `None` costs
-    /// nothing: the counting branches constant-fold away, which is the
-    /// telemetry subsystem's zero-cost-when-disabled contract at this
-    /// layer. On an `Err` return the tally holds the partial counts
-    /// accumulated before the join stopped.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error `pace` reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is zero or `shard >= shards`.
+    /// When `shards` is zero or `shard >= shards`.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    pub fn try_for_each_pair_within_sharded_paced_tallied<E, F, P>(
+    pub fn try_for_each_pair_within<E, F, P>(
         &self,
         eps: f64,
         metric: Metric,
@@ -621,42 +400,27 @@ impl<const D: usize, T> Grid<D, T> {
             if let Some(t) = tally.as_deref_mut() {
                 t.cells_visited += 1;
             }
-            match other {
-                None => {
-                    let slot = soa.slots[key];
-                    for (a, (pa, ta)) in entries.iter().enumerate() {
-                        soa.for_each_hit(slot, a + 1, pa, eps, metric, |b| {
-                            visit(ta, &entries[b].1);
-                        });
-                        let row = entries.len() - a - 1;
-                        if let Some(t) = tally.as_deref_mut() {
-                            t.candidate_pairs += row as u64;
-                        }
-                        budget = budget.saturating_sub(row);
-                        if budget == 0 {
-                            budget = interval;
-                            if let Err(e) = pace() {
-                                return ControlFlow::Break(e);
-                            }
-                        }
-                    }
+            // An intra-cell job pairs each entry with the entries after it;
+            // a cross-cell job pairs it with every entry of the other cell.
+            let intra = other.is_none();
+            let (slot, others) = match other {
+                None => (soa.slots[key], entries),
+                Some((nkey, others)) => (soa.slots[nkey], others),
+            };
+            for (a, (pa, ta)) in entries.iter().enumerate() {
+                let from = if intra { a + 1 } else { 0 };
+                soa.for_each_hit(slot, from, pa, eps, metric, |b| {
+                    visit(ta, &others[b].1);
+                });
+                let row = others.len() - from;
+                if let Some(t) = tally.as_deref_mut() {
+                    t.candidate_pairs += row as u64;
                 }
-                Some((nkey, others)) => {
-                    let nslot = soa.slots[nkey];
-                    for (pa, ta) in entries {
-                        soa.for_each_hit(nslot, 0, pa, eps, metric, |b| {
-                            visit(ta, &others[b].1);
-                        });
-                        if let Some(t) = tally.as_deref_mut() {
-                            t.candidate_pairs += others.len() as u64;
-                        }
-                        budget = budget.saturating_sub(others.len());
-                        if budget == 0 {
-                            budget = interval;
-                            if let Err(e) = pace() {
-                                return ControlFlow::Break(e);
-                            }
-                        }
+                budget = budget.saturating_sub(row);
+                if budget == 0 {
+                    budget = interval;
+                    if let Err(e) = pace() {
+                        return ControlFlow::Break(e);
                     }
                 }
             }
@@ -668,108 +432,7 @@ impl<const D: usize, T> Grid<D, T> {
         }
     }
 
-    /// One shard of the exact bulk ε-join: the pairs of
-    /// [`for_each_pair_within`](Self::for_each_pair_within) owned by shard
-    /// `shard` of a `shards`-way partition of the cell space (same
-    /// hashed-cell-key ownership as
-    /// [`for_each_close_pair_sharded`](Self::for_each_close_pair_sharded):
-    /// each within-ε pair surfaces in exactly one shard).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is zero or `shard >= shards`.
-    pub fn for_each_pair_within_sharded<F: FnMut(&T, &T)>(
-        &self,
-        eps: f64,
-        metric: Metric,
-        shard: usize,
-        shards: usize,
-        mut visit: F,
-    ) {
-        self.try_for_each_pair_within_sharded::<std::convert::Infallible, _>(
-            eps,
-            metric,
-            shard,
-            shards,
-            |ta, tb| {
-                visit(ta, tb);
-                Ok(())
-            },
-        )
-        .unwrap_or(());
-    }
-
-    /// One shard of the fallible exact bulk ε-join: the sharded
-    /// counterpart of
-    /// [`try_for_each_pair_within`](Self::try_for_each_pair_within), with
-    /// the ownership partition of
-    /// [`for_each_pair_within_sharded`](Self::for_each_pair_within_sharded).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error `visit` reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is zero or `shard >= shards`.
-    pub fn try_for_each_pair_within_sharded<E, F>(
-        &self,
-        eps: f64,
-        metric: Metric,
-        shard: usize,
-        shards: usize,
-        mut visit: F,
-    ) -> Result<(), E>
-    where
-        F: FnMut(&T, &T) -> Result<(), E>,
-    {
-        if self.len == 0 {
-            assert!(shards >= 1 && shard < shards, "shard out of range");
-            return Ok(());
-        }
-        let soa = SoaCells::build(self);
-        // `for_each_hit` is infallible, so the error is parked in a slot
-        // and the join breaks at the next cell-pair boundary — prompt
-        // enough for governance (one cell's hit scan is bounded work).
-        let mut err: Option<E> = None;
-        let flow = self.for_each_cell_join(eps, metric, shard, shards, |key, entries, other| {
-            match other {
-                None => {
-                    let slot = soa.slots[key];
-                    for (a, (pa, ta)) in entries.iter().enumerate() {
-                        soa.for_each_hit(slot, a + 1, pa, eps, metric, |b| {
-                            if err.is_none() {
-                                err = visit(ta, &entries[b].1).err();
-                            }
-                        });
-                        if let Some(e) = err.take() {
-                            return ControlFlow::Break(e);
-                        }
-                    }
-                }
-                Some((nkey, others)) => {
-                    let nslot = soa.slots[nkey];
-                    for (pa, ta) in entries {
-                        soa.for_each_hit(nslot, 0, pa, eps, metric, |b| {
-                            if err.is_none() {
-                                err = visit(ta, &others[b].1).err();
-                            }
-                        });
-                        if let Some(e) = err.take() {
-                            return ControlFlow::Break(e);
-                        }
-                    }
-                }
-            }
-            ControlFlow::Continue(())
-        });
-        match flow {
-            ControlFlow::Continue(()) => Ok(()),
-            ControlFlow::Break(e) => Err(e),
-        }
-    }
-
-    /// Shared driver of the bulk ε-joins: invokes `cell_job` once with
+    /// Cell enumeration of the bulk ε-join: invokes `cell_job` once with
     /// `(key, entries, None)` for the intra-cell join of every owned cell
     /// and once with `(key, entries, Some((nkey, nentries)))` for every
     /// unordered pair of occupied cells that could hold a within-ε pair,
@@ -777,7 +440,7 @@ impl<const D: usize, T> Grid<D, T> {
     /// positive. `shard`/`shards` restrict ownership to one shard of the
     /// hashed-cell-key partition (`0`/`1` ⇒ everything). `cell_job` may
     /// break with a value, which stops the enumeration immediately and is
-    /// returned (the hook behind the fallible `try_*` joins).
+    /// returned (the hook behind the join's `pace` errors).
     fn for_each_cell_join<'g, B, F>(
         &'g self,
         eps: f64,
@@ -821,10 +484,26 @@ impl<const D: usize, T> Grid<D, T> {
             window *= 2.0 * r as f64 + 1.0;
         }
         let slack = self.cell * 1e-5;
-        let min_dist_of = |gaps: &[f64; D]| match metric {
-            Metric::L1 => gaps.iter().sum(),
-            Metric::L2 => gaps.iter().map(|g| g * g).sum::<f64>().sqrt(),
-            Metric::LInf => gaps.iter().fold(0.0f64, |a, &g| a.max(g)),
+        // Whether two cells `diff` apart (key differences in i128: saturated
+        // keys can differ by more than i64::MAX) can hold a within-ε pair:
+        // the minimum distance between their points has per-dimension gaps
+        // of (|diff| − 1) cells.
+        let close = |diff: &[i128; D]| {
+            let gaps = diff.map(|c| (c.abs() - 1).max(0) as f64 * self.cell);
+            let min_dist = match metric {
+                Metric::L1 => gaps.iter().sum(),
+                Metric::L2 => gaps.iter().map(|g| g * g).sum::<f64>().sqrt(),
+                Metric::LInf => gaps.iter().fold(0.0f64, |a, &g| a.max(g)),
+            };
+            min_dist <= relaxed + slack
+        };
+        // Each unordered cell pair is kept once, owned by the cell from
+        // which the offset is strictly positive in its first non-zero
+        // component.
+        let lex_positive = |diff: &[i128; D]| {
+            diff.iter()
+                .find(|&&c| c != 0)
+                .is_some_and(|&first| first > 0)
         };
         if window <= self.cells.len() as f64 {
             // Window enumeration: one offset list, probed from every owned
@@ -832,23 +511,8 @@ impl<const D: usize, T> Grid<D, T> {
             // operators use, the window is 5^D).
             let mut offsets: Vec<CellKey<D>> = Vec::new();
             for_each_key_in_box(&lo_off, &hi_off, |off| {
-                // Keep each unordered cell pair once: strictly positive in
-                // the first non-zero component.
-                let lex_positive = off
-                    .iter()
-                    .find(|&&c| c != 0)
-                    .is_some_and(|&first| first > 0);
-                if !lex_positive {
-                    return;
-                }
-                // Minimum possible distance between points of two cells
-                // separated by `off`: per-dimension gaps of (|off| − 1)
-                // cells.
-                let mut gaps = [0.0; D];
-                for d in 0..D {
-                    gaps[d] = (off[d].abs() - 1).max(0) as f64 * self.cell;
-                }
-                if min_dist_of(&gaps) <= relaxed + slack {
+                let diff = off.map(i128::from);
+                if lex_positive(&diff) && close(&diff) {
                     offsets.push(*off);
                 }
             });
@@ -886,27 +550,14 @@ impl<const D: usize, T> Grid<D, T> {
             }
             for (i, &(ka, ea)) in cells.iter().enumerate() {
                 for &(kb, eb) in &cells[i + 1..] {
-                    // Key differences in i128: saturated keys can differ
-                    // by more than i64::MAX.
                     let mut diff = [0i128; D];
                     for d in 0..D {
                         diff[d] = kb[d] as i128 - ka[d] as i128;
                     }
-                    let mut gaps = [0.0; D];
-                    for d in 0..D {
-                        gaps[d] = (diff[d].abs() - 1).max(0) as f64 * self.cell;
-                    }
-                    if min_dist_of(&gaps) > relaxed + slack {
+                    if !close(&diff) {
                         continue;
                     }
-                    // Owner = the cell from which the offset to the other
-                    // is lexicographically positive, exactly as in the
-                    // window path.
-                    let a_owns = diff
-                        .iter()
-                        .find(|&&c| c != 0)
-                        .is_some_and(|&first| first > 0);
-                    let (okey, oentries, nkey, nentries) = if a_owns {
+                    let (okey, oentries, nkey, nentries) = if lex_positive(&diff) {
                         (ka, ea, kb, eb)
                     } else {
                         (kb, eb, ka, ea)
@@ -1048,7 +699,7 @@ fn shard_of<const D: usize>(key: &CellKey<D>, shards: usize) -> usize {
 /// Structure-of-arrays mirror of a grid's occupied cells, built once per
 /// bulk ε-join: every cell's coordinates are transposed into column-major
 /// blocks of one flat arena, so the per-pair distance loops of
-/// [`Grid::for_each_pair_within`] stream contiguous `f64` columns instead
+/// [`Grid::try_for_each_pair_within`] stream contiguous `f64` columns instead
 /// of striding over `(Point, T)` tuples — the layout batches and
 /// auto-vectorizes where the tuple layout cannot.
 struct SoaCells<'g, const D: usize, T> {
@@ -1168,6 +819,8 @@ fn for_each_key_in_box<const D: usize, F: FnMut(&CellKey<D>)>(
 
 #[cfg(test)]
 mod tests {
+    use std::convert::Infallible;
+
     use super::*;
 
     fn pt(x: f64, y: f64) -> Point<2> {
@@ -1239,21 +892,53 @@ mod tests {
         }
     }
 
+    /// The pairs of shard `shard` of `shards` the exact join accepts, as
+    /// sorted payload pairs (unpaced, untallied).
+    fn join_pairs(
+        grid: &Grid<2, usize>,
+        eps: f64,
+        metric: Metric,
+        shard: usize,
+        shards: usize,
+    ) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        let Ok(()) = grid.try_for_each_pair_within::<Infallible, _, _>(
+            eps,
+            metric,
+            shard,
+            shards,
+            |&a, &b| pairs.push((a.min(b), a.max(b))),
+            usize::MAX,
+            || Ok(()),
+            None,
+        );
+        pairs.sort_unstable();
+        pairs
+    }
+
+    /// The independent oracle: every unordered pair of `points` within
+    /// ε by a brute-force [`Metric::within`] filter, as sorted payload
+    /// pairs.
+    fn brute_pairs(points: &[(Point<2>, usize)], eps: f64, metric: Metric) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        for (i, (pa, a)) in points.iter().enumerate() {
+            for (pb, b) in &points[i + 1..] {
+                if metric.within(pa, pb, eps) {
+                    pairs.push((*a.min(b), *a.max(b)));
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs
+    }
+
     #[test]
     fn tallied_join_counts_candidates_without_changing_pairs() {
         let grid: Grid<2, usize> = Grid::from_points(1.0, lattice(400));
-        let mut plain: Vec<(usize, usize)> = Vec::new();
-        grid.try_for_each_pair_within_paced::<std::convert::Infallible, _, _>(
-            1.0,
-            Metric::L2,
-            |&a, &b| plain.push((a.min(b), a.max(b))),
-            64,
-            || Ok(()),
-        )
-        .unwrap();
+        let plain = join_pairs(&grid, 1.0, Metric::L2, 0, 1);
         let mut tallied: Vec<(usize, usize)> = Vec::new();
         let mut tally = JoinTally::default();
-        grid.try_for_each_pair_within_sharded_paced_tallied::<std::convert::Infallible, _, _>(
+        let Ok(()) = grid.try_for_each_pair_within::<Infallible, _, _>(
             1.0,
             Metric::L2,
             0,
@@ -1262,9 +947,7 @@ mod tests {
             64,
             || Ok(()),
             Some(&mut tally),
-        )
-        .unwrap();
-        plain.sort_unstable();
+        );
         tallied.sort_unstable();
         assert_eq!(plain, tallied, "tally must not change the pair set");
         // Every accepted pair was a candidate first, and the join visited
@@ -1275,7 +958,7 @@ mod tests {
         let mut merged = JoinTally::default();
         for shard in 0..4 {
             let mut part = JoinTally::default();
-            grid.try_for_each_pair_within_sharded_paced_tallied::<std::convert::Infallible, _, _>(
+            let Ok(()) = grid.try_for_each_pair_within::<Infallible, _, _>(
                 1.0,
                 Metric::L2,
                 shard,
@@ -1284,8 +967,7 @@ mod tests {
                 64,
                 || Ok(()),
                 Some(&mut part),
-            )
-            .unwrap();
+            );
             merged.merge(&part);
         }
         assert_eq!(merged, tally);
@@ -1340,55 +1022,47 @@ mod tests {
         for metric in Metric::ALL {
             for (cell, eps) in [(1.0, 1.0), (2.5, 2.5), (1.0, 3.0), (0.7, 0.0)] {
                 let grid: Grid<2, usize> = Grid::from_points(cell, points.clone());
-                // visits[(i, j)] with i < j → number of times the pair
-                // surfaced (must be exactly once for candidates).
+                // seen[(i, j)] with i < j → number of times the pair
+                // surfaced (must be exactly once).
                 let mut seen = std::collections::HashMap::new();
-                grid.for_each_close_pair(eps, metric, |_, &a, _, &b| {
-                    let key = (a.min(b), a.max(b));
-                    *seen.entry(key).or_insert(0usize) += 1;
-                });
+                let Ok(()) = grid.try_for_each_pair_within::<Infallible, _, _>(
+                    eps,
+                    metric,
+                    0,
+                    1,
+                    |&a, &b| *seen.entry((a.min(b), a.max(b))).or_insert(0usize) += 1,
+                    usize::MAX,
+                    || Ok(()),
+                    None,
+                );
                 for (&(a, b), &count) in &seen {
                     assert_eq!(count, 1, "{metric} cell={cell} eps={eps} pair ({a},{b})");
                 }
-                for i in 0..points.len() {
-                    for j in (i + 1)..points.len() {
-                        if metric.within(&points[i].0, &points[j].0, eps) {
-                            assert!(
-                                seen.contains_key(&(i, j)),
-                                "{metric} cell={cell} eps={eps}: missed pair ({i},{j})"
-                            );
-                        }
-                    }
-                }
+                let mut got: Vec<(usize, usize)> = seen.into_keys().collect();
+                got.sort_unstable();
+                assert_eq!(
+                    got,
+                    brute_pairs(&points, eps, metric),
+                    "{metric} cell={cell} eps={eps}"
+                );
             }
         }
     }
 
-    /// All unordered close-pair candidates of a grid, as sorted payload
-    /// pairs — shared by the sharding and degenerate-geometry tests.
-    fn close_pairs(grid: &Grid<2, usize>, eps: f64, metric: Metric) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::new();
-        grid.for_each_close_pair(eps, metric, |_, &a, _, &b| {
-            pairs.push((a.min(b), a.max(b)));
-        });
-        pairs.sort_unstable();
-        pairs
-    }
-
     #[test]
     fn sharded_close_pair_join_partitions_the_pair_set() {
-        // Every candidate pair must surface in exactly one shard, and the
-        // union over shards must equal the unsharded join — the invariant
-        // the parallel SGB-Any engine is built on.
-        let grid: Grid<2, usize> = Grid::from_points(1.0, lattice(300));
+        // Every pair must surface in exactly one shard, and the union over
+        // shards must equal the unsharded join — the invariant the
+        // parallel SGB-Any engine is built on.
+        let points = lattice(300);
+        let grid: Grid<2, usize> = Grid::from_points(1.0, points.clone());
         for metric in Metric::ALL {
-            let whole = close_pairs(&grid, 2.0, metric);
+            let whole = join_pairs(&grid, 2.0, metric, 0, 1);
+            assert_eq!(whole, brute_pairs(&points, 2.0, metric), "{metric}");
             for shards in [1usize, 2, 3, 7] {
                 let mut union = Vec::new();
                 for shard in 0..shards {
-                    grid.for_each_close_pair_sharded(2.0, metric, shard, shards, |_, &a, _, &b| {
-                        union.push((a.min(b), a.max(b)));
-                    });
+                    union.extend(join_pairs(&grid, 2.0, metric, shard, shards));
                 }
                 union.sort_unstable();
                 assert_eq!(union, whole, "{metric} shards={shards}");
@@ -1398,34 +1072,22 @@ mod tests {
 
     #[test]
     fn pair_within_matches_verified_close_pairs_sharded_and_not() {
-        // The SoA exact join must accept exactly the candidate pairs that
-        // pass the canonical predicate, sharded or not.
+        // The SoA exact join must accept exactly the pairs the brute-force
+        // canonical predicate accepts, sharded or not.
         let points = lattice(350);
         for metric in Metric::ALL {
             for (cell, eps) in [(1.0, 1.0), (2.5, 2.5), (1.0, 3.0), (0.7, 0.0)] {
                 let grid: Grid<2, usize> = Grid::from_points(cell, points.clone());
-                let expected: Vec<(usize, usize)> = {
-                    let mut v = Vec::new();
-                    grid.for_each_close_pair(eps, metric, |pa, &a, pb, &b| {
-                        if metric.within(pa, pb, eps) {
-                            v.push((a.min(b), a.max(b)));
-                        }
-                    });
-                    v.sort_unstable();
-                    v
-                };
-                let mut exact = Vec::new();
-                grid.for_each_pair_within(eps, metric, |&a, &b| {
-                    exact.push((a.min(b), a.max(b)));
-                });
-                exact.sort_unstable();
-                assert_eq!(exact, expected, "{metric} cell={cell} eps={eps}");
+                let expected = brute_pairs(&points, eps, metric);
+                assert_eq!(
+                    join_pairs(&grid, eps, metric, 0, 1),
+                    expected,
+                    "{metric} cell={cell} eps={eps}"
+                );
                 for shards in [2usize, 5] {
                     let mut union = Vec::new();
                     for shard in 0..shards {
-                        grid.for_each_pair_within_sharded(eps, metric, shard, shards, |&a, &b| {
-                            union.push((a.min(b), a.max(b)));
-                        });
+                        union.extend(join_pairs(&grid, eps, metric, shard, shards));
                     }
                     union.sort_unstable();
                     assert_eq!(union, expected, "{metric} cell={cell} eps={eps} x{shards}");
@@ -1437,65 +1099,65 @@ mod tests {
     #[test]
     fn try_joins_propagate_the_error_and_stop_early() {
         let grid: Grid<2, usize> = Grid::from_points(1.0, lattice(300));
-        let total = close_pairs(&grid, 2.0, Metric::L2).len();
+        let total = join_pairs(&grid, 2.0, Metric::L2, 0, 1).len();
         assert!(total > 100);
-        // Candidate join: error after 5 pairs stops the enumeration.
-        let mut seen = 0usize;
-        let got = grid.try_for_each_close_pair(2.0, Metric::L2, |_, _, _, _| {
-            seen += 1;
-            if seen == 5 {
-                Err("stop")
-            } else {
-                Ok(())
-            }
-        });
-        assert_eq!(got, Err("stop"));
-        assert_eq!(seen, 5, "no pairs visited after the error");
-        // Exact join: the error breaks at the next cell boundary, so the
-        // overshoot is bounded by one cell's hit scan, not the whole join.
-        let mut seen = 0usize;
-        let got = grid.try_for_each_pair_within(2.0, Metric::L2, |_, _| {
-            seen += 1;
-            if seen == 5 {
-                Err("stop")
-            } else {
-                Ok(())
-            }
-        });
-        assert_eq!(got, Err("stop"));
-        assert!(seen >= 5 && seen < total / 2, "stopped early, saw {seen}");
-        // Always-Ok visitors match the infallible joins exactly.
-        let mut pairs = Vec::new();
-        grid.try_for_each_close_pair::<std::convert::Infallible, _>(
+        // `pace` fails on its 5th call: the join returns that error and
+        // stops at the cell row where it fired, so the overshoot is
+        // bounded by one row, not the whole join.
+        let (mut seen, mut paced) = (0usize, 0usize);
+        let got = grid.try_for_each_pair_within(
             2.0,
             Metric::L2,
-            |_, &a, _, &b| {
-                pairs.push((a.min(b), a.max(b)));
-                Ok(())
+            0,
+            1,
+            |_, _| seen += 1,
+            8,
+            || {
+                paced += 1;
+                if paced == 5 {
+                    Err("stop")
+                } else {
+                    Ok(())
+                }
             },
-        )
-        .unwrap_or(());
-        pairs.sort_unstable();
-        assert_eq!(pairs, close_pairs(&grid, 2.0, Metric::L2));
+            None,
+        );
+        assert_eq!(got, Err("stop"));
+        assert_eq!(paced, 5, "no pacing after the error");
+        assert!(seen >= 1 && seen < total / 2, "stopped early, saw {seen}");
+        // An always-Ok `pace` at any interval leaves the pair set intact.
+        for interval in [1, 8, 1024] {
+            let mut pairs = Vec::new();
+            let Ok(()) = grid.try_for_each_pair_within::<Infallible, _, _>(
+                2.0,
+                Metric::L2,
+                0,
+                1,
+                |&a, &b| pairs.push((a.min(b), a.max(b))),
+                interval,
+                || Ok(()),
+                None,
+            );
+            pairs.sort_unstable();
+            assert_eq!(
+                pairs,
+                join_pairs(&grid, 2.0, Metric::L2, 0, 1),
+                "{interval}"
+            );
+        }
     }
 
     #[test]
     fn close_pair_join_eps_zero_still_pairs_exact_duplicates() {
         // Degenerate ε = 0: the probe window must not collapse below the
         // cell pair's own cell — coordinate-identical points (and only
-        // those, after verification) must still surface.
-        let mut grid: Grid<2, usize> = Grid::new(1.0);
-        grid.insert(pt(1.0, 1.0), 0);
-        grid.insert(pt(1.0, 1.0), 1);
-        grid.insert(pt(2.0, 2.0), 2); // cell-adjacent, but not within 0
+        // those) must still surface.
+        let points = vec![(pt(1.0, 1.0), 0), (pt(1.0, 1.0), 1), (pt(2.0, 2.0), 2)];
+        let grid: Grid<2, usize> = Grid::from_points(1.0, points.clone());
         for metric in Metric::ALL {
-            let mut verified = Vec::new();
-            grid.for_each_close_pair(0.0, metric, |pa, &a, pb, &b| {
-                if metric.within(pa, pb, 0.0) {
-                    verified.push((a.min(b), a.max(b)));
-                }
-            });
-            assert_eq!(verified, vec![(0, 1)], "{metric}");
+            let pairs = join_pairs(&grid, 0.0, metric, 0, 1);
+            assert_eq!(pairs, vec![(0, 1)], "{metric}");
+            assert_eq!(pairs, brute_pairs(&points, 0.0, metric), "{metric}");
         }
     }
 
@@ -1510,12 +1172,10 @@ mod tests {
             .collect();
         let grid: Grid<2, usize> = Grid::from_points(1e-6, points.clone());
         for metric in Metric::ALL {
-            let pairs = close_pairs(&grid, 1e3, metric);
+            let pairs = join_pairs(&grid, 1e3, metric, 0, 1);
             // Every one of the 40·39/2 pairs is within ε = 1000.
             assert_eq!(pairs.len(), 40 * 39 / 2, "{metric}");
-            let mut exact = Vec::new();
-            grid.for_each_pair_within(1e3, metric, |&a, &b| exact.push((a.min(b), a.max(b))));
-            assert_eq!(exact.len(), 40 * 39 / 2, "{metric}");
+            assert_eq!(pairs, brute_pairs(&points, 1e3, metric), "{metric}");
         }
     }
 
@@ -1523,27 +1183,17 @@ mod tests {
     fn close_pair_join_survives_saturated_cell_keys() {
         // Coordinates near the i64 cell-key saturation boundary: the join
         // must terminate, not overflow, and keep every verified pair.
-        let mut grid: Grid<2, usize> = Grid::new(1e-3);
-        grid.insert(pt(1e300, 0.0), 0);
-        grid.insert(pt(1e300, 0.0), 1); // same saturated cell, distance 0
-        grid.insert(pt(-1e300, 0.0), 2);
-        grid.insert(pt(0.25, 0.0), 3);
-        grid.insert(pt(0.2501, 0.0), 4);
-        let verified: Vec<(usize, usize)> = close_pairs(&grid, 0.01, Metric::L2)
-            .into_iter()
-            .filter(|&(a, b)| {
-                // Re-verify against the true coordinates.
-                let coords = [
-                    pt(1e300, 0.0),
-                    pt(1e300, 0.0),
-                    pt(-1e300, 0.0),
-                    pt(0.25, 0.0),
-                    pt(0.2501, 0.0),
-                ];
-                Metric::L2.within(&coords[a], &coords[b], 0.01)
-            })
-            .collect();
-        assert_eq!(verified, vec![(0, 1), (3, 4)]);
+        let points = vec![
+            (pt(1e300, 0.0), 0),
+            (pt(1e300, 0.0), 1), // same saturated cell, distance 0
+            (pt(-1e300, 0.0), 2),
+            (pt(0.25, 0.0), 3),
+            (pt(0.2501, 0.0), 4),
+        ];
+        let grid: Grid<2, usize> = Grid::from_points(1e-3, points.clone());
+        let pairs = join_pairs(&grid, 0.01, Metric::L2, 0, 1);
+        assert_eq!(pairs, vec![(0, 1), (3, 4)]);
+        assert_eq!(pairs, brute_pairs(&points, 0.01, Metric::L2));
     }
 
     #[test]
