@@ -22,14 +22,18 @@
 //! cardinality, bulk-loads its index (or takes it from the session cache)
 //! and runs one of three batch kernels — all-pairs, R-tree, ε-grid — each
 //! governed and telemetry-aware. The ε-graph is symmetric, so unioning
-//! each edge once yields exactly the streaming components. The grid
-//! kernel can shard its join across worker threads (see
-//! [`SgbAnyConfig::threads`]); connectivity depends only on the union of
-//! the edge sets, so the result is bit-identical to the sequential join.
+//! each edge once yields exactly the streaming components. The answer
+//! depends only on the components, not on the order of the unions
+//! (arXiv:1412.4303), so the grid kernel unions only a spanning subset of
+//! the edges: once two cells are known to be connected, it looks for no
+//! further pair between them (see [`Grid::connectivity_join`]). It can
+//! shard its join across worker threads (see [`SgbAnyConfig::threads`]);
+//! every shard's decisions depend only on the cells involved, so the
+//! result is bit-identical to the sequential join.
 
 use sgb_dsu::DisjointSet;
 use sgb_geom::{Metric, Point};
-use sgb_spatial::{Grid, JoinTally, RTree};
+use sgb_spatial::{Grid, JoinPass, JoinTally, RTree};
 use sgb_telemetry::{Counter, Phase, Telemetry};
 
 use crate::governor::{Pacer, QueryGovernor, SgbError, CHECK_INTERVAL};
@@ -307,18 +311,25 @@ struct ShardRun {
 }
 
 /// The ε-grid batch kernel over a grid (fresh or from the session cache,
-/// whose cell side may be below ε — the verified pair set is the same):
-/// the grid's exact join surfaces each within-ε pair once, and the pair
-/// is unioned.
+/// whose cell side may be below ε — the components are the same): the
+/// grid's [connectivity join](Grid::connectivity_join) emits a spanning
+/// subset of the within-ε pairs with exactly the ε-graph's components, and
+/// each emitted pair is unioned. Pairs between two cells already known to
+/// be connected are never looked for.
 ///
-/// With `threads > 1` the join runs one shard per worker. Every pair
-/// belongs to exactly one shard, so the per-shard forests union the same
-/// edge set a sequential run sees, and merging them yields a bit-identical
-/// grouping (asserted by `tests/proptest_parallel.rs`). Each shard paces
-/// against the shared governor at cell-row boundaries, every ≤
-/// [`CHECK_INTERVAL`] candidates, and parks its verdict in its own slot; a
-/// panicking worker surfaces as [`SgbError::WorkerPanicked`]. On `Err`,
-/// everything built here is dropped — no partial grouping escapes.
+/// The join runs as two passes of one worker pool over one mirror of the
+/// grid: [`JoinPass::Cells`] on every shard, then [`JoinPass::Neighbours`],
+/// which reads what the first pass recorded about every cell and so
+/// starts only after every shard of it succeeded. With `threads > 1` each
+/// pass runs one shard per worker, and each shard unions into its own
+/// forest. Every decision of the join depends only on the cells involved,
+/// so the union of the per-shard forests has the components a sequential
+/// run finds, and merging them yields a bit-identical grouping (asserted by
+/// `tests/proptest_parallel.rs`). Each shard paces against the shared
+/// governor at cell-row boundaries, every ≤ [`CHECK_INTERVAL`] candidates,
+/// and parks its verdict in its own slot; a panicking worker surfaces as
+/// [`SgbError::WorkerPanicked`]. On `Err`, everything built here is
+/// dropped — no partial grouping escapes.
 pub(crate) fn join_grid<const D: usize>(
     points: &[Point<D>],
     eps: f64,
@@ -339,16 +350,17 @@ pub(crate) fn join_grid<const D: usize>(
         .map(|_| DisjointSet::with_len(points.len()))
         .collect();
     let mut runs: Vec<ShardRun> = (0..shards).map(|_| ShardRun::default()).collect();
-    let run_shard = |shard: usize, forest: &mut DisjointSet, run: &mut ShardRun| {
+    let join = tel.phase(Phase::Join);
+    let connect = index.connectivity_join(eps, metric);
+    let run_shard = |pass: JoinPass, shard: usize, forest: &mut DisjointSet, run: &mut ShardRun| {
         let ShardRun {
             tally,
             polls,
             error,
         } = run;
-        *error = index
-            .try_for_each_pair_within(
-                eps,
-                metric,
+        *error = connect
+            .try_join(
+                pass,
                 shard,
                 shards,
                 |&i, &j| {
@@ -363,21 +375,25 @@ pub(crate) fn join_grid<const D: usize>(
             )
             .err();
     };
-    let join = tel.phase(Phase::Join);
-    if shards == 1 {
-        run_shard(0, &mut dsu, &mut runs[0]);
-    } else {
-        let run_shard = &run_shard;
-        let targets = std::iter::once(&mut dsu).chain(forests.iter_mut());
-        scoped_threadpool::Pool::new(shards as u32)
-            .try_scoped(|scope| {
+    let mut pool = scoped_threadpool::Pool::new(shards as u32);
+    for pass in [JoinPass::Cells, JoinPass::Neighbours] {
+        if shards == 1 {
+            run_shard(pass, 0, &mut dsu, &mut runs[0]);
+        } else {
+            let run_shard = &run_shard;
+            let targets = std::iter::once(&mut dsu).chain(forests.iter_mut());
+            pool.try_scoped(|scope| {
                 for (shard, (forest, run)) in targets.zip(runs.iter_mut()).enumerate() {
-                    scope.execute(move || run_shard(shard, forest, run));
+                    scope.execute(move || run_shard(pass, shard, forest, run));
                 }
             })
             .map_err(|p| SgbError::WorkerPanicked {
                 message: p.message().to_owned(),
             })?;
+        }
+        if runs.iter().any(|run| run.error.is_some()) {
+            break;
+        }
     }
     drop(join);
     if enabled {

@@ -23,13 +23,21 @@
 //!   SGB-Around. Distances are the canonical [`Metric::distance`] values
 //!   and exact ties resolve by ascending payload, bit-compatible with
 //!   [`crate::RTree::nearest_one_with`].
-//! * [`Grid::try_for_each_pair_within`] — the exact bulk ε-join behind
-//!   one-shot SGB-Any: every within-ε pair exactly once, sharded, paced
-//!   and optionally tallied.
+//! * [`Grid::connectivity_join`] — the bulk ε-join behind one-shot
+//!   SGB-Any. It emits a spanning subset of the within-ε pairs with
+//!   exactly the ε-graph's connected components, skipping the pairs
+//!   between two cells already known to be connected.
+//! * [`Grid::try_for_each_pair_within`] — the exact bulk ε-join: every
+//!   within-ε pair exactly once, for incremental SGB-Any maintenance,
+//!   whose per-component edge counts need every pair.
+//!
+//! Both bulk joins share one cell-pair enumeration, one row loop and one
+//! pacing and tally scheme, over a structure-of-arrays mirror of the
+//! cells. They are sharded, paced and optionally tallied.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use sgb_geom::{Metric, Point};
 
@@ -75,18 +83,20 @@ impl Hasher for CellHasher {
 type CellMap<const D: usize, T> =
     HashMap<CellKey<D>, Vec<(Point<D>, T)>, BuildHasherDefault<CellHasher>>;
 
-/// Execution tally of one bulk ε-join, filled in by
-/// [`Grid::try_for_each_pair_within`] when it is given one: how many candidate comparisons the join performed (pairs
-/// whose cells were close enough to be examined, before the exact
-/// [`Metric::within`] check) and how many cell jobs it visited (one per
-/// occupied owned cell for the intra-cell scan, plus one per admitted
-/// unordered cell pair). Purely observational — the tally never changes
-/// which pairs a join visits.
+/// Execution tally of a bulk ε-join, filled in by
+/// [`Grid::try_for_each_pair_within`] and [`ConnectivityJoin::try_join`]
+/// when they are given one. Purely observational: the tally never changes
+/// which pairs a join visits or emits.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JoinTally {
-    /// Candidate pair comparisons performed.
+    /// Candidate pairs: every pair whose [`Metric::within`] test ran,
+    /// plus one per star edge the connectivity join emits for a cell
+    /// whose bounding box passed the test as a whole. So every emitted
+    /// pair was a candidate.
     pub candidate_pairs: u64,
-    /// Cell jobs (intra-cell scans + cross-cell pairings) visited.
+    /// Cell jobs whose points were compared: the intra-cell job of a cell
+    /// with at least two entries, and each neighbour-cell job that passed
+    /// the bounding-box prune. Pruned cell pairs do not count.
     pub cells_visited: u64,
 }
 
@@ -342,11 +352,15 @@ impl<const D: usize, T> Grid<D, T> {
 
     /// The exact bulk ε-join: invokes `visit` once for every unordered
     /// pair of entries within `eps` by the canonical [`Metric::within`].
+    /// One-shot SGB-Any needs only the components of these pairs and runs
+    /// the cheaper [`connectivity_join`](Self::connectivity_join) instead.
     ///
-    /// * **Cell pairs.** The join pays a constant number of hash lookups
-    ///   per occupied cell: each unordered cell pair is joined once via
-    ///   lexicographically-positive offsets, and offsets whose minimum
-    ///   inter-cell distance under `metric` exceeds ε are pruned up front.
+    /// * **Cell pairs.** The join pays one hash lookup per neighbour cell:
+    ///   each unordered cell pair is joined once via
+    ///   lexicographically-positive offsets. Offsets whose minimum
+    ///   inter-cell distance under `metric` exceeds ε are pruned up front,
+    ///   and so are cell pairs whose bounding boxes are too far apart for
+    ///   any pair of theirs to pass (an exact test).
     /// * **Any ε.** Above the cell side the window widens to
     ///   `ceil(eps / cell) + 1` rings, so one grid serves every larger ε′
     ///   bit-identically (the shared-work cache's ε-superset reuse).
@@ -363,7 +377,8 @@ impl<const D: usize, T> Grid<D, T> {
     ///   boundaries, at least once every `interval` candidates, and its
     ///   first error stops the join.
     /// * **Tally.** With `Some(tally)` the join also counts candidate
-    ///   comparisons and visited cell jobs (partial counts on `Err`).
+    ///   comparisons and cell jobs (see [`JoinTally`]; partial counts on
+    ///   `Err`).
     ///
     /// # Errors
     /// The first error `pace` reports.
@@ -371,7 +386,6 @@ impl<const D: usize, T> Grid<D, T> {
     /// # Panics
     /// When `shards` is zero or `shard >= shards`.
     #[allow(clippy::too_many_arguments)]
-    #[inline]
     pub fn try_for_each_pair_within<E, F, P>(
         &self,
         eps: f64,
@@ -380,195 +394,36 @@ impl<const D: usize, T> Grid<D, T> {
         shards: usize,
         mut visit: F,
         interval: usize,
-        mut pace: P,
-        mut tally: Option<&mut JoinTally>,
+        pace: P,
+        tally: Option<&mut JoinTally>,
     ) -> Result<(), E>
     where
         F: FnMut(&T, &T),
         P: FnMut() -> Result<(), E>,
     {
-        if self.len == 0 {
-            assert!(shards >= 1 && shard < shards, "shard out of range");
-            return Ok(());
+        assert!(shards >= 1 && shard < shards, "shard out of range");
+        let soa = SoaCells::build(self, eps, metric);
+        let mut pacing = Pacing::new(interval, pace, tally);
+        let mut job = |rows: usize, cols: usize| {
+            let (row_entries, col_entries) = (soa.cells[rows].entries, soa.cells[cols].entries);
+            soa.join_rows(rows, cols, &mut pacing, |r, c| {
+                visit(&row_entries[r].1, &col_entries[c].1);
+                AfterHit::Continue
+            })
+        };
+        for slot in soa.owned(shard, shards) {
+            job(slot, slot)?;
         }
-        let soa = SoaCells::build(self);
-        let interval = interval.max(1);
-        // Candidate comparisons until the next `pace` call; a row longer
-        // than the remaining budget saturates it to zero.
-        let mut budget = interval;
-        let flow = self.for_each_cell_join(eps, metric, shard, shards, |key, entries, other| {
-            if let Some(t) = tally.as_deref_mut() {
-                t.cells_visited += 1;
-            }
-            // An intra-cell job pairs each entry with the entries after it;
-            // a cross-cell job pairs it with every entry of the other cell.
-            let intra = other.is_none();
-            let (slot, others) = match other {
-                None => (soa.slots[key], entries),
-                Some((nkey, others)) => (soa.slots[nkey], others),
-            };
-            for (a, (pa, ta)) in entries.iter().enumerate() {
-                let from = if intra { a + 1 } else { 0 };
-                soa.for_each_hit(slot, from, pa, eps, metric, |b| {
-                    visit(ta, &others[b].1);
-                });
-                let row = others.len() - from;
-                if let Some(t) = tally.as_deref_mut() {
-                    t.candidate_pairs += row as u64;
-                }
-                budget = budget.saturating_sub(row);
-                if budget == 0 {
-                    budget = interval;
-                    if let Err(e) = pace() {
-                        return ControlFlow::Break(e);
-                    }
-                }
-            }
-            ControlFlow::Continue(())
-        });
-        match flow {
-            ControlFlow::Continue(()) => Ok(()),
-            ControlFlow::Break(e) => Err(e),
-        }
+        soa.for_each_neighbour_pair(shard, shards, job)
     }
 
-    /// Cell enumeration of the bulk ε-join: invokes `cell_job` once with
-    /// `(key, entries, None)` for the intra-cell join of every owned cell
-    /// and once with `(key, entries, Some((nkey, nentries)))` for every
-    /// unordered pair of occupied cells that could hold a within-ε pair,
-    /// attributed to the cell from which the offset is lexicographically
-    /// positive. `shard`/`shards` restrict ownership to one shard of the
-    /// hashed-cell-key partition (`0`/`1` ⇒ everything). `cell_job` may
-    /// break with a value, which stops the enumeration immediately and is
-    /// returned (the hook behind the join's `pace` errors).
-    fn for_each_cell_join<'g, B, F>(
-        &'g self,
-        eps: f64,
-        metric: Metric,
-        shard: usize,
-        shards: usize,
-        mut cell_job: F,
-    ) -> ControlFlow<B>
-    where
-        F: FnMut(
-            &'g CellKey<D>,
-            &'g [(Point<D>, T)],
-            Option<(&CellKey<D>, &'g [(Point<D>, T)])>,
-        ) -> ControlFlow<B>,
-    {
-        assert!(shards >= 1 && shard < shards, "shard out of range");
-        if self.len == 0 {
-            return ControlFlow::Continue(());
-        }
-        let owned = |key: &CellKey<D>| shards == 1 || shard_of(key, shards) == shard;
-        let relaxed = eps * (1.0 + 4.0 * f64::EPSILON);
-        // One pad cell against quantisation rounding, as in the per-point
-        // probe; the prune below gets an absolute slack of `cell · 1e-5`,
-        // far above the coordinate rounding of any `|coord|/cell` ratio
-        // this engine targets (< 2³²) and far below the one-cell
-        // granularity the prune operates at.
-        let reach = (((eps / self.cell).ceil() as i64).max(0)).saturating_add(1);
-        // Clamp the probe window to the occupied span per dimension: an
-        // offset larger than the span can never connect two occupied
-        // cells, and without the clamp a degenerate ε ≫ cell ratio makes
-        // the window enumeration explode (or saturate `reach` at
-        // `i64::MAX`) even over a handful of points.
-        let mut lo_off = [0i64; D];
-        let mut hi_off = [0i64; D];
-        let mut window = 1.0f64;
-        for d in 0..D {
-            let span = (self.hi[d] as i128 - self.lo[d] as i128).min(i64::MAX as i128) as i64;
-            let r = reach.min(span);
-            lo_off[d] = -r;
-            hi_off[d] = r;
-            window *= 2.0 * r as f64 + 1.0;
-        }
-        let slack = self.cell * 1e-5;
-        // Whether two cells `diff` apart (key differences in i128: saturated
-        // keys can differ by more than i64::MAX) can hold a within-ε pair:
-        // the minimum distance between their points has per-dimension gaps
-        // of (|diff| − 1) cells.
-        let close = |diff: &[i128; D]| {
-            let gaps = diff.map(|c| (c.abs() - 1).max(0) as f64 * self.cell);
-            let min_dist = match metric {
-                Metric::L1 => gaps.iter().sum(),
-                Metric::L2 => gaps.iter().map(|g| g * g).sum::<f64>().sqrt(),
-                Metric::LInf => gaps.iter().fold(0.0f64, |a, &g| a.max(g)),
-            };
-            min_dist <= relaxed + slack
-        };
-        // Each unordered cell pair is kept once, owned by the cell from
-        // which the offset is strictly positive in its first non-zero
-        // component.
-        let lex_positive = |diff: &[i128; D]| {
-            diff.iter()
-                .find(|&&c| c != 0)
-                .is_some_and(|&first| first > 0)
-        };
-        if window <= self.cells.len() as f64 {
-            // Window enumeration: one offset list, probed from every owned
-            // cell (the regular regime — for the ε-sized cells the
-            // operators use, the window is 5^D).
-            let mut offsets: Vec<CellKey<D>> = Vec::new();
-            for_each_key_in_box(&lo_off, &hi_off, |off| {
-                let diff = off.map(i128::from);
-                if lex_positive(&diff) && close(&diff) {
-                    offsets.push(*off);
-                }
-            });
-            for (key, entries) in &self.cells {
-                if !owned(key) {
-                    continue;
-                }
-                cell_job(key, entries, None)?;
-                'offsets: for off in &offsets {
-                    let mut neighbour = *key;
-                    for d in 0..D {
-                        let Some(nk) = key[d].checked_add(off[d]) else {
-                            continue 'offsets;
-                        };
-                        if nk < self.lo[d] || nk > self.hi[d] {
-                            continue 'offsets;
-                        }
-                        neighbour[d] = nk;
-                    }
-                    if let Some(other) = self.cells.get(&neighbour) {
-                        cell_job(key, entries, Some((&neighbour, other)))?;
-                    }
-                }
-            }
-        } else {
-            // The window holds more cells than are occupied (ε ≫ cell, or
-            // saturated keys): scanning all unordered occupied-cell pairs
-            // is cheaper than enumerating the window, and produces the
-            // same candidate set (each pair attributed to the same owner).
-            let cells: Vec<(&CellKey<D>, &Vec<(Point<D>, T)>)> = self.cells.iter().collect();
-            for &(key, entries) in &cells {
-                if owned(key) {
-                    cell_job(key, entries, None)?;
-                }
-            }
-            for (i, &(ka, ea)) in cells.iter().enumerate() {
-                for &(kb, eb) in &cells[i + 1..] {
-                    let mut diff = [0i128; D];
-                    for d in 0..D {
-                        diff[d] = kb[d] as i128 - ka[d] as i128;
-                    }
-                    if !close(&diff) {
-                        continue;
-                    }
-                    let (okey, oentries, nkey, nentries) = if lex_positive(&diff) {
-                        (ka, ea, kb, eb)
-                    } else {
-                        (kb, eb, ka, ea)
-                    };
-                    if owned(okey) {
-                        cell_job(okey, oentries, Some((nkey, nentries)))?;
-                    }
-                }
-            }
-        }
-        ControlFlow::Continue(())
+    /// Prepares the connectivity ε-join of this grid at `eps` under
+    /// `metric` (see [`ConnectivityJoin`]): builds the structure-of-arrays
+    /// mirror of the cells that every shard of both passes shares.
+    pub fn connectivity_join(&self, eps: f64, metric: Metric) -> ConnectivityJoin<'_, D, T> {
+        let soa = SoaCells::build(self, eps, metric);
+        let connected = soa.cells.iter().map(|_| AtomicBool::new(false)).collect();
+        ConnectivityJoin { soa, connected }
     }
 
     /// The entry nearest to `q` under `metric`, as `(distance, payload)` —
@@ -696,71 +551,575 @@ fn shard_of<const D: usize>(key: &CellKey<D>, shards: usize) -> usize {
     (h.finish() % shards as u64) as usize
 }
 
-/// Structure-of-arrays mirror of a grid's occupied cells, built once per
-/// bulk ε-join: every cell's coordinates are transposed into column-major
-/// blocks of one flat arena, so the per-pair distance loops of
-/// [`Grid::try_for_each_pair_within`] stream contiguous `f64` columns instead
-/// of striding over `(Point, T)` tuples — the layout batches and
-/// auto-vectorizes where the tuple layout cannot.
+/// The connectivity ε-join behind one-shot SGB-Any, prepared by
+/// [`Grid::connectivity_join`]. It emits a spanning subset of the within-ε
+/// pairs: every emitted pair passes [`Metric::within`], and the emitted
+/// pairs have exactly the connected components of all within-ε pairs.
+/// Once two cells are known to be connected, no further pair between them
+/// can change those components, so the join does not look for one.
+///
+/// The join runs in two passes over one structure-of-arrays mirror of the
+/// cells, shared by every worker:
+///
+/// 1. [`JoinPass::Cells`] handles each owned cell alone. When the cell's
+///    bounding-box diagonal passes the metric's accumulation against ε,
+///    every pair in it passes too: the cell emits a star of `m − 1` pairs.
+///    Otherwise its rows are scanned with a union-find over the cell's own
+///    entries. The scan emits only the pairs that join two parts, and stops
+///    once the cell is one part. The pass records whether the cell's own
+///    pairs connect it.
+/// 2. [`JoinPass::Neighbours`] handles each owned pair of neighbouring
+///    cells, enumerated as in [`Grid::try_for_each_pair_within`] with its
+///    exact bounding-box prune. When both cells are connected it stops at
+///    the first hit. When one is, it finds one hit for each entry of the
+///    other. When neither is, it emits every hit.
+///
+/// Run the `Cells` pass on every shard, then the `Neighbours` pass, and
+/// only once every `Cells` call returned `Ok`: the second pass reads the
+/// connectivity the first one recorded for every cell. Sharding, pacing
+/// and the tally work as in [`Grid::try_for_each_pair_within`]. Every
+/// decision depends only on the cells involved, so neither the emitted
+/// pairs nor the summed tallies depend on the shard count.
+///
+/// The box tests are exact, with no slack: floating-point subtraction,
+/// `abs`, multiplication, addition and `max` are monotone, and the tests
+/// use the kernels' own operation order (and `eps * eps` for L2).
+pub struct ConnectivityJoin<'g, const D: usize, T> {
+    soa: SoaCells<'g, D, T>,
+    /// Per mirror slot: whether the cell's own `Cells`-pass pairs connect
+    /// it. Each flag is written by the shard owning the cell and read only
+    /// in the `Neighbours` pass, which starts after every `Cells` worker
+    /// has been joined; that join orders the stores before the loads, so
+    /// `Relaxed` suffices.
+    connected: Vec<AtomicBool>,
+}
+
+/// The pass a [`ConnectivityJoin::try_join`] call runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum JoinPass {
+    /// Phase 1: each owned cell alone.
+    Cells,
+    /// Phase 2: each owned pair of neighbouring cells.
+    Neighbours,
+}
+
+impl<const D: usize, T> ConnectivityJoin<'_, D, T> {
+    /// Runs `pass` for shard `shard` of `shards`, calling `visit` for every
+    /// emitted pair. Pacing and the tally work as in
+    /// [`Grid::try_for_each_pair_within`].
+    ///
+    /// # Errors
+    /// The first error `pace` reports. After an error in the `Cells` pass
+    /// the join is incomplete: do not run the `Neighbours` pass.
+    ///
+    /// # Panics
+    /// When `shards` is zero or `shard >= shards`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn try_join<E, F, P>(
+        &self,
+        pass: JoinPass,
+        shard: usize,
+        shards: usize,
+        mut visit: F,
+        interval: usize,
+        pace: P,
+        tally: Option<&mut JoinTally>,
+    ) -> Result<(), E>
+    where
+        F: FnMut(&T, &T),
+        P: FnMut() -> Result<(), E>,
+    {
+        assert!(shards >= 1 && shard < shards, "shard out of range");
+        let mut pacing = Pacing::new(interval, pace, tally);
+        match pass {
+            JoinPass::Cells => {
+                let mut parts = CellForest::default();
+                for slot in self.soa.owned(shard, shards) {
+                    let connected = self.join_cell(slot, &mut parts, &mut visit, &mut pacing)?;
+                    self.connected[slot].store(connected, Ordering::Relaxed);
+                }
+                Ok(())
+            }
+            JoinPass::Neighbours => self.soa.for_each_neighbour_pair(shard, shards, |a, b| {
+                self.join_neighbours(a, b, &mut visit, &mut pacing)
+            }),
+        }
+    }
+
+    /// Phase 1 for the cell in `slot`: emits its own spanning pairs and
+    /// returns whether they connect it. `parts` is scratch space.
+    fn join_cell<E, F, P>(
+        &self,
+        slot: usize,
+        parts: &mut CellForest,
+        visit: &mut F,
+        pacing: &mut Pacing<'_, P>,
+    ) -> Result<bool, E>
+    where
+        F: FnMut(&T, &T),
+        P: FnMut() -> Result<(), E>,
+    {
+        let cell = &self.soa.cells[slot];
+        let entries = cell.entries;
+        if entries.len() < 2 {
+            return Ok(true);
+        }
+        if self.soa.within(|d| cell.hi[d] - cell.lo[d]) {
+            // Every pair is within ε: a star spans the cell. Each edge
+            // counts as one candidate, so every emitted pair was one.
+            pacing.job();
+            let (_, hub) = &entries[0];
+            for (_, t) in &entries[1..] {
+                visit(hub, t);
+            }
+            pacing.charge(entries.len() - 1)?;
+            return Ok(true);
+        }
+        parts.reset(entries.len());
+        self.soa.join_rows(slot, slot, pacing, |r, c| {
+            if parts.union(r, c) {
+                visit(&entries[r].1, &entries[c].1);
+            }
+            if parts.count == 1 {
+                AfterHit::StopJob
+            } else {
+                AfterHit::Continue
+            }
+        })?;
+        Ok(parts.count == 1)
+    }
+
+    /// Phase 2 for the neighbouring cells in slots `a` (the owner) and `b`.
+    fn join_neighbours<E, F, P>(
+        &self,
+        a: usize,
+        b: usize,
+        visit: &mut F,
+        pacing: &mut Pacing<'_, P>,
+    ) -> Result<(), E>
+    where
+        F: FnMut(&T, &T),
+        P: FnMut() -> Result<(), E>,
+    {
+        let connected_a = self.connected[a].load(Ordering::Relaxed);
+        let connected_b = self.connected[b].load(Ordering::Relaxed);
+        // One hit per row suffices when the scanned cell is connected, so
+        // the rows come from the other cell.
+        let (rows, cols) = if connected_a && !connected_b {
+            (b, a)
+        } else {
+            (a, b)
+        };
+        let after = match (connected_a, connected_b) {
+            (true, true) => AfterHit::StopJob,
+            (false, false) => AfterHit::Continue,
+            _ => AfterHit::NextRow,
+        };
+        let (row_entries, col_entries) =
+            (self.soa.cells[rows].entries, self.soa.cells[cols].entries);
+        self.soa.join_rows(rows, cols, pacing, |r, c| {
+            visit(&row_entries[r].1, &col_entries[c].1);
+            after
+        })
+    }
+}
+
+/// A union-find over the entries of one cell, for the `Cells` pass; its
+/// buffer is reused from cell to cell.
+#[derive(Default)]
+struct CellForest {
+    parent: Vec<usize>,
+    /// Number of parts.
+    count: usize,
+}
+
+impl CellForest {
+    /// Makes `len` singleton parts.
+    fn reset(&mut self, len: usize) {
+        self.parent.clear();
+        self.parent.extend(0..len);
+        self.count = len;
+    }
+
+    fn root(&mut self, mut i: usize) -> usize {
+        while self.parent[i] != i {
+            // Path halving.
+            self.parent[i] = self.parent[self.parent[i]];
+            i = self.parent[i];
+        }
+        i
+    }
+
+    /// Joins the parts of `a` and `b`; `true` when they were apart.
+    fn union(&mut self, a: usize, b: usize) -> bool {
+        let (ra, rb) = (self.root(a), self.root(b));
+        if ra == rb {
+            return false;
+        }
+        self.parent[ra] = rb;
+        self.count -= 1;
+        true
+    }
+}
+
+/// The pace and tally bookkeeping of one join call: `pace` runs at row
+/// boundaries once `interval` candidates have accumulated since its last
+/// call, and its first error stops the join.
+struct Pacing<'t, P> {
+    interval: usize,
+    /// Candidates until the next `pace` call; a row longer than the
+    /// remaining budget saturates it to zero.
+    budget: usize,
+    pace: P,
+    tally: Option<&'t mut JoinTally>,
+}
+
+impl<'t, P> Pacing<'t, P> {
+    fn new(interval: usize, pace: P, tally: Option<&'t mut JoinTally>) -> Self {
+        let interval = interval.max(1);
+        Self {
+            interval,
+            budget: interval,
+            pace,
+            tally,
+        }
+    }
+
+    /// Counts one cell job whose points are compared.
+    #[inline]
+    fn job(&mut self) {
+        if let Some(t) = self.tally.as_deref_mut() {
+            t.cells_visited += 1;
+        }
+    }
+
+    /// Charges one row of `candidates`, calling `pace` once the budget is
+    /// spent.
+    #[inline]
+    fn charge<E>(&mut self, candidates: usize) -> Result<(), E>
+    where
+        P: FnMut() -> Result<(), E>,
+    {
+        if let Some(t) = self.tally.as_deref_mut() {
+            t.candidate_pairs += candidates as u64;
+        }
+        self.budget = self.budget.saturating_sub(candidates);
+        if self.budget == 0 {
+            self.budget = self.interval;
+            (self.pace)()?;
+        }
+        Ok(())
+    }
+}
+
+/// What the row loop does after a hit.
+#[derive(Clone, Copy)]
+enum AfterHit {
+    /// Go on scanning the row.
+    Continue,
+    /// Go on with the next row.
+    NextRow,
+    /// End the cell job.
+    StopJob,
+}
+
+/// One occupied cell of a [`SoaCells`] mirror.
+struct SoaCell<'g, const D: usize, T> {
+    key: CellKey<D>,
+    entries: &'g [(Point<D>, T)],
+    /// Start of the cell's column block in the arena: dimension `d` of a
+    /// cell with `len` entries occupies `arena[start + d·len .. start +
+    /// (d + 1)·len]`.
+    start: usize,
+    /// Per-dimension bounds of the cell's coordinates.
+    lo: [f64; D],
+    hi: [f64; D],
+}
+
+/// Structure-of-arrays mirror of a grid's occupied cells for one bulk
+/// ε-join at a fixed ε and metric: every cell's coordinates are
+/// transposed into column-major blocks of one flat arena, so the per-pair
+/// distance loops stream contiguous `f64` columns instead of striding over
+/// `(Point, T)` tuples. It also holds each cell's bounding box, and maps
+/// cell keys to mirror slots for the neighbour lookups.
 struct SoaCells<'g, const D: usize, T> {
-    /// Per occupied cell: the original entry slice and the start of its
-    /// column block in `arena` (dimension `d` of a cell with `len`
-    /// entries occupies `arena[start + d·len .. start + (d + 1)·len]`).
-    cells: Vec<(&'g [(Point<D>, T)], usize)>,
+    grid: &'g Grid<D, T>,
+    eps: f64,
+    metric: Metric,
+    cells: Vec<SoaCell<'g, D, T>>,
     arena: Vec<f64>,
-    /// Cell key → index into `cells`, for neighbour lookups.
     slots: HashMap<CellKey<D>, usize, BuildHasherDefault<CellHasher>>,
 }
 
 impl<'g, const D: usize, T> SoaCells<'g, D, T> {
-    fn build(grid: &'g Grid<D, T>) -> Self {
+    fn build(grid: &'g Grid<D, T>, eps: f64, metric: Metric) -> Self {
         let mut cells = Vec::with_capacity(grid.cells.len());
         let mut arena = Vec::with_capacity(grid.len * D);
         let mut slots =
             HashMap::with_capacity_and_hasher(grid.cells.len(), BuildHasherDefault::default());
         for (key, entries) in &grid.cells {
             let start = arena.len();
+            let mut lo = [f64::INFINITY; D];
+            let mut hi = [f64::NEG_INFINITY; D];
             for d in 0..D {
-                arena.extend(entries.iter().map(|(p, _)| p.coord(d)));
+                for (p, _) in entries {
+                    let x = p.coord(d);
+                    lo[d] = lo[d].min(x);
+                    hi[d] = hi[d].max(x);
+                    arena.push(x);
+                }
             }
             slots.insert(*key, cells.len());
-            cells.push((entries.as_slice(), start));
+            cells.push(SoaCell {
+                key: *key,
+                entries,
+                start,
+                lo,
+                hi,
+            });
         }
         SoaCells {
+            grid,
+            eps,
+            metric,
             cells,
             arena,
             slots,
         }
     }
 
-    /// Invokes `hit(k)` for every entry index `k ∈ from..len` of cell
-    /// `slot` whose point satisfies the canonical [`Metric::within`]
-    /// predicate against `q`. The accumulation order per pair matches the
-    /// point-wise distance kernels dimension for dimension, so the
-    /// accepted set is bit-identical to calling `metric.within(q, p, eps)`
-    /// per entry.
+    /// The slots of the cells shard `shard` of `shards` owns.
+    fn owned(&self, shard: usize, shards: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..self.cells.len()).filter(move |&slot| self.owns(slot, shard, shards))
+    }
+
+    fn owns(&self, slot: usize, shard: usize, shards: usize) -> bool {
+        shards == 1 || shard_of(&self.cells[slot].key, shards) == shard
+    }
+
+    /// Whether per-dimension coordinate differences `diff(d)` pass the
+    /// metric's accumulation against ε, in the operations and order of
+    /// [`scan`](Self::scan). Each operation is monotone, so differences
+    /// that bound those of every pair of two cells from below (the gaps
+    /// between their boxes) or of every pair within one cell from above
+    /// (its box diagonal) decide for all those pairs at once, exactly.
     #[inline]
-    fn for_each_hit<F: FnMut(usize)>(
+    fn within(&self, diff: impl Fn(usize) -> f64) -> bool {
+        match self.metric {
+            Metric::L1 => {
+                let mut acc = 0.0;
+                for d in 0..D {
+                    acc += diff(d).abs();
+                }
+                acc <= self.eps
+            }
+            Metric::L2 => {
+                let mut acc = 0.0;
+                for d in 0..D {
+                    let x = diff(d);
+                    acc += x * x;
+                }
+                acc <= self.eps * self.eps
+            }
+            Metric::LInf => {
+                let mut acc = 0.0f64;
+                for d in 0..D {
+                    acc = acc.max(diff(d).abs());
+                }
+                acc <= self.eps
+            }
+        }
+    }
+
+    /// The neighbour enumeration of the bulk ε-joins: invokes `job(owner,
+    /// other)` once for every unordered pair of occupied cells (by mirror
+    /// slot) that could hold a within-ε pair, attributed to the cell from
+    /// which the offset is lexicographically positive. `shard`/`shards`
+    /// restrict ownership to one shard of the hashed-cell-key partition
+    /// (`0`/`1` ⇒ everything). The first error `job` returns stops the
+    /// enumeration and is returned.
+    fn for_each_neighbour_pair<E>(
+        &self,
+        shard: usize,
+        shards: usize,
+        mut job: impl FnMut(usize, usize) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let grid = self.grid;
+        let metric = self.metric;
+        let relaxed = self.eps * (1.0 + 4.0 * f64::EPSILON);
+        // One pad cell against quantisation rounding, as in the per-point
+        // probe; the prune below gets an absolute slack of `cell · 1e-5`,
+        // far above the coordinate rounding of any `|coord|/cell` ratio
+        // this engine targets (< 2³²) and far below the one-cell
+        // granularity the prune operates at.
+        let reach = (((self.eps / grid.cell).ceil() as i64).max(0)).saturating_add(1);
+        // Clamp the probe window to the occupied span per dimension: an
+        // offset larger than the span can never connect two occupied
+        // cells, and without the clamp a degenerate ε ≫ cell ratio makes
+        // the window enumeration explode (or saturate `reach` at
+        // `i64::MAX`) even over a handful of points.
+        let mut lo_off = [0i64; D];
+        let mut hi_off = [0i64; D];
+        let mut window = 1.0f64;
+        for d in 0..D {
+            let span = (grid.hi[d] as i128 - grid.lo[d] as i128).min(i64::MAX as i128) as i64;
+            let r = reach.min(span);
+            lo_off[d] = -r;
+            hi_off[d] = r;
+            window *= 2.0 * r as f64 + 1.0;
+        }
+        let slack = grid.cell * 1e-5;
+        // Whether two cells `diff` apart (key differences in i128: saturated
+        // keys can differ by more than i64::MAX) can hold a within-ε pair:
+        // the minimum distance between their points has per-dimension gaps
+        // of (|diff| − 1) cells.
+        let close = |diff: &[i128; D]| {
+            let gaps = diff.map(|c| (c.abs() - 1).max(0) as f64 * grid.cell);
+            let min_dist = match metric {
+                Metric::L1 => gaps.iter().sum(),
+                Metric::L2 => gaps.iter().map(|g| g * g).sum::<f64>().sqrt(),
+                Metric::LInf => gaps.iter().fold(0.0f64, |a, &g| a.max(g)),
+            };
+            min_dist <= relaxed + slack
+        };
+        // Each unordered cell pair is kept once, owned by the cell from
+        // which the offset is strictly positive in its first non-zero
+        // component.
+        let lex_positive = |diff: &[i128; D]| {
+            diff.iter()
+                .find(|&&c| c != 0)
+                .is_some_and(|&first| first > 0)
+        };
+        // The exact prune: no pair of two cells can pass when the gaps
+        // between their bounding boxes fail.
+        let mut admit = |a: usize, b: usize| {
+            let (ca, cb) = (&self.cells[a], &self.cells[b]);
+            if self.within(|d| (cb.lo[d] - ca.hi[d]).max(ca.lo[d] - cb.hi[d]).max(0.0)) {
+                job(a, b)
+            } else {
+                Ok(())
+            }
+        };
+        if window <= self.cells.len() as f64 {
+            // Window enumeration: one offset list, probed from every owned
+            // cell (the regular regime — for the ε-sized cells the
+            // operators use, the window is 5^D).
+            let mut offsets: Vec<CellKey<D>> = Vec::new();
+            for_each_key_in_box(&lo_off, &hi_off, |off| {
+                let diff = off.map(i128::from);
+                if lex_positive(&diff) && close(&diff) {
+                    offsets.push(*off);
+                }
+            });
+            for slot in self.owned(shard, shards) {
+                let key = self.cells[slot].key;
+                'offsets: for off in &offsets {
+                    let mut neighbour = key;
+                    for d in 0..D {
+                        let Some(nk) = key[d].checked_add(off[d]) else {
+                            continue 'offsets;
+                        };
+                        if nk < grid.lo[d] || nk > grid.hi[d] {
+                            continue 'offsets;
+                        }
+                        neighbour[d] = nk;
+                    }
+                    if let Some(&other) = self.slots.get(&neighbour) {
+                        admit(slot, other)?;
+                    }
+                }
+            }
+        } else {
+            // The window holds more cells than are occupied (ε ≫ cell, or
+            // saturated keys): scanning all unordered occupied-cell pairs
+            // is cheaper than enumerating the window, and produces the
+            // same candidate set (each pair attributed to the same owner).
+            for (a, ca) in self.cells.iter().enumerate() {
+                for (b, cb) in self.cells.iter().enumerate().skip(a + 1) {
+                    let diff: [i128; D] =
+                        std::array::from_fn(|d| cb.key[d] as i128 - ca.key[d] as i128);
+                    if !close(&diff) {
+                        continue;
+                    }
+                    let (owner, other) = if lex_positive(&diff) { (a, b) } else { (b, a) };
+                    if self.owns(owner, shard, shards) {
+                        admit(owner, other)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The row loop of every cell job: compares each entry ("row") of cell
+    /// `rows`, in order, with the entries of cell `cols` (with the entries
+    /// after it when `rows == cols`), and calls `on_hit(row, col)` for
+    /// every pair that passes [`Metric::within`]; its answer decides
+    /// whether the row, or the whole job, goes on. Each row's comparisons
+    /// are charged to `pacing`.
+    fn join_rows<E, P>(
+        &self,
+        rows: usize,
+        cols: usize,
+        pacing: &mut Pacing<'_, P>,
+        mut on_hit: impl FnMut(usize, usize) -> AfterHit,
+    ) -> Result<(), E>
+    where
+        P: FnMut() -> Result<(), E>,
+    {
+        let intra = rows == cols;
+        let row_entries = self.cells[rows].entries;
+        if intra && row_entries.len() < 2 {
+            return Ok(());
+        }
+        pacing.job();
+        for (r, (p, _)) in row_entries.iter().enumerate() {
+            let from = if intra { r + 1 } else { 0 };
+            let mut stop = false;
+            let compared = self.scan(cols, from, p, |c| match on_hit(r, c) {
+                AfterHit::Continue => false,
+                AfterHit::NextRow => true,
+                AfterHit::StopJob => {
+                    stop = true;
+                    true
+                }
+            });
+            pacing.charge(compared)?;
+            if stop {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Compares `q`, in order, with the entries `from..` of the cell in
+    /// `slot`, and calls `hit(k)` for every entry that satisfies the
+    /// canonical [`Metric::within`] predicate against `q` until `hit`
+    /// returns `true`; returns how many entries were compared. The
+    /// accumulation order per pair matches the point-wise distance kernels
+    /// dimension for dimension, so the accepted set is bit-identical to
+    /// calling `metric.within(q, p, eps)` per entry.
+    #[inline]
+    fn scan(
         &self,
         slot: usize,
         from: usize,
         q: &Point<D>,
-        eps: f64,
-        metric: Metric,
-        mut hit: F,
-    ) {
-        let (entries, start) = self.cells[slot];
-        let len = entries.len();
-        let block = &self.arena[start..start + D * len];
-        match metric {
+        mut hit: impl FnMut(usize) -> bool,
+    ) -> usize {
+        let cell = &self.cells[slot];
+        let len = cell.entries.len();
+        let block = &self.arena[cell.start..cell.start + D * len];
+        let eps = self.eps;
+        match self.metric {
             Metric::L1 => {
                 for k in from..len {
                     let mut acc = 0.0;
                     for d in 0..D {
                         acc += (q.coord(d) - block[d * len + k]).abs();
                     }
-                    if acc <= eps {
-                        hit(k);
+                    if acc <= eps && hit(k) {
+                        return k + 1 - from;
                     }
                 }
             }
@@ -772,8 +1131,8 @@ impl<'g, const D: usize, T> SoaCells<'g, D, T> {
                         let diff = q.coord(d) - block[d * len + k];
                         acc += diff * diff;
                     }
-                    if acc <= eps2 {
-                        hit(k);
+                    if acc <= eps2 && hit(k) {
+                        return k + 1 - from;
                     }
                 }
             }
@@ -783,12 +1142,13 @@ impl<'g, const D: usize, T> SoaCells<'g, D, T> {
                     for d in 0..D {
                         acc = acc.max((q.coord(d) - block[d * len + k]).abs());
                     }
-                    if acc <= eps {
-                        hit(k);
+                    if acc <= eps && hit(k) {
+                        return k + 1 - from;
                     }
                 }
             }
         }
+        len - from
     }
 }
 
@@ -1422,5 +1782,320 @@ mod tests {
         grid.for_each_within(&pt(0.0, 0.0), 1.0, Metric::L1, |_, &c| hits.push(c));
         hits.sort_unstable();
         assert_eq!(hits, vec!['n', 'p']);
+    }
+
+    /// What one [`connect`] run saw: its result, the emitted pairs
+    /// (sorted), the summed tally, and how many `Neighbours` calls ran.
+    struct Connected<E> {
+        result: Result<(), E>,
+        pairs: Vec<(usize, usize)>,
+        tally: JoinTally,
+        neighbour_calls: usize,
+    }
+
+    /// Runs the connectivity join in the SGB-Any kernel's order: the
+    /// `Cells` pass on every shard, then the `Neighbours` pass, stopping
+    /// at the first error.
+    fn connect<const D: usize, E>(
+        grid: &Grid<D, usize>,
+        eps: f64,
+        metric: Metric,
+        shards: usize,
+        interval: usize,
+        mut pace: impl FnMut(JoinPass) -> Result<(), E>,
+    ) -> Connected<E> {
+        let join = grid.connectivity_join(eps, metric);
+        let mut seen = Connected {
+            result: Ok(()),
+            pairs: Vec::new(),
+            tally: JoinTally::default(),
+            neighbour_calls: 0,
+        };
+        'passes: for pass in [JoinPass::Cells, JoinPass::Neighbours] {
+            for shard in 0..shards {
+                seen.neighbour_calls += usize::from(pass == JoinPass::Neighbours);
+                let pairs = &mut seen.pairs;
+                seen.result = join.try_join(
+                    pass,
+                    shard,
+                    shards,
+                    |&a: &usize, &b: &usize| pairs.push((a.min(b), a.max(b))),
+                    interval,
+                    || pace(pass),
+                    Some(&mut seen.tally),
+                );
+                if seen.result.is_err() {
+                    break 'passes;
+                }
+            }
+        }
+        seen.pairs.sort_unstable();
+        seen
+    }
+
+    /// The groups (sorted members, sorted by smallest member) that the
+    /// pairs `edges` form over `n` points.
+    fn groups_of(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<usize>> {
+        let mut forest = CellForest::default();
+        forest.reset(n);
+        for &(a, b) in edges {
+            forest.union(a, b);
+        }
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut group_of_root = HashMap::new();
+        for i in 0..n {
+            let root = forest.root(i);
+            let g = *group_of_root.entry(root).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[g].push(i);
+        }
+        groups
+    }
+
+    /// The independent oracle: the components of every within-ε pair.
+    fn brute_groups<const D: usize>(
+        points: &[Point<D>],
+        eps: f64,
+        metric: Metric,
+    ) -> Vec<Vec<usize>> {
+        let mut edges = Vec::new();
+        for (i, p) in points.iter().enumerate() {
+            for (j, q) in points.iter().enumerate().skip(i + 1) {
+                if metric.within(p, q, eps) {
+                    edges.push((i, j));
+                }
+            }
+        }
+        groups_of(points.len(), &edges)
+    }
+
+    /// Checks the connectivity join of `points` (payload = index) on a
+    /// grid of side `cell` against the brute-force components, checks
+    /// that every emitted pair passes `Metric::within` and is emitted
+    /// once, and that pairs and tallies do not depend on the shard count.
+    /// Returns the sequential tally.
+    fn check_connectivity<const D: usize>(
+        points: &[Point<D>],
+        cell: f64,
+        eps: f64,
+        metric: Metric,
+    ) -> JoinTally {
+        let grid: Grid<D, usize> = Grid::from_points(cell, points.iter().copied().zip(0..));
+        let label = format!("{metric} cell={cell} eps={eps}");
+        let Connected { pairs, tally, .. } =
+            connect::<D, Infallible>(&grid, eps, metric, 1, 16, |_| Ok(()));
+        for &(a, b) in &pairs {
+            assert!(
+                metric.within(&points[a], &points[b], eps),
+                "{label}: ({a},{b}) not within ε"
+            );
+        }
+        let mut dedup = pairs.clone();
+        dedup.dedup();
+        assert_eq!(
+            dedup.len(),
+            pairs.len(),
+            "{label}: a pair was emitted twice"
+        );
+        assert_eq!(
+            groups_of(points.len(), &pairs),
+            brute_groups(points, eps, metric),
+            "{label}"
+        );
+        // Every emitted pair was a candidate.
+        assert!(tally.candidate_pairs >= pairs.len() as u64, "{label}");
+        for shards in [2usize, 3, 7] {
+            let sharded = connect::<D, Infallible>(&grid, eps, metric, shards, 16, |_| Ok(()));
+            assert_eq!(sharded.pairs, pairs, "{label} shards={shards}");
+            assert_eq!(sharded.tally, tally, "{label} shards={shards}");
+        }
+        tally
+    }
+
+    /// Pseudo-random points clustered around a few centres, for fixtures
+    /// with dense, internally connected cells.
+    fn hotspots(n: usize, centres: usize, spread: f64, seed: u64) -> Vec<Point<2>> {
+        let mut state = seed;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64) / (u32::MAX as f64)
+        };
+        let centre: Vec<(f64, f64)> = (0..centres)
+            .map(|_| (next() * 10.0, next() * 10.0))
+            .collect();
+        (0..n)
+            .map(|i| {
+                let (cx, cy) = centre[i % centres];
+                pt(cx + (next() - 0.5) * spread, cy + (next() - 0.5) * spread)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn connectivity_join_matches_brute_force_components_on_the_fixture_matrix() {
+        let points: Vec<Point<2>> = lattice(400).into_iter().map(|(p, _)| p).collect();
+        let dense = hotspots(900, 7, 1.5, 0xC0FFEE);
+        for metric in Metric::ALL {
+            for (cell, eps) in [(1.0, 1.0), (2.5, 2.5), (1.0, 3.0), (0.7, 0.0)] {
+                check_connectivity(&points, cell, eps, metric);
+                check_connectivity(&dense, cell, eps, metric);
+            }
+            // ε ≫ cell: the occupied-pair regime.
+            check_connectivity(&dense[..60], 1e-6, 1e3, metric);
+            // Cell (0,0) is connected, cell (1,0) is not (under L1 and L2),
+            // and each of its points has its own hit in (0,0): one hit per
+            // row, not one per cell pair.
+            let one_hit_per_row = [pt(0.9, 0.1), pt(0.9, 0.9), pt(1.02, 0.02), pt(1.5, 0.98)];
+            check_connectivity(&one_hit_per_row, 1.0, 1.0, metric);
+        }
+    }
+
+    #[test]
+    fn connectivity_join_keeps_boundary_ties_duplicates_and_saturated_keys() {
+        // Distances that tie with ε up to rounding (the probe's
+        // boundary-tie fixture).
+        let ties: Vec<Point<2>> = (0..60)
+            .map(|k| pt((880.0 + k as f64 * 11.17) / 11000.0, 0.0))
+            .collect();
+        // ε = 0: only exact duplicates connect.
+        let dups = vec![
+            pt(1.0, 1.0),
+            pt(2.0, 2.0),
+            pt(1.0, 1.0),
+            pt(1.0, 1.0000001),
+            pt(2.0, 2.0),
+        ];
+        // Keys at the i64 saturation boundary: the occupied-pair regime.
+        let saturated = vec![
+            pt(1e300, 0.0),
+            pt(1e300, 0.0),
+            pt(-1e300, 0.0),
+            pt(0.25, 0.0),
+            pt(0.2501, 0.0),
+        ];
+        for metric in Metric::ALL {
+            check_connectivity(&ties, Grid::<2, usize>::side_for_eps(0.08), 0.08, metric);
+            check_connectivity(&dups, Grid::<2, usize>::side_for_eps(0.0), 0.0, metric);
+            check_connectivity(&saturated, 1e-3, 0.01, metric);
+        }
+        let grid: Grid<2, usize> = Grid::from_points(1.0, dups.iter().copied().zip(0..));
+        let pairs = connect::<2, Infallible>(&grid, 0.0, Metric::L2, 1, 16, |_| Ok(())).pairs;
+        assert_eq!(
+            groups_of(dups.len(), &pairs),
+            vec![vec![0, 2], vec![1, 4], vec![3]]
+        );
+    }
+
+    #[test]
+    fn connectivity_join_runs_on_three_dimensional_points() {
+        let points: Vec<Point<3>> = (0..300)
+            .map(|i| {
+                let f = i as f64;
+                Point::new([(f * 0.37) % 4.0, (f * 0.71) % 3.0, (f * 0.13) % 2.0])
+            })
+            .collect();
+        for metric in Metric::ALL {
+            for (cell, eps) in [(0.3, 0.3), (0.1, 0.3)] {
+                check_connectivity(&points, cell, eps, metric);
+            }
+        }
+    }
+
+    #[test]
+    fn connectivity_join_tally_shows_the_clique_first_hit_and_box_prune_branches() {
+        // Cells (0,0) and (1,0) each hold a tight cluster of ten points
+        // (cliques), 0.86 apart; cell (2,0) holds one point 1.75 beyond
+        // the second cluster — inside the offset window of both, but
+        // pruned by the bounding boxes.
+        let mut points: Vec<Point<2>> = (0..10)
+            .map(|i| pt(0.1 + 0.01 * i as f64, 0.1 + 0.005 * i as f64))
+            .collect();
+        points.extend((0..10).map(|i| pt(1.05 + 0.01 * i as f64, 0.1 + 0.005 * i as f64)));
+        points.push(pt(2.95, 0.15));
+        for metric in Metric::ALL {
+            let tally = check_connectivity(&points, 1.0, 1.0, metric);
+            // Two stars of 9 edges each (not 45 comparisons each), one
+            // comparison between the connected cells (not 100), and no job
+            // for the pruned pairs (nor the lone point's own cell).
+            assert_eq!(
+                tally,
+                JoinTally {
+                    candidate_pairs: 9 + 9 + 1,
+                    cells_visited: 3,
+                },
+                "{metric}"
+            );
+            // The exact join shares the box prune but visits every pair.
+            let grid: Grid<2, usize> = Grid::from_points(1.0, points.iter().copied().zip(0..));
+            let mut exact = JoinTally::default();
+            let Ok(()) = grid.try_for_each_pair_within::<Infallible, _, _>(
+                1.0,
+                metric,
+                0,
+                1,
+                |_, _| {},
+                16,
+                || Ok(()),
+                Some(&mut exact),
+            );
+            assert_eq!(
+                exact,
+                JoinTally {
+                    candidate_pairs: 45 + 45 + 100,
+                    cells_visited: 3,
+                },
+                "{metric}"
+            );
+        }
+    }
+
+    #[test]
+    fn connectivity_join_stops_at_a_pace_error_and_never_starts_phase_two() {
+        // Cells of ~20 points that are not cliques, so the `Cells` pass
+        // compares points and paces.
+        let points: Vec<(Point<2>, usize)> = hotspots(2000, 1, 10.0, 0x5EED)
+            .into_iter()
+            .zip(0..)
+            .collect();
+        let grid: Grid<2, usize> = Grid::from_points(1.0, points);
+        let all = connect::<2, Infallible>(&grid, 1.0, Metric::L2, 1, 8, |_| Ok(())).pairs;
+        for shards in [1usize, 3] {
+            // `pace` fails on its 5th call, inside the `Cells` pass.
+            let mut paced = 0;
+            let early = connect(&grid, 1.0, Metric::L2, shards, 8, |pass| {
+                assert_eq!(pass, JoinPass::Cells);
+                paced += 1;
+                if paced == 5 {
+                    Err("stop")
+                } else {
+                    Ok(())
+                }
+            });
+            assert_eq!(early.result, Err("stop"));
+            assert_eq!(paced, 5, "no pacing after the error");
+            assert_eq!(early.neighbour_calls, 0, "phase 2 never starts");
+            let seen = early.pairs.len();
+            assert!(
+                seen >= 1 && seen < all.len() / 2,
+                "stopped early, saw {seen}"
+            );
+            // A failure in the `Neighbours` pass stops that pass early too.
+            let mut neighbour_paces = 0;
+            let late = connect(&grid, 1.0, Metric::L2, shards, 8, |pass| {
+                neighbour_paces += usize::from(pass == JoinPass::Neighbours);
+                if neighbour_paces == 3 {
+                    Err("late")
+                } else {
+                    Ok(())
+                }
+            });
+            assert_eq!(late.result, Err("late"));
+            assert_eq!(neighbour_paces, 3, "no pacing after the error");
+            assert!(late.pairs.len() < all.len(), "stopped before the end");
+        }
     }
 }

@@ -24,5 +24,5 @@
 pub mod grid;
 pub mod rtree;
 
-pub use grid::{Grid, JoinTally};
+pub use grid::{ConnectivityJoin, Grid, JoinPass, JoinTally};
 pub use rtree::RTree;

@@ -81,9 +81,14 @@ impl Phase {
 /// One monotone engine counter of a [`QueryProfile`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Counter {
-    /// Candidate pairs visited by the join (before exact verification).
+    /// Candidate pairs the join examined before exact verification. The
+    /// SGB-Any grid join also counts one per star edge it emits for a cell
+    /// whose bounding box passed the ε test as a whole, so every edge it
+    /// unions was a candidate.
     CandidatePairs = 0,
-    /// Grid cells (or index nodes) probed.
+    /// Grid cell jobs whose points were compared: the intra-cell job of a
+    /// cell with at least two entries, and each neighbour-cell job that
+    /// passed the bounding-box prune. Pruned cell pairs do not count.
     CellsProbed = 1,
     /// Cooperative governor polls (deadline / cancellation checks).
     GovernorPolls = 2,
