@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sgb_bench::experiments::fig9_workload;
-use sgb_core::{sgb_all, sgb_any, AllAlgorithm, SgbAllConfig, SgbAnyConfig};
+use sgb_core::{Algorithm, SgbQuery};
 use sgb_geom::Metric;
 
 fn bench(c: &mut Criterion) {
@@ -19,33 +19,33 @@ fn bench(c: &mut Criterion) {
     // Hull threshold ablation (L2, Bounds-Checking: every candidate hit
     // runs the refinement).
     for (label, threshold) in [("always", 1usize), ("at_16", 16), ("never", usize::MAX)] {
-        let cfg = SgbAllConfig::new(0.5)
+        let query = SgbQuery::all(0.5)
             .metric(Metric::L2)
-            .algorithm(AllAlgorithm::BoundsChecking)
+            .algorithm(Algorithm::BoundsChecking)
             .hull_threshold(threshold);
-        group.bench_with_input(BenchmarkId::new("hull_threshold", label), &cfg, |b, cfg| {
-            b.iter(|| sgb_all(&points, cfg))
-        });
+        group.bench_with_input(
+            BenchmarkId::new("hull_threshold", label),
+            &query,
+            |b, query| b.iter(|| query.run(&points)),
+        );
     }
 
     // R-tree fan-out ablation (Indexed SGB-All and SGB-Any).
     for fanout in [4usize, 12, 32] {
-        let cfg = SgbAllConfig::new(0.3)
+        let query = SgbQuery::all(0.3)
             .metric(Metric::L2)
-            .algorithm(AllAlgorithm::Indexed)
+            .algorithm(Algorithm::Indexed)
             .rtree_fanout(fanout);
         group.bench_with_input(
             BenchmarkId::new("all_rtree_fanout", fanout),
-            &cfg,
-            |b, cfg| b.iter(|| sgb_all(&points, cfg)),
+            &query,
+            |b, query| b.iter(|| query.run(&points)),
         );
-        let cfg = SgbAnyConfig::new(0.3)
-            .metric(Metric::L2)
-            .rtree_fanout(fanout);
+        let query = SgbQuery::any(0.3).metric(Metric::L2).rtree_fanout(fanout);
         group.bench_with_input(
             BenchmarkId::new("any_rtree_fanout", fanout),
-            &cfg,
-            |b, cfg| b.iter(|| sgb_any(&points, cfg)),
+            &query,
+            |b, query| b.iter(|| query.run(&points)),
         );
     }
     group.finish();

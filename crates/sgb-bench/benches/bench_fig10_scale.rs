@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sgb_bench::experiments::fig10_points;
-use sgb_core::{sgb_all, sgb_any, AllAlgorithm, SgbAllConfig, SgbAnyConfig};
+use sgb_core::{Algorithm, SgbQuery};
 use sgb_geom::Metric;
 
 fn bench(c: &mut Criterion) {
@@ -14,19 +14,19 @@ fn bench(c: &mut Criterion) {
         let points = fig10_points(sf, 0.2);
         group.throughput(Throughput::Elements(points.len() as u64));
         for (name, algo) in [
-            ("bounds_checking", AllAlgorithm::BoundsChecking),
-            ("indexed", AllAlgorithm::Indexed),
+            ("bounds_checking", Algorithm::BoundsChecking),
+            ("indexed", Algorithm::Indexed),
         ] {
-            let cfg = SgbAllConfig::new(0.2).metric(Metric::L2).algorithm(algo);
+            let query = SgbQuery::all(0.2).metric(Metric::L2).algorithm(algo);
             group.bench_with_input(
                 BenchmarkId::new(format!("all/{name}"), sf),
-                &cfg,
-                |b, cfg| b.iter(|| sgb_all(&points, cfg)),
+                &query,
+                |b, query| b.iter(|| query.run(&points)),
             );
         }
-        let cfg = SgbAnyConfig::new(0.2).metric(Metric::L2);
-        group.bench_with_input(BenchmarkId::new("any/indexed", sf), &cfg, |b, cfg| {
-            b.iter(|| sgb_any(&points, cfg))
+        let query = SgbQuery::any(0.2).metric(Metric::L2);
+        group.bench_with_input(BenchmarkId::new("any/indexed", sf), &query, |b, query| {
+            b.iter(|| query.run(&points))
         });
     }
     group.finish();

@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sgb_cluster::{birch, dbscan, kmeans, BirchConfig, DbscanConfig, KMeansConfig};
-use sgb_core::{sgb_all, sgb_any, SgbAllConfig, SgbAnyConfig};
+use sgb_core::SgbQuery;
 use sgb_datagen::CheckinConfig;
 use sgb_geom::Metric;
 
@@ -26,10 +26,10 @@ fn bench(c: &mut Criterion) {
         b.iter(|| kmeans(&points, &KMeansConfig::new(40).max_iters(50)))
     });
     group.bench_function("sgb_all_join_any", |b| {
-        b.iter(|| sgb_all(&points, &SgbAllConfig::new(eps).metric(Metric::L2)))
+        b.iter(|| SgbQuery::all(eps).metric(Metric::L2).run(&points))
     });
     group.bench_function("sgb_any", |b| {
-        b.iter(|| sgb_any(&points, &SgbAnyConfig::new(eps).metric(Metric::L2)))
+        b.iter(|| SgbQuery::any(eps).metric(Metric::L2).run(&points))
     });
     group.finish();
 }

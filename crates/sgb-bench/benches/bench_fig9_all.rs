@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sgb_bench::experiments::fig9_workload;
-use sgb_core::{sgb_all, AllAlgorithm, OverlapAction, SgbAllConfig};
+use sgb_core::{Algorithm, OverlapAction, SgbQuery};
 use sgb_geom::Metric;
 
 fn bench(c: &mut Criterion) {
@@ -13,9 +13,9 @@ fn bench(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(1500));
     group.warm_up_time(std::time::Duration::from_millis(300));
     for (aname, algo) in [
-        ("all_pairs", AllAlgorithm::AllPairs),
-        ("bounds_checking", AllAlgorithm::BoundsChecking),
-        ("indexed", AllAlgorithm::Indexed),
+        ("all_pairs", Algorithm::AllPairs),
+        ("bounds_checking", Algorithm::BoundsChecking),
+        ("indexed", Algorithm::Indexed),
     ] {
         for (oname, overlap) in [
             ("join_any", OverlapAction::JoinAny),
@@ -23,14 +23,14 @@ fn bench(c: &mut Criterion) {
             ("form_new", OverlapAction::FormNewGroup),
         ] {
             for eps in [0.2, 0.8] {
-                let cfg = SgbAllConfig::new(eps)
+                let query = SgbQuery::all(eps)
                     .metric(Metric::L2)
                     .overlap(overlap)
                     .algorithm(algo);
                 group.bench_with_input(
                     BenchmarkId::new(format!("{aname}/{oname}"), eps),
-                    &cfg,
-                    |b, cfg| b.iter(|| sgb_all(&points, cfg)),
+                    &query,
+                    |b, query| b.iter(|| query.run(&points)),
                 );
             }
         }

@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sgb_bench::experiments::fig9_workload;
-use sgb_core::{sgb_any, AnyAlgorithm, SgbAnyConfig};
+use sgb_core::{Algorithm, SgbQuery};
 use sgb_geom::Metric;
 
 fn bench(c: &mut Criterion) {
@@ -12,13 +12,13 @@ fn bench(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(1500));
     group.warm_up_time(std::time::Duration::from_millis(300));
     for (aname, algo) in [
-        ("all_pairs", AnyAlgorithm::AllPairs),
-        ("indexed", AnyAlgorithm::Indexed),
+        ("all_pairs", Algorithm::AllPairs),
+        ("indexed", Algorithm::Indexed),
     ] {
         for eps in [0.2, 0.8] {
-            let cfg = SgbAnyConfig::new(eps).metric(Metric::L2).algorithm(algo);
-            group.bench_with_input(BenchmarkId::new(aname, eps), &cfg, |b, cfg| {
-                b.iter(|| sgb_any(&points, cfg))
+            let query = SgbQuery::any(eps).metric(Metric::L2).algorithm(algo);
+            group.bench_with_input(BenchmarkId::new(aname, eps), &query, |b, query| {
+                b.iter(|| query.run(&points))
             });
         }
     }

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sgb_bench::experiments::fig9_workload;
-use sgb_core::{sgb_all, AllAlgorithm, OverlapAction, SgbAllConfig};
+use sgb_core::{Algorithm, OverlapAction, SgbQuery};
 use sgb_geom::Metric;
 
 fn bench(c: &mut Criterion) {
@@ -15,16 +15,16 @@ fn bench(c: &mut Criterion) {
         let points = fig9_workload(n, 0x7AB1);
         group.throughput(Throughput::Elements(n as u64));
         for (name, algo) in [
-            ("all_pairs", AllAlgorithm::AllPairs),
-            ("bounds_checking", AllAlgorithm::BoundsChecking),
-            ("indexed", AllAlgorithm::Indexed),
+            ("all_pairs", Algorithm::AllPairs),
+            ("bounds_checking", Algorithm::BoundsChecking),
+            ("indexed", Algorithm::Indexed),
         ] {
-            let cfg = SgbAllConfig::new(0.3)
+            let query = SgbQuery::all(0.3)
                 .metric(Metric::LInf)
                 .overlap(OverlapAction::JoinAny)
                 .algorithm(algo);
-            group.bench_with_input(BenchmarkId::new(name, n), &cfg, |b, cfg| {
-                b.iter(|| sgb_all(&points, cfg))
+            group.bench_with_input(BenchmarkId::new(name, n), &query, |b, query| {
+                b.iter(|| query.run(&points))
             });
         }
     }

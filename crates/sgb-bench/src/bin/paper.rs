@@ -1,10 +1,8 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! The figure experiments benchmark the paper's *named* per-operator
-//! procedures (All-Pairs / Bounds-Checking / on-the-fly Index), so they
-//! drive the `sgb_core` execution layer directly; the unified `SgbQuery`
-//! surface lowers into exactly these paths (see `tests/api_equivalence.rs`
-//! at the workspace root).
+//! procedures (All-Pairs / Bounds-Checking / on-the-fly Index) by pinning
+//! each one through `SgbQuery::algorithm`.
 //!
 //! ```text
 //! paper -- <experiment> [--scale f]

@@ -6,10 +6,7 @@
 //! `scale` argument multiplies them (≈25× reaches the paper's sizes).
 
 use sgb_cluster::{birch, dbscan, kmeans, BirchConfig, DbscanConfig, KMeansConfig};
-use sgb_core::{
-    sgb_all, sgb_any, Algorithm, AllAlgorithm, AnyAlgorithm, CancelToken, OverlapAction,
-    QueryGovernor, SgbAllConfig, SgbAnyConfig, SgbQuery,
-};
+use sgb_core::{Algorithm, CancelToken, OverlapAction, QueryGovernor, SgbQuery};
 use sgb_datagen::{clustered_points, clustered_points_with_centers, CheckinConfig, TpchConfig};
 use sgb_geom::{Metric, Point};
 use sgb_relation::Database;
@@ -84,19 +81,19 @@ pub fn fig9_all(sub: char, scale: f64) -> Experiment {
     let n = scaled(20_000, scale);
     let points = fig9_workload(n, 0x0F19);
     let algos = [
-        ("All-Pairs", AllAlgorithm::AllPairs),
-        ("Bounds-Checking", AllAlgorithm::BoundsChecking),
-        ("on-the-fly Index", AllAlgorithm::Indexed),
+        ("All-Pairs", Algorithm::AllPairs),
+        ("Bounds-Checking", Algorithm::BoundsChecking),
+        ("on-the-fly Index", Algorithm::Indexed),
     ];
     let mut series = Vec::new();
     for (name, algo) in algos {
         let mut rows = Vec::new();
         for eps in EPS_SWEEP {
-            let cfg = SgbAllConfig::new(eps)
+            let query = SgbQuery::all(eps)
                 .metric(Metric::L2)
                 .overlap(overlap)
                 .algorithm(algo);
-            let (out, secs) = time(|| sgb_all(&points, &cfg));
+            let (out, secs) = time(|| query.run(&points));
             rows.push((eps, secs));
             eprintln!(
                 "#   fig9{sub} {name} eps={eps}: {secs:.3}s ({} groups)",
@@ -121,15 +118,15 @@ pub fn fig9_any(scale: f64) -> Experiment {
     let n = scaled(20_000, scale);
     let points = fig9_workload(n, 0x0F19);
     let algos = [
-        ("All-Pairs", AnyAlgorithm::AllPairs),
-        ("on-the-fly Index", AnyAlgorithm::Indexed),
+        ("All-Pairs", Algorithm::AllPairs),
+        ("on-the-fly Index", Algorithm::Indexed),
     ];
     let mut series = Vec::new();
     for (name, algo) in algos {
         let mut rows = Vec::new();
         for eps in EPS_SWEEP {
-            let cfg = SgbAnyConfig::new(eps).metric(Metric::L2).algorithm(algo);
-            let (out, secs) = time(|| sgb_any(&points, &cfg));
+            let query = SgbQuery::any(eps).metric(Metric::L2).algorithm(algo);
+            let (out, secs) = time(|| query.run(&points));
             rows.push((eps, secs));
             eprintln!(
                 "#   fig9d {name} eps={eps}: {secs:.3}s ({} groups)",
@@ -174,8 +171,8 @@ pub fn fig10_all(sub: char, scale: f64) -> Experiment {
     };
     let sfs = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 60.0];
     let algos = [
-        ("Bounds-Checking", AllAlgorithm::BoundsChecking),
-        ("on-the-fly Index", AllAlgorithm::Indexed),
+        ("Bounds-Checking", Algorithm::BoundsChecking),
+        ("on-the-fly Index", Algorithm::Indexed),
     ];
     let mut series: Vec<Series> = algos
         .iter()
@@ -187,11 +184,11 @@ pub fn fig10_all(sub: char, scale: f64) -> Experiment {
     for sf in sfs {
         let points = fig10_points(sf, scale);
         for (si, (name, algo)) in algos.iter().enumerate() {
-            let cfg = SgbAllConfig::new(0.2)
+            let query = SgbQuery::all(0.2)
                 .metric(Metric::L2)
                 .overlap(overlap)
                 .algorithm(*algo);
-            let (out, secs) = time(|| sgb_all(&points, &cfg));
+            let (out, secs) = time(|| query.run(&points));
             series[si].rows.push((sf, secs));
             eprintln!(
                 "#   fig10{sub} {name} SF={sf}: {secs:.3}s ({} pts, {} groups)",
@@ -213,8 +210,8 @@ pub fn fig10_all(sub: char, scale: f64) -> Experiment {
 pub fn fig10_any(scale: f64) -> Experiment {
     let sfs = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
     let algos = [
-        ("All-Pairs", AnyAlgorithm::AllPairs),
-        ("on-the-fly Index", AnyAlgorithm::Indexed),
+        ("All-Pairs", Algorithm::AllPairs),
+        ("on-the-fly Index", Algorithm::Indexed),
     ];
     let mut series: Vec<Series> = algos
         .iter()
@@ -226,8 +223,8 @@ pub fn fig10_any(scale: f64) -> Experiment {
     for sf in sfs {
         let points = fig10_points(sf, scale);
         for (si, (name, algo)) in algos.iter().enumerate() {
-            let cfg = SgbAnyConfig::new(0.2).metric(Metric::L2).algorithm(*algo);
-            let (out, secs) = time(|| sgb_any(&points, &cfg));
+            let query = SgbQuery::any(0.2).metric(Metric::L2).algorithm(*algo);
+            let (out, secs) = time(|| query.run(&points));
             series[si].rows.push((sf, secs));
             eprintln!(
                 "#   fig10d {name} SF={sf}: {secs:.3}s ({} pts, {} groups)",
@@ -332,11 +329,11 @@ pub fn fig11(sub: char, scale: f64) -> Experiment {
             (5, OverlapAction::Eliminate),
             (6, OverlapAction::JoinAny),
         ] {
-            let cfg = SgbAllConfig::new(eps).metric(Metric::L2).overlap(overlap);
-            let (_, secs) = time(|| sgb_all(&points, &cfg));
+            let query = SgbQuery::all(eps).metric(Metric::L2).overlap(overlap);
+            let (_, secs) = time(|| query.run(&points));
             series[si].rows.push((x, secs));
         }
-        let (_, secs) = time(|| sgb_any(&points, &SgbAnyConfig::new(eps).metric(Metric::L2)));
+        let (_, secs) = time(|| SgbQuery::any(eps).metric(Metric::L2).run(&points));
         series[7].rows.push((x, secs));
         eprintln!("#   fig11{sub} n={n} done");
     }
@@ -420,9 +417,9 @@ pub fn table1(scale: f64) -> Experiment {
         .map(|&n| scaled(n, scale))
         .collect();
     let algos = [
-        ("All-Pairs", AllAlgorithm::AllPairs),
-        ("Bounds-Checking", AllAlgorithm::BoundsChecking),
-        ("on-the-fly Index", AllAlgorithm::Indexed),
+        ("All-Pairs", Algorithm::AllPairs),
+        ("Bounds-Checking", Algorithm::BoundsChecking),
+        ("on-the-fly Index", Algorithm::Indexed),
     ];
     let overlaps = [
         ("JOIN-ANY", OverlapAction::JoinAny),
@@ -435,11 +432,11 @@ pub fn table1(scale: f64) -> Experiment {
             let mut rows = Vec::new();
             for &n in &sizes {
                 let points = fig9_workload(n, 0x7AB1);
-                let cfg = SgbAllConfig::new(0.3)
+                let query = SgbQuery::all(0.3)
                     .metric(Metric::LInf)
                     .overlap(overlap)
                     .algorithm(algo);
-                let (_, secs) = time(|| sgb_all(&points, &cfg));
+                let (_, secs) = time(|| query.run(&points));
                 rows.push((n as f64, secs));
             }
             eprintln!(

@@ -26,11 +26,11 @@ pub struct KMeansAround<const D: usize> {
     pub around: Grouping,
     /// The centroid index behind each answer group: `around.groups()[g]`
     /// collects the records whose nearest centroid is
-    /// `kmeans.centroids[centroid_of_group[g]]`. The unified [`Grouping`]
-    /// drops centroids that attracted nothing, so group indices and
-    /// centroid indices diverge whenever a centroid group is empty (a
-    /// radius bound, duplicate/degenerate centroids) — this vector keeps
-    /// the correspondence explicit.
+    /// `kmeans.centroids[centroid_of_group[g]]` — the grouping's
+    /// [`Grouping::group_centers`]. The grouping drops centroids that
+    /// attracted nothing, so group indices and centroid indices diverge
+    /// whenever a centroid group is empty (a radius bound,
+    /// duplicate/degenerate centroids).
     pub centroid_of_group: Vec<usize>,
 }
 
@@ -104,25 +104,7 @@ pub fn kmeans_around<const D: usize>(
     } else {
         around_seeds(&km, cfg, max_radius).run(points)
     };
-    // Recover which centroid each answer group belongs to: every member
-    // of a center group shares the same nearest centroid (the operator's
-    // assignment rule), so one member pins the group. Re-evaluating the
-    // rule on that member — canonical distances, lowest-index ties — is
-    // exactly what the operator computed.
-    let centroid_of_group = around
-        .iter()
-        .map(|g| {
-            let p = &points[g[0]];
-            let mut best = (f64::INFINITY, 0);
-            for (c, q) in km.centroids.iter().enumerate() {
-                let d = cfg.metric.distance(p, q);
-                if d < best.0 {
-                    best = (d, c);
-                }
-            }
-            best.1
-        })
-        .collect();
+    let centroid_of_group = around.group_centers().to_vec();
     KMeansAround {
         kmeans: km,
         around,

@@ -7,12 +7,13 @@
 //!
 //! 1. `FindCloseGroups` splits the existing groups into *candidates* (all
 //!    members within ε of the new point) and *overlap groups* (some but not
-//!    all members within ε). Three interchangeable strategies implement it:
-//!    [`AllAlgorithm::AllPairs`] (Procedure 2, scans every point),
-//!    [`AllAlgorithm::BoundsChecking`] (Procedure 4, constant-time ε-All
-//!    rectangle tests per group) and [`AllAlgorithm::Indexed`] (Procedure 5,
+//!    all members within ε). Interchangeable strategies implement it:
+//!    [`Algorithm::AllPairs`] (Procedure 2, scans every point),
+//!    [`Algorithm::BoundsChecking`] (Procedure 4, constant-time ε-All
+//!    rectangle tests per group), [`Algorithm::Indexed`] (Procedure 5,
 //!    metric-aware range query on an on-the-fly R-tree of group
-//!    rectangles). Under the conservative metrics (`L1`/`L2`, see
+//!    rectangles) and [`Algorithm::Grid`] (an ε-grid over the live
+//!    members). Under the conservative metrics (`L1`/`L2`, see
 //!    [`sgb_geom::metric::RectFilter`]) the rectangle filter admits false
 //!    positives, refined by the convex hull test (Procedure 6).
 //! 2. `ProcessGroupingALL` (Procedure 3) places the point: into a new group
@@ -20,18 +21,34 @@
 //! 3. `ProcessOverlap` realises `ELIMINATE` / `FORM-NEW-GROUP` on the
 //!    overlap groups' affected members; `FORM-NEW-GROUP` re-groups the
 //!    deferred set `S'` recursively at the end.
+//!
+//! [`SgbQuery::all`] drives this engine: its runs and its stream push the
+//! points in arrival order (the arbitration is order-sensitive, so SGB-All
+//! never parallelises), and the incremental engine keeps a live replica.
 
 use std::collections::HashMap;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use sgb_geom::{ConvexHull, EpsAllRegion, Point, Rect, RectFilter};
+use sgb_geom::{ConvexHull, EpsAllRegion, Metric, Point, Rect, RectFilter};
 use sgb_spatial::{Grid, RTree};
 
-use crate::{cost, AllAlgorithm, Grouping, OverlapAction, RecordId, SgbAllConfig};
+use crate::{Algorithm, Grouping, OverlapAction, RecordId, SgbQuery};
 
 type GroupId = usize;
+
+/// The knobs an SGB-All run reads, copied out of its [`SgbQuery`].
+#[derive(Clone, Copy, Debug)]
+struct Params {
+    eps: f64,
+    metric: Metric,
+    overlap: OverlapAction,
+    /// The concrete search strategy, resolved by the caller.
+    algorithm: Algorithm,
+    hull_threshold: usize,
+    rtree_fanout: usize,
+}
 
 /// Narrows a `D`-dimensional point to 2-D; only called when `D == 2`, where
 /// it is a plain copy.
@@ -86,7 +103,7 @@ enum GroupTest {
 fn refine_candidate<const D: usize>(
     g: &GroupState<D>,
     p: &Point<D>,
-    cfg: &SgbAllConfig,
+    cfg: &Params,
     track_overlaps: bool,
 ) -> GroupTest {
     if g.is_dead() {
@@ -122,7 +139,7 @@ fn refine_candidate<const D: usize>(
 
 /// Final overlap check: is any member within ε of `p`?
 #[inline(always)]
-fn scan_overlap<const D: usize>(g: &GroupState<D>, p: &Point<D>, cfg: &SgbAllConfig) -> GroupTest {
+fn scan_overlap<const D: usize>(g: &GroupState<D>, p: &Point<D>, cfg: &Params) -> GroupTest {
     let (eps, metric) = (cfg.eps, cfg.metric);
     if g.members.iter().any(|(_, q)| metric.within(p, q, eps)) {
         GroupTest::Overlap
@@ -137,12 +154,7 @@ fn scan_overlap<const D: usize>(g: &GroupState<D>, p: &Point<D>, cfg: &SgbAllCon
 /// snapshot (clone + [`SgbAll::finish`]) without disturbing the live state.
 #[derive(Clone, Debug)]
 struct Engine<const D: usize> {
-    cfg: SgbAllConfig,
-    /// The concrete search strategy ([`AllAlgorithm::Auto`] resolved at
-    /// construction — streams have unknown cardinality, so `Auto` assumes
-    /// the scalable regime; the one-shot [`sgb_all`] resolves from the
-    /// true `n` before building the engine).
-    algorithm: AllAlgorithm,
+    cfg: Params,
     groups: Vec<GroupState<D>>,
     /// Structure-of-arrays mirror of each group's allowed region, so the
     /// Bounds-Checking scan streams through a dense rectangle directory
@@ -153,9 +165,9 @@ struct Engine<const D: usize> {
     /// when overlap groups are tracked.
     reach_cache: Vec<Rect<D>>,
     live_groups: usize,
-    /// `Groups_IX` of Procedure 5 (only for [`AllAlgorithm::Indexed`]).
+    /// `Groups_IX` of Procedure 5 (only for [`Algorithm::Indexed`]).
     index: Option<RTree<D, GroupId>>,
-    /// ε-grid over the live members (only for [`AllAlgorithm::Grid`]):
+    /// ε-grid over the live members (only for [`Algorithm::Grid`]):
     /// cell side = ε, payload = record id. Members removed by overlap
     /// processing stay in the grid as tombstones — [`Engine::membership`]
     /// is the source of truth, so stale entries simply resolve to no
@@ -184,19 +196,17 @@ struct Engine<const D: usize> {
 }
 
 impl<const D: usize> Engine<D> {
-    fn new(cfg: SgbAllConfig, rng: SmallRng) -> Self {
-        let (algorithm, _) = cost::resolve_all_streaming(cfg.algorithm, D);
-        let index = match algorithm {
-            AllAlgorithm::Indexed => Some(RTree::with_max_entries(cfg.rtree_fanout)),
+    fn new(cfg: Params, rng: SmallRng) -> Self {
+        let index = match cfg.algorithm {
+            Algorithm::Indexed => Some(RTree::with_max_entries(cfg.rtree_fanout)),
             _ => None,
         };
-        let grid = match algorithm {
-            AllAlgorithm::Grid => Some(Grid::new(Grid::<D, RecordId>::side_for_eps(cfg.eps))),
+        let grid = match cfg.algorithm {
+            Algorithm::Grid => Some(Grid::new(Grid::<D, RecordId>::side_for_eps(cfg.eps))),
             _ => None,
         };
         Self {
             cfg,
-            algorithm,
             groups: Vec::new(),
             allowed_cache: Vec::new(),
             reach_cache: Vec::new(),
@@ -250,8 +260,9 @@ impl<const D: usize> Engine<D> {
         overlaps: &mut Vec<GroupId>,
     ) {
         let track_overlaps = self.cfg.overlap != OverlapAction::JoinAny;
-        match self.algorithm {
-            AllAlgorithm::AllPairs => {
+        match self.cfg.algorithm {
+            // Resolution never yields `Auto`; it shares the scan's arm.
+            Algorithm::AllPairs | Algorithm::Auto => {
                 // Procedure 2: inspect every member of every group.
                 let (eps, metric) = (self.cfg.eps, self.cfg.metric);
                 for (gid, g) in self.groups.iter().enumerate() {
@@ -281,7 +292,7 @@ impl<const D: usize> Engine<D> {
                     }
                 }
             }
-            AllAlgorithm::BoundsChecking => {
+            Algorithm::BoundsChecking => {
                 // Procedure 4: constant-time rectangle tests per group,
                 // streaming through the dense rectangle directory (the
                 // rect caches), touching group state only on filter hits.
@@ -300,7 +311,7 @@ impl<const D: usize> Engine<D> {
                     }
                 }
             }
-            AllAlgorithm::Indexed => {
+            Algorithm::Indexed => {
                 // Procedure 5: metric-aware range query on Groups_IX
                 // retrieves every group whose MBR comes within ε of `p`
                 // under the configured norm — a superset of all candidates
@@ -338,7 +349,7 @@ impl<const D: usize> Engine<D> {
                 }
                 self.scratch_window = gset;
             }
-            AllAlgorithm::Grid => {
+            Algorithm::Grid => {
                 // ε-grid probe over the live members: the canonical-verified
                 // hits are exactly the points within ε of `p`, and the set
                 // of their groups is exactly CandidateGroups ∪
@@ -382,7 +393,6 @@ impl<const D: usize> Engine<D> {
                 }
                 self.scratch_window = gset;
             }
-            AllAlgorithm::Auto => unreachable!("Engine::new resolves Auto"),
         }
     }
 
@@ -588,66 +598,57 @@ impl<const D: usize> Engine<D> {
     }
 }
 
-/// Streaming SGB-All operator.
-///
-/// Push points in arrival order, then call [`finish`](Self::finish).
+/// The streaming SGB-All engine behind [`SgbQuery::all`]: push points in
+/// arrival order, then [`finish`](Self::finish).
 ///
 /// ```
-/// use sgb_core::{OverlapAction, SgbAll, SgbAllConfig};
+/// use sgb_core::{OverlapAction, SgbQuery};
 /// use sgb_geom::{Metric, Point};
 ///
-/// let cfg = SgbAllConfig::new(3.0)
+/// let mut stream = SgbQuery::all(3.0)
 ///     .metric(Metric::LInf)
-///     .overlap(OverlapAction::Eliminate);
-/// let mut op = SgbAll::new(cfg);
+///     .overlap(OverlapAction::Eliminate)
+///     .stream();
 /// for p in [[1.0, 7.0], [2.0, 6.0], [6.0, 2.0], [7.0, 1.0], [4.0, 4.0]] {
-///     op.push(Point::new(p));
+///     stream.push(Point::new(p));
 /// }
-/// let out = op.finish();
+/// let out = stream.finish();
 /// assert_eq!(out.sorted_sizes(), vec![2, 2]); // the overlapping point is dropped
-/// assert_eq!(out.eliminated, vec![4]);
+/// assert_eq!(out.eliminated(), &[4]);
 /// ```
 #[derive(Clone, Debug)]
-pub struct SgbAll<const D: usize> {
+pub(crate) struct SgbAll<const D: usize> {
     engine: Engine<D>,
     pushed: usize,
 }
 
 impl<const D: usize> SgbAll<D> {
-    /// Creates the operator.
-    pub fn new(cfg: SgbAllConfig) -> Self {
-        let rng = SmallRng::seed_from_u64(cfg.seed);
+    /// Creates the engine for an SGB-All `query` with threshold `eps` and
+    /// overlap action `overlap` (the query's operator knobs), running the
+    /// concrete `algorithm` the caller resolved.
+    pub(crate) fn new(
+        query: &SgbQuery<D>,
+        eps: f64,
+        overlap: OverlapAction,
+        algorithm: Algorithm,
+    ) -> Self {
+        let cfg = Params {
+            eps,
+            metric: query.metric,
+            overlap,
+            algorithm,
+            hull_threshold: query.hull_threshold,
+            rtree_fanout: query.rtree_fanout,
+        };
         Self {
-            engine: Engine::new(cfg, rng),
+            engine: Engine::new(cfg, SmallRng::seed_from_u64(query.seed)),
             pushed: 0,
         }
     }
 
-    /// The configuration this operator runs with.
-    pub fn config(&self) -> &SgbAllConfig {
-        &self.engine.cfg
-    }
-
-    /// The concrete search strategy this operator runs with
-    /// ([`AllAlgorithm::Auto`] resolved at construction).
-    pub fn resolved_algorithm(&self) -> AllAlgorithm {
-        self.engine.algorithm
-    }
-
     /// Number of points processed so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pushed
-    }
-
-    /// `true` before the first point arrives.
-    pub fn is_empty(&self) -> bool {
-        self.pushed == 0
-    }
-
-    /// Number of live groups formed so far (before the FORM-NEW-GROUP
-    /// recursion re-groups the deferred set).
-    pub fn num_groups(&self) -> usize {
-        self.engine.live_groups
     }
 
     /// Candidate/overlap groups inspected so far by `FindCloseGroups` —
@@ -659,7 +660,7 @@ impl<const D: usize> SgbAll<D> {
     }
 
     /// Processes one point (Procedure 1 body), returning its record id.
-    pub fn push(&mut self, p: Point<D>) -> RecordId {
+    pub(crate) fn push(&mut self, p: Point<D>) -> RecordId {
         assert!(p.is_finite(), "points must have finite coordinates");
         let id = self.pushed;
         self.pushed += 1;
@@ -678,12 +679,12 @@ impl<const D: usize> SgbAll<D> {
 
     /// Completes the operator: runs the FORM-NEW-GROUP recursion over `S'`
     /// (Section 6.2.1) and materialises the answer groups.
-    pub fn finish(mut self) -> Grouping {
+    pub(crate) fn finish(mut self) -> Grouping {
         let mut groups = Vec::new();
         self.engine.drain_groups_into(&mut groups);
         let mut eliminated = std::mem::take(&mut self.engine.eliminated);
         let mut pending = std::mem::take(&mut self.engine.deferred);
-        let cfg = self.engine.cfg.clone();
+        let cfg = self.engine.cfg;
         let mut rng = self.engine.rng.clone();
         drop(self.engine);
 
@@ -692,7 +693,7 @@ impl<const D: usize> SgbAll<D> {
         // pass either joins/creates a group that survives, or its candidate
         // groups' members survive), so this terminates.
         while !pending.is_empty() {
-            let mut sub = Engine::new(cfg.clone(), rng.clone());
+            let mut sub = Engine::new(cfg, rng.clone());
             let before = pending.len();
             for (ext, p) in pending.drain(..) {
                 sub.process(ext, p);
@@ -706,39 +707,20 @@ impl<const D: usize> SgbAll<D> {
                 "FORM-NEW-GROUP recursion failed to make progress"
             );
         }
-        Grouping { groups, eliminated }
+        Grouping::flat(groups, eliminated)
     }
-}
-
-/// One-shot convenience: runs SGB-All over a slice of points — a wrapper
-/// over [`SgbQuery::run`](crate::SgbQuery::run), which resolves
-/// [`AllAlgorithm::Auto`] from the true cardinality.
-///
-/// # Panics
-/// `"points must have finite coordinates"` on a non-finite coordinate.
-pub fn sgb_all<const D: usize>(points: &[Point<D>], cfg: &SgbAllConfig) -> Grouping {
-    crate::SgbQuery::all(cfg.eps)
-        .metric(cfg.metric)
-        .overlap(cfg.overlap)
-        .seed(cfg.seed)
-        .hull_threshold(cfg.hull_threshold)
-        .rtree_fanout(cfg.rtree_fanout)
-        .algorithm(cfg.algorithm.into())
-        .run(points)
-        .into_flat()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SgbAnyConfig;
     use sgb_geom::Metric;
 
-    const ALGOS: [AllAlgorithm; 4] = [
-        AllAlgorithm::AllPairs,
-        AllAlgorithm::BoundsChecking,
-        AllAlgorithm::Indexed,
-        AllAlgorithm::Grid,
+    const ALGOS: [Algorithm; 4] = [
+        Algorithm::AllPairs,
+        Algorithm::BoundsChecking,
+        Algorithm::Indexed,
+        Algorithm::Grid,
     ];
 
     fn pts(raw: &[[f64; 2]]) -> Vec<Point<2>> {
@@ -760,10 +742,10 @@ mod tests {
     #[test]
     fn example1_join_any_yields_3_2() {
         for algo in ALGOS {
-            let cfg = SgbAllConfig::new(3.0).metric(Metric::LInf).algorithm(algo);
-            let out = sgb_all(&fig2_points(), &cfg);
+            let query = SgbQuery::all(3.0).metric(Metric::LInf).algorithm(algo);
+            let out = query.run(&fig2_points());
             assert_eq!(out.sorted_sizes(), vec![3, 2], "{algo:?}");
-            assert!(out.eliminated.is_empty());
+            assert!(out.eliminated().is_empty());
             out.check_partition(5);
         }
     }
@@ -771,13 +753,13 @@ mod tests {
     #[test]
     fn example1_eliminate_yields_2_2() {
         for algo in ALGOS {
-            let cfg = SgbAllConfig::new(3.0)
+            let query = SgbQuery::all(3.0)
                 .metric(Metric::LInf)
                 .overlap(OverlapAction::Eliminate)
                 .algorithm(algo);
-            let out = sgb_all(&fig2_points(), &cfg);
+            let out = query.run(&fig2_points());
             assert_eq!(out.sorted_sizes(), vec![2, 2], "{algo:?}");
-            assert_eq!(out.eliminated, vec![4], "{algo:?}");
+            assert_eq!(out.eliminated(), &[4], "{algo:?}");
             out.check_partition(5);
         }
     }
@@ -785,14 +767,14 @@ mod tests {
     #[test]
     fn example1_form_new_group_yields_2_2_1() {
         for algo in ALGOS {
-            let cfg = SgbAllConfig::new(3.0)
+            let query = SgbQuery::all(3.0)
                 .metric(Metric::LInf)
                 .overlap(OverlapAction::FormNewGroup)
                 .algorithm(algo);
-            let out = sgb_all(&fig2_points(), &cfg);
+            let out = query.run(&fig2_points());
             assert_eq!(out.sorted_sizes(), vec![2, 2, 1], "{algo:?}");
             // a5 ends up alone in the newly formed group.
-            assert!(out.groups.iter().any(|g| g == &vec![4]), "{algo:?}");
+            assert!(out.groups().iter().any(|g| g == &vec![4]), "{algo:?}");
             out.check_partition(5);
         }
     }
@@ -818,12 +800,12 @@ mod tests {
     #[test]
     fn fig4_eliminate_drops_x_and_a3() {
         for algo in ALGOS {
-            let cfg = SgbAllConfig::new(4.0)
+            let query = SgbQuery::all(4.0)
                 .metric(Metric::LInf)
                 .overlap(OverlapAction::Eliminate)
                 .algorithm(algo);
-            let out = sgb_all(&fig4_points(), &cfg);
-            let mut eliminated = out.eliminated.clone();
+            let out = query.run(&fig4_points());
+            let mut eliminated = out.eliminated().to_vec();
             eliminated.sort_unstable();
             assert_eq!(eliminated, vec![2, 10], "{algo:?}"); // a3 and x
             assert_eq!(out.sorted_sizes(), vec![3, 2, 2, 2], "{algo:?}");
@@ -834,21 +816,21 @@ mod tests {
     #[test]
     fn fig4_form_new_group_regroups_x_with_a3() {
         for algo in ALGOS {
-            let cfg = SgbAllConfig::new(4.0)
+            let query = SgbQuery::all(4.0)
                 .metric(Metric::LInf)
                 .overlap(OverlapAction::FormNewGroup)
                 .algorithm(algo);
-            let out = sgb_all(&fig4_points(), &cfg);
+            let out = query.run(&fig4_points());
             // x and a3 are deferred, then form a group of their own
             // (they are within 4 of each other).
             assert!(
-                out.groups.iter().any(|g| {
+                out.groups().iter().any(|g| {
                     let mut g = g.clone();
                     g.sort_unstable();
                     g == vec![2, 10]
                 }),
                 "{algo:?}: {:?}",
-                out.groups
+                out.groups()
             );
             assert_eq!(out.sorted_sizes(), vec![3, 2, 2, 2, 2], "{algo:?}");
             out.check_partition(11);
@@ -858,12 +840,12 @@ mod tests {
     #[test]
     fn fig4_join_any_keeps_groups_intact() {
         for algo in ALGOS {
-            let cfg = SgbAllConfig::new(4.0)
+            let query = SgbQuery::all(4.0)
                 .metric(Metric::LInf)
                 .overlap(OverlapAction::JoinAny)
                 .algorithm(algo)
                 .seed(99);
-            let out = sgb_all(&fig4_points(), &cfg);
+            let out = query.run(&fig4_points());
             assert_eq!(out.grouped_records(), 11, "{algo:?}");
             // x joined exactly one of g2/g3; g1 keeps a3.
             let sizes = out.sorted_sizes();
@@ -878,10 +860,10 @@ mod tests {
     #[test]
     fn empty_and_single_input() {
         for algo in ALGOS {
-            let cfg = SgbAllConfig::new(1.0).algorithm(algo);
-            assert_eq!(sgb_all::<2>(&[], &cfg).num_groups(), 0);
-            let one = sgb_all(&pts(&[[5.0, 5.0]]), &cfg);
-            assert_eq!(one.groups, vec![vec![0]]);
+            let query = SgbQuery::all(1.0).algorithm(algo);
+            assert_eq!(query.run(&[]).num_groups(), 0);
+            let one = query.run(&pts(&[[5.0, 5.0]]));
+            assert_eq!(one.groups(), &[vec![0]]);
         }
     }
 
@@ -905,13 +887,13 @@ mod tests {
                 OverlapAction::FormNewGroup,
             ] {
                 for algo in ALGOS {
-                    let cfg = SgbAllConfig::new(0.8)
+                    let query = SgbQuery::all(0.8)
                         .metric(metric)
                         .overlap(overlap)
                         .algorithm(algo);
-                    let out = sgb_all(&points, &cfg);
+                    let out = query.run(&points);
                     out.check_partition(points.len());
-                    for g in &out.groups {
+                    for g in out.groups() {
                         for i in 0..g.len() {
                             for j in (i + 1)..g.len() {
                                 assert!(
@@ -949,12 +931,12 @@ mod tests {
                 let runs: Vec<Grouping> = ALGOS
                     .iter()
                     .map(|&algo| {
-                        let cfg = SgbAllConfig::new(0.5)
+                        let query = SgbQuery::all(0.5)
                             .metric(metric)
                             .overlap(overlap)
                             .algorithm(algo)
                             .seed(1234);
-                        sgb_all(&points, &cfg)
+                        query.run(&points)
                     })
                     .collect();
                 for (i, run) in runs.iter().enumerate().skip(1) {
@@ -978,16 +960,16 @@ mod tests {
         let corner = Point::new([0.95, 0.95]); // L∞ 0.95 ≤ 1, L2 ≈ 1.34, L1 = 1.9
         for algo in ALGOS {
             for metric in [Metric::L1, Metric::L2] {
-                let out = sgb_all(
-                    &[a, corner],
-                    &SgbAllConfig::new(eps).metric(metric).algorithm(algo),
-                );
+                let out = SgbQuery::all(eps)
+                    .metric(metric)
+                    .algorithm(algo)
+                    .run(&[a, corner]);
                 assert_eq!(out.num_groups(), 2, "{algo:?} must split under {metric}");
             }
-            let linf = sgb_all(
-                &[a, corner],
-                &SgbAllConfig::new(eps).metric(Metric::LInf).algorithm(algo),
-            );
+            let linf = SgbQuery::all(eps)
+                .metric(Metric::LInf)
+                .algorithm(algo)
+                .run(&[a, corner]);
             assert_eq!(linf.num_groups(), 1, "{algo:?} must merge under L∞");
         }
     }
@@ -999,15 +981,15 @@ mod tests {
         let a = Point::new([0.0, 0.0]);
         let b = Point::new([0.7, 0.6]);
         for algo in ALGOS {
-            let l2 = sgb_all(
-                &[a, b],
-                &SgbAllConfig::new(1.0).metric(Metric::L2).algorithm(algo),
-            );
+            let l2 = SgbQuery::all(1.0)
+                .metric(Metric::L2)
+                .algorithm(algo)
+                .run(&[a, b]);
             assert_eq!(l2.num_groups(), 1, "{algo:?}");
-            let l1 = sgb_all(
-                &[a, b],
-                &SgbAllConfig::new(1.0).metric(Metric::L1).algorithm(algo),
-            );
+            let l1 = SgbQuery::all(1.0)
+                .metric(Metric::L1)
+                .algorithm(algo)
+                .run(&[a, b]);
             assert_eq!(l1.num_groups(), 2, "{algo:?}");
         }
     }
@@ -1031,15 +1013,15 @@ mod tests {
             OverlapAction::Eliminate,
             OverlapAction::FormNewGroup,
         ] {
-            let cfg = |hull_threshold: usize| {
-                SgbAllConfig::new(0.9)
+            let query = |hull_threshold: usize| {
+                SgbQuery::all(0.9)
                     .metric(Metric::L1)
                     .overlap(overlap)
                     .hull_threshold(hull_threshold)
                     .seed(11)
             };
-            let hull = sgb_all(&points, &cfg(1));
-            let scan = sgb_all(&points, &cfg(usize::MAX));
+            let hull = query(1).run(&points);
+            let scan = query(usize::MAX).run(&points);
             assert_eq!(hull, scan, "{overlap:?}");
         }
     }
@@ -1047,20 +1029,20 @@ mod tests {
     #[test]
     fn join_any_is_deterministic_per_seed() {
         let points = fig2_points();
-        let cfg = |seed| {
-            SgbAllConfig::new(3.0)
+        let query = |seed| {
+            SgbQuery::all(3.0)
                 .metric(Metric::LInf)
-                .algorithm(AllAlgorithm::Indexed)
+                .algorithm(Algorithm::Indexed)
                 .seed(seed)
         };
-        let a = sgb_all(&points, &cfg(42));
-        let b = sgb_all(&points, &cfg(42));
+        let a = query(42).run(&points);
+        let b = query(42).run(&points);
         assert_eq!(a, b);
         // Across many seeds both choices should appear.
         let mut joined_first = false;
         let mut joined_second = false;
         for seed in 0..32 {
-            let out = sgb_all(&points, &cfg(seed));
+            let out = query(seed).run(&points);
             let sizes = out.sizes();
             if sizes[0] == 3 {
                 joined_first = true;
@@ -1085,12 +1067,12 @@ mod tests {
             [1.4, 0.0],  // x
         ]);
         for algo in ALGOS {
-            let cfg = SgbAllConfig::new(1.6)
+            let query = SgbQuery::all(1.6)
                 .metric(Metric::LInf)
                 .overlap(OverlapAction::Eliminate)
                 .algorithm(algo);
-            let out = sgb_all(&points, &cfg);
-            let mut eliminated = out.eliminated.clone();
+            let out = query.run(&points);
+            let mut eliminated = out.eliminated().to_vec();
             eliminated.sort_unstable();
             assert_eq!(eliminated, vec![1, 4], "{algo:?}");
             assert_eq!(out.sorted_sizes(), vec![1, 1, 1], "{algo:?}");
@@ -1111,11 +1093,11 @@ mod tests {
             [25.0, 0.0], // x2: within of g3, g4
         ]);
         for algo in ALGOS {
-            let cfg = SgbAllConfig::new(6.0)
+            let query = SgbQuery::all(6.0)
                 .metric(Metric::LInf)
                 .overlap(OverlapAction::FormNewGroup)
                 .algorithm(algo);
-            let out = sgb_all(&points, &cfg);
+            let out = query.run(&points);
             out.check_partition(6);
             // x1, x2 deferred; in round 2 they are 20 apart → two singletons.
             assert_eq!(out.sorted_sizes(), vec![1, 1, 1, 1, 1, 1], "{algo:?}");
@@ -1132,8 +1114,8 @@ mod tests {
         ];
         for algo in ALGOS {
             for metric in Metric::ALL {
-                let cfg = SgbAllConfig::new(1.0).metric(metric).algorithm(algo);
-                let out = sgb_all(&points, &cfg);
+                let query = SgbQuery::all(1.0).metric(metric).algorithm(algo);
+                let out = query.run(&points);
                 assert_eq!(out.sorted_sizes(), vec![2, 2], "{algo:?} {metric:?}");
             }
         }
@@ -1152,22 +1134,20 @@ mod tests {
             .map(|_| Point::new([next() * 6.0, next() * 6.0]))
             .collect();
         // Streaming Auto assumes the scalable regime (group R-tree).
-        let op = SgbAll::<2>::new(SgbAllConfig::new(0.5));
-        assert_eq!(op.resolved_algorithm(), AllAlgorithm::Indexed);
+        let stream = SgbQuery::<2>::all(0.5).stream();
+        assert_eq!(stream.resolved_algorithm(), Algorithm::Indexed);
         for overlap in [
             OverlapAction::JoinAny,
             OverlapAction::Eliminate,
             OverlapAction::FormNewGroup,
         ] {
-            let auto = sgb_all(&points, &SgbAllConfig::new(0.5).overlap(overlap).seed(1234));
+            let auto = SgbQuery::all(0.5).overlap(overlap).seed(1234).run(&points);
             for algo in ALGOS {
-                let concrete = sgb_all(
-                    &points,
-                    &SgbAllConfig::new(0.5)
-                        .overlap(overlap)
-                        .algorithm(algo)
-                        .seed(1234),
-                );
+                let concrete = SgbQuery::all(0.5)
+                    .overlap(overlap)
+                    .algorithm(algo)
+                    .seed(1234)
+                    .run(&points);
                 assert_eq!(auto, concrete, "{algo:?} {overlap:?}");
             }
         }
@@ -1187,10 +1167,10 @@ mod tests {
             .map(|_| Point::new([next() * 5.0, next() * 5.0]))
             .collect();
         let eps = 0.7;
-        let all = sgb_all(&points, &SgbAllConfig::new(eps));
-        let any = crate::sgb_any(&points, &SgbAnyConfig::new(eps));
+        let all = SgbQuery::all(eps).run(&points);
+        let any = SgbQuery::any(eps).run(&points);
         let comp = any.assignment(points.len());
-        for g in &all.groups {
+        for g in all.groups() {
             let c0 = comp[g[0]].unwrap();
             assert!(g.iter().all(|&r| comp[r] == Some(c0)));
         }

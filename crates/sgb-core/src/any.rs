@@ -16,20 +16,27 @@
 //!    candidate, or merges all candidates via Union-Find
 //!    (`MergeGroupsInsert`).
 //!
-//! [`SgbAny`] is that streaming framework. One-shot execution (the
-//! [`SgbQuery`] run entry points and [`sgb_any`]) knows the whole point
-//! set instead: it resolves [`AnyAlgorithm::Auto`] from the true
-//! cardinality, bulk-loads its index (or takes it from the session cache)
-//! and runs one of three batch kernels — all-pairs, R-tree, ε-grid — each
-//! governed and telemetry-aware. The ε-graph is symmetric, so unioning
+//! The crate-private `SgbAny` engine is that streaming framework, behind
+//! [`SgbQuery::stream`]. One-shot execution (the [`SgbQuery`] run entry
+//! points) knows the whole point set instead: it resolves
+//! [`Algorithm::Auto`] from the true cardinality, bulk-loads its index (or
+//! takes it from the session cache) and runs one of three batch kernels —
+//! all-pairs, R-tree, ε-grid — each governed and telemetry-aware. The ε-graph is symmetric, so unioning
 //! each edge once yields exactly the streaming components. The answer
 //! depends only on the components, not on the order of the unions
 //! (arXiv:1412.4303), so the grid kernel unions only a spanning subset of
 //! the edges: once two cells are known to be connected, it looks for no
 //! further pair between them (see [`Grid::connectivity_join`]). It can
-//! shard its join across worker threads (see [`SgbAnyConfig::threads`]);
+//! shard its join across worker threads (see [`SgbQuery::threads`]);
 //! every shard's decisions depend only on the cells involved, so the
 //! result is bit-identical to the sequential join.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 
 use sgb_dsu::DisjointSet;
 use sgb_geom::{Metric, Point};
@@ -37,7 +44,7 @@ use sgb_spatial::{Grid, JoinPass, JoinTally, RTree};
 use sgb_telemetry::{Counter, Phase, Telemetry};
 
 use crate::governor::{Pacer, QueryGovernor, SgbError, CHECK_INTERVAL};
-use crate::{cost, AnyAlgorithm, Grouping, RecordId, SgbAnyConfig, SgbQuery};
+use crate::{Algorithm, Grouping, RecordId, SgbQuery};
 
 /// The index state behind `FindCandidateGroups`, per algorithm.
 #[derive(Clone, Debug)]
@@ -50,31 +57,28 @@ enum AnyIndex<const D: usize> {
     Cells(Grid<D, RecordId>),
 }
 
-/// Streaming SGB-Any operator.
-///
-/// Push points in arrival order, then call [`finish`](Self::finish) to
-/// obtain the answer groups.
+/// The streaming SGB-Any engine behind [`SgbQuery::any`]'s stream: push
+/// points in arrival order, then [`finish`](Self::finish).
 ///
 /// ```
-/// use sgb_core::{SgbAny, SgbAnyConfig};
+/// use sgb_core::SgbQuery;
 /// use sgb_geom::Point;
 ///
-/// let mut op = SgbAny::new(SgbAnyConfig::new(3.0));
+/// let mut stream = SgbQuery::any(3.0).stream();
 /// for p in [[1.0, 1.0], [2.0, 2.0], [9.0, 9.0]] {
-///     op.push(Point::new(p));
+///     stream.push(Point::new(p));
 /// }
-/// let out = op.finish();
+/// let out = stream.finish();
 /// assert_eq!(out.sorted_sizes(), vec![2, 1]);
 /// ```
 #[derive(Clone, Debug)]
-pub struct SgbAny<const D: usize> {
-    cfg: SgbAnyConfig,
+pub(crate) struct SgbAny<const D: usize> {
+    eps: f64,
+    metric: Metric,
     points: Vec<Point<D>>,
     dsu: DisjointSet,
-    /// Index behind `FindCandidateGroups`. [`AnyAlgorithm::Auto`] resolves
-    /// at construction via [`cost::resolve_any_streaming`] (a stream's
-    /// final cardinality is unknown, so `Auto` assumes the scalable
-    /// regime; the one-shot [`sgb_any`] resolves from the true `n`).
+    /// Index behind `FindCandidateGroups`, for the concrete algorithm the
+    /// caller resolved (see [`crate::cost::resolve_any_streaming`]).
     index: AnyIndex<D>,
     /// Scratch buffer for neighbour ids, reused across pushes.
     neighbours: Vec<RecordId>,
@@ -84,18 +88,20 @@ pub struct SgbAny<const D: usize> {
 }
 
 impl<const D: usize> SgbAny<D> {
-    /// Creates the operator.
-    pub fn new(cfg: SgbAnyConfig) -> Self {
-        let index = match cost::resolve_any_streaming(cfg.algorithm, D).0 {
-            AnyAlgorithm::AllPairs => AnyIndex::Scan,
-            AnyAlgorithm::Indexed => AnyIndex::Tree(RTree::with_max_entries(cfg.rtree_fanout)),
-            AnyAlgorithm::Grid => {
-                AnyIndex::Cells(Grid::new(Grid::<D, RecordId>::side_for_eps(cfg.eps)))
-            }
-            AnyAlgorithm::Auto => unreachable!("streaming resolution never returns Auto"),
+    /// Creates the engine for an SGB-Any `query` with threshold `eps` (its
+    /// operator knob), running the concrete `algorithm` the caller
+    /// resolved.
+    pub(crate) fn new(query: &SgbQuery<D>, eps: f64, algorithm: Algorithm) -> Self {
+        let index = match algorithm {
+            Algorithm::Indexed => AnyIndex::Tree(RTree::with_max_entries(query.rtree_fanout)),
+            Algorithm::Grid => AnyIndex::Cells(Grid::new(Grid::<D, RecordId>::side_for_eps(eps))),
+            // Resolution never yields `Auto` (and the builder rejects
+            // `BoundsChecking`); both share the scan's arm.
+            Algorithm::AllPairs | Algorithm::Auto | Algorithm::BoundsChecking => AnyIndex::Scan,
         };
         Self {
-            cfg,
+            eps,
+            metric: query.metric,
             points: Vec::new(),
             dsu: DisjointSet::new(),
             index,
@@ -104,41 +110,16 @@ impl<const D: usize> SgbAny<D> {
         }
     }
 
-    /// The concrete algorithm this operator runs with (`Auto` resolved).
-    pub fn resolved_algorithm(&self) -> AnyAlgorithm {
-        match &self.index {
-            AnyIndex::Scan => AnyAlgorithm::AllPairs,
-            AnyIndex::Tree(_) => AnyAlgorithm::Indexed,
-            AnyIndex::Cells(_) => AnyAlgorithm::Grid,
-        }
-    }
-
-    /// The configuration this operator runs with.
-    pub fn config(&self) -> &SgbAnyConfig {
-        &self.cfg
-    }
-
     /// Number of points processed so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.points.len()
     }
 
-    /// `true` before the first point arrives.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Number of groups formed so far (before finishing).
-    pub fn num_groups(&self) -> usize {
-        self.dsu.components()
-    }
-
     /// Processes one point (Procedure 7 body), returning its record id.
-    pub fn push(&mut self, p: Point<D>) -> RecordId {
+    pub(crate) fn push(&mut self, p: Point<D>) -> RecordId {
         assert!(p.is_finite(), "points must have finite coordinates");
         let id = self.points.len();
-        let eps = self.cfg.eps;
-        let metric = self.cfg.metric;
+        let (eps, metric) = (self.eps, self.metric);
 
         // FindCandidateGroups: collect neighbours within ε. Every index
         // path visits a guaranteed superset of the canonical predicate and
@@ -201,29 +182,9 @@ impl<const D: usize> SgbAny<D> {
     /// Materialises the answer groups (the connected components of the
     /// ε-threshold graph). Groups are keyed by smallest member id; the
     /// eliminated set is always empty for SGB-Any.
-    pub fn finish(self) -> Grouping {
-        Grouping {
-            groups: self.dsu.into_groups(),
-            eliminated: Vec::new(),
-        }
+    pub(crate) fn finish(self) -> Grouping {
+        Grouping::flat(self.dsu.into_groups(), Vec::new())
     }
-}
-
-/// One-shot convenience: runs SGB-Any over a slice of points — a wrapper
-/// over [`SgbQuery::run`] under the configuration's knobs. Unlike the
-/// streaming interface it resolves [`AnyAlgorithm::Auto`] from the true
-/// cardinality and bulk-loads its index (see the [module docs](self)).
-///
-/// # Panics
-/// `"points must have finite coordinates"` on a non-finite coordinate.
-pub fn sgb_any<const D: usize>(points: &[Point<D>], cfg: &SgbAnyConfig) -> Grouping {
-    SgbQuery::any(cfg.eps)
-        .metric(cfg.metric)
-        .algorithm(cfg.algorithm.into())
-        .rtree_fanout(cfg.rtree_fanout)
-        .threads(cfg.threads)
-        .run(points)
-        .into_flat()
 }
 
 /// The all-pairs batch kernel: the pairwise loop with a [`Pacer`] tick per
@@ -425,13 +386,16 @@ pub(crate) fn join_grid<const D: usize>(
 /// set (the merge phase).
 fn components(dsu: DisjointSet, tel: &Telemetry) -> Grouping {
     let _merge = tel.phase(Phase::Merge);
-    Grouping {
-        groups: dsu.into_groups(),
-        eliminated: Vec::new(),
-    }
+    Grouping::flat(dsu.into_groups(), Vec::new())
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 mod tests {
     use super::*;
     use sgb_geom::Metric;
@@ -450,10 +414,7 @@ mod tests {
                 }
             }
         }
-        Grouping {
-            groups: dsu.into_groups(),
-            eliminated: Vec::new(),
-        }
+        Grouping::flat(dsu.into_groups(), Vec::new())
     }
 
     #[test]
@@ -470,9 +431,9 @@ mod tests {
             [5.5, 5.5], // g
             [6.0, 4.5], // h
         ]);
-        let out = sgb_any(&points, &SgbAnyConfig::new(3.0));
+        let out = SgbQuery::any(3.0).run(&points);
         assert_eq!(out.num_groups(), 1);
-        assert_eq!(out.groups[0].len(), 8);
+        assert_eq!(out.groups()[0].len(), 8);
     }
 
     #[test]
@@ -487,7 +448,7 @@ mod tests {
             [4.5, 5.5], // a5
         ]);
         for metric in Metric::ALL {
-            let out = sgb_any(&points, &SgbAnyConfig::new(3.0).metric(metric));
+            let out = SgbQuery::any(3.0).metric(metric).run(&points);
             assert_eq!(out.sizes(), vec![5], "metric {metric:?}");
         }
     }
@@ -495,28 +456,28 @@ mod tests {
     #[test]
     fn isolated_points_form_singletons() {
         let points = pts(&[[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]]);
-        let out = sgb_any(&points, &SgbAnyConfig::new(1.0));
+        let out = SgbQuery::any(1.0).run(&points);
         assert_eq!(out.sizes(), vec![1, 1, 1]);
         out.check_partition(3);
     }
 
     #[test]
     fn empty_input() {
-        let out = sgb_any::<2>(&[], &SgbAnyConfig::new(1.0));
+        let out = SgbQuery::<2>::any(1.0).run(&[]);
         assert_eq!(out.num_groups(), 0);
     }
 
     #[test]
     fn duplicate_points_group_together() {
         let points = pts(&[[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]);
-        let out = sgb_any(&points, &SgbAnyConfig::new(0.0));
+        let out = SgbQuery::any(0.0).run(&points);
         assert_eq!(out.sizes(), vec![3]);
     }
 
     #[test]
     fn epsilon_zero_groups_only_exact_duplicates() {
         let points = pts(&[[1.0, 1.0], [1.0, 1.0], [1.0, 1.000001]]);
-        let out = sgb_any(&points, &SgbAnyConfig::new(0.0));
+        let out = SgbQuery::any(0.0).run(&points);
         assert_eq!(out.sorted_sizes(), vec![2, 1]);
     }
 
@@ -527,21 +488,17 @@ mod tests {
         // Procedure 8 line 4).
         let points = pts(&[[0.0, 0.0], [0.9, 0.9]]);
         let eps = 1.0;
-        for algo in [
-            AnyAlgorithm::AllPairs,
-            AnyAlgorithm::Indexed,
-            AnyAlgorithm::Grid,
-        ] {
-            let linf = sgb_any(
-                &points,
-                &SgbAnyConfig::new(eps).metric(Metric::LInf).algorithm(algo),
-            );
+        for algo in [Algorithm::AllPairs, Algorithm::Indexed, Algorithm::Grid] {
+            let linf = SgbQuery::any(eps)
+                .metric(Metric::LInf)
+                .algorithm(algo)
+                .run(&points);
             assert_eq!(linf.num_groups(), 1, "{algo:?}");
             for metric in [Metric::L1, Metric::L2] {
-                let out = sgb_any(
-                    &points,
-                    &SgbAnyConfig::new(eps).metric(metric).algorithm(algo),
-                );
+                let out = SgbQuery::any(eps)
+                    .metric(metric)
+                    .algorithm(algo)
+                    .run(&points);
                 assert_eq!(out.num_groups(), 2, "{algo:?} {metric}");
             }
         }
@@ -565,13 +522,13 @@ mod tests {
             for eps in [0.05, 0.2, 0.6] {
                 let expected = reference(&points, eps, metric).normalized();
                 for algo in [
-                    AnyAlgorithm::AllPairs,
-                    AnyAlgorithm::Indexed,
-                    AnyAlgorithm::Grid,
-                    AnyAlgorithm::Auto,
+                    Algorithm::AllPairs,
+                    Algorithm::Indexed,
+                    Algorithm::Grid,
+                    Algorithm::Auto,
                 ] {
-                    let cfg = SgbAnyConfig::new(eps).metric(metric).algorithm(algo);
-                    let got = sgb_any(&points, &cfg);
+                    let query = SgbQuery::any(eps).metric(metric).algorithm(algo);
+                    let got = query.run(&points);
                     got.check_partition(points.len());
                     assert_eq!(got.normalized(), expected, "{algo:?} {metric:?} ε={eps}");
                 }
@@ -596,18 +553,14 @@ mod tests {
             .map(|_| Point::new([next() * 10.0, next() * 10.0]))
             .collect();
         for metric in Metric::ALL {
-            for algo in [
-                AnyAlgorithm::AllPairs,
-                AnyAlgorithm::Indexed,
-                AnyAlgorithm::Grid,
-            ] {
-                let cfg = SgbAnyConfig::new(0.25).metric(metric).algorithm(algo);
-                let mut op = SgbAny::new(cfg.clone());
+            for algo in [Algorithm::AllPairs, Algorithm::Indexed, Algorithm::Grid] {
+                let query = SgbQuery::any(0.25).metric(metric).algorithm(algo);
+                let mut stream = query.clone().stream();
                 for p in &points {
-                    op.push(*p);
+                    stream.push(*p);
                 }
-                assert_eq!(op.resolved_algorithm(), algo);
-                assert_eq!(op.finish(), sgb_any(&points, &cfg), "{algo:?} {metric}");
+                assert_eq!(stream.resolved_algorithm(), algo);
+                assert_eq!(stream.finish(), query.run(&points), "{algo:?} {metric}");
             }
         }
     }
@@ -615,16 +568,12 @@ mod tests {
     #[test]
     fn auto_resolves_by_cardinality_and_matches_every_concrete() {
         let small = pts(&[[0.0, 0.0], [0.4, 0.0], [5.0, 5.0]]);
-        let op = SgbAny::<2>::new(SgbAnyConfig::new(0.5));
+        let stream = SgbQuery::<2>::any(0.5).stream();
         // Streaming Auto assumes the scalable regime.
-        assert_eq!(op.resolved_algorithm(), AnyAlgorithm::Grid);
-        let auto = sgb_any(&small, &SgbAnyConfig::new(0.5));
-        for algo in [
-            AnyAlgorithm::AllPairs,
-            AnyAlgorithm::Indexed,
-            AnyAlgorithm::Grid,
-        ] {
-            let concrete = sgb_any(&small, &SgbAnyConfig::new(0.5).algorithm(algo));
+        assert_eq!(stream.resolved_algorithm(), Algorithm::Grid);
+        let auto = SgbQuery::any(0.5).run(&small);
+        for algo in [Algorithm::AllPairs, Algorithm::Indexed, Algorithm::Grid] {
+            let concrete = SgbQuery::any(0.5).algorithm(algo).run(&small);
             assert_eq!(auto, concrete, "{algo:?}");
         }
     }
@@ -640,39 +589,46 @@ mod tests {
             [8.5, 8.5],
             [20.0, 20.0],
         ]);
-        let cfg = SgbAnyConfig::new(1.5);
-        let forward = sgb_any(&points, &cfg).normalized();
+        let query = SgbQuery::any(1.5);
+        let forward = query.run(&points).normalized();
         let mut rev = points.clone();
         rev.reverse();
-        let backward = sgb_any(&rev, &cfg);
+        let backward = query.run(&rev);
         // Map reversed ids back to original ids before comparing.
         let n = points.len();
-        let remapped = Grouping {
-            groups: backward
-                .groups
+        let remapped = Grouping::flat(
+            backward
+                .groups()
                 .iter()
                 .map(|g| g.iter().map(|&i| n - 1 - i).collect())
                 .collect(),
-            eliminated: vec![],
-        };
+            vec![],
+        );
         assert_eq!(remapped.normalized(), forward);
     }
 
     #[test]
     fn streaming_group_count_is_monotone_under_merges() {
-        let mut op = SgbAny::new(SgbAnyConfig::new(1.5));
-        op.push(Point::new([0.0, 0.0]));
-        op.push(Point::new([5.0, 0.0]));
-        assert_eq!(op.num_groups(), 2);
+        let points = pts(&[[0.0, 0.0], [5.0, 0.0], [2.0, 0.0], [1.0, 0.0], [3.5, 0.0]]);
+        // The groups a stream holds after its first `k` arrivals.
+        let groups_after = |k: usize| {
+            let mut stream = SgbQuery::any(1.5).stream();
+            for p in &points[..k] {
+                stream.push(*p);
+            }
+            stream.finish().num_groups()
+        };
+        assert_eq!(groups_after(2), 2);
         // Bridging point merges both groups.
-        op.push(Point::new([2.0, 0.0])); // within 1.5 of neither! 2.0 vs 0.0 → 2.0 > 1.5
-        assert_eq!(op.num_groups(), 3);
-        op.push(Point::new([1.0, 0.0])); // links 0.0 and 2.0
-        assert_eq!(op.num_groups(), 2);
-        op.push(Point::new([3.5, 0.0])); // links 2.0 and 5.0
-        assert_eq!(op.num_groups(), 1);
-        assert_eq!(op.len(), 5);
-        let out = op.finish();
+        assert_eq!(groups_after(3), 3); // (2, 0) is within 1.5 of neither: 2.0 > 1.5
+        assert_eq!(groups_after(4), 2); // (1, 0) links 0.0 and 2.0
+        assert_eq!(groups_after(5), 1); // (3.5, 0) links 2.0 and 5.0
+        let mut stream = SgbQuery::any(1.5).stream();
+        for p in &points {
+            stream.push(*p);
+        }
+        assert_eq!(stream.len(), 5);
+        let out = stream.finish();
         assert_eq!(out.sizes(), vec![5]);
     }
 
@@ -689,16 +645,15 @@ mod tests {
             .map(|_| Point::new([next() * 10.0, next() * 10.0]))
             .collect();
         for metric in Metric::ALL {
-            let base = SgbAnyConfig::new(0.3)
-                .metric(metric)
-                .algorithm(AnyAlgorithm::Grid);
-            let sequential = sgb_any(&points, &base.clone().threads(1));
+            let base = SgbQuery::any(0.3).metric(metric).algorithm(Algorithm::Grid);
+            let sequential = base.clone().threads(1).run(&points);
             for threads in [2, 3, 7] {
-                let parallel = sgb_any(&points, &base.clone().threads(threads));
+                let parallel = base.clone().threads(threads).run(&points);
                 // Exact equality, not normalized: group numbering and
                 // member order must match the sequential run bit for bit.
                 assert_eq!(
-                    parallel.groups, sequential.groups,
+                    parallel.groups(),
+                    sequential.groups(),
                     "{metric} threads={threads}"
                 );
             }
@@ -729,11 +684,10 @@ mod tests {
         // Every kernel matches the brute-force components and the
         // streaming operator.
         let expected = reference(&points, eps, metric);
-        let mut stream = SgbAny::new(
-            SgbAnyConfig::new(eps)
-                .metric(metric)
-                .algorithm(AnyAlgorithm::AllPairs),
-        );
+        let mut stream = SgbQuery::any(eps)
+            .metric(metric)
+            .algorithm(Algorithm::AllPairs)
+            .stream();
         for p in &points {
             stream.push(*p);
         }
@@ -796,7 +750,7 @@ mod tests {
         // Connecting the components needs at least a spanning forest of
         // ε-edges, so every join must have visited at least this many
         // candidates (a component of size k can have as few as k-1 edges).
-        let accepted = (points.len() - expected.groups.len()) as u64;
+        let accepted = (points.len() - expected.num_groups()) as u64;
 
         // Every instrumented kernel groups identically to the reference
         // and reports at least as many candidates as the ε-graph's edge
@@ -807,8 +761,7 @@ mod tests {
                 let out = SgbQuery::any(eps)
                     .metric(metric)
                     .telemetry(tel.clone())
-                    .run(&points)
-                    .into_flat();
+                    .run(&points);
                 ("auto", out, tel)
             },
             {
@@ -870,7 +823,7 @@ mod tests {
             Point::new([0.5, 0.5, 0.5]),
             Point::new([0.0, 0.0, 5.0]), // far only in z
         ];
-        let out = sgb_any(&points, &SgbAnyConfig::new(1.0));
+        let out = SgbQuery::any(1.0).run(&points);
         assert_eq!(out.sorted_sizes(), vec![2, 1]);
     }
 }

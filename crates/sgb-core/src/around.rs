@@ -16,17 +16,17 @@
 //!
 //! Three interchangeable search strategies:
 //!
-//! * [`AroundAlgorithm::BruteForce`] scans every center per tuple;
-//! * [`AroundAlgorithm::Indexed`] bulk-loads the centers into an
-//!   [`RTree`] once (sort-tile-recursive packing, no per-center inserts)
-//!   and answers each tuple with a metric-aware nearest-neighbour query;
-//! * [`AroundAlgorithm::Grid`] bulk-loads the centers into a uniform
-//!   [`Grid`] sized for roughly one center per cell and answers each
-//!   tuple with an expanding-ring search.
+//! * [`Algorithm::AllPairs`] scans every center per tuple;
+//! * [`Algorithm::Indexed`] bulk-loads the centers into an [`RTree`] once
+//!   (sort-tile-recursive packing, no per-center inserts) and answers each
+//!   tuple with a metric-aware nearest-neighbour query;
+//! * [`Algorithm::Grid`] bulk-loads the centers into a uniform [`Grid`]
+//!   sized for roughly one center per cell and answers each tuple with an
+//!   expanding-ring search.
 //!
-//! [`AroundAlgorithm::Auto`] cost-selects among them from the center
-//! count ([`crate::cost::resolve_around`] — centers are part of the query,
-//! so streaming and one-shot execution resolve identically).
+//! [`Algorithm::Auto`] cost-selects among them from the center count
+//! ([`crate::cost::resolve_around`] — centers are part of the query, so
+//! streaming and one-shot execution resolve identically).
 //!
 //! All paths break exact distance ties towards the **lowest center
 //! index** and produce bit-identical groupings: the brute path compares
@@ -38,13 +38,13 @@
 
 use std::sync::Arc;
 
-use sgb_geom::Point;
+use sgb_geom::{Metric, Point};
 use sgb_spatial::{Grid, RTree};
 
 use crate::governor::{Pacer, QueryGovernor, SgbError};
-use crate::{cost, AroundAlgorithm, Grouping, RecordId, SgbAroundConfig};
+use crate::{Algorithm, Grouping, RecordId, SgbQuery};
 
-/// Index of a center in the configured center list.
+/// Index of a center in the query's center list.
 pub type CenterId = usize;
 
 /// The per-tuple nearest-center search structure, per concrete algorithm.
@@ -62,148 +62,149 @@ pub(crate) enum CenterIndex<const D: usize> {
     Cells(Grid<D, CenterId>),
 }
 
-/// Bulk-loads the center search structure for a *concrete* algorithm —
-/// the construction half of [`SgbAround::new`], split out so the session
-/// cache can build (and retain) an index without an operator instance.
-///
-/// # Panics
-/// On [`AroundAlgorithm::Auto`] (resolve first).
+impl<const D: usize> CenterIndex<D> {
+    /// The concrete algorithm this structure serves.
+    pub(crate) fn algorithm(&self) -> Algorithm {
+        match self {
+            CenterIndex::Scan => Algorithm::AllPairs,
+            CenterIndex::Tree(_) => Algorithm::Indexed,
+            CenterIndex::Cells(_) => Algorithm::Grid,
+        }
+    }
+}
+
+/// Bulk-loads the center search structure for a resolved algorithm, split
+/// out so the session cache can build (and retain) an index without an
+/// operator instance.
 pub(crate) fn build_center_index<const D: usize>(
-    algorithm: AroundAlgorithm,
+    algorithm: Algorithm,
     rtree_fanout: usize,
     centers: &[Point<D>],
 ) -> CenterIndex<D> {
     match algorithm {
-        AroundAlgorithm::BruteForce => CenterIndex::Scan,
-        AroundAlgorithm::Indexed => CenterIndex::Tree(RTree::from_points(
+        Algorithm::Indexed => CenterIndex::Tree(RTree::from_points(
             rtree_fanout,
             centers.iter().enumerate().map(|(c, p)| (*p, c)),
         )),
-        AroundAlgorithm::Grid => CenterIndex::Cells(Grid::from_points(
+        Algorithm::Grid => CenterIndex::Cells(Grid::from_points(
             Grid::<D, CenterId>::side_for_points(centers),
             centers.iter().enumerate().map(|(c, p)| (*p, c)),
         )),
-        AroundAlgorithm::Auto => unreachable!("resolve_around never returns Auto"),
+        // Resolution never yields `Auto` (and the builder rejects
+        // `BoundsChecking`); both share the scan's arm.
+        Algorithm::AllPairs | Algorithm::Auto | Algorithm::BoundsChecking => CenterIndex::Scan,
     }
 }
 
-/// The answer set of SGB-Around: one group per center (index-aligned with
-/// the configured center list, possibly empty) plus the outlier set.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct AroundGrouping {
-    /// Per-center member lists in arrival order. `groups[c]` holds the
-    /// records whose nearest center is `c`; centers that attracted no
-    /// record keep an empty list, so the vector stays index-aligned.
-    pub groups: Vec<Vec<RecordId>>,
-    /// Records farther than the configured radius from every center, in
-    /// arrival order. Empty when no radius bound was set.
-    pub outliers: Vec<RecordId>,
+/// The assignment rule of one SGB-Around query: its centers, metric and
+/// radius bound, plus the search structure over the centers. Shared by
+/// the streaming engine and the incremental engine.
+#[derive(Clone, Debug)]
+pub(crate) struct CenterRule<const D: usize> {
+    centers: Vec<Point<D>>,
+    metric: Metric,
+    max_radius: Option<f64>,
+    /// Nearest-center search structure, bulk-loaded once (centers never
+    /// change during a run). Shared (`Arc`) so the session index cache
+    /// can hand the same built structure to many queries; it must have
+    /// been built from `centers` in order.
+    index: Arc<CenterIndex<D>>,
 }
 
-impl AroundGrouping {
-    /// Number of centers (occupied or not).
+impl<const D: usize> CenterRule<D> {
+    /// The rule of an SGB-Around `query` with `centers` and `max_radius`
+    /// (its operator knobs), searching through `index`.
+    pub(crate) fn new(
+        query: &SgbQuery<D>,
+        centers: &[Point<D>],
+        max_radius: Option<f64>,
+        index: Arc<CenterIndex<D>>,
+    ) -> Self {
+        Self {
+            centers: centers.to_vec(),
+            metric: query.metric,
+            max_radius,
+            index,
+        }
+    }
+
+    /// Number of centers.
+    pub(crate) fn num_centers(&self) -> usize {
+        self.centers.len()
+    }
+
+    /// The concrete search strategy.
+    pub(crate) fn algorithm(&self) -> Algorithm {
+        self.index.algorithm()
+    }
+
+    /// The center `p` joins, or `None` when `p` lies beyond the radius
+    /// bound (an outlier). `scratch` is traversal scratch for the R-tree,
+    /// reused across calls.
     #[inline]
-    pub fn num_centers(&self) -> usize {
-        self.groups.len()
+    pub(crate) fn assign(&self, scratch: &mut Vec<usize>, p: &Point<D>) -> Option<CenterId> {
+        let c = self.nearest(scratch, p);
+        // Radius bound with the canonical predicate, evaluated identically
+        // on every path (never against the index's reported distance).
+        match self.max_radius {
+            Some(r) if !self.metric.within(p, &self.centers[c], r) => None,
+            _ => Some(c),
+        }
     }
 
-    /// Number of centers that attracted at least one record.
-    pub fn occupied_centers(&self) -> usize {
-        self.groups.iter().filter(|g| !g.is_empty()).count()
-    }
-
-    /// Total number of records assigned to a center.
-    pub fn assigned_records(&self) -> usize {
-        self.groups.iter().map(Vec::len).sum()
-    }
-
-    /// Maps each record id in `0..n` to its center index (`None` for
-    /// outliers).
-    pub fn assignment(&self, n: usize) -> Vec<Option<CenterId>> {
-        let mut out = vec![None; n];
-        for (c, g) in self.groups.iter().enumerate() {
-            for &r in g {
-                debug_assert!(r < n, "record id out of range");
-                debug_assert!(out[r].is_none(), "record {r} assigned twice");
-                out[r] = Some(c);
+    /// The nearest center of `p` under the metric, ties towards the lowest
+    /// center index.
+    ///
+    /// The brute path compares canonical [`sgb_geom::Metric::distance`]
+    /// values so its tie set is identical to the indexed path's
+    /// ([`RTree::nearest_one_with`] reports the same floating-point
+    /// distances for point entries and breaks ties by ascending payload).
+    /// The builder rejects an empty center list; were one to get here,
+    /// every path would answer center 0.
+    fn nearest(&self, scratch: &mut Vec<usize>, p: &Point<D>) -> CenterId {
+        let metric = self.metric;
+        match &*self.index {
+            CenterIndex::Scan => {
+                let mut best = (f64::INFINITY, 0);
+                for (c, q) in self.centers.iter().enumerate() {
+                    let d = metric.distance(p, q);
+                    if d < best.0 {
+                        best = (d, c);
+                    }
+                }
+                best.1
             }
+            CenterIndex::Tree(ix) => ix
+                .nearest_one_with(p, metric, scratch)
+                .map_or(0, |hit| hit.1),
+            CenterIndex::Cells(grid) => grid.nearest_one(p, metric).map_or(0, |hit| hit.1),
         }
-        for &r in &self.outliers {
-            debug_assert!(r < n, "outlier id out of range");
-        }
-        out
-    }
-
-    /// Converts to the family-wide [`Grouping`] representation: non-empty
-    /// center groups in center order, then — when present — the outlier
-    /// group as the final group. Nothing is ever eliminated.
-    pub fn grouping(&self) -> Grouping {
-        let mut groups: Vec<Vec<RecordId>> = self
-            .groups
-            .iter()
-            .filter(|g| !g.is_empty())
-            .cloned()
-            .collect();
-        if !self.outliers.is_empty() {
-            groups.push(self.outliers.clone());
-        }
-        Grouping {
-            groups,
-            eliminated: Vec::new(),
-        }
-    }
-
-    /// Asserts internal consistency for `n` input records (for tests):
-    /// every record is assigned to exactly one center or the outlier set.
-    pub fn check_partition(&self, n: usize) {
-        let mut seen = vec![false; n];
-        for g in &self.groups {
-            for &r in g {
-                assert!(r < n, "record {r} out of range {n}");
-                assert!(!seen[r], "record {r} assigned twice");
-                seen[r] = true;
-            }
-        }
-        for &r in &self.outliers {
-            assert!(r < n, "outlier {r} out of range {n}");
-            assert!(!seen[r], "record {r} both assigned and outlier");
-            seen[r] = true;
-        }
-        assert!(
-            seen.iter().all(|&s| s),
-            "every record must be assigned or an outlier"
-        );
     }
 }
 
-/// Streaming SGB-Around operator.
-///
-/// Push points in any order, then call [`finish`](Self::finish). The
-/// grouping is order-independent: only member order within a group follows
-/// arrival order.
+/// The streaming SGB-Around engine behind [`SgbQuery::around`]: push
+/// points in any order, then [`finish`](Self::finish). The grouping is
+/// order-independent: only member order within a group follows arrival
+/// order.
 ///
 /// ```
-/// use sgb_core::{SgbAround, SgbAroundConfig};
+/// use sgb_core::SgbQuery;
 /// use sgb_geom::Point;
 ///
 /// let centers = vec![Point::new([0.0, 0.0]), Point::new([10.0, 10.0])];
-/// let mut op = SgbAround::new(SgbAroundConfig::new(centers).max_radius(3.0));
+/// let mut stream = SgbQuery::around(centers).max_radius(3.0).stream();
 /// for p in [[1.0, 1.0], [9.0, 9.5], [0.5, -0.5], [5.0, 5.0]] {
-///     op.push(Point::new(p));
+///     stream.push(Point::new(p));
 /// }
-/// let out = op.finish();
-/// assert_eq!(out.groups, vec![vec![0, 2], vec![1]]);
-/// assert_eq!(out.outliers, vec![3]); // (5, 5) is > 3 away from both
+/// let out = stream.finish();
+/// assert_eq!(out.groups(), &[vec![0, 2], vec![1]]);
+/// assert_eq!(out.group_centers(), &[0, 1]);
+/// assert_eq!(out.outliers(), &[3]); // (5, 5) is > 3 away from both
 /// ```
 #[derive(Clone, Debug)]
-pub struct SgbAround<const D: usize> {
-    cfg: SgbAroundConfig<D>,
-    /// Nearest-center search structure, bulk-loaded once at construction
-    /// (centers never change during a run). [`AroundAlgorithm::Auto`]
-    /// resolves from the center count before this is built. Shared
-    /// (`Arc`) so the session index cache can hand the same built
-    /// structure to many operator instances.
-    index: Arc<CenterIndex<D>>,
+pub(crate) struct SgbAround<const D: usize> {
+    rule: CenterRule<D>,
+    /// Per-center member lists, index-aligned with the center list.
     groups: Vec<Vec<RecordId>>,
     outliers: Vec<RecordId>,
     pushed: usize,
@@ -213,29 +214,11 @@ pub struct SgbAround<const D: usize> {
 }
 
 impl<const D: usize> SgbAround<D> {
-    /// Creates the operator, resolving [`AroundAlgorithm::Auto`] from the
-    /// center count and bulk-loading the center index when an indexed
-    /// algorithm is selected.
-    pub fn new(cfg: SgbAroundConfig<D>) -> Self {
-        let (algorithm, _) = cost::around_cost_model(cfg.algorithm, cfg.centers.len(), D);
-        let index = Arc::new(build_center_index(
-            algorithm,
-            cfg.rtree_fanout,
-            &cfg.centers,
-        ));
-        Self::with_center_index(cfg, index)
-    }
-
-    /// Creates the operator around an already-built center index (the
-    /// session cache's entry point). The index must have been built from
-    /// `cfg.centers` in order — construction ignores the metric and the
-    /// table, so one built index serves every query over the same center
-    /// list.
-    pub(crate) fn with_center_index(cfg: SgbAroundConfig<D>, index: Arc<CenterIndex<D>>) -> Self {
-        let groups = vec![Vec::new(); cfg.centers.len()];
+    /// Creates the engine for an assignment rule.
+    pub(crate) fn new(rule: CenterRule<D>) -> Self {
+        let groups = vec![Vec::new(); rule.num_centers()];
         Self {
-            cfg,
-            index,
+            rule,
             groups,
             outliers: Vec::new(),
             pushed: 0,
@@ -243,37 +226,17 @@ impl<const D: usize> SgbAround<D> {
         }
     }
 
-    /// The configuration this operator runs with.
-    pub fn config(&self) -> &SgbAroundConfig<D> {
-        &self.cfg
-    }
-
-    /// The concrete search strategy this operator runs with
-    /// ([`AroundAlgorithm::Auto`] resolved at construction).
-    pub fn resolved_algorithm(&self) -> AroundAlgorithm {
-        match &*self.index {
-            CenterIndex::Scan => AroundAlgorithm::BruteForce,
-            CenterIndex::Tree(_) => AroundAlgorithm::Indexed,
-            CenterIndex::Cells(_) => AroundAlgorithm::Grid,
-        }
-    }
-
     /// Number of points processed so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pushed
-    }
-
-    /// `true` before the first point arrives.
-    pub fn is_empty(&self) -> bool {
-        self.pushed == 0
     }
 
     /// Assigns one point to its nearest center (or the outlier group),
     /// returning its record id.
-    pub fn push(&mut self, p: Point<D>) -> RecordId {
+    pub(crate) fn push(&mut self, p: Point<D>) -> RecordId {
         assert!(p.is_finite(), "points must have finite coordinates");
-        let c = nearest_center_in(&self.index, &self.cfg, &mut self.scratch, &p);
-        self.record((!is_outlier(&self.cfg, &p, c)).then_some(c))
+        let c = self.rule.assign(&mut self.scratch, &p);
+        self.record(c)
     }
 
     /// Appends the next record id to center `c`'s group, or to the
@@ -289,28 +252,9 @@ impl<const D: usize> SgbAround<D> {
     }
 
     /// Assigns a complete batch of points, equivalent to pushing each in
-    /// order — but when the configuration requests (or the cost model
-    /// grants, see [`crate::cost::threads_for_around`]) more than one
-    /// worker, the nearest-center classification runs **in parallel over
-    /// tuple chunks**. This is the query layer's governed batch assignment
-    /// under an unrestricted governor.
-    ///
-    /// # Panics
-    /// `"points must have finite coordinates"` on a non-finite coordinate,
-    /// before any point is assigned.
-    pub fn extend_from_slice(&mut self, points: &[Point<D>]) {
-        assert!(
-            points.iter().all(Point::is_finite),
-            "points must have finite coordinates"
-        );
-        if let Err(e) = self.try_extend_from_slice(points, &QueryGovernor::unrestricted()) {
-            panic!("{e}");
-        }
-    }
-
-    /// The batch assignment under a [`QueryGovernor`]: equivalent to
-    /// pushing each point in order, with a deadline/cancellation check
-    /// per tuple. With more than one worker, each worker classifies its
+    /// order, with a deadline/cancellation check per tuple. With more than
+    /// one worker (`threads`, as the caller resolved it — see
+    /// [`crate::cost::threads_for_around`]), each worker classifies its
     /// chunk independently into a shared slot array, pacing against the
     /// shared governor and parking its verdict in a per-chunk slot; a
     /// sequential arrival-order stitch then appends record ids to their
@@ -320,16 +264,16 @@ impl<const D: usize> SgbAround<D> {
     /// the callers).
     ///
     /// On `Err`, the state may have absorbed a prefix of the batch —
-    /// **discard the operator**; the query entry points build a fresh
-    /// operator per call, so no partial grouping is observable.
+    /// **discard the engine**; the query entry points build a fresh
+    /// engine per call, so no partial grouping is observable.
     pub(crate) fn try_extend_from_slice(
         &mut self,
         points: &[Point<D>],
+        threads: usize,
         governor: &QueryGovernor,
     ) -> Result<(), SgbError> {
         failpoints::fail_point!("sgb_core::around::assign", |_| Err(SgbError::Cancelled));
         governor.check()?;
-        let (threads, _) = cost::threads_for_around(self.cfg.threads, points.len());
         if threads <= 1 {
             let mut pacer = Pacer::new();
             for p in points {
@@ -339,7 +283,7 @@ impl<const D: usize> SgbAround<D> {
             return Ok(());
         }
         assert!(
-            self.cfg.centers.len() < u32::MAX as usize,
+            self.rule.num_centers() < u32::MAX as usize,
             "too many centers for the parallel assignment encoding"
         );
         const OUTLIER: u32 = u32::MAX;
@@ -348,8 +292,7 @@ impl<const D: usize> SgbAround<D> {
         // balances; chunk geometry never affects results.
         let chunk = points.len().div_ceil(threads * 4).max(1);
         let mut verdicts: Vec<Result<(), SgbError>> = vec![Ok(()); points.len().div_ceil(chunk)];
-        let index = &self.index;
-        let cfg = &self.cfg;
+        let rule = &self.rule;
         let mut pool = scoped_threadpool::Pool::new(threads as u32);
         pool.try_scoped(|scope| {
             for ((pts, out), verdict) in points
@@ -363,12 +306,7 @@ impl<const D: usize> SgbAround<D> {
                     *verdict = pts.iter().zip(out.iter_mut()).try_for_each(|(p, slot)| {
                         pacer.tick(governor)?;
                         debug_assert!(p.is_finite(), "validated by the callers");
-                        let c = nearest_center_in(index, cfg, &mut scratch, p);
-                        *slot = if is_outlier(cfg, p, c) {
-                            OUTLIER
-                        } else {
-                            c as u32
-                        };
+                        *slot = rule.assign(&mut scratch, p).map_or(OUTLIER, |c| c as u32);
                         Ok(())
                     });
                 });
@@ -386,86 +324,26 @@ impl<const D: usize> SgbAround<D> {
         Ok(())
     }
 
-    /// Materialises the answer groups.
-    pub fn finish(self) -> AroundGrouping {
-        AroundGrouping {
-            groups: self.groups,
-            outliers: self.outliers,
-        }
+    /// Materialises the answer groups: the non-empty center groups in
+    /// center order, each with its center, plus the outlier set.
+    pub(crate) fn finish(self) -> Grouping {
+        Grouping::around(self.groups, self.outliers)
     }
-}
-
-/// The nearest center of `p` under `cfg.metric`, ties towards the lowest
-/// center index. Free function (rather than a method) so the parallel
-/// batch path can classify from a shared `&CenterIndex` with per-worker
-/// traversal scratch.
-///
-/// The brute path compares canonical [`sgb_geom::Metric::distance`]
-/// values so its tie set is identical to the indexed path's
-/// ([`RTree::nearest_one_with`] reports the same floating-point distances
-/// for point entries and breaks ties by ascending payload).
-pub(crate) fn nearest_center_in<const D: usize>(
-    index: &CenterIndex<D>,
-    cfg: &SgbAroundConfig<D>,
-    scratch: &mut Vec<usize>,
-    p: &Point<D>,
-) -> CenterId {
-    match index {
-        CenterIndex::Scan => {
-            let metric = cfg.metric;
-            let mut best = (f64::INFINITY, 0);
-            for (c, q) in cfg.centers.iter().enumerate() {
-                let d = metric.distance(p, q);
-                if d < best.0 {
-                    best = (d, c);
-                }
-            }
-            best.1
-        }
-        CenterIndex::Tree(ix) => {
-            let hit = ix.nearest_one_with(p, cfg.metric, scratch);
-            hit.expect("center list is never empty").1
-        }
-        CenterIndex::Cells(grid) => {
-            let hit = grid.nearest_one(p, cfg.metric);
-            hit.expect("center list is never empty").1
-        }
-    }
-}
-
-/// Radius bound with the canonical predicate, evaluated identically on
-/// every path (never against the index's reported distance).
-#[inline]
-pub(crate) fn is_outlier<const D: usize>(
-    cfg: &SgbAroundConfig<D>,
-    p: &Point<D>,
-    c: CenterId,
-) -> bool {
-    match cfg.max_radius {
-        Some(r) => !cfg.metric.within(p, &cfg.centers[c], r),
-        None => false,
-    }
-}
-
-/// One-shot convenience: runs SGB-Around over a slice of points (in
-/// parallel when [`SgbAroundConfig::threads`] asks for it — see
-/// [`SgbAround::extend_from_slice`]).
-pub fn sgb_around<const D: usize>(points: &[Point<D>], cfg: &SgbAroundConfig<D>) -> AroundGrouping {
-    let mut op = SgbAround::new(cfg.clone());
-    op.extend_from_slice(points);
-    op.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Metric;
 
-    const ALGOS: [AroundAlgorithm; 3] = [
-        AroundAlgorithm::BruteForce,
-        AroundAlgorithm::Indexed,
-        AroundAlgorithm::Grid,
-    ];
+    /// Maps each record id in `0..n` to its center (`None` for outliers).
+    fn centers_of(out: &Grouping, n: usize) -> Vec<Option<CenterId>> {
+        out.assignment(n)
+            .into_iter()
+            .map(|g| g.map(|g| out.group_centers()[g]))
+            .collect()
+    }
+
+    const ALGOS: [Algorithm; 3] = [Algorithm::AllPairs, Algorithm::Indexed, Algorithm::Grid];
 
     fn pts(raw: &[[f64; 2]]) -> Vec<Point<2>> {
         raw.iter().map(|&c| Point::new(c)).collect()
@@ -490,10 +368,11 @@ mod tests {
         let centers = pts(&[[0.0, 0.0], [10.0, 0.0]]);
         let points = pts(&[[1.0, 0.0], [9.0, 0.0], [4.0, 0.0], [6.0, 0.0]]);
         for algo in ALGOS {
-            let cfg = SgbAroundConfig::new(centers.clone()).algorithm(algo);
-            let out = sgb_around(&points, &cfg);
-            assert_eq!(out.groups, vec![vec![0, 2], vec![1, 3]], "{algo:?}");
-            assert!(out.outliers.is_empty());
+            let query = SgbQuery::around(centers.clone()).algorithm(algo);
+            let out = query.run(&points);
+            assert_eq!(out.groups(), &[vec![0, 2], vec![1, 3]], "{algo:?}");
+            assert_eq!(out.group_centers(), &[0, 1], "{algo:?}");
+            assert!(out.outliers().is_empty());
             out.check_partition(4);
         }
     }
@@ -506,21 +385,22 @@ mod tests {
         let points = pts(&[[5.0, 0.0]]);
         for metric in Metric::ALL {
             for algo in ALGOS {
-                let cfg = SgbAroundConfig::new(centers.clone())
+                let query = SgbQuery::around(centers.clone())
                     .metric(metric)
                     .algorithm(algo);
-                let out = sgb_around(&points, &cfg);
-                assert_eq!(out.groups[0], vec![0], "{algo:?} {metric}");
-                assert!(out.groups[1].is_empty(), "{algo:?} {metric}");
+                let out = query.run(&points);
+                assert_eq!(out.groups(), &[vec![0]], "{algo:?} {metric}");
+                assert_eq!(out.group_centers(), &[0], "{algo:?} {metric}");
             }
         }
         // Swapping the center order flips the winner: the tie-break is by
         // index, not by coordinates.
         let swapped = pts(&[[10.0, 0.0], [0.0, 0.0]]);
         for algo in ALGOS {
-            let cfg = SgbAroundConfig::new(swapped.clone()).algorithm(algo);
-            let out = sgb_around(&points, &cfg);
-            assert_eq!(out.groups[0], vec![0], "{algo:?}");
+            let query = SgbQuery::around(swapped.clone()).algorithm(algo);
+            let out = query.run(&points);
+            assert_eq!(out.groups(), &[vec![0]], "{algo:?}");
+            assert_eq!(out.group_centers(), &[0], "{algo:?}");
         }
     }
 
@@ -530,10 +410,10 @@ mod tests {
         // the lowest index of a duplicated center wins.
         let centers = pts(&[[1.0, 1.0], [1.0, 1.0]]);
         for algo in ALGOS {
-            let cfg = SgbAroundConfig::new(centers.clone()).algorithm(algo);
-            let out = sgb_around(&pts(&[[1.2, 1.0]]), &cfg);
-            assert_eq!(out.groups[0], vec![0], "{algo:?}");
-            assert!(out.groups[1].is_empty(), "{algo:?}");
+            let query = SgbQuery::around(centers.clone()).algorithm(algo);
+            let out = query.run(&pts(&[[1.2, 1.0]]));
+            assert_eq!(out.groups(), &[vec![0]], "{algo:?}");
+            assert_eq!(out.group_centers(), &[0], "{algo:?}");
         }
     }
 
@@ -543,12 +423,13 @@ mod tests {
         // Boundary is inclusive (canonical predicate δ ≤ r).
         let points = pts(&[[3.0, 0.0], [3.1, 0.0], [0.0, -3.0], [8.0, 8.0]]);
         for algo in ALGOS {
-            let cfg = SgbAroundConfig::new(centers.clone())
+            let query = SgbQuery::around(centers.clone())
                 .max_radius(3.0)
                 .algorithm(algo);
-            let out = sgb_around(&points, &cfg);
-            assert_eq!(out.groups[0], vec![0, 2], "{algo:?}");
-            assert_eq!(out.outliers, vec![1, 3], "{algo:?}");
+            let out = query.run(&points);
+            assert_eq!(out.groups(), &[vec![0, 2]], "{algo:?}");
+            assert_eq!(out.group_centers(), &[0], "{algo:?}");
+            assert_eq!(out.outliers(), &[1, 3], "{algo:?}");
             out.check_partition(4);
         }
     }
@@ -560,15 +441,15 @@ mod tests {
         let centers = pts(&[[0.0, 0.0]]);
         let points = pts(&[[0.8, 0.8]]);
         for algo in ALGOS {
-            let cfg = |m: Metric| {
-                SgbAroundConfig::new(centers.clone())
+            let query = |m: Metric| {
+                SgbQuery::around(centers.clone())
                     .metric(m)
                     .max_radius(1.0)
                     .algorithm(algo)
             };
-            assert!(sgb_around(&points, &cfg(Metric::LInf)).outliers.is_empty());
-            assert_eq!(sgb_around(&points, &cfg(Metric::L2)).outliers, vec![0]);
-            assert_eq!(sgb_around(&points, &cfg(Metric::L1)).outliers, vec![0]);
+            assert!(query(Metric::LInf).run(&points).outliers().is_empty());
+            assert_eq!(query(Metric::L2).run(&points).outliers(), &[0]);
+            assert_eq!(query(Metric::L1).run(&points).outliers(), &[0]);
         }
     }
 
@@ -580,15 +461,13 @@ mod tests {
         let centers = pts(&[[3.0, 3.0], [2.2, 0.9]]);
         let q = pts(&[[2.2, 2.2]]);
         for algo in ALGOS {
-            let cfg = |m: Metric| {
-                SgbAroundConfig::new(centers.clone())
-                    .metric(m)
-                    .algorithm(algo)
-            };
-            let l1 = sgb_around(&q, &cfg(Metric::L1));
-            assert_eq!(l1.groups[1], vec![0], "{algo:?}");
-            let linf = sgb_around(&q, &cfg(Metric::LInf));
-            assert_eq!(linf.groups[0], vec![0], "{algo:?}");
+            let query = |m: Metric| SgbQuery::around(centers.clone()).metric(m).algorithm(algo);
+            let l1 = query(Metric::L1).run(&q);
+            assert_eq!(l1.groups(), &[vec![0]], "{algo:?}");
+            assert_eq!(l1.group_centers(), &[1], "{algo:?}");
+            let linf = query(Metric::LInf).run(&q);
+            assert_eq!(linf.groups(), &[vec![0]], "{algo:?}");
+            assert_eq!(linf.group_centers(), &[0], "{algo:?}");
         }
     }
 
@@ -599,20 +478,16 @@ mod tests {
         for metric in Metric::ALL {
             for radius in [None, Some(0.9), Some(2.5)] {
                 let run = |algo| {
-                    let mut cfg = SgbAroundConfig::new(centers.clone())
+                    let mut query = SgbQuery::around(centers.clone())
                         .metric(metric)
                         .algorithm(algo);
                     if let Some(r) = radius {
-                        cfg = cfg.max_radius(r);
+                        query = query.max_radius(r);
                     }
-                    sgb_around(&points, &cfg)
+                    query.run(&points)
                 };
-                let brute = run(AroundAlgorithm::BruteForce);
-                for algo in [
-                    AroundAlgorithm::Indexed,
-                    AroundAlgorithm::Grid,
-                    AroundAlgorithm::Auto,
-                ] {
+                let brute = run(Algorithm::AllPairs);
+                for algo in [Algorithm::Indexed, Algorithm::Grid, Algorithm::Auto] {
                     assert_eq!(brute, run(algo), "{algo:?} {metric} radius {radius:?}");
                 }
                 brute.check_partition(points.len());
@@ -622,28 +497,28 @@ mod tests {
 
     #[test]
     fn auto_resolves_from_center_count() {
-        let few = SgbAround::new(SgbAroundConfig::new(cloud(8, 1, 5.0)));
-        assert_eq!(few.resolved_algorithm(), AroundAlgorithm::BruteForce);
-        let many = SgbAround::new(SgbAroundConfig::new(cloud(700, 2, 5.0)));
-        assert_eq!(many.resolved_algorithm(), AroundAlgorithm::Grid);
-        let explicit = SgbAround::new(
-            SgbAroundConfig::new(cloud(8, 3, 5.0)).algorithm(AroundAlgorithm::Indexed),
-        );
-        assert_eq!(explicit.resolved_algorithm(), AroundAlgorithm::Indexed);
+        let few = SgbQuery::around(cloud(8, 1, 5.0)).stream();
+        assert_eq!(few.resolved_algorithm(), Algorithm::AllPairs);
+        let many = SgbQuery::around(cloud(700, 2, 5.0)).stream();
+        assert_eq!(many.resolved_algorithm(), Algorithm::Grid);
+        let explicit = SgbQuery::around(cloud(8, 3, 5.0))
+            .algorithm(Algorithm::Indexed)
+            .stream();
+        assert_eq!(explicit.resolved_algorithm(), Algorithm::Indexed);
     }
 
     #[test]
     fn order_independence_of_assignment() {
         let points = cloud(300, 0x0D3F1A, 8.0);
         let centers: Vec<Point<2>> = cloud(9, 7, 8.0);
-        let cfg = SgbAroundConfig::new(centers).max_radius(1.5);
-        let forward = sgb_around(&points, &cfg);
-        let assignment = forward.assignment(points.len());
+        let query = SgbQuery::around(centers).max_radius(1.5);
+        let forward = query.run(&points);
+        let assignment = centers_of(&forward, points.len());
         // Process in reverse: each record's center must be unchanged.
         let mut rev = points.clone();
         rev.reverse();
-        let backward = sgb_around(&rev, &cfg);
-        let back_assignment = backward.assignment(points.len());
+        let backward = query.run(&rev);
+        let back_assignment = centers_of(&backward, points.len());
         let n = points.len();
         for i in 0..n {
             assert_eq!(assignment[i], back_assignment[n - 1 - i], "record {i}");
@@ -654,26 +529,26 @@ mod tests {
     fn grouping_conversion_drops_empty_centers_and_appends_outliers() {
         let centers = pts(&[[0.0, 0.0], [50.0, 50.0], [10.0, 0.0]]);
         let points = pts(&[[0.5, 0.0], [9.5, 0.0], [25.0, 25.0]]);
-        let cfg = SgbAroundConfig::new(centers).max_radius(2.0);
-        let out = sgb_around(&points, &cfg);
-        assert_eq!(out.num_centers(), 3);
-        assert_eq!(out.occupied_centers(), 2);
-        assert_eq!(out.assigned_records(), 2);
-        let g = out.grouping();
+        let query = SgbQuery::around(centers).max_radius(2.0);
+        let out = query.run(&points);
         // Center 1 attracted nothing; outliers come last.
-        assert_eq!(g.groups, vec![vec![0], vec![1], vec![2]]);
-        g.check_partition(3);
-        assert_eq!(out.assignment(3), vec![Some(0), Some(2), None]);
+        assert_eq!(out.group_centers(), &[0, 2]);
+        assert_eq!(out.num_groups(), 2);
+        assert_eq!(out.grouped_records(), 2);
+        let shaped: Vec<&[RecordId]> = out.output_groups().collect();
+        assert_eq!(shaped, vec![&[0][..], &[1][..], &[2][..]]);
+        out.check_partition(3);
+        assert_eq!(centers_of(&out, 3), vec![Some(0), Some(2), None]);
     }
 
     #[test]
     fn empty_input_yields_empty_groups() {
-        let cfg = SgbAroundConfig::new(pts(&[[0.0, 0.0], [1.0, 1.0]]));
+        let query = SgbQuery::around(pts(&[[0.0, 0.0], [1.0, 1.0]]));
         for algo in ALGOS {
-            let out = sgb_around::<2>(&[], &cfg.clone().algorithm(algo));
-            assert_eq!(out.num_centers(), 2);
-            assert_eq!(out.occupied_centers(), 0);
-            assert!(out.grouping().groups.is_empty());
+            let out = query.clone().algorithm(algo).run(&[]);
+            assert!(out.group_centers().is_empty());
+            assert_eq!(out.num_groups(), 0);
+            assert!(out.output_groups().next().is_none());
         }
     }
 
@@ -681,10 +556,11 @@ mod tests {
     fn zero_radius_keeps_only_exact_matches() {
         let centers = pts(&[[1.0, 1.0]]);
         let points = pts(&[[1.0, 1.0], [1.0, 1.0000001]]);
-        let cfg = SgbAroundConfig::new(centers).max_radius(0.0);
-        let out = sgb_around(&points, &cfg);
-        assert_eq!(out.groups[0], vec![0]);
-        assert_eq!(out.outliers, vec![1]);
+        let query = SgbQuery::around(centers).max_radius(0.0);
+        let out = query.run(&points);
+        assert_eq!(out.groups(), &[vec![0]]);
+        assert_eq!(out.group_centers(), &[0]);
+        assert_eq!(out.outliers(), &[1]);
     }
 
     #[test]
@@ -697,11 +573,12 @@ mod tests {
         ];
         for metric in Metric::ALL {
             for algo in ALGOS {
-                let cfg = SgbAroundConfig::new(centers.clone())
+                let query = SgbQuery::around(centers.clone())
                     .metric(metric)
                     .algorithm(algo);
-                let out = sgb_around(&points, &cfg);
-                assert_eq!(out.groups, vec![vec![0, 2], vec![1]], "{algo:?} {metric}");
+                let out = query.run(&points);
+                assert_eq!(out.groups(), &[vec![0, 2], vec![1]], "{algo:?} {metric}");
+                assert_eq!(out.group_centers(), &[0, 1], "{algo:?} {metric}");
             }
         }
     }
@@ -713,15 +590,15 @@ mod tests {
         for metric in Metric::ALL {
             for algo in ALGOS {
                 for radius in [None, Some(1.2)] {
-                    let mut base = SgbAroundConfig::new(centers.clone())
+                    let mut base = SgbQuery::around(centers.clone())
                         .metric(metric)
                         .algorithm(algo);
                     if let Some(r) = radius {
                         base = base.max_radius(r);
                     }
-                    let sequential = sgb_around(&points, &base.clone().threads(1));
+                    let sequential = base.clone().threads(1).run(&points);
                     for threads in [2, 3, 7] {
-                        let parallel = sgb_around(&points, &base.clone().threads(threads));
+                        let parallel = base.clone().threads(threads).run(&points);
                         // Exact equality: member order within every group
                         // and the outlier order must match arrival order.
                         assert_eq!(
@@ -738,14 +615,14 @@ mod tests {
     fn streaming_interface_matches_one_shot() {
         let points = cloud(100, 3, 5.0);
         let centers: Vec<Point<2>> = cloud(5, 4, 5.0);
-        let cfg = SgbAroundConfig::new(centers).max_radius(1.0);
-        let mut op = SgbAround::new(cfg.clone());
-        assert!(op.is_empty());
+        let query = SgbQuery::around(centers).max_radius(1.0);
+        let mut stream = query.clone().stream();
+        assert!(stream.is_empty());
         for p in &points {
-            op.push(*p);
+            stream.push(*p);
         }
-        assert_eq!(op.len(), 100);
-        assert_eq!(op.config().max_radius, Some(1.0));
-        assert_eq!(op.finish(), sgb_around(&points, &cfg));
+        assert_eq!(stream.len(), 100);
+        assert_eq!(query.radius_bound(), Some(1.0));
+        assert_eq!(stream.finish(), query.run(&points));
     }
 }

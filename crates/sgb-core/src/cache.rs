@@ -51,7 +51,7 @@ use sgb_spatial::{Grid, RTree};
 
 use crate::around::{build_center_index, CenterIndex};
 use crate::query::Grouping;
-use crate::{AroundAlgorithm, RecordId};
+use crate::{Algorithm, RecordId};
 
 /// A cached grid with cell side `c` serves an ε-query while
 /// `side_for_eps(ε) / c` stays at or below this ratio. Past it, the
@@ -250,13 +250,13 @@ impl<const D: usize> SgbCache<D> {
     /// algorithm, fan-out, and center list cached?
     pub fn has_center_index(
         &self,
-        algorithm: AroundAlgorithm,
+        algorithm: Algorithm,
         fanout: usize,
         centers: &[Point<D>],
     ) -> bool {
         let tag: u8 = match algorithm {
-            AroundAlgorithm::Indexed => 1,
-            AroundAlgorithm::Grid => 2,
+            Algorithm::Indexed => 1,
+            Algorithm::Grid => 2,
             _ => return false,
         };
         let bits = center_bits(centers);
@@ -274,7 +274,7 @@ impl<const D: usize> SgbCache<D> {
         &self,
         centers: &[Point<D>],
         fanout: usize,
-    ) -> Option<AroundAlgorithm> {
+    ) -> Option<Algorithm> {
         let bits = center_bits(centers);
         let inner = self.lock();
         inner
@@ -283,8 +283,8 @@ impl<const D: usize> SgbCache<D> {
             .rev()
             .find(|((_, f, b), _)| *f == fanout && *b == bits)
             .map(|((tag, _, _), _)| match tag {
-                1 => AroundAlgorithm::Indexed,
-                _ => AroundAlgorithm::Grid,
+                1 => Algorithm::Indexed,
+                _ => Algorithm::Grid,
             })
     }
 
@@ -357,13 +357,13 @@ impl<const D: usize> SgbCache<D> {
     /// indexes read only the query's centers.
     pub(crate) fn get_or_build_center_index(
         &self,
-        algorithm: AroundAlgorithm,
+        algorithm: Algorithm,
         fanout: usize,
         centers: &[Point<D>],
     ) -> Arc<CenterIndex<D>> {
         let tag: u8 = match algorithm {
-            AroundAlgorithm::Indexed => 1,
-            AroundAlgorithm::Grid => 2,
+            Algorithm::Indexed => 1,
+            Algorithm::Grid => 2,
             _ => unreachable!("only indexed center structures are cached"),
         };
         let key: CenterKey = (tag, fanout, center_bits(centers));

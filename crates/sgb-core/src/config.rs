@@ -1,7 +1,13 @@
-//! Operator configuration: thresholds, metrics, overlap semantics, and
-//! algorithm selection.
+//! The vocabulary of the operators' configuration: the SGB-All overlap
+//! semantics and the algorithm selector. Thresholds, the metric and the
+//! remaining knobs are set — and validated — on [`crate::SgbQuery`].
 
-use sgb_geom::{Metric, Point};
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 
 /// The `ON-OVERLAP` arbitration clause of SGB-All (Section 4.1).
 ///
@@ -42,19 +48,17 @@ impl OverlapAction {
     }
 }
 
-/// The unified, operator-independent algorithm selector of the
+/// The operator-independent algorithm selector of the
 /// [`crate::SgbQuery`] surface.
 ///
 /// Every member of the SGB family offers the same *kinds* of execution
 /// path — a plain scan, an R-tree, an ε-grid, and a cost-based default —
 /// plus one operator-specific extra (SGB-All's rectangle directory). This
-/// enum names each kind once; [`Algorithm::for_all`] /
-/// [`Algorithm::for_any`] / [`Algorithm::for_around`] translate to the
-/// per-operator execution enums (and reject combinations that do not
-/// exist, e.g. `BoundsChecking` for SGB-Any). The reverse [`From`]
-/// conversions let resolved per-operator choices report back through one
-/// vocabulary — `EXPLAIN`'s `path:` line and
-/// [`crate::query::Grouping::resolved_algorithm`] speak this type.
+/// enum names each kind once, for every operator: the query builder
+/// rejects the one combination that does not exist (`BoundsChecking` for
+/// SGB-Any / SGB-Around), the cost model in [`crate::cost`] resolves
+/// `Auto` to a concrete variant, and `EXPLAIN`'s `path:` line and
+/// [`crate::Grouping::resolved_algorithm`] report the resolved variant.
 ///
 /// Selection never affects results: all concrete paths of an operator are
 /// proven bit-identical, so the choice only moves *when* the answer
@@ -65,15 +69,18 @@ pub enum Algorithm {
     /// [`crate::cost`]).
     #[default]
     Auto,
-    /// Plain scan: all-pairs point comparison (SGB-All/Any) or the brute
-    /// center scan (SGB-Around). Wins at small cardinalities where
-    /// nothing amortises index construction.
+    /// Plain scan: all-pairs point comparison (SGB-All's Procedure 2,
+    /// SGB-Any's scan of every previous point) or the brute center scan
+    /// (SGB-Around). Wins at small cardinalities where nothing amortises
+    /// index construction.
     AllPairs,
-    /// SGB-All's dense rectangle directory (Procedure 4). Not applicable
-    /// to SGB-Any / SGB-Around.
+    /// SGB-All's dense rectangle directory (Procedure 4): constant-time
+    /// ε-All rectangle tests per group. Not applicable to SGB-Any /
+    /// SGB-Around.
     BoundsChecking,
     /// R-tree-indexed search: on-the-fly group/point trees for
-    /// SGB-All/Any, an STR bulk-loaded center tree for SGB-Around.
+    /// SGB-All/Any (Procedures 5 and 8), an STR bulk-loaded center tree
+    /// for SGB-Around.
     Indexed,
     /// ε-grid search: neighbour-cell probes, no tree descent.
     Grid,
@@ -88,44 +95,6 @@ impl Algorithm {
         Algorithm::Indexed,
         Algorithm::Grid,
     ];
-
-    /// Translates to the SGB-All execution enum (every variant applies).
-    #[must_use]
-    pub fn for_all(self) -> AllAlgorithm {
-        match self {
-            Algorithm::Auto => AllAlgorithm::Auto,
-            Algorithm::AllPairs => AllAlgorithm::AllPairs,
-            Algorithm::BoundsChecking => AllAlgorithm::BoundsChecking,
-            Algorithm::Indexed => AllAlgorithm::Indexed,
-            Algorithm::Grid => AllAlgorithm::Grid,
-        }
-    }
-
-    /// Translates to the SGB-Any execution enum; `None` for
-    /// [`Algorithm::BoundsChecking`], which only SGB-All implements.
-    #[must_use]
-    pub fn for_any(self) -> Option<AnyAlgorithm> {
-        match self {
-            Algorithm::Auto => Some(AnyAlgorithm::Auto),
-            Algorithm::AllPairs => Some(AnyAlgorithm::AllPairs),
-            Algorithm::BoundsChecking => None,
-            Algorithm::Indexed => Some(AnyAlgorithm::Indexed),
-            Algorithm::Grid => Some(AnyAlgorithm::Grid),
-        }
-    }
-
-    /// Translates to the SGB-Around execution enum (`AllPairs` is the
-    /// brute center scan); `None` for [`Algorithm::BoundsChecking`].
-    #[must_use]
-    pub fn for_around(self) -> Option<AroundAlgorithm> {
-        match self {
-            Algorithm::Auto => Some(AroundAlgorithm::Auto),
-            Algorithm::AllPairs => Some(AroundAlgorithm::BruteForce),
-            Algorithm::BoundsChecking => None,
-            Algorithm::Indexed => Some(AroundAlgorithm::Indexed),
-            Algorithm::Grid => Some(AroundAlgorithm::Grid),
-        }
-    }
 }
 
 impl std::fmt::Display for Algorithm {
@@ -135,357 +104,18 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-impl From<AllAlgorithm> for Algorithm {
-    fn from(a: AllAlgorithm) -> Self {
-        match a {
-            AllAlgorithm::AllPairs => Algorithm::AllPairs,
-            AllAlgorithm::BoundsChecking => Algorithm::BoundsChecking,
-            AllAlgorithm::Indexed => Algorithm::Indexed,
-            AllAlgorithm::Grid => Algorithm::Grid,
-            AllAlgorithm::Auto => Algorithm::Auto,
-        }
-    }
-}
-
-impl From<AnyAlgorithm> for Algorithm {
-    fn from(a: AnyAlgorithm) -> Self {
-        match a {
-            AnyAlgorithm::AllPairs => Algorithm::AllPairs,
-            AnyAlgorithm::Indexed => Algorithm::Indexed,
-            AnyAlgorithm::Grid => Algorithm::Grid,
-            AnyAlgorithm::Auto => Algorithm::Auto,
-        }
-    }
-}
-
-impl From<AroundAlgorithm> for Algorithm {
-    fn from(a: AroundAlgorithm) -> Self {
-        match a {
-            AroundAlgorithm::BruteForce => Algorithm::AllPairs,
-            AroundAlgorithm::Indexed => Algorithm::Indexed,
-            AroundAlgorithm::Grid => Algorithm::Grid,
-            AroundAlgorithm::Auto => Algorithm::Auto,
-        }
-    }
-}
-
-/// Algorithm used to realise SGB-All (Section 6).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum AllAlgorithm {
-    /// Naive `FindCloseGroups` (Procedure 2): evaluate the predicate
-    /// against every previously processed point. `O(n²)`.
-    AllPairs,
-    /// Bounds-Checking (Procedure 4): constant-time ε-All rectangle tests
-    /// per group, linear scan over groups. `O(n · |G|)`.
-    BoundsChecking,
-    /// Index Bounds-Checking (Procedure 5): on-the-fly R-tree over group
-    /// rectangles, window query per point. `O(n · log |G|)`.
-    Indexed,
-    /// ε-grid over the live group members: a probe inspects only the
-    /// point's own grid cell and its neighbours, mapping the hits back to
-    /// their groups — no tree descent, no per-group scan. Expected `O(n)`
-    /// for ε-sized groups.
-    Grid,
-    /// Cost-based selection among the concrete algorithms from the input
-    /// cardinality and dimensionality (see [`crate::cost::resolve_all`]).
-    /// All concrete paths produce bit-identical groupings, so `Auto` only
-    /// affects speed, never results.
-    #[default]
-    Auto,
-}
-
-/// Algorithm used to realise SGB-Any (Section 7).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum AnyAlgorithm {
-    /// Evaluate the predicate against every previously processed point.
-    AllPairs,
-    /// On-the-fly R-tree over points + Union-Find over groups
-    /// (Procedure 8). `O(n log n)`.
-    Indexed,
-    /// ε-grid over the points + Union-Find over the neighbour-cell hits:
-    /// the ε-join at the heart of the operator becomes a constant number
-    /// of hash probes per point. Expected `O(n)` for bounded ε-density.
-    Grid,
-    /// Cost-based selection among the concrete algorithms from the input
-    /// cardinality and dimensionality (see [`crate::cost::resolve_any`]).
-    /// All concrete paths produce bit-identical groupings, so `Auto` only
-    /// affects speed, never results.
-    #[default]
-    Auto,
-}
-
-/// Configuration of the SGB-All operator
-/// (`GROUP BY … DISTANCE-TO-ALL [L1|L2|LINF] WITHIN ε ON-OVERLAP …`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct SgbAllConfig {
-    /// Similarity threshold ε of the predicate `δ(a, b) ≤ ε`.
-    pub eps: f64,
-    /// Distance function δ.
-    pub metric: Metric,
-    /// Arbitration for points matching several groups.
-    pub overlap: OverlapAction,
-    /// Search strategy.
-    pub algorithm: AllAlgorithm,
-    /// Seed for the `JOIN-ANY` pseudo-random choice.
-    pub seed: u64,
-    /// Member count from which a group's convex hull is cached for the
-    /// `L1`/`L2` false-positive refinement (Section 6.4); below it the
-    /// exact check scans the members. `usize::MAX` disables the hull
-    /// entirely (ablation).
-    pub hull_threshold: usize,
-    /// Fan-out of the on-the-fly R-tree (`Groups_IX`) used by
-    /// [`AllAlgorithm::Indexed`].
-    pub rtree_fanout: usize,
-}
-
-impl SgbAllConfig {
-    /// A configuration with the default metric (`L2`), overlap action
-    /// (`JOIN-ANY`), algorithm (`Auto`) and seed.
-    #[must_use]
-    pub fn new(eps: f64) -> Self {
-        assert!(
-            eps >= 0.0 && eps.is_finite(),
-            "epsilon must be finite and non-negative"
-        );
-        Self {
-            eps,
-            metric: Metric::default(),
-            overlap: OverlapAction::default(),
-            algorithm: AllAlgorithm::default(),
-            seed: 0x5EED_u64,
-            hull_threshold: 16,
-            rtree_fanout: 12,
-        }
-    }
-
-    /// Sets the distance function.
-    #[must_use]
-    pub fn metric(mut self, metric: Metric) -> Self {
-        self.metric = metric;
-        self
-    }
-
-    /// Sets the `ON-OVERLAP` action.
-    #[must_use]
-    pub fn overlap(mut self, overlap: OverlapAction) -> Self {
-        self.overlap = overlap;
-        self
-    }
-
-    /// Sets the search algorithm.
-    #[must_use]
-    pub fn algorithm(mut self, algorithm: AllAlgorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
-    /// Sets the `JOIN-ANY` randomisation seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the convex-hull caching threshold (`usize::MAX` disables the
-    /// hull refinement, falling back to member scans).
-    #[must_use]
-    pub fn hull_threshold(mut self, members: usize) -> Self {
-        self.hull_threshold = members.max(1);
-        self
-    }
-
-    /// Sets the R-tree fan-out of the on-the-fly group index.
-    #[must_use]
-    pub fn rtree_fanout(mut self, fanout: usize) -> Self {
-        assert!(fanout >= 4, "R-tree fan-out must be at least 4");
-        self.rtree_fanout = fanout;
-        self
-    }
-}
-
-/// Configuration of the SGB-Any operator
-/// (`GROUP BY … DISTANCE-TO-ANY [L1|L2|LINF] WITHIN ε`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct SgbAnyConfig {
-    /// Similarity threshold ε.
-    pub eps: f64,
-    /// Distance function δ.
-    pub metric: Metric,
-    /// Search strategy.
-    pub algorithm: AnyAlgorithm,
-    /// Fan-out of the on-the-fly R-tree (`Points_IX`) used by
-    /// [`AnyAlgorithm::Indexed`].
-    pub rtree_fanout: usize,
-    /// Worker threads for the one-shot grid ε-join (0 = auto, see
-    /// [`crate::cost::resolve_threads`]). Only [`AnyAlgorithm::Grid`]
-    /// parallelises; the other paths ignore the knob. Never affects
-    /// results — the sharded join is bit-identical to the sequential one.
-    pub threads: usize,
-}
-
-impl SgbAnyConfig {
-    /// A configuration with the default metric (`L2`) and algorithm
-    /// (`Auto`).
-    #[must_use]
-    pub fn new(eps: f64) -> Self {
-        assert!(
-            eps >= 0.0 && eps.is_finite(),
-            "epsilon must be finite and non-negative"
-        );
-        Self {
-            eps,
-            metric: Metric::default(),
-            algorithm: AnyAlgorithm::default(),
-            rtree_fanout: 12,
-            threads: 0,
-        }
-    }
-
-    /// Sets the distance function.
-    #[must_use]
-    pub fn metric(mut self, metric: Metric) -> Self {
-        self.metric = metric;
-        self
-    }
-
-    /// Sets the search algorithm.
-    #[must_use]
-    pub fn algorithm(mut self, algorithm: AnyAlgorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
-    /// Sets the R-tree fan-out of the on-the-fly point index.
-    #[must_use]
-    pub fn rtree_fanout(mut self, fanout: usize) -> Self {
-        assert!(fanout >= 4, "R-tree fan-out must be at least 4");
-        self.rtree_fanout = fanout;
-        self
-    }
-
-    /// Sets the worker-thread count (0 = auto).
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-}
-
-/// Algorithm used to realise SGB-Around.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum AroundAlgorithm {
-    /// Evaluate the distance to every center for every tuple. `O(n · |C|)`.
-    BruteForce,
-    /// Bulk-load the centers into an R-tree once (sort-tile-recursive
-    /// packing), then answer each tuple's nearest-center query against it.
-    /// `O(n · log |C|)`.
-    Indexed,
-    /// Bulk-load the centers into a uniform grid sized for ~1 center per
-    /// cell, then answer each tuple with an expanding-ring search.
-    /// Expected `O(n)` for well-spread centers.
-    Grid,
-    /// Cost-based selection among the concrete algorithms from the center
-    /// count and dimensionality (see [`crate::cost::resolve_around`] —
-    /// calibrated so the operator no longer defaults to a path that loses
-    /// below ~1k centers). All concrete paths produce bit-identical
-    /// groupings, so `Auto` only affects speed, never results.
-    #[default]
-    Auto,
-}
-
-/// Configuration of the SGB-Around operator
-/// (`GROUP BY … AROUND ((cx, cy), …) [L1|L2|LINF] [WITHIN r]`).
-///
-/// Unlike SGB-All / SGB-Any, the group seeds — the center points — are part
-/// of the query, so the configuration is generic over the data dimension.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SgbAroundConfig<const D: usize> {
-    /// The center points. Every tuple is assigned to its nearest center
-    /// (ties broken towards the lowest center index).
-    pub centers: Vec<Point<D>>,
-    /// Distance function δ.
-    pub metric: Metric,
-    /// Optional maximum radius `r`: a tuple farther than `r` from its
-    /// nearest center (canonical predicate `δ(p, c) ≤ r`) joins the
-    /// outlier group instead. `None` disables the bound.
-    pub max_radius: Option<f64>,
-    /// Search strategy.
-    pub algorithm: AroundAlgorithm,
-    /// Fan-out of the center R-tree used by [`AroundAlgorithm::Indexed`].
-    pub rtree_fanout: usize,
-    /// Worker threads for the one-shot nearest-center assignment (0 =
-    /// auto, see [`crate::cost::resolve_threads`]). Assignment is
-    /// independent per tuple, so every concrete algorithm parallelises.
-    /// Never affects results.
-    pub threads: usize,
-}
-
-impl<const D: usize> SgbAroundConfig<D> {
-    /// A configuration with the default metric (`L2`), no radius bound and
-    /// the `Auto` algorithm. Panics on an empty center list or non-finite
-    /// center coordinates (the SQL parser rejects both earlier with proper
-    /// errors).
-    #[must_use]
-    pub fn new(centers: Vec<Point<D>>) -> Self {
-        assert!(!centers.is_empty(), "AROUND requires at least one center");
-        assert!(
-            centers.iter().all(Point::is_finite),
-            "centers must have finite coordinates"
-        );
-        Self {
-            centers,
-            metric: Metric::default(),
-            max_radius: None,
-            algorithm: AroundAlgorithm::default(),
-            rtree_fanout: 12,
-            threads: 0,
-        }
-    }
-
-    /// Sets the distance function.
-    #[must_use]
-    pub fn metric(mut self, metric: Metric) -> Self {
-        self.metric = metric;
-        self
-    }
-
-    /// Sets the maximum radius (the `WITHIN r` clause).
-    #[must_use]
-    pub fn max_radius(mut self, r: f64) -> Self {
-        assert!(
-            r >= 0.0 && r.is_finite(),
-            "radius must be finite and non-negative"
-        );
-        self.max_radius = Some(r);
-        self
-    }
-
-    /// Sets the search algorithm.
-    #[must_use]
-    pub fn algorithm(mut self, algorithm: AroundAlgorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
-    /// Sets the R-tree fan-out of the center index.
-    #[must_use]
-    pub fn rtree_fanout(mut self, fanout: usize) -> Self {
-        assert!(fanout >= 4, "R-tree fan-out must be at least 4");
-        self.rtree_fanout = fanout;
-        self
-    }
-
-    /// Sets the worker-thread count (0 = auto).
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-}
-
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 mod tests {
     use super::*;
+    use crate::query::OpSpec;
+    use crate::SgbQuery;
+    use sgb_geom::{Metric, Point};
 
     #[test]
     fn overlap_keywords_round_trip() {
@@ -512,75 +142,85 @@ mod tests {
 
     #[test]
     fn builders_set_fields() {
-        let cfg = SgbAllConfig::new(0.5)
+        let query = SgbQuery::<2>::all(0.5)
             .metric(Metric::LInf)
             .overlap(OverlapAction::Eliminate)
-            .algorithm(AllAlgorithm::BoundsChecking)
+            .algorithm(Algorithm::BoundsChecking)
             .seed(7);
-        assert_eq!(cfg.eps, 0.5);
-        assert_eq!(cfg.metric, Metric::LInf);
-        assert_eq!(cfg.overlap, OverlapAction::Eliminate);
-        assert_eq!(cfg.algorithm, AllAlgorithm::BoundsChecking);
-        assert_eq!(cfg.seed, 7);
+        assert_eq!(query.eps(), Some(0.5));
+        assert_eq!(query.configured_metric(), Metric::LInf);
+        assert_eq!(
+            query.op,
+            OpSpec::All {
+                eps: 0.5,
+                overlap: OverlapAction::Eliminate
+            }
+        );
+        assert_eq!(query.configured_algorithm(), Algorithm::BoundsChecking);
+        assert_eq!(query.seed, 7);
 
-        let cfg = SgbAnyConfig::new(1.0)
+        let query = SgbQuery::<2>::any(1.0)
             .metric(Metric::LInf)
-            .algorithm(AnyAlgorithm::AllPairs)
+            .algorithm(Algorithm::AllPairs)
             .threads(3);
-        assert_eq!(cfg.metric, Metric::LInf);
-        assert_eq!(cfg.algorithm, AnyAlgorithm::AllPairs);
-        assert_eq!(cfg.threads, 3);
-        assert_eq!(SgbAnyConfig::new(1.0).threads, 0, "auto by default");
+        assert_eq!(query.configured_metric(), Metric::LInf);
+        assert_eq!(query.configured_algorithm(), Algorithm::AllPairs);
+        assert_eq!(query.configured_threads(), 3);
+        assert_eq!(
+            SgbQuery::<2>::any(1.0).configured_threads(),
+            0,
+            "auto by default"
+        );
     }
 
     #[test]
     #[should_panic(expected = "epsilon")]
     fn all_config_rejects_nan_eps() {
-        let _ = SgbAllConfig::new(f64::NAN);
+        let _ = SgbQuery::<2>::all(f64::NAN);
     }
 
     #[test]
     #[should_panic(expected = "epsilon")]
     fn any_config_rejects_negative_eps() {
-        let _ = SgbAnyConfig::new(-0.1);
+        let _ = SgbQuery::<2>::any(-0.1);
     }
 
     #[test]
     fn around_builder_sets_fields() {
-        let cfg = SgbAroundConfig::new(vec![Point::new([0.0, 0.0]), Point::new([1.0, 1.0])])
+        let query = SgbQuery::around(vec![Point::new([0.0, 0.0]), Point::new([1.0, 1.0])])
             .metric(Metric::L1)
             .max_radius(0.5)
-            .algorithm(AroundAlgorithm::BruteForce)
+            .algorithm(Algorithm::AllPairs)
             .rtree_fanout(8)
             .threads(2);
-        assert_eq!(cfg.centers.len(), 2);
-        assert_eq!(cfg.metric, Metric::L1);
-        assert_eq!(cfg.max_radius, Some(0.5));
-        assert_eq!(cfg.algorithm, AroundAlgorithm::BruteForce);
-        assert_eq!(cfg.rtree_fanout, 8);
-        assert_eq!(cfg.threads, 2);
-        let default = SgbAroundConfig::new(vec![Point::new([0.0, 0.0])]);
-        assert_eq!(default.metric, Metric::L2);
-        assert_eq!(default.max_radius, None);
-        assert_eq!(default.algorithm, AroundAlgorithm::Auto);
-        assert_eq!(default.threads, 0, "auto by default");
+        assert_eq!(query.centers().map(<[_]>::len), Some(2));
+        assert_eq!(query.configured_metric(), Metric::L1);
+        assert_eq!(query.radius_bound(), Some(0.5));
+        assert_eq!(query.configured_algorithm(), Algorithm::AllPairs);
+        assert_eq!(query.rtree_fanout, 8);
+        assert_eq!(query.configured_threads(), 2);
+        let default = SgbQuery::around(vec![Point::new([0.0, 0.0])]);
+        assert_eq!(default.configured_metric(), Metric::L2);
+        assert_eq!(default.radius_bound(), None);
+        assert_eq!(default.configured_algorithm(), Algorithm::Auto);
+        assert_eq!(default.configured_threads(), 0, "auto by default");
     }
 
     #[test]
     #[should_panic(expected = "at least one center")]
     fn around_config_rejects_empty_centers() {
-        let _ = SgbAroundConfig::<2>::new(Vec::new());
+        let _ = SgbQuery::<2>::around(Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn around_config_rejects_non_finite_centers() {
-        let _ = SgbAroundConfig::new(vec![Point::new([f64::NAN, 0.0])]);
+        let _ = SgbQuery::around(vec![Point::new([f64::NAN, 0.0])]);
     }
 
     #[test]
     #[should_panic(expected = "radius")]
     fn around_config_rejects_negative_radius() {
-        let _ = SgbAroundConfig::new(vec![Point::new([0.0, 0.0])]).max_radius(-1.0);
+        let _ = SgbQuery::around(vec![Point::new([0.0, 0.0])]).max_radius(-1.0);
     }
 }

@@ -2,12 +2,11 @@
 //!
 //! Every operator family offers several physically different but
 //! semantically identical execution paths; which one wins depends on the
-//! workload shape. The `Auto` variant of
-//! [`AllAlgorithm`]/[`AnyAlgorithm`]/[`AroundAlgorithm`] delegates the
-//! choice to this module, which applies a small cost model over the
-//! quantities that actually move the needle — input cardinality, center
-//! count, and dimensionality — with thresholds calibrated against the
-//! committed benchmark reports at the repository root:
+//! workload shape. [`Algorithm::Auto`] delegates the choice to this
+//! module, which applies a small cost model over the quantities that
+//! actually move the needle — input cardinality, center count, and
+//! dimensionality — with thresholds calibrated against the committed
+//! benchmark reports at the repository root:
 //!
 //! * `BENCH_around.json` — the center-R-tree path *loses* to the brute
 //!   center scan below roughly 1k centers because index construction
@@ -24,12 +23,21 @@
 //!
 //! Every resolver returns the chosen *concrete* algorithm together with a
 //! human-readable reason; the SQL layer surfaces both through `EXPLAIN`.
+//! A configured concrete algorithm passes through unchanged (the query
+//! builder already rejected `BoundsChecking` outside SGB-All).
 //! Resolution never affects results: all concrete paths are proven
 //! bit-identical (see the `proptest_grid` suite), so `Auto` only ever
 //! changes *when* the answer arrives.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
+
 use crate::governor::{QueryGovernor, SgbError};
-use crate::{AllAlgorithm, AnyAlgorithm, AroundAlgorithm};
+use crate::Algorithm;
 
 /// Below this input cardinality SGB-All's `Auto` stays with the all-pairs
 /// scan: group structures are tiny and building any accelerator costs more
@@ -77,23 +85,19 @@ fn configured() -> String {
 /// has no cache or budget input: its index tracks the *live groups*,
 /// which exist only mid-run, so nothing is shared across queries and
 /// nothing table-sized is built up front.
-pub fn resolve_all(
-    configured_algo: AllAlgorithm,
-    n: usize,
-    _dims: usize,
-) -> (AllAlgorithm, String) {
+pub fn resolve_all(configured_algo: Algorithm, n: usize, _dims: usize) -> (Algorithm, String) {
     match configured_algo {
-        AllAlgorithm::Auto => {
+        Algorithm::Auto => {
             if n <= ALL_ALL_PAIRS_MAX_N {
                 (
-                    AllAlgorithm::AllPairs,
+                    Algorithm::AllPairs,
                     format!(
                         "auto: n = {n} <= {ALL_ALL_PAIRS_MAX_N}, plain scan beats index construction"
                     ),
                 )
             } else if n <= ALL_BOUNDS_MAX_N {
                 (
-                    AllAlgorithm::BoundsChecking,
+                    Algorithm::BoundsChecking,
                     format!(
                         "auto: n = {n} <= {ALL_BOUNDS_MAX_N}, dense rectangle directory wins \
                          (BENCH_grid.json)"
@@ -101,7 +105,7 @@ pub fn resolve_all(
                 )
             } else {
                 (
-                    AllAlgorithm::Indexed,
+                    Algorithm::Indexed,
                     format!(
                         "auto: n = {n} > {ALL_BOUNDS_MAX_N}, group R-tree overtakes the linear \
                          rectangle scan (BENCH_grid.json crossover ~20k)"
@@ -118,13 +122,10 @@ pub fn resolve_all(
 /// scalable regime (streams are open-ended) and picks the group R-tree.
 /// One-shot entry points — including the SQL executor — know `n` and use
 /// [`resolve_all`] instead.
-pub fn resolve_all_streaming(
-    configured_algo: AllAlgorithm,
-    _dims: usize,
-) -> (AllAlgorithm, String) {
+pub fn resolve_all_streaming(configured_algo: Algorithm, _dims: usize) -> (Algorithm, String) {
     match configured_algo {
-        AllAlgorithm::Auto => (
-            AllAlgorithm::Indexed,
+        Algorithm::Auto => (
+            Algorithm::Indexed,
             "auto: streaming input of unknown cardinality, scalable regime (group R-tree)"
                 .to_owned(),
         ),
@@ -135,27 +136,27 @@ pub fn resolve_all_streaming(
 /// The cost model's SGB-Any choice for `n` points in `dims` dimensions,
 /// before any cache or budget input is considered.
 pub(crate) fn any_cost_model(
-    configured_algo: AnyAlgorithm,
+    configured_algo: Algorithm,
     n: usize,
     dims: usize,
-) -> (AnyAlgorithm, String) {
+) -> (Algorithm, String) {
     match configured_algo {
-        AnyAlgorithm::Auto => {
+        Algorithm::Auto => {
             if n <= ANY_ALL_PAIRS_MAX_N {
                 (
-                    AnyAlgorithm::AllPairs,
+                    Algorithm::AllPairs,
                     format!(
                         "auto: n = {n} <= {ANY_ALL_PAIRS_MAX_N}, plain scan beats index construction"
                     ),
                 )
             } else if dims > GRID_MAX_DIMS {
                 (
-                    AnyAlgorithm::Indexed,
+                    Algorithm::Indexed,
                     format!("auto: {dims}-D exceeds the grid sweet spot (<= {GRID_MAX_DIMS}-D)"),
                 )
             } else {
                 (
-                    AnyAlgorithm::Grid,
+                    Algorithm::Grid,
                     format!("auto: n = {n} > {ANY_ALL_PAIRS_MAX_N}, eps-grid neighbor scan wins (BENCH_grid.json)"),
                 )
             }
@@ -212,25 +213,25 @@ pub fn estimated_center_index_bytes(centers: usize, dims: usize) -> usize {
 /// # Errors
 /// [`SgbError::BudgetExceeded`] for an explicit index over the budget.
 pub fn resolve_any(
-    configured_algo: AnyAlgorithm,
+    configured_algo: Algorithm,
     n: usize,
     dims: usize,
     cached_grid: bool,
     cached_tree: bool,
     governor: &QueryGovernor,
-) -> Result<(AnyAlgorithm, String), SgbError> {
-    let auto = configured_algo == AnyAlgorithm::Auto;
+) -> Result<(Algorithm, String), SgbError> {
+    let auto = configured_algo == Algorithm::Auto;
     let resolved = if auto && cached_grid && dims <= GRID_MAX_DIMS {
         (
-            AnyAlgorithm::Grid,
+            Algorithm::Grid,
             format!("auto: cached eps-grid for this table version, zero build cost (n = {n})"),
         )
     } else {
         any_cost_model(configured_algo, n, dims)
     };
     let (needed, structure) = match resolved.0 {
-        AnyAlgorithm::Grid if !cached_grid => (estimated_grid_bytes(n, dims), "eps-grid"),
-        AnyAlgorithm::Indexed if !cached_tree => (estimated_rtree_bytes(n, dims), "point R-tree"),
+        Algorithm::Grid if !cached_grid => (estimated_grid_bytes(n, dims), "eps-grid"),
+        Algorithm::Indexed if !cached_tree => (estimated_rtree_bytes(n, dims), "point R-tree"),
         _ => return Ok(resolved),
     };
     admit(
@@ -238,7 +239,7 @@ pub fn resolve_any(
         auto,
         needed,
         structure,
-        (AnyAlgorithm::AllPairs, "streaming all-pairs scan"),
+        (Algorithm::AllPairs, "streaming all-pairs scan"),
         governor,
     )
 }
@@ -247,14 +248,14 @@ pub fn resolve_any(
 /// governor's memory budget: over it, `Auto` degrades to the
 /// structure-free `fallback` with the reason recorded, and an explicit
 /// choice fails.
-fn admit<A>(
-    resolved: (A, String),
+fn admit(
+    resolved: (Algorithm, String),
     auto: bool,
     needed: usize,
     structure: &str,
-    (fallback, fallback_name): (A, &str),
+    (fallback, fallback_name): (Algorithm, &str),
     governor: &QueryGovernor,
-) -> Result<(A, String), SgbError> {
+) -> Result<(Algorithm, String), SgbError> {
     match governor.admit(needed) {
         Err(SgbError::BudgetExceeded { budget, .. }) if auto => Ok((
             fallback,
@@ -269,14 +270,14 @@ fn admit<A>(
 
 /// Resolves the SGB-Any algorithm for a streaming operator — see
 /// [`resolve_all_streaming`] for the rationale.
-pub fn resolve_any_streaming(configured_algo: AnyAlgorithm, dims: usize) -> (AnyAlgorithm, String) {
+pub fn resolve_any_streaming(configured_algo: Algorithm, dims: usize) -> (Algorithm, String) {
     match configured_algo {
-        AnyAlgorithm::Auto if dims > GRID_MAX_DIMS => (
-            AnyAlgorithm::Indexed,
+        Algorithm::Auto if dims > GRID_MAX_DIMS => (
+            Algorithm::Indexed,
             format!("auto: streaming input, {dims}-D exceeds the grid sweet spot (<= {GRID_MAX_DIMS}-D)"),
         ),
-        AnyAlgorithm::Auto => (
-            AnyAlgorithm::Grid,
+        Algorithm::Auto => (
+            Algorithm::Grid,
             "auto: streaming input of unknown cardinality, scalable regime (eps-grid)".to_owned(),
         ),
         other => (other, configured()),
@@ -287,16 +288,17 @@ pub fn resolve_any_streaming(configured_algo: AnyAlgorithm, dims: usize) -> (Any
 /// the per-tuple cost actually depends on — centers are known up front, so
 /// streaming and one-shot paths resolve identically) in `dims`
 /// dimensions, before any cache or budget input is considered.
+/// [`Algorithm::AllPairs`] is SGB-Around's brute center scan.
 pub(crate) fn around_cost_model(
-    configured_algo: AroundAlgorithm,
+    configured_algo: Algorithm,
     centers: usize,
     dims: usize,
-) -> (AroundAlgorithm, String) {
+) -> (Algorithm, String) {
     match configured_algo {
-        AroundAlgorithm::Auto => {
+        Algorithm::Auto => {
             if centers <= AROUND_BRUTE_MAX_CENTERS {
                 (
-                    AroundAlgorithm::BruteForce,
+                    Algorithm::AllPairs,
                     format!(
                         "auto: {centers} centers <= {AROUND_BRUTE_MAX_CENTERS}, center scan beats \
                          index construction (BENCH_around.json crossover ~1k)"
@@ -304,12 +306,12 @@ pub(crate) fn around_cost_model(
                 )
             } else if dims > GRID_MAX_DIMS {
                 (
-                    AroundAlgorithm::Indexed,
+                    Algorithm::Indexed,
                     format!("auto: {dims}-D exceeds the grid sweet spot (<= {GRID_MAX_DIMS}-D)"),
                 )
             } else {
                 (
-                    AroundAlgorithm::Grid,
+                    Algorithm::Grid,
                     format!(
                         "auto: {centers} centers > {AROUND_BRUTE_MAX_CENTERS}, center grid \
                          expected-O(1) probe wins (BENCH_grid.json)"
@@ -336,27 +338,21 @@ pub(crate) fn around_cost_model(
 /// # Errors
 /// [`SgbError::BudgetExceeded`] for an explicit index over the budget.
 pub fn resolve_around(
-    configured_algo: AroundAlgorithm,
+    configured_algo: Algorithm,
     centers: usize,
     dims: usize,
-    cached: Option<AroundAlgorithm>,
+    cached: Option<Algorithm>,
     governor: &QueryGovernor,
-) -> Result<(AroundAlgorithm, String), SgbError> {
-    let auto = configured_algo == AroundAlgorithm::Auto;
+) -> Result<(Algorithm, String), SgbError> {
+    let auto = configured_algo == Algorithm::Auto;
     let resolved = match cached {
-        Some(algo @ (AroundAlgorithm::Grid | AroundAlgorithm::Indexed))
-            if auto && dims <= GRID_MAX_DIMS =>
-        {
-            (
-                algo,
-                format!("auto: cached center index, zero build cost ({centers} centers)"),
-            )
-        }
+        Some(algo @ (Algorithm::Grid | Algorithm::Indexed)) if auto && dims <= GRID_MAX_DIMS => (
+            algo,
+            format!("auto: cached center index, zero build cost ({centers} centers)"),
+        ),
         _ => around_cost_model(configured_algo, centers, dims),
     };
-    if !matches!(resolved.0, AroundAlgorithm::Indexed | AroundAlgorithm::Grid)
-        || cached == Some(resolved.0)
-    {
+    if !matches!(resolved.0, Algorithm::Indexed | Algorithm::Grid) || cached == Some(resolved.0) {
         return Ok(resolved);
     }
     admit(
@@ -364,7 +360,7 @@ pub fn resolve_around(
         auto,
         estimated_center_index_bytes(centers, dims),
         "center index",
-        (AroundAlgorithm::BruteForce, "brute center scan"),
+        (Algorithm::AllPairs, "brute center scan"),
         governor,
     )
 }
@@ -414,9 +410,9 @@ pub fn threads_for_all() -> (usize, String) {
 /// Threads for a *resolved* (concrete) SGB-Any algorithm: only the ε-grid
 /// path shards its close-pair join, so the other paths run sequentially
 /// regardless of the request.
-pub fn threads_for_any(algorithm: AnyAlgorithm, requested: usize, n: usize) -> (usize, String) {
+pub fn threads_for_any(algorithm: Algorithm, requested: usize, n: usize) -> (usize, String) {
     match algorithm {
-        AnyAlgorithm::Grid => resolve_threads(requested, n),
+        Algorithm::Grid => resolve_threads(requested, n),
         _ => (
             1,
             "sequential: only the grid eps-join shards across threads".to_owned(),
@@ -431,11 +427,17 @@ pub fn threads_for_around(requested: usize, n: usize) -> (usize, String) {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 mod tests {
     use super::*;
 
     /// [`resolve_any`] with nothing cached and no limits.
-    fn any(configured: AnyAlgorithm, n: usize, dims: usize) -> (AnyAlgorithm, String) {
+    fn any(configured: Algorithm, n: usize, dims: usize) -> (Algorithm, String) {
         resolve_any(
             configured,
             n,
@@ -448,11 +450,7 @@ mod tests {
     }
 
     /// [`resolve_around`] with nothing cached and no limits.
-    fn around(
-        configured: AroundAlgorithm,
-        centers: usize,
-        dims: usize,
-    ) -> (AroundAlgorithm, String) {
+    fn around(configured: Algorithm, centers: usize, dims: usize) -> (Algorithm, String) {
         resolve_around(
             configured,
             centers,
@@ -466,38 +464,35 @@ mod tests {
     #[test]
     fn non_auto_passes_through() {
         for algo in [
-            AllAlgorithm::AllPairs,
-            AllAlgorithm::BoundsChecking,
-            AllAlgorithm::Indexed,
-            AllAlgorithm::Grid,
+            Algorithm::AllPairs,
+            Algorithm::BoundsChecking,
+            Algorithm::Indexed,
+            Algorithm::Grid,
         ] {
             let (resolved, reason) = resolve_all(algo, 1_000_000, 2);
             assert_eq!(resolved, algo);
             assert!(reason.contains("configured"), "{reason}");
         }
         assert_eq!(
-            any(AnyAlgorithm::AllPairs, 1_000_000, 2).0,
-            AnyAlgorithm::AllPairs
+            any(Algorithm::AllPairs, 1_000_000, 2).0,
+            Algorithm::AllPairs
         );
-        assert_eq!(
-            around(AroundAlgorithm::Indexed, 5000, 2).0,
-            AroundAlgorithm::Indexed
-        );
+        assert_eq!(around(Algorithm::Indexed, 5000, 2).0, Algorithm::Indexed);
     }
 
     #[test]
     fn auto_picks_scan_for_small_inputs() {
         assert_eq!(
-            resolve_all(AllAlgorithm::Auto, ALL_ALL_PAIRS_MAX_N, 2).0,
-            AllAlgorithm::AllPairs
+            resolve_all(Algorithm::Auto, ALL_ALL_PAIRS_MAX_N, 2).0,
+            Algorithm::AllPairs
         );
         assert_eq!(
-            any(AnyAlgorithm::Auto, ANY_ALL_PAIRS_MAX_N, 2).0,
-            AnyAlgorithm::AllPairs
+            any(Algorithm::Auto, ANY_ALL_PAIRS_MAX_N, 2).0,
+            Algorithm::AllPairs
         );
         assert_eq!(
-            around(AroundAlgorithm::Auto, AROUND_BRUTE_MAX_CENTERS, 2).0,
-            AroundAlgorithm::BruteForce
+            around(Algorithm::Auto, AROUND_BRUTE_MAX_CENTERS, 2).0,
+            Algorithm::AllPairs
         );
     }
 
@@ -508,44 +503,38 @@ mod tests {
             // measured ~20k crossover; the member grid is never
             // auto-chosen (it pays per-member verification).
             assert_eq!(
-                resolve_all(AllAlgorithm::Auto, 10_000, dims).0,
-                AllAlgorithm::BoundsChecking
+                resolve_all(Algorithm::Auto, 10_000, dims).0,
+                Algorithm::BoundsChecking
             );
             assert_eq!(
-                resolve_all(AllAlgorithm::Auto, 20_000, dims).0,
-                AllAlgorithm::Indexed
+                resolve_all(Algorithm::Auto, 20_000, dims).0,
+                Algorithm::Indexed
             );
-            assert_eq!(any(AnyAlgorithm::Auto, 10_000, dims).0, AnyAlgorithm::Grid);
-            assert_eq!(
-                around(AroundAlgorithm::Auto, 4096, dims).0,
-                AroundAlgorithm::Grid
-            );
+            assert_eq!(any(Algorithm::Auto, 10_000, dims).0, Algorithm::Grid);
+            assert_eq!(around(Algorithm::Auto, 4096, dims).0, Algorithm::Grid);
         }
     }
 
     #[test]
     fn auto_prefers_rtree_in_high_dims() {
-        assert_eq!(any(AnyAlgorithm::Auto, 10_000, 5).0, AnyAlgorithm::Indexed);
+        assert_eq!(any(Algorithm::Auto, 10_000, 5).0, Algorithm::Indexed);
+        assert_eq!(around(Algorithm::Auto, 4096, 4).0, Algorithm::Indexed);
         assert_eq!(
-            around(AroundAlgorithm::Auto, 4096, 4).0,
-            AroundAlgorithm::Indexed
-        );
-        assert_eq!(
-            resolve_any_streaming(AnyAlgorithm::Auto, 4).0,
-            AnyAlgorithm::Indexed
+            resolve_any_streaming(Algorithm::Auto, 4).0,
+            Algorithm::Indexed
         );
     }
 
     #[test]
     fn streaming_resolution_never_returns_auto() {
-        let (algo, reason) = resolve_all_streaming(AllAlgorithm::Auto, 2);
-        assert_eq!(algo, AllAlgorithm::Indexed);
+        let (algo, reason) = resolve_all_streaming(Algorithm::Auto, 2);
+        assert_eq!(algo, Algorithm::Indexed);
         assert!(reason.contains("streaming"), "{reason}");
-        let (algo, reason) = resolve_any_streaming(AnyAlgorithm::Auto, 2);
-        assert_eq!(algo, AnyAlgorithm::Grid);
+        let (algo, reason) = resolve_any_streaming(Algorithm::Auto, 2);
+        assert_eq!(algo, Algorithm::Grid);
         assert!(reason.contains("streaming"), "{reason}");
-        let (algo, reason) = resolve_all_streaming(AllAlgorithm::BoundsChecking, 2);
-        assert_eq!(algo, AllAlgorithm::BoundsChecking);
+        let (algo, reason) = resolve_all_streaming(Algorithm::BoundsChecking, 2);
+        assert_eq!(algo, Algorithm::BoundsChecking);
         assert!(reason.contains("configured"), "{reason}");
     }
 
@@ -582,9 +571,9 @@ mod tests {
         // SGB-All never parallelises, even when asked.
         assert_eq!(threads_for_all().0, 1);
         // SGB-Any: only the grid path shards.
-        assert_eq!(threads_for_any(AnyAlgorithm::Grid, 3, 100_000).0, 3);
-        assert_eq!(threads_for_any(AnyAlgorithm::AllPairs, 3, 100_000).0, 1);
-        assert_eq!(threads_for_any(AnyAlgorithm::Indexed, 3, 100_000).0, 1);
+        assert_eq!(threads_for_any(Algorithm::Grid, 3, 100_000).0, 3);
+        assert_eq!(threads_for_any(Algorithm::AllPairs, 3, 100_000).0, 1);
+        assert_eq!(threads_for_any(Algorithm::Indexed, 3, 100_000).0, 1);
         // SGB-Around parallelises on every concrete path.
         assert_eq!(threads_for_around(5, 10).0, 5);
         assert_eq!(threads_for_around(0, 10).0, 1);
@@ -597,54 +586,41 @@ mod tests {
             |configured, n, dims| resolve_any(configured, n, dims, true, false, &free).unwrap();
         // A cached grid flips Auto onto the grid path even below the
         // build-amortisation threshold…
-        let (algo, reason) = cached_grid(AnyAlgorithm::Auto, 10, 2);
-        assert_eq!(algo, AnyAlgorithm::Grid);
+        let (algo, reason) = cached_grid(Algorithm::Auto, 10, 2);
+        assert_eq!(algo, Algorithm::Grid);
         assert!(reason.contains("zero build cost"), "{reason}");
         // …but never outside the grid's dimensionality sweet spot, never
         // without a cached index, and never over an explicit choice.
         assert_eq!(
-            cached_grid(AnyAlgorithm::Auto, 10_000, 5).0,
-            AnyAlgorithm::Indexed
+            cached_grid(Algorithm::Auto, 10_000, 5).0,
+            Algorithm::Indexed
         );
         assert_eq!(
-            any(AnyAlgorithm::Auto, 10, 2),
-            any_cost_model(AnyAlgorithm::Auto, 10, 2)
+            any(Algorithm::Auto, 10, 2),
+            any_cost_model(Algorithm::Auto, 10, 2)
         );
         assert_eq!(
-            cached_grid(AnyAlgorithm::AllPairs, 10_000, 2).0,
-            AnyAlgorithm::AllPairs
+            cached_grid(Algorithm::AllPairs, 10_000, 2).0,
+            Algorithm::AllPairs
         );
         // A cached tree is no reason to leave the cost model's choice.
         assert_eq!(
-            resolve_any(AnyAlgorithm::Auto, 10, 2, false, true, &free).unwrap(),
-            any(AnyAlgorithm::Auto, 10, 2)
+            resolve_any(Algorithm::Auto, 10, 2, false, true, &free).unwrap(),
+            any(Algorithm::Auto, 10, 2)
         );
 
-        let (algo, reason) = resolve_around(
-            AroundAlgorithm::Auto,
-            3,
-            2,
-            Some(AroundAlgorithm::Grid),
-            &free,
-        )
-        .unwrap();
-        assert_eq!(algo, AroundAlgorithm::Grid);
+        let (algo, reason) =
+            resolve_around(Algorithm::Auto, 3, 2, Some(Algorithm::Grid), &free).unwrap();
+        assert_eq!(algo, Algorithm::Grid);
         assert!(reason.contains("zero build cost"), "{reason}");
         assert_eq!(
-            around(AroundAlgorithm::Auto, 3, 2),
-            around_cost_model(AroundAlgorithm::Auto, 3, 2)
+            around(Algorithm::Auto, 3, 2),
+            around_cost_model(Algorithm::Auto, 3, 2)
         );
         // A cached brute "index" is no index at all: fall through.
         assert_eq!(
-            resolve_around(
-                AroundAlgorithm::Auto,
-                3,
-                2,
-                Some(AroundAlgorithm::BruteForce),
-                &free
-            )
-            .unwrap(),
-            around(AroundAlgorithm::Auto, 3, 2)
+            resolve_around(Algorithm::Auto, 3, 2, Some(Algorithm::AllPairs), &free).unwrap(),
+            around(Algorithm::Auto, 3, 2)
         );
     }
 
@@ -652,22 +628,21 @@ mod tests {
     fn governed_resolution_enforces_the_memory_budget() {
         // No budget: the cost model's choice.
         assert_eq!(
-            any(AnyAlgorithm::Auto, 10_000, 2),
-            any_cost_model(AnyAlgorithm::Auto, 10_000, 2)
+            any(Algorithm::Auto, 10_000, 2),
+            any_cost_model(Algorithm::Auto, 10_000, 2)
         );
         // A budget too small for the grid degrades Auto to all-pairs…
         let tight = QueryGovernor::unrestricted().with_memory_budget(64);
-        let (algo, reason) =
-            resolve_any(AnyAlgorithm::Auto, 10_000, 2, false, false, &tight).unwrap();
-        assert_eq!(algo, AnyAlgorithm::AllPairs);
+        let (algo, reason) = resolve_any(Algorithm::Auto, 10_000, 2, false, false, &tight).unwrap();
+        assert_eq!(algo, Algorithm::AllPairs);
         assert!(reason.contains("memory budget"), "{reason}");
         assert!(reason.contains("eps-grid"), "{reason}");
         // …but an explicit Grid request fails loudly instead.
-        let err = resolve_any(AnyAlgorithm::Grid, 10_000, 2, false, false, &tight).unwrap_err();
+        let err = resolve_any(Algorithm::Grid, 10_000, 2, false, false, &tight).unwrap_err();
         assert!(matches!(err, SgbError::BudgetExceeded { .. }), "{err:?}");
         // A cached grid allocates nothing new, so the budget never blocks it.
-        let (algo, _) = resolve_any(AnyAlgorithm::Auto, 10_000, 2, true, false, &tight).unwrap();
-        assert_eq!(algo, AnyAlgorithm::Grid);
+        let (algo, _) = resolve_any(Algorithm::Auto, 10_000, 2, true, false, &tight).unwrap();
+        assert_eq!(algo, Algorithm::Grid);
         // The estimate grows with n and never panics at the extremes.
         assert!(estimated_grid_bytes(10, 2) < estimated_grid_bytes(10_000, 2));
         let _ = estimated_grid_bytes(usize::MAX, 3);
@@ -678,17 +653,16 @@ mod tests {
         let tight = QueryGovernor::unrestricted().with_memory_budget(64);
         // Auto in high dimensions resolves to the R-tree, which no longer
         // fits: degrade to the all-pairs scan with the fallback recorded.
-        let (algo, reason) =
-            resolve_any(AnyAlgorithm::Auto, 10_000, 5, false, false, &tight).unwrap();
-        assert_eq!(algo, AnyAlgorithm::AllPairs);
+        let (algo, reason) = resolve_any(Algorithm::Auto, 10_000, 5, false, false, &tight).unwrap();
+        assert_eq!(algo, Algorithm::AllPairs);
         assert!(reason.contains("memory budget"), "{reason}");
         assert!(reason.contains("R-tree"), "{reason}");
         // An explicit Indexed request fails loudly instead.
-        let err = resolve_any(AnyAlgorithm::Indexed, 10_000, 2, false, false, &tight).unwrap_err();
+        let err = resolve_any(Algorithm::Indexed, 10_000, 2, false, false, &tight).unwrap_err();
         assert!(matches!(err, SgbError::BudgetExceeded { .. }), "{err:?}");
         // A cached tree allocates nothing new, so it is always admitted.
-        let (algo, _) = resolve_any(AnyAlgorithm::Indexed, 10_000, 2, false, true, &tight).unwrap();
-        assert_eq!(algo, AnyAlgorithm::Indexed);
+        let (algo, _) = resolve_any(Algorithm::Indexed, 10_000, 2, false, true, &tight).unwrap();
+        assert_eq!(algo, Algorithm::Indexed);
         // The estimate grows with n and never panics at the extremes.
         assert!(estimated_rtree_bytes(10, 2) < estimated_rtree_bytes(10_000, 2));
         let _ = estimated_rtree_bytes(usize::MAX, 3);
@@ -698,42 +672,36 @@ mod tests {
     fn governed_resolution_prices_the_center_index_build() {
         // No budget: the cost model's choice.
         assert_eq!(
-            around(AroundAlgorithm::Auto, 4096, 2),
-            around_cost_model(AroundAlgorithm::Auto, 4096, 2)
+            around(Algorithm::Auto, 4096, 2),
+            around_cost_model(Algorithm::Auto, 4096, 2)
         );
         let tight = QueryGovernor::unrestricted().with_memory_budget(64);
         // Auto above the brute crossover degrades back to the brute scan…
-        let (algo, reason) = resolve_around(AroundAlgorithm::Auto, 4096, 2, None, &tight).unwrap();
-        assert_eq!(algo, AroundAlgorithm::BruteForce);
+        let (algo, reason) = resolve_around(Algorithm::Auto, 4096, 2, None, &tight).unwrap();
+        assert_eq!(algo, Algorithm::AllPairs);
         assert!(reason.contains("memory budget"), "{reason}");
         assert!(reason.contains("brute center scan"), "{reason}");
         // …while explicit index requests fail loudly.
-        for explicit in [AroundAlgorithm::Indexed, AroundAlgorithm::Grid] {
+        for explicit in [Algorithm::Indexed, Algorithm::Grid] {
             let err = resolve_around(explicit, 4096, 2, None, &tight).unwrap_err();
             assert!(matches!(err, SgbError::BudgetExceeded { .. }), "{err:?}");
         }
         // A cached index of the resolved shape is admitted under any budget.
-        let (algo, _) = resolve_around(
-            AroundAlgorithm::Grid,
-            4096,
-            2,
-            Some(AroundAlgorithm::Grid),
-            &tight,
-        )
-        .unwrap();
-        assert_eq!(algo, AroundAlgorithm::Grid);
+        let (algo, _) =
+            resolve_around(Algorithm::Grid, 4096, 2, Some(Algorithm::Grid), &tight).unwrap();
+        assert_eq!(algo, Algorithm::Grid);
         // The brute scan needs no structure, so it always passes.
-        let (algo, _) = resolve_around(AroundAlgorithm::BruteForce, 4096, 2, None, &tight).unwrap();
-        assert_eq!(algo, AroundAlgorithm::BruteForce);
+        let (algo, _) = resolve_around(Algorithm::AllPairs, 4096, 2, None, &tight).unwrap();
+        assert_eq!(algo, Algorithm::AllPairs);
     }
 
     #[test]
     fn reasons_name_the_deciding_quantity() {
-        let (_, r) = any(AnyAlgorithm::Auto, 10, 2);
+        let (_, r) = any(Algorithm::Auto, 10, 2);
         assert!(r.contains("n = 10"), "{r}");
-        let (_, r) = around(AroundAlgorithm::Auto, 3, 2);
+        let (_, r) = around(Algorithm::Auto, 3, 2);
         assert!(r.contains("3 centers"), "{r}");
-        let (_, r) = resolve_all(AllAlgorithm::Auto, 9999, 2);
+        let (_, r) = resolve_all(Algorithm::Auto, 9999, 2);
         assert!(r.contains("rectangle directory"), "{r}");
     }
 }

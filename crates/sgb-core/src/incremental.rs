@@ -21,7 +21,8 @@
 //!   exactly one tuple against the fixed center index, deletes drop one
 //!   slot. Nothing else moves.
 //! * **SGB-All** arbitration is arrival-order sensitive, so the engine
-//!   keeps a live streaming replica ([`SgbAll`]) whose state always equals
+//!   keeps a live streaming replica (the `SgbAll` engine behind
+//!   [`SgbQuery::stream`]) whose state always equals
 //!   a from-scratch stream over the live points in slot order. Inserts
 //!   push one point. Deletes take the fast path when the tuple is
 //!   ε-isolated from every other input point — such a tuple formed a
@@ -45,13 +46,11 @@ use sgb_dsu::TrackedDsu;
 use sgb_geom::Point;
 use sgb_spatial::Grid;
 
-use crate::around::{
-    build_center_index, is_outlier, nearest_center_in, AroundGrouping, CenterIndex,
-};
+use crate::all::SgbAll;
+use crate::around::{build_center_index, CenterRule};
 use crate::governor::{QueryGovernor, SgbError};
-use crate::grouping::Grouping as FlatGrouping;
 use crate::query::{Grouping, OpSpec, SgbQuery};
-use crate::{cost, RecordId, SgbAll, SgbAroundConfig};
+use crate::{cost, Algorithm, RecordId};
 use sgb_telemetry::{Counter, Telemetry};
 
 /// Stable identifier of a maintained point: its insertion slot. Slots are
@@ -67,20 +66,22 @@ pub type SlotId = usize;
 enum OpState<const D: usize> {
     /// ε-connectivity components with member lists and edge counts.
     Any { dsu: TrackedDsu },
-    /// Fixed center index plus the per-slot assignment (`Some(center)` or
-    /// `None` = outlier; entries of deleted slots are stale and skipped).
+    /// Fixed assignment rule plus the per-slot assignment (`Some(center)`
+    /// or `None` = outlier; entries of deleted slots are stale and skipped).
     Around {
-        cfg: SgbAroundConfig<D>,
-        index: Arc<CenterIndex<D>>,
+        rule: CenterRule<D>,
         assign: Vec<Option<usize>>,
         scratch: Vec<usize>,
     },
     /// Streaming replica of a from-scratch run over the live slots in slot
-    /// order. `pushed[rec]` is the slot the engine's record id `rec` was
-    /// assigned to; `rec_of[slot]` is the inverse (stale for dead slots).
-    /// `dirty` marks a pending lazy rebuild after a non-isolated delete.
+    /// order, running the concrete `algorithm` resolved at its last
+    /// (re)build. `pushed[rec]` is the slot the engine's record id `rec`
+    /// was assigned to; `rec_of[slot]` is the inverse (stale for dead
+    /// slots). `dirty` marks a pending lazy rebuild after a non-isolated
+    /// delete.
     All {
         engine: Box<SgbAll<D>>,
+        algorithm: Algorithm,
         pushed: Vec<SlotId>,
         rec_of: Vec<RecordId>,
         dirty: bool,
@@ -167,28 +168,19 @@ impl<const D: usize> MaintainedGrouping<D> {
                 centers,
                 max_radius,
             } => {
-                let base = query
-                    .configured_algorithm()
-                    .for_around()
-                    .expect("validated at query construction");
-                let (resolved, _) = cost::around_cost_model(base, centers.len(), D);
-                let cfg = query
-                    .around_config(centers.clone(), *max_radius)
-                    .algorithm(resolved);
-                let index = Arc::new(build_center_index(resolved, cfg.rtree_fanout, &cfg.centers));
+                let (resolved, _) =
+                    cost::around_cost_model(query.configured_algorithm(), centers.len(), D);
+                let index = build_center_index(resolved, query.rtree_fanout, centers);
+                let rule = CenterRule::new(&query, centers, *max_radius, Arc::new(index));
                 let mut scratch = Vec::new();
                 let assign = points
                     .iter()
-                    .map(|p| {
-                        let c = nearest_center_in(&index, &cfg, &mut scratch, p);
-                        (!is_outlier(&cfg, p, c)).then_some(c)
-                    })
+                    .map(|p| rule.assign(&mut scratch, p))
                     .collect();
                 (
                     None,
                     OpState::Around {
-                        cfg,
-                        index,
+                        rule,
                         assign,
                         scratch,
                     },
@@ -199,8 +191,10 @@ impl<const D: usize> MaintainedGrouping<D> {
                 for (slot, p) in points.iter().enumerate() {
                     grid.insert(*p, slot);
                 }
+                let (engine, algorithm) = Self::fresh_all_engine(&query, points.len());
                 let state = OpState::All {
-                    engine: Box::new(Self::fresh_all_engine(&query, points.len())),
+                    engine: Box::new(engine),
+                    algorithm,
                     pushed: Vec::new(),
                     rec_of: Vec::new(),
                     dirty: false,
@@ -310,19 +304,16 @@ impl<const D: usize> MaintainedGrouping<D> {
                 grid.insert(p, slot);
             }
             OpState::Around {
-                cfg,
-                index,
+                rule,
                 assign,
                 scratch,
-            } => {
-                let c = nearest_center_in(index, cfg, scratch, &p);
-                assign.push((!is_outlier(cfg, &p, c)).then_some(c));
-            }
+            } => assign.push(rule.assign(scratch, &p)),
             OpState::All {
                 engine,
                 pushed,
                 rec_of,
                 dirty,
+                ..
             } => {
                 let grid = self.grid.as_mut().expect("All maintains a grid");
                 grid.insert(p, slot);
@@ -552,24 +543,12 @@ impl<const D: usize> MaintainedGrouping<D> {
                     .into_iter()
                     .map(|g| g.into_iter().map(|s| rank[s]).collect())
                     .collect();
-                let base = self
-                    .query
-                    .configured_algorithm()
-                    .for_any()
-                    .expect("validated at query construction");
-                let (resolved, _) = cost::any_cost_model(base, self.live, D);
-                Grouping::from_flat(
-                    FlatGrouping {
-                        groups,
-                        eliminated: Vec::new(),
-                    },
-                    resolved.into(),
-                    selection,
-                    1,
-                )
+                let (resolved, _) =
+                    cost::any_cost_model(self.query.configured_algorithm(), self.live, D);
+                Grouping::flat(groups, Vec::new()).ran(resolved, selection, 1)
             }
-            OpState::Around { cfg, assign, .. } => {
-                let mut groups = vec![Vec::new(); cfg.centers.len()];
+            OpState::Around { rule, assign, .. } => {
+                let mut groups = vec![Vec::new(); rule.num_centers()];
                 let mut outliers = Vec::new();
                 for (slot, s) in self.slots.iter().enumerate() {
                     if s.is_none() {
@@ -580,28 +559,20 @@ impl<const D: usize> MaintainedGrouping<D> {
                         None => outliers.push(rank[slot]),
                     }
                 }
-                Grouping::from_around(
-                    AroundGrouping { groups, outliers },
-                    cfg.algorithm.into(),
-                    selection,
-                    1,
-                )
+                Grouping::around(groups, outliers).ran(rule.algorithm(), selection, 1)
             }
-            OpState::All { engine, pushed, .. } => {
-                let resolved = engine.resolved_algorithm();
-                let flat = engine.as_ref().clone().finish();
-                let remap = |ids: Vec<RecordId>| -> Vec<RecordId> {
-                    ids.into_iter().map(|rec| rank[pushed[rec]]).collect()
+            OpState::All {
+                engine,
+                algorithm,
+                pushed,
+                ..
+            } => {
+                let replica = engine.as_ref().clone().finish();
+                let remap = |ids: &[RecordId]| -> Vec<RecordId> {
+                    ids.iter().map(|&rec| rank[pushed[rec]]).collect()
                 };
-                Grouping::from_flat(
-                    FlatGrouping {
-                        groups: flat.groups.into_iter().map(remap).collect(),
-                        eliminated: remap(flat.eliminated),
-                    },
-                    resolved.into(),
-                    selection,
-                    1,
-                )
+                let groups = replica.groups().iter().map(|g| remap(g)).collect();
+                Grouping::flat(groups, remap(replica.eliminated())).ran(*algorithm, selection, 1)
             }
         };
         out.set_telemetry(self.telemetry.clone());
@@ -612,19 +583,19 @@ impl<const D: usize> MaintainedGrouping<D> {
     /// knobs ([`crate::Algorithm::Auto`] resolved from `n` — the concrete
     /// strategies are output-identical, so any resolution preserves
     /// snapshot ≡ recompute).
-    fn fresh_all_engine(query: &SgbQuery<D>, n: usize) -> SgbAll<D> {
+    fn fresh_all_engine(query: &SgbQuery<D>, n: usize) -> (SgbAll<D>, Algorithm) {
         let OpSpec::All { eps, overlap } = &query.op else {
             unreachable!("fresh_all_engine is only called for All queries");
         };
-        let (resolved, _) = cost::resolve_all(query.configured_algorithm().for_all(), n, D);
-        SgbAll::new(query.all_config(*eps, *overlap).algorithm(resolved))
+        let (resolved, _) = cost::resolve_all(query.configured_algorithm(), n, D);
+        (SgbAll::new(query, *eps, *overlap, resolved), resolved)
     }
 
     /// (Re)builds the SGB-All replica from the live slots in slot order,
     /// restoring the invariant that the engine state equals a from-scratch
     /// stream over the live points.
     fn rebuild_all(&mut self) {
-        let mut engine = Self::fresh_all_engine(&self.query, self.live);
+        let (mut engine, algorithm) = Self::fresh_all_engine(&self.query, self.live);
         let mut pushed = Vec::with_capacity(self.live);
         let mut rec_of = vec![usize::MAX; self.slots.len()];
         for (slot, s) in self.slots.iter().enumerate() {
@@ -636,6 +607,7 @@ impl<const D: usize> MaintainedGrouping<D> {
         }
         let OpState::All {
             engine: e,
+            algorithm: a,
             pushed: pu,
             rec_of: ro,
             dirty,
@@ -644,6 +616,7 @@ impl<const D: usize> MaintainedGrouping<D> {
             unreachable!("rebuild_all is only called for All queries");
         };
         **e = engine;
+        *a = algorithm;
         *pu = pushed;
         *ro = rec_of;
         *dirty = false;

@@ -10,9 +10,10 @@
 //!
 //! The family is queried through **one declarative surface**
 //! ([`SgbQuery`]): one constructor per operator, the shared knobs declared
-//! once, one unified [`Algorithm`] selector, and one [`query::Grouping`]
-//! result that carries member lists, the eliminated set, the radius-bounded
-//! outlier set, and the resolved execution path.
+//! once, one unified [`Algorithm`] selector, and one [`Grouping`] result
+//! that carries member lists, the eliminated set, the radius-bounded
+//! outlier set, each SGB-Around group's center, and the resolved
+//! execution path.
 //!
 //! * [`SgbQuery::all`] (*distance-to-all*) forms **maximal cliques**: every
 //!   pair of points in a group is within ε. A point matching several groups
@@ -68,11 +69,9 @@
 //! selectable through the one [`Algorithm`] enum, with `Auto` resolved by
 //! the cost model in [`cost`].
 //!
-//! The per-operator entry points (`sgb_all`/`sgb_any`/`sgb_around` with
-//! their `Sgb*Config` types) remain available as thin wrappers over the
-//! query surface's execution body; new code should prefer [`SgbQuery`].
+//! [`SgbQuery`] (with its [`SgbStream`]) is the only way to run an
+//! operator: the per-operator engines behind it are crate-private.
 
-pub mod aggregate;
 pub mod all;
 pub mod any;
 pub mod around;
@@ -84,15 +83,9 @@ pub mod grouping;
 pub mod incremental;
 pub mod query;
 
-pub use aggregate::{aggregate_groups, collect_groups, AggregateFn, GroupAggregates};
-pub use all::{sgb_all, SgbAll};
-pub use any::{sgb_any, SgbAny};
-pub use around::{sgb_around, AroundGrouping, CenterId, SgbAround};
+pub use around::CenterId;
 pub use cache::{CacheStats, SgbCache};
-pub use config::{
-    Algorithm, AllAlgorithm, AnyAlgorithm, AroundAlgorithm, OverlapAction, SgbAllConfig,
-    SgbAnyConfig, SgbAroundConfig,
-};
+pub use config::{Algorithm, OverlapAction};
 pub use governor::{CancelToken, Pacer, QueryGovernor, SgbError};
 pub use grouping::{Grouping, RecordId};
 pub use incremental::{MaintainedGrouping, SlotId};

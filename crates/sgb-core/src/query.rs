@@ -24,9 +24,9 @@
 //! Each operator has **one execution body** — governed, cache-aware and
 //! telemetry-aware — and the four run entry points wrap it: the `try_`
 //! forms pass the caller's [`QueryGovernor`], [`run`](SgbQuery::run) and
-//! [`run_cached`](SgbQuery::run_cached) an unrestricted one. The legacy
-//! `sgb_all`/`sgb_any`/`sgb_around` entry points share the same code, so
-//! their groupings are **bit-identical** (`tests/api_equivalence.rs`).
+//! [`run_cached`](SgbQuery::run_cached) an unrestricted one. The engines
+//! behind it are crate-private: a query is the only way to run an
+//! operator.
 //!
 //! ```
 //! use sgb_core::{Algorithm, SgbQuery};
@@ -54,325 +54,16 @@ use std::sync::Arc;
 use sgb_geom::{Metric, Point};
 use sgb_spatial::{Grid, RTree};
 
-use sgb_telemetry::{Counter, Phase, QueryProfile, Telemetry};
+use sgb_telemetry::{Counter, Phase, Telemetry};
 
-use crate::any;
-use crate::around::{build_center_index, AroundGrouping};
+use crate::all::SgbAll;
+use crate::any::{self, SgbAny};
+use crate::around::{build_center_index, CenterRule, SgbAround};
 use crate::cache::SgbCache;
 use crate::governor::{QueryGovernor, SgbError};
-use crate::grouping::Grouping as FlatGrouping;
-use crate::{
-    cost, Algorithm, AnyAlgorithm, AroundAlgorithm, OverlapAction, RecordId, SgbAll, SgbAllConfig,
-    SgbAny, SgbAnyConfig, SgbAround, SgbAroundConfig,
-};
+use crate::{cost, Algorithm, OverlapAction, RecordId};
 
-/// The unified answer set of the SGB operator family (Definition 3, plus
-/// the order-independent extensions of arXiv:1412.4303).
-///
-/// One type covers all three operators:
-///
-/// * [`groups`](Self::groups) — the answer groups, each a member list of
-///   record ids in join order. SGB-All reports cliques in creation order,
-///   SGB-Any connected components keyed by smallest member, SGB-Around
-///   the non-empty center groups in center order.
-/// * [`eliminated`](Self::eliminated) — records dropped by SGB-All's
-///   `ON-OVERLAP ELIMINATE` (empty for everything else).
-/// * [`outliers`](Self::outliers) — records beyond the radius bound of
-///   SGB-Around's `WITHIN r` (empty for everything else). They are **not**
-///   part of [`groups`](Self::groups); [`output_groups`](Self::output_groups)
-///   appends them as one trailing group, which is how the SQL layer emits
-///   them.
-/// * [`resolved_algorithm`](Self::resolved_algorithm) /
-///   [`selection_reason`](Self::selection_reason) — the concrete execution
-///   path the run used and why, in the same vocabulary `EXPLAIN` prints.
-///
-/// Equality compares the **answer sets only** (groups, eliminated,
-/// outliers); the execution metadata is deliberately excluded so results
-/// produced by different algorithms compare equal exactly when the
-/// grouping semantics say they should.
-#[derive(Clone, Debug)]
-pub struct Grouping {
-    groups: Vec<Vec<RecordId>>,
-    eliminated: Vec<RecordId>,
-    outliers: Vec<RecordId>,
-    algorithm: Algorithm,
-    selection: String,
-    threads: usize,
-    /// The telemetry handle the producing run recorded into — off unless
-    /// the query had one installed ([`SgbQuery::telemetry`]). Carrying the
-    /// live handle (not a snapshot) lets later stages — the relational
-    /// aggregation, for one — keep recording into the same profile; a
-    /// snapshot is materialised on demand by [`Grouping::profile`].
-    telemetry: Telemetry,
-}
-
-impl Grouping {
-    /// An empty grouping: no groups, nothing eliminated, no outliers —
-    /// what any query produces over empty input. Useful as the identity
-    /// value of total wrappers that sometimes have nothing to run.
-    #[must_use]
-    pub fn empty() -> Self {
-        Grouping {
-            groups: Vec::new(),
-            eliminated: Vec::new(),
-            outliers: Vec::new(),
-            algorithm: Algorithm::AllPairs,
-            selection: "empty input, nothing ran".to_owned(),
-            threads: 1,
-            telemetry: Telemetry::off(),
-        }
-    }
-
-    /// Wraps a flat SGB-All / SGB-Any answer set.
-    pub(crate) fn from_flat(
-        flat: FlatGrouping,
-        algorithm: Algorithm,
-        selection: String,
-        threads: usize,
-    ) -> Self {
-        Grouping {
-            groups: flat.groups,
-            eliminated: flat.eliminated,
-            outliers: Vec::new(),
-            algorithm,
-            selection,
-            threads,
-            telemetry: Telemetry::off(),
-        }
-    }
-
-    /// Wraps an SGB-Around answer set: non-empty center groups in center
-    /// order, outliers kept as the explicit outlier set.
-    pub(crate) fn from_around(
-        around: AroundGrouping,
-        algorithm: Algorithm,
-        selection: String,
-        threads: usize,
-    ) -> Self {
-        Grouping {
-            groups: around
-                .groups
-                .into_iter()
-                .filter(|g| !g.is_empty())
-                .collect(),
-            eliminated: Vec::new(),
-            outliers: around.outliers,
-            algorithm,
-            selection,
-            threads,
-            telemetry: Telemetry::off(),
-        }
-    }
-
-    /// The flat SGB-All / SGB-Any answer set (groups and the eliminated
-    /// set) — what the legacy one-shot entry points return.
-    pub(crate) fn into_flat(self) -> FlatGrouping {
-        FlatGrouping {
-            groups: self.groups,
-            eliminated: self.eliminated,
-        }
-    }
-
-    /// The answer groups (member record ids in join order).
-    #[must_use]
-    pub fn groups(&self) -> &[Vec<RecordId>] {
-        &self.groups
-    }
-
-    /// Iterates over the answer groups.
-    pub fn iter(&self) -> impl Iterator<Item = &[RecordId]> {
-        self.groups.iter().map(Vec::as_slice)
-    }
-
-    /// The answer groups plus — when any exist — the outlier set as one
-    /// trailing group: the relational output shape (`GROUP BY … AROUND …
-    /// WITHIN r` emits the outlier group last).
-    pub fn output_groups(&self) -> impl Iterator<Item = &[RecordId]> {
-        self.groups
-            .iter()
-            .map(Vec::as_slice)
-            .chain((!self.outliers.is_empty()).then_some(self.outliers.as_slice()))
-    }
-
-    /// Records dropped by `ON-OVERLAP ELIMINATE`, in elimination order.
-    #[must_use]
-    pub fn eliminated(&self) -> &[RecordId] {
-        &self.eliminated
-    }
-
-    /// Records beyond the SGB-Around radius bound, in arrival order.
-    #[must_use]
-    pub fn outliers(&self) -> &[RecordId] {
-        &self.outliers
-    }
-
-    /// Number of answer groups (the outlier set is not counted; see
-    /// [`output_groups`](Self::output_groups)).
-    #[must_use]
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Total number of records placed in answer groups.
-    #[must_use]
-    pub fn grouped_records(&self) -> usize {
-        self.groups.iter().map(Vec::len).sum()
-    }
-
-    /// Group sizes in group order.
-    #[must_use]
-    pub fn sizes(&self) -> Vec<usize> {
-        self.groups.iter().map(Vec::len).collect()
-    }
-
-    /// Group sizes in descending order (order-insensitive comparisons).
-    #[must_use]
-    pub fn sorted_sizes(&self) -> Vec<usize> {
-        let mut s = self.sizes();
-        s.sort_unstable_by(|a, b| b.cmp(a));
-        s
-    }
-
-    /// The concrete execution path this grouping was produced by
-    /// (never [`Algorithm::Auto`] — `Auto` is resolved before running).
-    #[must_use]
-    pub fn resolved_algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// Why [`resolved_algorithm`](Self::resolved_algorithm) was chosen:
-    /// `"configured explicitly"` or the cost model's reason — the same
-    /// text the SQL layer's `EXPLAIN` prints after `path:`.
-    #[must_use]
-    pub fn selection_reason(&self) -> &str {
-        &self.selection
-    }
-
-    /// How many worker threads the run actually used (1 for every
-    /// sequential path, including all of SGB-All). Like
-    /// [`resolved_algorithm`](Self::resolved_algorithm), this is execution
-    /// metadata: it never influences the answer sets and is excluded from
-    /// equality.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The query profile recorded while producing this grouping — phase
-    /// timings (validate, index build, join, merge, …) and engine counters
-    /// (candidate pairs, cells probed, cache hits, …). `None` unless the
-    /// query installed a telemetry handle ([`SgbQuery::telemetry`]). Like
-    /// [`threads`](Self::threads), this is execution metadata, excluded
-    /// from equality.
-    #[must_use]
-    pub fn profile(&self) -> Option<QueryProfile> {
-        self.telemetry.profile()
-    }
-
-    /// The live telemetry handle behind [`profile`](Self::profile), so
-    /// downstream stages (relational aggregation) can keep recording into
-    /// the same sink after the operator returns.
-    #[must_use]
-    pub fn telemetry_handle(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Installs the telemetry handle this grouping reports through.
-    pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
-    /// Maps each record id in `0..n` to the index of the answer group
-    /// containing it (`None` for eliminated, outlier, or never-seen
-    /// records).
-    #[must_use]
-    pub fn assignment(&self, n: usize) -> Vec<Option<usize>> {
-        let mut out = vec![None; n];
-        for (gi, g) in self.groups.iter().enumerate() {
-            for &r in g {
-                debug_assert!(r < n, "record id out of range");
-                debug_assert!(out[r].is_none(), "record {r} in two groups");
-                out[r] = Some(gi);
-            }
-        }
-        out
-    }
-
-    /// A canonical form: members sorted within each group, groups sorted
-    /// by first member, eliminated/outliers sorted. Two groupings are
-    /// semantically equal as sets of sets iff their normalized forms are
-    /// equal. Metadata is preserved.
-    #[must_use]
-    pub fn normalized(&self) -> Grouping {
-        let mut groups: Vec<Vec<RecordId>> = self
-            .groups
-            .iter()
-            .map(|g| {
-                let mut g = g.clone();
-                g.sort_unstable();
-                g
-            })
-            .collect();
-        groups.sort();
-        let mut eliminated = self.eliminated.clone();
-        eliminated.sort_unstable();
-        let mut outliers = self.outliers.clone();
-        outliers.sort_unstable();
-        Grouping {
-            groups,
-            eliminated,
-            outliers,
-            algorithm: self.algorithm,
-            selection: self.selection.clone(),
-            threads: self.threads,
-            telemetry: self.telemetry.clone(),
-        }
-    }
-
-    /// Asserts internal consistency for `n` input records: every record
-    /// appears in at most one group, never both grouped and
-    /// eliminated/outlier. Intended for tests.
-    pub fn check_partition(&self, n: usize) {
-        let mut seen = vec![false; n];
-        for g in &self.groups {
-            assert!(!g.is_empty(), "output groups must be non-empty");
-            for &r in g {
-                assert!(r < n, "record {r} out of range {n}");
-                assert!(!seen[r], "record {r} appears twice");
-                seen[r] = true;
-            }
-        }
-        for &r in self.eliminated.iter().chain(&self.outliers) {
-            assert!(r < n, "record {r} out of range {n}");
-            assert!(!seen[r], "record {r} appears twice");
-            seen[r] = true;
-        }
-    }
-}
-
-impl PartialEq for Grouping {
-    fn eq(&self, other: &Self) -> bool {
-        // Metadata (algorithm, selection reason) is excluded on purpose:
-        // equality is about the answer sets.
-        self.groups == other.groups
-            && self.eliminated == other.eliminated
-            && self.outliers == other.outliers
-    }
-}
-
-impl Eq for Grouping {}
-
-impl<'a> IntoIterator for &'a Grouping {
-    type Item = &'a [RecordId];
-    type IntoIter = std::iter::Map<
-        std::slice::Iter<'a, Vec<RecordId>>,
-        fn(&'a Vec<RecordId>) -> &'a [RecordId],
-    >;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.groups.iter().map(Vec::as_slice)
-    }
-}
+pub use crate::grouping::Grouping;
 
 /// The operator-specific part of a query: which membership rule applies
 /// and its private knobs.
@@ -406,9 +97,8 @@ impl<const D: usize> OpSpec<D> {
 /// [`run`](Self::run) over a complete point set or [`stream`](Self::stream)
 /// points in arrival order.
 ///
-/// Knob defaults match the legacy per-operator configs exactly (`L2`,
-/// `Auto`, `JOIN-ANY`, seed `0x5EED`, hull threshold 16, R-tree fan-out
-/// 12), so migrating a call site never changes its grouping.
+/// Knob defaults: `L2`, `Auto`, `JOIN-ANY`, seed `0x5EED`, hull threshold
+/// 16, R-tree fan-out 12.
 ///
 /// ```
 /// use sgb_core::{Algorithm, OverlapAction, SgbQuery};
@@ -432,11 +122,11 @@ impl<const D: usize> OpSpec<D> {
 #[derive(Clone, Debug, PartialEq)]
 pub struct SgbQuery<const D: usize> {
     pub(crate) op: OpSpec<D>,
-    metric: Metric,
+    pub(crate) metric: Metric,
     algorithm: Algorithm,
-    seed: u64,
-    hull_threshold: usize,
-    rtree_fanout: usize,
+    pub(crate) seed: u64,
+    pub(crate) hull_threshold: usize,
+    pub(crate) rtree_fanout: usize,
     threads: usize,
     /// Profile sink for this query's executions ([`Telemetry::off`] by
     /// default — zero-cost; see the `telemetry` bench gate). Excluded from
@@ -521,8 +211,7 @@ impl<const D: usize> SgbQuery<D> {
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
         let applicable = match self.op {
             OpSpec::All { .. } => true,
-            OpSpec::Any { .. } => algorithm.for_any().is_some(),
-            OpSpec::Around { .. } => algorithm.for_around().is_some(),
+            OpSpec::Any { .. } | OpSpec::Around { .. } => algorithm != Algorithm::BoundsChecking,
         };
         assert!(
             applicable,
@@ -687,31 +376,6 @@ impl<const D: usize> SgbQuery<D> {
         }
     }
 
-    // -- lowering ------------------------------------------------------------
-
-    pub(crate) fn all_config(&self, eps: f64, overlap: OverlapAction) -> SgbAllConfig {
-        SgbAllConfig::new(eps)
-            .metric(self.metric)
-            .overlap(overlap)
-            .seed(self.seed)
-            .hull_threshold(self.hull_threshold)
-            .rtree_fanout(self.rtree_fanout)
-    }
-
-    pub(crate) fn around_config(
-        &self,
-        centers: Vec<Point<D>>,
-        max_radius: Option<f64>,
-    ) -> SgbAroundConfig<D> {
-        let mut cfg = SgbAroundConfig::new(centers)
-            .metric(self.metric)
-            .rtree_fanout(self.rtree_fanout);
-        if let Some(r) = max_radius {
-            cfg = cfg.max_radius(r);
-        }
-        cfg
-    }
-
     // -- execution -----------------------------------------------------------
 
     /// Records the result-shape counters and attaches this query's
@@ -720,13 +384,13 @@ impl<const D: usize> SgbQuery<D> {
     /// the caller, after any `store_result`).
     fn finalize(&self, mut out: Grouping) -> Grouping {
         if self.telemetry.is_enabled() {
-            self.telemetry.add(Counter::Groups, out.groups.len() as u64);
+            self.telemetry.add(Counter::Groups, out.num_groups() as u64);
             self.telemetry
-                .add(Counter::Outliers, out.outliers.len() as u64);
+                .add(Counter::Outliers, out.outliers().len() as u64);
             self.telemetry
-                .record_max(Counter::ThreadsUsed, out.threads as u64);
+                .record_max(Counter::ThreadsUsed, out.threads() as u64);
         }
-        out.telemetry = self.telemetry.clone();
+        out.set_telemetry(self.telemetry.clone());
         out
     }
 
@@ -904,11 +568,10 @@ impl<const D: usize> SgbQuery<D> {
         governor: &QueryGovernor,
     ) -> Result<Grouping, SgbError> {
         let tel = &self.telemetry;
-        let (resolved, reason) = cost::resolve_all(self.algorithm.for_all(), points.len(), D);
+        let (resolved, reason) = cost::resolve_all(self.algorithm, points.len(), D);
         let (threads, _) = cost::threads_for_all();
-        let cfg = self.all_config(eps, overlap).algorithm(resolved);
         let join = tel.phase(Phase::Join);
-        let mut op = SgbAll::new(cfg);
+        let mut op = SgbAll::new(self, eps, overlap, resolved);
         for p in points {
             governor.check()?;
             op.push(*p);
@@ -917,9 +580,9 @@ impl<const D: usize> SgbQuery<D> {
         tel.add(Counter::CandidatePairs, op.candidates_tested());
         tel.add(Counter::GovernorPolls, 1 + points.len() as u64);
         let merge = tel.phase(Phase::Merge);
-        let flat = op.finish();
+        let out = op.finish();
         drop(merge);
-        Ok(Grouping::from_flat(flat, resolved.into(), reason, threads))
+        Ok(out.ran(resolved, reason, threads))
     }
 
     /// SGB-Any: resolve against the cache view and the memory budget, take
@@ -934,9 +597,8 @@ impl<const D: usize> SgbQuery<D> {
     ) -> Result<Grouping, SgbError> {
         let tel = &self.telemetry;
         let (n, metric, fanout) = (points.len(), self.metric, self.rtree_fanout);
-        let base = self.algorithm.for_any().expect("validated by algorithm()");
         let (resolved, reason) = cost::resolve_any(
-            base,
+            self.algorithm,
             n,
             D,
             cache.is_some_and(|(cache, version)| cache.has_usable_grid(version, eps)),
@@ -946,8 +608,8 @@ impl<const D: usize> SgbQuery<D> {
         let (threads, _) = cost::threads_for_any(resolved, self.threads, n);
         let entries = || points.iter().enumerate().map(|(i, p)| (*p, i));
         // The resolver admitted any index build under the budget.
-        let flat = match resolved {
-            AnyAlgorithm::Indexed => {
+        let out = match resolved {
+            Algorithm::Indexed => {
                 let build = tel.phase(Phase::IndexBuild);
                 let fresh = || RTree::from_points(fanout, entries());
                 let index = match cache {
@@ -957,7 +619,7 @@ impl<const D: usize> SgbQuery<D> {
                 drop(build);
                 any::join_tree(points, eps, metric, &index, governor, tel)?
             }
-            AnyAlgorithm::Grid => {
+            Algorithm::Grid => {
                 let build = tel.phase(Phase::IndexBuild);
                 let fresh = |side| Grid::from_points(side, entries());
                 let index = match cache {
@@ -967,12 +629,13 @@ impl<const D: usize> SgbQuery<D> {
                 drop(build);
                 any::join_grid(points, eps, metric, &index, threads, governor, tel)?
             }
-            // Resolution never yields `Auto`; it shares the scan's arm.
-            AnyAlgorithm::AllPairs | AnyAlgorithm::Auto => {
+            // Resolution never yields `Auto` (and the builder rejects
+            // `BoundsChecking`); both share the scan's arm.
+            Algorithm::AllPairs | Algorithm::Auto | Algorithm::BoundsChecking => {
                 any::join_all_pairs(points, eps, metric, governor, tel)?
             }
         };
-        Ok(Grouping::from_flat(flat, resolved.into(), reason, threads))
+        Ok(out.ran(resolved, reason, threads))
     }
 
     /// SGB-Around: resolve against the cached center index and the memory
@@ -988,46 +651,34 @@ impl<const D: usize> SgbQuery<D> {
     ) -> Result<Grouping, SgbError> {
         let tel = &self.telemetry;
         let fanout = self.rtree_fanout;
-        let base = self
-            .algorithm
-            .for_around()
-            .expect("validated by algorithm()");
         let cached = cache.and_then(|(cache, _)| cache.cached_center_algorithm(centers, fanout));
-        let (resolved, reason) = cost::resolve_around(base, centers.len(), D, cached, governor)?;
+        let (resolved, reason) =
+            cost::resolve_around(self.algorithm, centers.len(), D, cached, governor)?;
         let (threads, _) = cost::threads_for_around(self.threads, points.len());
-        let cfg = self
-            .around_config(centers.to_vec(), max_radius)
-            .algorithm(resolved)
-            .threads(threads);
         let build = tel.phase(Phase::IndexBuild);
         let index = match (cache, resolved) {
-            (Some((cache, _)), AroundAlgorithm::Indexed | AroundAlgorithm::Grid) => {
+            (Some((cache, _)), Algorithm::Indexed | Algorithm::Grid) => {
                 cache.get_or_build_center_index(resolved, fanout, centers)
             }
             // The brute scan has no structure worth caching.
             _ => Arc::new(build_center_index(resolved, fanout, centers)),
         };
-        let mut op = SgbAround::with_center_index(cfg, index);
+        let mut op = SgbAround::new(CenterRule::new(self, centers, max_radius, index));
         drop(build);
         let join = tel.phase(Phase::Join);
-        op.try_extend_from_slice(points, governor)?;
+        op.try_extend_from_slice(points, threads, governor)?;
         drop(join);
         // Approximate candidate count: the brute scan compares every point
         // against every center; the indexed paths probe once per point.
         let per_point = match resolved {
-            AroundAlgorithm::BruteForce => centers.len() as u64,
+            Algorithm::AllPairs => centers.len() as u64,
             _ => 1,
         };
         tel.add(Counter::CandidatePairs, points.len() as u64 * per_point);
         let merge = tel.phase(Phase::Merge);
-        let around = op.finish();
+        let out = op.finish();
         drop(merge);
-        Ok(Grouping::from_around(
-            around,
-            resolved.into(),
-            reason,
-            threads,
-        ))
+        Ok(out.ran(resolved, reason, threads))
     }
 
     /// A total encoding of every knob that can influence this query's
@@ -1076,45 +727,27 @@ impl<const D: usize> SgbQuery<D> {
     /// center count up front and resolves exactly like [`run`](Self::run).
     #[must_use]
     pub fn stream(self) -> SgbStream<D> {
-        let (inner, algorithm, selection) = match &self.op {
+        let (inner, (algorithm, selection)) = match &self.op {
             OpSpec::All { eps, overlap } => {
-                let (resolved, reason) = cost::resolve_all_streaming(self.algorithm.for_all(), D);
-                let cfg = self.all_config(*eps, *overlap).algorithm(resolved);
-                (
-                    StreamInner::All(Box::new(SgbAll::new(cfg))),
-                    resolved.into(),
-                    reason,
-                )
+                let resolved = cost::resolve_all_streaming(self.algorithm, D);
+                let op = SgbAll::new(&self, *eps, *overlap, resolved.0);
+                (StreamInner::All(Box::new(op)), resolved)
             }
             OpSpec::Any { eps } => {
-                let base = self.algorithm.for_any().expect("validated by algorithm()");
-                let (resolved, reason) = cost::resolve_any_streaming(base, D);
-                let cfg = SgbAnyConfig::new(*eps)
-                    .metric(self.metric)
-                    .rtree_fanout(self.rtree_fanout)
-                    .algorithm(resolved);
-                (
-                    StreamInner::Any(Box::new(SgbAny::new(cfg))),
-                    resolved.into(),
-                    reason,
-                )
+                let resolved = cost::resolve_any_streaming(self.algorithm, D);
+                let op = SgbAny::new(&self, *eps, resolved.0);
+                (StreamInner::Any(Box::new(op)), resolved)
             }
             OpSpec::Around {
                 centers,
                 max_radius,
             } => {
-                let base = self
-                    .algorithm
-                    .for_around()
-                    .expect("validated by algorithm()");
-                let (resolved, reason) = cost::around_cost_model(base, centers.len(), D);
-                let cfg = self
-                    .around_config(centers.clone(), *max_radius)
-                    .algorithm(resolved);
+                let resolved = cost::around_cost_model(self.algorithm, centers.len(), D);
+                let index = build_center_index(resolved.0, self.rtree_fanout, centers);
+                let rule = CenterRule::new(&self, centers, *max_radius, Arc::new(index));
                 (
-                    StreamInner::Around(Box::new(SgbAround::new(cfg))),
-                    resolved.into(),
-                    reason,
+                    StreamInner::Around(Box::new(SgbAround::new(rule))),
+                    resolved,
                 )
             }
         };
@@ -1213,24 +846,18 @@ impl<const D: usize> SgbStream<D> {
     pub fn finish(self) -> Grouping {
         // Streams process points in arrival order one at a time; every
         // streaming path is sequential by construction.
-        match self.inner {
-            StreamInner::All(op) => {
-                Grouping::from_flat(op.finish(), self.algorithm, self.selection, 1)
-            }
-            StreamInner::Any(op) => {
-                Grouping::from_flat(op.finish(), self.algorithm, self.selection, 1)
-            }
-            StreamInner::Around(op) => {
-                Grouping::from_around(op.finish(), self.algorithm, self.selection, 1)
-            }
-        }
+        let out = match self.inner {
+            StreamInner::All(op) => op.finish(),
+            StreamInner::Any(op) => op.finish(),
+            StreamInner::Around(op) => op.finish(),
+        };
+        out.ran(self.algorithm, self.selection, 1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{sgb_all, sgb_any};
 
     fn pts(raw: &[[f64; 2]]) -> Vec<Point<2>> {
         raw.iter().map(|&c| Point::new(c)).collect()
@@ -1239,34 +866,6 @@ mod tests {
     /// Figure 2 of the paper.
     fn fig2() -> Vec<Point<2>> {
         pts(&[[1.0, 7.0], [2.0, 6.0], [6.0, 2.0], [7.0, 1.0], [4.0, 4.0]])
-    }
-
-    #[test]
-    fn run_matches_legacy_entry_points() {
-        let points = fig2();
-        for algorithm in [
-            Algorithm::Auto,
-            Algorithm::AllPairs,
-            Algorithm::BoundsChecking,
-            Algorithm::Indexed,
-            Algorithm::Grid,
-        ] {
-            let new = SgbQuery::all(3.0)
-                .metric(Metric::LInf)
-                .algorithm(algorithm)
-                .run(&points);
-            let old = sgb_all(
-                &points,
-                &SgbAllConfig::new(3.0)
-                    .metric(Metric::LInf)
-                    .algorithm(algorithm.for_all()),
-            );
-            assert_eq!(new.groups(), old.groups.as_slice(), "{algorithm}");
-            assert_eq!(new.eliminated(), old.eliminated.as_slice(), "{algorithm}");
-        }
-        let new = SgbQuery::any(3.0).metric(Metric::LInf).run(&points);
-        let old = sgb_any(&points, &SgbAnyConfig::new(3.0).metric(Metric::LInf));
-        assert_eq!(new.groups(), old.groups.as_slice());
     }
 
     #[test]
@@ -1464,30 +1063,21 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "points must have finite coordinates")]
-    fn legacy_sgb_all_rejects_non_finite_points() {
-        let points = pts(&[[0.0, 0.0], [f64::NAN, 1.0], [2.0, 2.0]]);
-        let _ = sgb_all(&points, &SgbAllConfig::new(1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "points must have finite coordinates")]
-    fn legacy_sgb_any_with_threads_rejects_non_finite_points() {
+    fn run_rejects_non_finite_points_for_any_grid_with_threads() {
         let points = pts(&[[0.0, 0.0], [1.0, f64::NAN], [2.0, 2.0], [3.0, 3.0]]);
-        let cfg = SgbAnyConfig::new(1.0)
-            .algorithm(AnyAlgorithm::Grid)
-            .threads(2);
-        let _ = sgb_any(&points, &cfg);
+        let query = SgbQuery::any(1.0).algorithm(Algorithm::Grid).threads(2);
+        let _ = query.run(&points);
     }
 
     #[test]
     #[should_panic(expected = "points must have finite coordinates")]
-    fn legacy_sgb_around_with_threads_rejects_non_finite_points() {
+    fn run_rejects_non_finite_points_for_around_with_threads() {
         // The parallel batch assignment must not classify a NaN point: every
         // distance comparison against NaN is false, so it would silently
         // join center 0.
         let points = pts(&[[0.0, 0.0], [1.0, 1.0], [f64::NAN, 2.0], [3.0, 3.0]]);
-        let cfg = SgbAroundConfig::new(pts(&[[0.0, 0.0], [3.0, 3.0]])).threads(2);
-        let _ = crate::sgb_around(&points, &cfg);
+        let query = SgbQuery::around(pts(&[[0.0, 0.0], [3.0, 3.0]])).threads(2);
+        let _ = query.run(&points);
     }
 
     /// Deterministic pseudo-random cloud for the parity sweep.
@@ -1534,7 +1124,7 @@ mod tests {
         }
         for (side, n) in any_n.into_iter().enumerate() {
             for algorithm in Algorithm::ALL {
-                if algorithm.for_any().is_some() {
+                if algorithm != Algorithm::BoundsChecking {
                     let q = SgbQuery::any(0.3).algorithm(algorithm);
                     cases.push((q, cloud(n, 21 + side as u64, 10.0)));
                 }
@@ -1542,7 +1132,7 @@ mod tests {
         }
         for (side, centers) in around_centers.into_iter().enumerate() {
             for algorithm in Algorithm::ALL {
-                if algorithm.for_around().is_some() {
+                if algorithm != Algorithm::BoundsChecking {
                     let q = SgbQuery::around(cloud(centers, 31 + side as u64, 10.0))
                         .max_radius(0.5)
                         .algorithm(algorithm);

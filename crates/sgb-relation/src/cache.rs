@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use sgb_core::{AroundAlgorithm, CacheStats, SgbCache};
+use sgb_core::{Algorithm, CacheStats, SgbCache};
 use sgb_geom::Point;
 
 use crate::error::Result;
@@ -160,7 +160,7 @@ impl SessionCaches {
         &self,
         table: &str,
         coords_key: &str,
-        algorithm: AroundAlgorithm,
+        algorithm: Algorithm,
         centers: &[Vec<f64>],
         fanout: usize,
     ) -> bool {
@@ -182,7 +182,7 @@ impl SessionCaches {
         coords_key: &str,
         centers: &[Vec<f64>],
         fanout: usize,
-    ) -> Option<AroundAlgorithm> {
+    ) -> Option<Algorithm> {
         match self.peek(table, coords_key)? {
             DimSlot::D2(s) => {
                 let pts = center_points::<2>(centers)?;

@@ -551,7 +551,7 @@ pub(crate) fn sgb_query<const D: usize>(mode: &SgbMode) -> Result<SgbQuery<D>> {
         } => {
             // The planner only emits algorithms the operator implements;
             // a hand-built plan must get an Err, not the builder's panic.
-            if algorithm.for_any().is_none() {
+            if *algorithm == Algorithm::BoundsChecking {
                 return Err(Error::Eval(format!(
                     "{algorithm} is not an execution path of DISTANCE-TO-ANY"
                 )));
@@ -595,7 +595,7 @@ pub(crate) fn around_query<const D: usize>(
         }
         center_points.push(Point::new(arr));
     }
-    if algorithm.for_around().is_none() {
+    if algorithm == Algorithm::BoundsChecking {
         return Err(Error::Eval(format!(
             "{algorithm} is not an execution path of AROUND"
         )));

@@ -13,7 +13,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use sgb_core::query::DEFAULT_RTREE_FANOUT;
-use sgb_core::{Algorithm, AnyAlgorithm, AroundAlgorithm};
+use sgb_core::Algorithm;
 
 use crate::cache::slot_key;
 use crate::engine::Database;
@@ -186,13 +186,12 @@ impl<'a> Planner<'a> {
                 // under the session options the plan was built with.
                 let n = estimate_rows(&acc, self.db);
                 let configured = self.db.session().all_algorithm;
-                let (resolved, selection) =
-                    sgb_core::cost::resolve_all(configured.for_all(), n, exprs.len());
+                let (resolved, selection) = sgb_core::cost::resolve_all(configured, n, exprs.len());
                 let mode = SgbMode::All {
                     eps: *eps,
                     metric: *metric,
                     overlap: *overlap,
-                    algorithm: resolved.into(),
+                    algorithm: resolved,
                     seed: self.db.session().seed,
                     threads: sgb_core::cost::threads_for_all().0,
                     selection: session_selection(configured, selection),
@@ -205,12 +204,12 @@ impl<'a> Planner<'a> {
             (Some(GroupBy::SimilarityAny { exprs, metric, eps }), _) => {
                 let n = estimate_rows(&acc, self.db);
                 let configured = self.db.session().any_algorithm;
-                let base = configured.for_any().ok_or_else(|| {
-                    Error::Unsupported(format!(
+                if configured == Algorithm::BoundsChecking {
+                    return Err(Error::Unsupported(format!(
                         "session algorithm {configured} is not an execution path of \
                          DISTANCE-TO-ANY (valid: Auto, AllPairs, Indexed, Grid)"
-                    ))
-                })?;
+                    )));
+                }
                 // Probe the session cache (read-only) when the operator
                 // reads a base table directly — only then does the cached,
                 // version-scoped index describe this node's input — so
@@ -238,7 +237,7 @@ impl<'a> Planner<'a> {
                 // structures cost no new memory and are always admitted.
                 let governor = self.db.statement_governor();
                 let (resolved, selection) = sgb_core::cost::resolve_any(
-                    base,
+                    configured,
                     n,
                     exprs.len(),
                     cached_grid,
@@ -248,16 +247,16 @@ impl<'a> Planner<'a> {
                 let (threads, _) =
                     sgb_core::cost::threads_for_any(resolved, self.db.session().threads, n);
                 let index = match resolved {
-                    AnyAlgorithm::AllPairs => IndexCacheStatus::NotApplicable,
+                    Algorithm::AllPairs => IndexCacheStatus::NotApplicable,
                     _ if !self.db.session().cache => IndexCacheStatus::Disabled,
-                    AnyAlgorithm::Grid if cached_grid => IndexCacheStatus::Hit,
-                    AnyAlgorithm::Indexed if cached_tree => IndexCacheStatus::Hit,
+                    Algorithm::Grid if cached_grid => IndexCacheStatus::Hit,
+                    Algorithm::Indexed if cached_tree => IndexCacheStatus::Hit,
                     _ => IndexCacheStatus::Built,
                 };
                 let mode = SgbMode::Any {
                     eps: *eps,
                     metric: *metric,
-                    algorithm: resolved.into(),
+                    algorithm: resolved,
                     threads,
                     selection: session_selection(configured, selection),
                     index,
@@ -480,12 +479,12 @@ impl<'a> Planner<'a> {
         // centers, never the table) has zero build cost, so `Auto`
         // prefers it below the cold crossover.
         let configured = self.db.session().around_algorithm;
-        let base = configured.for_around().ok_or_else(|| {
-            Error::Unsupported(format!(
+        if configured == Algorithm::BoundsChecking {
+            return Err(Error::Unsupported(format!(
                 "session algorithm {configured} is not an execution path of \
                  AROUND (valid: Auto, AllPairs, Indexed, Grid)"
-            ))
-        })?;
+            )));
+        }
         let probe = bare_scan_table(&input)
             .filter(|_| self.db.session().cache)
             .map(|t| (t.to_ascii_lowercase(), slot_key(&coords)));
@@ -503,14 +502,19 @@ impl<'a> Planner<'a> {
         // `Indexed` / `Grid` with `BudgetExceeded`; a cached center index
         // costs no new memory and is always admitted.
         let governor = self.db.statement_governor();
-        let (resolved, selection) =
-            sgb_core::cost::resolve_around(base, centers.len(), grouping.len(), cached, &governor)?;
+        let (resolved, selection) = sgb_core::cost::resolve_around(
+            configured,
+            centers.len(),
+            grouping.len(),
+            cached,
+            &governor,
+        )?;
         let (threads, _) = sgb_core::cost::threads_for_around(
             self.db.session().threads,
             estimate_rows(&input, self.db),
         );
         let index = match resolved {
-            AroundAlgorithm::BruteForce => IndexCacheStatus::NotApplicable,
+            Algorithm::AllPairs => IndexCacheStatus::NotApplicable,
             _ if !self.db.session().cache => IndexCacheStatus::Disabled,
             concrete
                 if probe.as_ref().is_some_and(|(table, coords_key)| {
@@ -535,7 +539,7 @@ impl<'a> Planner<'a> {
             centers: centers.to_vec(),
             metric,
             radius,
-            algorithm: resolved.into(),
+            algorithm: resolved,
             threads,
             selection: session_selection(configured, selection),
             index,

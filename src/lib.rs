@@ -126,9 +126,7 @@ pub use sgb_spatial as spatial;
 pub use sgb_telemetry as telemetry;
 
 // The unified operator surface: one builder, one algorithm selector, one
-// result type — the only way the root crate exposes algorithm selection
-// and answer sets. (The per-operator execution layer stays reachable
-// through the `core` module re-export for benchmarking and migration.)
+// result type — the only way to run an operator and read its answer set.
 pub use sgb_core::query::{Grouping, SgbQuery, SgbStream};
 pub use sgb_core::{Algorithm, OverlapAction};
 pub use sgb_geom::{Metric, Point, Point2, Point3, Rect};

@@ -2,29 +2,26 @@
 //! SGB-Any strategies are interchangeable, and the paper's worked examples
 //! hold end to end.
 
-use sgb::core::{
-    sgb_all, sgb_any, AllAlgorithm, AnyAlgorithm, Grouping, OverlapAction, SgbAll, SgbAllConfig,
-    SgbAny, SgbAnyConfig,
-};
+use sgb::core::{Algorithm, Grouping, OverlapAction, SgbQuery};
 use sgb::datagen::{clustered_points, uniform_points, CheckinConfig, TpchConfig};
 use sgb::geom::{Metric, Point};
 
-const ALL_ALGOS: [AllAlgorithm; 3] = [
-    AllAlgorithm::AllPairs,
-    AllAlgorithm::BoundsChecking,
-    AllAlgorithm::Indexed,
+const ALL_ALGOS: [Algorithm; 3] = [
+    Algorithm::AllPairs,
+    Algorithm::BoundsChecking,
+    Algorithm::Indexed,
 ];
 
 fn run_all(points: &[Point<2>], eps: f64, metric: Metric, overlap: OverlapAction) -> Vec<Grouping> {
     ALL_ALGOS
         .iter()
         .map(|&algorithm| {
-            let cfg = SgbAllConfig::new(eps)
+            let query = SgbQuery::all(eps)
                 .metric(metric)
                 .overlap(overlap)
                 .algorithm(algorithm)
                 .seed(2024);
-            sgb_all(points, &cfg)
+            query.run(points)
         })
         .collect()
 }
@@ -63,18 +60,14 @@ fn any_algorithms_agree_on_tpch_workload() {
     let points = TpchConfig::new(1.0).density(0.003).generate().sgb1_points();
     for metric in [Metric::L2, Metric::LInf] {
         for eps in [0.001, 0.01, 0.1] {
-            let naive = sgb_any(
-                &points,
-                &SgbAnyConfig::new(eps)
-                    .metric(metric)
-                    .algorithm(AnyAlgorithm::AllPairs),
-            );
-            let indexed = sgb_any(
-                &points,
-                &SgbAnyConfig::new(eps)
-                    .metric(metric)
-                    .algorithm(AnyAlgorithm::Indexed),
-            );
+            let naive = SgbQuery::any(eps)
+                .metric(metric)
+                .algorithm(Algorithm::AllPairs)
+                .run(&points);
+            let indexed = SgbQuery::any(eps)
+                .metric(metric)
+                .algorithm(Algorithm::Indexed)
+                .run(&points);
             assert_eq!(naive, indexed, "{metric:?} eps={eps}");
         }
     }
@@ -83,46 +76,47 @@ fn any_algorithms_agree_on_tpch_workload() {
 #[test]
 fn streaming_and_one_shot_are_identical() {
     let points = uniform_points::<2>(400, 5);
-    let cfg = SgbAllConfig::new(0.07).overlap(OverlapAction::FormNewGroup);
-    let one_shot = sgb_all(&points, &cfg);
-    let mut op = SgbAll::new(cfg);
+    let query = SgbQuery::all(0.07).overlap(OverlapAction::FormNewGroup);
+    let one_shot = query.run(&points);
+    let mut stream = query.stream();
     for p in &points {
-        op.push(*p);
+        stream.push(*p);
     }
-    assert_eq!(op.len(), 400);
-    assert_eq!(op.finish(), one_shot);
+    assert_eq!(stream.len(), 400);
+    assert_eq!(stream.finish(), one_shot);
 
-    let cfg = SgbAnyConfig::new(0.07);
-    let one_shot = sgb_any(&points, &cfg);
-    let mut op = SgbAny::new(cfg);
+    let query = SgbQuery::any(0.07);
+    let one_shot = query.run(&points);
+    let mut stream = query.stream();
     for p in &points {
-        op.push(*p);
+        stream.push(*p);
     }
-    assert_eq!(op.finish(), one_shot);
+    assert_eq!(stream.finish(), one_shot);
 }
 
 #[test]
 fn eliminate_groups_never_larger_than_join_any_total() {
     // ELIMINATE only removes records relative to JOIN-ANY's placement.
     let points = clustered_points::<2>(800, 20, 0.02, 3);
-    let join = sgb_all(&points, &SgbAllConfig::new(0.1));
-    let elim = sgb_all(
-        &points,
-        &SgbAllConfig::new(0.1).overlap(OverlapAction::Eliminate),
-    );
+    let join = SgbQuery::all(0.1).run(&points);
+    let elim = SgbQuery::all(0.1)
+        .overlap(OverlapAction::Eliminate)
+        .run(&points);
     assert_eq!(join.grouped_records(), points.len());
-    assert_eq!(elim.grouped_records() + elim.eliminated.len(), points.len());
+    assert_eq!(
+        elim.grouped_records() + elim.eliminated().len(),
+        points.len()
+    );
 }
 
 #[test]
 fn form_new_group_places_every_record() {
     let points = clustered_points::<2>(800, 20, 0.02, 4);
-    let out = sgb_all(
-        &points,
-        &SgbAllConfig::new(0.1).overlap(OverlapAction::FormNewGroup),
-    );
+    let out = SgbQuery::all(0.1)
+        .overlap(OverlapAction::FormNewGroup)
+        .run(&points);
     assert_eq!(out.grouped_records(), points.len());
-    assert!(out.eliminated.is_empty());
+    assert!(out.eliminated().is_empty());
 }
 
 #[test]
@@ -131,14 +125,11 @@ fn epsilon_monotonicity_for_sgb_any() {
     let points = uniform_points::<2>(500, 77);
     let mut last = usize::MAX;
     for eps in [0.01, 0.02, 0.05, 0.1, 0.2, 0.5] {
-        let n = sgb_any(&points, &SgbAnyConfig::new(eps)).num_groups();
+        let n = SgbQuery::any(eps).run(&points).num_groups();
         assert!(n <= last, "components grew from {last} to {n} at eps={eps}");
         last = n;
     }
-    assert_eq!(
-        sgb_any(&points, &SgbAnyConfig::new(f64::MAX / 4.0)).num_groups(),
-        1
-    );
+    assert_eq!(SgbQuery::any(f64::MAX / 4.0).run(&points).num_groups(), 1);
 }
 
 #[test]
@@ -147,8 +138,8 @@ fn linf_groups_at_least_as_coarse_as_l2() {
     // (never more numerous).
     let points = clustered_points::<2>(600, 30, 0.01, 8);
     for eps in [0.02, 0.05, 0.1] {
-        let l2 = sgb_any(&points, &SgbAnyConfig::new(eps).metric(Metric::L2));
-        let linf = sgb_any(&points, &SgbAnyConfig::new(eps).metric(Metric::LInf));
+        let l2 = SgbQuery::any(eps).metric(Metric::L2).run(&points);
+        let linf = SgbQuery::any(eps).metric(Metric::LInf).run(&points);
         assert!(
             linf.num_groups() <= l2.num_groups(),
             "eps={eps}: {} > {}",
@@ -163,12 +154,12 @@ fn three_dimensional_agreement() {
     let points = clustered_points::<3>(500, 20, 0.02, 12);
     let mut previous: Option<Grouping> = None;
     for algorithm in ALL_ALGOS {
-        let cfg = SgbAllConfig::new(0.15)
+        let query = SgbQuery::all(0.15)
             .metric(Metric::L2)
             .overlap(OverlapAction::Eliminate)
             .algorithm(algorithm)
             .seed(5);
-        let out = sgb_all(&points, &cfg);
+        let out = query.run(&points);
         out.check_partition(points.len());
         if let Some(prev) = &previous {
             assert_eq!(prev, &out, "{algorithm:?}");
@@ -186,13 +177,13 @@ fn hull_threshold_is_a_pure_optimisation() {
         let runs: Vec<Grouping> = [1usize, 4, 16, usize::MAX]
             .iter()
             .map(|&t| {
-                let cfg = SgbAllConfig::new(0.15)
+                let query = SgbQuery::all(0.15)
                     .metric(Metric::L2)
                     .overlap(overlap)
-                    .algorithm(AllAlgorithm::BoundsChecking)
+                    .algorithm(Algorithm::BoundsChecking)
                     .hull_threshold(t)
                     .seed(8);
-                sgb_all(&points, &cfg)
+                query.run(&points)
             })
             .collect();
         for r in &runs[1..] {
@@ -207,12 +198,12 @@ fn rtree_fanout_is_a_pure_optimisation() {
     let runs: Vec<Grouping> = [4usize, 8, 24]
         .iter()
         .map(|&f| {
-            let cfg = SgbAllConfig::new(0.1)
+            let query = SgbQuery::all(0.1)
                 .overlap(OverlapAction::FormNewGroup)
-                .algorithm(AllAlgorithm::Indexed)
+                .algorithm(Algorithm::Indexed)
                 .rtree_fanout(f)
                 .seed(8);
-            sgb_all(&points, &cfg)
+            query.run(&points)
         })
         .collect();
     for r in &runs[1..] {
@@ -220,7 +211,7 @@ fn rtree_fanout_is_a_pure_optimisation() {
     }
     let any_runs: Vec<Grouping> = [4usize, 8, 24]
         .iter()
-        .map(|&f| sgb_any(&points, &SgbAnyConfig::new(0.1).rtree_fanout(f)))
+        .map(|&f| SgbQuery::any(0.1).rtree_fanout(f).run(&points))
         .collect();
     for r in &any_runs[1..] {
         assert_eq!(&any_runs[0], r);
@@ -234,7 +225,7 @@ fn join_any_seed_controls_arbitration_only() {
     let points = clustered_points::<2>(400, 10, 0.03, 21);
     let sizes: Vec<usize> = (0..5)
         .map(|seed| {
-            let out = sgb_all(&points, &SgbAllConfig::new(0.1).seed(seed));
+            let out = SgbQuery::all(0.1).seed(seed).run(&points);
             out.check_partition(points.len());
             assert_eq!(out.grouped_records(), points.len());
             out.num_groups()
@@ -250,36 +241,34 @@ fn around_recovers_ground_truth_mixture_centers() {
     // Seed AROUND with the true mixture centers the generator drew points
     // from: both execution paths agree, and with a tight spread almost
     // every point lands on its own generator's center.
-    use sgb::core::{sgb_around, AroundAlgorithm, SgbAroundConfig};
     use sgb::datagen::clustered_points_with_centers;
 
     let (points, centers) = clustered_points_with_centers::<2>(2_000, 16, 0.002, 0xA10);
     for metric in [Metric::L1, Metric::L2, Metric::LInf] {
         let run = |algorithm| {
-            let cfg = SgbAroundConfig::new(centers.clone())
+            let query = SgbQuery::around(centers.clone())
                 .metric(metric)
                 .algorithm(algorithm);
-            sgb_around(&points, &cfg)
+            query.run(&points)
         };
-        let brute = run(AroundAlgorithm::BruteForce);
-        let indexed = run(AroundAlgorithm::Indexed);
+        let brute = run(Algorithm::AllPairs);
+        let indexed = run(Algorithm::Indexed);
         assert_eq!(brute, indexed, "{metric}");
         brute.check_partition(points.len());
-        assert_eq!(brute.assigned_records(), points.len());
+        assert_eq!(brute.grouped_records(), points.len());
         // Every center of a 16-component mixture over 2000 points should
         // attract a crowd.
-        assert_eq!(brute.occupied_centers(), 16, "{metric}");
+        assert_eq!(brute.group_centers().len(), 16, "{metric}");
     }
     // A radius of a few σ keeps the clusters and expels nothing (spread is
     // 0.002, so 10σ covers essentially all mass around each center).
-    let bounded = sgb_around(
-        &points,
-        &SgbAroundConfig::new(centers.clone()).max_radius(0.02),
-    );
+    let bounded = SgbQuery::around(centers.clone())
+        .max_radius(0.02)
+        .run(&points);
     assert!(
-        bounded.outliers.len() < points.len() / 100,
+        bounded.outliers().len() < points.len() / 100,
         "{} outliers at 10 sigma",
-        bounded.outliers.len()
+        bounded.outliers().len()
     );
 }
 
@@ -287,7 +276,6 @@ fn around_recovers_ground_truth_mixture_centers() {
 fn around_through_sql_equals_core_on_checkin_data() {
     // End-to-end: check-in points through the SQL engine's AROUND clause
     // equal the core operator on the extracted points.
-    use sgb::core::{sgb_around, SgbAroundConfig};
     use sgb::relation::{Database, Schema, Table, Value};
 
     let dataset = CheckinConfig::brightkite_like(800).generate();
@@ -312,7 +300,7 @@ fn around_through_sql_equals_core_on_checkin_data() {
              GROUP BY lat, lon AROUND ((0.25, 0.25), (0.75, 0.25), (0.5, 0.75)) L2 WITHIN 0.4",
         )
         .unwrap();
-    let expected = sgb_around(&points, &SgbAroundConfig::new(centers).max_radius(0.4)).grouping();
+    let expected = SgbQuery::around(centers).max_radius(0.4).run(&points);
     let mut sql_sizes: Vec<usize> = out
         .rows
         .iter()
@@ -322,7 +310,7 @@ fn around_through_sql_equals_core_on_checkin_data() {
         })
         .collect();
     sql_sizes.sort_unstable();
-    let mut core_sizes = expected.sizes();
+    let mut core_sizes: Vec<usize> = expected.output_groups().map(<[usize]>::len).collect();
     core_sizes.sort_unstable();
     assert_eq!(sql_sizes, core_sizes);
 }

@@ -8,9 +8,9 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use sgb::core::{sgb_around, AroundAlgorithm, SgbAroundConfig};
 use sgb::geom::{Metric, Point};
 use sgb::relation::{Database, Schema, Table, Value};
+use sgb::{Algorithm, Grouping, SgbQuery};
 
 fn arb_point() -> impl Strategy<Value = Point<2>> {
     (0.0f64..8.0, 0.0f64..8.0).prop_map(|(x, y)| Point::new([x, y]))
@@ -61,6 +61,15 @@ fn reference_assignment(
         .collect()
 }
 
+/// Maps each record id in `0..n` to the index of its center (`None` for
+/// outliers).
+fn center_assignment(out: &Grouping, n: usize) -> Vec<Option<usize>> {
+    out.assignment(n)
+        .into_iter()
+        .map(|g| g.map(|g| out.group_centers()[g]))
+        .collect()
+}
+
 /// A deterministic permutation of `0..n` derived from `seed`.
 fn permutation(n: usize, seed: u64) -> Vec<usize> {
     let mut perm: Vec<usize> = (0..n).collect();
@@ -79,7 +88,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Both execution paths equal the brute-force nearest-center reference
-    /// under every metric, with and without a radius bound.
+    /// under every metric, with and without a radius bound — through the
+    /// one-shot run and through the stream, which resolves through the
+    /// center-count cost model and assigns one point per push.
     #[test]
     fn around_matches_reference_assignment(
         points in vec(arb_point(), 0..120),
@@ -88,21 +99,26 @@ proptest! {
         radius in prop_oneof![Just(None), (0.0f64..4.0).prop_map(Some)],
     ) {
         let expected = reference_assignment(&points, &centers, metric, radius);
-        for algorithm in [AroundAlgorithm::BruteForce, AroundAlgorithm::Indexed] {
-            let mut cfg = SgbAroundConfig::new(centers.clone())
+        for algorithm in [Algorithm::AllPairs, Algorithm::Indexed] {
+            let mut query = SgbQuery::around(centers.clone())
                 .metric(metric)
                 .algorithm(algorithm);
             if let Some(r) = radius {
-                cfg = cfg.max_radius(r);
+                query = query.max_radius(r);
             }
-            let out = sgb_around(&points, &cfg);
-            out.check_partition(points.len());
-            prop_assert_eq!(
-                out.assignment(points.len()),
-                expected.clone(),
-                "{:?} {} radius {:?}",
-                algorithm, metric, radius
-            );
+            let mut stream = query.clone().stream();
+            for p in &points {
+                stream.push(*p);
+            }
+            for (path, out) in [("run", query.run(&points)), ("stream", stream.finish())] {
+                out.check_partition(points.len());
+                prop_assert_eq!(
+                    center_assignment(&out, points.len()),
+                    expected.clone(),
+                    "{} {:?} {} radius {:?}",
+                    path, algorithm, metric, radius
+                );
+            }
         }
     }
 
@@ -117,14 +133,14 @@ proptest! {
         radius in prop_oneof![Just(None), (0.0f64..4.0).prop_map(Some)],
         perm_seed in any::<u64>(),
     ) {
-        let mut cfg = SgbAroundConfig::new(centers).metric(metric);
+        let mut query = SgbQuery::around(centers).metric(metric);
         if let Some(r) = radius {
-            cfg = cfg.max_radius(r);
+            query = query.max_radius(r);
         }
-        let base = sgb_around(&points, &cfg).assignment(points.len());
+        let base = center_assignment(&query.run(&points), points.len());
         let perm = permutation(points.len(), perm_seed);
         let shuffled: Vec<Point<2>> = perm.iter().map(|&i| points[i]).collect();
-        let out = sgb_around(&shuffled, &cfg).assignment(points.len());
+        let out = center_assignment(&query.run(&shuffled), points.len());
         for (pos, &orig) in perm.iter().enumerate() {
             prop_assert_eq!(out[pos], base[orig], "record {} moved centers", orig);
         }
@@ -142,22 +158,16 @@ proptest! {
         let k = centers.len();
         let mut doubled = centers.clone();
         doubled.extend(centers.iter().copied());
-        for algorithm in [AroundAlgorithm::BruteForce, AroundAlgorithm::Indexed] {
-            let base = sgb_around(
-                &points,
-                &SgbAroundConfig::new(centers.clone()).metric(metric).algorithm(algorithm),
-            );
-            let dup = sgb_around(
-                &points,
-                &SgbAroundConfig::new(doubled.clone()).metric(metric).algorithm(algorithm),
-            );
+        for algorithm in [Algorithm::AllPairs, Algorithm::Indexed] {
+            let base = SgbQuery::around(centers.clone()).metric(metric).algorithm(algorithm).run(&points);
+            let dup = SgbQuery::around(doubled.clone()).metric(metric).algorithm(algorithm).run(&points);
             prop_assert_eq!(
-                &dup.groups[..k],
-                &base.groups[..],
+                (dup.groups(), dup.group_centers()),
+                (base.groups(), base.group_centers()),
                 "{:?} {}: a duplicate center won a tie", algorithm, metric
             );
             prop_assert!(
-                dup.groups[k..].iter().all(Vec::is_empty),
+                dup.group_centers().iter().all(|&c| c < k),
                 "{:?} {}: high-index duplicates must stay empty", algorithm, metric
             );
         }
@@ -187,11 +197,11 @@ proptest! {
         );
         let out = db.query(&sql).unwrap();
         let points: Vec<Point<2>> = rows.iter().map(|&(x, y)| Point::new([x, y])).collect();
-        let mut cfg = SgbAroundConfig::new(centers);
+        let mut query = SgbQuery::around(centers);
         if let Some(r) = radius {
-            cfg = cfg.max_radius(r);
+            query = query.max_radius(r);
         }
-        let expected = sgb_around(&points, &cfg).grouping();
+        let expected = query.run(&points);
         let mut sql_sizes: Vec<i64> = out
             .rows
             .iter()
@@ -201,7 +211,7 @@ proptest! {
             })
             .collect();
         sql_sizes.sort_unstable();
-        let mut core_sizes: Vec<i64> = expected.sizes().iter().map(|&s| s as i64).collect();
+        let mut core_sizes: Vec<i64> = expected.output_groups().map(|g| g.len() as i64).collect();
         core_sizes.sort_unstable();
         prop_assert_eq!(sql_sizes, core_sizes, "query: {}", sql);
     }

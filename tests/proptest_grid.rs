@@ -9,10 +9,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use sgb::core::{
-    sgb_all, sgb_any, sgb_around, AllAlgorithm, AnyAlgorithm, AroundAlgorithm, OverlapAction,
-    SgbAllConfig, SgbAny, SgbAnyConfig, SgbAroundConfig,
-};
+use sgb::core::{Algorithm, Grouping, OverlapAction, SgbQuery};
 use sgb::geom::{Metric, Point};
 
 fn arb_point() -> impl Strategy<Value = Point<2>> {
@@ -29,6 +26,15 @@ fn arb_overlap() -> impl Strategy<Value = OverlapAction> {
         Just(OverlapAction::Eliminate),
         Just(OverlapAction::FormNewGroup),
     ]
+}
+
+/// Maps each record id in `0..n` to the index of its center (`None` for
+/// outliers).
+fn center_assignment(out: &Grouping, n: usize) -> Vec<Option<usize>> {
+    out.assignment(n)
+        .into_iter()
+        .map(|g| g.map(|g| out.group_centers()[g]))
+        .collect()
 }
 
 /// A deterministic permutation of `0..n` derived from `seed`.
@@ -60,17 +66,17 @@ proptest! {
         overlap in arb_overlap(),
         seed in any::<u64>(),
     ) {
-        let cfg = |algo: AllAlgorithm| {
-            SgbAllConfig::new(eps)
+        let query = |algo: Algorithm| {
+            SgbQuery::all(eps)
                 .metric(metric)
                 .overlap(overlap)
                 .algorithm(algo)
                 .seed(seed)
         };
-        let reference = sgb_all(&points, &cfg(AllAlgorithm::AllPairs));
+        let reference = query(Algorithm::AllPairs).run(&points);
         reference.check_partition(points.len());
-        for algo in [AllAlgorithm::Grid, AllAlgorithm::Auto] {
-            let got = sgb_all(&points, &cfg(algo));
+        for algo in [Algorithm::Grid, Algorithm::Auto] {
+            let got = query(algo).run(&points);
             prop_assert_eq!(&reference, &got, "{:?} {} {:?}", algo, metric, overlap);
         }
     }
@@ -83,19 +89,19 @@ proptest! {
         eps in 0.0f64..2.0,
         metric in arb_metric(),
     ) {
-        let cfg = |algo: AnyAlgorithm| SgbAnyConfig::new(eps).metric(metric).algorithm(algo);
-        let reference = sgb_any(&points, &cfg(AnyAlgorithm::AllPairs));
+        let query = |algo: Algorithm| SgbQuery::any(eps).metric(metric).algorithm(algo);
+        let reference = query(Algorithm::AllPairs).run(&points);
         reference.check_partition(points.len());
-        for algo in [AnyAlgorithm::Indexed, AnyAlgorithm::Grid, AnyAlgorithm::Auto] {
+        for algo in [Algorithm::Indexed, Algorithm::Grid, Algorithm::Auto] {
             // Bulk (one-shot) path.
-            let bulk = sgb_any(&points, &cfg(algo));
+            let bulk = query(algo).run(&points);
             prop_assert_eq!(&reference, &bulk, "bulk {:?} {}", algo, metric);
             // Streaming path (incremental index maintenance).
-            let mut op = SgbAny::new(cfg(algo));
+            let mut stream = query(algo).stream();
             for p in &points {
-                op.push(*p);
+                stream.push(*p);
             }
-            prop_assert_eq!(&reference, &op.finish(), "streaming {:?} {}", algo, metric);
+            prop_assert_eq!(&reference, &stream.finish(), "streaming {:?} {}", algo, metric);
         }
     }
 
@@ -108,23 +114,28 @@ proptest! {
         metric in arb_metric(),
         perm_seed in any::<u64>(),
     ) {
-        let cfg = SgbAnyConfig::new(eps)
+        let query = SgbQuery::any(eps)
             .metric(metric)
-            .algorithm(AnyAlgorithm::Grid);
-        let forward = sgb_any(&points, &cfg);
+            .algorithm(Algorithm::Grid);
+        let forward = query.run(&points);
         let perm = permutation(points.len(), perm_seed);
         let shuffled: Vec<Point<2>> = perm.iter().map(|&i| points[i]).collect();
-        let backward = sgb_any(&shuffled, &cfg);
-        // Map shuffled ids back to original ids before comparing.
-        let remapped = sgb::core::Grouping {
-            groups: backward
-                .groups
-                .iter()
-                .map(|g| g.iter().map(|&i| perm[i]).collect())
-                .collect(),
-            eliminated: vec![],
-        };
-        prop_assert_eq!(remapped.normalized(), forward.normalized());
+        let backward = query.run(&shuffled);
+        // Map shuffled ids back to original ids before comparing, in
+        // normalized form (members sorted, groups sorted).
+        let mut remapped: Vec<Vec<usize>> = backward
+            .groups()
+            .iter()
+            .map(|g| {
+                let mut g: Vec<usize> = g.iter().map(|&i| perm[i]).collect();
+                g.sort_unstable();
+                g
+            })
+            .collect();
+        remapped.sort();
+        let forward = forward.normalized();
+        prop_assert_eq!(remapped.as_slice(), forward.groups());
+        prop_assert!(backward.eliminated().is_empty() && forward.eliminated().is_empty());
     }
 
     /// SGB-Around: the center grid and `Auto` reproduce the brute-force
@@ -138,27 +149,27 @@ proptest! {
         radius in prop_oneof![Just(None), (0.0f64..4.0).prop_map(Some)],
         perm_seed in any::<u64>(),
     ) {
-        let cfg = |algo: AroundAlgorithm| {
-            let mut cfg = SgbAroundConfig::new(centers.clone())
+        let query = |algo: Algorithm| {
+            let mut query = SgbQuery::around(centers.clone())
                 .metric(metric)
                 .algorithm(algo);
             if let Some(r) = radius {
-                cfg = cfg.max_radius(r);
+                query = query.max_radius(r);
             }
-            cfg
+            query
         };
-        let reference = sgb_around(&points, &cfg(AroundAlgorithm::BruteForce));
+        let reference = query(Algorithm::AllPairs).run(&points);
         reference.check_partition(points.len());
-        for algo in [AroundAlgorithm::Grid, AroundAlgorithm::Auto] {
-            let got = sgb_around(&points, &cfg(algo));
+        for algo in [Algorithm::Grid, Algorithm::Auto] {
+            let got = query(algo).run(&points);
             prop_assert_eq!(&reference, &got, "{:?} {} radius {:?}", algo, metric, radius);
         }
         // Permutation invariance of the grid path: each record keeps its
         // center under any input order.
-        let base = reference.assignment(points.len());
+        let base = center_assignment(&reference, points.len());
         let perm = permutation(points.len(), perm_seed);
         let shuffled: Vec<Point<2>> = perm.iter().map(|&i| points[i]).collect();
-        let out = sgb_around(&shuffled, &cfg(AroundAlgorithm::Grid)).assignment(points.len());
+        let out = center_assignment(&query(Algorithm::Grid).run(&shuffled), points.len());
         for (pos, &orig) in perm.iter().enumerate() {
             prop_assert_eq!(out[pos], base[orig], "record {} moved centers", orig);
         }
@@ -175,45 +186,39 @@ proptest! {
         metric in arb_metric(),
         overlap in arb_overlap(),
     ) {
-        let all_auto = sgb_all(
-            &points,
-            &SgbAllConfig::new(eps).metric(metric).overlap(overlap).seed(7),
-        );
+        let all_auto = SgbQuery::all(eps).metric(metric).overlap(overlap).seed(7).run(&points);
         for algo in [
-            AllAlgorithm::AllPairs,
-            AllAlgorithm::BoundsChecking,
-            AllAlgorithm::Indexed,
-            AllAlgorithm::Grid,
+            Algorithm::AllPairs,
+            Algorithm::BoundsChecking,
+            Algorithm::Indexed,
+            Algorithm::Grid,
         ] {
-            let cfg = SgbAllConfig::new(eps)
+            let query = SgbQuery::all(eps)
                 .metric(metric)
                 .overlap(overlap)
                 .algorithm(algo)
                 .seed(7);
-            prop_assert_eq!(&all_auto, &sgb_all(&points, &cfg), "all {:?}", algo);
+            prop_assert_eq!(&all_auto, &query.run(&points), "all {:?}", algo);
         }
-        let any_auto = sgb_any(&points, &SgbAnyConfig::new(eps).metric(metric));
+        let any_auto = SgbQuery::any(eps).metric(metric).run(&points);
         for algo in [
-            AnyAlgorithm::AllPairs,
-            AnyAlgorithm::Indexed,
-            AnyAlgorithm::Grid,
+            Algorithm::AllPairs,
+            Algorithm::Indexed,
+            Algorithm::Grid,
         ] {
-            let cfg = SgbAnyConfig::new(eps).metric(metric).algorithm(algo);
-            prop_assert_eq!(&any_auto, &sgb_any(&points, &cfg), "any {:?}", algo);
+            let query = SgbQuery::any(eps).metric(metric).algorithm(algo);
+            prop_assert_eq!(&any_auto, &query.run(&points), "any {:?}", algo);
         }
-        let around_auto = sgb_around(
-            &points,
-            &SgbAroundConfig::new(centers.clone()).metric(metric),
-        );
+        let around_auto = SgbQuery::around(centers.clone()).metric(metric).run(&points);
         for algo in [
-            AroundAlgorithm::BruteForce,
-            AroundAlgorithm::Indexed,
-            AroundAlgorithm::Grid,
+            Algorithm::AllPairs,
+            Algorithm::Indexed,
+            Algorithm::Grid,
         ] {
-            let cfg = SgbAroundConfig::new(centers.clone())
+            let query = SgbQuery::around(centers.clone())
                 .metric(metric)
                 .algorithm(algo);
-            prop_assert_eq!(&around_auto, &sgb_around(&points, &cfg), "around {:?}", algo);
+            prop_assert_eq!(&around_auto, &query.run(&points), "around {:?}", algo);
         }
     }
 }

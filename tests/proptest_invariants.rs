@@ -3,9 +3,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use sgb::core::{
-    sgb_all, sgb_any, AllAlgorithm, AnyAlgorithm, OverlapAction, SgbAllConfig, SgbAnyConfig,
-};
+use sgb::core::{Algorithm, OverlapAction, SgbQuery};
 use sgb::dsu::DisjointSet;
 use sgb::geom::{ConvexHull, Metric, Point, Rect};
 use sgb::spatial::RTree;
@@ -39,15 +37,15 @@ proptest! {
         metric in arb_metric(),
         overlap in arb_overlap(),
     ) {
-        for algorithm in [AllAlgorithm::AllPairs, AllAlgorithm::BoundsChecking, AllAlgorithm::Indexed] {
-            let cfg = SgbAllConfig::new(eps)
+        for algorithm in [Algorithm::AllPairs, Algorithm::BoundsChecking, Algorithm::Indexed] {
+            let query = SgbQuery::all(eps)
                 .metric(metric)
                 .overlap(overlap)
                 .algorithm(algorithm)
                 .seed(7);
-            let out = sgb_all(&points, &cfg);
+            let out = query.run(&points);
             out.check_partition(points.len());
-            for g in &out.groups {
+            for g in out.groups() {
                 for i in 0..g.len() {
                     for j in (i + 1)..g.len() {
                         prop_assert!(
@@ -69,13 +67,10 @@ proptest! {
         metric in arb_metric(),
         overlap in arb_overlap(),
     ) {
-        let runs: Vec<_> = [AllAlgorithm::AllPairs, AllAlgorithm::BoundsChecking, AllAlgorithm::Indexed]
+        let runs: Vec<_> = [Algorithm::AllPairs, Algorithm::BoundsChecking, Algorithm::Indexed]
             .iter()
             .map(|&algorithm| {
-                sgb_all(
-                    &points,
-                    &SgbAllConfig::new(eps).metric(metric).overlap(overlap).algorithm(algorithm).seed(3),
-                )
+                SgbQuery::all(eps).metric(metric).overlap(overlap).algorithm(algorithm).seed(3).run(&points)
             })
             .collect();
         prop_assert_eq!(&runs[0], &runs[1]);
@@ -99,12 +94,9 @@ proptest! {
             }
         }
         let expected = reference.into_groups();
-        for algorithm in [AnyAlgorithm::AllPairs, AnyAlgorithm::Indexed] {
-            let out = sgb_any(
-                &points,
-                &SgbAnyConfig::new(eps).metric(metric).algorithm(algorithm),
-            );
-            prop_assert_eq!(&out.groups, &expected, "{:?}", algorithm);
+        for algorithm in [Algorithm::AllPairs, Algorithm::Indexed] {
+            let out = SgbQuery::any(eps).metric(metric).algorithm(algorithm).run(&points);
+            prop_assert_eq!(out.groups(), &expected, "{:?}", algorithm);
         }
     }
 
@@ -116,10 +108,10 @@ proptest! {
         eps in 0.05f64..2.0,
         metric in arb_metric(),
     ) {
-        let any = sgb_any(&points, &SgbAnyConfig::new(eps).metric(metric));
+        let any = SgbQuery::any(eps).metric(metric).run(&points);
         let comp = any.assignment(points.len());
-        let all = sgb_all(&points, &SgbAllConfig::new(eps).metric(metric));
-        for g in &all.groups {
+        let all = SgbQuery::all(eps).metric(metric).run(&points);
+        for g in all.groups() {
             let c = comp[g[0]];
             prop_assert!(g.iter().all(|&r| comp[r] == c));
         }
@@ -133,12 +125,9 @@ proptest! {
         points in vec(arb_point(), 0..120),
         eps in 0.05f64..2.0,
     ) {
-        let out = sgb_all(
-            &points,
-            &SgbAllConfig::new(eps).overlap(OverlapAction::Eliminate),
-        );
+        let out = SgbQuery::all(eps).overlap(OverlapAction::Eliminate).run(&points);
         out.check_partition(points.len());
-        prop_assert_eq!(out.grouped_records() + out.eliminated.len(), points.len());
+        prop_assert_eq!(out.grouped_records() + out.eliminated().len(), points.len());
     }
 
     /// R-tree window queries agree with a linear scan, after interleaved
@@ -279,23 +268,17 @@ proptest! {
         eps in 0.05f64..2.0,
         overlap in arb_overlap(),
     ) {
-        let reference = sgb_all(
-            &points,
-            &SgbAllConfig::new(eps)
+        let reference = SgbQuery::all(eps)
                 .metric(Metric::L1)
                 .overlap(overlap)
-                .algorithm(AllAlgorithm::AllPairs)
-                .seed(13),
-        );
-        for algorithm in [AllAlgorithm::BoundsChecking, AllAlgorithm::Indexed] {
-            let got = sgb_all(
-                &points,
-                &SgbAllConfig::new(eps)
+                .algorithm(Algorithm::AllPairs)
+                .seed(13).run(&points);
+        for algorithm in [Algorithm::BoundsChecking, Algorithm::Indexed] {
+            let got = SgbQuery::all(eps)
                     .metric(Metric::L1)
                     .overlap(overlap)
                     .algorithm(algorithm)
-                    .seed(13),
-            );
+                    .seed(13).run(&points);
             prop_assert_eq!(&got, &reference, "{:?}", algorithm);
         }
         let mut dsu = DisjointSet::with_len(points.len());
@@ -307,12 +290,9 @@ proptest! {
             }
         }
         let components = dsu.into_groups();
-        for algorithm in [AnyAlgorithm::AllPairs, AnyAlgorithm::Indexed] {
-            let got = sgb_any(
-                &points,
-                &SgbAnyConfig::new(eps).metric(Metric::L1).algorithm(algorithm),
-            );
-            prop_assert_eq!(&got.groups, &components, "{:?}", algorithm);
+        for algorithm in [Algorithm::AllPairs, Algorithm::Indexed] {
+            let got = SgbQuery::any(eps).metric(Metric::L1).algorithm(algorithm).run(&points);
+            prop_assert_eq!(got.groups(), &components, "{:?}", algorithm);
         }
     }
 
@@ -336,6 +316,33 @@ proptest! {
             for b in 0..50 {
                 prop_assert_eq!(dsu.connected(a, b), labels[a] == labels[b]);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The builder's knob plumbing is faithful end to end: a query run
+    /// under an explicitly pinned algorithm reports that algorithm with
+    /// the "configured explicitly" reason, and `Auto` always resolves to
+    /// a concrete path whose grouping equals every other path's.
+    #[test]
+    fn resolution_metadata_is_consistent(
+        points in vec(arb_point(), 0..100),
+        eps in 0.05f64..1.5,
+        metric in arb_metric(),
+    ) {
+        let auto = SgbQuery::any(eps).metric(metric).run(&points);
+        prop_assert_ne!(auto.resolved_algorithm(), Algorithm::Auto);
+        for algorithm in [Algorithm::AllPairs, Algorithm::Indexed, Algorithm::Grid] {
+            let pinned = SgbQuery::any(eps)
+                .metric(metric)
+                .algorithm(algorithm)
+                .run(&points);
+            prop_assert_eq!(pinned.resolved_algorithm(), algorithm);
+            prop_assert_eq!(pinned.selection_reason(), "configured explicitly");
+            prop_assert_eq!(&auto, &pinned);
         }
     }
 }

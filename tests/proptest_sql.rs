@@ -125,7 +125,7 @@ proptest! {
     /// tables (count-per-group multiset equality).
     #[test]
     fn sql_sgb_matches_core(points in vec((0.0f64..4.0, 0.0f64..4.0), 0..40), eps in 0.1f64..2.0) {
-        use sgb::core::{sgb_any, SgbAnyConfig};
+        use sgb::SgbQuery;
         use sgb::geom::Point;
         let mut table = Table::empty(Schema::new(["x", "y"]));
         for (x, y) in &points {
@@ -139,7 +139,7 @@ proptest! {
             ))
             .unwrap();
         let pts: Vec<Point<2>> = points.iter().map(|&(x, y)| Point::new([x, y])).collect();
-        let grouping = sgb_any(&pts, &SgbAnyConfig::new(eps));
+        let grouping = SgbQuery::any(eps).run(&pts);
         let mut sql_counts: Vec<i64> = out.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
         sql_counts.sort_unstable();
         let mut core_counts: Vec<i64> = grouping.sizes().iter().map(|&s| s as i64).collect();

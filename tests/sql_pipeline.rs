@@ -5,10 +5,10 @@
 
 use std::collections::HashMap;
 
-use sgb::core::{sgb_any, SgbAnyConfig};
 use sgb::datagen::TpchConfig;
 use sgb::geom::{Metric, Point};
 use sgb::relation::{Database, Value};
+use sgb::SgbQuery;
 
 fn small_db() -> Database {
     let mut db = Database::new();
@@ -93,7 +93,7 @@ fn sql_sgb_any_matches_core_operator() {
             ])
         })
         .collect();
-    let grouping = sgb_any(&points, &SgbAnyConfig::new(0.05).metric(Metric::L2));
+    let grouping = SgbQuery::any(0.05).metric(Metric::L2).run(&points);
     assert_eq!(out.len(), grouping.num_groups());
     let mut sql_counts: Vec<i64> = out.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
     sql_counts.sort_unstable();
