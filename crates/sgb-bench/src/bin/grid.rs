@@ -15,9 +15,11 @@
 //! root (resolved relative to this crate's manifest) and a human-readable
 //! table goes to stderr. `--threads` overrides the worker count for the
 //! main sweeps (0 = auto); a dedicated `threads` sweep always measures the
-//! parallel grid paths at 1/2/4 workers. Every sweep point asserts that
-//! all algorithms — and all thread counts — agree on the answer-group
-//! count, so a full run doubles as an equivalence check.
+//! parallel grid paths at 1/2/4 workers, and a `component` sweep times
+//! SGB-All on one ε-component, the worst case of its `Grid` path. Every
+//! sweep point asserts that all algorithms — and all thread counts —
+//! return the same grouping, so a full run doubles as an equivalence
+//! check.
 
 use std::process::ExitCode;
 
@@ -43,12 +45,12 @@ fn main() -> ExitCode {
 
     eprintln!("# grid engine vs indexed vs scan (Auto = cost-based selection)");
     eprintln!(
-        "{:<12} {:<8} {:>8} {:>8} {:<15} {:>8} {:>10} {:>8}",
+        "{:<12} {:<9} {:>8} {:>8} {:<15} {:>8} {:>10} {:>8}",
         "op", "sweep", "x", "n", "algorithm", "threads", "seconds", "groups"
     );
     for r in &rows {
         eprintln!(
-            "{:<12} {:<8} {:>8} {:>8} {:<15} {:>8} {:>10.4} {:>8}",
+            "{:<12} {:<9} {:>8} {:>8} {:<15} {:>8} {:>10.4} {:>8}",
             r.op, r.sweep, r.x, r.n, r.algorithm, r.threads, r.seconds, r.groups
         );
     }

@@ -6,8 +6,10 @@
 //! `scale` argument multiplies them (≈25× reaches the paper's sizes).
 
 use sgb_cluster::{birch, dbscan, kmeans, BirchConfig, DbscanConfig, KMeansConfig};
-use sgb_core::{Algorithm, CancelToken, OverlapAction, QueryGovernor, SgbQuery};
-use sgb_datagen::{clustered_points, clustered_points_with_centers, CheckinConfig, TpchConfig};
+use sgb_core::{Algorithm, CancelToken, Grouping, OverlapAction, QueryGovernor, SgbQuery};
+use sgb_datagen::{
+    clustered_points, clustered_points_with_centers, uniform_points, CheckinConfig, TpchConfig,
+};
 use sgb_geom::{Metric, Point};
 use sgb_relation::Database;
 use sgb_telemetry::{Counter, Telemetry};
@@ -642,16 +644,58 @@ pub struct GridBenchRow {
     pub groups: usize,
 }
 
+/// Asserts that `out` is the grouping every earlier run at the same sweep
+/// point returned (the first run becomes the reference).
+fn assert_same_grouping(reference: &mut Option<Grouping>, out: &Grouping, what: &str) {
+    match reference {
+        None => *reference = Some(out.clone()),
+        Some(first) => assert_eq!(out, first, "{what} disagrees with the first run"),
+    }
+}
+
+/// Times `query` under each of `algos` on `points`, one [`GridBenchRow`]
+/// per algorithm, asserting that every algorithm returns the same
+/// grouping.
+fn time_algorithms(
+    rows: &mut Vec<GridBenchRow>,
+    (op, sweep, x): (&'static str, &'static str, f64),
+    points: &[Point<2>],
+    algos: &[(&'static str, Algorithm)],
+    query: impl Fn(Algorithm) -> SgbQuery<2>,
+) {
+    let mut reference = None;
+    for &(name, algo) in algos {
+        let (out, secs) = time(|| query(algo).run(points));
+        eprintln!(
+            "#   grid {op} {sweep}={x} {name}: {secs:.4}s ({} groups, {} outliers)",
+            out.num_groups(),
+            out.outliers().len()
+        );
+        assert_same_grouping(&mut reference, &out, &format!("{op} {sweep}={x} {name}"));
+        rows.push(GridBenchRow {
+            op,
+            sweep,
+            x,
+            n: points.len(),
+            algorithm: name,
+            threads: out.threads(),
+            seconds: secs,
+            groups: out.num_groups(),
+        });
+    }
+}
+
 /// The grid-engine comparison behind the `grid` binary: Grid vs the
 /// R-tree-indexed paths vs the scan baselines for all three operators,
 /// over input-cardinality and ε / center-count sweeps, with an `Auto` row
 /// per sweep point showing the cost model tracking the per-configuration
 /// winner, plus a worker-thread sweep over the two parallelisable grid
-/// paths (SGB-Any's sharded ε-join and SGB-Around's chunked assignment).
+/// paths (SGB-Any's sharded ε-join and SGB-Around's chunked assignment)
+/// and SGB-All's worst case for `Grid`, a single ε-component.
 /// `threads` overrides the worker count for the main sweeps (0 = auto).
 /// Every sweep point asserts that all algorithms — and, in the thread
-/// sweep, all thread counts — agree on the answer-group count. Returns
-/// the row set.
+/// sweep, all thread counts — return the same grouping. Returns the row
+/// set.
 pub fn grid_comparison(scale: f64, threads: usize) -> Vec<GridBenchRow> {
     let mut rows = Vec::new();
 
@@ -677,61 +721,34 @@ pub fn grid_comparison(scale: f64, threads: usize) -> Vec<GridBenchRow> {
         ("Auto", Algorithm::Auto),
     ];
 
+    let all = |eps: f64| {
+        move |algo| {
+            SgbQuery::all(eps)
+                .metric(Metric::L2)
+                .algorithm(algo)
+                .threads(threads)
+        }
+    };
     let mut run_all_any = |sweep: &'static str, x: f64, n: usize, eps: f64| {
         let points = fig9_workload(n, 0x0F19);
-        let mut sanity = Vec::new();
-        for (name, algo) in ALL_ALGOS {
-            let query = SgbQuery::all(eps)
-                .metric(Metric::L2)
-                .algorithm(algo)
-                .threads(threads);
-            let (out, secs) = time(|| query.run(&points));
-            eprintln!(
-                "#   grid sgb-all {sweep}={x} {name}: {secs:.4}s ({} groups)",
-                out.num_groups()
-            );
-            sanity.push(out.num_groups());
-            rows.push(GridBenchRow {
-                op: "sgb-all",
-                sweep,
-                x,
-                n,
-                algorithm: name,
-                threads: out.threads(),
-                seconds: secs,
-                groups: out.num_groups(),
-            });
-        }
-        assert!(
-            sanity.windows(2).all(|w| w[0] == w[1]),
-            "SGB-All algorithms disagree at {sweep}={x}: {sanity:?}"
+        time_algorithms(
+            &mut rows,
+            ("sgb-all", sweep, x),
+            &points,
+            &ALL_ALGOS,
+            all(eps),
         );
-        let mut sanity = Vec::new();
-        for (name, algo) in ANY_ALGOS {
-            let query = SgbQuery::any(eps)
-                .metric(Metric::L2)
-                .algorithm(algo)
-                .threads(threads);
-            let (out, secs) = time(|| query.run(&points));
-            eprintln!(
-                "#   grid sgb-any {sweep}={x} {name}: {secs:.4}s ({} groups)",
-                out.num_groups()
-            );
-            sanity.push(out.num_groups());
-            rows.push(GridBenchRow {
-                op: "sgb-any",
-                sweep,
-                x,
-                n,
-                algorithm: name,
-                threads: out.threads(),
-                seconds: secs,
-                groups: out.num_groups(),
-            });
-        }
-        assert!(
-            sanity.windows(2).all(|w| w[0] == w[1]),
-            "SGB-Any algorithms disagree at {sweep}={x}: {sanity:?}"
+        time_algorithms(
+            &mut rows,
+            ("sgb-any", sweep, x),
+            &points,
+            &ANY_ALGOS,
+            |algo| {
+                SgbQuery::any(eps)
+                    .metric(Metric::L2)
+                    .algorithm(algo)
+                    .threads(threads)
+            },
         );
     };
 
@@ -755,34 +772,17 @@ pub fn grid_comparison(scale: f64, threads: usize) -> Vec<GridBenchRow> {
         let centers_n_scaled = scaled(centers_n, scale).min(n_around);
         let (points, centers) =
             clustered_points_with_centers::<2>(n_around, centers_n_scaled, 0.01, 0xA401);
-        let mut sanity = Vec::new();
-        for (name, algo) in AROUND_ALGOS {
-            let query = SgbQuery::around(centers.clone())
-                .max_radius(0.03)
-                .algorithm(algo)
-                .threads(threads);
-            let (out, secs) = time(|| query.run(&points));
-            eprintln!(
-                "#   grid sgb-around centers={centers_n_scaled} {name}: {secs:.4}s \
-                 ({} occupied, {} outliers)",
-                out.num_groups(),
-                out.outliers().len()
-            );
-            sanity.push((out.num_groups(), out.outliers().len()));
-            rows.push(GridBenchRow {
-                op: "sgb-around",
-                sweep: "centers",
-                x: centers_n_scaled as f64,
-                n: n_around,
-                algorithm: name,
-                threads: out.threads(),
-                seconds: secs,
-                groups: out.num_groups(),
-            });
-        }
-        assert!(
-            sanity.windows(2).all(|w| w[0] == w[1]),
-            "SGB-Around algorithms disagree at centers={centers_n_scaled}: {sanity:?}"
+        time_algorithms(
+            &mut rows,
+            ("sgb-around", "centers", centers_n_scaled as f64),
+            &points,
+            &AROUND_ALGOS,
+            |algo| {
+                SgbQuery::around(centers.clone())
+                    .max_radius(0.03)
+                    .algorithm(algo)
+                    .threads(threads)
+            },
         );
     }
 
@@ -798,8 +798,7 @@ pub fn grid_comparison(scale: f64, threads: usize) -> Vec<GridBenchRow> {
         0.01,
         0xA401,
     );
-    let mut any_sanity = Vec::new();
-    let mut around_sanity = Vec::new();
+    let (mut any_reference, mut around_reference) = (None, None);
     for t in [1usize, 2, 4] {
         let query = SgbQuery::any(0.3)
             .metric(Metric::L2)
@@ -810,7 +809,7 @@ pub fn grid_comparison(scale: f64, threads: usize) -> Vec<GridBenchRow> {
             "#   grid sgb-any threads={t} Grid: {secs:.4}s ({} groups)",
             out.num_groups()
         );
-        any_sanity.push(out.num_groups());
+        assert_same_grouping(&mut any_reference, &out, &format!("sgb-any threads={t}"));
         rows.push(GridBenchRow {
             op: "sgb-any",
             sweep: "threads",
@@ -830,7 +829,11 @@ pub fn grid_comparison(scale: f64, threads: usize) -> Vec<GridBenchRow> {
             "#   grid sgb-around threads={t} Grid: {secs:.4}s ({} occupied)",
             out.num_groups()
         );
-        around_sanity.push(out.num_groups());
+        assert_same_grouping(
+            &mut around_reference,
+            &out,
+            &format!("sgb-around threads={t}"),
+        );
         rows.push(GridBenchRow {
             op: "sgb-around",
             sweep: "threads",
@@ -842,14 +845,27 @@ pub fn grid_comparison(scale: f64, threads: usize) -> Vec<GridBenchRow> {
             groups: out.num_groups(),
         });
     }
-    assert!(
-        any_sanity.windows(2).all(|w| w[0] == w[1]),
-        "SGB-Any thread counts disagree: {any_sanity:?}"
-    );
-    assert!(
-        around_sanity.windows(2).all(|w| w[0] == w[1]),
-        "SGB-Around thread counts disagree: {around_sanity:?}"
-    );
+
+    // Sweep 5: SGB-All on uniform points that form one ε-component (about
+    // 25 neighbours per point; the runner checks that SGB-Any finds a
+    // single group) — `Grid`'s worst case, where its component pre-pass
+    // splits nothing. At n = 2k the component is scanned as one directory;
+    // at 20k it exceeds the per-component bound (`ALL_BOUNDS_MAX_N`) and is
+    // searched through the group R-tree.
+    for base in [2_000usize, 20_000] {
+        let n = scaled(base, scale);
+        let points = uniform_points::<2>(n, 0xC0);
+        let eps = (25.0 / (std::f64::consts::PI * n as f64)).sqrt();
+        let components = SgbQuery::any(eps).run(&points).num_groups();
+        assert_eq!(components, 1, "the component sweep's input at n = {n}");
+        time_algorithms(
+            &mut rows,
+            ("sgb-all", "component", n as f64),
+            &points,
+            &ALL_ALGOS,
+            all(eps),
+        );
+    }
     rows
 }
 
@@ -1198,8 +1214,9 @@ mod tests {
         let rows = grid_comparison(0.01, 0);
         // (4 n-points + 3 eps-points) × (5 All + 4 Any algorithms)
         // + 5 center-points × 4 Around algorithms
-        // + 3 thread-counts × 2 parallelisable grid paths.
-        assert_eq!(rows.len(), 7 * 9 + 5 * 4 + 6);
+        // + 3 thread-counts × 2 parallelisable grid paths
+        // + 2 single-component points × 5 All algorithms.
+        assert_eq!(rows.len(), 7 * 9 + 5 * 4 + 6 + 2 * 5);
         // The thread sweep pins explicit worker counts (1, 2, 4) and the
         // auto-resolved rows report the threads they actually ran on.
         let thread_rows: Vec<&GridBenchRow> =

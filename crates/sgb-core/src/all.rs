@@ -12,28 +12,60 @@
 //!    [`Algorithm::BoundsChecking`] (Procedure 4, constant-time ε-All
 //!    rectangle tests per group), [`Algorithm::Indexed`] (Procedure 5,
 //!    metric-aware range query on an on-the-fly R-tree of group
-//!    rectangles) and [`Algorithm::Grid`] (an ε-grid over the live
-//!    members). Under the conservative metrics (`L1`/`L2`, see
+//!    rectangles) and [`Algorithm::Grid`] (the point's own ε-component
+//!    only, see below). Under the conservative metrics (`L1`/`L2`, see
 //!    [`sgb_geom::metric::RectFilter`]) the rectangle filter admits false
-//!    positives, refined by the convex hull test (Procedure 6).
+//!    positives, refined by the convex hull test (Procedure 6). The
+//!    rectangles are padded by a rounding slack and every hit is settled
+//!    as the canonical predicate settles it, so all strategies agree bit
+//!    for bit, distances that tie with ε included.
 //! 2. `ProcessGroupingALL` (Procedure 3) places the point: into a new group
 //!    (no candidates), the unique candidate, or per the `ON-OVERLAP` clause.
 //! 3. `ProcessOverlap` realises `ELIMINATE` / `FORM-NEW-GROUP` on the
 //!    overlap groups' affected members; `FORM-NEW-GROUP` re-groups the
 //!    deferred set `S'` recursively at the end.
 //!
+//! **One directory per ε-component (`Grid`).** A point joins a group only
+//! while it is within ε of every member, so all of a group's members share
+//! one connected component of the ε-graph (one SGB-Any group). A candidate
+//! or overlap group has a member within ε of the arriving point, so it lies
+//! in that point's component. A one-shot `Grid` run therefore first labels
+//! every point with its ε-component (`Components::find`, the SGB-Any grid
+//! kernel's connectivity join) and keeps, per component, the ids of its
+//! groups in creation order. A point scans only its own component's
+//! directory, with the Bounds-Checking tests; a component of more than the
+//! per-component bound ([`crate::cost::ALL_BOUNDS_MAX_N`] points) is
+//! searched through the group R-tree, which holds only such components'
+//! groups. Directories list ids in creation order and R-tree hits are
+//! sorted, so candidates reach the arbitration in group-id order on every
+//! path, JOIN-ANY draws the same random numbers, and the answer never
+//! depends on the path. FORM-NEW-GROUP passes keep each record's main-pass
+//! label: the ε-graph of the deferred points has components that nest
+//! inside the main ones. A stream takes one point per push and never knows
+//! the components, so its `Grid` engine treats the input as one component
+//! of unknown size and searches the group R-tree, as `Indexed` does.
+//!
 //! [`SgbQuery::all`] drives this engine: its runs and its stream push the
 //! points in arrival order (the arbitration is order-sensitive, so SGB-All
 //! never parallelises), and the incremental engine keeps a live replica.
 
-use std::collections::HashMap;
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use sgb_dsu::DisjointSet;
 use sgb_geom::{ConvexHull, EpsAllRegion, Metric, Point, Rect, RectFilter};
 use sgb_spatial::{Grid, RTree};
+use sgb_telemetry::Telemetry;
 
+use crate::any;
+use crate::governor::{QueryGovernor, SgbError};
 use crate::{Algorithm, Grouping, OverlapAction, RecordId, SgbQuery};
 
 type GroupId = usize;
@@ -50,12 +82,109 @@ struct Params {
     rtree_fanout: usize,
 }
 
+/// What overlap processing does with the members it removes from an
+/// overlap group.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Removal {
+    /// `ELIMINATE`: drop them from the answer.
+    Drop,
+    /// `FORM-NEW-GROUP`: defer them to `S'`.
+    Defer,
+}
+
 /// Narrows a `D`-dimensional point to 2-D; only called when `D == 2`, where
 /// it is a plain copy.
 #[inline]
 fn to2<const D: usize>(p: &Point<D>) -> Point<2> {
     debug_assert_eq!(D, 2);
     Point::new([p.coord(0), p.coord(1)])
+}
+
+/// The ε-components of a one-shot run's input, by which `Algorithm::Grid`
+/// partitions its group directory.
+#[derive(Clone, Debug)]
+pub(crate) struct Components {
+    /// Dense component label of each record, indexed by record id.
+    labels: Vec<u32>,
+    /// Per label: whether the component is small enough for a directory
+    /// scan. A larger one is searched through the group R-tree.
+    scanned: Vec<bool>,
+    /// Points in the largest component.
+    largest: usize,
+}
+
+impl Components {
+    /// Labels each of `points` with its ε-component under `metric`: the
+    /// SGB-Any grid kernel's connectivity join ([`any::connect_grid`]) over
+    /// a fresh ε-grid, on one shard, polling `governor` every
+    /// [`CHECK_INTERVAL`](crate::governor::CHECK_INTERVAL) candidates.
+    /// Components of more than `max_scanned` points are searched through
+    /// the group R-tree; production passes the per-component bound
+    /// [`crate::cost::ALL_BOUNDS_MAX_N`].
+    ///
+    /// # Errors
+    /// The governor's verdict, or the join's injected fault.
+    pub(crate) fn find<const D: usize>(
+        points: &[Point<D>],
+        eps: f64,
+        metric: Metric,
+        max_scanned: usize,
+        governor: &QueryGovernor,
+    ) -> Result<Self, SgbError> {
+        let entries = points.iter().enumerate().map(|(i, p)| (*p, i));
+        let grid = Grid::from_points(Grid::<D, RecordId>::side_for_eps(eps), entries);
+        let forest = any::connect_grid(
+            points.len(),
+            eps,
+            metric,
+            &grid,
+            1,
+            governor,
+            &Telemetry::off(),
+        )?;
+        Ok(Self::from_forest(forest, max_scanned))
+    }
+
+    /// Dense labels for a finished forest's components, numbered in order
+    /// of their first record.
+    fn from_forest(mut forest: DisjointSet, max_scanned: usize) -> Self {
+        let n = forest.len();
+        let mut label_of_root = vec![u32::MAX; n];
+        let mut sizes: Vec<usize> = Vec::new();
+        let mut labels = Vec::with_capacity(n);
+        for record in 0..n {
+            let root = forest.find(record);
+            if label_of_root[root] == u32::MAX {
+                label_of_root[root] = sizes.len() as u32;
+                sizes.push(0);
+            }
+            let label = label_of_root[root];
+            sizes[label as usize] += 1;
+            labels.push(label);
+        }
+        Self {
+            labels,
+            scanned: sizes.iter().map(|&size| size <= max_scanned).collect(),
+            largest: sizes.iter().copied().max().unwrap_or(0),
+        }
+    }
+
+    /// Number of components.
+    pub(crate) fn count(&self) -> usize {
+        self.scanned.len()
+    }
+
+    /// Points in the largest component (0 for an empty input).
+    pub(crate) fn largest(&self) -> usize {
+        self.largest
+    }
+
+    /// The directory that holds the groups of `ext`'s component, or `None`
+    /// when that component is searched through the group R-tree.
+    fn directory(&self, ext: RecordId) -> Option<usize> {
+        let label = *self.labels.get(ext)? as usize;
+        self.scanned.get(label)?.then_some(label)
+    }
 }
 
 /// State of one (possibly emptied) group.
@@ -72,7 +201,8 @@ struct GroupState<const D: usize> {
     /// hull threshold; otherwise (`None`) the exact check falls back to a
     /// member scan.
     hull: Option<ConvexHull>,
-    /// Rectangle currently registered for this group in `Groups_IX`.
+    /// Rectangle currently registered for this group in `Groups_IX`
+    /// (`None` for a group that was never in it, or has left it).
     indexed_rect: Option<Rect<D>>,
 }
 
@@ -93,12 +223,64 @@ enum GroupTest {
     Overlap,
 }
 
-/// Refinement after the allowed-rectangle filter passed, driven by the
-/// metric's [`RectFilter`] policy rather than per-metric special cases:
-/// with an exact rectangle filter (`L∞`) the hit *is* the answer; with a
-/// conservative one (`L1`/`L2` — any metric whose ε-ball is a proper subset
-/// of the ε-square) the convex-hull test (Procedure 6) or a member scan
-/// settles candidacy, and a false positive may still be an overlap group.
+/// Files group `gid` under `FindCloseGroups`' output lists per its test.
+#[inline(always)]
+fn file(test: GroupTest, gid: GroupId, candidates: &mut Vec<GroupId>, overlaps: &mut Vec<GroupId>) {
+    match test {
+        GroupTest::Candidate => candidates.push(gid),
+        GroupTest::Overlap => overlaps.push(gid),
+        GroupTest::Far => {}
+    }
+}
+
+/// How far a group's rectangle tests may disagree with the canonical
+/// predicate [`Metric::within`]. The rectangles bound a member `q` by the
+/// floating-point values `q ± ε`, while the predicate rounds `|p − q|`; the
+/// two roundings can decide differently for a point at distance ε (an
+/// ε-lattice puts many there). Every such disagreement is a few units of
+/// roundoff of the magnitudes involved, so `(D + 2)` machine epsilons of
+/// the largest member coordinate plus ε bound it with room to spare.
+#[inline]
+fn rounding_slack<const D: usize>(mbr: &Rect<D>, eps: f64) -> f64 {
+    let mut magnitude = eps;
+    for d in 0..D {
+        magnitude = magnitude
+            .max(mbr.lo()[d].abs() + eps)
+            .max(mbr.hi()[d].abs() + eps);
+    }
+    (D + 2) as f64 * f64::EPSILON * magnitude
+}
+
+/// `rect` grown by `by` on every side (shrunk when `by` is negative). An
+/// empty rectangle stays empty.
+#[inline]
+fn dilate<const D: usize>(rect: &Rect<D>, by: f64) -> Rect<D> {
+    let (mut lo, mut hi) = (*rect.lo(), *rect.hi());
+    for d in 0..D {
+        lo[d] -= by;
+        hi[d] += by;
+    }
+    Rect::new(lo, hi)
+}
+
+/// The Convex Hull Test needs this many rounding slacks between the
+/// farthest hull vertex and ε before it vouches for the members inside the
+/// hull: the hull's own orientation tests round too, so a member may lie a
+/// hair outside it.
+const HULL_MARGIN_SLACKS: f64 = 1024.0;
+
+/// Refinement after the padded allowed-rectangle filter passed, settling
+/// candidacy exactly as the canonical predicate does, member by member:
+///
+/// * `L∞` (an exact rectangle filter): a point inside the allowed
+///   rectangle shrunk by the rounding slack is within ε of every member;
+/// * `L1`/`L2` (conservative filters, whose ε-ball is a proper subset of
+///   the ε-square): the Convex Hull Test (Procedure 6) — the farthest
+///   member from `p` is a hull vertex, so that vertex decides, unless it
+///   lies within the hull's margin of ε;
+/// * anything still open: a scan of every member.
+///
+/// A point that is not a candidate may still be an overlap group.
 #[inline(always)]
 fn refine_candidate<const D: usize>(
     g: &GroupState<D>,
@@ -109,31 +291,34 @@ fn refine_candidate<const D: usize>(
     if g.is_dead() {
         return GroupTest::Far;
     }
-    match cfg.metric.rect_filter() {
-        RectFilter::Exact => GroupTest::Candidate,
-        RectFilter::Conservative => {
-            let exact = match &g.hull {
-                // Procedure 6: inside the hull, or within ε of the
-                // farthest hull vertex — valid for every metric with
-                // convex balls (see `ConvexHull::admits`).
-                Some(h) => h.admits(&to2(p), cfg.eps, cfg.metric),
-                // No hull cache (small group or 3-D): verify against
-                // every member.
-                None => {
-                    let (eps, metric) = (cfg.eps, cfg.metric);
-                    g.members.iter().all(|(_, q)| metric.within(p, q, eps))
+    let (eps, metric) = (cfg.eps, cfg.metric);
+    let slack = rounding_slack(&g.region.mbr(), eps);
+    let certified = match (metric.rect_filter(), &g.hull) {
+        (RectFilter::Exact, _) => dilate(&g.region.allowed(), -slack)
+            .contains_point(p)
+            .then_some(true),
+        (RectFilter::Conservative, Some(h)) => {
+            let p2 = to2(p);
+            h.farthest_from(&p2, metric).and_then(|(far, distance)| {
+                if !metric.within(&far, &p2, eps) {
+                    Some(false)
+                } else {
+                    (distance <= eps - HULL_MARGIN_SLACKS * slack).then_some(true)
                 }
-            };
-            if exact {
-                GroupTest::Candidate
-            } else if track_overlaps {
-                // The rect filter passed, so p is inside the reach region:
-                // only the member scan is left.
-                scan_overlap(g, p, cfg)
-            } else {
-                GroupTest::Far
-            }
+            })
         }
+        (RectFilter::Conservative, None) => None,
+    };
+    let all_within =
+        certified.unwrap_or_else(|| g.members.iter().all(|(_, q)| metric.within(p, q, eps)));
+    if all_within {
+        GroupTest::Candidate
+    } else if track_overlaps {
+        // The rect filter passed, so p is inside the reach region: only
+        // the member scan is left.
+        scan_overlap(g, p, cfg)
+    } else {
+        GroupTest::Far
     }
 }
 
@@ -159,24 +344,23 @@ struct Engine<const D: usize> {
     /// Structure-of-arrays mirror of each group's allowed region, so the
     /// Bounds-Checking scan streams through a dense rectangle directory
     /// (the paper keeps the rectangles in the aggregate hash-table
-    /// directory for the same reason). Dead groups hold an empty rect.
+    /// directory for the same reason). Each is padded by the group's
+    /// rounding slack, so it never rejects a point the canonical predicate
+    /// accepts. Dead groups hold an empty rect.
     allowed_cache: Vec<Rect<D>>,
-    /// Mirror of each group's reach region (MBR dilated by ε); only read
-    /// when overlap groups are tracked.
+    /// Mirror of each group's reach region (MBR dilated by ε), padded the
+    /// same way; only read when overlap groups are tracked.
     reach_cache: Vec<Rect<D>>,
-    live_groups: usize,
-    /// `Groups_IX` of Procedure 5 (only for [`Algorithm::Indexed`]).
+    /// `Groups_IX` of Procedure 5: every group under
+    /// [`Algorithm::Indexed`]; under [`Algorithm::Grid`], the groups of the
+    /// components too big to scan (every group when the components are
+    /// unknown).
     index: Option<RTree<D, GroupId>>,
-    /// ε-grid over the live members (only for [`Algorithm::Grid`]):
-    /// cell side = ε, payload = record id. Members removed by overlap
-    /// processing stay in the grid as tombstones — [`Engine::membership`]
-    /// is the source of truth, so stale entries simply resolve to no
-    /// group (removed members are either eliminated or deferred to a
-    /// fresh engine, never re-inserted here).
-    grid: Option<Grid<D, RecordId>>,
-    /// Live-member record → current group, maintained only alongside
-    /// `grid`.
-    membership: HashMap<RecordId, GroupId>,
+    /// The input's ε-components (one-shot [`Algorithm::Grid`] runs only).
+    components: Option<Components>,
+    /// Per component label: the ids of its groups in creation order (only
+    /// for components that are scanned, see [`Components`]).
+    directories: Vec<Vec<GroupId>>,
     rng: SmallRng,
     /// `S'`: points deferred by FORM-NEW-GROUP.
     deferred: Vec<(RecordId, Point<D>)>,
@@ -196,24 +380,22 @@ struct Engine<const D: usize> {
 }
 
 impl<const D: usize> Engine<D> {
-    fn new(cfg: Params, rng: SmallRng) -> Self {
-        let index = match cfg.algorithm {
-            Algorithm::Indexed => Some(RTree::with_max_entries(cfg.rtree_fanout)),
-            _ => None,
-        };
-        let grid = match cfg.algorithm {
-            Algorithm::Grid => Some(Grid::new(Grid::<D, RecordId>::side_for_eps(cfg.eps))),
-            _ => None,
-        };
+    /// A fresh pass. `components` is read only under [`Algorithm::Grid`].
+    fn new(cfg: Params, rng: SmallRng, components: Option<Components>) -> Self {
+        let index = matches!(cfg.algorithm, Algorithm::Indexed | Algorithm::Grid)
+            .then(|| RTree::with_max_entries(cfg.rtree_fanout));
+        let components = components.filter(|_| cfg.algorithm == Algorithm::Grid);
+        let directories = components
+            .as_ref()
+            .map_or_else(Vec::new, |c| vec![Vec::new(); c.count()]);
         Self {
             cfg,
             groups: Vec::new(),
             allowed_cache: Vec::new(),
             reach_cache: Vec::new(),
-            live_groups: 0,
             index,
-            grid,
-            membership: HashMap::new(),
+            components,
+            directories,
             rng,
             deferred: Vec::new(),
             eliminated: Vec::new(),
@@ -232,34 +414,51 @@ impl<const D: usize> Engine<D> {
         self.cfg.metric.needs_refinement() && D == 2
     }
 
+    /// The directory holding the groups of `ext`'s component, or `None`
+    /// when its groups live in the group R-tree (or nowhere but the dense
+    /// rectangle directory, for the paths without components).
+    #[inline]
+    fn directory_of(&self, ext: RecordId) -> Option<usize> {
+        self.components.as_ref()?.directory(ext)
+    }
+
     /// Procedure 1 body for one point.
     fn process(&mut self, ext: RecordId, p: Point<D>) {
+        // What happens to overlap groups' removed members, decided once:
+        // JOIN-ANY never processes overlaps, so it does not track them.
+        let removal = match self.cfg.overlap {
+            OverlapAction::JoinAny => None,
+            OverlapAction::Eliminate => Some(Removal::Drop),
+            OverlapAction::FormNewGroup => Some(Removal::Defer),
+        };
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
         let mut overlaps = std::mem::take(&mut self.scratch_overlaps);
         candidates.clear();
         overlaps.clear();
 
-        self.find_close_groups(&p, &mut candidates, &mut overlaps);
+        self.find_close_groups(ext, &p, removal.is_some(), &mut candidates, &mut overlaps);
         self.candidates_tested += (candidates.len() + overlaps.len()) as u64;
         self.process_grouping(ext, p, &candidates);
-        if self.cfg.overlap != OverlapAction::JoinAny && !overlaps.is_empty() {
-            self.process_overlap(&p, &overlaps);
+        if let Some(removal) = removal {
+            self.process_overlap(&p, &overlaps, removal);
         }
 
         self.scratch_candidates = candidates;
         self.scratch_overlaps = overlaps;
     }
 
-    /// `FindCloseGroups`: fills `candidates` (point may join) and
-    /// `overlaps` (some but not all members within ε), both ordered by
-    /// group id so every algorithm yields identical arbitration inputs.
+    /// `FindCloseGroups` for record `ext` at `p`: fills `candidates` (point
+    /// may join) and, with `track_overlaps`, `overlaps` (some but not all
+    /// members within ε), both ordered by group id so every algorithm
+    /// yields identical arbitration inputs.
     fn find_close_groups(
         &mut self,
+        ext: RecordId,
         p: &Point<D>,
+        track_overlaps: bool,
         candidates: &mut Vec<GroupId>,
         overlaps: &mut Vec<GroupId>,
     ) {
-        let track_overlaps = self.cfg.overlap != OverlapAction::JoinAny;
         match self.cfg.algorithm {
             // Resolution never yields `Auto`; it shares the scan's arm.
             Algorithm::AllPairs | Algorithm::Auto => {
@@ -293,107 +492,85 @@ impl<const D: usize> Engine<D> {
                 }
             }
             Algorithm::BoundsChecking => {
-                // Procedure 4: constant-time rectangle tests per group,
-                // streaming through the dense rectangle directory (the
-                // rect caches), touching group state only on filter hits.
-                for gid in 0..self.allowed_cache.len() {
-                    let test = if self.allowed_cache[gid].contains_point(p) {
-                        refine_candidate(&self.groups[gid], p, &self.cfg, track_overlaps)
-                    } else if track_overlaps && self.reach_cache[gid].contains_point(p) {
-                        scan_overlap(&self.groups[gid], p, &self.cfg)
-                    } else {
-                        GroupTest::Far
-                    };
-                    match test {
-                        GroupTest::Candidate => candidates.push(gid),
-                        GroupTest::Overlap => overlaps.push(gid),
-                        GroupTest::Far => {}
-                    }
-                }
+                let every_group = 0..self.groups.len();
+                self.scan_directory(every_group, p, track_overlaps, candidates, overlaps);
             }
-            Algorithm::Indexed => {
-                // Procedure 5: metric-aware range query on Groups_IX
-                // retrieves every group whose MBR comes within ε of `p`
-                // under the configured norm — a superset of all candidates
-                // and overlap groups (any member within ε of `p` bounds the
-                // MBR's mindist by ε), pruned with the metric's own ball
-                // instead of its enclosing rectangle. The query's relaxed
-                // threshold guarantees no predicate-accepted member is
-                // missed to floating-point rounding.
-                let mut gset = std::mem::take(&mut self.scratch_window);
-                gset.clear();
-                if let Some(ix) = &self.index {
-                    ix.for_each_within(
-                        p,
-                        self.cfg.eps,
-                        self.cfg.metric,
-                        &mut self.scratch_stack,
-                        |_, &gid| gset.push(gid),
-                    );
+            Algorithm::Indexed => self.probe_index(p, track_overlaps, candidates, overlaps),
+            Algorithm::Grid => match self.directory_of(ext) {
+                Some(label) => {
+                    let own_component = self.directories[label].iter().copied();
+                    self.scan_directory(own_component, p, track_overlaps, candidates, overlaps);
                 }
-                gset.sort_unstable();
-                for &gid in &gset {
-                    let g = &self.groups[gid];
-                    let test = if g.region.point_in_region(p) {
-                        refine_candidate(g, p, &self.cfg, track_overlaps)
-                    } else if track_overlaps && g.region.may_overlap(p) {
-                        scan_overlap(g, p, &self.cfg)
-                    } else {
-                        GroupTest::Far
-                    };
-                    match test {
-                        GroupTest::Candidate => candidates.push(gid),
-                        GroupTest::Overlap => overlaps.push(gid),
-                        GroupTest::Far => {}
-                    }
-                }
-                self.scratch_window = gset;
-            }
-            Algorithm::Grid => {
-                // ε-grid probe over the live members: the canonical-verified
-                // hits are exactly the points within ε of `p`, and the set
-                // of their groups is exactly CandidateGroups ∪
-                // OverlapGroups (a candidate's members are all within ε, an
-                // overlap group has some member within ε — both therefore
-                // surface at least one hit). Classification then mirrors
-                // the indexed arm: a group whose allowed region contains
-                // `p` goes through the exact refinement; any other surfaced
-                // group already proved a within-ε member, so it is an
-                // overlap group outright.
-                let mut gset = std::mem::take(&mut self.scratch_window);
-                gset.clear();
-                if let Some(grid) = &self.grid {
-                    let (eps, metric) = (self.cfg.eps, self.cfg.metric);
-                    let membership = &self.membership;
-                    grid.for_each_within(p, eps, metric, |q, ext| {
-                        if metric.within(p, q, eps) {
-                            if let Some(&gid) = membership.get(ext) {
-                                gset.push(gid);
-                            }
-                        }
-                    });
-                }
-                gset.sort_unstable();
-                gset.dedup();
-                for &gid in &gset {
-                    let g = &self.groups[gid];
-                    debug_assert!(!g.is_dead(), "membership maps only live members");
-                    let test = if g.region.point_in_region(p) {
-                        refine_candidate(g, p, &self.cfg, track_overlaps)
-                    } else if track_overlaps {
-                        GroupTest::Overlap
-                    } else {
-                        GroupTest::Far
-                    };
-                    match test {
-                        GroupTest::Candidate => candidates.push(gid),
-                        GroupTest::Overlap => overlaps.push(gid),
-                        GroupTest::Far => {}
-                    }
-                }
-                self.scratch_window = gset;
-            }
+                None => self.probe_index(p, track_overlaps, candidates, overlaps),
+            },
         }
+    }
+
+    /// Procedure 4 over the groups `ids`, in the order given:
+    /// constant-time rectangle tests per group, streaming through the
+    /// dense rectangle directory (the rect caches) and touching group state
+    /// only on filter hits. Dead groups hold empty rectangles and never
+    /// pass.
+    fn scan_directory(
+        &self,
+        ids: impl IntoIterator<Item = GroupId>,
+        p: &Point<D>,
+        track_overlaps: bool,
+        candidates: &mut Vec<GroupId>,
+        overlaps: &mut Vec<GroupId>,
+    ) {
+        for gid in ids {
+            let test = self.test_group(gid, p, track_overlaps);
+            file(test, gid, candidates, overlaps);
+        }
+    }
+
+    /// The Bounds-Checking tests of group `gid` against `p`: the padded
+    /// allowed rectangle, then the padded reach rectangle, each hit settled
+    /// exactly.
+    #[inline(always)]
+    fn test_group(&self, gid: GroupId, p: &Point<D>, track_overlaps: bool) -> GroupTest {
+        if self.allowed_cache[gid].contains_point(p) {
+            refine_candidate(&self.groups[gid], p, &self.cfg, track_overlaps)
+        } else if track_overlaps && self.reach_cache[gid].contains_point(p) {
+            scan_overlap(&self.groups[gid], p, &self.cfg)
+        } else {
+            GroupTest::Far
+        }
+    }
+
+    /// Procedure 5: a metric-aware range query on `Groups_IX` retrieves
+    /// every indexed group whose MBR comes within ε of `p` under the
+    /// configured norm — a superset of its candidates and overlap groups
+    /// (any member within ε of `p` bounds the MBR's mindist by ε), pruned
+    /// with the metric's own ball instead of its enclosing rectangle. The
+    /// query's relaxed threshold guarantees no predicate-accepted member is
+    /// missed to floating-point rounding. Hits are tested in group-id
+    /// order, with the Bounds-Checking tests.
+    fn probe_index(
+        &mut self,
+        p: &Point<D>,
+        track_overlaps: bool,
+        candidates: &mut Vec<GroupId>,
+        overlaps: &mut Vec<GroupId>,
+    ) {
+        let mut gset = std::mem::take(&mut self.scratch_window);
+        gset.clear();
+        if let Some(ix) = &self.index {
+            ix.for_each_within(
+                p,
+                self.cfg.eps,
+                self.cfg.metric,
+                &mut self.scratch_stack,
+                |_, &gid| gset.push(gid),
+            );
+        }
+        gset.sort_unstable();
+        for &gid in &gset {
+            let test = self.test_group(gid, p, track_overlaps);
+            file(test, gid, candidates, overlaps);
+        }
+        self.scratch_window = gset;
     }
 
     /// `ProcessGroupingALL` (Procedure 3).
@@ -413,9 +590,10 @@ impl<const D: usize> Engine<D> {
     }
 
     /// `ProcessOverlap` (Section 6.2.2): members of overlap groups that
-    /// satisfy the predicate with `p` are dropped (ELIMINATE) or deferred
-    /// to `S'` (FORM-NEW-GROUP).
-    fn process_overlap(&mut self, p: &Point<D>, overlaps: &[GroupId]) {
+    /// satisfy the predicate with `p` are removed, and `removal` says
+    /// whether they are dropped (ELIMINATE) or deferred to `S'`
+    /// (FORM-NEW-GROUP).
+    fn process_overlap(&mut self, p: &Point<D>, overlaps: &[GroupId], removal: Removal) {
         let (eps, metric) = (self.cfg.eps, self.cfg.metric);
         for &gid in overlaps {
             let g = &mut self.groups[gid];
@@ -433,25 +611,17 @@ impl<const D: usize> Engine<D> {
                 !removed.is_empty(),
                 "overlap group without overlapped members"
             );
-            // Removed members leave the live-membership map (their grid
-            // entries become inert tombstones); they are either dropped
-            // for good or re-grouped by a fresh engine with its own grid.
-            if self.grid.is_some() {
-                for (id, _) in &removed {
-                    self.membership.remove(id);
-                }
-            }
-            match self.cfg.overlap {
-                OverlapAction::Eliminate => {
-                    self.eliminated.extend(removed.iter().map(|(id, _)| *id));
-                }
-                OverlapAction::FormNewGroup => self.deferred.extend(removed),
-                OverlapAction::JoinAny => unreachable!("JOIN-ANY never processes overlaps"),
+            match removal {
+                Removal::Drop => self.eliminated.extend(removed.iter().map(|(id, _)| *id)),
+                Removal::Defer => self.deferred.extend(removed),
             }
             self.rebuild_group(gid);
         }
     }
 
+    /// Creates a group for record `ext` and files it where its component's
+    /// points will look for it: the component's directory, or the group
+    /// R-tree.
     fn create_group(&mut self, ext: RecordId, p: Point<D>) {
         let gid = self.groups.len();
         let mut state = GroupState {
@@ -460,26 +630,23 @@ impl<const D: usize> Engine<D> {
             hull: None,
             indexed_rect: None,
         };
-        if let Some(ix) = &mut self.index {
-            let rect = state.region.mbr();
-            ix.insert(rect, gid);
-            state.indexed_rect = Some(rect);
+        match self.directory_of(ext) {
+            Some(label) => self.directories[label].push(gid),
+            None => {
+                if let Some(ix) = &mut self.index {
+                    let rect = state.region.mbr();
+                    ix.insert(rect, gid);
+                    state.indexed_rect = Some(rect);
+                }
+            }
         }
-        if let Some(grid) = &mut self.grid {
-            grid.insert(p, ext);
-            self.membership.insert(ext, gid);
-        }
-        self.allowed_cache.push(state.region.allowed());
-        self.reach_cache.push(state.region.reach());
         self.groups.push(state);
-        self.live_groups += 1;
+        self.allowed_cache.push(Rect::empty());
+        self.reach_cache.push(Rect::empty());
+        self.refresh_rects(gid);
     }
 
     fn insert_member(&mut self, gid: GroupId, ext: RecordId, p: Point<D>) {
-        if let Some(grid) = &mut self.grid {
-            grid.insert(p, ext);
-            self.membership.insert(ext, gid);
-        }
         let maintain_hull = self.hull_maintained();
         let g = &mut self.groups[gid];
         debug_assert!(!g.is_dead(), "cannot join a dead group");
@@ -497,8 +664,7 @@ impl<const D: usize> Engine<D> {
             let pts2: Vec<Point<2>> = g.members.iter().map(|(_, q)| to2(q)).collect();
             g.hull = Some(ConvexHull::build(&pts2));
         }
-        self.allowed_cache[gid] = g.region.allowed();
-        self.reach_cache[gid] = g.region.reach();
+        self.refresh_rects(gid);
         self.sync_index(gid);
     }
 
@@ -511,47 +677,52 @@ impl<const D: usize> Engine<D> {
         g.region.rebuild(points.iter());
         if g.is_dead() {
             g.hull = None;
-            self.live_groups -= 1;
         } else if maintain_hull && g.members.len() >= self.cfg.hull_threshold {
             let pts2: Vec<Point<2>> = points.iter().map(to2).collect();
             g.hull = Some(ConvexHull::build(&pts2));
         } else {
             g.hull = None;
         }
-        self.allowed_cache[gid] = if g.is_dead() {
-            Rect::empty()
-        } else {
-            g.region.allowed()
-        };
-        self.reach_cache[gid] = if g.is_dead() {
-            Rect::empty()
-        } else {
-            g.region.reach()
-        };
+        self.refresh_rects(gid);
         self.sync_index(gid);
     }
 
-    /// Keeps the `Groups_IX` entry in sync with the group's MBR.
+    /// Re-mirrors group `gid`'s allowed and reach regions into the dense
+    /// rectangle directory, padded by the group's rounding slack (empty
+    /// for a dead group).
+    fn refresh_rects(&mut self, gid: GroupId) {
+        let g = &self.groups[gid];
+        let (allowed, reach) = if g.is_dead() {
+            (Rect::empty(), Rect::empty())
+        } else {
+            let slack = rounding_slack(&g.region.mbr(), self.cfg.eps);
+            (
+                dilate(&g.region.allowed(), slack),
+                dilate(&g.region.reach(), slack),
+            )
+        };
+        self.allowed_cache[gid] = allowed;
+        self.reach_cache[gid] = reach;
+    }
+
+    /// Keeps an indexed group's `Groups_IX` entry in sync with its MBR; a
+    /// group that dies leaves the index. Groups filed in a directory are
+    /// never indexed.
     fn sync_index(&mut self, gid: GroupId) {
         let Some(ix) = &mut self.index else { return };
         let g = &mut self.groups[gid];
-        let current = (!g.is_dead()).then(|| g.region.mbr());
-        match (g.indexed_rect, current) {
-            (Some(old), Some(new)) if old != new => {
+        let Some(old) = g.indexed_rect else { return };
+        if g.is_dead() {
+            let removed = ix.remove(&old, &gid);
+            debug_assert!(removed, "dead group {gid} missing from index");
+            g.indexed_rect = None;
+        } else {
+            let new = g.region.mbr();
+            if old != new {
                 let moved = ix.update(&old, new, gid);
                 debug_assert!(moved, "group {gid} missing from index");
                 g.indexed_rect = Some(new);
             }
-            (Some(old), None) => {
-                let removed = ix.remove(&old, &gid);
-                debug_assert!(removed, "dead group {gid} missing from index");
-                g.indexed_rect = None;
-            }
-            (None, Some(new)) => {
-                ix.insert(new, gid);
-                g.indexed_rect = Some(new);
-            }
-            _ => {}
         }
     }
 
@@ -577,12 +748,6 @@ impl<const D: usize> Engine<D> {
             return false;
         };
         self.groups[gid].members.clear();
-        if self.grid.is_some() {
-            // The grid entry stays behind as an inert tombstone, exactly
-            // like overlap-processing removals; membership is the source
-            // of truth.
-            self.membership.remove(&ext);
-        }
         self.rebuild_group(gid);
         true
     }
@@ -625,12 +790,16 @@ pub(crate) struct SgbAll<const D: usize> {
 impl<const D: usize> SgbAll<D> {
     /// Creates the engine for an SGB-All `query` with threshold `eps` and
     /// overlap action `overlap` (the query's operator knobs), running the
-    /// concrete `algorithm` the caller resolved.
+    /// concrete `algorithm` the caller resolved. Under
+    /// [`Algorithm::Grid`], `components` labels the records about to be
+    /// pushed (a one-shot run); without it every point searches the group
+    /// R-tree.
     pub(crate) fn new(
         query: &SgbQuery<D>,
         eps: f64,
         overlap: OverlapAction,
         algorithm: Algorithm,
+        components: Option<Components>,
     ) -> Self {
         let cfg = Params {
             eps,
@@ -641,7 +810,7 @@ impl<const D: usize> SgbAll<D> {
             rtree_fanout: query.rtree_fanout,
         };
         Self {
-            engine: Engine::new(cfg, SmallRng::seed_from_u64(query.seed)),
+            engine: Engine::new(cfg, SmallRng::seed_from_u64(query.seed), components),
             pushed: 0,
         }
     }
@@ -684,6 +853,7 @@ impl<const D: usize> SgbAll<D> {
         self.engine.drain_groups_into(&mut groups);
         let mut eliminated = std::mem::take(&mut self.engine.eliminated);
         let mut pending = std::mem::take(&mut self.engine.deferred);
+        let mut components = self.engine.components.take();
         let cfg = self.engine.cfg;
         let mut rng = self.engine.rng.clone();
         drop(self.engine);
@@ -691,9 +861,10 @@ impl<const D: usize> SgbAll<D> {
         // FORM-NEW-GROUP: regroup S' with a fresh pass until it drains.
         // Each pass keeps at least one point (the last point processed in a
         // pass either joins/creates a group that survives, or its candidate
-        // groups' members survive), so this terminates.
+        // groups' members survive), so this terminates. Every pass keeps
+        // the main pass's component labels.
         while !pending.is_empty() {
-            let mut sub = Engine::new(cfg, rng.clone());
+            let mut sub = Engine::new(cfg, rng.clone(), components);
             let before = pending.len();
             for (ext, p) in pending.drain(..) {
                 sub.process(ext, p);
@@ -701,6 +872,7 @@ impl<const D: usize> SgbAll<D> {
             sub.drain_groups_into(&mut groups);
             eliminated.append(&mut sub.eliminated);
             pending = std::mem::take(&mut sub.deferred);
+            components = sub.components.take();
             rng = sub.rng;
             assert!(
                 pending.len() < before,
@@ -712,6 +884,12 @@ impl<const D: usize> SgbAll<D> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 mod tests {
     use super::*;
     use sgb_geom::Metric;
@@ -1149,6 +1327,77 @@ mod tests {
                     .seed(1234)
                     .run(&points);
                 assert_eq!(auto, concrete, "{algo:?} {overlap:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn grid_searches_big_components_through_the_rtree() {
+        // One dense cluster (one ε-component above a per-component bound
+        // of 4 points) beside pairs and triples far apart (components below
+        // it): the big component's points take the group R-tree, the
+        // others their own directory, and the answer equals AllPairs'.
+        let mut state: u64 = 0xC0C0;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64) / (u32::MAX as f64)
+        };
+        let mut points: Vec<Point<2>> = Vec::new();
+        for i in 0..60 {
+            points.push(Point::new([next(), next()]));
+            if i % 6 == 0 {
+                // A small far cluster of 2 or 3 points, interleaved so
+                // the two kinds of search alternate in arrival order.
+                let (cx, cy) = (10.0 + 5.0 * f64::from(i), 10.0);
+                for k in 0..2 + i % 2 {
+                    points.push(Point::new([cx + 0.1 * f64::from(k), cy + 0.1 * next()]));
+                }
+            }
+        }
+        let (eps, bound) = (0.4, 4);
+        let free = QueryGovernor::unrestricted();
+        for metric in Metric::ALL {
+            let components = Components::find(&points, eps, metric, bound, &free).unwrap();
+            assert!(components.largest() > bound, "{metric}: no big component");
+            assert!(
+                (0..points.len()).any(|r| components.directory(r).is_some()),
+                "{metric}: no scanned component"
+            );
+            for overlap in [
+                OverlapAction::JoinAny,
+                OverlapAction::Eliminate,
+                OverlapAction::FormNewGroup,
+            ] {
+                let query = SgbQuery::all(eps).metric(metric).overlap(overlap).seed(77);
+                let mut op = SgbAll::new(
+                    &query,
+                    eps,
+                    overlap,
+                    Algorithm::Grid,
+                    Some(components.clone()),
+                );
+                for p in &points {
+                    op.push(*p);
+                }
+                // Both kinds of search ran: some groups went to the tree,
+                // some to a component directory.
+                let engine = &op.engine;
+                assert!(engine.groups.iter().any(|g| g.indexed_rect.is_some()));
+                assert!(engine.directories.iter().any(|d| !d.is_empty()));
+                let reference = query.clone().algorithm(Algorithm::AllPairs).run(&points);
+                assert_eq!(op.finish(), reference, "{metric} {overlap:?}");
+
+                // A stream knows no components: every point takes the
+                // group R-tree, with the same answer as a run.
+                let mut stream = query.clone().algorithm(Algorithm::Grid).stream();
+                for p in &points {
+                    stream.push(*p);
+                }
+                let run = query.clone().algorithm(Algorithm::Grid).run(&points);
+                assert_eq!(run, reference, "{metric} {overlap:?}");
+                assert_eq!(stream.finish(), run, "{metric} {overlap:?}");
             }
         }
     }

@@ -273,10 +273,27 @@ struct ShardRun {
 
 /// The ε-grid batch kernel over a grid (fresh or from the session cache,
 /// whose cell side may be below ε — the components are the same): the
-/// grid's [connectivity join](Grid::connectivity_join) emits a spanning
-/// subset of the within-ε pairs with exactly the ε-graph's components, and
-/// each emitted pair is unioned. Pairs between two cells already known to
-/// be connected are never looked for.
+/// forest of [`connect_grid`], as the answer set.
+pub(crate) fn join_grid<const D: usize>(
+    points: &[Point<D>],
+    eps: f64,
+    metric: Metric,
+    index: &Grid<D, RecordId>,
+    threads: usize,
+    governor: &QueryGovernor,
+    tel: &Telemetry,
+) -> Result<Grouping, SgbError> {
+    let dsu = connect_grid(points.len(), eps, metric, index, threads, governor, tel)?;
+    Ok(components(dsu, tel))
+}
+
+/// Unions the pairs of the grid's [connectivity join](Grid::connectivity_join)
+/// into a forest over the `n` records the grid holds. The join emits a
+/// spanning subset of the within-ε pairs with exactly the ε-graph's
+/// components, so the forest's components are the ε-graph's. Pairs between
+/// two cells already known to be connected are never looked for. SGB-All
+/// labels its input's ε-components with this forest too (one shard,
+/// under a disabled telemetry handle).
 ///
 /// The join runs as two passes of one worker pool over one mirror of the
 /// grid: [`JoinPass::Cells`] on every shard, then [`JoinPass::Neighbours`],
@@ -290,26 +307,24 @@ struct ShardRun {
 /// governor at cell-row boundaries, every ≤ [`CHECK_INTERVAL`] candidates,
 /// and parks its verdict in its own slot; a panicking worker surfaces as
 /// [`SgbError::WorkerPanicked`]. On `Err`, everything built here is
-/// dropped — no partial grouping escapes.
-pub(crate) fn join_grid<const D: usize>(
-    points: &[Point<D>],
+/// dropped — no partial forest escapes.
+pub(crate) fn connect_grid<const D: usize>(
+    n: usize,
     eps: f64,
     metric: Metric,
     index: &Grid<D, RecordId>,
     threads: usize,
     governor: &QueryGovernor,
     tel: &Telemetry,
-) -> Result<Grouping, SgbError> {
+) -> Result<DisjointSet, SgbError> {
     failpoints::fail_point!("sgb_core::any::grid_join", |_| Err(SgbError::Cancelled));
     governor.check()?;
     let shards = threads.max(1);
     let enabled = tel.is_enabled();
     // Shard 0 unions straight into the result forest; every further shard
     // unions into a private forest that is merged in afterwards.
-    let mut dsu = DisjointSet::with_len(points.len());
-    let mut forests: Vec<DisjointSet> = (1..shards)
-        .map(|_| DisjointSet::with_len(points.len()))
-        .collect();
+    let mut dsu = DisjointSet::with_len(n);
+    let mut forests: Vec<DisjointSet> = (1..shards).map(|_| DisjointSet::with_len(n)).collect();
     let mut runs: Vec<ShardRun> = (0..shards).map(|_| ShardRun::default()).collect();
     let join = tel.phase(Phase::Join);
     let connect = index.connectivity_join(eps, metric);
@@ -379,7 +394,7 @@ pub(crate) fn join_grid<const D: usize>(
         dsu.try_merge_from(forest, || governor.check())?;
     }
     drop(merge);
-    Ok(components(dsu, tel))
+    Ok(dsu)
 }
 
 /// The connected components of a kernel's finished forest as the answer

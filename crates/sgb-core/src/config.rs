@@ -82,7 +82,14 @@ pub enum Algorithm {
     /// SGB-All/Any (Procedures 5 and 8), an STR bulk-loaded center tree
     /// for SGB-Around.
     Indexed,
-    /// ε-grid search: neighbour-cell probes, no tree descent.
+    /// ε-grid search: neighbour-cell probes, no tree descent. For
+    /// SGB-All, the grid labels the input's ε-components instead (the
+    /// SGB-Any grid kernel's connectivity join), and each point searches
+    /// only its own component's groups: a group directory per component
+    /// with the Bounds-Checking tests, or the group R-tree for a component
+    /// of more than [`crate::cost::ALL_BOUNDS_MAX_N`] points. A stream
+    /// never knows the components, so its SGB-All `Grid` searches the
+    /// group R-tree.
     Grid,
 }
 

@@ -16,6 +16,12 @@
 //!   SGB-Any path beats the on-the-fly R-tree by well over 2×, while below
 //!   a few hundred points no index of any kind amortises its construction.
 //!   Hence [`ANY_ALL_PAIRS_MAX_N`] / [`ALL_ALL_PAIRS_MAX_N`].
+//! * SGB-All's `Auto` is two-way: the plain scan for small inputs, else
+//!   the per-component search of `Grid` (`BENCH_grid.json`'s SGB-All
+//!   rows). What that path does per component is the one number left to
+//!   hold accountable: [`ALL_BOUNDS_MAX_N`], the component size above
+//!   which a component's groups are searched through the group R-tree
+//!   rather than scanned (its `component` sweep times both sides).
 //! * The grid probe examines `5^D` cells per point (the 3^D neighbourhood
 //!   plus a one-cell rounding pad), so past [`GRID_MAX_DIMS`] dimensions
 //!   the R-tree's adaptive partitioning wins. The shipped operators are
@@ -39,20 +45,25 @@
 use crate::governor::{QueryGovernor, SgbError};
 use crate::Algorithm;
 
-/// Below this input cardinality SGB-All's `Auto` stays with the all-pairs
-/// scan: group structures are tiny and building any accelerator costs more
-/// than it saves (BENCH_grid.json, small-n rows).
+/// Up to this input cardinality SGB-All's `Auto` stays with the all-pairs
+/// scan: group structures are tiny and building any accelerator, the
+/// component pre-pass included, costs more than it saves (BENCH_grid.json,
+/// small-n rows).
 pub const ALL_ALL_PAIRS_MAX_N: usize = 256;
 
-/// Up to this input cardinality SGB-All's `Auto` uses Bounds-Checking:
-/// the dense rectangle-directory scan wins every BENCH_grid.json
-/// configuration up to n = 10k, and its `O(n · |G|)` growth crosses the
-/// R-tree's `O(n log |G|)` right around n = 20k (0.0249s vs 0.0246s).
-/// SGB-All's member-grid stays an explicit option but is never
-/// auto-chosen: its probes pay per-*member* verification where the
-/// rectangle paths pay per-*group* tests, which loses whenever groups
-/// grow past a handful of members (BENCH_grid.json, eps >= 0.3 rows).
-pub const ALL_BOUNDS_MAX_N: usize = 16_384;
+/// The per-component bound of SGB-All's `Grid` path: a point whose
+/// ε-component holds at most this many points scans that component's
+/// group directory with the Bounds-Checking tests; a larger component is
+/// searched through the group R-tree. The scan costs `O(|G_c|)` per point
+/// for the component's live groups `G_c`, the R-tree probe `O(log |G_c|)`
+/// plus its upkeep, so the tree pays off only on large components.
+/// BENCH_grid.json's `component` sweep times both sides on one uniform
+/// ε-component: at 2k points the scan runs level with Bounds-Checking,
+/// and at 20k points the R-tree runs within 1.2× of `Indexed`, where
+/// Bounds-Checking takes 1.8× as long. The largest component of the
+/// `checkin-all` benchmark data holds 3.35k–3.63k points (seeds 3, 7 and
+/// 11), under the bound, so that workload always scans.
+pub const ALL_BOUNDS_MAX_N: usize = 4_096;
 
 /// Below this input cardinality SGB-Any's `Auto` stays with the all-pairs
 /// scan (BENCH_grid.json, small-n rows).
@@ -80,46 +91,72 @@ fn configured() -> String {
     "configured explicitly".to_owned()
 }
 
-/// Resolves the SGB-All algorithm for a known input cardinality `n` in
-/// `dims` dimensions. Non-`Auto` inputs pass through unchanged. SGB-All
-/// has no cache or budget input: its index tracks the *live groups*,
-/// which exist only mid-run, so nothing is shared across queries and
-/// nothing table-sized is built up front.
-pub fn resolve_all(configured_algo: Algorithm, n: usize, _dims: usize) -> (Algorithm, String) {
+/// The cost model's SGB-All choice for `n` points, before the budget is
+/// considered: the plain scan up to [`ALL_ALL_PAIRS_MAX_N`], the
+/// per-component search of [`Algorithm::Grid`] above it. This is what
+/// [`resolve_all`] gives under an unrestricted governor.
+pub(crate) fn all_cost_model(configured_algo: Algorithm, n: usize) -> (Algorithm, String) {
     match configured_algo {
-        Algorithm::Auto => {
-            if n <= ALL_ALL_PAIRS_MAX_N {
-                (
-                    Algorithm::AllPairs,
-                    format!(
-                        "auto: n = {n} <= {ALL_ALL_PAIRS_MAX_N}, plain scan beats index construction"
-                    ),
-                )
-            } else if n <= ALL_BOUNDS_MAX_N {
-                (
-                    Algorithm::BoundsChecking,
-                    format!(
-                        "auto: n = {n} <= {ALL_BOUNDS_MAX_N}, dense rectangle directory wins \
-                         (BENCH_grid.json)"
-                    ),
-                )
-            } else {
-                (
-                    Algorithm::Indexed,
-                    format!(
-                        "auto: n = {n} > {ALL_BOUNDS_MAX_N}, group R-tree overtakes the linear \
-                         rectangle scan (BENCH_grid.json crossover ~20k)"
-                    ),
-                )
-            }
-        }
+        Algorithm::Auto if n <= ALL_ALL_PAIRS_MAX_N => (
+            Algorithm::AllPairs,
+            format!("auto: n = {n} <= {ALL_ALL_PAIRS_MAX_N}, plain scan beats index construction"),
+        ),
+        Algorithm::Auto => (
+            Algorithm::Grid,
+            format!(
+                "auto: n = {n} > {ALL_ALL_PAIRS_MAX_N}, eps-component pre-pass, then one group \
+                 directory per component (R-tree above {ALL_BOUNDS_MAX_N} points)"
+            ),
+        ),
         other => (other, configured()),
     }
+}
+
+/// Resolves the SGB-All algorithm for a known input cardinality `n` in
+/// `dims` dimensions under the [`QueryGovernor`]'s memory budget.
+/// Non-`Auto` inputs pass through unchanged, except that a `Grid` run's
+/// pre-pass must fit the budget.
+///
+/// * `Auto` picks the all-pairs scan up to [`ALL_ALL_PAIRS_MAX_N`] points
+///   and [`Algorithm::Grid`] above: a pre-pass labels every point with its
+///   ε-component, and each point then searches only its own component's
+///   groups. BENCH_grid.json's SGB-All rows show it beating
+///   Bounds-Checking and the group R-tree from n = 2k up; a single
+///   component of 1k points, where the pre-pass buys nothing, is its
+///   worst case (0.56–0.60 ms against 0.38–0.40 ms for Bounds-Checking).
+/// * The pre-pass builds an ε-grid over the input
+///   ([`estimated_grid_bytes`]). Over the budget, `Auto` degrades to the
+///   group R-tree of [`Algorithm::Indexed`] — today's large-n path, whose
+///   tree over the live groups is not priced — with the fallback recorded
+///   in the reason; an explicit `Grid` fails.
+///
+/// # Errors
+/// [`SgbError::BudgetExceeded`] for an explicit `Grid` over the budget.
+pub fn resolve_all(
+    configured_algo: Algorithm,
+    n: usize,
+    dims: usize,
+    governor: &QueryGovernor,
+) -> Result<(Algorithm, String), SgbError> {
+    let resolved = all_cost_model(configured_algo, n);
+    if resolved.0 != Algorithm::Grid {
+        return Ok(resolved);
+    }
+    admit(
+        resolved,
+        configured_algo == Algorithm::Auto,
+        estimated_grid_bytes(n, dims),
+        "eps-grid",
+        (Algorithm::Indexed, "group R-tree"),
+        governor,
+    )
 }
 
 /// Resolves the SGB-All algorithm for a streaming operator, where the
 /// final cardinality is unknown at construction time: `Auto` assumes the
 /// scalable regime (streams are open-ended) and picks the group R-tree.
+/// A stream never knows its input's ε-components, so `Grid` would search
+/// the same tree.
 /// One-shot entry points — including the SQL executor — know `n` and use
 /// [`resolve_all`] instead.
 pub fn resolve_all_streaming(configured_algo: Algorithm, _dims: usize) -> (Algorithm, String) {
@@ -436,6 +473,11 @@ pub fn threads_for_around(requested: usize, n: usize) -> (usize, String) {
 mod tests {
     use super::*;
 
+    /// [`resolve_all`] with no limits.
+    fn all(configured: Algorithm, n: usize, dims: usize) -> (Algorithm, String) {
+        resolve_all(configured, n, dims, &QueryGovernor::unrestricted()).unwrap()
+    }
+
     /// [`resolve_any`] with nothing cached and no limits.
     fn any(configured: Algorithm, n: usize, dims: usize) -> (Algorithm, String) {
         resolve_any(
@@ -469,7 +511,7 @@ mod tests {
             Algorithm::Indexed,
             Algorithm::Grid,
         ] {
-            let (resolved, reason) = resolve_all(algo, 1_000_000, 2);
+            let (resolved, reason) = all(algo, 1_000_000, 2);
             assert_eq!(resolved, algo);
             assert!(reason.contains("configured"), "{reason}");
         }
@@ -483,7 +525,7 @@ mod tests {
     #[test]
     fn auto_picks_scan_for_small_inputs() {
         assert_eq!(
-            resolve_all(Algorithm::Auto, ALL_ALL_PAIRS_MAX_N, 2).0,
+            all(Algorithm::Auto, ALL_ALL_PAIRS_MAX_N, 2).0,
             Algorithm::AllPairs
         );
         assert_eq!(
@@ -499,17 +541,9 @@ mod tests {
     #[test]
     fn auto_tracks_the_benchmarked_winner_per_regime() {
         for dims in [2, 3] {
-            // SGB-All: bounds-checking in the mid range, R-tree past the
-            // measured ~20k crossover; the member grid is never
-            // auto-chosen (it pays per-member verification).
-            assert_eq!(
-                resolve_all(Algorithm::Auto, 10_000, dims).0,
-                Algorithm::BoundsChecking
-            );
-            assert_eq!(
-                resolve_all(Algorithm::Auto, 20_000, dims).0,
-                Algorithm::Indexed
-            );
+            // SGB-All: the per-component search above the scan's range.
+            assert_eq!(all(Algorithm::Auto, 10_000, dims).0, Algorithm::Grid);
+            assert_eq!(all(Algorithm::Auto, 20_000, dims).0, Algorithm::Grid);
             assert_eq!(any(Algorithm::Auto, 10_000, dims).0, Algorithm::Grid);
             assert_eq!(around(Algorithm::Auto, 4096, dims).0, Algorithm::Grid);
         }
@@ -649,6 +683,39 @@ mod tests {
     }
 
     #[test]
+    fn governed_resolution_prices_the_component_pre_pass() {
+        // No budget: the cost model's choice.
+        assert_eq!(
+            all(Algorithm::Auto, 10_000, 2),
+            all_cost_model(Algorithm::Auto, 10_000)
+        );
+        // A budget too small for the pre-pass grid degrades Auto to the
+        // group R-tree…
+        let tight = QueryGovernor::unrestricted().with_memory_budget(64);
+        let (algo, reason) = resolve_all(Algorithm::Auto, 10_000, 2, &tight).unwrap();
+        assert_eq!(algo, Algorithm::Indexed);
+        assert!(reason.contains("memory budget"), "{reason}");
+        assert!(reason.contains("group R-tree"), "{reason}");
+        // …an explicit Grid request fails loudly instead…
+        let err = resolve_all(Algorithm::Grid, 10_000, 2, &tight).unwrap_err();
+        assert!(matches!(err, SgbError::BudgetExceeded { .. }), "{err:?}");
+        // …and the paths that build nothing up front always pass.
+        for algo in [
+            Algorithm::AllPairs,
+            Algorithm::BoundsChecking,
+            Algorithm::Indexed,
+        ] {
+            assert_eq!(resolve_all(algo, 10_000, 2, &tight).unwrap().0, algo);
+        }
+        assert_eq!(
+            resolve_all(Algorithm::Auto, ALL_ALL_PAIRS_MAX_N, 2, &tight)
+                .unwrap()
+                .0,
+            Algorithm::AllPairs
+        );
+    }
+
+    #[test]
     fn governed_resolution_prices_the_rtree_build() {
         let tight = QueryGovernor::unrestricted().with_memory_budget(64);
         // Auto in high dimensions resolves to the R-tree, which no longer
@@ -701,7 +768,7 @@ mod tests {
         assert!(r.contains("n = 10"), "{r}");
         let (_, r) = around(Algorithm::Auto, 3, 2);
         assert!(r.contains("3 centers"), "{r}");
-        let (_, r) = resolve_all(Algorithm::Auto, 9999, 2);
-        assert!(r.contains("rectangle directory"), "{r}");
+        let (_, r) = all(Algorithm::Auto, 9999, 2);
+        assert!(r.contains("directory per component"), "{r}");
     }
 }

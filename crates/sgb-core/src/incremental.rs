@@ -587,8 +587,10 @@ impl<const D: usize> MaintainedGrouping<D> {
         let OpSpec::All { eps, overlap } = &query.op else {
             unreachable!("fresh_all_engine is only called for All queries");
         };
-        let (resolved, _) = cost::resolve_all(query.configured_algorithm(), n, D);
-        (SgbAll::new(query, *eps, *overlap, resolved), resolved)
+        // The replica builds no pre-pass grid, so it resolves without a
+        // budget, as `resolve_all` does under an unrestricted governor.
+        let (resolved, _) = cost::all_cost_model(query.configured_algorithm(), n);
+        (SgbAll::new(query, *eps, *overlap, resolved, None), resolved)
     }
 
     /// (Re)builds the SGB-All replica from the live slots in slot order,

@@ -56,7 +56,7 @@ use sgb_spatial::{Grid, RTree};
 
 use sgb_telemetry::{Counter, Phase, Telemetry};
 
-use crate::all::SgbAll;
+use crate::all::{Components, SgbAll};
 use crate::any::{self, SgbAny};
 use crate::around::{build_center_index, CenterRule, SgbAround};
 use crate::cache::SgbCache;
@@ -436,9 +436,11 @@ impl<const D: usize> SgbQuery<D> {
     ///   units of work per worker — [`SgbError::Timeout`] /
     ///   [`SgbError::Cancelled`].
     /// * A memory budget too small for the SGB-Any ε-grid degrades
-    ///   [`Algorithm::Auto`] to the O(1)-memory all-pairs scan (the reason
-    ///   on the grouping records the fallback); an explicitly requested
-    ///   grid fails with [`SgbError::BudgetExceeded`] instead.
+    ///   [`Algorithm::Auto`] to the O(1)-memory all-pairs scan, and one too
+    ///   small for SGB-All's component pre-pass grid degrades it to the
+    ///   group R-tree (the reason on the grouping records the fallback); an
+    ///   explicitly requested grid fails with [`SgbError::BudgetExceeded`]
+    ///   instead.
     /// * A panic on a parallel worker is captured and surfaced as
     ///   [`SgbError::WorkerPanicked`] — never a process abort, never a
     ///   poisoned lock.
@@ -557,9 +559,12 @@ impl<const D: usize> SgbQuery<D> {
     /// SGB-All: the streaming engine fed in arrival order (its arbitration
     /// is order-sensitive, so it never parallelises), with a governor
     /// check per tuple — each push does a candidate search, so the check
-    /// is cheap relative to the work it bounds. It builds no reusable
-    /// structure (its index tracks the *live groups*, which exist only
-    /// mid-run), so only the whole result is cacheable.
+    /// is cheap relative to the work it bounds. On the `Grid` path a
+    /// pre-pass first labels every point with its ε-component (timed as
+    /// the index build), so each point searches only its own component's
+    /// groups. Nothing it builds outlives the run (the group index tracks
+    /// the *live groups*, which exist only mid-run), so only the whole
+    /// result is cacheable.
     fn execute_all(
         &self,
         points: &[Point<D>],
@@ -568,10 +573,21 @@ impl<const D: usize> SgbQuery<D> {
         governor: &QueryGovernor,
     ) -> Result<Grouping, SgbError> {
         let tel = &self.telemetry;
-        let (resolved, reason) = cost::resolve_all(self.algorithm, points.len(), D);
+        let (resolved, reason) = cost::resolve_all(self.algorithm, points.len(), D, governor)?;
         let (threads, _) = cost::threads_for_all();
+        let components = if resolved == Algorithm::Grid {
+            let build = tel.phase(Phase::IndexBuild);
+            let found =
+                Components::find(points, eps, self.metric, cost::ALL_BOUNDS_MAX_N, governor)?;
+            drop(build);
+            tel.add(Counter::Components, found.count() as u64);
+            tel.record_max(Counter::LargestComponent, found.largest() as u64);
+            Some(found)
+        } else {
+            None
+        };
         let join = tel.phase(Phase::Join);
-        let mut op = SgbAll::new(self, eps, overlap, resolved);
+        let mut op = SgbAll::new(self, eps, overlap, resolved, components);
         for p in points {
             governor.check()?;
             op.push(*p);
@@ -730,7 +746,7 @@ impl<const D: usize> SgbQuery<D> {
         let (inner, (algorithm, selection)) = match &self.op {
             OpSpec::All { eps, overlap } => {
                 let resolved = cost::resolve_all_streaming(self.algorithm, D);
-                let op = SgbAll::new(&self, *eps, *overlap, resolved.0);
+                let op = SgbAll::new(&self, *eps, *overlap, resolved.0, None);
                 (StreamInner::All(Box::new(op)), resolved)
             }
             OpSpec::Any { eps } => {
@@ -1180,7 +1196,7 @@ mod tests {
         }
         // Each operator's Auto landed on both sides of its crossover.
         for (op, below, above) in [
-            ("SGB-All", Algorithm::AllPairs, Algorithm::BoundsChecking),
+            ("SGB-All", Algorithm::AllPairs, Algorithm::Grid),
             ("SGB-Any", Algorithm::AllPairs, Algorithm::Grid),
             ("SGB-Around", Algorithm::AllPairs, Algorithm::Grid),
         ] {

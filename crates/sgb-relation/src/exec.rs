@@ -396,9 +396,10 @@ fn aggregate_grouping(
 
 /// The `EXPLAIN ANALYZE` detail line of a similarity node: answer-group
 /// and outlier cardinality, the candidate-pair count the filter phase
-/// visited, and the phase breakdown of the query profile. Snapshot-served
-/// groupings carry no live profile — the detail then reports cardinality
-/// only, which is exactly what was (not) computed.
+/// visited, the ε-components SGB-All's pre-pass found, and the phase
+/// breakdown of the query profile. Snapshot-served groupings carry no
+/// live profile — the detail then reports cardinality only, which is
+/// exactly what was (not) computed.
 fn similarity_detail(grouping: &Grouping, tel: &Telemetry) -> String {
     let mut d = format!("groups: {}", grouping.num_groups());
     let outliers = grouping.outliers().len();
@@ -409,6 +410,13 @@ fn similarity_detail(grouping: &Grouping, tel: &Telemetry) -> String {
         let candidates = profile.counter(Counter::CandidatePairs);
         if candidates > 0 {
             d.push_str(&format!(", candidates: {candidates}"));
+        }
+        // SGB-All's component pre-pass ran: how the input split, so the
+        // per-component bound can be checked against real data.
+        let components = profile.counter(Counter::Components);
+        if components > 0 {
+            let largest = profile.counter(Counter::LargestComponent);
+            d.push_str(&format!(", components: {components} (largest {largest})"));
         }
         let phases = profile.phase_summary();
         if !phases.is_empty() {

@@ -183,10 +183,16 @@ impl<'a> Planner<'a> {
             ) => {
                 // Resolve `Auto` at plan time from the estimated input
                 // cardinality so EXPLAIN shows the path execution takes,
-                // under the session options the plan was built with.
+                // under the session options the plan was built with —
+                // including the memory budget, which prices the `Grid`
+                // path's component pre-pass: over it, `Auto` degrades to
+                // the group R-tree and a session-pinned `Grid` fails here
+                // with `BudgetExceeded`.
                 let n = estimate_rows(&acc, self.db);
                 let configured = self.db.session().all_algorithm;
-                let (resolved, selection) = sgb_core::cost::resolve_all(configured, n, exprs.len());
+                let governor = self.db.statement_governor();
+                let (resolved, selection) =
+                    sgb_core::cost::resolve_all(configured, n, exprs.len(), &governor)?;
                 let mode = SgbMode::All {
                     eps: *eps,
                     metric: *metric,

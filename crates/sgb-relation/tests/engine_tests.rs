@@ -749,7 +749,7 @@ fn explain_prints_cost_based_resolution_for_all_and_any() {
     let plan = db
         .explain("SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 0.5")
         .unwrap();
-    assert!(plan.contains("path: BoundsChecking"), "{plan}");
+    assert!(plan.contains("path: Grid"), "{plan}");
     assert!(plan.contains("auto: n = 600"), "{plan}");
     // Explicit settings print as configured.
     db.session_mut().all_algorithm = sgb_core::Algorithm::BoundsChecking;

@@ -106,11 +106,17 @@ pub enum Counter {
     DeltasApplied = 8,
     /// Incremental maintenance deltas rejected (fault or governor).
     DeltasRejected = 9,
+    /// ε-components found by SGB-All's component pre-pass (its `Grid`
+    /// path), each searched on its own.
+    Components = 10,
+    /// Points in the largest ε-component the SGB-All pre-pass found
+    /// (high-water mark).
+    LargestComponent = 11,
 }
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 10] = [
+    pub const ALL: [Counter; 12] = [
         Counter::CandidatePairs,
         Counter::CellsProbed,
         Counter::GovernorPolls,
@@ -121,6 +127,8 @@ impl Counter {
         Counter::Outliers,
         Counter::DeltasApplied,
         Counter::DeltasRejected,
+        Counter::Components,
+        Counter::LargestComponent,
     ];
 
     /// Stable snake_case name (used in renderings and metrics labels).
@@ -136,6 +144,8 @@ impl Counter {
             Counter::Outliers => "outliers",
             Counter::DeltasApplied => "deltas_applied",
             Counter::DeltasRejected => "deltas_rejected",
+            Counter::Components => "components",
+            Counter::LargestComponent => "largest_component",
         }
     }
 }

@@ -168,6 +168,70 @@ fn memory_budget_degrades_auto_and_fails_pinned_grid() {
     }
 }
 
+/// SGB-All's `Grid` path prices its component pre-pass (an ε-grid over the
+/// input) like SGB-Any prices its grid: over the budget, `Auto` degrades to
+/// the group R-tree, with the fallback in EXPLAIN and the same answer,
+/// while a session-pinned `Grid` fails with `BudgetExceeded`. The core
+/// `try_run` surface gives the same verdicts.
+#[test]
+fn memory_budget_degrades_auto_and_fails_pinned_grid_for_all() {
+    // n = 600 > SGB-All's all-pairs threshold, so the budget is what flips it.
+    let sql =
+        "SELECT count(*) FROM t GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 2 ON-OVERLAP ELIMINATE";
+    let mut free = cloud_db(600);
+    let explain = free.explain(sql).unwrap();
+    assert!(explain.contains("path: Grid"), "{explain}");
+    let mut db = cloud_db(600);
+    db.execute("SET MEMORY_BUDGET = 64").unwrap();
+    let explain = db.explain(sql).unwrap();
+    assert!(
+        explain.contains("memory budget") && explain.contains("path: Indexed"),
+        "EXPLAIN does not record the degradation: {explain}"
+    );
+    assert_eq!(db.execute(sql).unwrap(), free.execute(sql).unwrap());
+
+    let mut pinned = Database::with_options(
+        SessionOptions::new()
+            .with_all_algorithm(Algorithm::Grid)
+            .with_memory_budget(Some(64)),
+    );
+    pinned
+        .execute("CREATE TABLE t (x DOUBLE, y DOUBLE)")
+        .unwrap();
+    let values: Vec<String> = cloud(600)
+        .iter()
+        .map(|p| format!("({}, {})", p.coords()[0], p.coords()[1]))
+        .collect();
+    pinned
+        .execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
+        .unwrap();
+    match pinned.execute(sql) {
+        Err(Error::Aborted(SgbError::BudgetExceeded { needed, budget })) => {
+            assert_eq!(budget, 64);
+            assert!(needed > budget, "needed {needed} B <= budget {budget} B");
+        }
+        other => panic!("expected Aborted(BudgetExceeded), got: {other:?}"),
+    }
+
+    let pts = cloud(600);
+    let tight = QueryGovernor::unrestricted().with_memory_budget(64);
+    let auto = SgbQuery::all(2.0).try_run(&pts, &tight).unwrap();
+    assert_eq!(auto.resolved_algorithm(), Algorithm::Indexed);
+    assert!(
+        auto.selection_reason().contains("memory budget"),
+        "{}",
+        auto.selection_reason()
+    );
+    assert_eq!(auto, SgbQuery::all(2.0).run(&pts));
+    let pinned = SgbQuery::all(2.0)
+        .algorithm(Algorithm::Grid)
+        .try_run(&pts, &tight);
+    assert!(
+        matches!(pinned, Err(SgbError::BudgetExceeded { budget: 64, .. })),
+        "{pinned:?}"
+    );
+}
+
 /// A grid that is *already cached* is admitted regardless of the budget:
 /// it exists, so running against it allocates nothing new.
 #[test]

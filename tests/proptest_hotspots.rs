@@ -16,8 +16,8 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use sgb::core::SgbCache;
-use sgb::{Algorithm, Metric, Point, SgbQuery};
+use sgb::core::{QueryGovernor, SgbCache};
+use sgb::{Algorithm, Metric, OverlapAction, Point, SgbQuery};
 
 /// The worker counts under test.
 const THREADS: [usize; 3] = [1, 2, 3];
@@ -139,5 +139,93 @@ proptest! {
     ) {
         let points = hotspot_points::<3>(&centres, spread, eps / f64::from(snap), &draws);
         grid_matches_references(&points, eps, metric, ratio)?;
+    }
+}
+
+/// The SGB-All property on the same hotspot inputs: `Grid`, which searches
+/// each point's own ε-component only, equals `AllPairs` and `Indexed` bit
+/// for bit under every ON-OVERLAP mode and metric, through `run`,
+/// `try_run` and `run_cached`, and `Auto` agrees with them. Dense cliques,
+/// duplicates and ε-lattice ties are where the component pre-pass takes
+/// its shortcuts, and where JOIN-ANY arbitrates between many candidates.
+fn grid_all_matches_references<const D: usize>(
+    points: &[Point<D>],
+    eps: f64,
+    seed: u64,
+) -> Result<(), String> {
+    let free = QueryGovernor::unrestricted();
+    for metric in Metric::ALL {
+        for overlap in [
+            OverlapAction::JoinAny,
+            OverlapAction::Eliminate,
+            OverlapAction::FormNewGroup,
+        ] {
+            let query = |algorithm: Algorithm| {
+                SgbQuery::all(eps)
+                    .metric(metric)
+                    .overlap(overlap)
+                    .seed(seed)
+                    .algorithm(algorithm)
+            };
+            let reference = query(Algorithm::AllPairs).run(points);
+            let label = format!("{metric} {overlap:?} seed={seed}");
+            prop_assert_eq!(
+                &query(Algorithm::Indexed).run(points),
+                &reference,
+                "indexed {}",
+                label
+            );
+            let grid = query(Algorithm::Grid);
+            prop_assert_eq!(&grid.run(points), &reference, "grid run {}", label);
+            prop_assert_eq!(
+                &grid.try_run(points, &free),
+                &Ok(reference.clone()),
+                "grid try_run {}",
+                label
+            );
+            prop_assert_eq!(
+                &grid.run_cached(points, &SgbCache::new(), 1),
+                &reference,
+                "grid run_cached {}",
+                label
+            );
+            prop_assert_eq!(
+                &query(Algorithm::Auto).run(points),
+                &reference,
+                "auto {}",
+                label
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn grid_all_is_bit_identical_on_2d_hotspots(
+        centres in vec((0.0f64..3.0, 0.0f64..3.0, 0.0f64..3.0), 1..4),
+        draws in arb_draws(),
+        spread in arb_spread(),
+        eps in 0.02f64..0.5,
+        snap in 1u32..4,
+        seed in any::<u64>(),
+    ) {
+        let points = hotspot_points::<2>(&centres, spread, eps / f64::from(snap), &draws);
+        grid_all_matches_references(&points, eps, seed)?;
+    }
+
+    #[test]
+    fn grid_all_is_bit_identical_on_3d_hotspots(
+        centres in vec((0.0f64..3.0, 0.0f64..3.0, 0.0f64..3.0), 1..4),
+        draws in arb_draws(),
+        spread in arb_spread(),
+        eps in 0.02f64..0.5,
+        snap in 1u32..4,
+        seed in any::<u64>(),
+    ) {
+        let points = hotspot_points::<3>(&centres, spread, eps / f64::from(snap), &draws);
+        grid_all_matches_references(&points, eps, seed)?;
     }
 }

@@ -114,6 +114,59 @@ fn explain_analyze_reports_per_node_actuals_for_all_three_operators() {
     }
 }
 
+/// SGB-All's `Grid` path reports how its component pre-pass split the
+/// input: on a table of two clusters far apart, each one ε-component,
+/// `EXPLAIN ANALYZE` prints `components: 2 (largest 150)`, and the core
+/// profile carries the same two counters. A path without the pre-pass
+/// reports no components.
+#[test]
+fn explain_analyze_reports_the_sgb_all_components() {
+    // Two 15 × 10 lattices with step 0.5, far apart: at ε = 0.6 each is
+    // one ε-component, and 300 rows resolve `Auto` to `Grid`.
+    let pts: Vec<Point<2>> = [(10.0, 10.0), (80.0, 80.0)]
+        .iter()
+        .flat_map(|&(cx, cy)| {
+            (0..150).map(move |i| {
+                Point::new([cx + 0.5 * f64::from(i % 15), cy + 0.5 * f64::from(i / 15)])
+            })
+        })
+        .collect();
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (x DOUBLE, y DOUBLE)").unwrap();
+    let values: Vec<String> = pts
+        .iter()
+        .map(|p| format!("({}, {})", p.coords()[0], p.coords()[1]))
+        .collect();
+    db.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
+        .unwrap();
+    let sql = "SELECT count(*) FROM t GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 0.6";
+    let analyzed = db.explain_analyze(sql).unwrap();
+    let sim = analyzed
+        .lines()
+        .find(|l| l.contains("SimilarityGroupBy"))
+        .unwrap_or_else(|| panic!("no similarity node: {analyzed}"));
+    assert!(sim.contains("path: Grid"), "{analyzed}");
+    assert!(
+        sim.contains("components: 2 (largest 150)"),
+        "no component detail: {analyzed}"
+    );
+
+    let profile = SgbQuery::all(0.6)
+        .telemetry(Telemetry::new())
+        .run(&pts)
+        .profile()
+        .unwrap();
+    assert_eq!(profile.counter(Counter::Components), 2);
+    assert_eq!(profile.counter(Counter::LargestComponent), 150);
+    let scan = SgbQuery::all(0.6)
+        .algorithm(sgb::Algorithm::BoundsChecking)
+        .telemetry(Telemetry::new())
+        .run(&pts)
+        .profile()
+        .unwrap();
+    assert_eq!(scan.counter(Counter::Components), 0);
+}
+
 /// Plain `EXPLAIN` through the statement surface stays estimate-only: no
 /// actuals, and byte-identical to `Database::explain`.
 #[test]
