@@ -70,6 +70,11 @@ use crate::{Algorithm, Grouping, OverlapAction, RecordId, SgbQuery};
 
 type GroupId = usize;
 
+/// A group caches its convex hull (the Convex Hull Test of Procedure 6)
+/// once it has this many members; smaller groups are refined by a member
+/// scan.
+const HULL_THRESHOLD: usize = 16;
+
 /// The knobs an SGB-All run reads, copied out of its [`SgbQuery`].
 #[derive(Clone, Copy, Debug)]
 struct Params {
@@ -78,8 +83,9 @@ struct Params {
     overlap: OverlapAction,
     /// The concrete search strategy, resolved by the caller.
     algorithm: Algorithm,
+    /// Members at which a group starts caching its hull:
+    /// [`HULL_THRESHOLD`], or another value in this module's tests.
     hull_threshold: usize,
-    rtree_fanout: usize,
 }
 
 /// What overlap processing does with the members it removes from an
@@ -197,8 +203,8 @@ struct GroupState<const D: usize> {
     region: EpsAllRegion<D>,
     /// Cached convex hull of the members — the false-positive refinement of
     /// Section 6.4. Maintained only for conservative-filter metrics
-    /// (`L1`/`L2`) in 2-D and only once the group reaches the configured
-    /// hull threshold; otherwise (`None`) the exact check falls back to a
+    /// (`L1`/`L2`) in 2-D and only once the group reaches the run's hull
+    /// threshold; otherwise (`None`) the exact check falls back to a
     /// member scan.
     hull: Option<ConvexHull>,
     /// Rectangle currently registered for this group in `Groups_IX`
@@ -382,8 +388,7 @@ struct Engine<const D: usize> {
 impl<const D: usize> Engine<D> {
     /// A fresh pass. `components` is read only under [`Algorithm::Grid`].
     fn new(cfg: Params, rng: SmallRng, components: Option<Components>) -> Self {
-        let index = matches!(cfg.algorithm, Algorithm::Indexed | Algorithm::Grid)
-            .then(|| RTree::with_max_entries(cfg.rtree_fanout));
+        let index = matches!(cfg.algorithm, Algorithm::Indexed | Algorithm::Grid).then(RTree::new);
         let components = components.filter(|_| cfg.algorithm == Algorithm::Grid);
         let directories = components
             .as_ref()
@@ -806,8 +811,7 @@ impl<const D: usize> SgbAll<D> {
             metric: query.metric,
             overlap,
             algorithm,
-            hull_threshold: query.hull_threshold,
-            rtree_fanout: query.rtree_fanout,
+            hull_threshold: HULL_THRESHOLD,
         };
         Self {
             engine: Engine::new(cfg, SmallRng::seed_from_u64(query.seed), components),
@@ -1174,8 +1178,10 @@ mod tests {
 
     #[test]
     fn l1_hull_refinement_agrees_with_member_scan() {
-        // Force the hull path (threshold 1) and the scan path (threshold
-        // MAX) under L1: identical output on a dense cloud.
+        // The hull refinement is a pure optimisation: from the hull on
+        // every group (threshold 1) to none at all (threshold MAX), under
+        // both conservative metrics, every overlap mode and every path
+        // that refines through hulls, the answer equals AllPairs'.
         let mut state: u64 = 21;
         let mut next = || {
             state = state
@@ -1183,24 +1189,54 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 33) as f64) / (u32::MAX as f64)
         };
-        let points: Vec<Point<2>> = (0..250)
-            .map(|_| Point::new([next() * 4.0, next() * 4.0]))
+        // A uniform cloud, with every fourth point in a tight cluster so
+        // that groups grow past every finite threshold.
+        let points: Vec<Point<2>> = (0..320)
+            .map(|i| {
+                let (origin, side) = if i % 4 == 0 { (1.8, 0.4) } else { (0.0, 4.0) };
+                Point::new([origin + next() * side, origin + next() * side])
+            })
             .collect();
-        for overlap in [
-            OverlapAction::JoinAny,
-            OverlapAction::Eliminate,
-            OverlapAction::FormNewGroup,
-        ] {
-            let query = |hull_threshold: usize| {
-                SgbQuery::all(0.9)
-                    .metric(Metric::L1)
-                    .overlap(overlap)
-                    .hull_threshold(hull_threshold)
-                    .seed(11)
-            };
-            let hull = query(1).run(&points);
-            let scan = query(usize::MAX).run(&points);
-            assert_eq!(hull, scan, "{overlap:?}");
+        let eps = 0.9;
+        let free = QueryGovernor::unrestricted();
+        for metric in [Metric::L1, Metric::L2] {
+            let components =
+                Components::find(&points, eps, metric, crate::cost::ALL_BOUNDS_MAX_N, &free)
+                    .unwrap();
+            let mut largest = 0;
+            for overlap in [
+                OverlapAction::JoinAny,
+                OverlapAction::Eliminate,
+                OverlapAction::FormNewGroup,
+            ] {
+                let query = SgbQuery::all(eps).metric(metric).overlap(overlap).seed(11);
+                let reference = query.clone().algorithm(Algorithm::AllPairs).run(&points);
+                largest = reference
+                    .groups()
+                    .iter()
+                    .map(Vec::len)
+                    .fold(largest, usize::max);
+                for hull_threshold in [1, 4, HULL_THRESHOLD, usize::MAX] {
+                    for algorithm in [
+                        Algorithm::BoundsChecking,
+                        Algorithm::Indexed,
+                        Algorithm::Grid,
+                    ] {
+                        let components = Some(components.clone());
+                        let mut op = SgbAll::new(&query, eps, overlap, algorithm, components);
+                        op.engine.cfg.hull_threshold = hull_threshold;
+                        for p in &points {
+                            op.push(*p);
+                        }
+                        assert_eq!(
+                            op.finish(),
+                            reference,
+                            "{metric} {overlap:?} threshold {hull_threshold} {algorithm:?}"
+                        );
+                    }
+                }
+            }
+            assert!(largest > HULL_THRESHOLD, "{metric}: no group grew past 16");
         }
     }
 

@@ -93,7 +93,7 @@ impl<const D: usize> SgbAny<D> {
     /// resolved.
     pub(crate) fn new(query: &SgbQuery<D>, eps: f64, algorithm: Algorithm) -> Self {
         let index = match algorithm {
-            Algorithm::Indexed => AnyIndex::Tree(RTree::with_max_entries(query.rtree_fanout)),
+            Algorithm::Indexed => AnyIndex::Tree(RTree::new()),
             Algorithm::Grid => AnyIndex::Cells(Grid::new(Grid::<D, RecordId>::side_for_eps(eps))),
             // Resolution never yields `Auto` (and the builder rejects
             // `BoundsChecking`); both share the scan's arm.

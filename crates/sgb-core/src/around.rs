@@ -39,6 +39,7 @@
 use std::sync::Arc;
 
 use sgb_geom::{Metric, Point};
+use sgb_spatial::rtree::DEFAULT_MAX_ENTRIES;
 use sgb_spatial::{Grid, RTree};
 
 use crate::governor::{Pacer, QueryGovernor, SgbError};
@@ -78,12 +79,11 @@ impl<const D: usize> CenterIndex<D> {
 /// operator instance.
 pub(crate) fn build_center_index<const D: usize>(
     algorithm: Algorithm,
-    rtree_fanout: usize,
     centers: &[Point<D>],
 ) -> CenterIndex<D> {
     match algorithm {
         Algorithm::Indexed => CenterIndex::Tree(RTree::from_points(
-            rtree_fanout,
+            DEFAULT_MAX_ENTRIES,
             centers.iter().enumerate().map(|(c, p)| (*p, c)),
         )),
         Algorithm::Grid => CenterIndex::Cells(Grid::from_points(

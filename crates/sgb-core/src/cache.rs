@@ -8,20 +8,20 @@
 //!
 //! * **Point indexes** (the SGB-Any ε-grid and point R-tree) are keyed on
 //!   the *table version* — a monotone counter the caller bumps on every
-//!   content change — plus the structure's build parameter (cell side /
-//!   fan-out). A version change drops them wholesale: invalidation never
-//!   scans data.
+//!   content change — and grids also on their cell side. A version change
+//!   drops them wholesale: invalidation never scans data.
 //! * **ε-superset reuse**: one cached grid with cell side `c` serves any
 //!   query with ε′ ≥ c by widening the probe window (the pair scan visits
 //!   `ceil(ε′ / c) + 1` neighbour rings), so mixed-ε workloads share one
 //!   build. A grid is considered usable while ε′ stays within
 //!   [`GRID_REUSE_MAX_RATIO`]× its cell side; beyond that the widened
 //!   window would visit more cells than a right-sized build saves.
-//! * **Center indexes** (SGB-Around) are keyed on the center coordinates
-//!   themselves — construction never reads the table or the metric, so
-//!   entries survive table mutations and serve every metric.
+//! * **Center indexes** (SGB-Around) are keyed on their algorithm and the
+//!   center coordinates themselves — construction never reads the table or
+//!   the metric, so entries survive table mutations and serve every metric.
 //! * **Whole-`Grouping` results** are keyed on the query fingerprint for
-//!   exact repeat queries, version-scoped like the point indexes.
+//!   exact repeat queries, version-scoped like the point indexes; the 128
+//!   most recently used are kept.
 //!
 //! Sharing never changes answers: the grid pair scan verifies every
 //! candidate with the canonical `Metric::within` predicate regardless of
@@ -44,6 +44,13 @@
 //! assert!(cache.stats().result_hits >= 1);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
+
 use std::sync::{Arc, Mutex};
 
 use sgb_geom::Point;
@@ -62,14 +69,11 @@ pub const GRID_REUSE_MAX_RATIO: f64 = 4.0;
 /// How many distinct-cell-size grids one cache retains per table version.
 const GRIDS_CAP: usize = 4;
 
-/// How many distinct-fan-out point R-trees one cache retains per version.
-const TREES_CAP: usize = 2;
+/// How many whole groupings one cache retains per table version.
+const RESULTS_CAP: usize = 128;
 
 /// How many distinct center indexes one cache retains (version-free).
 const CENTER_INDEXES_CAP: usize = 8;
-
-/// Default capacity of the whole-`Grouping` result cache.
-const DEFAULT_RESULT_CAPACITY: usize = 128;
 
 /// Cache effectiveness counters, all monotone over the cache's lifetime.
 /// Obtained from [`SgbCache::stats`] (or summed across a session's caches
@@ -105,10 +109,10 @@ impl CacheStats {
     }
 }
 
-/// Key of a cached center index: concrete algorithm tag, R-tree fan-out,
-/// and the exact center coordinates (bit pattern). Construction reads
-/// nothing else, so nothing else may distinguish entries.
-type CenterKey = (u8, usize, Vec<u64>);
+/// Key of a cached center index: its concrete algorithm and the exact
+/// center coordinates (bit pattern). Construction reads nothing else, so
+/// nothing else may distinguish entries.
+type CenterKey = (Algorithm, Vec<u64>);
 
 /// Everything behind the lock: the cached structures plus the version
 /// they are scoped to.
@@ -121,8 +125,8 @@ struct CacheInner<const D: usize> {
     /// ε-grids over the table's points, `(cell-side bits, grid)`, LRU
     /// order (back = most recent).
     grids: Vec<(u64, Arc<Grid<D, RecordId>>)>,
-    /// Point R-trees over the table's points, `(fan-out, tree)`, LRU.
-    trees: Vec<(usize, Arc<RTree<D, RecordId>>)>,
+    /// The point R-tree over the table's points.
+    tree: Option<Arc<RTree<D, RecordId>>>,
     /// Center indexes, version-free (built from query centers), LRU.
     centers: Vec<(CenterKey, Arc<CenterIndex<D>>)>,
     /// Whole-result cache, `(query fingerprint, grouping)`, LRU.
@@ -141,7 +145,6 @@ struct CacheInner<const D: usize> {
 #[derive(Debug)]
 pub struct SgbCache<const D: usize> {
     inner: Mutex<CacheInner<D>>,
-    result_capacity: usize,
 }
 
 impl<const D: usize> Default for SgbCache<D> {
@@ -151,25 +154,18 @@ impl<const D: usize> Default for SgbCache<D> {
 }
 
 impl<const D: usize> SgbCache<D> {
-    /// A cache with the default result capacity (128 groupings).
+    /// An empty cache.
     pub fn new() -> Self {
-        Self::with_result_capacity(DEFAULT_RESULT_CAPACITY)
-    }
-
-    /// A cache retaining at most `capacity` whole groupings (0 disables
-    /// the result cache; index caching is unaffected).
-    pub fn with_result_capacity(capacity: usize) -> Self {
         Self {
             inner: Mutex::new(CacheInner {
                 version: 0,
                 validated: false,
                 grids: Vec::new(),
-                trees: Vec::new(),
+                tree: None,
                 centers: Vec::new(),
                 results: Vec::new(),
                 stats: CacheStats::default(),
             }),
-            result_capacity: capacity,
         }
     }
 
@@ -187,19 +183,6 @@ impl<const D: usize> SgbCache<D> {
         self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Validates that every point is finite — once per table version.
-    /// Repeat calls under the same version skip the O(n·d) scan (counted
-    /// in [`CacheStats::validations_skipped`]).
-    ///
-    /// # Panics
-    /// Like `SgbQuery::run`: `"points must have finite coordinates"`.
-    pub fn validate_once(&self, version: u64, points: &[Point<D>]) {
-        assert!(
-            self.points_finite(version, points),
-            "points must have finite coordinates"
-        );
     }
 
     /// Whether every point is finite, scanning only until one scan under
@@ -229,11 +212,10 @@ impl<const D: usize> SgbCache<D> {
                 .any(|&(bits, _)| grid_usable(f64::from_bits(bits), want))
     }
 
-    /// Read-only probe: is a point R-tree with this fan-out cached for
-    /// `version`?
-    pub fn has_tree(&self, version: u64, fanout: usize) -> bool {
+    /// Read-only probe: is a point R-tree cached for `version`?
+    pub fn has_tree(&self, version: u64) -> bool {
         let inner = self.lock();
-        inner.version == version && inner.trees.iter().any(|&(f, _)| f == fanout)
+        inner.version == version && inner.tree.is_some()
     }
 
     /// Ensures a grid serving `eps` exists for `version`, building it
@@ -247,45 +229,24 @@ impl<const D: usize> SgbCache<D> {
     }
 
     /// Read-only probe: is a center index for exactly this concrete
-    /// algorithm, fan-out, and center list cached?
-    pub fn has_center_index(
-        &self,
-        algorithm: Algorithm,
-        fanout: usize,
-        centers: &[Point<D>],
-    ) -> bool {
-        let tag: u8 = match algorithm {
-            Algorithm::Indexed => 1,
-            Algorithm::Grid => 2,
-            _ => return false,
-        };
-        let bits = center_bits(centers);
-        let inner = self.lock();
-        inner
-            .centers
-            .iter()
-            .any(|((t, f, b), _)| *t == tag && *f == fanout && *b == bits)
+    /// algorithm and center list cached?
+    pub fn has_center_index(&self, algorithm: Algorithm, centers: &[Point<D>]) -> bool {
+        let key: CenterKey = (algorithm, center_bits(centers));
+        self.lock().centers.iter().any(|(k, _)| *k == key)
     }
 
     /// Read-only probe: the concrete algorithm of a cached center index
-    /// for exactly these centers (and fan-out), if one exists. Feeds
+    /// for exactly these centers, if one exists. Feeds
     /// [`crate::cost::resolve_around`].
-    pub fn cached_center_algorithm(
-        &self,
-        centers: &[Point<D>],
-        fanout: usize,
-    ) -> Option<Algorithm> {
+    pub fn cached_center_algorithm(&self, centers: &[Point<D>]) -> Option<Algorithm> {
         let bits = center_bits(centers);
         let inner = self.lock();
         inner
             .centers
             .iter()
             .rev()
-            .find(|((_, f, b), _)| *f == fanout && *b == bits)
-            .map(|((tag, _, _), _)| match tag {
-                1 => Algorithm::Indexed,
-                _ => Algorithm::Grid,
-            })
+            .find(|((_, b), _)| *b == bits)
+            .map(|((algorithm, _), _)| *algorithm)
     }
 
     /// The cached ε-grid for `version`, reusing any grid whose cell side
@@ -325,30 +286,23 @@ impl<const D: usize> SgbCache<D> {
         grid
     }
 
-    /// The cached point R-tree for `version` and `fanout`, building (and
-    /// caching) it via `build` on a miss.
+    /// The cached point R-tree for `version`, building (and caching) it
+    /// via `build` on a miss.
     pub(crate) fn get_or_build_tree(
         &self,
         version: u64,
-        fanout: usize,
         build: impl FnOnce() -> RTree<D, RecordId>,
     ) -> Arc<RTree<D, RecordId>> {
         let mut inner = self.lock();
         inner.enter_version(version);
-        if let Some(i) = inner.trees.iter().position(|&(f, _)| f == fanout) {
+        if let Some(tree) = &inner.tree {
+            let tree = Arc::clone(tree);
             inner.stats.index_hits += 1;
-            let entry = inner.trees.remove(i);
-            let tree = Arc::clone(&entry.1);
-            inner.trees.push(entry);
             return tree;
         }
         inner.stats.index_misses += 1;
         let tree = Arc::new(build());
-        if inner.trees.len() >= TREES_CAP {
-            inner.trees.remove(0);
-            inner.stats.evictions += 1;
-        }
-        inner.trees.push((fanout, Arc::clone(&tree)));
+        inner.tree = Some(Arc::clone(&tree));
         tree
     }
 
@@ -358,15 +312,9 @@ impl<const D: usize> SgbCache<D> {
     pub(crate) fn get_or_build_center_index(
         &self,
         algorithm: Algorithm,
-        fanout: usize,
         centers: &[Point<D>],
     ) -> Arc<CenterIndex<D>> {
-        let tag: u8 = match algorithm {
-            Algorithm::Indexed => 1,
-            Algorithm::Grid => 2,
-            _ => unreachable!("only indexed center structures are cached"),
-        };
-        let key: CenterKey = (tag, fanout, center_bits(centers));
+        let key: CenterKey = (algorithm, center_bits(centers));
         let mut inner = self.lock();
         if let Some(i) = inner.centers.iter().position(|(k, _)| *k == key) {
             inner.stats.index_hits += 1;
@@ -376,7 +324,7 @@ impl<const D: usize> SgbCache<D> {
             return ix;
         }
         inner.stats.index_misses += 1;
-        let ix = Arc::new(build_center_index(algorithm, fanout, centers));
+        let ix = Arc::new(build_center_index(algorithm, centers));
         if inner.centers.len() >= CENTER_INDEXES_CAP {
             inner.centers.remove(0);
             inner.stats.evictions += 1;
@@ -387,9 +335,6 @@ impl<const D: usize> SgbCache<D> {
 
     /// The cached whole result for an exact repeat query under `version`.
     pub(crate) fn lookup_result(&self, version: u64, fingerprint: &[u64]) -> Option<Grouping> {
-        if self.result_capacity == 0 {
-            return None;
-        }
         let mut inner = self.lock();
         inner.enter_version(version);
         if let Some(i) = inner.results.iter().position(|(fp, _)| fp == fingerprint) {
@@ -409,15 +354,12 @@ impl<const D: usize> SgbCache<D> {
         // cache write failure costs a recompute, never correctness); a
         // fired `panic` exercises the poison-tolerant lock above.
         failpoints::fail_point!("sgb_core::cache::store_result", |_| ());
-        if self.result_capacity == 0 {
-            return;
-        }
         let mut inner = self.lock();
         inner.enter_version(version);
         if let Some(i) = inner.results.iter().position(|(fp, _)| *fp == fingerprint) {
             inner.results.remove(i);
         }
-        if inner.results.len() >= self.result_capacity {
+        if inner.results.len() >= RESULTS_CAP {
             inner.results.remove(0);
             inner.stats.evictions += 1;
         }
@@ -433,10 +375,10 @@ impl<const D: usize> CacheInner<D> {
         if self.version == version {
             return;
         }
-        let dropped = self.grids.len() + self.trees.len() + self.results.len();
+        let dropped = self.grids.len() + usize::from(self.tree.is_some()) + self.results.len();
         self.stats.evictions += dropped as u64;
         self.grids.clear();
-        self.trees.clear();
+        self.tree = None;
         self.results.clear();
         self.validated = false;
         self.version = version;
@@ -460,6 +402,12 @@ fn center_bits<const D: usize>(centers: &[Point<D>]) -> Vec<u64> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 mod tests {
     use super::*;
     use crate::SgbQuery;
@@ -539,27 +487,5 @@ mod tests {
         // The grid rebuilt (miss), the center index survived (hit).
         assert_eq!(after.index_misses, before.index_misses + 1);
         assert_eq!(after.index_hits, before.index_hits + 1);
-    }
-
-    #[test]
-    fn zero_capacity_disables_the_result_cache() {
-        let points = cloud(600, 5);
-        let cache = SgbCache::with_result_capacity(0);
-        let q = SgbQuery::any(0.4);
-        assert_eq!(
-            q.run_cached(&points, &cache, 1),
-            q.run_cached(&points, &cache, 1)
-        );
-        let s = cache.stats();
-        assert_eq!(s.result_hits, 0);
-        assert_eq!(s.result_misses, 0);
-        assert_eq!(s.index_hits, 1, "index caching is unaffected");
-    }
-
-    #[test]
-    #[should_panic(expected = "points must have finite coordinates")]
-    fn validate_once_rejects_non_finite_points() {
-        let cache = SgbCache::<2>::new();
-        cache.validate_once(1, &[Point::new([f64::NAN, 0.0])]);
     }
 }

@@ -198,13 +198,11 @@ mod tests {
             .metric(Metric::L1)
             .max_radius(0.5)
             .algorithm(Algorithm::AllPairs)
-            .rtree_fanout(8)
             .threads(2);
         assert_eq!(query.centers().map(<[_]>::len), Some(2));
         assert_eq!(query.configured_metric(), Metric::L1);
         assert_eq!(query.radius_bound(), Some(0.5));
         assert_eq!(query.configured_algorithm(), Algorithm::AllPairs);
-        assert_eq!(query.rtree_fanout, 8);
         assert_eq!(query.configured_threads(), 2);
         let default = SgbQuery::around(vec![Point::new([0.0, 0.0])]);
         assert_eq!(default.configured_metric(), Metric::L2);

@@ -159,14 +159,6 @@ impl QueryGovernor {
         self
     }
 
-    /// Sets the deadline to an absolute instant (for callers amortising
-    /// one deadline over several engine calls, e.g. a SQL statement).
-    #[must_use]
-    pub fn with_deadline_at(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Attaches a cancellation token.
     #[must_use]
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {

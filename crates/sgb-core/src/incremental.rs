@@ -28,9 +28,9 @@
 //!   ε-isolated from every other input point — such a tuple formed a
 //!   pristine singleton group that no other tuple's candidate or overlap
 //!   sets ever saw (and that consumed no arbitration randomness), so the
-//!   group is marked dead in place. Any other delete marks the replica
-//!   dirty and the next [`snapshot`](MaintainedGrouping::snapshot) rebuilds
-//!   it lazily — the honest fallback, since a clique that loses a member
+//!   group is marked dead in place. Any other delete drops the replica
+//!   and the next [`snapshot`](MaintainedGrouping::snapshot) rebuilds it
+//!   lazily — the honest fallback, since a clique that loses a member
 //!   can cascade through the `ON-OVERLAP` arbitration of every later
 //!   arrival.
 //!
@@ -38,6 +38,13 @@
 //! (full [`Grouping`] equality) to `query.run(&live_points)` over the live
 //! points in slot order — pinned across random edit scripts for all three
 //! operators × metrics by `tests/proptest_incremental.rs`.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 
 use std::convert::Infallible;
 use std::sync::Arc;
@@ -50,7 +57,7 @@ use crate::all::SgbAll;
 use crate::around::{build_center_index, CenterRule};
 use crate::governor::{QueryGovernor, SgbError};
 use crate::query::{Grouping, OpSpec, SgbQuery};
-use crate::{cost, Algorithm, RecordId};
+use crate::{cost, Algorithm, OverlapAction, RecordId};
 use sgb_telemetry::{Counter, Telemetry};
 
 /// Stable identifier of a maintained point: its insertion slot. Slots are
@@ -61,11 +68,17 @@ use sgb_telemetry::{Counter, Telemetry};
 /// live points would assign.
 pub type SlotId = usize;
 
-/// Per-operator incremental state.
+/// Per-operator incremental state. The ε-operators keep their ε and an
+/// ε-grid over the live points (cell side = ε), the delta engine's own
+/// probe structure; SGB-Around needs no ε-probes.
 #[derive(Clone, Debug)]
 enum OpState<const D: usize> {
     /// ε-connectivity components with member lists and edge counts.
-    Any { dsu: TrackedDsu },
+    Any {
+        eps: f64,
+        grid: Grid<D, SlotId>,
+        dsu: TrackedDsu,
+    },
     /// Fixed assignment rule plus the per-slot assignment (`Some(center)`
     /// or `None` = outlier; entries of deleted slots are stale and skipped).
     Around {
@@ -73,24 +86,64 @@ enum OpState<const D: usize> {
         assign: Vec<Option<usize>>,
         scratch: Vec<usize>,
     },
-    /// Streaming replica of a from-scratch run over the live slots in slot
-    /// order, running the concrete `algorithm` resolved at its last
-    /// (re)build. `pushed[rec]` is the slot the engine's record id `rec`
-    /// was assigned to; `rec_of[slot]` is the inverse (stale for dead
-    /// slots). `dirty` marks a pending lazy rebuild after a non-isolated
-    /// delete.
+    /// The streaming replica, or `None` while a lazy rebuild is pending
+    /// after a non-isolated delete.
     All {
-        engine: Box<SgbAll<D>>,
-        algorithm: Algorithm,
-        pushed: Vec<SlotId>,
-        rec_of: Vec<RecordId>,
-        dirty: bool,
+        eps: f64,
+        overlap: OverlapAction,
+        grid: Grid<D, SlotId>,
+        replica: Option<AllReplica<D>>,
     },
+}
+
+/// Streaming replica of a from-scratch SGB-All run over the live slots in
+/// slot order, running the concrete `algorithm` resolved when it was
+/// built. `pushed[rec]` is the slot the engine's record id `rec` was
+/// assigned to; `rec_of[slot]` is the inverse (stale for dead slots).
+#[derive(Clone, Debug)]
+struct AllReplica<const D: usize> {
+    engine: Box<SgbAll<D>>,
+    algorithm: Algorithm,
+    pushed: Vec<SlotId>,
+    rec_of: Vec<RecordId>,
+}
+
+impl<const D: usize> AllReplica<D> {
+    /// Pushes the `live` points of `slots` in slot order through a fresh
+    /// engine for `query` ([`crate::Algorithm::Auto`] resolved from
+    /// `live` — the concrete strategies are output-identical, so any
+    /// resolution preserves snapshot ≡ recompute).
+    fn build(
+        query: &SgbQuery<D>,
+        eps: f64,
+        overlap: OverlapAction,
+        slots: &[Option<Point<D>>],
+        live: usize,
+    ) -> Self {
+        // The replica builds no pre-pass grid, so it resolves without a
+        // budget, as `resolve_all` does under an unrestricted governor.
+        let (algorithm, _) = cost::all_cost_model(query.configured_algorithm(), live);
+        let mut engine = SgbAll::new(query, eps, overlap, algorithm, None);
+        let mut pushed = Vec::with_capacity(live);
+        let mut rec_of = vec![usize::MAX; slots.len()];
+        for (slot, s) in slots.iter().enumerate() {
+            if let Some(p) = s {
+                rec_of[slot] = engine.push(*p);
+                pushed.push(slot);
+            }
+        }
+        Self {
+            engine: Box::new(engine),
+            algorithm,
+            pushed,
+            rec_of,
+        }
+    }
 }
 
 /// A similarity grouping maintained under point deltas.
 ///
-/// Holds the points (in stable [`SlotId`] slots), the ε-grid, and the live
+/// Holds the points (in stable [`SlotId`] slots) and the live
 /// per-operator state, and applies [`insert`](Self::insert) /
 /// [`delete`](Self::delete) in sub-linear time (SGB-All deletes of
 /// non-isolated tuples defer an O(n) rebuild to the next snapshot —
@@ -116,9 +169,6 @@ pub struct MaintainedGrouping<const D: usize> {
     /// Point per slot; `None` once deleted. Never shrinks.
     slots: Vec<Option<Point<D>>>,
     live: usize,
-    /// ε-grid over the live points (cell side = ε), the delta engine's own
-    /// probe structure. `None` for SGB-Around, which needs no ε-probes.
-    grid: Option<Grid<D, SlotId>>,
     state: OpState<D>,
     epoch: u64,
     /// Delta-counter sink ([`Counter::DeltasApplied`] /
@@ -140,9 +190,10 @@ impl<const D: usize> MaintainedGrouping<D> {
         let slots: Vec<Option<Point<D>>> = points.iter().copied().map(Some).collect();
         let live = slots.len();
         let metric = query.configured_metric();
-        let (grid, state) = match &query.op {
+        let state = match &query.op {
             OpSpec::Any { eps } => {
-                let mut grid = Grid::new(Grid::<D, SlotId>::side_for_eps(*eps));
+                let eps = *eps;
+                let mut grid = Grid::new(Grid::<D, SlotId>::side_for_eps(eps));
                 let mut dsu = TrackedDsu::new();
                 for (slot, p) in points.iter().enumerate() {
                     grid.insert(*p, slot);
@@ -151,7 +202,7 @@ impl<const D: usize> MaintainedGrouping<D> {
                 // The exact bulk ε-join surfaces each within-ε pair exactly
                 // once — the contract the edge counts rely on.
                 let Ok(()) = grid.try_for_each_pair_within::<Infallible, _, _>(
-                    *eps,
+                    eps,
                     metric,
                     0,
                     1,
@@ -162,7 +213,7 @@ impl<const D: usize> MaintainedGrouping<D> {
                     || Ok(()),
                     None,
                 );
-                (Some(grid), OpState::Any { dsu })
+                OpState::Any { eps, grid, dsu }
             }
             OpSpec::Around {
                 centers,
@@ -170,51 +221,41 @@ impl<const D: usize> MaintainedGrouping<D> {
             } => {
                 let (resolved, _) =
                     cost::around_cost_model(query.configured_algorithm(), centers.len(), D);
-                let index = build_center_index(resolved, query.rtree_fanout, centers);
+                let index = build_center_index(resolved, centers);
                 let rule = CenterRule::new(&query, centers, *max_radius, Arc::new(index));
                 let mut scratch = Vec::new();
                 let assign = points
                     .iter()
                     .map(|p| rule.assign(&mut scratch, p))
                     .collect();
-                (
-                    None,
-                    OpState::Around {
-                        rule,
-                        assign,
-                        scratch,
-                    },
-                )
+                OpState::Around {
+                    rule,
+                    assign,
+                    scratch,
+                }
             }
-            OpSpec::All { eps, .. } => {
+            OpSpec::All { eps, overlap } => {
                 let mut grid = Grid::new(Grid::<D, SlotId>::side_for_eps(*eps));
                 for (slot, p) in points.iter().enumerate() {
                     grid.insert(*p, slot);
                 }
-                let (engine, algorithm) = Self::fresh_all_engine(&query, points.len());
-                let state = OpState::All {
-                    engine: Box::new(engine),
-                    algorithm,
-                    pushed: Vec::new(),
-                    rec_of: Vec::new(),
-                    dirty: false,
-                };
-                (Some(grid), state)
+                let replica = AllReplica::build(&query, *eps, *overlap, &slots, live);
+                OpState::All {
+                    eps: *eps,
+                    overlap: *overlap,
+                    grid,
+                    replica: Some(replica),
+                }
             }
         };
-        let mut this = Self {
+        Self {
             query,
             slots,
             live,
-            grid,
             state,
             epoch: 0,
             telemetry: Telemetry::off(),
-        };
-        if let OpState::All { .. } = this.state {
-            this.rebuild_all();
         }
-        this
     }
 
     /// The query this grouping is maintained for.
@@ -283,13 +324,10 @@ impl<const D: usize> MaintainedGrouping<D> {
         assert!(p.is_finite(), "points must have finite coordinates");
         let slot = self.slots.len();
         let metric = self.query.configured_metric();
-        let eps = self.query.eps();
         match &mut self.state {
-            OpState::Any { dsu } => {
-                let id = dsu.push();
+            OpState::Any { eps, grid, dsu } => {
+                let (eps, id) = (*eps, dsu.push());
                 debug_assert_eq!(id, slot, "dsu ids track slots");
-                let eps = eps.expect("Any queries have an eps");
-                let grid = self.grid.as_mut().expect("Any maintains a grid");
                 // Probe before inserting p, so p never pairs with itself;
                 // each neighbor yields exactly one new edge.
                 let mut neighbors = Vec::new();
@@ -308,23 +346,15 @@ impl<const D: usize> MaintainedGrouping<D> {
                 assign,
                 scratch,
             } => assign.push(rule.assign(scratch, &p)),
-            OpState::All {
-                engine,
-                pushed,
-                rec_of,
-                dirty,
-                ..
-            } => {
-                let grid = self.grid.as_mut().expect("All maintains a grid");
+            OpState::All { grid, replica, .. } => {
                 grid.insert(p, slot);
-                if *dirty {
-                    // The pending rebuild will re-push every live slot.
-                    rec_of.push(usize::MAX);
-                } else {
-                    let rec = engine.push(p);
-                    debug_assert_eq!(rec, pushed.len());
-                    pushed.push(slot);
-                    rec_of.push(rec);
+                // Without a replica, the pending rebuild will push every
+                // live slot.
+                if let Some(r) = replica {
+                    let rec = r.engine.push(p);
+                    debug_assert_eq!(rec, r.pushed.len());
+                    r.pushed.push(slot);
+                    r.rec_of.push(rec);
                 }
             }
         }
@@ -423,9 +453,8 @@ impl<const D: usize> MaintainedGrouping<D> {
         };
         let metric = self.query.configured_metric();
         match &mut self.state {
-            OpState::Any { dsu } => {
-                let eps = self.query.eps().expect("Any queries have an eps");
-                let grid = self.grid.as_mut().expect("Any maintains a grid");
+            OpState::Any { eps, grid, dsu } => {
+                let eps = *eps;
                 let removed = grid.remove(&p, &slot);
                 debug_assert!(removed, "live slot is in the grid");
                 // Exact live ε-degree of the deleted tuple (p itself is
@@ -456,14 +485,15 @@ impl<const D: usize> MaintainedGrouping<D> {
                     // exactly once, keeping the edge counts exact.
                     let members = dsu.dissolve_component(slot);
                     dsu.remove_member(slot, 0);
-                    let grid = self.grid.as_ref().expect("Any maintains a grid");
                     let mut hits = Vec::new();
                     for &q in &members {
                         let q = q as usize;
                         if q == slot {
                             continue;
                         }
-                        let qp = self.slots[q].expect("component members are live");
+                        // A dead member has no edges to re-derive.
+                        debug_assert!(self.slots[q].is_some(), "component members are live");
+                        let Some(qp) = self.slots[q] else { continue };
                         hits.clear();
                         grid.for_each_within(&qp, eps, metric, |r, &s| {
                             if s < q && metric.within(r, &qp, eps) {
@@ -481,24 +511,20 @@ impl<const D: usize> MaintainedGrouping<D> {
                 // delta (the stale `assign` entry is skipped by snapshots).
             }
             OpState::All {
-                engine,
-                rec_of,
-                dirty,
-                ..
+                eps, grid, replica, ..
             } => {
-                let eps = self.query.eps().expect("All queries have an eps");
-                let grid = self.grid.as_mut().expect("All maintains a grid");
+                let eps = *eps;
                 let removed = grid.remove(&p, &slot);
                 debug_assert!(removed, "live slot is in the grid");
-                if !*dirty {
+                if let Some(r) = replica {
                     let mut isolated = true;
                     grid.for_each_within(&p, eps, metric, |q, _| {
                         if isolated && metric.within(q, &p, eps) {
                             isolated = false;
                         }
                     });
-                    if !(isolated && engine.remove_isolated_singleton(rec_of[slot])) {
-                        *dirty = true;
+                    if !(isolated && r.engine.remove_isolated_singleton(r.rec_of[slot])) {
+                        *replica = None;
                     }
                 }
             }
@@ -518,9 +544,6 @@ impl<const D: usize> MaintainedGrouping<D> {
     /// non-isolated delete; concurrent readers are served published
     /// `Arc<Grouping>` snapshots by the relation layer, never this call.
     pub fn snapshot(&mut self) -> Grouping {
-        if matches!(self.state, OpState::All { dirty: true, .. }) {
-            self.rebuild_all();
-        }
         // Dense rank of each live slot — the record ids a from-scratch run
         // over the live points would use.
         let mut rank = vec![usize::MAX; self.slots.len()];
@@ -532,8 +555,8 @@ impl<const D: usize> MaintainedGrouping<D> {
             }
         }
         let selection = format!("maintained incrementally (epoch {})", self.epoch);
-        let mut out = match &self.state {
-            OpState::Any { dsu } => {
+        let mut out = match &mut self.state {
+            OpState::Any { dsu, .. } => {
                 // `groups()` orders components by smallest member and
                 // members ascending; ranks are monotone in slots, so the
                 // remap preserves exactly the order `into_groups` produces
@@ -562,70 +585,34 @@ impl<const D: usize> MaintainedGrouping<D> {
                 Grouping::around(groups, outliers).ran(rule.algorithm(), selection, 1)
             }
             OpState::All {
-                engine,
-                algorithm,
-                pushed,
+                eps,
+                overlap,
+                replica,
                 ..
             } => {
-                let replica = engine.as_ref().clone().finish();
+                let r = replica.get_or_insert_with(|| {
+                    AllReplica::build(&self.query, *eps, *overlap, &self.slots, self.live)
+                });
+                let finished = r.engine.as_ref().clone().finish();
                 let remap = |ids: &[RecordId]| -> Vec<RecordId> {
-                    ids.iter().map(|&rec| rank[pushed[rec]]).collect()
+                    ids.iter().map(|&rec| rank[r.pushed[rec]]).collect()
                 };
-                let groups = replica.groups().iter().map(|g| remap(g)).collect();
-                Grouping::flat(groups, remap(replica.eliminated())).ran(*algorithm, selection, 1)
+                let groups = finished.groups().iter().map(|g| remap(g)).collect();
+                Grouping::flat(groups, remap(finished.eliminated())).ran(r.algorithm, selection, 1)
             }
         };
         out.set_telemetry(self.telemetry.clone());
         out
     }
-
-    /// A fresh SGB-All streaming engine for `n` points under this query's
-    /// knobs ([`crate::Algorithm::Auto`] resolved from `n` — the concrete
-    /// strategies are output-identical, so any resolution preserves
-    /// snapshot ≡ recompute).
-    fn fresh_all_engine(query: &SgbQuery<D>, n: usize) -> (SgbAll<D>, Algorithm) {
-        let OpSpec::All { eps, overlap } = &query.op else {
-            unreachable!("fresh_all_engine is only called for All queries");
-        };
-        // The replica builds no pre-pass grid, so it resolves without a
-        // budget, as `resolve_all` does under an unrestricted governor.
-        let (resolved, _) = cost::all_cost_model(query.configured_algorithm(), n);
-        (SgbAll::new(query, *eps, *overlap, resolved, None), resolved)
-    }
-
-    /// (Re)builds the SGB-All replica from the live slots in slot order,
-    /// restoring the invariant that the engine state equals a from-scratch
-    /// stream over the live points.
-    fn rebuild_all(&mut self) {
-        let (mut engine, algorithm) = Self::fresh_all_engine(&self.query, self.live);
-        let mut pushed = Vec::with_capacity(self.live);
-        let mut rec_of = vec![usize::MAX; self.slots.len()];
-        for (slot, s) in self.slots.iter().enumerate() {
-            if let Some(p) = s {
-                let rec = engine.push(*p);
-                rec_of[slot] = rec;
-                pushed.push(slot);
-            }
-        }
-        let OpState::All {
-            engine: e,
-            algorithm: a,
-            pushed: pu,
-            rec_of: ro,
-            dirty,
-        } = &mut self.state
-        else {
-            unreachable!("rebuild_all is only called for All queries");
-        };
-        **e = engine;
-        *a = algorithm;
-        *pu = pushed;
-        *ro = rec_of;
-        *dirty = false;
-    }
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 mod tests {
     use super::*;
     use crate::{OverlapAction, SgbQuery};
@@ -694,18 +681,22 @@ mod tests {
         let mut m = MaintainedGrouping::new(q.clone(), &pts);
         assert!(m.delete(2)); // isolated singleton: in-place removal
         match &m.state {
-            OpState::All { dirty, .. } => assert!(!dirty, "isolated delete must stay clean"),
+            OpState::All { replica, .. } => {
+                assert!(replica.is_some(), "isolated delete must stay clean");
+            }
             _ => unreachable!(),
         }
         assert_eq!(m.snapshot(), q.run(&m.live_points()));
         assert!(m.delete(0)); // clustered: lazy rebuild
         match &m.state {
-            OpState::All { dirty, .. } => assert!(dirty),
+            OpState::All { replica, .. } => assert!(replica.is_none()),
             _ => unreachable!(),
         }
         assert_eq!(m.snapshot(), q.run(&m.live_points()));
         match &m.state {
-            OpState::All { dirty, .. } => assert!(!dirty, "snapshot settles the rebuild"),
+            OpState::All { replica, .. } => {
+                assert!(replica.is_some(), "snapshot settles the rebuild");
+            }
             _ => unreachable!(),
         }
     }

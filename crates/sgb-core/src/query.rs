@@ -52,6 +52,7 @@
 use std::sync::Arc;
 
 use sgb_geom::{Metric, Point};
+use sgb_spatial::rtree::DEFAULT_MAX_ENTRIES;
 use sgb_spatial::{Grid, RTree};
 
 use sgb_telemetry::{Counter, Phase, Telemetry};
@@ -97,8 +98,7 @@ impl<const D: usize> OpSpec<D> {
 /// [`run`](Self::run) over a complete point set or [`stream`](Self::stream)
 /// points in arrival order.
 ///
-/// Knob defaults: `L2`, `Auto`, `JOIN-ANY`, seed `0x5EED`, hull threshold
-/// 16, R-tree fan-out 12.
+/// Knob defaults: `L2`, `Auto`, `JOIN-ANY`, seed `0x5EED`.
 ///
 /// ```
 /// use sgb_core::{Algorithm, OverlapAction, SgbQuery};
@@ -125,8 +125,6 @@ pub struct SgbQuery<const D: usize> {
     pub(crate) metric: Metric,
     algorithm: Algorithm,
     pub(crate) seed: u64,
-    pub(crate) hull_threshold: usize,
-    pub(crate) rtree_fanout: usize,
     threads: usize,
     /// Profile sink for this query's executions ([`Telemetry::off`] by
     /// default — zero-cost; see the `telemetry` bench gate). Excluded from
@@ -135,11 +133,6 @@ pub struct SgbQuery<const D: usize> {
     telemetry: Telemetry,
 }
 
-/// The default R-tree fan-out of a freshly-built query (shared with the
-/// SQL layer, whose cache probes must key on the same value the executor
-/// will build with).
-pub const DEFAULT_RTREE_FANOUT: usize = 12;
-
 impl<const D: usize> SgbQuery<D> {
     fn new(op: OpSpec<D>) -> Self {
         Self {
@@ -147,8 +140,6 @@ impl<const D: usize> SgbQuery<D> {
             metric: Metric::default(),
             algorithm: Algorithm::default(),
             seed: 0x5EED,
-            hull_threshold: 16,
-            rtree_fanout: DEFAULT_RTREE_FANOUT,
             threads: 0,
             telemetry: Telemetry::off(),
         }
@@ -222,14 +213,6 @@ impl<const D: usize> SgbQuery<D> {
         self
     }
 
-    /// Sets the R-tree fan-out of the indexed paths (default 12).
-    #[must_use]
-    pub fn rtree_fanout(mut self, fanout: usize) -> Self {
-        assert!(fanout >= 4, "R-tree fan-out must be at least 4");
-        self.rtree_fanout = fanout;
-        self
-    }
-
     /// Sets the worker-thread count for [`run`](Self::run) (default 0 =
     /// auto: the cost model decides, see
     /// [`cost::resolve_threads`]). Accepted on every operator — paths with
@@ -279,21 +262,6 @@ impl<const D: usize> SgbQuery<D> {
             OpSpec::All { .. } => self.seed = seed,
             other => panic!(
                 "the JOIN-ANY seed applies only to SGB-All, not {}",
-                other.name()
-            ),
-        }
-        self
-    }
-
-    /// Sets SGB-All's convex-hull caching threshold (default 16;
-    /// `usize::MAX` disables the hull refinement). Panics for SGB-Any /
-    /// SGB-Around, which never refine through hulls.
-    #[must_use]
-    pub fn hull_threshold(mut self, members: usize) -> Self {
-        match &self.op {
-            OpSpec::All { .. } => self.hull_threshold = members.max(1),
-            other => panic!(
-                "the hull threshold applies only to SGB-All, not {}",
                 other.name()
             ),
         }
@@ -468,7 +436,7 @@ impl<const D: usize> SgbQuery<D> {
     ///
     /// * the SGB-Any ε-grid — including **ε-superset reuse**, where one
     ///   grid serves nearby larger ε values by widening the probe window;
-    /// * the SGB-Any point R-tree (keyed on fan-out);
+    /// * the SGB-Any point R-tree;
     /// * the SGB-Around center index — version-free, since it is built
     ///   from the query's centers, never the table;
     /// * the complete [`Grouping`] of an exact repeat query;
@@ -612,13 +580,13 @@ impl<const D: usize> SgbQuery<D> {
         cache: Option<(&SgbCache<D>, u64)>,
     ) -> Result<Grouping, SgbError> {
         let tel = &self.telemetry;
-        let (n, metric, fanout) = (points.len(), self.metric, self.rtree_fanout);
+        let (n, metric) = (points.len(), self.metric);
         let (resolved, reason) = cost::resolve_any(
             self.algorithm,
             n,
             D,
             cache.is_some_and(|(cache, version)| cache.has_usable_grid(version, eps)),
-            cache.is_some_and(|(cache, version)| cache.has_tree(version, fanout)),
+            cache.is_some_and(|(cache, version)| cache.has_tree(version)),
             governor,
         )?;
         let (threads, _) = cost::threads_for_any(resolved, self.threads, n);
@@ -627,9 +595,9 @@ impl<const D: usize> SgbQuery<D> {
         let out = match resolved {
             Algorithm::Indexed => {
                 let build = tel.phase(Phase::IndexBuild);
-                let fresh = || RTree::from_points(fanout, entries());
+                let fresh = || RTree::from_points(DEFAULT_MAX_ENTRIES, entries());
                 let index = match cache {
-                    Some((cache, version)) => cache.get_or_build_tree(version, fanout, fresh),
+                    Some((cache, version)) => cache.get_or_build_tree(version, fresh),
                     None => Arc::new(fresh()),
                 };
                 drop(build);
@@ -666,18 +634,17 @@ impl<const D: usize> SgbQuery<D> {
         cache: Option<(&SgbCache<D>, u64)>,
     ) -> Result<Grouping, SgbError> {
         let tel = &self.telemetry;
-        let fanout = self.rtree_fanout;
-        let cached = cache.and_then(|(cache, _)| cache.cached_center_algorithm(centers, fanout));
+        let cached = cache.and_then(|(cache, _)| cache.cached_center_algorithm(centers));
         let (resolved, reason) =
             cost::resolve_around(self.algorithm, centers.len(), D, cached, governor)?;
         let (threads, _) = cost::threads_for_around(self.threads, points.len());
         let build = tel.phase(Phase::IndexBuild);
         let index = match (cache, resolved) {
             (Some((cache, _)), Algorithm::Indexed | Algorithm::Grid) => {
-                cache.get_or_build_center_index(resolved, fanout, centers)
+                cache.get_or_build_center_index(resolved, centers)
             }
             // The brute scan has no structure worth caching.
-            _ => Arc::new(build_center_index(resolved, fanout, centers)),
+            _ => Arc::new(build_center_index(resolved, centers)),
         };
         let mut op = SgbAround::new(CenterRule::new(self, centers, max_radius, index));
         drop(build);
@@ -705,8 +672,6 @@ impl<const D: usize> SgbQuery<D> {
             self.metric as u64,
             self.algorithm as u64,
             self.seed,
-            self.hull_threshold as u64,
-            self.rtree_fanout as u64,
             self.threads as u64,
         ];
         match &self.op {
@@ -759,7 +724,7 @@ impl<const D: usize> SgbQuery<D> {
                 max_radius,
             } => {
                 let resolved = cost::around_cost_model(self.algorithm, centers.len(), D);
-                let index = build_center_index(resolved.0, self.rtree_fanout, centers);
+                let index = build_center_index(resolved.0, centers);
                 let rule = CenterRule::new(&self, centers, *max_radius, Arc::new(index));
                 (
                     StreamInner::Around(Box::new(SgbAround::new(rule))),

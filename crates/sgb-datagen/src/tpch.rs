@@ -261,15 +261,6 @@ impl TpchData {
         db.register("partsupp", self.partsupp.clone());
     }
 
-    /// Total rows across all tables.
-    pub fn total_rows(&self) -> usize {
-        self.customer.len()
-            + self.orders.len()
-            + self.lineitem.len()
-            + self.supplier.len()
-            + self.partsupp.len()
-    }
-
     /// The two-dimensional grouping attribute of the SGB1/SGB2 queries
     /// (customer account balance × total order spend), computed directly
     /// and rescaled to the unit square. This is the point stream the

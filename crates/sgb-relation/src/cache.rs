@@ -138,37 +138,30 @@ impl SessionCaches {
         }
     }
 
-    /// Read-only: is a point R-tree with `fanout` cached for `version`?
-    pub(crate) fn has_tree(
-        &self,
-        table: &str,
-        coords_key: &str,
-        version: u64,
-        fanout: usize,
-    ) -> bool {
+    /// Read-only: is a point R-tree cached for `version`?
+    pub(crate) fn has_tree(&self, table: &str, coords_key: &str, version: u64) -> bool {
         match self.peek(table, coords_key) {
-            Some(DimSlot::D2(s)) => s.core().has_tree(version, fanout),
-            Some(DimSlot::D3(s)) => s.core().has_tree(version, fanout),
+            Some(DimSlot::D2(s)) => s.core().has_tree(version),
+            Some(DimSlot::D3(s)) => s.core().has_tree(version),
             None => false,
         }
     }
 
-    /// Read-only: is a center index for exactly this concrete algorithm,
-    /// fan-out, and center list cached? (Center indexes are version-free,
-    /// so no version parameter.)
+    /// Read-only: is a center index for exactly this concrete algorithm
+    /// and center list cached? (Center indexes are version-free, so no
+    /// version parameter.)
     pub(crate) fn has_center_index(
         &self,
         table: &str,
         coords_key: &str,
         algorithm: Algorithm,
         centers: &[Vec<f64>],
-        fanout: usize,
     ) -> bool {
         match self.peek(table, coords_key) {
             Some(DimSlot::D2(s)) => center_points::<2>(centers)
-                .is_some_and(|pts| s.core().has_center_index(algorithm, fanout, &pts)),
+                .is_some_and(|pts| s.core().has_center_index(algorithm, &pts)),
             Some(DimSlot::D3(s)) => center_points::<3>(centers)
-                .is_some_and(|pts| s.core().has_center_index(algorithm, fanout, &pts)),
+                .is_some_and(|pts| s.core().has_center_index(algorithm, &pts)),
             None => false,
         }
     }
@@ -181,16 +174,15 @@ impl SessionCaches {
         table: &str,
         coords_key: &str,
         centers: &[Vec<f64>],
-        fanout: usize,
     ) -> Option<Algorithm> {
         match self.peek(table, coords_key)? {
             DimSlot::D2(s) => {
                 let pts = center_points::<2>(centers)?;
-                s.core().cached_center_algorithm(&pts, fanout)
+                s.core().cached_center_algorithm(&pts)
             }
             DimSlot::D3(s) => {
                 let pts = center_points::<3>(centers)?;
-                s.core().cached_center_algorithm(&pts, fanout)
+                s.core().cached_center_algorithm(&pts)
             }
         }
     }

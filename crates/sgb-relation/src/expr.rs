@@ -42,14 +42,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// `true` for `= <> < <= > >=`.
-    pub fn is_comparison(&self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        )
-    }
-
     /// The SQL spelling.
     pub fn sql(&self) -> &'static str {
         match self {

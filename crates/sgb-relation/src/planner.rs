@@ -12,7 +12,6 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use sgb_core::query::DEFAULT_RTREE_FANOUT;
 use sgb_core::Algorithm;
 
 use crate::cache::slot_key;
@@ -228,12 +227,9 @@ impl<'a> Planner<'a> {
                         .has_usable_grid(&p.table, &p.coords_key, p.version, *eps)
                 });
                 let cached_tree = probe.as_ref().is_some_and(|p| {
-                    self.db.caches().has_tree(
-                        &p.table,
-                        &p.coords_key,
-                        p.version,
-                        DEFAULT_RTREE_FANOUT,
-                    )
+                    self.db
+                        .caches()
+                        .has_tree(&p.table, &p.coords_key, p.version)
                 });
                 // Resolve under the session's memory budget: when the
                 // budget rules out building the ε-grid (or the R-tree),
@@ -495,12 +491,9 @@ impl<'a> Planner<'a> {
             .filter(|_| self.db.session().cache)
             .map(|t| (t.to_ascii_lowercase(), slot_key(&coords)));
         let cached = probe.as_ref().and_then(|(table, coords_key)| {
-            self.db.caches().cached_center_algorithm(
-                table,
-                coords_key,
-                centers,
-                DEFAULT_RTREE_FANOUT,
-            )
+            self.db
+                .caches()
+                .cached_center_algorithm(table, coords_key, centers)
         });
         // Resolve under the session's memory budget, mirroring SGB-Any:
         // a budget that rules out the center index degrades `Auto` to the
@@ -524,13 +517,9 @@ impl<'a> Planner<'a> {
             _ if !self.db.session().cache => IndexCacheStatus::Disabled,
             concrete
                 if probe.as_ref().is_some_and(|(table, coords_key)| {
-                    self.db.caches().has_center_index(
-                        table,
-                        coords_key,
-                        concrete,
-                        centers,
-                        DEFAULT_RTREE_FANOUT,
-                    )
+                    self.db
+                        .caches()
+                        .has_center_index(table, coords_key, concrete, centers)
                 }) =>
             {
                 IndexCacheStatus::Hit

@@ -67,10 +67,6 @@ pub struct SessionOptions {
     /// `built` / `built (session cache disabled)`) and
     /// [`crate::Database::cache_stats`] the hit/miss/eviction counters.
     pub cache: bool,
-    /// Capacity of the per-slot whole-result cache (groupings retained
-    /// per `(table, grouping attributes)`; 0 disables result caching
-    /// while leaving index caching on).
-    pub cache_capacity: usize,
     /// Continuous-query registration (on by default):
     /// [`crate::Database::subscribe`] maintains a grouping incrementally
     /// under INSERT / DELETE deltas and publishes immutable
@@ -113,7 +109,6 @@ impl Default for SessionOptions {
             seed: 0,
             threads: 0,
             cache: true,
-            cache_capacity: 128,
             subscriptions: true,
             statement_timeout: None,
             memory_budget: None,
@@ -172,14 +167,6 @@ impl SessionOptions {
         self
     }
 
-    /// Sets the per-slot whole-result cache capacity (0 disables result
-    /// caching; index caching is unaffected).
-    #[must_use]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
     /// Enables or disables continuous-query registration
     /// ([`crate::Database::subscribe`]).
     #[must_use]
@@ -224,7 +211,6 @@ mod tests {
             .with_seed(7)
             .with_threads(4)
             .with_cache(false)
-            .with_cache_capacity(9)
             .with_subscriptions(false)
             .with_statement_timeout(Some(Duration::from_millis(250)))
             .with_memory_budget(Some(1 << 20))
@@ -235,7 +221,6 @@ mod tests {
         assert_eq!(opts.seed, 7);
         assert_eq!(opts.threads, 4);
         assert!(!opts.cache);
-        assert_eq!(opts.cache_capacity, 9);
         assert!(!opts.subscriptions);
         assert_eq!(opts.statement_timeout, Some(Duration::from_millis(250)));
         assert_eq!(opts.memory_budget, Some(1 << 20));
@@ -251,7 +236,6 @@ mod tests {
         assert_eq!(opts.seed, 0);
         assert_eq!(opts.threads, 0, "auto parallelism by default");
         assert!(opts.cache, "shared-work caching on by default");
-        assert_eq!(opts.cache_capacity, 128);
         assert!(opts.subscriptions, "continuous queries on by default");
         assert_eq!(opts.statement_timeout, None, "no deadline by default");
         assert_eq!(opts.memory_budget, None, "no memory budget by default");

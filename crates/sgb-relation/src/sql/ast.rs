@@ -94,16 +94,6 @@ pub enum TableRef {
     },
 }
 
-impl TableRef {
-    /// The name this item is referred to by (alias wins).
-    pub fn binding_name(&self) -> &str {
-        match self {
-            TableRef::Named { name, alias } => alias.as_deref().unwrap_or(name),
-            TableRef::Subquery { alias, .. } => alias,
-        }
-    }
-}
-
 /// The GROUP BY clause: standard (equality) or one of the paper's two
 /// similarity variants (Section 4).
 #[derive(Clone, Debug, PartialEq)]

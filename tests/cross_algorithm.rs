@@ -169,56 +169,6 @@ fn three_dimensional_agreement() {
 }
 
 #[test]
-fn hull_threshold_is_a_pure_optimisation() {
-    // The hull refinement and the member scan are interchangeable exact
-    // checks: any threshold yields the same grouping.
-    let points = clustered_points::<2>(900, 15, 0.015, 31);
-    for overlap in [OverlapAction::JoinAny, OverlapAction::Eliminate] {
-        let runs: Vec<Grouping> = [1usize, 4, 16, usize::MAX]
-            .iter()
-            .map(|&t| {
-                let query = SgbQuery::all(0.15)
-                    .metric(Metric::L2)
-                    .overlap(overlap)
-                    .algorithm(Algorithm::BoundsChecking)
-                    .hull_threshold(t)
-                    .seed(8);
-                query.run(&points)
-            })
-            .collect();
-        for r in &runs[1..] {
-            assert_eq!(&runs[0], r, "{overlap:?}");
-        }
-    }
-}
-
-#[test]
-fn rtree_fanout_is_a_pure_optimisation() {
-    let points = clustered_points::<2>(900, 15, 0.015, 32);
-    let runs: Vec<Grouping> = [4usize, 8, 24]
-        .iter()
-        .map(|&f| {
-            let query = SgbQuery::all(0.1)
-                .overlap(OverlapAction::FormNewGroup)
-                .algorithm(Algorithm::Indexed)
-                .rtree_fanout(f)
-                .seed(8);
-            query.run(&points)
-        })
-        .collect();
-    for r in &runs[1..] {
-        assert_eq!(&runs[0], r);
-    }
-    let any_runs: Vec<Grouping> = [4usize, 8, 24]
-        .iter()
-        .map(|&f| SgbQuery::any(0.1).rtree_fanout(f).run(&points))
-        .collect();
-    for r in &any_runs[1..] {
-        assert_eq!(&any_runs[0], r);
-    }
-}
-
-#[test]
 fn join_any_seed_controls_arbitration_only() {
     // Different seeds may change which group an overlapping point joins,
     // but never the set of grouped records.
