@@ -41,13 +41,14 @@
 //! path, JOIN-ANY draws the same random numbers, and the answer never
 //! depends on the path. FORM-NEW-GROUP passes keep each record's main-pass
 //! label: the ε-graph of the deferred points has components that nest
-//! inside the main ones. A stream takes one point per push and never knows
-//! the components, so its `Grid` engine treats the input as one component
-//! of unknown size and searches the group R-tree, as `Indexed` does.
+//! inside the main ones. The incremental engine's replica takes one point
+//! per insert and never knows the components, so its `Grid` engine treats
+//! the input as one component of unknown size and searches the group
+//! R-tree, as `Indexed` does.
 //!
-//! [`SgbQuery::all`] drives this engine: its runs and its stream push the
-//! points in arrival order (the arbitration is order-sensitive, so SGB-All
-//! never parallelises), and the incremental engine keeps a live replica.
+//! [`SgbQuery::all`] drives this engine: its runs push the points in
+//! arrival order (the arbitration is order-sensitive, so SGB-All never
+//! parallelises), and the incremental engine keeps a live replica.
 
 #![deny(
     clippy::unwrap_used,
@@ -768,24 +769,9 @@ impl<const D: usize> Engine<D> {
     }
 }
 
-/// The streaming SGB-All engine behind [`SgbQuery::all`]: push points in
-/// arrival order, then [`finish`](Self::finish).
-///
-/// ```
-/// use sgb_core::{OverlapAction, SgbQuery};
-/// use sgb_geom::{Metric, Point};
-///
-/// let mut stream = SgbQuery::all(3.0)
-///     .metric(Metric::LInf)
-///     .overlap(OverlapAction::Eliminate)
-///     .stream();
-/// for p in [[1.0, 7.0], [2.0, 6.0], [6.0, 2.0], [7.0, 1.0], [4.0, 4.0]] {
-///     stream.push(Point::new(p));
-/// }
-/// let out = stream.finish();
-/// assert_eq!(out.sorted_sizes(), vec![2, 2]); // the overlapping point is dropped
-/// assert_eq!(out.eliminated(), &[4]);
-/// ```
+/// The SGB-All engine behind [`SgbQuery::all`] runs and the incremental
+/// engine's replica: push points in arrival order, then
+/// [`finish`](Self::finish).
 #[derive(Clone, Debug)]
 pub(crate) struct SgbAll<const D: usize> {
     engine: Engine<D>,
@@ -819,11 +805,6 @@ impl<const D: usize> SgbAll<D> {
         }
     }
 
-    /// Number of points processed so far.
-    pub(crate) fn len(&self) -> usize {
-        self.pushed
-    }
-
     /// Candidate/overlap groups inspected so far by `FindCloseGroups` —
     /// the main-pass candidate count surfaced through query telemetry
     /// (FORM-NEW-GROUP sub-passes are not included; read before
@@ -834,7 +815,7 @@ impl<const D: usize> SgbAll<D> {
 
     /// Processes one point (Procedure 1 body), returning its record id.
     pub(crate) fn push(&mut self, p: Point<D>) -> RecordId {
-        assert!(p.is_finite(), "points must have finite coordinates");
+        debug_assert!(p.is_finite(), "validated by the callers");
         let id = self.pushed;
         self.pushed += 1;
         self.engine.process(id, p);
@@ -896,6 +877,7 @@ impl<const D: usize> SgbAll<D> {
 )]
 mod tests {
     use super::*;
+    use crate::MaintainedGrouping;
     use sgb_geom::Metric;
 
     const ALGOS: [Algorithm; 4] = [
@@ -1347,9 +1329,6 @@ mod tests {
         let points: Vec<Point<2>> = (0..350)
             .map(|_| Point::new([next() * 6.0, next() * 6.0]))
             .collect();
-        // Streaming Auto assumes the scalable regime (group R-tree).
-        let stream = SgbQuery::<2>::all(0.5).stream();
-        assert_eq!(stream.resolved_algorithm(), Algorithm::Indexed);
         for overlap in [
             OverlapAction::JoinAny,
             OverlapAction::Eliminate,
@@ -1395,6 +1374,10 @@ mod tests {
         let (eps, bound) = (0.4, 4);
         let free = QueryGovernor::unrestricted();
         for metric in Metric::ALL {
+            // The delete below must not take the isolated fast path.
+            assert!(points[1..]
+                .iter()
+                .any(|q| metric.within(&points[0], q, eps)));
             let components = Components::find(&points, eps, metric, bound, &free).unwrap();
             assert!(components.largest() > bound, "{metric}: no big component");
             assert!(
@@ -1425,15 +1408,24 @@ mod tests {
                 let reference = query.clone().algorithm(Algorithm::AllPairs).run(&points);
                 assert_eq!(op.finish(), reference, "{metric} {overlap:?}");
 
-                // A stream knows no components: every point takes the
-                // group R-tree, with the same answer as a run.
-                let mut stream = query.clone().algorithm(Algorithm::Grid).stream();
-                for p in &points {
-                    stream.push(*p);
-                }
-                let run = query.clone().algorithm(Algorithm::Grid).run(&points);
+                // The incremental engine's replica knows no components:
+                // every point takes the group R-tree, with the same answer
+                // as a run, also once a non-isolated delete has forced the
+                // lazy rebuild.
+                let grid = query.clone().algorithm(Algorithm::Grid);
+                let run = grid.run(&points);
                 assert_eq!(run, reference, "{metric} {overlap:?}");
-                assert_eq!(stream.finish(), run, "{metric} {overlap:?}");
+                let mut maintained = MaintainedGrouping::new(grid.clone(), &points);
+                let snapshot = maintained.snapshot();
+                assert_eq!(snapshot.resolved_algorithm(), Algorithm::Grid);
+                assert_eq!(snapshot, run, "{metric} {overlap:?}");
+                assert!(maintained.delete(0));
+                let rerun = grid.run(&maintained.live_points());
+                assert_eq!(
+                    maintained.snapshot(),
+                    rerun,
+                    "{metric} {overlap:?} after delete"
+                );
             }
         }
     }

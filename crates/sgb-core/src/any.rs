@@ -6,30 +6,41 @@
 //! framework (Procedure 7) processes points one at a time:
 //!
 //! 1. `FindCandidateGroups` (Procedure 8) finds the groups containing a
-//!    point within ε of the new point — by scanning all previous points
-//!    (`AllPairs`), with a metric-aware range query on an on-the-fly
-//!    R-tree over the points (`Indexed`), or with an ε-grid probe over the
-//!    neighbour cells (`Grid` — no tree descent at all). Every index hit
-//!    is verified with the canonical predicate (`VerifyPoints`), so all
-//!    paths are bit-identical;
+//!    point within ε of the new point — by scanning all previous points,
+//!    or with a metric-aware range query on an R-tree over them
+//!    (`Points_IX`), each index hit verified with the canonical predicate
+//!    (`VerifyPoints`);
 //! 2. `ProcessGroupingANY` (Procedure 9) creates a group, joins the single
 //!    candidate, or merges all candidates via Union-Find
 //!    (`MergeGroupsInsert`).
 //!
-//! The crate-private `SgbAny` engine is that streaming framework, behind
-//! [`SgbQuery::stream`]. One-shot execution (the [`SgbQuery`] run entry
-//! points) knows the whole point set instead: it resolves
-//! [`Algorithm::Auto`] from the true cardinality, bulk-loads its index (or
-//! takes it from the session cache) and runs one of three batch kernels —
-//! all-pairs, R-tree, ε-grid — each governed and telemetry-aware. The ε-graph is symmetric, so unioning
-//! each edge once yields exactly the streaming components. The answer
-//! depends only on the components, not on the order of the unions
-//! (arXiv:1412.4303), so the grid kernel unions only a spanning subset of
-//! the edges: once two cells are known to be connected, it looks for no
-//! further pair between them (see [`Grid::connectivity_join`]). It can
-//! shard its join across worker threads (see [`SgbQuery::threads`]);
-//! every shard's decisions depend only on the cells involved, so the
-//! result is bit-identical to the sequential join.
+//! A run knows its whole input up front, so it executes the framework as
+//! one of three batch kernels, each governed and telemetry-aware, over a
+//! union-find with one set per record. Union-find makes Procedure 9's
+//! three cases one union per within-ε neighbour: the new point's set is
+//! its fresh group, and unioning it with a candidate joins or merges.
+//!
+//! * `join_all_pairs` (`AllPairs`) is Procedure 7 as written: in arrival
+//!   order, each point scans every earlier point and is unioned with each
+//!   one within ε, so its unions are Procedure 7's, in arrival order.
+//! * `join_tree` (`Indexed`) answers `FindCandidateGroups` with
+//!   Procedure 8's range query, on an R-tree bulk-loaded over the whole
+//!   input (fresh or from the session cache), and unions each hit with a
+//!   smaller record id.
+//! * `join_grid` (`Grid`) probes an ε-grid (fresh or cached) with no tree
+//!   descent. The answer depends only on the components, not on the order
+//!   of the unions (arXiv:1412.4303), so the grid kernel unions only a
+//!   spanning subset of the edges: once two cells are known to be
+//!   connected, it looks for no further pair between them (see
+//!   [`Grid::connectivity_join`]). It can shard its join across worker
+//!   threads (see [`SgbQuery::threads`](crate::SgbQuery::threads)); every
+//!   shard's decisions depend only on the cells involved, so the result is
+//!   bit-identical to the sequential join.
+//!
+//! Every index hit is verified with the canonical predicate, so all three
+//! kernels find the components of the all-pairs scan, and
+//! [`Algorithm::Auto`](crate::Algorithm::Auto) resolves among them from
+//! the true cardinality.
 
 #![deny(
     clippy::unwrap_used,
@@ -44,152 +55,11 @@ use sgb_spatial::{Grid, JoinPass, JoinTally, RTree};
 use sgb_telemetry::{Counter, Phase, Telemetry};
 
 use crate::governor::{Pacer, QueryGovernor, SgbError, CHECK_INTERVAL};
-use crate::{Algorithm, Grouping, RecordId, SgbQuery};
-
-/// The index state behind `FindCandidateGroups`, per algorithm.
-#[derive(Clone, Debug)]
-enum AnyIndex<const D: usize> {
-    /// All-Pairs: no index, scan the point log.
-    Scan,
-    /// `Points_IX` of Procedure 8: on-the-fly R-tree.
-    Tree(RTree<D, RecordId>),
-    /// ε-grid with cell side = ε (`1` when ε = 0).
-    Cells(Grid<D, RecordId>),
-}
-
-/// The streaming SGB-Any engine behind [`SgbQuery::any`]'s stream: push
-/// points in arrival order, then [`finish`](Self::finish).
-///
-/// ```
-/// use sgb_core::SgbQuery;
-/// use sgb_geom::Point;
-///
-/// let mut stream = SgbQuery::any(3.0).stream();
-/// for p in [[1.0, 1.0], [2.0, 2.0], [9.0, 9.0]] {
-///     stream.push(Point::new(p));
-/// }
-/// let out = stream.finish();
-/// assert_eq!(out.sorted_sizes(), vec![2, 1]);
-/// ```
-#[derive(Clone, Debug)]
-pub(crate) struct SgbAny<const D: usize> {
-    eps: f64,
-    metric: Metric,
-    points: Vec<Point<D>>,
-    dsu: DisjointSet,
-    /// Index behind `FindCandidateGroups`, for the concrete algorithm the
-    /// caller resolved (see [`crate::cost::resolve_any_streaming`]).
-    index: AnyIndex<D>,
-    /// Scratch buffer for neighbour ids, reused across pushes.
-    neighbours: Vec<RecordId>,
-    /// Traversal scratch for the R-tree range probe, reused across pushes
-    /// so the indexed hot loop allocates nothing per tuple.
-    stack: Vec<usize>,
-}
-
-impl<const D: usize> SgbAny<D> {
-    /// Creates the engine for an SGB-Any `query` with threshold `eps` (its
-    /// operator knob), running the concrete `algorithm` the caller
-    /// resolved.
-    pub(crate) fn new(query: &SgbQuery<D>, eps: f64, algorithm: Algorithm) -> Self {
-        let index = match algorithm {
-            Algorithm::Indexed => AnyIndex::Tree(RTree::new()),
-            Algorithm::Grid => AnyIndex::Cells(Grid::new(Grid::<D, RecordId>::side_for_eps(eps))),
-            // Resolution never yields `Auto` (and the builder rejects
-            // `BoundsChecking`); both share the scan's arm.
-            Algorithm::AllPairs | Algorithm::Auto | Algorithm::BoundsChecking => AnyIndex::Scan,
-        };
-        Self {
-            eps,
-            metric: query.metric,
-            points: Vec::new(),
-            dsu: DisjointSet::new(),
-            index,
-            neighbours: Vec::new(),
-            stack: Vec::new(),
-        }
-    }
-
-    /// Number of points processed so far.
-    pub(crate) fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Processes one point (Procedure 7 body), returning its record id.
-    pub(crate) fn push(&mut self, p: Point<D>) -> RecordId {
-        assert!(p.is_finite(), "points must have finite coordinates");
-        let id = self.points.len();
-        let (eps, metric) = (self.eps, self.metric);
-
-        // FindCandidateGroups: collect neighbours within ε. Every index
-        // path visits a guaranteed superset of the canonical predicate and
-        // verifies each hit with `Metric::within` (`VerifyPoints` of
-        // Procedure 8), so all paths agree with All-Pairs exactly,
-        // including on distances that tie with ε.
-        self.neighbours.clear();
-        match &self.index {
-            AnyIndex::Scan => {
-                // All-Pairs: scan every previously processed point.
-                for (j, q) in self.points.iter().enumerate() {
-                    if metric.within(&p, q, eps) {
-                        self.neighbours.push(j);
-                    }
-                }
-            }
-            AnyIndex::Tree(ix) => {
-                // Metric-aware range query pruned with the metric's own
-                // ball (diamond/disc/square) instead of its enclosing
-                // rectangle; the traversal stack is reused scratch.
-                let points = &self.points;
-                let neighbours = &mut self.neighbours;
-                ix.for_each_within(&p, eps, metric, &mut self.stack, |_, &j| {
-                    if metric.within(&p, &points[j], eps) {
-                        neighbours.push(j);
-                    }
-                });
-            }
-            AnyIndex::Cells(grid) => {
-                // ε-grid probe: the point's own cell plus its neighbours,
-                // no tree descent.
-                let neighbours = &mut self.neighbours;
-                grid.for_each_within(&p, eps, metric, |q, &j| {
-                    if metric.within(&p, q, eps) {
-                        neighbours.push(j);
-                    }
-                });
-            }
-        }
-
-        // ProcessGroupingANY: a fresh singleton, then merge with every
-        // candidate group. Distinguishing the 0/1/many candidate cases of
-        // Procedure 9 is unnecessary with union-find: union is idempotent
-        // per component.
-        self.points.push(p);
-        let me = self.dsu.push();
-        debug_assert_eq!(me, id);
-        for k in 0..self.neighbours.len() {
-            let j = self.neighbours[k];
-            self.dsu.union(me, j);
-        }
-        match &mut self.index {
-            AnyIndex::Scan => {}
-            AnyIndex::Tree(ix) => ix.insert_point(p, id),
-            AnyIndex::Cells(grid) => grid.insert(p, id),
-        }
-        id
-    }
-
-    /// Materialises the answer groups (the connected components of the
-    /// ε-threshold graph). Groups are keyed by smallest member id; the
-    /// eliminated set is always empty for SGB-Any.
-    pub(crate) fn finish(self) -> Grouping {
-        Grouping::flat(self.dsu.into_groups(), Vec::new())
-    }
-}
+use crate::{Grouping, RecordId};
 
 /// The all-pairs batch kernel: the pairwise loop with a [`Pacer`] tick per
 /// comparison, unioning edge `(i, j)` for every `j < i` in ascending
-/// order — exactly the unions of the streaming [`SgbAny::push`] scan.
+/// order: Procedure 7's unions, in arrival order.
 pub(crate) fn join_all_pairs<const D: usize>(
     points: &[Point<D>],
     eps: f64,
@@ -226,7 +96,8 @@ pub(crate) fn join_all_pairs<const D: usize>(
 /// The R-tree batch kernel over a bulk-loaded point tree (fresh or from
 /// the session cache): one metric-aware range probe per point, paced per
 /// probe. Only neighbours with a smaller record id are unioned (the
-/// ε-graph is symmetric), reproducing the streaming components.
+/// ε-graph is symmetric), so each edge is unioned once and the components
+/// are those of the all-pairs scan.
 pub(crate) fn join_tree<const D: usize>(
     points: &[Point<D>],
     eps: f64,
@@ -413,6 +284,7 @@ fn components(dsu: DisjointSet, tel: &Telemetry) -> Grouping {
 )]
 mod tests {
     use super::*;
+    use crate::{Algorithm, SgbQuery};
     use sgb_geom::Metric;
 
     fn pts(raw: &[[f64; 2]]) -> Vec<Point<2>> {
@@ -552,41 +424,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_and_bulk_paths_agree_exactly() {
-        // The one-shot helper bulk-loads its index and probes the full
-        // point set; the streaming interface builds incrementally. Both
-        // must materialise identical groupings (not just normalized ones —
-        // components are keyed by smallest member either way).
-        let mut state: u64 = 0xB01D;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / (u32::MAX as f64)
-        };
-        let points: Vec<Point<2>> = (0..700)
-            .map(|_| Point::new([next() * 10.0, next() * 10.0]))
-            .collect();
-        for metric in Metric::ALL {
-            for algo in [Algorithm::AllPairs, Algorithm::Indexed, Algorithm::Grid] {
-                let query = SgbQuery::any(0.25).metric(metric).algorithm(algo);
-                let mut stream = query.clone().stream();
-                for p in &points {
-                    stream.push(*p);
-                }
-                assert_eq!(stream.resolved_algorithm(), algo);
-                assert_eq!(stream.finish(), query.run(&points), "{algo:?} {metric}");
-            }
-        }
-    }
-
-    #[test]
     fn auto_resolves_by_cardinality_and_matches_every_concrete() {
         let small = pts(&[[0.0, 0.0], [0.4, 0.0], [5.0, 5.0]]);
-        let stream = SgbQuery::<2>::any(0.5).stream();
-        // Streaming Auto assumes the scalable regime.
-        assert_eq!(stream.resolved_algorithm(), Algorithm::Grid);
         let auto = SgbQuery::any(0.5).run(&small);
+        assert_eq!(auto.resolved_algorithm(), Algorithm::AllPairs);
         for algo in [Algorithm::AllPairs, Algorithm::Indexed, Algorithm::Grid] {
             let concrete = SgbQuery::any(0.5).algorithm(algo).run(&small);
             assert_eq!(auto, concrete, "{algo:?}");
@@ -625,25 +466,14 @@ mod tests {
     #[test]
     fn streaming_group_count_is_monotone_under_merges() {
         let points = pts(&[[0.0, 0.0], [5.0, 0.0], [2.0, 0.0], [1.0, 0.0], [3.5, 0.0]]);
-        // The groups a stream holds after its first `k` arrivals.
-        let groups_after = |k: usize| {
-            let mut stream = SgbQuery::any(1.5).stream();
-            for p in &points[..k] {
-                stream.push(*p);
-            }
-            stream.finish().num_groups()
-        };
+        // The groups of the first `k` arrivals.
+        let groups_after = |k: usize| SgbQuery::any(1.5).run(&points[..k]).num_groups();
         assert_eq!(groups_after(2), 2);
         // Bridging point merges both groups.
         assert_eq!(groups_after(3), 3); // (2, 0) is within 1.5 of neither: 2.0 > 1.5
         assert_eq!(groups_after(4), 2); // (1, 0) links 0.0 and 2.0
         assert_eq!(groups_after(5), 1); // (3.5, 0) links 2.0 and 5.0
-        let mut stream = SgbQuery::any(1.5).stream();
-        for p in &points {
-            stream.push(*p);
-        }
-        assert_eq!(stream.len(), 5);
-        let out = stream.finish();
+        let out = SgbQuery::any(1.5).run(&points);
         assert_eq!(out.sizes(), vec![5]);
     }
 
@@ -696,17 +526,8 @@ mod tests {
         let tree: RTree<2, RecordId> =
             RTree::from_points(12, points.iter().enumerate().map(|(i, p)| (*p, i)));
         let off = Telemetry::off();
-        // Every kernel matches the brute-force components and the
-        // streaming operator.
+        // Every kernel matches the brute-force components.
         let expected = reference(&points, eps, metric);
-        let mut stream = SgbQuery::any(eps)
-            .metric(metric)
-            .algorithm(Algorithm::AllPairs)
-            .stream();
-        for p in &points {
-            stream.push(*p);
-        }
-        assert_eq!(stream.finish(), expected);
         assert_eq!(
             join_all_pairs(&points, eps, metric, &free, &off).unwrap(),
             expected

@@ -26,7 +26,7 @@
 //!
 //! [`Algorithm::Auto`] cost-selects among them from the center count
 //! ([`crate::cost::resolve_around`] — centers are part of the query, so
-//! streaming and one-shot execution resolve identically).
+//! the input's size never enters the choice).
 //!
 //! All paths break exact distance ties towards the **lowest center
 //! index** and produce bit-identical groupings: the brute path compares
@@ -98,7 +98,7 @@ pub(crate) fn build_center_index<const D: usize>(
 
 /// The assignment rule of one SGB-Around query: its centers, metric and
 /// radius bound, plus the search structure over the centers. Shared by
-/// the streaming engine and the incremental engine.
+/// the batch engine and the incremental engine.
 #[derive(Clone, Debug)]
 pub(crate) struct CenterRule<const D: usize> {
     centers: Vec<Point<D>>,
@@ -182,8 +182,8 @@ impl<const D: usize> CenterRule<D> {
     }
 }
 
-/// The streaming SGB-Around engine behind [`SgbQuery::around`]: push
-/// points in any order, then [`finish`](Self::finish). The grouping is
+/// The SGB-Around engine behind [`SgbQuery::around`] runs: assign a batch
+/// of points, then [`finish`](Self::finish). The grouping is
 /// order-independent: only member order within a group follows arrival
 /// order.
 ///
@@ -192,11 +192,11 @@ impl<const D: usize> CenterRule<D> {
 /// use sgb_geom::Point;
 ///
 /// let centers = vec![Point::new([0.0, 0.0]), Point::new([10.0, 10.0])];
-/// let mut stream = SgbQuery::around(centers).max_radius(3.0).stream();
-/// for p in [[1.0, 1.0], [9.0, 9.5], [0.5, -0.5], [5.0, 5.0]] {
-///     stream.push(Point::new(p));
-/// }
-/// let out = stream.finish();
+/// let points: Vec<Point<2>> = [[1.0, 1.0], [9.0, 9.5], [0.5, -0.5], [5.0, 5.0]]
+///     .into_iter()
+///     .map(Point::new)
+///     .collect();
+/// let out = SgbQuery::around(centers).max_radius(3.0).run(&points);
 /// assert_eq!(out.groups(), &[vec![0, 2], vec![1]]);
 /// assert_eq!(out.group_centers(), &[0, 1]);
 /// assert_eq!(out.outliers(), &[3]); // (5, 5) is > 3 away from both
@@ -226,15 +226,10 @@ impl<const D: usize> SgbAround<D> {
         }
     }
 
-    /// Number of points processed so far.
-    pub(crate) fn len(&self) -> usize {
-        self.pushed
-    }
-
     /// Assigns one point to its nearest center (or the outlier group),
     /// returning its record id.
     pub(crate) fn push(&mut self, p: Point<D>) -> RecordId {
-        assert!(p.is_finite(), "points must have finite coordinates");
+        debug_assert!(p.is_finite(), "validated by the callers");
         let c = self.rule.assign(&mut self.scratch, &p);
         self.record(c)
     }
@@ -497,13 +492,13 @@ mod tests {
 
     #[test]
     fn auto_resolves_from_center_count() {
-        let few = SgbQuery::around(cloud(8, 1, 5.0)).stream();
+        let few = SgbQuery::around(cloud(8, 1, 5.0)).run(&[]);
         assert_eq!(few.resolved_algorithm(), Algorithm::AllPairs);
-        let many = SgbQuery::around(cloud(700, 2, 5.0)).stream();
+        let many = SgbQuery::around(cloud(700, 2, 5.0)).run(&[]);
         assert_eq!(many.resolved_algorithm(), Algorithm::Grid);
         let explicit = SgbQuery::around(cloud(8, 3, 5.0))
             .algorithm(Algorithm::Indexed)
-            .stream();
+            .run(&[]);
         assert_eq!(explicit.resolved_algorithm(), Algorithm::Indexed);
     }
 
@@ -609,20 +604,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn streaming_interface_matches_one_shot() {
-        let points = cloud(100, 3, 5.0);
-        let centers: Vec<Point<2>> = cloud(5, 4, 5.0);
-        let query = SgbQuery::around(centers).max_radius(1.0);
-        let mut stream = query.clone().stream();
-        assert!(stream.is_empty());
-        for p in &points {
-            stream.push(*p);
-        }
-        assert_eq!(stream.len(), 100);
-        assert_eq!(query.radius_bound(), Some(1.0));
-        assert_eq!(stream.finish(), query.run(&points));
     }
 }

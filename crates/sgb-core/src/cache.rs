@@ -218,16 +218,6 @@ impl<const D: usize> SgbCache<D> {
         inner.version == version && inner.tree.is_some()
     }
 
-    /// Ensures a grid serving `eps` exists for `version`, building it
-    /// from `points` on a miss — the batch API's shared-build entry
-    /// point: build once at the batch's smallest ε, then every ε-superset
-    /// query in the batch reuses it.
-    pub fn prewarm_grid(&self, version: u64, eps: f64, points: &[Point<D>]) {
-        let _ = self.get_or_build_grid(version, eps, |side| {
-            Grid::from_points(side, points.iter().enumerate().map(|(i, p)| (*p, i)))
-        });
-    }
-
     /// Read-only probe: is a center index for exactly this concrete
     /// algorithm and center list cached?
     pub fn has_center_index(&self, algorithm: Algorithm, centers: &[Point<D>]) -> bool {

@@ -78,18 +78,18 @@ pub enum Algorithm {
     /// ε-All rectangle tests per group. Not applicable to SGB-Any /
     /// SGB-Around.
     BoundsChecking,
-    /// R-tree-indexed search: on-the-fly group/point trees for
-    /// SGB-All/Any (Procedures 5 and 8), an STR bulk-loaded center tree
-    /// for SGB-Around.
+    /// R-tree-indexed search: an on-the-fly group tree for SGB-All
+    /// (Procedure 5), STR bulk-loaded point and center trees for SGB-Any
+    /// (Procedure 8) and SGB-Around.
     Indexed,
     /// ε-grid search: neighbour-cell probes, no tree descent. For
     /// SGB-All, the grid labels the input's ε-components instead (the
     /// SGB-Any grid kernel's connectivity join), and each point searches
     /// only its own component's groups: a group directory per component
     /// with the Bounds-Checking tests, or the group R-tree for a component
-    /// of more than [`crate::cost::ALL_BOUNDS_MAX_N`] points. A stream
-    /// never knows the components, so its SGB-All `Grid` searches the
-    /// group R-tree.
+    /// of more than [`crate::cost::ALL_BOUNDS_MAX_N`] points. The replica
+    /// of a [`crate::MaintainedGrouping`] never knows the components, so
+    /// its SGB-All `Grid` searches the group R-tree.
     Grid,
 }
 

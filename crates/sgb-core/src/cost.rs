@@ -152,24 +152,6 @@ pub fn resolve_all(
     )
 }
 
-/// Resolves the SGB-All algorithm for a streaming operator, where the
-/// final cardinality is unknown at construction time: `Auto` assumes the
-/// scalable regime (streams are open-ended) and picks the group R-tree.
-/// A stream never knows its input's ε-components, so `Grid` would search
-/// the same tree.
-/// One-shot entry points — including the SQL executor — know `n` and use
-/// [`resolve_all`] instead.
-pub fn resolve_all_streaming(configured_algo: Algorithm, _dims: usize) -> (Algorithm, String) {
-    match configured_algo {
-        Algorithm::Auto => (
-            Algorithm::Indexed,
-            "auto: streaming input of unknown cardinality, scalable regime (group R-tree)"
-                .to_owned(),
-        ),
-        other => (other, configured()),
-    }
-}
-
 /// The cost model's SGB-Any choice for `n` points in `dims` dimensions,
 /// before any cache or budget input is considered.
 pub(crate) fn any_cost_model(
@@ -305,25 +287,9 @@ fn admit(
     }
 }
 
-/// Resolves the SGB-Any algorithm for a streaming operator — see
-/// [`resolve_all_streaming`] for the rationale.
-pub fn resolve_any_streaming(configured_algo: Algorithm, dims: usize) -> (Algorithm, String) {
-    match configured_algo {
-        Algorithm::Auto if dims > GRID_MAX_DIMS => (
-            Algorithm::Indexed,
-            format!("auto: streaming input, {dims}-D exceeds the grid sweet spot (<= {GRID_MAX_DIMS}-D)"),
-        ),
-        Algorithm::Auto => (
-            Algorithm::Grid,
-            "auto: streaming input of unknown cardinality, scalable regime (eps-grid)".to_owned(),
-        ),
-        other => (other, configured()),
-    }
-}
-
 /// The cost model's SGB-Around choice from the center count (the quantity
 /// the per-tuple cost actually depends on — centers are known up front, so
-/// streaming and one-shot paths resolve identically) in `dims`
+/// one-shot runs and maintained groupings resolve identically) in `dims`
 /// dimensions, before any cache or budget input is considered.
 /// [`Algorithm::AllPairs`] is SGB-Around's brute center scan.
 pub(crate) fn around_cost_model(
@@ -553,23 +519,6 @@ mod tests {
     fn auto_prefers_rtree_in_high_dims() {
         assert_eq!(any(Algorithm::Auto, 10_000, 5).0, Algorithm::Indexed);
         assert_eq!(around(Algorithm::Auto, 4096, 4).0, Algorithm::Indexed);
-        assert_eq!(
-            resolve_any_streaming(Algorithm::Auto, 4).0,
-            Algorithm::Indexed
-        );
-    }
-
-    #[test]
-    fn streaming_resolution_never_returns_auto() {
-        let (algo, reason) = resolve_all_streaming(Algorithm::Auto, 2);
-        assert_eq!(algo, Algorithm::Indexed);
-        assert!(reason.contains("streaming"), "{reason}");
-        let (algo, reason) = resolve_any_streaming(Algorithm::Auto, 2);
-        assert_eq!(algo, Algorithm::Grid);
-        assert!(reason.contains("streaming"), "{reason}");
-        let (algo, reason) = resolve_all_streaming(Algorithm::BoundsChecking, 2);
-        assert_eq!(algo, Algorithm::BoundsChecking);
-        assert!(reason.contains("configured"), "{reason}");
     }
 
     #[test]

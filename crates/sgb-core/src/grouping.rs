@@ -5,7 +5,7 @@ use sgb_telemetry::{QueryProfile, Telemetry};
 use crate::{Algorithm, CenterId};
 
 /// Identifier of an input record: its zero-based position in the input
-/// stream (the order in which points were pushed into the operator).
+/// (the order in which points were pushed into the operator).
 pub type RecordId = usize;
 
 /// The unified answer set of the SGB operator family (Definition 3, plus

@@ -21,18 +21,17 @@
 //!   exactly one tuple against the fixed center index, deletes drop one
 //!   slot. Nothing else moves.
 //! * **SGB-All** arbitration is arrival-order sensitive, so the engine
-//!   keeps a live streaming replica (the `SgbAll` engine behind
-//!   [`SgbQuery::stream`]) whose state always equals
-//!   a from-scratch stream over the live points in slot order. Inserts
-//!   push one point. Deletes take the fast path when the tuple is
-//!   ε-isolated from every other input point — such a tuple formed a
-//!   pristine singleton group that no other tuple's candidate or overlap
-//!   sets ever saw (and that consumed no arbitration randomness), so the
-//!   group is marked dead in place. Any other delete drops the replica
-//!   and the next [`snapshot`](MaintainedGrouping::snapshot) rebuilds it
-//!   lazily — the honest fallback, since a clique that loses a member
-//!   can cascade through the `ON-OVERLAP` arbitration of every later
-//!   arrival.
+//!   keeps a live replica (the `SgbAll` engine behind [`SgbQuery::run`])
+//!   whose state always equals a from-scratch run over the live points in
+//!   slot order. Inserts push one point. Deletes take the fast path when
+//!   the tuple is ε-isolated from every other input point — such a tuple
+//!   formed a pristine singleton group that no other tuple's candidate or
+//!   overlap sets ever saw (and that consumed no arbitration randomness),
+//!   so the group is marked dead in place. Any other delete drops the
+//!   replica and the next [`snapshot`](MaintainedGrouping::snapshot)
+//!   rebuilds it lazily — the honest fallback, since a clique that loses a
+//!   member can cascade through the `ON-OVERLAP` arbitration of every
+//!   later arrival.
 //!
 //! Ground truth: [`snapshot`](MaintainedGrouping::snapshot) is always equal
 //! (full [`Grouping`] equality) to `query.run(&live_points)` over the live
@@ -46,7 +45,6 @@
     clippy::panic
 )]
 
-use std::convert::Infallible;
 use std::sync::Arc;
 
 use sgb_dsu::TrackedDsu;
@@ -86,7 +84,7 @@ enum OpState<const D: usize> {
         assign: Vec<Option<usize>>,
         scratch: Vec<usize>,
     },
-    /// The streaming replica, or `None` while a lazy rebuild is pending
+    /// The live replica, or `None` while a lazy rebuild is pending
     /// after a non-isolated delete.
     All {
         eps: f64,
@@ -96,7 +94,7 @@ enum OpState<const D: usize> {
     },
 }
 
-/// Streaming replica of a from-scratch SGB-All run over the live slots in
+/// Live replica of a from-scratch SGB-All run over the live slots in
 /// slot order, running the concrete `algorithm` resolved when it was
 /// built. `pushed[rec]` is the slot the engine's record id `rec` was
 /// assigned to; `rec_of[slot]` is the inverse (stale for dead slots).
@@ -201,18 +199,9 @@ impl<const D: usize> MaintainedGrouping<D> {
                 }
                 // The exact bulk ε-join surfaces each within-ε pair exactly
                 // once — the contract the edge counts rely on.
-                let Ok(()) = grid.try_for_each_pair_within::<Infallible, _, _>(
-                    eps,
-                    metric,
-                    0,
-                    1,
-                    |&a, &b| {
-                        dsu.add_edge(a, b);
-                    },
-                    usize::MAX,
-                    || Ok(()),
-                    None,
-                );
+                grid.for_each_pair_within(eps, metric, |&a, &b| {
+                    dsu.add_edge(a, b);
+                });
                 OpState::Any { eps, grid, dsu }
             }
             OpSpec::Around {
@@ -316,7 +305,7 @@ impl<const D: usize> MaintainedGrouping<D> {
     /// Applies one insert delta, returning the new point's slot id.
     ///
     /// Cost: one grid probe + DSU unions (SGB-Any), one nearest-center
-    /// query (SGB-Around), one streaming push (SGB-All).
+    /// query (SGB-Around), one engine push (SGB-All).
     ///
     /// # Panics
     /// If `p` has a non-finite coordinate.

@@ -61,16 +61,16 @@
 //! assert_eq!(around.groups(), &[vec![0, 2], vec![1]]);
 //! ```
 //!
-//! The operators are *streaming* ([`SgbQuery::stream`]): points are
-//! processed in arrival order with filter-refine machinery (ε-All bounding
-//! rectangles, an on-the-fly R-tree, a uniform ε-grid, convex-hull
+//! Each run groups its whole input at once with filter-refine machinery
+//! (ε-All bounding rectangles, R-trees, a uniform ε-grid, convex-hull
 //! refinement for `L2`, Union-Find for merges), and several algorithm
 //! variants reproduce the paper's baseline/optimised comparisons — all
 //! selectable through the one [`Algorithm`] enum, with `Auto` resolved by
-//! the cost model in [`cost`].
+//! the cost model in [`cost`]. [`MaintainedGrouping`] keeps a query's
+//! grouping current under point inserts and deletes.
 //!
-//! [`SgbQuery`] (with its [`SgbStream`]) is the only way to run an
-//! operator: the per-operator engines behind it are crate-private.
+//! [`SgbQuery`] is the only way to run an operator: the per-operator
+//! engines behind it are crate-private.
 
 pub mod all;
 pub mod any;
@@ -89,7 +89,7 @@ pub use config::{Algorithm, OverlapAction};
 pub use governor::{CancelToken, Pacer, QueryGovernor, SgbError};
 pub use grouping::{Grouping, RecordId};
 pub use incremental::{MaintainedGrouping, SlotId};
-pub use query::{SgbQuery, SgbStream};
+pub use query::SgbQuery;
 
 // Re-export the geometry vocabulary so downstream users need one import.
 pub use sgb_geom::{Metric, Point, Point2, Point3, Rect};

@@ -1,4 +1,4 @@
-//! The unified operator surface: one builder, one result, one stream.
+//! The unified operator surface: one builder, one result.
 //!
 //! The three similarity group-by operators share almost all of their
 //! vocabulary — a metric δ, an execution-path selector, thresholds — and
@@ -18,8 +18,6 @@
 //!   member lists, the `ELIMINATE`d set, the radius-bounded outlier set,
 //!   and the resolved execution path with the cost model's reason (the
 //!   same story `EXPLAIN` tells at the SQL layer).
-//! * [`SgbStream`] — a single streaming operator wrapping the per-operator
-//!   engines behind one `push`/`finish` interface.
 //!
 //! Each operator has **one execution body** — governed, cache-aware and
 //! telemetry-aware — and the four run entry points wrap it: the `try_`
@@ -58,7 +56,7 @@ use sgb_spatial::{Grid, RTree};
 use sgb_telemetry::{Counter, Phase, Telemetry};
 
 use crate::all::{Components, SgbAll};
-use crate::any::{self, SgbAny};
+use crate::any;
 use crate::around::{build_center_index, CenterRule, SgbAround};
 use crate::cache::SgbCache;
 use crate::governor::{QueryGovernor, SgbError};
@@ -94,9 +92,10 @@ impl<const D: usize> OpSpec<D> {
 /// One declarative query over the SGB operator family.
 ///
 /// Construct with [`SgbQuery::all`] / [`SgbQuery::any`] /
-/// [`SgbQuery::around`], refine with the builder knobs, then either
-/// [`run`](Self::run) over a complete point set or [`stream`](Self::stream)
-/// points in arrival order.
+/// [`SgbQuery::around`], refine with the builder knobs, then
+/// [`run`](Self::run) over a complete point set. Live input that changes
+/// point by point is the job of
+/// [`MaintainedGrouping`](crate::MaintainedGrouping).
 ///
 /// Knob defaults: `L2`, `Auto`, `JOIN-ANY`, seed `0x5EED`.
 ///
@@ -482,9 +481,8 @@ impl<const D: usize> SgbQuery<D> {
         let tel = &self.telemetry;
         // One shared contract for the whole family: non-finite coordinates
         // are rejected here, at the query boundary (once per version when
-        // a cache remembers the check), so every operator arm — including
-        // the parallel bulk paths, which bypass the streaming `push`
-        // asserts — fails identically and early.
+        // a cache remembers the check), so every operator arm fails
+        // identically and early; the engines only debug-assert it.
         let validate = tel.phase(Phase::Validate);
         let finite = match cache {
             Some((cache, version)) => cache.points_finite(version, points),
@@ -524,10 +522,10 @@ impl<const D: usize> SgbQuery<D> {
         Ok(self.finalize(out))
     }
 
-    /// SGB-All: the streaming engine fed in arrival order (its arbitration
-    /// is order-sensitive, so it never parallelises), with a governor
-    /// check per tuple — each push does a candidate search, so the check
-    /// is cheap relative to the work it bounds. On the `Grid` path a
+    /// SGB-All: the engine fed one point at a time in arrival order (its
+    /// arbitration is order-sensitive, so it never parallelises), with a
+    /// governor check per tuple — each push does a candidate search, so the
+    /// check is cheap relative to the work it bounds. On the `Grid` path a
     /// pre-pass first labels every point with its ε-component (timed as
     /// the index build), so each point searches only its own component's
     /// groups. Nothing it builds outlives the run (the group index tracks
@@ -698,46 +696,6 @@ impl<const D: usize> SgbQuery<D> {
         }
         fp
     }
-
-    /// Turns the query into a streaming operator: push points in arrival
-    /// order, then [`finish`](SgbStream::finish).
-    ///
-    /// A stream's final cardinality is unknown at construction, so
-    /// [`Algorithm::Auto`] resolves to the scalable regime for SGB-All /
-    /// SGB-Any (see [`cost::resolve_all_streaming`]); SGB-Around knows its
-    /// center count up front and resolves exactly like [`run`](Self::run).
-    #[must_use]
-    pub fn stream(self) -> SgbStream<D> {
-        let (inner, (algorithm, selection)) = match &self.op {
-            OpSpec::All { eps, overlap } => {
-                let resolved = cost::resolve_all_streaming(self.algorithm, D);
-                let op = SgbAll::new(&self, *eps, *overlap, resolved.0, None);
-                (StreamInner::All(Box::new(op)), resolved)
-            }
-            OpSpec::Any { eps } => {
-                let resolved = cost::resolve_any_streaming(self.algorithm, D);
-                let op = SgbAny::new(&self, *eps, resolved.0);
-                (StreamInner::Any(Box::new(op)), resolved)
-            }
-            OpSpec::Around {
-                centers,
-                max_radius,
-            } => {
-                let resolved = cost::around_cost_model(self.algorithm, centers.len(), D);
-                let index = build_center_index(resolved.0, centers);
-                let rule = CenterRule::new(&self, centers, *max_radius, Arc::new(index));
-                (
-                    StreamInner::Around(Box::new(SgbAround::new(rule))),
-                    resolved,
-                )
-            }
-        };
-        SgbStream {
-            inner,
-            algorithm,
-            selection,
-        }
-    }
 }
 
 /// The outcome of an execution under [`QueryGovernor::unrestricted`],
@@ -747,92 +705,6 @@ fn infallible(result: Result<Grouping, SgbError>) -> Grouping {
     match result {
         Ok(grouping) => grouping,
         Err(e) => panic!("{e}"),
-    }
-}
-
-/// The per-operator engine behind a [`SgbStream`]. The engines are boxed:
-/// their sizes differ by hundreds of bytes (SGB-All carries the overlap
-/// machinery), and a stream is created once per query, so one allocation
-/// buys a small uniform stack footprint.
-#[derive(Debug)]
-enum StreamInner<const D: usize> {
-    All(Box<SgbAll<D>>),
-    Any(Box<SgbAny<D>>),
-    Around(Box<SgbAround<D>>),
-}
-
-/// The unified streaming operator: push points in arrival order, then
-/// [`finish`](Self::finish) to materialise the [`Grouping`].
-///
-/// ```
-/// use sgb_core::SgbQuery;
-/// use sgb_geom::Point;
-///
-/// let mut stream = SgbQuery::any(3.0).stream();
-/// for p in [[1.0, 1.0], [2.0, 2.0], [9.0, 9.0]] {
-///     stream.push(Point::new(p));
-/// }
-/// assert_eq!(stream.len(), 3);
-/// assert_eq!(stream.finish().sorted_sizes(), vec![2, 1]);
-/// ```
-#[derive(Debug)]
-pub struct SgbStream<const D: usize> {
-    inner: StreamInner<D>,
-    algorithm: Algorithm,
-    selection: String,
-}
-
-impl<const D: usize> SgbStream<D> {
-    /// Processes one point, returning its record id (its zero-based
-    /// arrival position).
-    pub fn push(&mut self, p: Point<D>) -> RecordId {
-        match &mut self.inner {
-            StreamInner::All(op) => op.push(p),
-            StreamInner::Any(op) => op.push(p),
-            StreamInner::Around(op) => op.push(p),
-        }
-    }
-
-    /// Number of points processed so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            StreamInner::All(op) => op.len(),
-            StreamInner::Any(op) => op.len(),
-            StreamInner::Around(op) => op.len(),
-        }
-    }
-
-    /// `true` before the first point arrives.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The concrete execution path this stream runs with
-    /// ([`Algorithm::Auto`] resolved at construction).
-    #[must_use]
-    pub fn resolved_algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// Why [`resolved_algorithm`](Self::resolved_algorithm) was chosen.
-    #[must_use]
-    pub fn selection_reason(&self) -> &str {
-        &self.selection
-    }
-
-    /// Completes the operator and materialises the answer groups.
-    #[must_use]
-    pub fn finish(self) -> Grouping {
-        // Streams process points in arrival order one at a time; every
-        // streaming path is sequential by construction.
-        let out = match self.inner {
-            StreamInner::All(op) => op.finish(),
-            StreamInner::Any(op) => op.finish(),
-            StreamInner::Around(op) => op.finish(),
-        };
-        out.ran(self.algorithm, self.selection, 1)
     }
 }
 
@@ -887,38 +759,6 @@ mod tests {
             .run(&points);
         assert_ne!(a.resolved_algorithm(), b.resolved_algorithm());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn stream_matches_run_for_order_independent_ops() {
-        let points = fig2();
-        let mut stream = SgbQuery::any(3.0).metric(Metric::LInf).stream();
-        for p in &points {
-            stream.push(*p);
-        }
-        assert_eq!(
-            stream.finish(),
-            SgbQuery::any(3.0).metric(Metric::LInf).run(&points)
-        );
-
-        let centers = pts(&[[1.0, 7.0], [7.0, 1.0]]);
-        let q = SgbQuery::around(centers).max_radius(2.5);
-        let mut stream = q.clone().stream();
-        assert!(stream.is_empty());
-        for p in &points {
-            stream.push(*p);
-        }
-        assert_eq!(stream.len(), points.len());
-        assert_eq!(stream.finish(), q.run(&points));
-    }
-
-    #[test]
-    fn streaming_auto_resolves_to_the_scalable_regime() {
-        let s = SgbQuery::<2>::all(1.0).stream();
-        assert_eq!(s.resolved_algorithm(), Algorithm::Indexed);
-        assert!(s.selection_reason().contains("streaming"));
-        let s = SgbQuery::<2>::any(1.0).stream();
-        assert_eq!(s.resolved_algorithm(), Algorithm::Grid);
     }
 
     #[test]

@@ -8,9 +8,23 @@
 //! version describe the operator's actual input); the planner *probes*
 //! the same slots read-only to report `index: cached (hit)` vs `built`
 //! in `EXPLAIN` and to let `Auto` account for a zero-build-cost index.
+//!
+//! Both mutexes are poison-tolerant, as the core cache's is: neither
+//! critical section writes until its work has succeeded (a slot is
+//! inserted whole, extracted points only once `build` returned them), so
+//! a panic under a lock leaves no half-written state, and propagating the
+//! poison would only turn one failed statement into a session whose
+//! cache always panics.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use sgb_core::{Algorithm, CacheStats, SgbCache};
 use sgb_geom::Point;
@@ -47,7 +61,7 @@ impl<const D: usize> Slot<D> {
         version: u64,
         build: impl FnOnce() -> Result<Vec<Point<D>>>,
     ) -> Result<Arc<Vec<Point<D>>>> {
-        let mut guard = self.points.lock().expect("points mutex poisoned");
+        let mut guard = self.points.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some((v, pts)) = guard.as_ref() {
             if *v == version {
                 return Ok(Arc::clone(pts));
@@ -205,8 +219,8 @@ impl SessionCaches {
         total
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<(String, String), DimSlot>> {
-        self.slots.lock().expect("slot map mutex poisoned")
+    fn lock(&self) -> MutexGuard<'_, HashMap<(String, String), DimSlot>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -5,14 +5,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sgb_core::{Algorithm, CacheStats, CancelToken, QueryGovernor};
+use sgb_core::{CacheStats, CancelToken, QueryGovernor};
 use sgb_telemetry::{MetricsRegistry, SlowQuery, SlowQueryLog};
 
 use crate::cache::{slot_key, SessionCaches};
 use crate::error::{Error, Result};
-use crate::exec::{around_query, execute, execute_with_stats, extract_points, sgb_query};
-use crate::expr::BoundExpr;
-use crate::plan::{Plan, SgbMode};
+use crate::exec::{around_query, execute, execute_with_stats, sgb_query};
+use crate::plan::Plan;
 use crate::planner::{plan_predicate, plan_select};
 use crate::schema::Schema;
 use crate::session::SessionOptions;
@@ -743,79 +742,6 @@ impl Database {
             }
         }
     }
-
-    /// Executes a batch of statements in order, sharing index builds
-    /// across each contiguous run of SELECTs: the run's ε-grid queries
-    /// over one table are grouped and their grid is built **once**, sized
-    /// for the smallest ε, then every ε-superset query in the run reuses
-    /// it. Results are identical to executing the statements one by one
-    /// (the shared grid verifies with the canonical predicate); errors
-    /// surface at their statement's position, having executed everything
-    /// before it.
-    pub fn run_batch(&mut self, statements: &[&str]) -> Result<Vec<Table>> {
-        let mut results = Vec::with_capacity(statements.len());
-        let mut i = 0;
-        while i < statements.len() {
-            // The maximal run of SELECTs starting at `i` (a statement
-            // that fails to parse joins no run; it errors below in
-            // execution order).
-            let mut j = i;
-            while j < statements.len()
-                && matches!(parse_statement(statements[j]), Ok(Statement::Select(_)))
-            {
-                j += 1;
-            }
-            if j > i && self.session.cache {
-                self.prewarm_batch(&statements[i..j]);
-            }
-            let end = j.max(i + 1);
-            for sql in &statements[i..end] {
-                results.push(self.execute(sql)?);
-            }
-            i = end;
-        }
-        Ok(results)
-    }
-
-    /// Best-effort batch prewarm: plans each SELECT, collects the ε-grid
-    /// similarity nodes that scan a base table directly, and builds one
-    /// grid per `(table, coordinates)` group at the group's smallest ε.
-    /// Any failure is ignored — execution simply rebuilds cold.
-    fn prewarm_batch(&self, statements: &[&str]) {
-        let mut groups: HashMap<(String, String, usize), (f64, Vec<BoundExpr>)> = HashMap::new();
-        for sql in statements {
-            let Ok(Statement::Select(stmt)) = parse_statement(sql) else {
-                continue;
-            };
-            let Ok(plan) = plan_select(self, &stmt) else {
-                continue;
-            };
-            collect_grid_targets(&plan, &mut groups);
-        }
-        for ((table, coords_key, dims), (eps, coords)) in groups {
-            let Ok(t) = self.table(&table) else { continue };
-            let version = t.version();
-            match dims {
-                2 => {
-                    let slot = self.caches.slot2(&table, &coords_key);
-                    if let Ok(points) =
-                        slot.points_for(version, || extract_points::<2>(&t.rows, &coords))
-                    {
-                        slot.core().prewarm_grid(version, eps, &points);
-                    }
-                }
-                3 => {
-                    let slot = self.caches.slot3(&table, &coords_key);
-                    if let Ok(points) =
-                        slot.points_for(version, || extract_points::<3>(&t.rows, &coords))
-                    {
-                        slot.core().prewarm_grid(version, eps, &points);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
 }
 
 /// The metrics `kind` label of a parsed statement.
@@ -858,50 +784,4 @@ fn retain_kept(rows: &mut Vec<Row>, removed: &[usize]) {
         i += 1;
         kept
     });
-}
-
-/// Collects the batch-prewarmable similarity nodes of a plan: SGB-Any
-/// resolved to the ε-grid, reading a base table directly (only then does
-/// the table version describe the node's input). Keeps the smallest ε
-/// per `(table, coordinates, dims)` group — the grid every other ε in
-/// the group can reuse.
-fn collect_grid_targets(
-    plan: &Plan,
-    out: &mut HashMap<(String, String, usize), (f64, Vec<BoundExpr>)>,
-) {
-    match plan {
-        Plan::SimilarityGroupBy {
-            input,
-            coords,
-            mode:
-                SgbMode::Any {
-                    eps,
-                    algorithm: Algorithm::Grid,
-                    ..
-                },
-            ..
-        } => {
-            if let Plan::Scan { table, .. } = &**input {
-                if !table.is_empty() {
-                    let key = (table.to_ascii_lowercase(), slot_key(coords), coords.len());
-                    out.entry(key)
-                        .and_modify(|(e, _)| *e = e.min(*eps))
-                        .or_insert_with(|| (*eps, coords.clone()));
-                }
-            }
-            collect_grid_targets(input, out);
-        }
-        Plan::Filter { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. }
-        | Plan::HashAggregate { input, .. }
-        | Plan::SimilarityGroupBy { input, .. }
-        | Plan::SimilarityAround { input, .. } => collect_grid_targets(input, out),
-        Plan::HashJoin { left, right, .. } | Plan::CrossJoin { left, right, .. } => {
-            collect_grid_targets(left, out);
-            collect_grid_targets(right, out);
-        }
-        Plan::Scan { .. } => {}
-    }
 }

@@ -26,16 +26,17 @@
 //! * [`Grid::connectivity_join`] — the bulk ε-join behind one-shot
 //!   SGB-Any. It emits a spanning subset of the within-ε pairs with
 //!   exactly the ε-graph's connected components, skipping the pairs
-//!   between two cells already known to be connected.
-//! * [`Grid::try_for_each_pair_within`] — the exact bulk ε-join: every
+//!   between two cells already known to be connected. It is sharded,
+//!   paced and optionally tallied.
+//! * [`Grid::for_each_pair_within`] — the exact bulk ε-join: every
 //!   within-ε pair exactly once, for incremental SGB-Any maintenance,
 //!   whose per-component edge counts need every pair.
 //!
-//! Both bulk joins share one cell-pair enumeration, one row loop and one
-//! pacing and tally scheme, over a structure-of-arrays mirror of the
-//! cells. They are sharded, paced and optionally tallied.
+//! Both bulk joins share one cell-pair enumeration and one row loop over
+//! a structure-of-arrays mirror of the cells.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -83,10 +84,10 @@ impl Hasher for CellHasher {
 type CellMap<const D: usize, T> =
     HashMap<CellKey<D>, Vec<(Point<D>, T)>, BuildHasherDefault<CellHasher>>;
 
-/// Execution tally of a bulk ε-join, filled in by
-/// [`Grid::try_for_each_pair_within`] and [`ConnectivityJoin::try_join`]
-/// when they are given one. Purely observational: the tally never changes
-/// which pairs a join visits or emits.
+/// Execution tally of the connectivity ε-join, filled in by
+/// [`ConnectivityJoin::try_join`] when it is given one. Purely
+/// observational: the tally never changes which pairs the join visits or
+/// emits.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JoinTally {
     /// Candidate pairs: every pair whose [`Metric::within`] test ran,
@@ -368,42 +369,10 @@ impl<const D: usize, T> Grid<D, T> {
     ///   cells, so the distance loops read contiguous columns; the
     ///   accepted set equals filtering every candidate through
     ///   `Metric::within`.
-    /// * **Sharding.** Only pairs owned by shard `shard` of `shards` are
-    ///   visited (by hashed cell key; a cross-cell pair belongs to the cell
-    ///   its offset is lexicographically positive from). Every pair has one
-    ///   owner, so workers run one shard each over a shared `&Grid` and
-    ///   merge without deduplication; `0`/`1` visits every pair.
-    /// * **Pacing.** `visit` is infallible; `pace` runs at cell-row
-    ///   boundaries, at least once every `interval` candidates, and its
-    ///   first error stops the join.
-    /// * **Tally.** With `Some(tally)` the join also counts candidate
-    ///   comparisons and cell jobs (see [`JoinTally`]; partial counts on
-    ///   `Err`).
-    ///
-    /// # Errors
-    /// The first error `pace` reports.
-    ///
-    /// # Panics
-    /// When `shards` is zero or `shard >= shards`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_for_each_pair_within<E, F, P>(
-        &self,
-        eps: f64,
-        metric: Metric,
-        shard: usize,
-        shards: usize,
-        mut visit: F,
-        interval: usize,
-        pace: P,
-        tally: Option<&mut JoinTally>,
-    ) -> Result<(), E>
-    where
-        F: FnMut(&T, &T),
-        P: FnMut() -> Result<(), E>,
-    {
-        assert!(shards >= 1 && shard < shards, "shard out of range");
+    pub fn for_each_pair_within<F: FnMut(&T, &T)>(&self, eps: f64, metric: Metric, mut visit: F) {
         let soa = SoaCells::build(self, eps, metric);
-        let mut pacing = Pacing::new(interval, pace, tally);
+        // One shard, no tally, and a pace that never runs out or fails.
+        let mut pacing = Pacing::new(usize::MAX, || Ok::<(), Infallible>(()), None);
         let mut job = |rows: usize, cols: usize| {
             let (row_entries, col_entries) = (soa.cells[rows].entries, soa.cells[cols].entries);
             soa.join_rows(rows, cols, &mut pacing, |r, c| {
@@ -411,10 +380,10 @@ impl<const D: usize, T> Grid<D, T> {
                 AfterHit::Continue
             })
         };
-        for slot in soa.owned(shard, shards) {
-            job(slot, slot)?;
+        for slot in 0..soa.cells.len() {
+            let Ok(()) = job(slot, slot);
         }
-        soa.for_each_neighbour_pair(shard, shards, job)
+        let Ok(()) = soa.for_each_neighbour_pair(0, 1, job);
     }
 
     /// Prepares the connectivity ε-join of this grid at `eps` under
@@ -569,17 +538,16 @@ fn shard_of<const D: usize>(key: &CellKey<D>, shards: usize) -> usize {
 ///    once the cell is one part. The pass records whether the cell's own
 ///    pairs connect it.
 /// 2. [`JoinPass::Neighbours`] handles each owned pair of neighbouring
-///    cells, enumerated as in [`Grid::try_for_each_pair_within`] with its
+///    cells, enumerated as in [`Grid::for_each_pair_within`] with its
 ///    exact bounding-box prune. When both cells are connected it stops at
 ///    the first hit. When one is, it finds one hit for each entry of the
 ///    other. When neither is, it emits every hit.
 ///
 /// Run the `Cells` pass on every shard, then the `Neighbours` pass, and
 /// only once every `Cells` call returned `Ok`: the second pass reads the
-/// connectivity the first one recorded for every cell. Sharding, pacing
-/// and the tally work as in [`Grid::try_for_each_pair_within`]. Every
-/// decision depends only on the cells involved, so neither the emitted
-/// pairs nor the summed tallies depend on the shard count.
+/// connectivity the first one recorded for every cell. Every decision
+/// depends only on the cells involved, so neither the emitted pairs nor
+/// the summed tallies depend on the shard count.
 ///
 /// The box tests are exact, with no slack: floating-point subtraction,
 /// `abs`, multiplication, addition and `max` are monotone, and the tests
@@ -605,8 +573,20 @@ pub enum JoinPass {
 
 impl<const D: usize, T> ConnectivityJoin<'_, D, T> {
     /// Runs `pass` for shard `shard` of `shards`, calling `visit` for every
-    /// emitted pair. Pacing and the tally work as in
-    /// [`Grid::try_for_each_pair_within`].
+    /// emitted pair.
+    ///
+    /// * **Sharding.** Only the cells and cell pairs owned by shard
+    ///   `shard` are joined (by hashed cell key; a cell pair belongs to the
+    ///   cell its offset is lexicographically positive from). Every cell
+    ///   and cell pair has one owner, so workers run one shard each over a
+    ///   shared join and merge without deduplication; shard 0 of 1 joins
+    ///   everything.
+    /// * **Pacing.** `visit` is infallible; `pace` runs at cell-row
+    ///   boundaries, at least once every `interval` candidates, and its
+    ///   first error stops the join.
+    /// * **Tally.** With `Some(tally)` the join also counts candidate
+    ///   comparisons and cell jobs (see [`JoinTally`]; partial counts on
+    ///   `Err`).
     ///
     /// # Errors
     /// The first error `pace` reports. After an error in the `Cells` pass
@@ -1179,8 +1159,6 @@ fn for_each_key_in_box<const D: usize, F: FnMut(&CellKey<D>)>(
 
 #[cfg(test)]
 mod tests {
-    use std::convert::Infallible;
-
     use super::*;
 
     fn pt(x: f64, y: f64) -> Point<2> {
@@ -1252,26 +1230,10 @@ mod tests {
         }
     }
 
-    /// The pairs of shard `shard` of `shards` the exact join accepts, as
-    /// sorted payload pairs (unpaced, untallied).
-    fn join_pairs(
-        grid: &Grid<2, usize>,
-        eps: f64,
-        metric: Metric,
-        shard: usize,
-        shards: usize,
-    ) -> Vec<(usize, usize)> {
+    /// The pairs the exact join accepts, as sorted payload pairs.
+    fn join_pairs(grid: &Grid<2, usize>, eps: f64, metric: Metric) -> Vec<(usize, usize)> {
         let mut pairs = Vec::new();
-        let Ok(()) = grid.try_for_each_pair_within::<Infallible, _, _>(
-            eps,
-            metric,
-            shard,
-            shards,
-            |&a, &b| pairs.push((a.min(b), a.max(b))),
-            usize::MAX,
-            || Ok(()),
-            None,
-        );
+        grid.for_each_pair_within(eps, metric, |&a, &b| pairs.push((a.min(b), a.max(b))));
         pairs.sort_unstable();
         pairs
     }
@@ -1290,47 +1252,6 @@ mod tests {
         }
         pairs.sort_unstable();
         pairs
-    }
-
-    #[test]
-    fn tallied_join_counts_candidates_without_changing_pairs() {
-        let grid: Grid<2, usize> = Grid::from_points(1.0, lattice(400));
-        let plain = join_pairs(&grid, 1.0, Metric::L2, 0, 1);
-        let mut tallied: Vec<(usize, usize)> = Vec::new();
-        let mut tally = JoinTally::default();
-        let Ok(()) = grid.try_for_each_pair_within::<Infallible, _, _>(
-            1.0,
-            Metric::L2,
-            0,
-            1,
-            |&a, &b| tallied.push((a.min(b), a.max(b))),
-            64,
-            || Ok(()),
-            Some(&mut tally),
-        );
-        tallied.sort_unstable();
-        assert_eq!(plain, tallied, "tally must not change the pair set");
-        // Every accepted pair was a candidate first, and the join visited
-        // at least one cell job per occupied cell.
-        assert!(tally.candidate_pairs >= plain.len() as u64);
-        assert!(tally.cells_visited >= 400);
-        // Sharded tallies over a partition sum to the unsharded tally.
-        let mut merged = JoinTally::default();
-        for shard in 0..4 {
-            let mut part = JoinTally::default();
-            let Ok(()) = grid.try_for_each_pair_within::<Infallible, _, _>(
-                1.0,
-                Metric::L2,
-                shard,
-                4,
-                |_, _| {},
-                64,
-                || Ok(()),
-                Some(&mut part),
-            );
-            merged.merge(&part);
-        }
-        assert_eq!(merged, tally);
     }
 
     #[test]
@@ -1385,16 +1306,9 @@ mod tests {
                 // seen[(i, j)] with i < j → number of times the pair
                 // surfaced (must be exactly once).
                 let mut seen = std::collections::HashMap::new();
-                let Ok(()) = grid.try_for_each_pair_within::<Infallible, _, _>(
-                    eps,
-                    metric,
-                    0,
-                    1,
-                    |&a, &b| *seen.entry((a.min(b), a.max(b))).or_insert(0usize) += 1,
-                    usize::MAX,
-                    || Ok(()),
-                    None,
-                );
+                grid.for_each_pair_within(eps, metric, |&a, &b| {
+                    *seen.entry((a.min(b), a.max(b))).or_insert(0usize) += 1;
+                });
                 for (&(a, b), &count) in &seen {
                     assert_eq!(count, 1, "{metric} cell={cell} eps={eps} pair ({a},{b})");
                 }
@@ -1410,100 +1324,19 @@ mod tests {
     }
 
     #[test]
-    fn sharded_close_pair_join_partitions_the_pair_set() {
-        // Every pair must surface in exactly one shard, and the union over
-        // shards must equal the unsharded join — the invariant the
-        // parallel SGB-Any engine is built on.
-        let points = lattice(300);
-        let grid: Grid<2, usize> = Grid::from_points(1.0, points.clone());
-        for metric in Metric::ALL {
-            let whole = join_pairs(&grid, 2.0, metric, 0, 1);
-            assert_eq!(whole, brute_pairs(&points, 2.0, metric), "{metric}");
-            for shards in [1usize, 2, 3, 7] {
-                let mut union = Vec::new();
-                for shard in 0..shards {
-                    union.extend(join_pairs(&grid, 2.0, metric, shard, shards));
-                }
-                union.sort_unstable();
-                assert_eq!(union, whole, "{metric} shards={shards}");
-            }
-        }
-    }
-
-    #[test]
     fn pair_within_matches_verified_close_pairs_sharded_and_not() {
         // The SoA exact join must accept exactly the pairs the brute-force
-        // canonical predicate accepts, sharded or not.
+        // canonical predicate accepts.
         let points = lattice(350);
         for metric in Metric::ALL {
             for (cell, eps) in [(1.0, 1.0), (2.5, 2.5), (1.0, 3.0), (0.7, 0.0)] {
                 let grid: Grid<2, usize> = Grid::from_points(cell, points.clone());
-                let expected = brute_pairs(&points, eps, metric);
                 assert_eq!(
-                    join_pairs(&grid, eps, metric, 0, 1),
-                    expected,
+                    join_pairs(&grid, eps, metric),
+                    brute_pairs(&points, eps, metric),
                     "{metric} cell={cell} eps={eps}"
                 );
-                for shards in [2usize, 5] {
-                    let mut union = Vec::new();
-                    for shard in 0..shards {
-                        union.extend(join_pairs(&grid, eps, metric, shard, shards));
-                    }
-                    union.sort_unstable();
-                    assert_eq!(union, expected, "{metric} cell={cell} eps={eps} x{shards}");
-                }
             }
-        }
-    }
-
-    #[test]
-    fn try_joins_propagate_the_error_and_stop_early() {
-        let grid: Grid<2, usize> = Grid::from_points(1.0, lattice(300));
-        let total = join_pairs(&grid, 2.0, Metric::L2, 0, 1).len();
-        assert!(total > 100);
-        // `pace` fails on its 5th call: the join returns that error and
-        // stops at the cell row where it fired, so the overshoot is
-        // bounded by one row, not the whole join.
-        let (mut seen, mut paced) = (0usize, 0usize);
-        let got = grid.try_for_each_pair_within(
-            2.0,
-            Metric::L2,
-            0,
-            1,
-            |_, _| seen += 1,
-            8,
-            || {
-                paced += 1;
-                if paced == 5 {
-                    Err("stop")
-                } else {
-                    Ok(())
-                }
-            },
-            None,
-        );
-        assert_eq!(got, Err("stop"));
-        assert_eq!(paced, 5, "no pacing after the error");
-        assert!(seen >= 1 && seen < total / 2, "stopped early, saw {seen}");
-        // An always-Ok `pace` at any interval leaves the pair set intact.
-        for interval in [1, 8, 1024] {
-            let mut pairs = Vec::new();
-            let Ok(()) = grid.try_for_each_pair_within::<Infallible, _, _>(
-                2.0,
-                Metric::L2,
-                0,
-                1,
-                |&a, &b| pairs.push((a.min(b), a.max(b))),
-                interval,
-                || Ok(()),
-                None,
-            );
-            pairs.sort_unstable();
-            assert_eq!(
-                pairs,
-                join_pairs(&grid, 2.0, Metric::L2, 0, 1),
-                "{interval}"
-            );
         }
     }
 
@@ -1515,7 +1348,7 @@ mod tests {
         let points = vec![(pt(1.0, 1.0), 0), (pt(1.0, 1.0), 1), (pt(2.0, 2.0), 2)];
         let grid: Grid<2, usize> = Grid::from_points(1.0, points.clone());
         for metric in Metric::ALL {
-            let pairs = join_pairs(&grid, 0.0, metric, 0, 1);
+            let pairs = join_pairs(&grid, 0.0, metric);
             assert_eq!(pairs, vec![(0, 1)], "{metric}");
             assert_eq!(pairs, brute_pairs(&points, 0.0, metric), "{metric}");
         }
@@ -1532,7 +1365,7 @@ mod tests {
             .collect();
         let grid: Grid<2, usize> = Grid::from_points(1e-6, points.clone());
         for metric in Metric::ALL {
-            let pairs = join_pairs(&grid, 1e3, metric, 0, 1);
+            let pairs = join_pairs(&grid, 1e3, metric);
             // Every one of the 40·39/2 pairs is within ε = 1000.
             assert_eq!(pairs.len(), 40 * 39 / 2, "{metric}");
             assert_eq!(pairs, brute_pairs(&points, 1e3, metric), "{metric}");
@@ -1551,7 +1384,7 @@ mod tests {
             (pt(0.2501, 0.0), 4),
         ];
         let grid: Grid<2, usize> = Grid::from_points(1e-3, points.clone());
-        let pairs = join_pairs(&grid, 0.01, Metric::L2, 0, 1);
+        let pairs = join_pairs(&grid, 0.01, Metric::L2);
         assert_eq!(pairs, vec![(0, 1), (3, 4)]);
         assert_eq!(pairs, brute_pairs(&points, 0.01, Metric::L2));
     }
@@ -2025,27 +1858,6 @@ mod tests {
                 tally,
                 JoinTally {
                     candidate_pairs: 9 + 9 + 1,
-                    cells_visited: 3,
-                },
-                "{metric}"
-            );
-            // The exact join shares the box prune but visits every pair.
-            let grid: Grid<2, usize> = Grid::from_points(1.0, points.iter().copied().zip(0..));
-            let mut exact = JoinTally::default();
-            let Ok(()) = grid.try_for_each_pair_within::<Infallible, _, _>(
-                1.0,
-                metric,
-                0,
-                1,
-                |_, _| {},
-                16,
-                || Ok(()),
-                Some(&mut exact),
-            );
-            assert_eq!(
-                exact,
-                JoinTally {
-                    candidate_pairs: 45 + 45 + 100,
                     cells_visited: 3,
                 },
                 "{metric}"

@@ -127,7 +127,7 @@ pub use sgb_telemetry as telemetry;
 
 // The unified operator surface: one builder, one algorithm selector, one
 // result type — the only way to run an operator and read its answer set.
-pub use sgb_core::query::{Grouping, SgbQuery, SgbStream};
+pub use sgb_core::query::{Grouping, SgbQuery};
 pub use sgb_core::{Algorithm, OverlapAction};
 pub use sgb_geom::{Metric, Point, Point2, Point3, Rect};
 pub use sgb_relation::{Database, SessionOptions};

@@ -74,27 +74,6 @@ fn any_algorithms_agree_on_tpch_workload() {
 }
 
 #[test]
-fn streaming_and_one_shot_are_identical() {
-    let points = uniform_points::<2>(400, 5);
-    let query = SgbQuery::all(0.07).overlap(OverlapAction::FormNewGroup);
-    let one_shot = query.run(&points);
-    let mut stream = query.stream();
-    for p in &points {
-        stream.push(*p);
-    }
-    assert_eq!(stream.len(), 400);
-    assert_eq!(stream.finish(), one_shot);
-
-    let query = SgbQuery::any(0.07);
-    let one_shot = query.run(&points);
-    let mut stream = query.stream();
-    for p in &points {
-        stream.push(*p);
-    }
-    assert_eq!(stream.finish(), one_shot);
-}
-
-#[test]
 fn eliminate_groups_never_larger_than_join_any_total() {
     // ELIMINATE only removes records relative to JOIN-ANY's placement.
     let points = clustered_points::<2>(800, 20, 0.02, 3);

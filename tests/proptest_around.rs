@@ -88,9 +88,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Both execution paths equal the brute-force nearest-center reference
-    /// under every metric, with and without a radius bound — through the
-    /// one-shot run and through the stream, which resolves through the
-    /// center-count cost model and assigns one point per push.
+    /// under every metric, with and without a radius bound.
     #[test]
     fn around_matches_reference_assignment(
         points in vec(arb_point(), 0..120),
@@ -106,19 +104,14 @@ proptest! {
             if let Some(r) = radius {
                 query = query.max_radius(r);
             }
-            let mut stream = query.clone().stream();
-            for p in &points {
-                stream.push(*p);
-            }
-            for (path, out) in [("run", query.run(&points)), ("stream", stream.finish())] {
-                out.check_partition(points.len());
-                prop_assert_eq!(
-                    center_assignment(&out, points.len()),
-                    expected.clone(),
-                    "{} {:?} {} radius {:?}",
-                    path, algorithm, metric, radius
-                );
-            }
+            let out = query.run(&points);
+            out.check_partition(points.len());
+            prop_assert_eq!(
+                center_assignment(&out, points.len()),
+                expected.clone(),
+                "{:?} {} radius {:?}",
+                algorithm, metric, radius
+            );
         }
     }
 

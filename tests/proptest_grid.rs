@@ -81,8 +81,8 @@ proptest! {
         }
     }
 
-    /// SGB-Any: the grid engine (streaming and bulk) and `Auto` produce
-    /// exactly the connected components of the All-Pairs reference.
+    /// SGB-Any: the grid engine and `Auto` produce exactly the connected
+    /// components of the All-Pairs reference.
     #[test]
     fn any_grid_and_auto_match_reference_components(
         points in vec(arb_point(), 0..200),
@@ -96,12 +96,6 @@ proptest! {
             // Bulk (one-shot) path.
             let bulk = query(algo).run(&points);
             prop_assert_eq!(&reference, &bulk, "bulk {:?} {}", algo, metric);
-            // Streaming path (incremental index maintenance).
-            let mut stream = query(algo).stream();
-            for p in &points {
-                stream.push(*p);
-            }
-            prop_assert_eq!(&reference, &stream.finish(), "streaming {:?} {}", algo, metric);
         }
     }
 

@@ -88,7 +88,10 @@ fn grid_matches_references<const D: usize>(
         metric
     );
     let cache = SgbCache::new();
-    cache.prewarm_grid(1, eps / ratio, points);
+    let _ = SgbQuery::any(eps / ratio)
+        .metric(metric)
+        .algorithm(Algorithm::Grid)
+        .run_cached(points, &cache, 1);
     prop_assert!(cache.has_usable_grid(1, eps), "the cached grid serves ε");
     for threads in THREADS {
         prop_assert_eq!(

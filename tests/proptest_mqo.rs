@@ -1,10 +1,9 @@
 //! Property tests for the shared-work multi-query layer: over random
 //! query mixes with interleaved INSERTs and DROP/CREATE cycles, a session
 //! with the cache enabled must produce **bit-identical** result tables to
-//! a cache-disabled session — and `run_batch` must match statement-by-
-//! statement execution. Session-pinned algorithms are part of the random
-//! mix so the R-tree and ε-grid cached paths are exercised even at the
-//! small cardinalities proptest generates.
+//! a cache-disabled session. Session-pinned algorithms are part of the
+//! random mix so the R-tree and ε-grid cached paths are exercised even at
+//! the small cardinalities proptest generates.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -139,37 +138,6 @@ proptest! {
                     ),
                 }
             }
-        }
-    }
-
-    /// `run_batch` (shared index prewarm + result caching) returns exactly
-    /// the tables that statement-by-statement cache-off execution returns,
-    /// in order, for mixes of SELECTs and INSERTs.
-    #[test]
-    fn run_batch_matches_sequential_execution(
-        initial in vec((0.0f64..8.0, 0.0f64..8.0), 0..20),
-        ops in vec(
-            prop_oneof![
-                arb_query().prop_map(Op::Query),
-                arb_query().prop_map(Op::Query),
-                arb_query().prop_map(Op::Query),
-                (0.0f64..8.0, 0.0f64..8.0).prop_map(|(x, y)| Op::Insert(x, y)),
-                (0.0f64..8.0).prop_map(Op::Delete),
-                (0.0f64..8.0, -2.0f64..2.0).prop_map(|(cut, shift)| Op::Update(cut, shift)),
-            ],
-            1..20,
-        ),
-        any_algo in 0usize..4,
-    ) {
-        let opts = SessionOptions::new().with_any_algorithm(pick(any_algo));
-        let mut batched = seed_db(opts, &initial);
-        let mut sequential = seed_db(opts.with_cache(false), &initial);
-        let stmts: Vec<String> = ops.iter().flat_map(|op| op.statements()).collect();
-        let refs: Vec<&str> = stmts.iter().map(String::as_str).collect();
-        let outs = batched.run_batch(&refs).unwrap();
-        prop_assert_eq!(outs.len(), refs.len());
-        for (sql, got) in refs.iter().zip(outs) {
-            prop_assert_eq!(got, sequential.execute(sql).unwrap(), "on {}", sql);
         }
     }
 
