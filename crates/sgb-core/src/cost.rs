@@ -12,10 +12,14 @@
 //!   center scan below roughly 1k centers because index construction
 //!   dominates; the brute path stays within ~2× even at 1024 centers.
 //!   Hence [`AROUND_BRUTE_MAX_CENTERS`].
-//! * `BENCH_metrics.json` / `BENCH_grid.json` — at n = 10k the ε-grid
-//!   SGB-Any path beats the on-the-fly R-tree by well over 2×, while below
-//!   a few hundred points no index of any kind amortises its construction.
-//!   Hence [`ANY_ALL_PAIRS_MAX_N`] / [`ALL_ALL_PAIRS_MAX_N`].
+//! * `BENCH_grid.json`'s SGB-Any `n` sweep — at n = 10k the ε-grid path
+//!   takes 2.0 ms (2 threads) against 37.0 ms for the on-the-fly R-tree
+//!   and 144 ms for the all-pairs scan, and the grid leads at every
+//!   swept n (2k–20k). The sweep starts at n = 2,000, so no committed row
+//!   measures the small-n crossovers behind [`ANY_ALL_PAIRS_MAX_N`] and
+//!   [`ALL_ALL_PAIRS_MAX_N`], below which no index amortises its
+//!   construction; those two bounds are estimates until a cost-model
+//!   regret run measures them.
 //! * SGB-All's `Auto` is two-way: the plain scan for small inputs, else
 //!   the per-component search of `Grid` (`BENCH_grid.json`'s SGB-All
 //!   rows). What that path does per component is the one number left to
@@ -47,8 +51,9 @@ use crate::Algorithm;
 
 /// Up to this input cardinality SGB-All's `Auto` stays with the all-pairs
 /// scan: group structures are tiny and building any accelerator, the
-/// component pre-pass included, costs more than it saves (BENCH_grid.json,
-/// small-n rows).
+/// component pre-pass included, is expected to cost more than it saves.
+/// Not yet measured: BENCH_grid.json's SGB-All `n` sweep starts at
+/// n = 2,000, where `Grid` already beats the scan (0.87 ms vs 2.06 ms).
 pub const ALL_ALL_PAIRS_MAX_N: usize = 256;
 
 /// The per-component bound of SGB-All's `Grid` path: a point whose
@@ -66,7 +71,8 @@ pub const ALL_ALL_PAIRS_MAX_N: usize = 256;
 pub const ALL_BOUNDS_MAX_N: usize = 4_096;
 
 /// Below this input cardinality SGB-Any's `Auto` stays with the all-pairs
-/// scan (BENCH_grid.json, small-n rows).
+/// scan. Not yet measured: BENCH_grid.json's SGB-Any `n` sweep starts at
+/// n = 2,000, where `Grid` already beats the scan (0.40 ms vs 5.73 ms).
 pub const ANY_ALL_PAIRS_MAX_N: usize = 512;
 
 /// Up to this many centers SGB-Around's `Auto` uses the brute center scan:
@@ -207,15 +213,6 @@ pub fn estimated_rtree_bytes(n: usize, dims: usize) -> usize {
         .saturating_add(1024)
 }
 
-/// Rough upper bound on the resident bytes of an SGB-Around center index
-/// over `centers` centers in `dims` dimensions. The R-tree bound is the
-/// pessimistic superset of both concrete center indexes (the grid stores
-/// one corner per entry where the tree stores two), so one bound prices
-/// either structure.
-pub fn estimated_center_index_bytes(centers: usize, dims: usize) -> usize {
-    estimated_rtree_bytes(centers, dims)
-}
-
 /// Resolves the SGB-Any algorithm for a known input cardinality `n` in
 /// `dims` dimensions, given what the session cache holds for the input's
 /// table version (`cached_grid`: a usable ε-grid, `cached_tree`: a point
@@ -333,8 +330,11 @@ pub(crate) fn around_cost_model(
 ///
 /// * Center indexes read only the query's centers, so a cached one has
 ///   zero build cost and `Auto` reuses it even below the brute crossover.
-/// * An index build over the budget ([`estimated_center_index_bytes`])
-///   degrades `Auto` to the brute center scan, with the fallback recorded;
+/// * An index build over the budget ([`estimated_rtree_bytes`] over the
+///   centers: the R-tree bound is the pessimistic superset of both
+///   concrete center indexes, as the grid stores one corner per entry
+///   where the tree stores two) degrades `Auto` to the brute center scan,
+///   with the fallback recorded;
 ///   an explicit index path fails instead. A cached index of the resolved
 ///   shape is always admitted.
 ///
@@ -361,7 +361,7 @@ pub fn resolve_around(
     admit(
         resolved,
         auto,
-        estimated_center_index_bytes(centers, dims),
+        estimated_rtree_bytes(centers, dims),
         "center index",
         (Algorithm::AllPairs, "brute center scan"),
         governor,

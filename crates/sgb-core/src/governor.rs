@@ -14,8 +14,8 @@
 //!   to stop a running query at its next governance check.
 //! * [`QueryGovernor`] — deadline + cancel token + approximate memory
 //!   budget, checked periodically inside the hot loops (grid ε-join, DSU
-//!   merge, nearest-center assignment, incremental delta application) via
-//!   [`Pacer`], which amortises the clock read over
+//!   merge, nearest-center assignment, incremental delta application)
+//!   through a crate-internal pacer that amortises the clock read over
 //!   [`CHECK_INTERVAL`]-sized batches of work.
 //!
 //! The governed entry points are
@@ -246,7 +246,7 @@ pub const CHECK_INTERVAL: u32 = 1024;
 /// [`CHECK_INTERVAL`]-th call performs the actual [`QueryGovernor::check`].
 /// One `Pacer` per thread — shards each own one while sharing the governor.
 #[derive(Debug, Default)]
-pub struct Pacer {
+pub(crate) struct Pacer {
     count: u32,
 }
 
@@ -254,7 +254,7 @@ impl Pacer {
     /// A fresh pacer whose first check happens after [`CHECK_INTERVAL`]
     /// ticks (callers check once before entering the loop).
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -264,7 +264,7 @@ impl Pacer {
     /// # Errors
     /// Whatever [`QueryGovernor::check`] reports.
     #[inline]
-    pub fn tick(&mut self, governor: &QueryGovernor) -> Result<(), SgbError> {
+    pub(crate) fn tick(&mut self, governor: &QueryGovernor) -> Result<(), SgbError> {
         self.count = self.count.wrapping_add(1);
         if self.count % CHECK_INTERVAL == 0 {
             governor.check()

@@ -56,7 +56,6 @@ use crate::around::{build_center_index, CenterRule};
 use crate::governor::{QueryGovernor, SgbError};
 use crate::query::{Grouping, OpSpec, SgbQuery};
 use crate::{cost, Algorithm, OverlapAction, RecordId};
-use sgb_telemetry::{Counter, Telemetry};
 
 /// Stable identifier of a maintained point: its insertion slot. Slots are
 /// dense, append-only, and never reused, so a `SlotId` stays valid across
@@ -169,9 +168,6 @@ pub struct MaintainedGrouping<const D: usize> {
     live: usize,
     state: OpState<D>,
     epoch: u64,
-    /// Delta-counter sink ([`Counter::DeltasApplied`] /
-    /// [`Counter::DeltasRejected`]); inert (`Telemetry::off`) by default.
-    telemetry: Telemetry,
 }
 
 impl<const D: usize> MaintainedGrouping<D> {
@@ -243,29 +239,12 @@ impl<const D: usize> MaintainedGrouping<D> {
             live,
             state,
             epoch: 0,
-            telemetry: Telemetry::off(),
         }
     }
 
     /// The query this grouping is maintained for.
     pub fn query(&self) -> &SgbQuery<D> {
         &self.query
-    }
-
-    /// Installs a [`Telemetry`] sink. Applied deltas bump
-    /// [`Counter::DeltasApplied`], rejected governed deltas bump
-    /// [`Counter::DeltasRejected`], and snapshots carry the handle so
-    /// [`Grouping::profile`] exposes the counts. The default `off` handle
-    /// records nothing.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// The installed telemetry sink (inert unless
-    /// [`with_telemetry`](Self::with_telemetry) replaced it).
-    pub fn telemetry_handle(&self) -> &Telemetry {
-        &self.telemetry
     }
 
     /// Monotone delta counter: bumps on every applied insert or delete, so
@@ -320,7 +299,7 @@ impl<const D: usize> MaintainedGrouping<D> {
                 // Probe before inserting p, so p never pairs with itself;
                 // each neighbor yields exactly one new edge.
                 let mut neighbors = Vec::new();
-                grid.for_each_within(&p, eps, metric, |q, &s| {
+                grid.for_each_within(&p, eps, |q, &s| {
                     if metric.within(q, &p, eps) {
                         neighbors.push(s);
                     }
@@ -350,7 +329,6 @@ impl<const D: usize> MaintainedGrouping<D> {
         self.slots.push(Some(p));
         self.live += 1;
         self.epoch += 1;
-        self.telemetry.add(Counter::DeltasApplied, 1);
         slot
     }
 
@@ -371,35 +349,18 @@ impl<const D: usize> MaintainedGrouping<D> {
         p: Point<D>,
         governor: &QueryGovernor,
     ) -> Result<SlotId, SgbError> {
-        self.governed(|this| {
-            if !p.is_finite() {
-                return Err(SgbError::NonFinite);
-            }
-            governor.check()?;
-            failpoints::fail_point!("sgb_core::incremental::insert_pre", |_| Err(
-                SgbError::Cancelled
-            ));
-            let slot = this.insert(p);
-            failpoints::fail_point!("sgb_core::incremental::insert_post", |_| Err(
-                SgbError::Cancelled
-            ));
-            Ok(slot)
-        })
-    }
-
-    /// Runs one governed delta, bumping [`Counter::DeltasRejected`] on
-    /// `Err`. (Applied deltas are counted at the apply site, so a fault
-    /// *after* the apply honestly records both outcomes — the state is
-    /// unspecified and the caller rebuilds.)
-    fn governed<T>(
-        &mut self,
-        delta: impl FnOnce(&mut Self) -> Result<T, SgbError>,
-    ) -> Result<T, SgbError> {
-        let out = delta(self);
-        if out.is_err() {
-            self.telemetry.add(Counter::DeltasRejected, 1);
+        if !p.is_finite() {
+            return Err(SgbError::NonFinite);
         }
-        out
+        governor.check()?;
+        failpoints::fail_point!("sgb_core::incremental::insert_pre", |_| Err(
+            SgbError::Cancelled
+        ));
+        let slot = self.insert(p);
+        failpoints::fail_point!("sgb_core::incremental::insert_post", |_| Err(
+            SgbError::Cancelled
+        ));
+        Ok(slot)
     }
 
     /// Governed twin of [`delete`](Self::delete), with the same failure
@@ -407,17 +368,15 @@ impl<const D: usize> MaintainedGrouping<D> {
     /// before the `_pre` site leave the state untouched; an `Err` after it
     /// means the caller must rebuild.
     pub fn try_delete(&mut self, slot: SlotId, governor: &QueryGovernor) -> Result<bool, SgbError> {
-        self.governed(|this| {
-            governor.check()?;
-            failpoints::fail_point!("sgb_core::incremental::delete_pre", |_| Err(
-                SgbError::Cancelled
-            ));
-            let applied = this.delete(slot);
-            failpoints::fail_point!("sgb_core::incremental::delete_post", |_| Err(
-                SgbError::Cancelled
-            ));
-            Ok(applied)
-        })
+        governor.check()?;
+        failpoints::fail_point!("sgb_core::incremental::delete_pre", |_| Err(
+            SgbError::Cancelled
+        ));
+        let applied = self.delete(slot);
+        failpoints::fail_point!("sgb_core::incremental::delete_post", |_| Err(
+            SgbError::Cancelled
+        ));
+        Ok(applied)
     }
 
     /// Raises the epoch to at least `floor`. Serving layers that replace a
@@ -449,7 +408,7 @@ impl<const D: usize> MaintainedGrouping<D> {
                 // Exact live ε-degree of the deleted tuple (p itself is
                 // already out of the grid).
                 let mut neighbors = Vec::new();
-                grid.for_each_within(&p, eps, metric, |q, &s| {
+                grid.for_each_within(&p, eps, |q, &s| {
                     if metric.within(q, &p, eps) {
                         neighbors.push(s);
                     }
@@ -484,7 +443,7 @@ impl<const D: usize> MaintainedGrouping<D> {
                         debug_assert!(self.slots[q].is_some(), "component members are live");
                         let Some(qp) = self.slots[q] else { continue };
                         hits.clear();
-                        grid.for_each_within(&qp, eps, metric, |r, &s| {
+                        grid.for_each_within(&qp, eps, |r, &s| {
                             if s < q && metric.within(r, &qp, eps) {
                                 hits.push(s);
                             }
@@ -507,7 +466,7 @@ impl<const D: usize> MaintainedGrouping<D> {
                 debug_assert!(removed, "live slot is in the grid");
                 if let Some(r) = replica {
                     let mut isolated = true;
-                    grid.for_each_within(&p, eps, metric, |q, _| {
+                    grid.for_each_within(&p, eps, |q, _| {
                         if isolated && metric.within(q, &p, eps) {
                             isolated = false;
                         }
@@ -521,7 +480,6 @@ impl<const D: usize> MaintainedGrouping<D> {
         self.slots[slot] = None;
         self.live -= 1;
         self.epoch += 1;
-        self.telemetry.add(Counter::DeltasApplied, 1);
         true
     }
 
@@ -544,7 +502,7 @@ impl<const D: usize> MaintainedGrouping<D> {
             }
         }
         let selection = format!("maintained incrementally (epoch {})", self.epoch);
-        let mut out = match &mut self.state {
+        match &mut self.state {
             OpState::Any { dsu, .. } => {
                 // `groups()` orders components by smallest member and
                 // members ascending; ranks are monotone in slots, so the
@@ -589,9 +547,7 @@ impl<const D: usize> MaintainedGrouping<D> {
                 let groups = finished.groups().iter().map(|g| remap(g)).collect();
                 Grouping::flat(groups, remap(finished.eliminated())).ran(r.algorithm, selection, 1)
             }
-        };
-        out.set_telemetry(self.telemetry.clone());
-        out
+        }
     }
 }
 
@@ -757,27 +713,6 @@ mod tests {
         m.advance_epoch_to(5);
         assert_eq!(m.epoch(), 100, "the epoch never goes backwards");
         assert_eq!(m.snapshot(), q.run(&m.live_points()));
-    }
-
-    #[test]
-    fn telemetry_counts_applied_and_rejected_deltas() {
-        let tel = Telemetry::new();
-        let q = SgbQuery::any(1.0);
-        let mut m = MaintainedGrouping::new(q, &[pt(0.0, 0.0)]).with_telemetry(tel.clone());
-        let free = QueryGovernor::unrestricted();
-        let slot = m.try_insert(pt(1.0, 0.0), &free).unwrap();
-        assert!(m.try_delete(slot, &free).unwrap());
-        m.insert(pt(2.0, 0.0)); // ungoverned deltas count too
-        assert!(matches!(
-            m.try_insert(pt(f64::NAN, 0.0), &free),
-            Err(SgbError::NonFinite)
-        ));
-        assert!(!m.try_delete(999, &free).unwrap(), "miss: applied, no-op");
-        let profile = m.snapshot().profile().expect("snapshot carries the sink");
-        assert_eq!(profile.counter(Counter::DeltasApplied), 3);
-        assert_eq!(profile.counter(Counter::DeltasRejected), 1);
-        let inert = MaintainedGrouping::new(SgbQuery::any(1.0), &[pt(0.0, 0.0)]);
-        assert!(!inert.telemetry_handle().is_enabled());
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub mod query;
 pub use around::CenterId;
 pub use cache::{CacheStats, SgbCache};
 pub use config::{Algorithm, OverlapAction};
-pub use governor::{CancelToken, Pacer, QueryGovernor, SgbError};
+pub use governor::{CancelToken, QueryGovernor, SgbError};
 pub use grouping::{Grouping, RecordId};
 pub use incremental::{MaintainedGrouping, SlotId};
 pub use query::SgbQuery;

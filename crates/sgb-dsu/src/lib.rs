@@ -10,11 +10,8 @@
 //! union by size, giving the `O(m α(n))` amortised bound the paper's
 //! complexity analysis relies on.
 
-/// A disjoint-set forest over elements `0..len`.
-///
-/// Elements are added with [`DisjointSet::push`] (SGB processes points in
-/// arrival order, so ids are dense) or up-front with
-/// [`DisjointSet::with_len`].
+/// A disjoint-set forest over the dense elements `0..len`, created up
+/// front with [`DisjointSet::with_len`].
 #[derive(Clone, Debug, Default)]
 pub struct DisjointSet {
     /// parent[i] is i for roots.
@@ -26,11 +23,6 @@ pub struct DisjointSet {
 }
 
 impl DisjointSet {
-    /// An empty forest.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A forest of `len` singleton components.
     pub fn with_len(len: usize) -> Self {
         assert!(
@@ -60,19 +52,6 @@ impl DisjointSet {
     #[inline]
     pub fn components(&self) -> usize {
         self.components
-    }
-
-    /// Adds a new singleton element, returning its id.
-    pub fn push(&mut self) -> usize {
-        let id = self.parent.len();
-        assert!(
-            id < u32::MAX as usize,
-            "DisjointSet supports at most u32::MAX elements"
-        );
-        self.parent.push(id as u32);
-        self.size.push(1);
-        self.components += 1;
-        id
     }
 
     /// The canonical representative (root) of `x`'s component, with
@@ -147,35 +126,14 @@ impl DisjointSet {
     /// union of the edge sets, the merged forest is bit-identical to a
     /// sequential run over all pairs in any order.
     ///
+    /// `pause` is invoked once per ~4096 merged elements, and its error
+    /// abandons the merge. The edge set absorbed so far is a subset of
+    /// `other`'s — callers that abort discard this forest, so partial
+    /// connectivity never escapes. The SGB-Any shard fold passes the
+    /// query's deadline/cancellation check, keeping even the merge phase
+    /// of a huge join responsive.
+    ///
     /// [`into_groups`]: Self::into_groups
-    ///
-    /// # Panics
-    ///
-    /// Panics when the forests have different lengths.
-    pub fn merge_from(&mut self, other: &DisjointSet) {
-        assert_eq!(
-            self.len(),
-            other.len(),
-            "can only merge forests over the same elements"
-        );
-        // Each element's parent edge carries the other forest's whole
-        // connectivity: x ~ parent[x] spans every component.
-        for x in 0..other.parent.len() {
-            let p = other.parent[x] as usize;
-            if p != x {
-                self.union(x, p);
-            }
-        }
-    }
-
-    /// Fallible [`merge_from`](Self::merge_from): `pause` is invoked once
-    /// per ~4096 merged elements, and its error abandons the merge. The
-    /// edge set absorbed so far is a subset of `other`'s — callers that
-    /// abort discard this forest, so partial connectivity never escapes.
-    ///
-    /// This is the governance hook of the parallel SGB-Any shard fold:
-    /// `pause` ticks the query deadline/cancellation check, keeping even
-    /// the merge phase of a huge join responsive.
     ///
     /// # Errors
     ///
@@ -515,19 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn push_grows_forest() {
-        let mut dsu = DisjointSet::new();
-        assert!(dsu.is_empty());
-        let a = dsu.push();
-        let b = dsu.push();
-        assert_eq!((a, b), (0, 1));
-        assert_eq!(dsu.len(), 2);
-        assert_eq!(dsu.components(), 2);
-        dsu.union(a, b);
-        assert_eq!(dsu.components(), 1);
-    }
-
-    #[test]
     fn find_immutable_agrees_with_find() {
         let mut dsu = DisjointSet::with_len(6);
         dsu.union(0, 1);
@@ -679,10 +624,9 @@ mod tests {
         // Same edge script into both structures; TrackedDsu::groups must
         // equal DisjointSet::into_groups when nothing was removed.
         let mut tracked = TrackedDsu::new();
-        let mut plain = DisjointSet::new();
+        let mut plain = DisjointSet::with_len(12);
         for _ in 0..12 {
             tracked.push();
-            plain.push();
         }
         let edges = [(0, 5), (5, 7), (2, 3), (3, 2), (8, 9), (10, 11), (9, 10)];
         for (a, b) in edges {

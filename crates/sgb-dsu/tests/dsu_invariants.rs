@@ -16,6 +16,11 @@ impl Lcg {
     }
 }
 
+/// The shard fold's `try_merge_from` with a pause that never fails.
+fn merge(into: &mut DisjointSet, other: &DisjointSet) {
+    into.try_merge_from(other, || Ok::<(), ()>(())).unwrap();
+}
+
 #[test]
 fn find_is_idempotent_and_canonical() {
     let mut dsu = DisjointSet::with_len(32);
@@ -119,25 +124,6 @@ fn into_groups_is_a_partition_in_canonical_order() {
 }
 
 #[test]
-fn push_after_unions_keeps_bookkeeping_consistent() {
-    let mut dsu = DisjointSet::new();
-    for _ in 0..10 {
-        dsu.push();
-    }
-    dsu.union(0, 9);
-    dsu.union(1, 2);
-    assert_eq!(dsu.components(), 8);
-    // New pushes arrive as singletons, untouched by prior unions.
-    let fresh = dsu.push();
-    assert_eq!(fresh, 10);
-    assert_eq!(dsu.components(), 9);
-    assert_eq!(dsu.component_size(fresh), 1);
-    assert!(!dsu.connected(fresh, 0));
-    dsu.union(fresh, 1);
-    assert!(dsu.connected(fresh, 2));
-}
-
-#[test]
 fn adversarial_chain_still_answers_correctly() {
     // A linear chain is the classic worst case that path compression and
     // union-by-size exist to handle; verify answers stay exact on a large
@@ -165,7 +151,7 @@ fn adversarial_chain_still_answers_correctly() {
 fn shard_merged_forests_are_bit_identical_to_a_sequential_run() {
     // The parallel SGB-Any invariant: partition a random edge list into k
     // shards, union each shard into a private forest, fold the forests
-    // with `merge_from` — the merged forest's `into_groups` output must be
+    // with `try_merge_from` — the merged forest's `into_groups` output must be
     // bit-identical (group numbering, member order) to a single sequential
     // forest over all edges, for every shard count and edge permutation.
     let n = 120;
@@ -185,7 +171,7 @@ fn shard_merged_forests_are_bit_identical_to_a_sequential_run() {
         }
         let mut merged = DisjointSet::with_len(n);
         for f in &forests {
-            merged.merge_from(f);
+            merge(&mut merged, f);
         }
         assert_eq!(merged.components(), expected.len(), "shards={shards}");
         assert_eq!(merged.into_groups(), expected, "shards={shards}");
@@ -200,14 +186,14 @@ fn merge_from_with_disjoint_edge_sets_unions_connectivity() {
     let mut b = DisjointSet::with_len(6);
     b.union(1, 2);
     b.union(4, 5);
-    a.merge_from(&b);
+    merge(&mut a, &b);
     assert!(a.connected(0, 3), "connectivity is the union of edge sets");
     assert!(a.connected(4, 5));
     assert!(!a.connected(0, 4));
     assert_eq!(a.components(), 2);
     // Merging an all-singleton forest is a no-op.
     let before = a.clone().into_groups();
-    a.merge_from(&DisjointSet::with_len(6));
+    merge(&mut a, &DisjointSet::with_len(6));
     assert_eq!(a.into_groups(), before);
 }
 
@@ -215,21 +201,25 @@ fn merge_from_with_disjoint_edge_sets_unions_connectivity() {
 #[should_panic(expected = "same elements")]
 fn merge_from_rejects_length_mismatch() {
     let mut a = DisjointSet::with_len(4);
-    a.merge_from(&DisjointSet::with_len(5));
+    merge(&mut a, &DisjointSet::with_len(5));
 }
 
 #[test]
 fn interleaved_random_model_check() {
-    // Model-check against naive label propagation with pushes interleaved
-    // between unions (the seed's unit test only covers a fixed universe).
-    let mut dsu = DisjointSet::new();
+    // Model-check against naive label propagation with arrivals
+    // interleaved between unions: unions only touch the prefix of the
+    // forest that has arrived, and each arriving element is still an
+    // untouched singleton (the seed's unit test only covers a fixed
+    // universe).
+    const ARRIVALS: usize = 67; // one every third of 200 rounds
+    let mut dsu = DisjointSet::with_len(ARRIVALS);
     let mut labels: Vec<usize> = Vec::new();
     let mut lcg = Lcg(0xDEADBEEF);
     for round in 0..200 {
         if labels.is_empty() || round % 3 == 0 {
-            let id = dsu.push();
+            let id = labels.len();
             labels.push(id);
-            assert_eq!(labels.len() - 1, id);
+            assert_eq!(dsu.component_size(id), 1);
         } else {
             let a = lcg.next() % labels.len();
             let b = lcg.next() % labels.len();
@@ -244,6 +234,7 @@ fn interleaved_random_model_check() {
             }
         }
     }
+    assert_eq!(labels.len(), ARRIVALS);
     for a in 0..labels.len() {
         for b in 0..labels.len() {
             assert_eq!(dsu.connected(a, b), labels[a] == labels[b]);

@@ -10,12 +10,13 @@ use sgb_telemetry::{MetricsRegistry, SlowQuery, SlowQueryLog};
 
 use crate::cache::{slot_key, SessionCaches};
 use crate::error::{Error, Result};
-use crate::exec::{around_query, execute, execute_with_stats, sgb_query};
+use crate::exec::{execute, execute_with_stats};
+use crate::expr::BoundExpr;
 use crate::plan::Plan;
 use crate::planner::{plan_predicate, plan_select};
 use crate::schema::Schema;
 use crate::session::SessionOptions;
-use crate::sql::ast::Statement;
+use crate::sql::ast::{Select, Statement};
 use crate::sql::parser::parse_statement;
 use crate::subscription::{build_maintained, QueryKey, SubscriptionHandle, SubscriptionSet};
 use crate::table::{Row, Table};
@@ -61,11 +62,7 @@ impl Clone for Database {
         Self {
             tables: self.tables.clone(),
             session: self.session,
-            caches: Arc::new(SessionCaches::default()),
-            subscriptions: SubscriptionSet::default(),
-            cancel: None,
-            registry: Arc::new(MetricsRegistry::new()),
-            slow_log: Arc::new(SlowQueryLog::default()),
+            ..Self::default()
         }
     }
 }
@@ -92,13 +89,8 @@ impl Database {
     /// ```
     pub fn with_options(session: SessionOptions) -> Self {
         Self {
-            tables: HashMap::new(),
             session,
-            caches: Arc::new(SessionCaches::default()),
-            subscriptions: SubscriptionSet::default(),
-            cancel: None,
-            registry: Arc::new(MetricsRegistry::new()),
-            slow_log: Arc::new(SlowQueryLog::default()),
+            ..Self::default()
         }
     }
 
@@ -181,7 +173,7 @@ impl Database {
     pub fn table(&self, name: &str) -> Result<&Table> {
         self.tables
             .get(&name.to_ascii_lowercase())
-            .ok_or_else(|| Error::Binding(format!("unknown table '{name}'")))
+            .ok_or_else(|| unknown_table(name))
     }
 
     /// Registered table names (sorted).
@@ -230,90 +222,26 @@ impl Database {
             }
             Statement::Insert { table, rows } => {
                 // Bind row expressions as constants (empty input schema).
-                let planner_rows: Result<Vec<Vec<crate::value::Value>>> = rows
+                let rows = rows
                     .iter()
                     .map(|row| {
                         row.iter()
-                            .map(|e| {
-                                let bound = crate::planner::plan_const(self, e)?;
-                                bound.eval(&[])
-                            })
+                            .map(|e| crate::planner::plan_const(self, e)?.eval(&[]))
                             .collect()
                     })
-                    .collect();
-                let planner_rows = planner_rows?;
-                let key = table.to_ascii_lowercase();
-                let t = self
-                    .tables
-                    .get_mut(&key)
-                    .ok_or_else(|| Error::Binding(format!("unknown table '{table}'")))?;
-                // Validate every width up front so the statement is
-                // all-or-nothing — subscriptions see either the whole
-                // batch or none of it.
-                let width = t.schema.len();
-                if let Some(bad) = planner_rows.iter().find(|r| r.len() != width) {
-                    return Err(Error::Eval(format!(
-                        "row width {} does not match schema width {width}",
-                        bad.len()
-                    )));
-                }
-                for row in &planner_rows {
-                    t.push(row.clone())?;
-                }
-                let version = t.version();
-                self.subscriptions.on_insert(
-                    &key,
-                    &planner_rows,
-                    &t.rows,
-                    version,
-                    self.session.statement_timeout,
-                    &self.registry,
-                );
+                    .collect::<Result<Vec<Row>>>()?;
+                self.append_rows(&table, &rows)?;
                 Ok(Table::default())
             }
             Statement::Delete { table, predicate } => {
-                let key = table.to_ascii_lowercase();
-                let schema = self
-                    .tables
-                    .get(&key)
-                    .ok_or_else(|| Error::Binding(format!("unknown table '{table}'")))?
-                    .schema
-                    .clone();
+                let t = self.table(&table)?;
                 let bound = predicate
                     .as_ref()
-                    .map(|e| plan_predicate(self, &schema, e))
+                    .map(|e| plan_predicate(self, &t.schema, e))
                     .transpose()?;
-                let t = self
-                    .tables
-                    .get_mut(&key)
-                    .ok_or_else(|| Error::Binding(format!("unknown table '{table}'")))?;
-                // Evaluate the predicate over every row *before* mutating,
-                // so an evaluation error leaves the table untouched.
-                let mut removed = Vec::new();
-                match &bound {
-                    Some(p) => {
-                        for (i, row) in t.rows.iter().enumerate() {
-                            if p.eval_predicate(row)? {
-                                removed.push(i);
-                            }
-                        }
-                    }
-                    None => removed.extend(0..t.rows.len()),
-                }
+                let removed = rows_where(&t.rows, bound.as_ref(), |i, _| Ok(i))?;
                 if !removed.is_empty() {
-                    retain_kept(&mut t.rows, &removed);
-                    // The version bump is what invalidates the session's
-                    // shared-work caches — deletes exactly like inserts.
-                    t.bump_version();
-                    let version = t.version();
-                    self.subscriptions.on_delete(
-                        &key,
-                        &removed,
-                        &t.rows,
-                        version,
-                        self.session.statement_timeout,
-                        &self.registry,
-                    );
+                    self.remove_rows(&table, &removed)?;
                 }
                 Ok(Table::default())
             }
@@ -322,48 +250,28 @@ impl Database {
                 assignments,
                 predicate,
             } => {
-                let key = table.to_ascii_lowercase();
-                let schema = self
-                    .tables
-                    .get(&key)
-                    .ok_or_else(|| Error::Binding(format!("unknown table '{table}'")))?
-                    .schema
-                    .clone();
+                let t = self.table(&table)?;
                 // Bind the SET targets and right-hand sides against the
                 // table schema (the RHS may read columns of the old row).
                 let mut sets = Vec::with_capacity(assignments.len());
                 for (col, expr) in &assignments {
-                    let idx = schema.resolve(None, col)?;
-                    sets.push((idx, plan_predicate(self, &schema, expr)?));
+                    let idx = t.schema.resolve(None, col)?;
+                    sets.push((idx, plan_predicate(self, &t.schema, expr)?));
                 }
                 let bound = predicate
                     .as_ref()
-                    .map(|e| plan_predicate(self, &schema, e))
+                    .map(|e| plan_predicate(self, &t.schema, e))
                     .transpose()?;
-                let t = self
-                    .tables
-                    .get_mut(&key)
-                    .ok_or_else(|| Error::Binding(format!("unknown table '{table}'")))?;
-                // Evaluate the predicate and every replacement row *before*
-                // mutating, so an evaluation error leaves the table
-                // untouched (all-or-nothing, like INSERT and DELETE).
                 let mut touched = Vec::new();
-                let mut replacements = Vec::new();
-                for (i, row) in t.rows.iter().enumerate() {
-                    let hit = match &bound {
-                        Some(p) => p.eval_predicate(row)?,
-                        None => true,
-                    };
-                    if hit {
-                        let mut next = row.clone();
-                        // Every RHS sees the *old* row, per SQL semantics.
-                        for (idx, e) in &sets {
-                            next[*idx] = e.eval(row)?;
-                        }
-                        touched.push(i);
-                        replacements.push(next);
+                let replacements = rows_where(&t.rows, bound.as_ref(), |i, row| {
+                    touched.push(i);
+                    let mut next = row.clone();
+                    // Every RHS sees the *old* row, per SQL semantics.
+                    for (idx, e) in &sets {
+                        next[*idx] = e.eval(row)?;
                     }
-                }
+                    Ok(next)
+                })?;
                 if !touched.is_empty() {
                     // Executed as a delete+insert pair so the change flows
                     // through the same incremental-maintenance path as
@@ -372,29 +280,8 @@ impl Database {
                     // session's shared-work caches. Updated rows therefore
                     // move to the end of the table, exactly as a manual
                     // DELETE + INSERT would place them.
-                    retain_kept(&mut t.rows, &touched);
-                    t.bump_version();
-                    let delete_version = t.version();
-                    self.subscriptions.on_delete(
-                        &key,
-                        &touched,
-                        &t.rows,
-                        delete_version,
-                        self.session.statement_timeout,
-                        &self.registry,
-                    );
-                    for row in &replacements {
-                        t.push(row.clone())?;
-                    }
-                    let version = t.version();
-                    self.subscriptions.on_insert(
-                        &key,
-                        &replacements,
-                        &t.rows,
-                        version,
-                        self.session.statement_timeout,
-                        &self.registry,
-                    );
+                    self.remove_rows(&table, &touched)?;
+                    self.append_rows(&table, &replacements)?;
                 }
                 Ok(Table::default())
             }
@@ -406,22 +293,80 @@ impl Database {
             }
             Statement::DropTable { name } => {
                 if !self.drop_table(&name) {
-                    return Err(Error::Binding(format!("unknown table '{name}'")));
+                    return Err(unknown_table(&name));
                 }
                 Ok(Table::default())
             }
             Statement::Explain { analyze, query } => {
-                let plan = plan_select(self, &query)?;
-                let text = if analyze {
-                    let governor = self.statement_governor();
-                    let (_, stats) = execute_with_stats(&plan, self, &governor)?;
-                    plan.explain_analyze(&stats)
-                } else {
-                    plan.explain()
-                };
-                Ok(explain_table(&text))
+                Ok(explain_table(&self.explain_select(&query, analyze)?))
             }
         }
+    }
+
+    /// Appends `rows` to `table` and applies them to its subscriptions as
+    /// one insert delta at the table's new version. Every width is checked
+    /// before the first push, so the statement is all-or-nothing —
+    /// subscriptions see either the whole batch or none of it.
+    fn append_rows(&mut self, table: &str, rows: &[Row]) -> Result<()> {
+        let key = table.to_ascii_lowercase();
+        let t = self
+            .tables
+            .get_mut(&key)
+            .ok_or_else(|| unknown_table(table))?;
+        let width = t.schema.len();
+        if let Some(bad) = rows.iter().find(|r| r.len() != width) {
+            return Err(Error::Eval(format!(
+                "row width {} does not match schema width {width}",
+                bad.len()
+            )));
+        }
+        for row in rows {
+            t.push(row.clone())?;
+        }
+        self.subscriptions.on_insert(
+            &key,
+            rows,
+            &t.rows,
+            t.version(),
+            self.session.statement_timeout,
+            &self.registry,
+        );
+        Ok(())
+    }
+
+    /// Removes the rows at the ascending indices `removed` from `table`
+    /// and applies their removal to its subscriptions as one delete delta.
+    /// The version bump is what invalidates the session's shared-work
+    /// caches — deletes exactly like inserts.
+    fn remove_rows(&mut self, table: &str, removed: &[usize]) -> Result<()> {
+        let key = table.to_ascii_lowercase();
+        let t = self
+            .tables
+            .get_mut(&key)
+            .ok_or_else(|| unknown_table(table))?;
+        retain_kept(&mut t.rows, removed);
+        t.bump_version();
+        self.subscriptions.on_delete(
+            &key,
+            removed,
+            &t.rows,
+            t.version(),
+            self.session.statement_timeout,
+            &self.registry,
+        );
+        Ok(())
+    }
+
+    /// Plans a SELECT and renders its `EXPLAIN` text; with `analyze`, runs
+    /// the plan first under a statement governor and renders the
+    /// `EXPLAIN ANALYZE` tree with its actuals.
+    fn explain_select(&self, stmt: &Select, analyze: bool) -> Result<String> {
+        let plan = plan_select(self, stmt)?;
+        if !analyze {
+            return Ok(plan.explain());
+        }
+        let (_, stats) = execute_with_stats(&plan, self, &self.statement_governor())?;
+        Ok(plan.explain_analyze(&stats))
     }
 
     /// Executes a SELECT without requiring `&mut self`.
@@ -441,7 +386,7 @@ impl Database {
     /// Renders the physical plan of a SELECT (`EXPLAIN`).
     pub fn explain(&self, sql: &str) -> Result<String> {
         match parse_statement(sql)? {
-            Statement::Select(stmt) => Ok(plan_select(self, &stmt)?.explain()),
+            Statement::Select(stmt) => self.explain_select(&stmt, false),
             _ => Err(Error::Unsupported("explain() only accepts SELECT".into())),
         }
     }
@@ -490,75 +435,26 @@ impl Database {
                     .into(),
             )
         };
+        let (Plan::SimilarityGroupBy { input, coords, .. }
+        | Plan::SimilarityAround { input, coords, .. }) = &plan
+        else {
+            return Err(shape_err());
+        };
+        let table = match &**input {
+            Plan::Scan { table, .. } if !table.is_empty() => table,
+            _ => return Err(shape_err()),
+        };
         // The maintained grouping is built from the node's own lowering
         // (same resolved algorithm, seed, and threads the plan records),
         // so the initial snapshot is bit-identical to a cold run.
-        let (table, coords, key, maintained) = match &plan {
-            Plan::SimilarityGroupBy {
-                input,
-                coords,
-                mode,
-                ..
-            } => {
-                let Plan::Scan { table, .. } = &**input else {
-                    return Err(shape_err());
-                };
-                if table.is_empty() {
-                    return Err(shape_err());
-                }
-                let t = self.table(table)?;
-                let maintained = build_maintained(
-                    &t.rows,
-                    coords,
-                    || sgb_query::<2>(mode),
-                    || sgb_query::<3>(mode),
-                )?;
-                (
-                    table.to_ascii_lowercase(),
-                    coords.clone(),
-                    QueryKey::from_sgb_mode(mode),
-                    maintained,
-                )
-            }
-            Plan::SimilarityAround {
-                input,
-                coords,
-                centers,
-                metric,
-                radius,
-                algorithm,
-                threads,
-                ..
-            } => {
-                let Plan::Scan { table, .. } = &**input else {
-                    return Err(shape_err());
-                };
-                if table.is_empty() {
-                    return Err(shape_err());
-                }
-                let t = self.table(table)?;
-                let maintained = build_maintained(
-                    &t.rows,
-                    coords,
-                    || around_query::<2>(centers, *metric, *radius, *algorithm, *threads),
-                    || around_query::<3>(centers, *metric, *radius, *algorithm, *threads),
-                )?;
-                (
-                    table.to_ascii_lowercase(),
-                    coords.clone(),
-                    QueryKey::around(centers, *metric, *radius),
-                    maintained,
-                )
-            }
-            _ => return Err(shape_err()),
-        };
-        let t = self.table(&table)?;
+        let t = self.table(table)?;
+        let maintained = build_maintained(&t.rows, coords, &plan)?;
         let (n_rows, version) = (t.rows.len(), t.version());
         Ok(self.subscriptions.register(
-            table,
-            slot_key(&coords),
-            coords,
-            key,
+            table.to_ascii_lowercase(),
+            slot_key(coords),
+            coords.clone(),
+            QueryKey::of(&plan)?,
             maintained,
             n_rows,
             version,
@@ -699,18 +595,14 @@ impl Database {
     /// and their phase breakdown). Equivalent to
     /// `execute("EXPLAIN ANALYZE …")` joined to one string.
     pub fn explain_analyze(&self, sql: &str) -> Result<String> {
-        let stmt = match parse_statement(sql)? {
-            Statement::Select(stmt) | Statement::Explain { query: stmt, .. } => stmt,
-            _ => {
-                return Err(Error::Unsupported(
-                    "explain_analyze() only accepts SELECT".into(),
-                ))
+        match parse_statement(sql)? {
+            Statement::Select(stmt) | Statement::Explain { query: stmt, .. } => {
+                self.explain_select(&stmt, true)
             }
-        };
-        let plan = plan_select(self, &stmt)?;
-        let governor = self.statement_governor();
-        let (_, stats) = execute_with_stats(&plan, self, &governor)?;
-        Ok(plan.explain_analyze(&stats))
+            _ => Err(Error::Unsupported(
+                "explain_analyze() only accepts SELECT".into(),
+            )),
+        }
     }
 
     /// Records one finished statement into the session metrics: the
@@ -767,6 +659,30 @@ fn explain_table(text: &str) -> Table {
         .map(|line| vec![Value::Str(line.to_owned())])
         .collect();
     Table::from_parts(schema, rows)
+}
+
+/// The error for a table name missing from the catalog, in the user's
+/// spelling.
+fn unknown_table(name: &str) -> Error {
+    Error::Binding(format!("unknown table '{name}'"))
+}
+
+/// The result of `hit` for each row of `rows` that `predicate` holds for
+/// (every row without one), in row order. Evaluates every row before the
+/// caller mutates anything, so an evaluation error leaves the table
+/// untouched.
+fn rows_where<T>(
+    rows: &[Row],
+    predicate: Option<&BoundExpr>,
+    mut hit: impl FnMut(usize, &Row) -> Result<T>,
+) -> Result<Vec<T>> {
+    let mut out = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        if predicate.map_or(Ok(true), |p| p.eval_predicate(row))? {
+            out.push(hit(i, row)?);
+        }
+    }
+    Ok(out)
 }
 
 /// Removes the rows at the given pre-delete indices (out-of-range entries

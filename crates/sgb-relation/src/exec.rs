@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use sgb_core::query::Grouping;
 use sgb_core::{Algorithm, QueryGovernor, SgbQuery};
-use sgb_geom::{Metric, Point};
+use sgb_geom::Point;
 use sgb_telemetry::{Counter, Phase, Telemetry};
 
 use crate::cache::{slot_key, Slot};
@@ -213,23 +213,22 @@ fn execute_inner(
             for (key, st) in order.into_iter().zip(states) {
                 let mut internal = key;
                 internal.extend(st.into_iter().map(AggState::finish));
-                if let Some(h) = having {
-                    if !h.eval_predicate(&internal)? {
-                        continue;
-                    }
-                }
-                let mut out = Vec::with_capacity(outputs.len());
-                for e in outputs {
-                    out.push(e.eval(&internal)?);
-                }
-                rows.push(out);
+                rows.extend(group_output(&internal, having, outputs)?);
             }
             Ok(Table::from_parts(schema.clone(), rows))
         }
         Plan::SimilarityGroupBy {
             input,
             coords,
-            mode,
+            aggs,
+            having,
+            outputs,
+            schema,
+            ..
+        }
+        | Plan::SimilarityAround {
+            input,
+            coords,
             aggs,
             having,
             outputs,
@@ -244,74 +243,13 @@ fn execute_inner(
             } else {
                 Telemetry::off()
             };
-            let (op, algorithm) = match mode {
-                SgbMode::All { algorithm, .. } => ("sgb_all", *algorithm),
-                SgbMode::Any { algorithm, .. } => ("sgb_any", *algorithm),
-            };
+            let (op, algorithm) = operator_labels(plan)?;
             db.registry().inc(
                 "sgb_operator_runs_total",
                 &[("operator", op), ("algorithm", &algorithm.to_string())],
                 1,
             );
-            let grouping = run_similarity(
-                db,
-                input,
-                &t.rows,
-                coords,
-                &QueryKey::from_sgb_mode(mode),
-                || sgb_query::<2>(mode),
-                || sgb_query::<3>(mode),
-                governor,
-                &tel,
-            )?;
-            let out = {
-                let _agg = tel.phase(Phase::Aggregate);
-                aggregate_grouping(&t, &grouping, aggs, having, outputs, schema)
-            };
-            if let Some(stats) = stats {
-                stats.borrow_mut()[id].detail = similarity_detail(&grouping, &tel);
-            }
-            out
-        }
-        Plan::SimilarityAround {
-            input,
-            coords,
-            centers,
-            metric,
-            radius,
-            algorithm,
-            threads,
-            aggs,
-            having,
-            outputs,
-            schema,
-            ..
-        } => {
-            let t = execute(input, id + 1)?;
-            let tel = if stats.is_some() {
-                Telemetry::new()
-            } else {
-                Telemetry::off()
-            };
-            db.registry().inc(
-                "sgb_operator_runs_total",
-                &[
-                    ("operator", "around"),
-                    ("algorithm", &algorithm.to_string()),
-                ],
-                1,
-            );
-            let grouping = run_similarity(
-                db,
-                input,
-                &t.rows,
-                coords,
-                &QueryKey::around(centers, *metric, *radius),
-                || around_query::<2>(centers, *metric, *radius, *algorithm, *threads),
-                || around_query::<3>(centers, *metric, *radius, *algorithm, *threads),
-                governor,
-                &tel,
-            )?;
+            let grouping = run_similarity(db, plan, input, &t.rows, coords, governor, &tel)?;
             let out = {
                 let _agg = tel.phase(Phase::Aggregate);
                 aggregate_grouping(&t, &grouping, aggs, having, outputs, schema)
@@ -380,18 +318,30 @@ fn aggregate_grouping(
             }
         }
         let internal: Row = st.into_iter().map(AggState::finish).collect();
-        if let Some(h) = having {
-            if !h.eval_predicate(&internal)? {
-                continue;
-            }
-        }
-        let mut out = Vec::with_capacity(outputs.len());
-        for e in outputs {
-            out.push(e.eval(&internal)?);
-        }
-        rows.push(out);
+        rows.extend(group_output(&internal, having, outputs)?);
     }
     Ok(Table::from_parts(schema.clone(), rows))
+}
+
+/// The output row of one group, evaluated over its internal row, or `None`
+/// when HAVING rejects the group — the last step of every aggregate node.
+fn group_output(
+    internal: &[Value],
+    having: &Option<BoundExpr>,
+    outputs: &[BoundExpr],
+) -> Result<Option<Row>> {
+    if let Some(h) = having {
+        if !h.eval_predicate(internal)? {
+            return Ok(None);
+        }
+    }
+    // Sized up front: collecting through `Result` would start every output
+    // row at a default capacity instead of its exact width.
+    let mut out = Vec::with_capacity(outputs.len());
+    for e in outputs {
+        out.push(e.eval(internal)?);
+    }
+    Ok(Some(out))
 }
 
 /// The `EXPLAIN ANALYZE` detail line of a similarity node: answer-group
@@ -458,24 +408,21 @@ pub(crate) fn extract_points<const D: usize>(
 /// The grouping of a similarity node over its input rows. When the node
 /// reads a base table directly — only then does the table's version
 /// counter describe the operator's actual input — a fresh subscription
-/// snapshot matching `key` serves it (an active subscription with the same
-/// grouping attributes and result-relevant parameters, re-checked against
-/// the table's current version here, so serving always equals a
-/// recompute), and otherwise the run goes through the session's
-/// shared-work cache, which also supplies the extracted points of the
-/// current version. Anything else runs the core query — lowered by
-/// `query2` / `query3` for 2-D / 3-D grouping attributes (the paper's "two
-/// and three dimensional data space") — from scratch. Bit-identical
-/// either way.
-#[allow(clippy::too_many_arguments)]
+/// snapshot matching the node's [`QueryKey`] serves it (an active
+/// subscription with the same grouping attributes and result-relevant
+/// parameters, re-checked against the table's current version here, so
+/// serving always equals a recompute), and otherwise the run goes through
+/// the session's shared-work cache, which also supplies the extracted
+/// points of the current version. Anything else runs the node's core query
+/// ([`lower`]) from scratch over 2-D or 3-D grouping attributes (the
+/// paper's "two and three dimensional data space"). Bit-identical either
+/// way.
 fn run_similarity(
     db: &Database,
+    node: &Plan,
     input: &Plan,
     rows: &[Row],
     coords: &[BoundExpr],
-    key: &QueryKey,
-    query2: impl FnOnce() -> Result<SgbQuery<2>>,
-    query3: impl FnOnce() -> Result<SgbQuery<3>>,
     governor: &QueryGovernor,
     telemetry: &Telemetry,
 ) -> Result<Grouping> {
@@ -486,7 +433,8 @@ fn run_similarity(
         if !table.is_empty() {
             let table = table.to_ascii_lowercase();
             let version = db.table(&table)?.version();
-            if let Some(served) = db.subscriptions().serve(&table, &coords_key, key, version) {
+            let key = QueryKey::of(node)?;
+            if let Some(served) = db.subscriptions().serve(&table, &coords_key, &key, version) {
                 return Ok(served);
             }
             cached = db.session().cache.then_some((table, version));
@@ -496,12 +444,12 @@ fn run_similarity(
         2 => {
             let slot =
                 cached.map(|(table, version)| (db.caches().slot2(&table, &coords_key), version));
-            run_similarity_d(rows, coords, slot, query2, governor, telemetry)
+            run_similarity_d::<2>(node, rows, coords, slot, governor, telemetry)
         }
         3 => {
             let slot =
                 cached.map(|(table, version)| (db.caches().slot3(&table, &coords_key), version));
-            run_similarity_d(rows, coords, slot, query3, governor, telemetry)
+            run_similarity_d::<3>(node, rows, coords, slot, governor, telemetry)
         }
         n => Err(Error::Unsupported(format!(
             "similarity grouping over {n} attributes (2 or 3 supported)"
@@ -510,14 +458,14 @@ fn run_similarity(
 }
 
 /// [`run_similarity`] at a fixed dimensionality: extracts (or takes the
-/// slot's cached) points, lowers the query, and runs it through the core's
+/// slot's cached) points, lowers the node, and runs it through the core's
 /// governed entry point — cached when a slot and its table version are
 /// given.
 fn run_similarity_d<const D: usize>(
+    node: &Plan,
     rows: &[Row],
     coords: &[BoundExpr],
     slot: Option<(Arc<Slot<D>>, u64)>,
-    query: impl FnOnce() -> Result<SgbQuery<D>>,
     governor: &QueryGovernor,
     telemetry: &Telemetry,
 ) -> Result<Grouping> {
@@ -526,35 +474,63 @@ fn run_similarity_d<const D: usize>(
         Some((slot, version)) => slot.points_for(*version, extract)?,
         None => Arc::new(extract()?),
     };
-    let query = query()?.telemetry(telemetry.clone());
+    let query = lower::<D>(node)?.telemetry(telemetry.clone());
     Ok(match &slot {
         Some((slot, version)) => query.try_run_cached(&points, slot.core(), *version, governor)?,
         None => query.try_run(&points, governor)?,
     })
 }
 
-/// Lowers a plan's SGB-All / SGB-Any mode into the core query. The plan's
-/// algorithm is already resolved (never `Auto`), so the query's own cost
-/// model passes it through unchanged.
-pub(crate) fn sgb_query<const D: usize>(mode: &SgbMode) -> Result<SgbQuery<D>> {
-    Ok(match mode {
-        SgbMode::All {
-            eps,
-            metric,
-            overlap,
-            algorithm,
-            seed,
+/// The error for a plan node handed to a helper that only takes the
+/// similarity nodes.
+pub(crate) fn not_similarity() -> Error {
+    Error::Eval("not a similarity group-by node".into())
+}
+
+/// The `sgb_operator_runs_total` labels of a similarity node: its operator
+/// and resolved algorithm.
+fn operator_labels(node: &Plan) -> Result<(&'static str, Algorithm)> {
+    match node {
+        Plan::SimilarityGroupBy { mode, .. } => Ok(match mode {
+            SgbMode::All { algorithm, .. } => ("sgb_all", *algorithm),
+            SgbMode::Any { algorithm, .. } => ("sgb_any", *algorithm),
+        }),
+        Plan::SimilarityAround { algorithm, .. } => Ok(("around", *algorithm)),
+        _ => Err(not_similarity()),
+    }
+}
+
+/// Lowers a similarity node into the core query. The plan's algorithm is
+/// already resolved (never `Auto`), so the query's own cost model passes it
+/// through unchanged. AROUND: every row joins the group of its nearest
+/// center; rows beyond `radius` (when set) form the trailing outlier group.
+pub(crate) fn lower<const D: usize>(node: &Plan) -> Result<SgbQuery<D>> {
+    match node {
+        Plan::SimilarityGroupBy {
+            mode:
+                SgbMode::All {
+                    eps,
+                    metric,
+                    overlap,
+                    algorithm,
+                    seed,
+                    ..
+                },
             ..
-        } => SgbQuery::all(*eps)
+        } => Ok(SgbQuery::all(*eps)
             .metric(*metric)
             .overlap(*overlap)
             .algorithm(*algorithm)
-            .seed(*seed),
-        SgbMode::Any {
-            eps,
-            metric,
-            algorithm,
-            threads,
+            .seed(*seed)),
+        Plan::SimilarityGroupBy {
+            mode:
+                SgbMode::Any {
+                    eps,
+                    metric,
+                    algorithm,
+                    threads,
+                    ..
+                },
             ..
         } => {
             // The planner only emits algorithms the operator implements;
@@ -564,63 +540,62 @@ pub(crate) fn sgb_query<const D: usize>(mode: &SgbMode) -> Result<SgbQuery<D>> {
                     "{algorithm} is not an execution path of DISTANCE-TO-ANY"
                 )));
             }
-            SgbQuery::any(*eps)
+            Ok(SgbQuery::any(*eps)
                 .metric(*metric)
                 .algorithm(*algorithm)
-                .threads(*threads)
+                .threads(*threads))
         }
-    })
-}
-
-/// Lowers a plan's AROUND parameters into the core query: every row joins
-/// the group of its nearest center; rows beyond `radius` (when set) form
-/// the trailing outlier group.
-pub(crate) fn around_query<const D: usize>(
-    centers: &[Vec<f64>],
-    metric: Metric,
-    radius: Option<f64>,
-    algorithm: Algorithm,
-    threads: usize,
-) -> Result<SgbQuery<D>> {
-    // The parser guarantees a non-empty list of finite, correctly-sized
-    // centers and a valid radius; keep defensive errors for plans built
-    // programmatically (the core config asserts on these and would abort).
-    if centers.is_empty() {
-        return Err(Error::Eval("AROUND requires at least one center".into()));
-    }
-    let mut center_points: Vec<Point<D>> = Vec::with_capacity(centers.len());
-    for c in centers {
-        let arr: [f64; D] = c.as_slice().try_into().map_err(|_| {
-            Error::Eval(format!(
-                "AROUND center has {} coordinate(s), expected {D}",
-                c.len()
-            ))
-        })?;
-        if !arr.iter().all(|v| v.is_finite()) {
-            return Err(Error::Eval(
-                "AROUND center coordinates must be finite".into(),
-            ));
+        Plan::SimilarityAround {
+            centers,
+            metric,
+            radius,
+            algorithm,
+            threads,
+            ..
+        } => {
+            // The parser guarantees a non-empty list of finite,
+            // correctly-sized centers and a valid radius; keep defensive
+            // errors for plans built programmatically (the core config
+            // asserts on these and would abort).
+            if centers.is_empty() {
+                return Err(Error::Eval("AROUND requires at least one center".into()));
+            }
+            let mut center_points: Vec<Point<D>> = Vec::with_capacity(centers.len());
+            for c in centers {
+                let arr: [f64; D] = c.as_slice().try_into().map_err(|_| {
+                    Error::Eval(format!(
+                        "AROUND center has {} coordinate(s), expected {D}",
+                        c.len()
+                    ))
+                })?;
+                if !arr.iter().all(|v| v.is_finite()) {
+                    return Err(Error::Eval(
+                        "AROUND center coordinates must be finite".into(),
+                    ));
+                }
+                center_points.push(Point::new(arr));
+            }
+            if *algorithm == Algorithm::BoundsChecking {
+                return Err(Error::Eval(format!(
+                    "{algorithm} is not an execution path of AROUND"
+                )));
+            }
+            let mut query = SgbQuery::around(center_points)
+                .metric(*metric)
+                .algorithm(*algorithm)
+                .threads(*threads);
+            if let Some(r) = *radius {
+                if !r.is_finite() || r < 0.0 {
+                    return Err(Error::Eval(format!(
+                        "AROUND radius must be finite and >= 0, got {r}"
+                    )));
+                }
+                query = query.max_radius(r);
+            }
+            Ok(query)
         }
-        center_points.push(Point::new(arr));
+        _ => Err(not_similarity()),
     }
-    if algorithm == Algorithm::BoundsChecking {
-        return Err(Error::Eval(format!(
-            "{algorithm} is not an execution path of AROUND"
-        )));
-    }
-    let mut query = SgbQuery::around(center_points)
-        .metric(metric)
-        .algorithm(algorithm)
-        .threads(threads);
-    if let Some(r) = radius {
-        if !r.is_finite() || r < 0.0 {
-            return Err(Error::Eval(format!(
-                "AROUND radius must be finite and >= 0, got {r}"
-            )));
-        }
-        query = query.max_radius(r);
-    }
-    Ok(query)
 }
 
 /// Running accumulator for one aggregate call.

@@ -4,7 +4,14 @@
 //! planner *binds* them against an input schema, resolving column references
 //! to positions and materialising uncorrelated `IN (SELECT …)` subqueries
 //! into hash sets. The result is a [`BoundExpr`] evaluable against a row.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 
+use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
@@ -109,57 +116,50 @@ impl BoundExpr {
                 .cloned()
                 .ok_or_else(|| Error::Eval(format!("column index {i} out of bounds"))),
             BoundExpr::Binary { op, left, right } => {
-                // Short-circuit three-valued AND/OR.
+                let arith = |sym| left.eval(row)?.arith(sym, &right.eval(row)?);
+                // SQL comparison: NULL when either side is NULL.
+                let compare = |holds: fn(Ordering) -> bool| {
+                    let (l, r) = (left.eval(row)?, right.eval(row)?);
+                    Ok(if l.is_null() || r.is_null() {
+                        Value::Null
+                    } else {
+                        Value::Bool(holds(l.cmp_non_null(&r)))
+                    })
+                };
                 match op {
+                    // Short-circuit three-valued AND/OR.
                     BinOp::And => {
                         let l = left.eval(row)?.as_bool();
                         if l == Some(false) {
                             return Ok(Value::Bool(false));
                         }
-                        let r = right.eval(row)?.as_bool();
-                        return Ok(match (l, r) {
+                        Ok(match (l, right.eval(row)?.as_bool()) {
                             (_, Some(false)) => Value::Bool(false),
                             (Some(true), Some(true)) => Value::Bool(true),
                             _ => Value::Null,
-                        });
+                        })
                     }
                     BinOp::Or => {
                         let l = left.eval(row)?.as_bool();
                         if l == Some(true) {
                             return Ok(Value::Bool(true));
                         }
-                        let r = right.eval(row)?.as_bool();
-                        return Ok(match (l, r) {
+                        Ok(match (l, right.eval(row)?.as_bool()) {
                             (_, Some(true)) => Value::Bool(true),
                             (Some(false), Some(false)) => Value::Bool(false),
                             _ => Value::Null,
-                        });
+                        })
                     }
-                    _ => {}
-                }
-                let l = left.eval(row)?;
-                let r = right.eval(row)?;
-                match op {
-                    BinOp::Add => l.arith('+', &r),
-                    BinOp::Sub => l.arith('-', &r),
-                    BinOp::Mul => l.arith('*', &r),
-                    BinOp::Div => l.arith('/', &r),
-                    cmp => {
-                        if l.is_null() || r.is_null() {
-                            return Ok(Value::Null);
-                        }
-                        let ord = l.cmp_non_null(&r);
-                        let out = match cmp {
-                            BinOp::Eq => ord == std::cmp::Ordering::Equal,
-                            BinOp::Ne => ord != std::cmp::Ordering::Equal,
-                            BinOp::Lt => ord == std::cmp::Ordering::Less,
-                            BinOp::Le => ord != std::cmp::Ordering::Greater,
-                            BinOp::Gt => ord == std::cmp::Ordering::Greater,
-                            BinOp::Ge => ord != std::cmp::Ordering::Less,
-                            _ => unreachable!(),
-                        };
-                        Ok(Value::Bool(out))
-                    }
+                    BinOp::Add => arith('+'),
+                    BinOp::Sub => arith('-'),
+                    BinOp::Mul => arith('*'),
+                    BinOp::Div => arith('/'),
+                    BinOp::Eq => compare(Ordering::is_eq),
+                    BinOp::Ne => compare(Ordering::is_ne),
+                    BinOp::Lt => compare(Ordering::is_lt),
+                    BinOp::Le => compare(Ordering::is_le),
+                    BinOp::Gt => compare(Ordering::is_gt),
+                    BinOp::Ge => compare(Ordering::is_ge),
                 }
             }
             BoundExpr::Neg(inner) => {
@@ -208,6 +208,12 @@ impl BoundExpr {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 mod tests {
     use super::*;
 

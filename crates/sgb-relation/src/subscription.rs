@@ -43,9 +43,9 @@ use sgb_geom::Metric;
 use sgb_telemetry::MetricsRegistry;
 
 use crate::error::{Error, Result};
-use crate::exec::extract_points;
+use crate::exec::{extract_points, lower, not_similarity};
 use crate::expr::BoundExpr;
-use crate::plan::{SgbMode, SnapshotInfo};
+use crate::plan::{Plan, SgbMode, SnapshotInfo};
 use crate::table::Row;
 
 /// The result-relevant identity of a similarity query — the parameters
@@ -114,6 +114,20 @@ impl QueryKey {
             centers: centers.to_vec(),
             metric,
             radius,
+        }
+    }
+
+    /// The key of a similarity plan node.
+    pub(crate) fn of(node: &Plan) -> Result<Self> {
+        match node {
+            Plan::SimilarityGroupBy { mode, .. } => Ok(Self::from_sgb_mode(mode)),
+            Plan::SimilarityAround {
+                centers,
+                metric,
+                radius,
+                ..
+            } => Ok(Self::around(centers, *metric, *radius)),
+            _ => Err(not_similarity()),
         }
     }
 }
@@ -433,16 +447,8 @@ impl SubscriptionSet {
     }
 
     /// Applies the rows just appended to `table` (now at `version`,
-    /// `all_rows` its full post-insert contents) and republishes. A delta
-    /// that fails mid-apply triggers [`Subscription::recover`]: the
-    /// grouping is rebuilt from `all_rows` with a strictly advancing
-    /// epoch, so readers never observe a half-applied delta or an epoch
-    /// rollback. Exception: a delta that overruns the session `deadline`
-    /// is **rejected atomically** — the pre-delta state is restored,
-    /// nothing is published (the snapshot epoch does not advance), and the
-    /// subscription deactivates, because its maintained state would
-    /// otherwise desynchronise from the table's rows the next time a delta
-    /// arrived.
+    /// `all_rows` its full post-insert contents) and republishes, settling
+    /// the delta as [`SubscriptionSet::apply_delta`] describes.
     pub(crate) fn on_insert(
         &mut self,
         table: &str,
@@ -451,6 +457,76 @@ impl SubscriptionSet {
         version: u64,
         deadline: Option<Duration>,
         registry: &MetricsRegistry,
+    ) {
+        self.apply_delta(
+            table,
+            all_rows,
+            version,
+            deadline,
+            registry,
+            |sub, governor| {
+                for row in rows {
+                    let slot = sub.maintained.try_insert_row(&sub.coords, row, governor)?;
+                    sub.row_slots.push(slot);
+                }
+                Ok(())
+            },
+        );
+    }
+
+    /// Applies a deletion of `removed` (ascending pre-delete row indices)
+    /// from `table` (now at `version`, `all_rows` its full post-delete
+    /// contents) and republishes, settling the delta as
+    /// [`SubscriptionSet::apply_delta`] describes.
+    pub(crate) fn on_delete(
+        &mut self,
+        table: &str,
+        removed: &[usize],
+        all_rows: &[Row],
+        version: u64,
+        deadline: Option<Duration>,
+        registry: &MetricsRegistry,
+    ) {
+        self.apply_delta(
+            table,
+            all_rows,
+            version,
+            deadline,
+            registry,
+            |sub, governor| {
+                let mut keep = vec![true; sub.row_slots.len()];
+                for &i in removed {
+                    if let Some(k) = keep.get_mut(i) {
+                        *k = false;
+                        sub.maintained.try_delete(sub.row_slots[i], governor)?;
+                    }
+                }
+                let mut it = keep.iter();
+                sub.row_slots.retain(|_| matches!(it.next(), Some(true)));
+                Ok(())
+            },
+        );
+    }
+
+    /// Runs `delta` on every active subscription of `table` under the
+    /// session `deadline`, then settles it. A delta that succeeds is
+    /// published. A delta that fails mid-apply triggers
+    /// [`Subscription::recover`]: the grouping is rebuilt from `all_rows`
+    /// with a strictly advancing epoch, so readers never observe a
+    /// half-applied delta or an epoch rollback. Exception: a delta that
+    /// overruns the `deadline` is **rejected atomically** — the pre-delta
+    /// state is restored, nothing is published (the snapshot epoch does
+    /// not advance), and the subscription deactivates, because its
+    /// maintained state would otherwise desynchronise from the table's rows
+    /// the next time a delta arrived.
+    fn apply_delta(
+        &mut self,
+        table: &str,
+        all_rows: &[Row],
+        version: u64,
+        deadline: Option<Duration>,
+        registry: &MetricsRegistry,
+        mut delta: impl FnMut(&mut Subscription, &QueryGovernor) -> Result<()>,
     ) {
         let governor = delta_governor(deadline);
         for sub in self.subs.iter_mut() {
@@ -461,88 +537,25 @@ impl SubscriptionSet {
             // actually reject the delta; the common ungoverned path clones
             // nothing.
             let backup = deadline.map(|_| (sub.maintained.clone(), sub.row_slots.clone()));
-            let mut err = None;
-            for row in rows {
-                match sub.maintained.try_insert_row(&sub.coords, row, &governor) {
-                    Ok(slot) => sub.row_slots.push(slot),
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            }
-            match err {
-                None => {
+            let outcome = match delta(sub, &governor) {
+                Ok(()) => {
                     sub.publish(version);
-                    registry.inc(DELTAS_COUNTER, &[("outcome", "applied")], 1);
+                    "applied"
                 }
-                Some(Error::Aborted(SgbError::Timeout)) => {
+                Err(Error::Aborted(SgbError::Timeout)) => {
                     if let Some((maintained, row_slots)) = backup {
                         sub.maintained = maintained;
                         sub.row_slots = row_slots;
                     }
                     sub.deactivate();
-                    registry.inc(DELTAS_COUNTER, &[("outcome", "rejected")], 1);
+                    "rejected"
                 }
-                Some(_) => {
+                Err(_) => {
                     sub.recover(all_rows, version);
-                    registry.inc(DELTAS_COUNTER, &[("outcome", "recovered")], 1);
+                    "recovered"
                 }
-            }
-        }
-    }
-
-    /// Applies a deletion of `removed` (ascending pre-delete row indices)
-    /// from `table` (now at `version`, `all_rows` its full post-delete
-    /// contents) and republishes; failed and deadline-rejected deltas are
-    /// handled exactly as in [`SubscriptionSet::on_insert`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_delete(
-        &mut self,
-        table: &str,
-        removed: &[usize],
-        all_rows: &[Row],
-        version: u64,
-        deadline: Option<Duration>,
-        registry: &MetricsRegistry,
-    ) {
-        let governor = delta_governor(deadline);
-        for sub in self.subs.iter_mut() {
-            if sub.table != table || !sub.is_active() {
-                continue;
-            }
-            let backup = deadline.map(|_| (sub.maintained.clone(), sub.row_slots.clone()));
-            let mut keep = vec![true; sub.row_slots.len()];
-            let mut err = None;
-            for &i in removed {
-                if let Some(k) = keep.get_mut(i) {
-                    *k = false;
-                    if let Err(e) = sub.maintained.try_delete(sub.row_slots[i], &governor) {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            }
-            match err {
-                None => {
-                    let mut it = keep.iter();
-                    sub.row_slots.retain(|_| matches!(it.next(), Some(true)));
-                    sub.publish(version);
-                    registry.inc(DELTAS_COUNTER, &[("outcome", "applied")], 1);
-                }
-                Some(Error::Aborted(SgbError::Timeout)) => {
-                    if let Some((maintained, row_slots)) = backup {
-                        sub.maintained = maintained;
-                        sub.row_slots = row_slots;
-                    }
-                    sub.deactivate();
-                    registry.inc(DELTAS_COUNTER, &[("outcome", "rejected")], 1);
-                }
-                Some(_) => {
-                    sub.recover(all_rows, version);
-                    registry.inc(DELTAS_COUNTER, &[("outcome", "recovered")], 1);
-                }
-            }
+            };
+            registry.inc(DELTAS_COUNTER, &[("outcome", outcome)], 1);
         }
     }
 
@@ -606,21 +619,26 @@ impl SubscriptionSet {
 }
 
 /// Builds the dimension-erased maintained grouping of a subscription from
-/// the table's current rows.
+/// the table's current rows and the similarity node's lowering.
 pub(crate) fn build_maintained(
     rows: &[Row],
     coords: &[BoundExpr],
-    build2: impl FnOnce() -> Result<sgb_core::SgbQuery<2>>,
-    build3: impl FnOnce() -> Result<sgb_core::SgbQuery<3>>,
+    node: &Plan,
 ) -> Result<Maintained> {
     match coords.len() {
         2 => {
             let points = extract_points::<2>(rows, coords)?;
-            Ok(Maintained::D2(MaintainedGrouping::new(build2()?, &points)))
+            Ok(Maintained::D2(MaintainedGrouping::new(
+                lower(node)?,
+                &points,
+            )))
         }
         3 => {
             let points = extract_points::<3>(rows, coords)?;
-            Ok(Maintained::D3(MaintainedGrouping::new(build3()?, &points)))
+            Ok(Maintained::D3(MaintainedGrouping::new(
+                lower(node)?,
+                &points,
+            )))
         }
         n => Err(Error::Unsupported(format!(
             "similarity grouping over {n} attributes (2 or 3 supported)"

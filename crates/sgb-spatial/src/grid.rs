@@ -120,7 +120,7 @@ impl JoinTally {
 /// grid.insert(Point::new([0.9, 0.2]), 1);
 /// grid.insert(Point::new([5.0, 5.0]), 2);
 /// let mut hits = Vec::new();
-/// grid.for_each_within(&Point::new([0.0, 0.0]), 1.0, Metric::L2, |p, &id| {
+/// grid.for_each_within(&Point::new([0.0, 0.0]), 1.0, |p, &id| {
 ///     if Metric::L2.within(p, &Point::new([0.0, 0.0]), 1.0) {
 ///         hits.push(id); // caller-side verification, as the SGB operators do
 ///     }
@@ -215,12 +215,6 @@ impl<const D: usize, T> Grid<D, T> {
         self.len == 0
     }
 
-    /// The configured cell side length.
-    #[inline]
-    pub fn cell_side(&self) -> f64 {
-        self.cell
-    }
-
     /// Number of occupied cells.
     #[inline]
     pub fn occupied_cells(&self) -> usize {
@@ -301,7 +295,6 @@ impl<const D: usize, T> Grid<D, T> {
         &self,
         center: &Point<D>,
         eps: f64,
-        _metric: Metric,
         mut visit: F,
     ) {
         if self.len == 0 {
@@ -1178,7 +1171,7 @@ mod tests {
         let grid: Grid<2, usize> = Grid::new(1.0);
         assert!(grid.is_empty());
         let mut visited = 0;
-        grid.for_each_within(&pt(0.0, 0.0), 10.0, Metric::L2, |_, _| visited += 1);
+        grid.for_each_within(&pt(0.0, 0.0), 10.0, |_, _| visited += 1);
         assert_eq!(visited, 0);
         assert_eq!(grid.nearest_one(&pt(0.0, 0.0), Metric::L2), None);
     }
@@ -1216,7 +1209,7 @@ mod tests {
         for metric in Metric::ALL {
             for (q, eps) in queries {
                 let mut hits = Vec::new();
-                grid.for_each_within(&q, eps, metric, |p, &i| {
+                grid.for_each_within(&q, eps, |p, &i| {
                     if metric.within(p, &q, eps) {
                         hits.push(i);
                     }
@@ -1271,7 +1264,7 @@ mod tests {
         for metric in Metric::ALL {
             for q in &points {
                 let mut visited = vec![false; points.len()];
-                grid.for_each_within(q, eps, metric, |_, &i| visited[i] = true);
+                grid.for_each_within(q, eps, |_, &i| visited[i] = true);
                 for (i, p) in points.iter().enumerate() {
                     if metric.within(p, q, eps) {
                         assert!(visited[i], "{metric}: predicate hit {i} not visited");
@@ -1288,7 +1281,7 @@ mod tests {
         grid.insert(pt(1.0, 1.0), 'b');
         grid.insert(pt(1.0, 1.0000001), 'c');
         let mut hits = Vec::new();
-        grid.for_each_within(&pt(1.0, 1.0), 0.0, Metric::L2, |p, &id| {
+        grid.for_each_within(&pt(1.0, 1.0), 0.0, |p, &id| {
             if Metric::L2.within(p, &pt(1.0, 1.0), 0.0) {
                 hits.push(id);
             }
@@ -1444,7 +1437,7 @@ mod tests {
         for metric in Metric::ALL {
             let collect = |g: &Grid<2, usize>| {
                 let mut out = Vec::new();
-                g.for_each_within(&q, 2.0, metric, |_, &i| out.push(i));
+                g.for_each_within(&q, 2.0, |_, &i| out.push(i));
                 out.sort_unstable();
                 out
             };
@@ -1465,7 +1458,7 @@ mod tests {
         let q = Point::new([2.2, 2.8, 3.1]);
         for metric in Metric::ALL {
             let mut hits = Vec::new();
-            grid.for_each_within(&q, 1.0, metric, |p, &i| {
+            grid.for_each_within(&q, 1.0, |p, &i| {
                 if metric.within(p, &q, 1.0) {
                     hits.push(i);
                 }
@@ -1506,7 +1499,7 @@ mod tests {
         grid.insert(pt(-1e300, 0.0), 1);
         grid.insert(pt(0.25, 0.0), 2);
         let mut hits = Vec::new();
-        grid.for_each_within(&pt(0.0, 0.0), 1e19, Metric::L2, |p, &i| {
+        grid.for_each_within(&pt(0.0, 0.0), 1e19, |p, &i| {
             if Metric::L2.within(p, &pt(0.0, 0.0), 1e19) {
                 hits.push(i);
             }
@@ -1569,7 +1562,7 @@ mod tests {
         for metric in Metric::ALL {
             let collect = |g: &Grid<2, usize>| {
                 let mut out = Vec::new();
-                g.for_each_within(&pt(0.5, 0.5), 6.0, metric, |_, &i| out.push(i));
+                g.for_each_within(&pt(0.5, 0.5), 6.0, |_, &i| out.push(i));
                 out.sort_unstable();
                 out
             };
@@ -1612,7 +1605,7 @@ mod tests {
         assert_eq!(grid.cell_of(&pt(-0.5, 0.0))[0], -1);
         assert_eq!(grid.cell_of(&pt(0.5, 0.0))[0], 0);
         let mut hits = Vec::new();
-        grid.for_each_within(&pt(0.0, 0.0), 1.0, Metric::L1, |_, &c| hits.push(c));
+        grid.for_each_within(&pt(0.0, 0.0), 1.0, |_, &c| hits.push(c));
         hits.sort_unstable();
         assert_eq!(hits, vec!['n', 'p']);
     }

@@ -179,11 +179,6 @@ impl<const D: usize, T: Clone + PartialEq> RTree<D, T> {
         self.len == 0
     }
 
-    /// MBR of everything stored (empty rect when the tree is empty).
-    pub fn bounds(&self) -> Rect<D> {
-        self.nodes[self.root].rect
-    }
-
     /// Height of the tree (1 for a single leaf root).
     pub fn height(&self) -> usize {
         let mut h = 1;
@@ -262,11 +257,6 @@ impl<const D: usize, T: Clone + PartialEq> RTree<D, T> {
         }
         self.len += 1;
         self.adjust_upward(leaf);
-    }
-
-    /// Convenience: index a point as its degenerate rectangle.
-    pub fn insert_point(&mut self, p: Point<D>, item: T) {
-        self.insert(Rect::point(p), item);
     }
 
     /// Walks from `start` to the root, tightening MBRs and splitting
@@ -983,7 +973,7 @@ mod tests {
         for i in 0..n {
             let x = (i % 31) as f64;
             let y = (i / 31) as f64;
-            tree.insert_point(pt(x, y), i);
+            tree.insert(Rect::point(pt(x, y)), i);
         }
         tree
     }
@@ -997,15 +987,14 @@ mod tests {
             Vec::<usize>::new()
         );
         assert!(tree.nearest(&pt(0.0, 0.0), 3, Metric::L2).is_empty());
-        assert!(tree.bounds().is_empty());
     }
 
     #[test]
     fn insert_and_query_small() {
         let mut tree = RTree::new();
-        tree.insert_point(pt(1.0, 1.0), 'a');
-        tree.insert_point(pt(5.0, 5.0), 'b');
-        tree.insert_point(pt(9.0, 1.0), 'c');
+        tree.insert(Rect::point(pt(1.0, 1.0)), 'a');
+        tree.insert(Rect::point(pt(5.0, 5.0)), 'b');
+        tree.insert(Rect::point(pt(9.0, 1.0)), 'c');
         assert_eq!(tree.len(), 3);
         let mut hits = tree.query_collect(&Rect::new(pt(0.0, 0.0), pt(6.0, 6.0)));
         hits.sort();
@@ -1071,7 +1060,7 @@ mod tests {
             .map(|k| pt((base + k as f64 * 11.17) / 11000.0, 0.0))
             .collect();
         for (i, p) in points.iter().enumerate() {
-            tree.insert_point(*p, i);
+            tree.insert(Rect::point(*p), i);
         }
         let eps = 0.08;
         for metric in Metric::ALL {
@@ -1171,10 +1160,10 @@ mod tests {
             let mut tree: RTree<2, usize> = RTree::with_max_entries(4);
             // Scrambled insertion order, duplicate positions across payloads.
             for (j, payload) in [5usize, 1, 7, 3, 0, 6, 2, 4].iter().enumerate() {
-                tree.insert_point(ring[j % ring.len()], *payload);
+                tree.insert(Rect::point(ring[j % ring.len()]), *payload);
             }
             for filler in 8..40 {
-                tree.insert_point(pt(30.0 + filler as f64, 30.0), filler);
+                tree.insert(Rect::point(pt(30.0 + filler as f64, 30.0)), filler);
             }
             let got = tree.nearest(&q, 8, metric);
             let payloads: Vec<usize> = got.iter().map(|(_, i)| *i).collect();
@@ -1205,7 +1194,7 @@ mod tests {
         let mut ring: RTree<2, usize> = RTree::with_max_entries(4);
         for (j, payload) in [5usize, 1, 7, 3, 0, 6, 2, 4].iter().enumerate() {
             let ps = [pt(11.0, 10.0), pt(9.0, 10.0), pt(10.0, 11.0), pt(10.0, 9.0)];
-            ring.insert_point(ps[j % 4], *payload);
+            ring.insert(Rect::point(ps[j % 4]), *payload);
         }
         let probes = [pt(3.3, 7.1), pt(-2.0, 40.0), pt(10.0, 10.0), pt(15.0, 8.0)];
         for metric in Metric::ALL {
@@ -1263,7 +1252,7 @@ mod tests {
         assert!(tree.is_empty());
         assert_eq!(tree.height(), 1);
         // The tree stays usable after total deletion.
-        tree.insert_point(pt(1.0, 2.0), 7);
+        tree.insert(Rect::point(pt(1.0, 2.0)), 7);
         assert_eq!(
             tree.query_collect(&Rect::centered(pt(1.0, 2.0), 0.5)),
             vec![7]
@@ -1276,7 +1265,7 @@ mod tests {
         // everything else must remain queryable.
         let mut tree = RTree::with_max_entries(4);
         for i in 0..40 {
-            tree.insert_point(pt(i as f64, 0.0), i);
+            tree.insert(Rect::point(pt(i as f64, 0.0)), i);
         }
         for i in 10..30 {
             assert!(tree.remove(&Rect::point(pt(i as f64, 0.0)), &i));
@@ -1307,8 +1296,8 @@ mod tests {
     fn duplicate_rects_different_payloads() {
         let mut tree = RTree::new();
         let p = pt(1.0, 1.0);
-        tree.insert_point(p, 'x');
-        tree.insert_point(p, 'y');
+        tree.insert(Rect::point(p), 'x');
+        tree.insert(Rect::point(p), 'y');
         let mut hits = tree.query_collect(&Rect::point(p));
         hits.sort();
         assert_eq!(hits, vec!['x', 'y']);
@@ -1321,7 +1310,10 @@ mod tests {
         let mut tree: RTree<3, usize> = RTree::new();
         for i in 0..200 {
             let f = i as f64;
-            tree.insert_point(Point::new([f % 5.0, (f / 5.0) % 5.0, f / 25.0]), i);
+            tree.insert(
+                Rect::point(Point::new([f % 5.0, (f / 5.0) % 5.0, f / 25.0])),
+                i,
+            );
         }
         let hits = tree.query_collect(&Rect::new(
             Point::new([0.0, 0.0, 0.0]),
@@ -1371,7 +1363,7 @@ mod tests {
         );
         let mut inc: RTree<2, usize> = RTree::with_max_entries(8);
         for i in 0..500 {
-            inc.insert_point(pt((i % 31) as f64, (i / 31) as f64), i);
+            inc.insert(Rect::point(pt((i % 31) as f64, (i / 31) as f64)), i);
         }
         let q = pt(7.3, 4.9);
         for metric in Metric::ALL {
@@ -1397,7 +1389,7 @@ mod tests {
         // A bulk-loaded tree stays freely mutable.
         let mut bulk = bulk;
         assert!(bulk.remove(&Rect::point(pt(3.0, 0.0)), &3));
-        bulk.insert_point(pt(100.0, 100.0), 777);
+        bulk.insert(Rect::point(pt(100.0, 100.0)), 777);
         bulk.check_invariants();
     }
 
@@ -1410,7 +1402,7 @@ mod tests {
         );
         let mut inc: RTree<2, usize> = RTree::with_max_entries(12);
         for i in 0..n {
-            inc.insert_point(pt((i % 61) as f64, (i / 61) as f64), i);
+            inc.insert(Rect::point(pt((i % 61) as f64, (i / 61) as f64)), i);
         }
         assert!(bulk.height() <= inc.height(), "packing must not be taller");
     }
@@ -1447,7 +1439,7 @@ mod tests {
         for round in 0..600 {
             if live.is_empty() || next() % 3 != 0 {
                 let id = round;
-                tree.insert_point(pos(id), id);
+                tree.insert(Rect::point(pos(id)), id);
                 live.push(id);
             } else {
                 let victim = live.swap_remove(next() % live.len());

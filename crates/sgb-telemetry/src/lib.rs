@@ -15,8 +15,8 @@
 //!   phase timers ([`Phase`]: validate, cache probe, index build,
 //!   join/scan, DSU merge, aggregation) plus engine counters
 //!   ([`Counter`]: candidate pairs visited, cells probed, governor polls,
-//!   cache hits/misses, threads used, groups/outliers produced, deltas
-//!   applied/rejected). The state is shared (`Arc` + relaxed atomics) so
+//!   cache hits/misses, threads used, groups/outliers produced, SGB-All's
+//!   ε-components). The state is shared (`Arc` + relaxed atomics) so
 //!   the relational executor can keep recording into the same profile
 //!   after the core operator returns.
 //! * [`MetricsRegistry`] — session-scoped monotone counters and
@@ -102,21 +102,17 @@ pub enum Counter {
     Groups = 6,
     /// Outliers produced (radius-bounded AROUND).
     Outliers = 7,
-    /// Incremental maintenance deltas applied.
-    DeltasApplied = 8,
-    /// Incremental maintenance deltas rejected (fault or governor).
-    DeltasRejected = 9,
     /// ε-components found by SGB-All's component pre-pass (its `Grid`
     /// path), each searched on its own.
-    Components = 10,
+    Components = 8,
     /// Points in the largest ε-component the SGB-All pre-pass found
     /// (high-water mark).
-    LargestComponent = 11,
+    LargestComponent = 9,
 }
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 12] = [
+    pub const ALL: [Counter; 10] = [
         Counter::CandidatePairs,
         Counter::CellsProbed,
         Counter::GovernorPolls,
@@ -125,8 +121,6 @@ impl Counter {
         Counter::ThreadsUsed,
         Counter::Groups,
         Counter::Outliers,
-        Counter::DeltasApplied,
-        Counter::DeltasRejected,
         Counter::Components,
         Counter::LargestComponent,
     ];
@@ -142,8 +136,6 @@ impl Counter {
             Counter::ThreadsUsed => "threads_used",
             Counter::Groups => "groups",
             Counter::Outliers => "outliers",
-            Counter::DeltasApplied => "deltas_applied",
-            Counter::DeltasRejected => "deltas_rejected",
             Counter::Components => "components",
             Counter::LargestComponent => "largest_component",
         }

@@ -140,7 +140,7 @@ proptest! {
     ) {
         let mut tree: RTree<2, usize> = RTree::with_max_entries(6);
         for (i, p) in points.iter().enumerate() {
-            tree.insert_point(*p, i);
+            tree.insert(Rect::point(*p), i);
         }
         let mut live: Vec<bool> = vec![true; points.len()];
         for d in &deletions {
@@ -174,7 +174,7 @@ proptest! {
     ) {
         let mut tree: RTree<2, usize> = RTree::new();
         for (i, p) in points.iter().enumerate() {
-            tree.insert_point(*p, i);
+            tree.insert(Rect::point(*p), i);
         }
         let got = tree.nearest(&query, k, metric);
         let mut brute: Vec<f64> = points.iter().map(|p| metric.distance(p, &query)).collect();
