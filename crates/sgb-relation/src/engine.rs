@@ -1,5 +1,10 @@
 //! The database façade: catalog + SQL entry points.
-#![deny(clippy::unwrap_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -230,7 +235,7 @@ impl Database {
                             .collect()
                     })
                     .collect::<Result<Vec<Row>>>()?;
-                self.append_rows(&table, &rows)?;
+                self.append_rows(&table, rows)?;
                 Ok(Table::default())
             }
             Statement::Delete { table, predicate } => {
@@ -281,7 +286,7 @@ impl Database {
                     // move to the end of the table, exactly as a manual
                     // DELETE + INSERT would place them.
                     self.remove_rows(&table, &touched)?;
-                    self.append_rows(&table, &replacements)?;
+                    self.append_rows(&table, replacements)?;
                 }
                 Ok(Table::default())
             }
@@ -303,11 +308,12 @@ impl Database {
         }
     }
 
-    /// Appends `rows` to `table` and applies them to its subscriptions as
-    /// one insert delta at the table's new version. Every width is checked
-    /// before the first push, so the statement is all-or-nothing —
-    /// subscriptions see either the whole batch or none of it.
-    fn append_rows(&mut self, table: &str, rows: &[Row]) -> Result<()> {
+    /// Moves `rows` into `table` and applies them to its subscriptions as
+    /// one insert delta at the table's new version, read from the table's
+    /// appended tail. Every width is checked before the first push, so the
+    /// statement is all-or-nothing — subscriptions see either the whole
+    /// batch or none of it.
+    fn append_rows(&mut self, table: &str, rows: Vec<Row>) -> Result<()> {
         let key = table.to_ascii_lowercase();
         let t = self
             .tables
@@ -320,12 +326,13 @@ impl Database {
                 bad.len()
             )));
         }
+        let first = t.rows.len();
         for row in rows {
-            t.push(row.clone())?;
+            t.push(row)?;
         }
         self.subscriptions.on_insert(
             &key,
-            rows,
+            &t.rows[first..],
             &t.rows,
             t.version(),
             self.session.statement_timeout,

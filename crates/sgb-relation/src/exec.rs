@@ -1,4 +1,9 @@
-//! Plan executor: materialises a [`Plan`] tree bottom-up.
+//! Plan executor: runs a [`Plan`] tree bottom-up.
+//!
+//! Inner nodes pass their rows by reference where they can: a Scan borrows
+//! the catalog's rows, a Limit over borrowed rows slices them, a Filter
+//! clones only the rows it keeps, and only the root builds the result
+//! [`Table`].
 //!
 //! Every statement executes under a [`QueryGovernor`] built from the
 //! session options (`Database::statement_governor`): the
@@ -7,15 +12,21 @@
 //! deadline, gets cancelled, or exceeds the memory budget fails with
 //! [`Error::Aborted`] — and fails *cleanly*: no partial grouping enters
 //! the session caches, and the database stays fully usable.
-#![deny(clippy::unwrap_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use sgb_core::query::Grouping;
-use sgb_core::{Algorithm, QueryGovernor, SgbQuery};
+use sgb_core::{Algorithm, QueryGovernor, RecordId, SgbQuery};
 use sgb_geom::Point;
 use sgb_telemetry::{Counter, Phase, Telemetry};
 
@@ -24,16 +35,21 @@ use crate::engine::Database;
 use crate::error::{Error, Result};
 use crate::expr::BoundExpr;
 use crate::plan::{AggCall, AggKind, NodeStat, Plan, SgbMode};
-use crate::subscription::QueryKey;
+use crate::subscription::{GroupingSnapshot, QueryKey};
 use crate::table::{Row, Table};
 use crate::value::Value;
+
+/// The rows a plan node yields: borrowed from the catalog of the database
+/// the statement runs against, or built by the node.
+type Rows<'a> = Cow<'a, [Row]>;
 
 /// Executes `plan` against the database catalog, under a statement
 /// governor drawn from the session options (deadline, memory budget,
 /// session cancel token).
 pub fn execute(plan: &Plan, db: &Database) -> Result<Table> {
     // One governor (and thus one deadline) spans the whole plan tree.
-    execute_node(plan, db, &db.statement_governor(), 0, None)
+    let rows = execute_node(plan, db, &db.statement_governor(), 0, None)?;
+    Ok(Table::from_parts(plan.schema().clone(), rows.into_owned()))
 }
 
 /// `EXPLAIN ANALYZE` entry point: executes `plan` with per-node actuals
@@ -48,7 +64,8 @@ pub(crate) fn execute_with_stats(
     governor: &QueryGovernor,
 ) -> Result<(Table, Vec<NodeStat>)> {
     let stats = RefCell::new(vec![NodeStat::default(); plan.node_count()]);
-    let table = execute_node(plan, db, governor, 0, Some(&stats))?;
+    let rows = execute_node(plan, db, governor, 0, Some(&stats))?;
+    let table = Table::from_parts(plan.schema().clone(), rows.into_owned());
     Ok((table, stats.into_inner()))
 }
 
@@ -56,75 +73,79 @@ pub(crate) fn execute_with_stats(
 /// inclusive elapsed time and output cardinality into `stats[id]` when a
 /// sink is present. `id` is the node's pre-order index within the root
 /// plan.
-fn execute_node(
+fn execute_node<'a>(
     plan: &Plan,
-    db: &Database,
+    db: &'a Database,
     governor: &QueryGovernor,
     id: usize,
     stats: Option<&RefCell<Vec<NodeStat>>>,
-) -> Result<Table> {
+) -> Result<Rows<'a>> {
     let started = stats.map(|_| Instant::now());
     let out = execute_inner(plan, db, governor, id, stats)?;
     if let (Some(stats), Some(started)) = (stats, started) {
         let stat = &mut stats.borrow_mut()[id];
         stat.elapsed_nanos = started.elapsed().as_nanos() as u64;
-        stat.rows = out.rows.len();
+        stat.rows = out.len();
     }
     Ok(out)
 }
 
-fn execute_inner(
+fn execute_inner<'a>(
     plan: &Plan,
-    db: &Database,
+    db: &'a Database,
     governor: &QueryGovernor,
     id: usize,
     stats: Option<&RefCell<Vec<NodeStat>>>,
-) -> Result<Table> {
+) -> Result<Rows<'a>> {
     let execute = |plan: &Plan, child_id: usize| execute_node(plan, db, governor, child_id, stats);
     match plan {
-        Plan::Scan { table, .. } => {
-            let t = db.table(table)?;
-            Ok(Table::from_parts(plan.schema().clone(), t.rows.clone()))
-        }
+        Plan::Scan { table, .. } => Ok(Cow::Borrowed(&db.table(table)?.rows)),
         Plan::Filter { input, predicate } => {
-            let mut t = execute(input, id + 1)?;
-            let mut kept = Vec::with_capacity(t.rows.len());
-            for row in t.rows.drain(..) {
-                if predicate.eval_predicate(&row)? {
-                    kept.push(row);
+            let rows = execute(input, id + 1)?;
+            let mut kept = Vec::with_capacity(rows.len());
+            match rows {
+                // Clone only the rows that pass; an owned input moves them.
+                Cow::Borrowed(rows) => {
+                    for row in rows {
+                        if predicate.eval_predicate(row)? {
+                            kept.push(row.clone());
+                        }
+                    }
+                }
+                Cow::Owned(rows) => {
+                    for row in rows {
+                        if predicate.eval_predicate(&row)? {
+                            kept.push(row);
+                        }
+                    }
                 }
             }
-            t.rows = kept;
-            Ok(t)
+            Ok(Cow::Owned(kept))
         }
-        Plan::Project {
-            input,
-            exprs,
-            schema,
-        } => {
-            let t = execute(input, id + 1)?;
-            let mut rows = Vec::with_capacity(t.rows.len());
-            for row in &t.rows {
+        Plan::Project { input, exprs, .. } => {
+            let input = execute(input, id + 1)?;
+            let mut rows = Vec::with_capacity(input.len());
+            for row in input.iter() {
                 let mut out = Vec::with_capacity(exprs.len());
                 for e in exprs {
                     out.push(e.eval(row)?);
                 }
                 rows.push(out);
             }
-            Ok(Table::from_parts(schema.clone(), rows))
+            Ok(Cow::Owned(rows))
         }
         Plan::HashJoin {
             left,
             right,
             left_keys,
             right_keys,
-            schema,
+            ..
         } => {
             let l = execute(left, id + 1)?;
             let r = execute(right, id + 1 + left.node_count())?;
             // Build on the right input.
             let mut build: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-            'rows: for (i, row) in r.rows.iter().enumerate() {
+            'rows: for (i, row) in r.iter().enumerate() {
                 let mut key = Vec::with_capacity(right_keys.len());
                 for k in right_keys {
                     let v = k.eval(row)?;
@@ -136,7 +157,7 @@ fn execute_inner(
                 build.entry(key).or_default().push(i);
             }
             let mut rows = Vec::new();
-            'probe: for lrow in &l.rows {
+            'probe: for lrow in l.iter() {
                 let mut key = Vec::with_capacity(left_keys.len());
                 for k in left_keys {
                     let v = k.eval(lrow)?;
@@ -147,30 +168,22 @@ fn execute_inner(
                 }
                 if let Some(matches) = build.get(&key) {
                     for &ri in matches {
-                        let mut out = lrow.clone();
-                        out.extend(r.rows[ri].iter().cloned());
-                        rows.push(out);
+                        rows.push(concat(lrow, &r[ri]));
                     }
                 }
             }
-            Ok(Table::from_parts(schema.clone(), rows))
+            Ok(Cow::Owned(rows))
         }
-        Plan::CrossJoin {
-            left,
-            right,
-            schema,
-        } => {
+        Plan::CrossJoin { left, right, .. } => {
             let l = execute(left, id + 1)?;
             let r = execute(right, id + 1 + left.node_count())?;
-            let mut rows = Vec::with_capacity(l.rows.len() * r.rows.len());
-            for lrow in &l.rows {
-                for rrow in &r.rows {
-                    let mut out = lrow.clone();
-                    out.extend(rrow.iter().cloned());
-                    rows.push(out);
+            let mut rows = Vec::with_capacity(l.len() * r.len());
+            for lrow in l.iter() {
+                for rrow in r.iter() {
+                    rows.push(concat(lrow, rrow));
                 }
             }
-            Ok(Table::from_parts(schema.clone(), rows))
+            Ok(Cow::Owned(rows))
         }
         Plan::HashAggregate {
             input,
@@ -178,15 +191,15 @@ fn execute_inner(
             aggs,
             having,
             outputs,
-            schema,
+            ..
         } => {
-            let t = execute(input, id + 1)?;
+            let input = execute(input, id + 1)?;
             // First-seen group order (like PostgreSQL's hash agg output is
             // unordered, but determinism helps tests).
             let mut order: Vec<Vec<Value>> = Vec::new();
             let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
             let mut states: Vec<Vec<AggState>> = Vec::new();
-            for row in &t.rows {
+            for row in input.iter() {
                 let mut key = Vec::with_capacity(group_exprs.len());
                 for g in group_exprs {
                     key.push(g.eval(row)?);
@@ -215,7 +228,7 @@ fn execute_inner(
                 internal.extend(st.into_iter().map(AggState::finish));
                 rows.extend(group_output(&internal, having, outputs)?);
             }
-            Ok(Table::from_parts(schema.clone(), rows))
+            Ok(Cow::Owned(rows))
         }
         Plan::SimilarityGroupBy {
             input,
@@ -223,7 +236,6 @@ fn execute_inner(
             aggs,
             having,
             outputs,
-            schema,
             ..
         }
         | Plan::SimilarityAround {
@@ -232,10 +244,9 @@ fn execute_inner(
             aggs,
             having,
             outputs,
-            schema,
             ..
         } => {
-            let t = execute(input, id + 1)?;
+            let rows = execute(input, id + 1)?;
             // Per-query profile only when an EXPLAIN ANALYZE sink exists:
             // plain execution keeps the inert handle (zero clock reads).
             let tel = if stats.is_some() {
@@ -249,21 +260,21 @@ fn execute_inner(
                 &[("operator", op), ("algorithm", &algorithm.to_string())],
                 1,
             );
-            let grouping = run_similarity(db, plan, input, &t.rows, coords, governor, &tel)?;
+            let grouping = run_similarity(db, plan, input, &rows, coords, governor, &tel)?;
             let out = {
                 let _agg = tel.phase(Phase::Aggregate);
-                aggregate_grouping(&t, &grouping, aggs, having, outputs, schema)
+                aggregate_grouping(&rows, grouping.get(), aggs, having, outputs)
             };
             if let Some(stats) = stats {
-                stats.borrow_mut()[id].detail = similarity_detail(&grouping, &tel);
+                stats.borrow_mut()[id].detail = similarity_detail(grouping.get(), &tel);
             }
-            out
+            Ok(Cow::Owned(out?))
         }
         Plan::Sort { input, keys } => {
-            let mut t = execute(input, id + 1)?;
+            let rows = execute(input, id + 1)?.into_owned();
             // Pre-compute sort keys (decorate-sort-undecorate).
-            let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(t.rows.len());
-            for row in t.rows.drain(..) {
+            let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
+            for row in rows {
                 let mut ks = Vec::with_capacity(keys.len());
                 for (e, _) in keys {
                     ks.push(e.eval(&row)?);
@@ -285,15 +296,25 @@ fn execute_inner(
                 }
                 std::cmp::Ordering::Equal
             });
-            t.rows = decorated.into_iter().map(|(_, r)| r).collect();
-            Ok(t)
+            Ok(Cow::Owned(decorated.into_iter().map(|(_, r)| r).collect()))
         }
-        Plan::Limit { input, n } => {
-            let mut t = execute(input, id + 1)?;
-            t.rows.truncate(*n);
-            Ok(t)
-        }
+        Plan::Limit { input, n } => Ok(match execute(input, id + 1)? {
+            Cow::Borrowed(rows) => Cow::Borrowed(rows.get(..*n).unwrap_or(rows)),
+            Cow::Owned(mut rows) => {
+                rows.truncate(*n);
+                Cow::Owned(rows)
+            }
+        }),
     }
+}
+
+/// A join output row: `left` then `right`, allocated once at its final
+/// width.
+fn concat(left: &[Value], right: &[Value]) -> Row {
+    let mut out = Vec::with_capacity(left.len() + right.len());
+    out.extend_from_slice(left);
+    out.extend_from_slice(right);
+    out
 }
 
 /// Aggregates the rows of each answer group into one output row, applying
@@ -301,26 +322,134 @@ fn execute_inner(
 /// layout — shared by the similarity group-by plan nodes. The iteration
 /// uses the relational output shape ([`Grouping::output_groups`]): answer
 /// groups first, then — for radius-bounded AROUND — the outlier group.
+///
+/// A count, sum, avg, min or max over a plain column that holds a
+/// `Value::Float` in every input row folds each group from that column,
+/// read once into a dense vector, without touching member rows
+/// ([`FloatAgg`]). Every other call folds member by member through
+/// [`AggState`], members outermost, so errors surface in the same order.
 fn aggregate_grouping(
-    t: &Table,
+    rows: &[Row],
     grouping: &Grouping,
     aggs: &[AggCall],
     having: &Option<BoundExpr>,
     outputs: &[BoundExpr],
-    schema: &crate::schema::Schema,
-) -> Result<Table> {
-    let mut rows = Vec::with_capacity(grouping.num_groups() + 1);
+) -> Result<Vec<Row>> {
+    // One gather per distinct column; `None` when the column is not all
+    // floats, which sends its calls down the per-member path.
+    let mut gathered: Vec<(usize, Option<Vec<f64>>)> = Vec::new();
+    for (_, c) in aggs.iter().filter_map(FloatAgg::of) {
+        if !gathered.iter().any(|(g, _)| *g == c) {
+            gathered.push((c, float_column(rows, c)));
+        }
+    }
+    let folds: Vec<Option<(FloatAgg, &[f64])>> = aggs
+        .iter()
+        .map(|call| {
+            let (agg, c) = FloatAgg::of(call)?;
+            let column = gathered.iter().find(|(g, _)| *g == c)?.1.as_deref()?;
+            Some((agg, column))
+        })
+        .collect();
+    let mut out = Vec::with_capacity(grouping.num_groups() + 1);
+    let mut accs: Vec<Acc> = Vec::with_capacity(aggs.len());
+    let mut internal: Row = Vec::with_capacity(aggs.len());
     for members in grouping.output_groups() {
-        let mut st: Vec<AggState> = aggs.iter().map(AggState::new).collect();
+        accs.extend(aggs.iter().zip(&folds).map(|(call, fold)| match fold {
+            Some((agg, column)) => Acc::Column(*agg, column),
+            None => Acc::Rows(AggState::new(call)),
+        }));
         for &r in members {
-            for (s, call) in st.iter_mut().zip(aggs) {
-                s.update(call, &t.rows[r])?;
+            for (acc, call) in accs.iter_mut().zip(aggs) {
+                if let Acc::Rows(state) = acc {
+                    state.update(call, &rows[r])?;
+                }
             }
         }
-        let internal: Row = st.into_iter().map(AggState::finish).collect();
-        rows.extend(group_output(&internal, having, outputs)?);
+        internal.clear();
+        internal.extend(accs.drain(..).map(|acc| match acc {
+            Acc::Column(agg, column) => agg.fold(column, members),
+            Acc::Rows(state) => state.finish(),
+        }));
+        out.extend(group_output(&internal, having, outputs)?);
     }
-    Ok(Table::from_parts(schema.clone(), rows))
+    Ok(out)
+}
+
+/// How a similarity node aggregates one call over the current group.
+enum Acc<'c> {
+    /// Folded from the call's gathered float column.
+    Column(FloatAgg, &'c [f64]),
+    /// Updated row by row.
+    Rows(AggState),
+}
+
+/// Column `c` of every row as a dense vector, or `None` when some row
+/// holds anything but a `Value::Float` there (NULL, Int, string, date).
+fn float_column(rows: &[Row], c: usize) -> Option<Vec<f64>> {
+    let mut column = Vec::with_capacity(rows.len());
+    for row in rows {
+        let Some(Value::Float(f)) = row.get(c) else {
+            return None;
+        };
+        column.push(*f);
+    }
+    Some(column)
+}
+
+/// The aggregate kinds a similarity node folds from a gathered float
+/// column instead of from member rows.
+#[derive(Clone, Copy, Debug)]
+enum FloatAgg {
+    Count,
+    Sum,
+    Avg,
+    Min,
+    Max,
+}
+
+impl FloatAgg {
+    /// The fold and column of a call whose argument is a plain column.
+    fn of(call: &AggCall) -> Option<(Self, usize)> {
+        let Some(BoundExpr::Column(c)) = call.arg else {
+            return None;
+        };
+        let agg = match call.kind {
+            AggKind::Count => FloatAgg::Count,
+            AggKind::Sum => FloatAgg::Sum,
+            AggKind::Avg => FloatAgg::Avg,
+            AggKind::Min => FloatAgg::Min,
+            AggKind::Max => FloatAgg::Max,
+            AggKind::CountStar | AggKind::ArrayAgg => return None,
+        };
+        Some((agg, c))
+    }
+
+    /// One group's aggregate over its members' entries of a float column,
+    /// bit for bit what [`AggState::update`] and [`AggState::finish`] give
+    /// over the same `Value::Float`s: sums add in member order from `0.0`,
+    /// and min and max replace only on a strictly smaller or larger value,
+    /// so ±0.0 ties and NaN resolve as [`Value::cmp_non_null`] resolves
+    /// them (NaN compares equal to everything).
+    fn fold(self, column: &[f64], members: &[RecordId]) -> Value {
+        let values = members.iter().map(|&r| column[r]);
+        // Not `Iterator::sum`, which starts from -0.0.
+        let sum = || values.clone().fold(0.0, |sum, v| sum + v);
+        let extreme = |replaces: fn(f64, f64) -> bool| {
+            values
+                .clone()
+                .reduce(|best, v| if replaces(v, best) { v } else { best })
+                .map_or(Value::Null, Value::Float)
+        };
+        match self {
+            FloatAgg::Count => Value::Int(members.len() as i64),
+            _ if members.is_empty() => Value::Null,
+            FloatAgg::Sum => Value::Float(sum()),
+            FloatAgg::Avg => Value::Float(sum() / members.len() as i64 as f64),
+            FloatAgg::Min => extreme(|v, best| v < best),
+            FloatAgg::Max => extreme(|v, best| v > best),
+        }
+    }
 }
 
 /// The output row of one group, evaluated over its internal row, or `None`
@@ -405,6 +534,22 @@ pub(crate) fn extract_points<const D: usize>(
     Ok(points)
 }
 
+/// A similarity node's grouping: a subscription's published snapshot, read
+/// in place, or one computed for this statement.
+enum NodeGrouping {
+    Served(Arc<GroupingSnapshot>),
+    Computed(Grouping),
+}
+
+impl NodeGrouping {
+    fn get(&self) -> &Grouping {
+        match self {
+            NodeGrouping::Served(snapshot) => snapshot.grouping(),
+            NodeGrouping::Computed(grouping) => grouping,
+        }
+    }
+}
+
 /// The grouping of a similarity node over its input rows. When the node
 /// reads a base table directly — only then does the table's version
 /// counter describe the operator's actual input — a fresh subscription
@@ -425,7 +570,7 @@ fn run_similarity(
     coords: &[BoundExpr],
     governor: &QueryGovernor,
     telemetry: &Telemetry,
-) -> Result<Grouping> {
+) -> Result<NodeGrouping> {
     let coords_key = slot_key(coords);
     let mut cached = None;
     if let Plan::Scan { table, .. } = input {
@@ -435,12 +580,12 @@ fn run_similarity(
             let version = db.table(&table)?.version();
             let key = QueryKey::of(node)?;
             if let Some(served) = db.subscriptions().serve(&table, &coords_key, &key, version) {
-                return Ok(served);
+                return Ok(NodeGrouping::Served(served));
             }
             cached = db.session().cache.then_some((table, version));
         }
     }
-    match coords.len() {
+    let grouping = match coords.len() {
         2 => {
             let slot =
                 cached.map(|(table, version)| (db.caches().slot2(&table, &coords_key), version));
@@ -454,7 +599,8 @@ fn run_similarity(
         n => Err(Error::Unsupported(format!(
             "similarity grouping over {n} attributes (2 or 3 supported)"
         ))),
-    }
+    };
+    grouping.map(NodeGrouping::Computed)
 }
 
 /// [`run_similarity`] at a fixed dimensionality: extracts (or takes the
@@ -704,5 +850,165 @@ impl AggState {
             AggState::Min(v) | AggState::Max(v) => v.unwrap_or(Value::Null),
             AggState::ArrayAgg(items) => Value::Str(format!("{{{}}}", items.join(","))),
         }
+    }
+}
+
+#[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
+mod tests {
+    use super::*;
+
+    const FOLDED: [AggKind; 5] = [
+        AggKind::Count,
+        AggKind::Sum,
+        AggKind::Avg,
+        AggKind::Min,
+        AggKind::Max,
+    ];
+
+    fn call(kind: AggKind) -> AggCall {
+        AggCall {
+            kind,
+            arg: Some(BoundExpr::Column(0)),
+        }
+    }
+
+    /// `kind` over the members' entries of `column`, row by row through
+    /// `AggState`, and through the float-column fold.
+    fn both_paths(kind: AggKind, column: &[f64], members: &[RecordId]) -> (Value, Value) {
+        let call = call(kind);
+        let mut state = AggState::new(&call);
+        for &r in members {
+            state.update(&call, &[Value::Float(column[r])]).unwrap();
+        }
+        let (agg, _) = FloatAgg::of(&call).unwrap();
+        (state.finish(), agg.fold(column, members))
+    }
+
+    /// The value's variant and, for a float, its bits: `Value`'s own
+    /// equality holds NaN equal to everything and `0.0` equal to `-0.0`.
+    fn bits(v: &Value) -> String {
+        match v {
+            Value::Float(f) => format!("Float({:#x})", f.to_bits()),
+            other => format!("{other:?}"),
+        }
+    }
+
+    fn assert_paths_agree(column: &[f64], members: &[RecordId]) {
+        for kind in FOLDED {
+            let (per_member, folded) = both_paths(kind, column, members);
+            assert_eq!(
+                bits(&per_member),
+                bits(&folded),
+                "{kind:?} over {column:?} members {members:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn fold_of_an_empty_group() {
+        assert_paths_agree(&[1.0, 2.0], &[]);
+        assert_eq!(FloatAgg::Count.fold(&[1.0], &[]), Value::Int(0));
+        for agg in [FloatAgg::Sum, FloatAgg::Avg, FloatAgg::Min, FloatAgg::Max] {
+            assert!(agg.fold(&[1.0], &[]).is_null(), "{agg:?}");
+        }
+    }
+
+    #[test]
+    fn fold_ties_keep_the_first_member() {
+        for column in [[0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], [2.0, 2.0, 2.0]] {
+            assert_paths_agree(&column, &[0, 1, 2]);
+            assert_paths_agree(&column, &[1, 0, 2]);
+        }
+        // The first of two tied zeros stays the extreme.
+        let (_, min) = both_paths(AggKind::Min, &[-0.0, 0.0, 1.0], &[0, 1, 2]);
+        assert_eq!(bits(&min), bits(&Value::Float(-0.0)));
+        let (_, max) = both_paths(AggKind::Max, &[0.0, -0.0, -1.0], &[1, 0, 2]);
+        assert_eq!(bits(&max), bits(&Value::Float(-0.0)));
+        // Sums start from +0.0, so a lone -0.0 sums to +0.0.
+        let (_, sum) = both_paths(AggKind::Sum, &[-0.0], &[0]);
+        assert_eq!(bits(&sum), bits(&Value::Float(0.0)));
+    }
+
+    #[test]
+    fn fold_with_nan_first_or_last() {
+        let column = [f64::NAN, 3.0, -2.0, -f64::NAN, f64::INFINITY];
+        for members in [
+            &[0, 1, 2][..],
+            &[1, 2, 0],
+            &[1, 0, 2],
+            &[3, 1, 2],
+            &[1, 2, 3],
+            &[4, 0],
+            &[0, 4],
+        ] {
+            assert_paths_agree(&column, members);
+        }
+        // NaN first sticks as min and max; NaN last never replaces.
+        let (_, min) = both_paths(AggKind::Min, &column, &[0, 1, 2]);
+        assert_eq!(bits(&min), bits(&Value::Float(f64::NAN)));
+        let (_, max) = both_paths(AggKind::Max, &column, &[1, 2, 0]);
+        assert_eq!(bits(&max), bits(&Value::Float(3.0)));
+    }
+
+    #[test]
+    fn fold_sums_in_member_order() {
+        // 1e16 + 1.0 rounds back to 1e16, so the order decides the bits.
+        let column = [1e16, 1.0, -1e16];
+        assert_paths_agree(&column, &[0, 1, 2]);
+        assert_paths_agree(&column, &[0, 2, 1]);
+        let (_, a) = both_paths(AggKind::Sum, &column, &[0, 1, 2]);
+        let (_, b) = both_paths(AggKind::Sum, &column, &[0, 2, 1]);
+        assert_eq!((a, b), (Value::Float(0.0), Value::Float(1.0)));
+    }
+
+    #[test]
+    fn float_folds_take_only_plain_columns_of_the_five_kinds() {
+        assert!(FloatAgg::of(&call(AggKind::ArrayAgg)).is_none());
+        let count_star = AggCall {
+            kind: AggKind::CountStar,
+            arg: None,
+        };
+        assert!(FloatAgg::of(&count_star).is_none());
+        let expr = AggCall {
+            kind: AggKind::Sum,
+            arg: Some(BoundExpr::Neg(Box::new(BoundExpr::Column(0)))),
+        };
+        assert!(FloatAgg::of(&expr).is_none());
+        for kind in FOLDED {
+            assert_eq!(FloatAgg::of(&call(kind)).map(|(_, c)| c), Some(0));
+        }
+    }
+
+    #[test]
+    fn float_column_rejects_any_non_float_cell() {
+        let rows = |cell: Value| {
+            vec![
+                vec![Value::Float(1.5)],
+                vec![cell],
+                vec![Value::Float(-0.0)],
+            ]
+        };
+        let gathered = float_column(&rows(Value::Float(f64::INFINITY)), 0).unwrap();
+        assert_eq!(gathered, vec![1.5, f64::INFINITY, -0.0]);
+        for cell in [
+            Value::Null,
+            Value::Int(2),
+            Value::from("2.0"),
+            Value::Date(0),
+            Value::Bool(true),
+        ] {
+            assert!(float_column(&rows(cell.clone()), 0).is_none(), "{cell:?}");
+        }
+        assert!(
+            float_column(&rows(Value::Float(1.0)), 1).is_none(),
+            "missing column"
+        );
+        assert_eq!(float_column(&[], 3), Some(Vec::new()));
     }
 }

@@ -7,7 +7,12 @@
 //! *equi-join extraction* (WHERE `a = b` conjuncts across inputs become
 //! hash joins instead of filtered cartesian products). Uncorrelated
 //! `IN (SELECT …)` subqueries are materialised once at plan time.
-#![deny(clippy::unwrap_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -100,35 +105,27 @@ impl<'a> Planner<'a> {
         //    extracted equi-conjuncts, falling back to cross joins.
         let mut acc = inputs.remove(0);
         while !inputs.is_empty() {
-            let mut pick: Option<(usize, Vec<usize>)> = None;
+            // The first input with an equi-conjunct against `acc`: its
+            // bound keys, each conjunct consumed as it binds.
+            let mut pick: Option<(usize, Vec<BoundExpr>, Vec<BoundExpr>)> = None;
             'candidates: for (i, cand) in inputs.iter().enumerate() {
-                let mut used = Vec::new();
-                for (ci, slot) in conjuncts.iter().enumerate() {
-                    let Some(c) = slot else { continue };
-                    if self.equi_key(acc.schema(), cand.schema(), c).is_some() {
-                        used.push(ci);
+                let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
+                for slot in conjuncts.iter_mut() {
+                    let Some(c) = slot.as_ref() else { continue };
+                    if let Some((l, r)) = self.equi_key(acc.schema(), cand.schema(), c) {
+                        left_keys.push(self.bind(l, acc.schema())?);
+                        right_keys.push(self.bind(r, cand.schema())?);
+                        *slot = None;
                     }
                 }
-                if !used.is_empty() {
-                    pick = Some((i, used));
+                if !left_keys.is_empty() {
+                    pick = Some((i, left_keys, right_keys));
                     break 'candidates;
                 }
             }
             match pick {
-                Some((i, used)) => {
+                Some((i, left_keys, right_keys)) => {
                     let cand = inputs.remove(i);
-                    let mut left_keys = Vec::new();
-                    let mut right_keys = Vec::new();
-                    for ci in used {
-                        let Some(c) = conjuncts[ci].take() else {
-                            continue;
-                        };
-                        let (l, r) = self
-                            .equi_key(acc.schema(), cand.schema(), &c)
-                            .expect("re-check of equi key");
-                        left_keys.push(self.bind(l, acc.schema())?);
-                        right_keys.push(self.bind(r, cand.schema())?);
-                    }
                     let schema = acc.schema().join(cand.schema());
                     acc = Plan::HashJoin {
                         left: Box::new(acc),

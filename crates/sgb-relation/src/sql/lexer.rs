@@ -1,4 +1,10 @@
 //! SQL tokenizer.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 
 use crate::error::{Error, Result};
 
@@ -152,7 +158,9 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                         }
                     } else {
                         // Multi-byte UTF-8 safe: copy the full char.
-                        let ch = input[i..].chars().next().unwrap();
+                        let Some(ch) = input.get(i..).and_then(|rest| rest.chars().next()) else {
+                            return Err(Error::Parse("malformed string literal".into()));
+                        };
                         s.push(ch);
                         i += ch.len_utf8();
                     }
@@ -224,6 +232,12 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 mod tests {
     use super::*;
 

@@ -446,8 +446,8 @@ impl SubscriptionSet {
         handle
     }
 
-    /// Applies the rows just appended to `table` (now at `version`,
-    /// `all_rows` its full post-insert contents) and republishes, settling
+    /// Applies `rows`, the tail just appended to `table` (now at `version`,
+    /// `all_rows` its full post-insert contents), and republishes, settling
     /// the delta as [`SubscriptionSet::apply_delta`] describes.
     pub(crate) fn on_insert(
         &mut self,
@@ -588,17 +588,18 @@ impl SubscriptionSet {
             })
     }
 
-    /// Executor serve: the published grouping of an active subscription
-    /// matching the node and fresh at `version`, if any.
+    /// Executor serve: the published snapshot of an active subscription
+    /// matching the node and fresh at `version`, if any. The executor
+    /// aggregates from its grouping in place.
     pub(crate) fn serve(
         &self,
         table: &str,
         coords_key: &str,
         key: &QueryKey,
         version: u64,
-    ) -> Option<Grouping> {
+    ) -> Option<Arc<GroupingSnapshot>> {
         self.lookup(table, coords_key, key, version)
-            .map(|(_, snap)| snap.grouping.clone())
+            .map(|(_, snapshot)| snapshot)
     }
 
     fn lookup(
