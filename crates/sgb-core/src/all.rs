@@ -62,7 +62,7 @@ use rand::{Rng, SeedableRng};
 
 use sgb_dsu::DisjointSet;
 use sgb_geom::{ConvexHull, EpsAllRegion, Metric, Point, Rect, RectFilter};
-use sgb_spatial::{Grid, RTree};
+use sgb_spatial::{Grid, RTree, SortedCells};
 use sgb_telemetry::Telemetry;
 
 use crate::any;
@@ -123,7 +123,7 @@ pub(crate) struct Components {
 impl Components {
     /// Labels each of `points` with its ε-component under `metric`: the
     /// SGB-Any grid kernel's connectivity join ([`any::connect_grid`]) over
-    /// a fresh ε-grid, on one shard, polling `governor` every
+    /// a fresh sorted ε-grid layout, on one shard, polling `governor` every
     /// [`CHECK_INTERVAL`](crate::governor::CHECK_INTERVAL) candidates.
     /// Components of more than `max_scanned` points are searched through
     /// the group R-tree; production passes the per-component bound
@@ -138,8 +138,7 @@ impl Components {
         max_scanned: usize,
         governor: &QueryGovernor,
     ) -> Result<Self, SgbError> {
-        let entries = points.iter().enumerate().map(|(i, p)| (*p, i));
-        let grid = Grid::from_points(Grid::<D, RecordId>::side_for_eps(eps), entries);
+        let grid = SortedCells::from_points(Grid::<D, RecordId>::side_for_eps(eps), points);
         let forest = any::connect_grid(
             points.len(),
             eps,

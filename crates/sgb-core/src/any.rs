@@ -27,15 +27,16 @@
 //!   Procedure 8's range query, on an R-tree bulk-loaded over the whole
 //!   input (fresh or from the session cache), and unions each hit with a
 //!   smaller record id.
-//! * `join_grid` (`Grid`) probes an ε-grid (fresh or cached) with no tree
-//!   descent. The answer depends only on the components, not on the order
-//!   of the unions (arXiv:1412.4303), so the grid kernel unions only a
-//!   spanning subset of the edges: once two cells are known to be
-//!   connected, it looks for no further pair between them (see
-//!   [`Grid::connectivity_join`]). It can shard its join across worker
-//!   threads (see [`SgbQuery::threads`](crate::SgbQuery::threads)); every
-//!   shard's decisions depend only on the cells involved, so the result is
-//!   bit-identical to the sequential join.
+//! * `join_grid` (`Grid`) joins the cells of a sort-built ε-grid (fresh or
+//!   cached) in key order, with no tree descent and no cell lookups. The
+//!   answer depends only on the components, not on the order of the
+//!   unions (arXiv:1412.4303), so the grid kernel unions only a spanning
+//!   subset of the edges: once two cells are known to be connected, it
+//!   looks for no further pair between them (see
+//!   [`SortedCells::connectivity_join`]). It can shard its join across
+//!   worker threads (see [`SgbQuery::threads`](crate::SgbQuery::threads));
+//!   every shard's decisions depend only on the cells involved, so the
+//!   result is bit-identical to the sequential join.
 //!
 //! Every index hit is verified with the canonical predicate, so all three
 //! kernels find the components of the all-pairs scan, and
@@ -51,7 +52,7 @@
 
 use sgb_dsu::DisjointSet;
 use sgb_geom::{Metric, Point};
-use sgb_spatial::{Grid, JoinPass, JoinTally, RTree};
+use sgb_spatial::{JoinPass, JoinShard, JoinTally, RTree, SortedCells};
 use sgb_telemetry::{Counter, Phase, Telemetry};
 
 use crate::governor::{Pacer, QueryGovernor, SgbError, CHECK_INTERVAL};
@@ -142,14 +143,14 @@ struct ShardRun {
     error: Option<SgbError>,
 }
 
-/// The ε-grid batch kernel over a grid (fresh or from the session cache,
-/// whose cell side may be below ε — the components are the same): the
-/// forest of [`connect_grid`], as the answer set.
+/// The ε-grid batch kernel over a sorted grid layout (fresh or from the
+/// session cache, whose cell side may be below ε — the components are the
+/// same): the forest of [`connect_grid`], as the answer set.
 pub(crate) fn join_grid<const D: usize>(
     points: &[Point<D>],
     eps: f64,
     metric: Metric,
-    index: &Grid<D, RecordId>,
+    index: &SortedCells<D>,
     threads: usize,
     governor: &QueryGovernor,
     tel: &Telemetry,
@@ -158,22 +159,25 @@ pub(crate) fn join_grid<const D: usize>(
     Ok(components(dsu, tel))
 }
 
-/// Unions the pairs of the grid's [connectivity join](Grid::connectivity_join)
-/// into a forest over the `n` records the grid holds. The join emits a
+/// Unions the pairs of the layout's [connectivity
+/// join](SortedCells::connectivity_join) into a forest over the `n` records
+/// the layout holds, indexed by their input positions. The join emits a
 /// spanning subset of the within-ε pairs with exactly the ε-graph's
 /// components, so the forest's components are the ε-graph's. Pairs between
 /// two cells already known to be connected are never looked for. SGB-All
 /// labels its input's ε-components with this forest too (one shard,
 /// under a disabled telemetry handle).
 ///
-/// The join runs as two passes of one worker pool over one mirror of the
-/// grid: [`JoinPass::Cells`] on every shard, then [`JoinPass::Neighbours`],
+/// The join runs as two passes of one worker pool over the layout:
+/// [`JoinPass::Cells`] on every shard, then [`JoinPass::Neighbours`],
 /// which reads what the first pass recorded about every cell and so
 /// starts only after every shard of it succeeded. With `threads > 1` each
-/// pass runs one shard per worker, and each shard unions into its own
-/// forest. Every decision of the join depends only on the cells involved,
-/// so the union of the per-shard forests has the components a sequential
-/// run finds, and merging them yields a bit-identical grouping (asserted by
+/// pass runs one shard per worker, each shard owning a contiguous range of
+/// the sorted cells that holds about `n / threads` points, and each shard
+/// unions into its own forest. Every decision of the join depends only on
+/// the cells involved, so the union of the per-shard forests has the
+/// components a sequential run finds, and merging them yields a
+/// bit-identical grouping (asserted by
 /// `tests/proptest_parallel.rs`). Each shard paces against the shared
 /// governor at cell-row boundaries, every ≤ [`CHECK_INTERVAL`] candidates,
 /// and parks its verdict in its own slot; a panicking worker surfaces as
@@ -183,7 +187,7 @@ pub(crate) fn connect_grid<const D: usize>(
     n: usize,
     eps: f64,
     metric: Metric,
-    index: &Grid<D, RecordId>,
+    index: &SortedCells<D>,
     threads: usize,
     governor: &QueryGovernor,
     tel: &Telemetry,
@@ -198,40 +202,20 @@ pub(crate) fn connect_grid<const D: usize>(
     let mut forests: Vec<DisjointSet> = (1..shards).map(|_| DisjointSet::with_len(n)).collect();
     let mut runs: Vec<ShardRun> = (0..shards).map(|_| ShardRun::default()).collect();
     let join = tel.phase(Phase::Join);
-    let connect = index.connectivity_join(eps, metric);
-    let run_shard = |pass: JoinPass, shard: usize, forest: &mut DisjointSet, run: &mut ShardRun| {
-        let ShardRun {
-            tally,
-            polls,
-            error,
-        } = run;
-        *error = connect
-            .try_join(
-                pass,
-                shard,
-                shards,
-                |&i, &j| {
-                    forest.union(i, j);
-                },
-                CHECK_INTERVAL as usize,
-                || {
-                    *polls += 1;
-                    governor.check()
-                },
-                enabled.then_some(tally),
-            )
-            .err();
-    };
+    let mut connect = index.connectivity_join(eps, metric);
     let mut pool = scoped_threadpool::Pool::new(shards as u32);
     for pass in [JoinPass::Cells, JoinPass::Neighbours] {
+        let jobs = connect.split(pass, shards);
+        let targets = std::iter::once(&mut dsu).chain(forests.iter_mut());
+        let work = jobs.into_iter().zip(targets).zip(runs.iter_mut());
         if shards == 1 {
-            run_shard(pass, 0, &mut dsu, &mut runs[0]);
+            for ((job, forest), run) in work {
+                run_shard(job, forest, run, governor, enabled);
+            }
         } else {
-            let run_shard = &run_shard;
-            let targets = std::iter::once(&mut dsu).chain(forests.iter_mut());
             pool.try_scoped(|scope| {
-                for (shard, (forest, run)) in targets.zip(runs.iter_mut()).enumerate() {
-                    scope.execute(move || run_shard(pass, shard, forest, run));
+                for ((job, forest), run) in work {
+                    scope.execute(move || run_shard(job, forest, run, governor, enabled));
                 }
             })
             .map_err(|p| SgbError::WorkerPanicked {
@@ -268,6 +252,37 @@ pub(crate) fn connect_grid<const D: usize>(
     Ok(dsu)
 }
 
+/// Runs one shard of one pass of the grid kernel: unions its pairs into
+/// `forest`, paces against `governor` every ≤ [`CHECK_INTERVAL`]
+/// candidates, and parks its tally (when `enabled`), poll count and
+/// verdict in `run`.
+fn run_shard<const D: usize>(
+    job: JoinShard<'_, D>,
+    forest: &mut DisjointSet,
+    run: &mut ShardRun,
+    governor: &QueryGovernor,
+    enabled: bool,
+) {
+    let ShardRun {
+        tally,
+        polls,
+        error,
+    } = run;
+    *error = job
+        .try_join(
+            |i, j| {
+                forest.union(i, j);
+            },
+            CHECK_INTERVAL as usize,
+            || {
+                *polls += 1;
+                governor.check()
+            },
+            enabled.then_some(tally),
+        )
+        .err();
+}
+
 /// The connected components of a kernel's finished forest as the answer
 /// set (the merge phase).
 fn components(dsu: DisjointSet, tel: &Telemetry) -> Grouping {
@@ -286,6 +301,7 @@ mod tests {
     use super::*;
     use crate::{Algorithm, SgbQuery};
     use sgb_geom::Metric;
+    use sgb_spatial::Grid;
 
     fn pts(raw: &[[f64; 2]]) -> Vec<Point<2>> {
         raw.iter().map(|&c| Point::new(c)).collect()
@@ -519,10 +535,7 @@ mod tests {
             .collect();
         let (eps, metric) = (0.3, Metric::L2);
         let free = QueryGovernor::unrestricted();
-        let grid: Grid<2, RecordId> = Grid::from_points(
-            Grid::<2, RecordId>::side_for_eps(eps),
-            points.iter().enumerate().map(|(i, p)| (*p, i)),
-        );
+        let grid = SortedCells::from_points(Grid::<2, RecordId>::side_for_eps(eps), &points);
         let tree: RTree<2, RecordId> =
             RTree::from_points(12, points.iter().enumerate().map(|(i, p)| (*p, i)));
         let off = Telemetry::off();
@@ -576,10 +589,7 @@ mod tests {
             .collect();
         let (eps, metric) = (0.3, Metric::L2);
         let free = QueryGovernor::unrestricted();
-        let grid: Grid<2, RecordId> = Grid::from_points(
-            Grid::<2, RecordId>::side_for_eps(eps),
-            points.iter().enumerate().map(|(i, p)| (*p, i)),
-        );
+        let grid = SortedCells::from_points(Grid::<2, RecordId>::side_for_eps(eps), &points);
         let tree: RTree<2, RecordId> =
             RTree::from_points(12, points.iter().enumerate().map(|(i, p)| (*p, i)));
         let expected = reference(&points, eps, metric);

@@ -6,14 +6,15 @@
 //! run, so 1000 queries against one table pay 1000 index builds. This
 //! module keeps the built structures alive across queries:
 //!
-//! * **Point indexes** (the SGB-Any ε-grid and point R-tree) are keyed on
-//!   the *table version* — a monotone counter the caller bumps on every
-//!   content change — and grids also on their cell side. A version change
-//!   drops them wholesale: invalidation never scans data.
+//! * **Point indexes** (the SGB-Any ε-grid, a key-sorted
+//!   [`SortedCells`] layout, and the point R-tree) are keyed on the *table
+//!   version* — a monotone counter the caller bumps on every content
+//!   change — and grids also on their cell side. A version change drops
+//!   them wholesale: invalidation never scans data.
 //! * **ε-superset reuse**: one cached grid with cell side `c` serves any
-//!   query with ε′ ≥ c by widening the probe window (the pair scan visits
-//!   `ceil(ε′ / c) + 1` neighbour rings), so mixed-ε workloads share one
-//!   build. A grid is considered usable while ε′ stays within
+//!   query with ε′ ≥ c by widening the join window (the pair scan visits
+//!   `ceil(ε′ / c) + 1` neighbour cells per side), so mixed-ε workloads
+//!   share one build. A grid is considered usable while ε′ stays within
 //!   [`GRID_REUSE_MAX_RATIO`]× its cell side; beyond that the widened
 //!   window would visit more cells than a right-sized build saves.
 //! * **Center indexes** (SGB-Around) are keyed on their algorithm and the
@@ -54,7 +55,7 @@
 use std::sync::{Arc, Mutex};
 
 use sgb_geom::Point;
-use sgb_spatial::{Grid, RTree};
+use sgb_spatial::{Grid, RTree, SortedCells};
 
 use crate::around::{build_center_index, CenterIndex};
 use crate::query::Grouping;
@@ -124,7 +125,7 @@ struct CacheInner<const D: usize> {
     validated: bool,
     /// ε-grids over the table's points, `(cell-side bits, grid)`, LRU
     /// order (back = most recent).
-    grids: Vec<(u64, Arc<Grid<D, RecordId>>)>,
+    grids: Vec<(u64, Arc<SortedCells<D>>)>,
     /// The point R-tree over the table's points.
     tree: Option<Arc<RTree<D, RecordId>>>,
     /// Center indexes, version-free (built from query centers), LRU.
@@ -246,8 +247,8 @@ impl<const D: usize> SgbCache<D> {
         &self,
         version: u64,
         eps: f64,
-        build: impl FnOnce(f64) -> Grid<D, RecordId>,
-    ) -> Arc<Grid<D, RecordId>> {
+        build: impl FnOnce(f64) -> SortedCells<D>,
+    ) -> Arc<SortedCells<D>> {
         let want = Grid::<D, RecordId>::side_for_eps(eps);
         let mut inner = self.lock();
         inner.enter_version(version);

@@ -190,10 +190,11 @@ pub(crate) fn any_cost_model(
     }
 }
 
-/// Rough upper bound on the resident bytes of an ε-grid over `n` points
-/// in `dims` dimensions: each entry stores the point's coordinates plus a
-/// payload id, doubled for hash-map slack and per-cell vector headroom,
-/// plus a fixed base for the map itself. Deliberately pessimistic — the
+/// Rough resident bytes of an ε-grid over `n` points in `dims`
+/// dimensions: each point stores its coordinates plus a payload id,
+/// doubled for the per-cell keys and bounding boxes, plus a fixed base.
+/// A layout whose cells hold about one point each takes more (each cell
+/// stores its key, its position and its box). Deliberately simple — the
 /// governor's memory budget is an admission control, not an allocator.
 pub fn estimated_grid_bytes(n: usize, dims: usize) -> usize {
     n.saturating_mul(dims * 8 + 8)
@@ -204,9 +205,9 @@ pub fn estimated_grid_bytes(n: usize, dims: usize) -> usize {
 /// Rough upper bound on the resident bytes of a bulk-loaded point R-tree
 /// over `n` points in `dims` dimensions: each leaf entry stores an MBR
 /// (two corners) plus a payload id, internal nodes add roughly one entry
-/// per fan-out'd child, doubled for arena slack. Like
-/// [`estimated_grid_bytes`], deliberately pessimistic — admission control,
-/// not an allocator.
+/// per fan-out'd child, doubled for arena slack. Deliberately
+/// pessimistic — like [`estimated_grid_bytes`], admission control, not an
+/// allocator.
 pub fn estimated_rtree_bytes(n: usize, dims: usize) -> usize {
     n.saturating_mul(dims * 16 + 16)
         .saturating_mul(2)

@@ -49,7 +49,7 @@ use std::sync::Arc;
 
 use sgb_dsu::TrackedDsu;
 use sgb_geom::Point;
-use sgb_spatial::Grid;
+use sgb_spatial::{Grid, SortedCells};
 
 use crate::all::SgbAll;
 use crate::around::{build_center_index, CenterRule};
@@ -187,15 +187,17 @@ impl<const D: usize> MaintainedGrouping<D> {
         let state = match &query.op {
             OpSpec::Any { eps } => {
                 let eps = *eps;
-                let mut grid = Grid::new(Grid::<D, SlotId>::side_for_eps(eps));
+                let side = Grid::<D, SlotId>::side_for_eps(eps);
+                let mut grid = Grid::new(side);
                 let mut dsu = TrackedDsu::new();
                 for (slot, p) in points.iter().enumerate() {
                     grid.insert(*p, slot);
                     dsu.push();
                 }
                 // The exact bulk ε-join surfaces each within-ε pair exactly
-                // once — the contract the edge counts rely on.
-                grid.for_each_pair_within(eps, metric, |&a, &b| {
+                // once — the contract the edge counts rely on. Slot ids
+                // are input positions, the sorted layout's payloads.
+                SortedCells::from_points(side, points).for_each_pair_within(eps, metric, |a, b| {
                     dsu.add_edge(a, b);
                 });
                 OpState::Any { eps, grid, dsu }

@@ -51,7 +51,7 @@ use std::sync::Arc;
 
 use sgb_geom::{Metric, Point};
 use sgb_spatial::rtree::DEFAULT_MAX_ENTRIES;
-use sgb_spatial::{Grid, RTree};
+use sgb_spatial::{Grid, RTree, SortedCells};
 
 use sgb_telemetry::{Counter, Phase, Telemetry};
 
@@ -603,7 +603,7 @@ impl<const D: usize> SgbQuery<D> {
             }
             Algorithm::Grid => {
                 let build = tel.phase(Phase::IndexBuild);
-                let fresh = |side| Grid::from_points(side, entries());
+                let fresh = |side| SortedCells::from_points(side, points);
                 let index = match cache {
                     Some((cache, version)) => cache.get_or_build_grid(version, eps, fresh),
                     None => Arc::new(fresh(Grid::<D, RecordId>::side_for_eps(eps))),

@@ -1011,4 +1011,62 @@ mod tests {
         );
         assert_eq!(float_column(&[], 3), Some(Vec::new()));
     }
+
+    #[test]
+    fn order_by_limit_over_a_scan_is_the_stable_sorts_prefix() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (id INT, k INT)").unwrap();
+        db.execute("INSERT INTO t VALUES (0, 2), (1, 1), (2, 2), (3, 0), (4, 1), (5, 2), (6, 0)")
+            .unwrap();
+        let catalog = db.table("t").unwrap().rows.clone();
+        let ids =
+            |rows: &[Row]| -> Vec<i64> { rows.iter().map(|r| r[0].as_i64().unwrap()).collect() };
+        // Ties keep their input order, ascending and descending.
+        let asc = db.query("SELECT * FROM t ORDER BY k").unwrap().rows;
+        assert_eq!(ids(&asc), vec![3, 6, 1, 4, 0, 2, 5]);
+        let desc = db.query("SELECT * FROM t ORDER BY k DESC").unwrap().rows;
+        assert_eq!(ids(&desc), vec![0, 2, 5, 1, 4, 3, 6]);
+        // `SELECT *` plans a Project over the Scan, so the Sort there
+        // sorts owned rows. A Limit straight over a Sort over a bare Scan
+        // sorts the catalog's borrowed rows.
+        let bare = |n: usize, desc: bool| Plan::Limit {
+            input: Box::new(Plan::Sort {
+                input: Box::new(Plan::Scan {
+                    table: "t".into(),
+                    schema: db.table("t").unwrap().schema.clone(),
+                }),
+                keys: vec![(BoundExpr::Column(1), desc)],
+            }),
+            n,
+        };
+        let governor = QueryGovernor::unrestricted();
+        for n in 0..=9 {
+            let kept = n.min(7);
+            for (order, full, desc) in [("", &asc, false), (" DESC", &desc, true)] {
+                let sql = format!("SELECT * FROM t ORDER BY k{order} LIMIT {n}");
+                assert_eq!(db.query(&sql).unwrap().rows, full[..kept], "{sql}");
+                let (out, stats) = execute_with_stats(&bare(n, desc), &db, &governor).unwrap();
+                assert_eq!(out.rows, full[..kept], "bare scan, {sql}");
+                // The Limit reports min(n, 7); the Sort its whole input.
+                let rows: Vec<usize> = stats.iter().map(|s| s.rows).collect();
+                assert_eq!(rows, vec![kept, 7, 7], "bare scan, {sql}");
+            }
+        }
+        assert_eq!(
+            db.table("t").unwrap().rows,
+            catalog,
+            "catalog rows untouched"
+        );
+        let analyzed = db
+            .explain_analyze("SELECT * FROM t ORDER BY k LIMIT 3")
+            .unwrap();
+        let lines: Vec<&str> = analyzed.lines().collect();
+        assert!(lines[0].starts_with("Limit 3 (actual time: "), "{analyzed}");
+        assert!(lines[0].ends_with(", rows: 3)"), "{analyzed}");
+        assert!(
+            lines[1].starts_with("  Sort (1 keys) (actual time: "),
+            "{analyzed}"
+        );
+        assert!(lines[1].ends_with(", rows: 7)"), "{analyzed}");
+    }
 }

@@ -8,8 +8,9 @@
 //! DBMS) — with no tree descent, no node splits, and no rebalancing.
 //!
 //! Cells are keyed by `floor(coord / cell)` per dimension and stored in a
-//! hash map, so only occupied cells cost memory and the domain never needs
-//! bounds. Three query shapes are provided:
+//! hash map, so only occupied cells cost memory, the domain never needs
+//! bounds, and entries come and go one at a time. Two query shapes are
+//! provided:
 //!
 //! * [`Grid::for_each_within`] — the ε-probe. It visits a guaranteed
 //!   **superset** of the entries satisfying the canonical predicate
@@ -23,22 +24,14 @@
 //!   SGB-Around. Distances are the canonical [`Metric::distance`] values
 //!   and exact ties resolve by ascending payload, bit-compatible with
 //!   [`crate::RTree::nearest_one_with`].
-//! * [`Grid::connectivity_join`] — the bulk ε-join behind one-shot
-//!   SGB-Any. It emits a spanning subset of the within-ε pairs with
-//!   exactly the ε-graph's connected components, skipping the pairs
-//!   between two cells already known to be connected. It is sharded,
-//!   paced and optionally tallied.
-//! * [`Grid::for_each_pair_within`] — the exact bulk ε-join: every
-//!   within-ε pair exactly once, for incremental SGB-Any maintenance,
-//!   whose per-component edge counts need every pair.
 //!
-//! Both bulk joins share one cell-pair enumeration and one row loop over
-//! a structure-of-arrays mirror of the cells.
+//! Incremental maintenance and SGB-Around's center index use this grid.
+//! The bulk ε-joins over a complete point set run over the sort-built
+//! layout of [`crate::sorted`] instead, which needs no cell lookups; its
+//! joins are tested here, beside the probes and over the same fixtures.
 
 use std::collections::HashMap;
-use std::convert::Infallible;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use sgb_geom::{Metric, Point};
 
@@ -83,31 +76,6 @@ impl Hasher for CellHasher {
 
 type CellMap<const D: usize, T> =
     HashMap<CellKey<D>, Vec<(Point<D>, T)>, BuildHasherDefault<CellHasher>>;
-
-/// Execution tally of the connectivity ε-join, filled in by
-/// [`ConnectivityJoin::try_join`] when it is given one. Purely
-/// observational: the tally never changes which pairs the join visits or
-/// emits.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct JoinTally {
-    /// Candidate pairs: every pair whose [`Metric::within`] test ran,
-    /// plus one per star edge the connectivity join emits for a cell
-    /// whose bounding box passed the test as a whole. So every emitted
-    /// pair was a candidate.
-    pub candidate_pairs: u64,
-    /// Cell jobs whose points were compared: the intra-cell job of a cell
-    /// with at least two entries, and each neighbour-cell job that passed
-    /// the bounding-box prune. Pruned cell pairs do not count.
-    pub cells_visited: u64,
-}
-
-impl JoinTally {
-    /// Folds another tally into this one (for merging per-shard tallies).
-    pub fn merge(&mut self, other: &JoinTally) {
-        self.candidate_pairs += other.candidate_pairs;
-        self.cells_visited += other.cells_visited;
-    }
-}
 
 /// A uniform hashed grid over `D`-dimensional points with payloads `T`.
 ///
@@ -227,11 +195,7 @@ impl<const D: usize, T> Grid<D, T> {
     /// costs filter precision, never correctness (callers verify hits).
     #[inline]
     pub fn cell_of(&self, p: &Point<D>) -> CellKey<D> {
-        let mut key = [0i64; D];
-        for (d, k) in key.iter_mut().enumerate() {
-            *k = (p.coord(d) / self.cell).floor() as i64;
-        }
-        key
+        cell_key(p, self.cell)
     }
 
     /// Inserts an entry.
@@ -308,10 +272,10 @@ impl<const D: usize, T> Grid<D, T> {
             // One-cell pad on each side: the float window arithmetic and
             // the floor quantisation err by ulps, the pad absorbs a whole
             // cell.
-            let l = (((c - eps) / self.cell).floor() as i64)
+            let l = floor_to_i64((c - eps) / self.cell)
                 .saturating_sub(1)
                 .max(self.lo[d]);
-            let h = (((c + eps) / self.cell).floor() as i64)
+            let h = floor_to_i64((c + eps) / self.cell)
                 .saturating_add(1)
                 .min(self.hi[d]);
             if l > h {
@@ -342,50 +306,6 @@ impl<const D: usize, T> Grid<D, T> {
                 }
             }
         }
-    }
-
-    /// The exact bulk ε-join: invokes `visit` once for every unordered
-    /// pair of entries within `eps` by the canonical [`Metric::within`].
-    /// One-shot SGB-Any needs only the components of these pairs and runs
-    /// the cheaper [`connectivity_join`](Self::connectivity_join) instead.
-    ///
-    /// * **Cell pairs.** The join pays one hash lookup per neighbour cell:
-    ///   each unordered cell pair is joined once via
-    ///   lexicographically-positive offsets. Offsets whose minimum
-    ///   inter-cell distance under `metric` exceeds ε are pruned up front,
-    ///   and so are cell pairs whose bounding boxes are too far apart for
-    ///   any pair of theirs to pass (an exact test).
-    /// * **Any ε.** Above the cell side the window widens to
-    ///   `ceil(eps / cell) + 1` rings, so one grid serves every larger ε′
-    ///   bit-identically (the shared-work cache's ε-superset reuse).
-    /// * **Verification** runs over a structure-of-arrays mirror of the
-    ///   cells, so the distance loops read contiguous columns; the
-    ///   accepted set equals filtering every candidate through
-    ///   `Metric::within`.
-    pub fn for_each_pair_within<F: FnMut(&T, &T)>(&self, eps: f64, metric: Metric, mut visit: F) {
-        let soa = SoaCells::build(self, eps, metric);
-        // One shard, no tally, and a pace that never runs out or fails.
-        let mut pacing = Pacing::new(usize::MAX, || Ok::<(), Infallible>(()), None);
-        let mut job = |rows: usize, cols: usize| {
-            let (row_entries, col_entries) = (soa.cells[rows].entries, soa.cells[cols].entries);
-            soa.join_rows(rows, cols, &mut pacing, |r, c| {
-                visit(&row_entries[r].1, &col_entries[c].1);
-                AfterHit::Continue
-            })
-        };
-        for slot in 0..soa.cells.len() {
-            let Ok(()) = job(slot, slot);
-        }
-        let Ok(()) = soa.for_each_neighbour_pair(0, 1, job);
-    }
-
-    /// Prepares the connectivity ε-join of this grid at `eps` under
-    /// `metric` (see [`ConnectivityJoin`]): builds the structure-of-arrays
-    /// mirror of the cells that every shard of both passes shares.
-    pub fn connectivity_join(&self, eps: f64, metric: Metric) -> ConnectivityJoin<'_, D, T> {
-        let soa = SoaCells::build(self, eps, metric);
-        let connected = soa.cells.iter().map(|_| AtomicBool::new(false)).collect();
-        ConnectivityJoin { soa, connected }
     }
 
     /// The entry nearest to `q` under `metric`, as `(distance, payload)` —
@@ -504,629 +424,30 @@ impl<const D: usize, T> Grid<D, T> {
     }
 }
 
-/// The shard owning `key` under a `shards`-way partition of the cell
-/// space, derived from the same multiplicative hash the cell map uses.
-fn shard_of<const D: usize>(key: &CellKey<D>, shards: usize) -> usize {
-    use std::hash::Hash;
-    let mut h = CellHasher::default();
-    key.hash(&mut h);
-    (h.finish() % shards as u64) as usize
+/// The key of the cell of side `cell` that holds `p` (see
+/// [`Grid::cell_of`]).
+#[inline]
+pub(crate) fn cell_key<const D: usize>(p: &Point<D>, cell: f64) -> CellKey<D> {
+    std::array::from_fn(|d| floor_to_i64(p.coord(d) / cell))
 }
 
-/// The connectivity ε-join behind one-shot SGB-Any, prepared by
-/// [`Grid::connectivity_join`]. It emits a spanning subset of the within-ε
-/// pairs: every emitted pair passes [`Metric::within`], and the emitted
-/// pairs have exactly the connected components of all within-ε pairs.
-/// Once two cells are known to be connected, no further pair between them
-/// can change those components, so the join does not look for one.
-///
-/// The join runs in two passes over one structure-of-arrays mirror of the
-/// cells, shared by every worker:
-///
-/// 1. [`JoinPass::Cells`] handles each owned cell alone. When the cell's
-///    bounding-box diagonal passes the metric's accumulation against ε,
-///    every pair in it passes too: the cell emits a star of `m − 1` pairs.
-///    Otherwise its rows are scanned with a union-find over the cell's own
-///    entries. The scan emits only the pairs that join two parts, and stops
-///    once the cell is one part. The pass records whether the cell's own
-///    pairs connect it.
-/// 2. [`JoinPass::Neighbours`] handles each owned pair of neighbouring
-///    cells, enumerated as in [`Grid::for_each_pair_within`] with its
-///    exact bounding-box prune. When both cells are connected it stops at
-///    the first hit. When one is, it finds one hit for each entry of the
-///    other. When neither is, it emits every hit.
-///
-/// Run the `Cells` pass on every shard, then the `Neighbours` pass, and
-/// only once every `Cells` call returned `Ok`: the second pass reads the
-/// connectivity the first one recorded for every cell. Every decision
-/// depends only on the cells involved, so neither the emitted pairs nor
-/// the summed tallies depend on the shard count.
-///
-/// The box tests are exact, with no slack: floating-point subtraction,
-/// `abs`, multiplication, addition and `max` are monotone, and the tests
-/// use the kernels' own operation order (and `eps * eps` for L2).
-pub struct ConnectivityJoin<'g, const D: usize, T> {
-    soa: SoaCells<'g, D, T>,
-    /// Per mirror slot: whether the cell's own `Cells`-pass pairs connect
-    /// it. Each flag is written by the shard owning the cell and read only
-    /// in the `Neighbours` pass, which starts after every `Cells` worker
-    /// has been joined; that join orders the stores before the loads, so
-    /// `Relaxed` suffices.
-    connected: Vec<AtomicBool>,
-}
-
-/// The pass a [`ConnectivityJoin::try_join`] call runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JoinPass {
-    /// Phase 1: each owned cell alone.
-    Cells,
-    /// Phase 2: each owned pair of neighbouring cells.
-    Neighbours,
-}
-
-impl<const D: usize, T> ConnectivityJoin<'_, D, T> {
-    /// Runs `pass` for shard `shard` of `shards`, calling `visit` for every
-    /// emitted pair.
-    ///
-    /// * **Sharding.** Only the cells and cell pairs owned by shard
-    ///   `shard` are joined (by hashed cell key; a cell pair belongs to the
-    ///   cell its offset is lexicographically positive from). Every cell
-    ///   and cell pair has one owner, so workers run one shard each over a
-    ///   shared join and merge without deduplication; shard 0 of 1 joins
-    ///   everything.
-    /// * **Pacing.** `visit` is infallible; `pace` runs at cell-row
-    ///   boundaries, at least once every `interval` candidates, and its
-    ///   first error stops the join.
-    /// * **Tally.** With `Some(tally)` the join also counts candidate
-    ///   comparisons and cell jobs (see [`JoinTally`]; partial counts on
-    ///   `Err`).
-    ///
-    /// # Errors
-    /// The first error `pace` reports. After an error in the `Cells` pass
-    /// the join is incomplete: do not run the `Neighbours` pass.
-    ///
-    /// # Panics
-    /// When `shards` is zero or `shard >= shards`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_join<E, F, P>(
-        &self,
-        pass: JoinPass,
-        shard: usize,
-        shards: usize,
-        mut visit: F,
-        interval: usize,
-        pace: P,
-        tally: Option<&mut JoinTally>,
-    ) -> Result<(), E>
-    where
-        F: FnMut(&T, &T),
-        P: FnMut() -> Result<(), E>,
-    {
-        assert!(shards >= 1 && shard < shards, "shard out of range");
-        let mut pacing = Pacing::new(interval, pace, tally);
-        match pass {
-            JoinPass::Cells => {
-                let mut parts = CellForest::default();
-                for slot in self.soa.owned(shard, shards) {
-                    let connected = self.join_cell(slot, &mut parts, &mut visit, &mut pacing)?;
-                    self.connected[slot].store(connected, Ordering::Relaxed);
-                }
-                Ok(())
-            }
-            JoinPass::Neighbours => self.soa.for_each_neighbour_pair(shard, shards, |a, b| {
-                self.join_neighbours(a, b, &mut visit, &mut pacing)
-            }),
-        }
-    }
-
-    /// Phase 1 for the cell in `slot`: emits its own spanning pairs and
-    /// returns whether they connect it. `parts` is scratch space.
-    fn join_cell<E, F, P>(
-        &self,
-        slot: usize,
-        parts: &mut CellForest,
-        visit: &mut F,
-        pacing: &mut Pacing<'_, P>,
-    ) -> Result<bool, E>
-    where
-        F: FnMut(&T, &T),
-        P: FnMut() -> Result<(), E>,
-    {
-        let cell = &self.soa.cells[slot];
-        let entries = cell.entries;
-        if entries.len() < 2 {
-            return Ok(true);
-        }
-        if self.soa.within(|d| cell.hi[d] - cell.lo[d]) {
-            // Every pair is within ε: a star spans the cell. Each edge
-            // counts as one candidate, so every emitted pair was one.
-            pacing.job();
-            let (_, hub) = &entries[0];
-            for (_, t) in &entries[1..] {
-                visit(hub, t);
-            }
-            pacing.charge(entries.len() - 1)?;
-            return Ok(true);
-        }
-        parts.reset(entries.len());
-        self.soa.join_rows(slot, slot, pacing, |r, c| {
-            if parts.union(r, c) {
-                visit(&entries[r].1, &entries[c].1);
-            }
-            if parts.count == 1 {
-                AfterHit::StopJob
-            } else {
-                AfterHit::Continue
-            }
-        })?;
-        Ok(parts.count == 1)
-    }
-
-    /// Phase 2 for the neighbouring cells in slots `a` (the owner) and `b`.
-    fn join_neighbours<E, F, P>(
-        &self,
-        a: usize,
-        b: usize,
-        visit: &mut F,
-        pacing: &mut Pacing<'_, P>,
-    ) -> Result<(), E>
-    where
-        F: FnMut(&T, &T),
-        P: FnMut() -> Result<(), E>,
-    {
-        let connected_a = self.connected[a].load(Ordering::Relaxed);
-        let connected_b = self.connected[b].load(Ordering::Relaxed);
-        // One hit per row suffices when the scanned cell is connected, so
-        // the rows come from the other cell.
-        let (rows, cols) = if connected_a && !connected_b {
-            (b, a)
-        } else {
-            (a, b)
-        };
-        let after = match (connected_a, connected_b) {
-            (true, true) => AfterHit::StopJob,
-            (false, false) => AfterHit::Continue,
-            _ => AfterHit::NextRow,
-        };
-        let (row_entries, col_entries) =
-            (self.soa.cells[rows].entries, self.soa.cells[cols].entries);
-        self.soa.join_rows(rows, cols, pacing, |r, c| {
-            visit(&row_entries[r].1, &col_entries[c].1);
-            after
-        })
-    }
-}
-
-/// A union-find over the entries of one cell, for the `Cells` pass; its
-/// buffer is reused from cell to cell.
-#[derive(Default)]
-struct CellForest {
-    parent: Vec<usize>,
-    /// Number of parts.
-    count: usize,
-}
-
-impl CellForest {
-    /// Makes `len` singleton parts.
-    fn reset(&mut self, len: usize) {
-        self.parent.clear();
-        self.parent.extend(0..len);
-        self.count = len;
-    }
-
-    fn root(&mut self, mut i: usize) -> usize {
-        while self.parent[i] != i {
-            // Path halving.
-            self.parent[i] = self.parent[self.parent[i]];
-            i = self.parent[i];
-        }
-        i
-    }
-
-    /// Joins the parts of `a` and `b`; `true` when they were apart.
-    fn union(&mut self, a: usize, b: usize) -> bool {
-        let (ra, rb) = (self.root(a), self.root(b));
-        if ra == rb {
-            return false;
-        }
-        self.parent[ra] = rb;
-        self.count -= 1;
-        true
-    }
-}
-
-/// The pace and tally bookkeeping of one join call: `pace` runs at row
-/// boundaries once `interval` candidates have accumulated since its last
-/// call, and its first error stops the join.
-struct Pacing<'t, P> {
-    interval: usize,
-    /// Candidates until the next `pace` call; a row longer than the
-    /// remaining budget saturates it to zero.
-    budget: usize,
-    pace: P,
-    tally: Option<&'t mut JoinTally>,
-}
-
-impl<'t, P> Pacing<'t, P> {
-    fn new(interval: usize, pace: P, tally: Option<&'t mut JoinTally>) -> Self {
-        let interval = interval.max(1);
-        Self {
-            interval,
-            budget: interval,
-            pace,
-            tally,
-        }
-    }
-
-    /// Counts one cell job whose points are compared.
-    #[inline]
-    fn job(&mut self) {
-        if let Some(t) = self.tally.as_deref_mut() {
-            t.cells_visited += 1;
-        }
-    }
-
-    /// Charges one row of `candidates`, calling `pace` once the budget is
-    /// spent.
-    #[inline]
-    fn charge<E>(&mut self, candidates: usize) -> Result<(), E>
-    where
-        P: FnMut() -> Result<(), E>,
-    {
-        if let Some(t) = self.tally.as_deref_mut() {
-            t.candidate_pairs += candidates as u64;
-        }
-        self.budget = self.budget.saturating_sub(candidates);
-        if self.budget == 0 {
-            self.budget = self.interval;
-            (self.pace)()?;
-        }
-        Ok(())
-    }
-}
-
-/// What the row loop does after a hit.
-#[derive(Clone, Copy)]
-enum AfterHit {
-    /// Go on scanning the row.
-    Continue,
-    /// Go on with the next row.
-    NextRow,
-    /// End the cell job.
-    StopJob,
-}
-
-/// One occupied cell of a [`SoaCells`] mirror.
-struct SoaCell<'g, const D: usize, T> {
-    key: CellKey<D>,
-    entries: &'g [(Point<D>, T)],
-    /// Start of the cell's column block in the arena: dimension `d` of a
-    /// cell with `len` entries occupies `arena[start + d·len .. start +
-    /// (d + 1)·len]`.
-    start: usize,
-    /// Per-dimension bounds of the cell's coordinates.
-    lo: [f64; D],
-    hi: [f64; D],
-}
-
-/// Structure-of-arrays mirror of a grid's occupied cells for one bulk
-/// ε-join at a fixed ε and metric: every cell's coordinates are
-/// transposed into column-major blocks of one flat arena, so the per-pair
-/// distance loops stream contiguous `f64` columns instead of striding over
-/// `(Point, T)` tuples. It also holds each cell's bounding box, and maps
-/// cell keys to mirror slots for the neighbour lookups.
-struct SoaCells<'g, const D: usize, T> {
-    grid: &'g Grid<D, T>,
-    eps: f64,
-    metric: Metric,
-    cells: Vec<SoaCell<'g, D, T>>,
-    arena: Vec<f64>,
-    slots: HashMap<CellKey<D>, usize, BuildHasherDefault<CellHasher>>,
-}
-
-impl<'g, const D: usize, T> SoaCells<'g, D, T> {
-    fn build(grid: &'g Grid<D, T>, eps: f64, metric: Metric) -> Self {
-        let mut cells = Vec::with_capacity(grid.cells.len());
-        let mut arena = Vec::with_capacity(grid.len * D);
-        let mut slots =
-            HashMap::with_capacity_and_hasher(grid.cells.len(), BuildHasherDefault::default());
-        for (key, entries) in &grid.cells {
-            let start = arena.len();
-            let mut lo = [f64::INFINITY; D];
-            let mut hi = [f64::NEG_INFINITY; D];
-            for d in 0..D {
-                for (p, _) in entries {
-                    let x = p.coord(d);
-                    lo[d] = lo[d].min(x);
-                    hi[d] = hi[d].max(x);
-                    arena.push(x);
-                }
-            }
-            slots.insert(*key, cells.len());
-            cells.push(SoaCell {
-                key: *key,
-                entries,
-                start,
-                lo,
-                hi,
-            });
-        }
-        SoaCells {
-            grid,
-            eps,
-            metric,
-            cells,
-            arena,
-            slots,
-        }
-    }
-
-    /// The slots of the cells shard `shard` of `shards` owns.
-    fn owned(&self, shard: usize, shards: usize) -> impl Iterator<Item = usize> + '_ {
-        (0..self.cells.len()).filter(move |&slot| self.owns(slot, shard, shards))
-    }
-
-    fn owns(&self, slot: usize, shard: usize, shards: usize) -> bool {
-        shards == 1 || shard_of(&self.cells[slot].key, shards) == shard
-    }
-
-    /// Whether per-dimension coordinate differences `diff(d)` pass the
-    /// metric's accumulation against ε, in the operations and order of
-    /// [`scan`](Self::scan). Each operation is monotone, so differences
-    /// that bound those of every pair of two cells from below (the gaps
-    /// between their boxes) or of every pair within one cell from above
-    /// (its box diagonal) decide for all those pairs at once, exactly.
-    #[inline]
-    fn within(&self, diff: impl Fn(usize) -> f64) -> bool {
-        match self.metric {
-            Metric::L1 => {
-                let mut acc = 0.0;
-                for d in 0..D {
-                    acc += diff(d).abs();
-                }
-                acc <= self.eps
-            }
-            Metric::L2 => {
-                let mut acc = 0.0;
-                for d in 0..D {
-                    let x = diff(d);
-                    acc += x * x;
-                }
-                acc <= self.eps * self.eps
-            }
-            Metric::LInf => {
-                let mut acc = 0.0f64;
-                for d in 0..D {
-                    acc = acc.max(diff(d).abs());
-                }
-                acc <= self.eps
-            }
-        }
-    }
-
-    /// The neighbour enumeration of the bulk ε-joins: invokes `job(owner,
-    /// other)` once for every unordered pair of occupied cells (by mirror
-    /// slot) that could hold a within-ε pair, attributed to the cell from
-    /// which the offset is lexicographically positive. `shard`/`shards`
-    /// restrict ownership to one shard of the hashed-cell-key partition
-    /// (`0`/`1` ⇒ everything). The first error `job` returns stops the
-    /// enumeration and is returned.
-    fn for_each_neighbour_pair<E>(
-        &self,
-        shard: usize,
-        shards: usize,
-        mut job: impl FnMut(usize, usize) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let grid = self.grid;
-        let metric = self.metric;
-        let relaxed = self.eps * (1.0 + 4.0 * f64::EPSILON);
-        // One pad cell against quantisation rounding, as in the per-point
-        // probe; the prune below gets an absolute slack of `cell · 1e-5`,
-        // far above the coordinate rounding of any `|coord|/cell` ratio
-        // this engine targets (< 2³²) and far below the one-cell
-        // granularity the prune operates at.
-        let reach = (((self.eps / grid.cell).ceil() as i64).max(0)).saturating_add(1);
-        // Clamp the probe window to the occupied span per dimension: an
-        // offset larger than the span can never connect two occupied
-        // cells, and without the clamp a degenerate ε ≫ cell ratio makes
-        // the window enumeration explode (or saturate `reach` at
-        // `i64::MAX`) even over a handful of points.
-        let mut lo_off = [0i64; D];
-        let mut hi_off = [0i64; D];
-        let mut window = 1.0f64;
-        for d in 0..D {
-            let span = (grid.hi[d] as i128 - grid.lo[d] as i128).min(i64::MAX as i128) as i64;
-            let r = reach.min(span);
-            lo_off[d] = -r;
-            hi_off[d] = r;
-            window *= 2.0 * r as f64 + 1.0;
-        }
-        let slack = grid.cell * 1e-5;
-        // Whether two cells `diff` apart (key differences in i128: saturated
-        // keys can differ by more than i64::MAX) can hold a within-ε pair:
-        // the minimum distance between their points has per-dimension gaps
-        // of (|diff| − 1) cells.
-        let close = |diff: &[i128; D]| {
-            let gaps = diff.map(|c| (c.abs() - 1).max(0) as f64 * grid.cell);
-            let min_dist = match metric {
-                Metric::L1 => gaps.iter().sum(),
-                Metric::L2 => gaps.iter().map(|g| g * g).sum::<f64>().sqrt(),
-                Metric::LInf => gaps.iter().fold(0.0f64, |a, &g| a.max(g)),
-            };
-            min_dist <= relaxed + slack
-        };
-        // Each unordered cell pair is kept once, owned by the cell from
-        // which the offset is strictly positive in its first non-zero
-        // component.
-        let lex_positive = |diff: &[i128; D]| {
-            diff.iter()
-                .find(|&&c| c != 0)
-                .is_some_and(|&first| first > 0)
-        };
-        // The exact prune: no pair of two cells can pass when the gaps
-        // between their bounding boxes fail.
-        let mut admit = |a: usize, b: usize| {
-            let (ca, cb) = (&self.cells[a], &self.cells[b]);
-            if self.within(|d| (cb.lo[d] - ca.hi[d]).max(ca.lo[d] - cb.hi[d]).max(0.0)) {
-                job(a, b)
-            } else {
-                Ok(())
-            }
-        };
-        if window <= self.cells.len() as f64 {
-            // Window enumeration: one offset list, probed from every owned
-            // cell (the regular regime — for the ε-sized cells the
-            // operators use, the window is 5^D).
-            let mut offsets: Vec<CellKey<D>> = Vec::new();
-            for_each_key_in_box(&lo_off, &hi_off, |off| {
-                let diff = off.map(i128::from);
-                if lex_positive(&diff) && close(&diff) {
-                    offsets.push(*off);
-                }
-            });
-            for slot in self.owned(shard, shards) {
-                let key = self.cells[slot].key;
-                'offsets: for off in &offsets {
-                    let mut neighbour = key;
-                    for d in 0..D {
-                        let Some(nk) = key[d].checked_add(off[d]) else {
-                            continue 'offsets;
-                        };
-                        if nk < grid.lo[d] || nk > grid.hi[d] {
-                            continue 'offsets;
-                        }
-                        neighbour[d] = nk;
-                    }
-                    if let Some(&other) = self.slots.get(&neighbour) {
-                        admit(slot, other)?;
-                    }
-                }
-            }
-        } else {
-            // The window holds more cells than are occupied (ε ≫ cell, or
-            // saturated keys): scanning all unordered occupied-cell pairs
-            // is cheaper than enumerating the window, and produces the
-            // same candidate set (each pair attributed to the same owner).
-            for (a, ca) in self.cells.iter().enumerate() {
-                for (b, cb) in self.cells.iter().enumerate().skip(a + 1) {
-                    let diff: [i128; D] =
-                        std::array::from_fn(|d| cb.key[d] as i128 - ca.key[d] as i128);
-                    if !close(&diff) {
-                        continue;
-                    }
-                    let (owner, other) = if lex_positive(&diff) { (a, b) } else { (b, a) };
-                    if self.owns(owner, shard, shards) {
-                        admit(owner, other)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The row loop of every cell job: compares each entry ("row") of cell
-    /// `rows`, in order, with the entries of cell `cols` (with the entries
-    /// after it when `rows == cols`), and calls `on_hit(row, col)` for
-    /// every pair that passes [`Metric::within`]; its answer decides
-    /// whether the row, or the whole job, goes on. Each row's comparisons
-    /// are charged to `pacing`.
-    fn join_rows<E, P>(
-        &self,
-        rows: usize,
-        cols: usize,
-        pacing: &mut Pacing<'_, P>,
-        mut on_hit: impl FnMut(usize, usize) -> AfterHit,
-    ) -> Result<(), E>
-    where
-        P: FnMut() -> Result<(), E>,
-    {
-        let intra = rows == cols;
-        let row_entries = self.cells[rows].entries;
-        if intra && row_entries.len() < 2 {
-            return Ok(());
-        }
-        pacing.job();
-        for (r, (p, _)) in row_entries.iter().enumerate() {
-            let from = if intra { r + 1 } else { 0 };
-            let mut stop = false;
-            let compared = self.scan(cols, from, p, |c| match on_hit(r, c) {
-                AfterHit::Continue => false,
-                AfterHit::NextRow => true,
-                AfterHit::StopJob => {
-                    stop = true;
-                    true
-                }
-            });
-            pacing.charge(compared)?;
-            if stop {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Compares `q`, in order, with the entries `from..` of the cell in
-    /// `slot`, and calls `hit(k)` for every entry that satisfies the
-    /// canonical [`Metric::within`] predicate against `q` until `hit`
-    /// returns `true`; returns how many entries were compared. The
-    /// accumulation order per pair matches the point-wise distance kernels
-    /// dimension for dimension, so the accepted set is bit-identical to
-    /// calling `metric.within(q, p, eps)` per entry.
-    #[inline]
-    fn scan(
-        &self,
-        slot: usize,
-        from: usize,
-        q: &Point<D>,
-        mut hit: impl FnMut(usize) -> bool,
-    ) -> usize {
-        let cell = &self.cells[slot];
-        let len = cell.entries.len();
-        let block = &self.arena[cell.start..cell.start + D * len];
-        let eps = self.eps;
-        match self.metric {
-            Metric::L1 => {
-                for k in from..len {
-                    let mut acc = 0.0;
-                    for d in 0..D {
-                        acc += (q.coord(d) - block[d * len + k]).abs();
-                    }
-                    if acc <= eps && hit(k) {
-                        return k + 1 - from;
-                    }
-                }
-            }
-            Metric::L2 => {
-                let eps2 = eps * eps;
-                for k in from..len {
-                    let mut acc = 0.0;
-                    for d in 0..D {
-                        let diff = q.coord(d) - block[d * len + k];
-                        acc += diff * diff;
-                    }
-                    if acc <= eps2 && hit(k) {
-                        return k + 1 - from;
-                    }
-                }
-            }
-            Metric::LInf => {
-                for k in from..len {
-                    let mut acc = 0.0f64;
-                    for d in 0..D {
-                        acc = acc.max((q.coord(d) - block[d * len + k]).abs());
-                    }
-                    if acc <= eps && hit(k) {
-                        return k + 1 - from;
-                    }
-                }
-            }
-        }
-        len - from
+/// `x.floor() as i64`, bit for bit, without a call to `floor` (a library
+/// call on targets without SSE4.1). The cast truncates toward zero and
+/// saturates; a truncation that rounded a negative fraction up steps down
+/// by one. Integral and out-of-range values (and NaN, cast to 0) pass
+/// through the cast unchanged, exactly as after `floor`.
+#[inline]
+fn floor_to_i64(x: f64) -> i64 {
+    let t = x as i64;
+    if (t as f64) > x {
+        t.saturating_sub(1)
+    } else {
+        t
     }
 }
 
 /// Odometer iteration over the integer box `lo..=hi` (all dimensions).
-fn for_each_key_in_box<const D: usize, F: FnMut(&CellKey<D>)>(
+pub(crate) fn for_each_key_in_box<const D: usize, F: FnMut(&CellKey<D>)>(
     lo: &CellKey<D>,
     hi: &CellKey<D>,
     mut f: F,
@@ -1153,6 +474,9 @@ fn for_each_key_in_box<const D: usize, F: FnMut(&CellKey<D>)>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sorted::CellForest;
+    use crate::{JoinPass, JoinTally, SortedCells};
+    use std::convert::Infallible;
 
     fn pt(x: f64, y: f64) -> Point<2> {
         Point::new([x, y])
@@ -1223,27 +547,33 @@ mod tests {
         }
     }
 
-    /// The pairs the exact join accepts, as sorted payload pairs.
-    fn join_pairs(grid: &Grid<2, usize>, eps: f64, metric: Metric) -> Vec<(usize, usize)> {
+    /// The positions of `entries`, whose payloads are their indices.
+    fn positions(entries: &[(Point<2>, usize)]) -> Vec<Point<2>> {
+        entries.iter().map(|&(p, _)| p).collect()
+    }
+
+    /// The pairs the exact join of the sorted layout accepts, as sorted
+    /// pairs of input positions.
+    fn join_pairs(points: &[Point<2>], cell: f64, eps: f64, metric: Metric) -> Vec<(usize, usize)> {
         let mut pairs = Vec::new();
-        grid.for_each_pair_within(eps, metric, |&a, &b| pairs.push((a.min(b), a.max(b))));
+        SortedCells::from_points(cell, points)
+            .for_each_pair_within(eps, metric, |a, b| pairs.push((a.min(b), a.max(b))));
         pairs.sort_unstable();
         pairs
     }
 
     /// The independent oracle: every unordered pair of `points` within
-    /// ε by a brute-force [`Metric::within`] filter, as sorted payload
-    /// pairs.
-    fn brute_pairs(points: &[(Point<2>, usize)], eps: f64, metric: Metric) -> Vec<(usize, usize)> {
+    /// ε by a brute-force [`Metric::within`] filter, as sorted pairs of
+    /// input positions.
+    fn brute_pairs(points: &[Point<2>], eps: f64, metric: Metric) -> Vec<(usize, usize)> {
         let mut pairs = Vec::new();
-        for (i, (pa, a)) in points.iter().enumerate() {
-            for (pb, b) in &points[i + 1..] {
+        for (a, pa) in points.iter().enumerate() {
+            for (b, pb) in points.iter().enumerate().skip(a + 1) {
                 if metric.within(pa, pb, eps) {
-                    pairs.push((*a.min(b), *a.max(b)));
+                    pairs.push((a, b));
                 }
             }
         }
-        pairs.sort_unstable();
         pairs
     }
 
@@ -1292,14 +622,25 @@ mod tests {
 
     #[test]
     fn close_pair_join_covers_every_predicate_pair_exactly_once() {
-        let points = lattice(400);
+        let points = positions(&lattice(400));
+        let straddling = straddling_hotspots();
+        let wide = wide_key_box();
+        let mut matrix: Vec<(&[Point<2>], f64, f64)> = Vec::new();
+        for (cell, eps) in [(1.0, 1.0), (2.5, 2.5), (1.0, 3.0), (0.7, 0.0)] {
+            matrix.push((&points, cell, eps));
+            matrix.push((&straddling, cell, eps));
+        }
+        // The wide key box at ε = cell and at ε = 3 × cell, the window
+        // the cache's ε-superset reuse widens to.
+        matrix.push((&wide, 1e-3, 1e-3));
+        matrix.push((&wide, 1e-3, 3e-3));
         for metric in Metric::ALL {
-            for (cell, eps) in [(1.0, 1.0), (2.5, 2.5), (1.0, 3.0), (0.7, 0.0)] {
-                let grid: Grid<2, usize> = Grid::from_points(cell, points.clone());
+            for &(points, cell, eps) in &matrix {
+                let layout = SortedCells::from_points(cell, points);
                 // seen[(i, j)] with i < j → number of times the pair
                 // surfaced (must be exactly once).
-                let mut seen = std::collections::HashMap::new();
-                grid.for_each_pair_within(eps, metric, |&a, &b| {
+                let mut seen = HashMap::new();
+                layout.for_each_pair_within(eps, metric, |a, b| {
                     *seen.entry((a.min(b), a.max(b))).or_insert(0usize) += 1;
                 });
                 for (&(a, b), &count) in &seen {
@@ -1309,7 +650,7 @@ mod tests {
                 got.sort_unstable();
                 assert_eq!(
                     got,
-                    brute_pairs(&points, eps, metric),
+                    brute_pairs(points, eps, metric),
                     "{metric} cell={cell} eps={eps}"
                 );
             }
@@ -1318,14 +659,13 @@ mod tests {
 
     #[test]
     fn pair_within_matches_verified_close_pairs_sharded_and_not() {
-        // The SoA exact join must accept exactly the pairs the brute-force
+        // The exact join must accept exactly the pairs the brute-force
         // canonical predicate accepts.
-        let points = lattice(350);
+        let points = positions(&lattice(350));
         for metric in Metric::ALL {
             for (cell, eps) in [(1.0, 1.0), (2.5, 2.5), (1.0, 3.0), (0.7, 0.0)] {
-                let grid: Grid<2, usize> = Grid::from_points(cell, points.clone());
                 assert_eq!(
-                    join_pairs(&grid, eps, metric),
+                    join_pairs(&points, cell, eps, metric),
                     brute_pairs(&points, eps, metric),
                     "{metric} cell={cell} eps={eps}"
                 );
@@ -1338,10 +678,9 @@ mod tests {
         // Degenerate ε = 0: the probe window must not collapse below the
         // cell pair's own cell — coordinate-identical points (and only
         // those) must still surface.
-        let points = vec![(pt(1.0, 1.0), 0), (pt(1.0, 1.0), 1), (pt(2.0, 2.0), 2)];
-        let grid: Grid<2, usize> = Grid::from_points(1.0, points.clone());
+        let points = vec![pt(1.0, 1.0), pt(1.0, 1.0), pt(2.0, 2.0)];
         for metric in Metric::ALL {
-            let pairs = join_pairs(&grid, 0.0, metric);
+            let pairs = join_pairs(&points, 1.0, 0.0, metric);
             assert_eq!(pairs, vec![(0, 1)], "{metric}");
             assert_eq!(pairs, brute_pairs(&points, 0.0, metric), "{metric}");
         }
@@ -1353,12 +692,11 @@ mod tests {
         // occupied-pair fallback this enumerated a ~(2·10⁹)² offset
         // window (an effective hang); it must instead terminate promptly
         // and still find every pair.
-        let points: Vec<(Point<2>, usize)> = (0..40)
-            .map(|i| (pt((i % 8) as f64 * 0.1, (i / 8) as f64 * 0.1), i))
+        let points: Vec<Point<2>> = (0..40)
+            .map(|i| pt((i % 8) as f64 * 0.1, (i / 8) as f64 * 0.1))
             .collect();
-        let grid: Grid<2, usize> = Grid::from_points(1e-6, points.clone());
         for metric in Metric::ALL {
-            let pairs = join_pairs(&grid, 1e3, metric);
+            let pairs = join_pairs(&points, 1e-6, 1e3, metric);
             // Every one of the 40·39/2 pairs is within ε = 1000.
             assert_eq!(pairs.len(), 40 * 39 / 2, "{metric}");
             assert_eq!(pairs, brute_pairs(&points, 1e3, metric), "{metric}");
@@ -1370,14 +708,13 @@ mod tests {
         // Coordinates near the i64 cell-key saturation boundary: the join
         // must terminate, not overflow, and keep every verified pair.
         let points = vec![
-            (pt(1e300, 0.0), 0),
-            (pt(1e300, 0.0), 1), // same saturated cell, distance 0
-            (pt(-1e300, 0.0), 2),
-            (pt(0.25, 0.0), 3),
-            (pt(0.2501, 0.0), 4),
+            pt(1e300, 0.0),
+            pt(1e300, 0.0), // same saturated cell, distance 0
+            pt(-1e300, 0.0),
+            pt(0.25, 0.0),
+            pt(0.2501, 0.0),
         ];
-        let grid: Grid<2, usize> = Grid::from_points(1e-3, points.clone());
-        let pairs = join_pairs(&grid, 0.01, Metric::L2);
+        let pairs = join_pairs(&points, 1e-3, 0.01, Metric::L2);
         assert_eq!(pairs, vec![(0, 1), (3, 4)]);
         assert_eq!(pairs, brute_pairs(&points, 0.01, Metric::L2));
     }
@@ -1604,6 +941,38 @@ mod tests {
         grid.insert(pt(0.5, 0.0), 'p');
         assert_eq!(grid.cell_of(&pt(-0.5, 0.0))[0], -1);
         assert_eq!(grid.cell_of(&pt(0.5, 0.0))[0], 0);
+        // The keys are `floor(coord / cell) as i64` bit for bit, across
+        // signs, integral values, the ±2⁶³ saturation edges and beyond.
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            -1.0 - f64::EPSILON,
+            1e-300,
+            -1e-300,
+            4503599627370495.5,
+            -4503599627370495.5,
+            9007199254740993.0,
+            -9223372036854775808.0,
+            -9223372036854777856.0,
+            9223372036854775807.0,
+            9223372036854774784.0,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for x in edges {
+            for cell in [1.0, 0.3, 1e-3] {
+                let key = Grid::<2, char>::new(cell).cell_of(&pt(x, -x));
+                let want = [(x / cell).floor() as i64, (-x / cell).floor() as i64];
+                assert_eq!(key, want, "x = {x:e}, cell = {cell}");
+            }
+        }
         let mut hits = Vec::new();
         grid.for_each_within(&pt(0.0, 0.0), 1.0, |_, &c| hits.push(c));
         hits.sort_unstable();
@@ -1619,18 +988,18 @@ mod tests {
         neighbour_calls: usize,
     }
 
-    /// Runs the connectivity join in the SGB-Any kernel's order: the
-    /// `Cells` pass on every shard, then the `Neighbours` pass, stopping
-    /// at the first error.
+    /// Runs the connectivity join of the sorted layout in the SGB-Any
+    /// kernel's order: the `Cells` pass on every shard, then the
+    /// `Neighbours` pass, stopping at the first error.
     fn connect<const D: usize, E>(
-        grid: &Grid<D, usize>,
+        layout: &SortedCells<D>,
         eps: f64,
         metric: Metric,
         shards: usize,
         interval: usize,
         mut pace: impl FnMut(JoinPass) -> Result<(), E>,
     ) -> Connected<E> {
-        let join = grid.connectivity_join(eps, metric);
+        let mut join = layout.connectivity_join(eps, metric);
         let mut seen = Connected {
             result: Ok(()),
             pairs: Vec::new(),
@@ -1638,14 +1007,11 @@ mod tests {
             neighbour_calls: 0,
         };
         'passes: for pass in [JoinPass::Cells, JoinPass::Neighbours] {
-            for shard in 0..shards {
+            for shard in join.split(pass, shards) {
                 seen.neighbour_calls += usize::from(pass == JoinPass::Neighbours);
                 let pairs = &mut seen.pairs;
-                seen.result = join.try_join(
-                    pass,
-                    shard,
-                    shards,
-                    |&a: &usize, &b: &usize| pairs.push((a.min(b), a.max(b))),
+                seen.result = shard.try_join(
+                    |a, b| pairs.push((a.min(b), a.max(b))),
                     interval,
                     || pace(pass),
                     Some(&mut seen.tally),
@@ -1697,21 +1063,21 @@ mod tests {
         groups_of(points.len(), &edges)
     }
 
-    /// Checks the connectivity join of `points` (payload = index) on a
-    /// grid of side `cell` against the brute-force components, checks
-    /// that every emitted pair passes `Metric::within` and is emitted
-    /// once, and that pairs and tallies do not depend on the shard count.
-    /// Returns the sequential tally.
+    /// Checks the connectivity join of `points` on a sorted layout of
+    /// side `cell` against the brute-force components, checks that every
+    /// emitted pair passes `Metric::within` and is emitted once, and that
+    /// pairs and tallies do not depend on the shard count. Returns the
+    /// sequential tally.
     fn check_connectivity<const D: usize>(
         points: &[Point<D>],
         cell: f64,
         eps: f64,
         metric: Metric,
     ) -> JoinTally {
-        let grid: Grid<D, usize> = Grid::from_points(cell, points.iter().copied().zip(0..));
+        let layout = SortedCells::from_points(cell, points);
         let label = format!("{metric} cell={cell} eps={eps}");
         let Connected { pairs, tally, .. } =
-            connect::<D, Infallible>(&grid, eps, metric, 1, 16, |_| Ok(()));
+            connect::<D, Infallible>(&layout, eps, metric, 1, 16, |_| Ok(()));
         for &(a, b) in &pairs {
             assert!(
                 metric.within(&points[a], &points[b], eps),
@@ -1733,7 +1099,7 @@ mod tests {
         // Every emitted pair was a candidate.
         assert!(tally.candidate_pairs >= pairs.len() as u64, "{label}");
         for shards in [2usize, 3, 7] {
-            let sharded = connect::<D, Infallible>(&grid, eps, metric, shards, 16, |_| Ok(()));
+            let sharded = connect::<D, Infallible>(&layout, eps, metric, shards, 16, |_| Ok(()));
             assert_eq!(sharded.pairs, pairs, "{label} shards={shards}");
             assert_eq!(sharded.tally, tally, "{label} shards={shards}");
         }
@@ -1761,15 +1127,46 @@ mod tests {
             .collect()
     }
 
+    /// The dense hotspot fixture shifted to straddle zero, so its cell
+    /// keys run from negative to positive.
+    fn straddling_hotspots() -> Vec<Point<2>> {
+        hotspots(900, 7, 1.5, 0xC0FFEE)
+            .into_iter()
+            .map(|p| pt(p.coord(0) - 5.0, p.coord(1) - 5.0))
+            .collect()
+    }
+
+    /// Four small clusters ~10¹⁰ cells of side 10⁻³ apart per dimension:
+    /// the occupied key box holds ~10²⁰ cells, more than a `u64` numbers,
+    /// with no saturated key, so the layout sorts them by comparison. The
+    /// clusters occupy more cells than the offset window at ε = cell and
+    /// at ε = 3 × cell, so both joins find neighbours by their cursors.
+    fn wide_key_box() -> Vec<Point<2>> {
+        let jitter = hotspots(400, 1, 1.0, 0x51DE);
+        [(-5e6, -5e6), (5e6, 5e6), (0.0, 0.0), (-5e6, 5e6)]
+            .iter()
+            .cycle()
+            .zip(jitter)
+            .map(|(&(x, y), p)| pt(x + p.coord(0) * 8e-3, y + p.coord(1) * 8e-3))
+            .collect()
+    }
+
     #[test]
     fn connectivity_join_matches_brute_force_components_on_the_fixture_matrix() {
         let points: Vec<Point<2>> = lattice(400).into_iter().map(|(p, _)| p).collect();
         let dense = hotspots(900, 7, 1.5, 0xC0FFEE);
+        let straddling = straddling_hotspots();
+        let wide = wide_key_box();
         for metric in Metric::ALL {
             for (cell, eps) in [(1.0, 1.0), (2.5, 2.5), (1.0, 3.0), (0.7, 0.0)] {
                 check_connectivity(&points, cell, eps, metric);
                 check_connectivity(&dense, cell, eps, metric);
+                check_connectivity(&straddling, cell, eps, metric);
             }
+            // The wide key box at ε = cell and at ε = 3 × cell, the window
+            // the cache's ε-superset reuse widens to.
+            check_connectivity(&wide, 1e-3, 1e-3, metric);
+            check_connectivity(&wide, 1e-3, 3e-3, metric);
             // ε ≫ cell: the occupied-pair regime.
             check_connectivity(&dense[..60], 1e-6, 1e3, metric);
             // Cell (0,0) is connected, cell (1,0) is not (under L1 and L2),
@@ -1808,8 +1205,8 @@ mod tests {
             check_connectivity(&dups, Grid::<2, usize>::side_for_eps(0.0), 0.0, metric);
             check_connectivity(&saturated, 1e-3, 0.01, metric);
         }
-        let grid: Grid<2, usize> = Grid::from_points(1.0, dups.iter().copied().zip(0..));
-        let pairs = connect::<2, Infallible>(&grid, 0.0, Metric::L2, 1, 16, |_| Ok(())).pairs;
+        let layout = SortedCells::from_points(1.0, &dups);
+        let pairs = connect::<2, Infallible>(&layout, 0.0, Metric::L2, 1, 16, |_| Ok(())).pairs;
         assert_eq!(
             groups_of(dups.len(), &pairs),
             vec![vec![0, 2], vec![1, 4], vec![3]]
@@ -1862,16 +1259,12 @@ mod tests {
     fn connectivity_join_stops_at_a_pace_error_and_never_starts_phase_two() {
         // Cells of ~20 points that are not cliques, so the `Cells` pass
         // compares points and paces.
-        let points: Vec<(Point<2>, usize)> = hotspots(2000, 1, 10.0, 0x5EED)
-            .into_iter()
-            .zip(0..)
-            .collect();
-        let grid: Grid<2, usize> = Grid::from_points(1.0, points);
-        let all = connect::<2, Infallible>(&grid, 1.0, Metric::L2, 1, 8, |_| Ok(())).pairs;
+        let layout = SortedCells::from_points(1.0, &hotspots(2000, 1, 10.0, 0x5EED));
+        let all = connect::<2, Infallible>(&layout, 1.0, Metric::L2, 1, 8, |_| Ok(())).pairs;
         for shards in [1usize, 3] {
             // `pace` fails on its 5th call, inside the `Cells` pass.
             let mut paced = 0;
-            let early = connect(&grid, 1.0, Metric::L2, shards, 8, |pass| {
+            let early = connect(&layout, 1.0, Metric::L2, shards, 8, |pass| {
                 assert_eq!(pass, JoinPass::Cells);
                 paced += 1;
                 if paced == 5 {
@@ -1890,7 +1283,7 @@ mod tests {
             );
             // A failure in the `Neighbours` pass stops that pass early too.
             let mut neighbour_paces = 0;
-            let late = connect(&grid, 1.0, Metric::L2, shards, 8, |pass| {
+            let late = connect(&layout, 1.0, Metric::L2, shards, 8, |pass| {
                 neighbour_paces += usize::from(pass == JoinPass::Neighbours);
                 if neighbour_paces == 3 {
                     Err("late")

@@ -16,13 +16,20 @@
 //! from a complete point set are bulk-loaded with sort-tile-recursive
 //! packing ([`RTree::from_points`]) instead of one-at-a-time inserts.
 //!
-//! Alongside the R-tree lives the [`Grid`] — a hashed uniform epsilon-grid
-//! purpose-built for the ε-bounded probes at the heart of the similarity
-//! operators (cell side = ε ⇒ a probe touches only a point's own cell and
-//! its immediate neighbours, with no tree descent at all).
+//! Alongside the R-tree live two uniform epsilon-grids (cell side = ε ⇒ a
+//! point's ε-neighbours lie in its own cell and its immediate neighbours,
+//! with no tree descent at all):
+//!
+//! * the [`Grid`] — hashed cells, for point-wise probes over a changing
+//!   point set (incremental maintenance, SGB-Around's center index);
+//! * [`SortedCells`] — one immutable layout sorted on the cell key, for
+//!   the bulk ε-joins over a complete point set (one-shot SGB-Any and
+//!   SGB-All's component pre-pass).
 
 pub mod grid;
 pub mod rtree;
+pub mod sorted;
 
-pub use grid::{ConnectivityJoin, Grid, JoinPass, JoinTally};
+pub use grid::Grid;
 pub use rtree::RTree;
+pub use sorted::{ConnectivityJoin, JoinPass, JoinShard, JoinTally, SortedCells};
