@@ -138,6 +138,109 @@ mod tests {
         }
     }
 
+    /// FNV-1a (64-bit) over each cell's type tag and bits, in row order:
+    /// stable across toolchains, unlike std's `DefaultHasher`.
+    fn answer_digest(rows: &[sgb_relation::Row]) -> u64 {
+        use sgb_relation::Value;
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for cell in rows.iter().flatten() {
+            match cell {
+                Value::Null => eat(&[0]),
+                Value::Bool(b) => eat(&[1, u8::from(*b)]),
+                Value::Int(i) => {
+                    eat(&[2]);
+                    eat(&i.to_le_bytes());
+                }
+                Value::Float(f) => {
+                    eat(&[3]);
+                    eat(&f.to_bits().to_le_bytes());
+                }
+                Value::Str(s) => {
+                    eat(&[4]);
+                    eat(&(s.len() as u64).to_le_bytes());
+                    eat(s.as_bytes());
+                }
+                Value::Date(d) => {
+                    eat(&[5]);
+                    eat(&d.to_le_bytes());
+                }
+                Value::Interval { months, days } => {
+                    eat(&[6]);
+                    eat(&months.to_le_bytes());
+                    eat(&days.to_le_bytes());
+                }
+            }
+        }
+        h
+    }
+
+    /// Every Table 2 answer at the tiny scale, pinned to the row count and
+    /// bit-level digest the engine produced before the executor passed
+    /// row positions between its nodes: any change to an answer, its row
+    /// order or a float's bits fails here.
+    #[test]
+    fn table2_answers_match_their_digests() {
+        let db = tiny_db();
+        let statements = [
+            ("GB1", GB1.to_owned(), 75, 0x9c1b_7bed_ead8_d8cd),
+            (
+                "SGB1-All",
+                with_sgb_all(SGB1_TEMPLATE, 0.2, "L2", "JOIN-ANY"),
+                13,
+                0x3f6b_f6a0_98a7_c51d,
+            ),
+            (
+                "SGB1-Any",
+                with_sgb_any(SGB1_TEMPLATE, 0.2, "L2"),
+                1,
+                0x1c52_d2ad_17da_03db,
+            ),
+            ("GB2", GB2.to_owned(), 100, 0xa413_bf8d_bf20_b47f),
+            (
+                "SGB3-All",
+                with_sgb_all(SGB3_TEMPLATE, 0.2, "LINF", "ELIMINATE"),
+                3,
+                0xcd67_62a4_ed26_0c91,
+            ),
+            (
+                "SGB3-Any",
+                with_sgb_any(SGB3_TEMPLATE, 0.2, "LINF"),
+                1,
+                0x1be3_a227_eb9a_7c0a,
+            ),
+            ("GB3", GB3.to_owned(), 5, 0x4f19_62a1_268d_b4fa),
+            (
+                "SGB5-All",
+                with_sgb_all(SGB5_TEMPLATE, 0.2, "L2", "FORM-NEW-GROUP"),
+                4,
+                0xdf99_2fb8_f0f1_ae57,
+            ),
+            (
+                "SGB5-Any",
+                with_sgb_any(SGB5_TEMPLATE, 0.2, "L2"),
+                2,
+                0x1ff9_1241_b55d_5848,
+            ),
+        ];
+        let expected: Vec<(&str, usize, u64)> = statements
+            .iter()
+            .map(|(name, _, rows, digest)| (*name, *rows, *digest))
+            .collect();
+        let got: Vec<(&str, usize, u64)> = statements
+            .iter()
+            .map(|(name, sql, _, _)| {
+                let out = db.query(sql).unwrap_or_else(|e| panic!("{name}: {e}"));
+                (*name, out.len(), answer_digest(&out.rows))
+            })
+            .collect();
+        assert_eq!(got, expected, "digests: {got:#x?}");
+    }
+
     #[test]
     fn sgb_groups_at_most_standard_groups() {
         // Similarity grouping can only merge equality groups (ε ≥ 0), so
