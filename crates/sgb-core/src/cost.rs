@@ -190,17 +190,30 @@ pub(crate) fn any_cost_model(
     }
 }
 
-/// Rough resident bytes of an ε-grid over `n` points in `dims`
-/// dimensions: each point stores its coordinates plus a payload id,
-/// doubled for the per-cell keys and bounding boxes, plus a fixed base.
-/// A layout whose cells hold about one point each takes more (each cell
-/// stores its key, its position and its box). Deliberately simple — the
-/// governor's memory budget is an admission control, not an allocator.
+/// Upper bound on the heap bytes an ε-grid over `n` points in `dims`
+/// dimensions needs at the peak of its build (`sgb_spatial::SortedCells`).
+/// Per point, with one occupied cell per point at most:
+///
+/// * its cell key, `8·dims`, held for the whole build;
+/// * then the larger of the radix sort's two `(number, position)` buffers,
+///   32, and the finished layout: the point's position, 16 (the sort's
+///   buffer is kept for it), its coordinates, `8·dims`, and its cell's run
+///   start, up to 16 (that vector grows by doubling), and record (key,
+///   bounding box, first position and length), `24·dims + 16`.
+///
+/// Plus the sort's bucket counts and a fixed base. Occupied cells are
+/// usually far fewer than points, so a real build stays well under this
+/// (`tests/grid_memory.rs` measures it); the governor's memory budget is an
+/// admission control, not an allocator.
 pub fn estimated_grid_bytes(n: usize, dims: usize) -> usize {
-    n.saturating_mul(dims * 8 + 8)
-        .saturating_mul(2)
-        .saturating_add(1024)
+    let layout = 16 + 8 * dims + 16 + 24 * dims + 16;
+    let per_point = 8 * dims + layout.max(32);
+    n.saturating_mul(per_point)
+        .saturating_add(RADIX_COUNT_BYTES + 1024)
 }
+
+/// The radix sort's bucket counts: 2¹¹ `usize`s.
+const RADIX_COUNT_BYTES: usize = (1 << 11) * 8;
 
 /// Rough upper bound on the resident bytes of a bulk-loaded point R-tree
 /// over `n` points in `dims` dimensions: each leaf entry stores an MBR

@@ -1,9 +1,11 @@
 //! Plan executor: runs a [`Plan`] tree bottom-up.
 //!
-//! Inner nodes pass their rows by reference where they can: a Scan borrows
-//! the catalog's rows, a Limit over borrowed rows slices them, a Filter
-//! clones only the rows it keeps, and only the root builds the result
-//! [`Table`].
+//! Inner nodes pass rows by position, not by copy (a `RowSet`): a Scan
+//! borrows the catalog's rows, a Filter keeps the positions that pass, a
+//! join pairs its inputs' positions, a Sort reorders them and a Limit
+//! truncates them, and expressions read cells in place. Rows are built only
+//! where a node makes new ones (Project, the aggregate nodes) and at the
+//! root, which builds the result [`Table`].
 //!
 //! Every statement executes under a [`QueryGovernor`] built from the
 //! session options (`Database::statement_governor`): the
@@ -33,15 +35,167 @@ use sgb_telemetry::{Counter, Phase, Telemetry};
 use crate::cache::{slot_key, Slot};
 use crate::engine::Database;
 use crate::error::{Error, Result};
-use crate::expr::BoundExpr;
+use crate::expr::{BoundExpr, RowView};
 use crate::plan::{AggCall, AggKind, NodeStat, Plan, SgbMode};
 use crate::subscription::{GroupingSnapshot, QueryKey};
 use crate::table::{Row, Table};
 use crate::value::Value;
 
-/// The rows a plan node yields: borrowed from the catalog of the database
-/// the statement runs against, or built by the node.
-type Rows<'a> = Cow<'a, [Row]>;
+/// The rows a plan node yields, as positions into the row slices they come
+/// from.
+///
+/// A join's output row is its inputs' rows side by side, so a set reads
+/// one or more `sources`, in column order, and each of its rows is one
+/// position per source. A source is borrowed from the catalog of the
+/// database the statement runs against, or built by a node.
+struct RowSet<'a> {
+    /// The row slices the set reads, left to right.
+    sources: Vec<Cow<'a, [Row]>>,
+    /// `sources.len()` positions per row, flat; `None` when the set is
+    /// every row of its one source, in order. Only a join repeats a
+    /// position, and a join's set has a source per input, so a set with
+    /// one source never holds a position twice.
+    tuples: Option<Vec<usize>>,
+}
+
+impl<'a> RowSet<'a> {
+    /// Every row of `rows`, in order.
+    fn new(rows: Cow<'a, [Row]>) -> Self {
+        Self {
+            sources: vec![rows],
+            tuples: None,
+        }
+    }
+
+    /// Number of rows.
+    fn len(&self) -> usize {
+        match (&self.tuples, self.sources.first()) {
+            (Some(tuples), _) => tuples.len() / self.sources.len(),
+            (None, Some(rows)) => rows.len(),
+            (None, None) => 0,
+        }
+    }
+
+    /// Appends row `t`'s positions, one per source, to `out`.
+    fn push_positions(&self, t: usize, out: &mut Vec<usize>) {
+        match &self.tuples {
+            None => out.push(t),
+            Some(tuples) => {
+                let k = self.sources.len();
+                out.extend_from_slice(&tuples[t * k..(t + 1) * k]);
+            }
+        }
+    }
+
+    /// Fills `parts` with row `t` as its sources' rows, left to right: the
+    /// view expressions read it through.
+    fn row<'s>(&'s self, t: usize, parts: &mut Vec<&'s [Value]>) {
+        parts.clear();
+        match &self.tuples {
+            None => parts.extend(self.sources.iter().map(|rows| rows[t].as_slice())),
+            Some(tuples) => {
+                let k = self.sources.len();
+                let positions = &tuples[t * k..(t + 1) * k];
+                parts.extend(
+                    self.sources
+                        .iter()
+                        .zip(positions)
+                        .map(|(rows, &p)| rows[p].as_slice()),
+                );
+            }
+        }
+    }
+
+    /// Calls `f` with each row's index and view, in order, until it fails.
+    fn try_for_each<'s>(
+        &'s self,
+        mut f: impl FnMut(usize, &[&'s [Value]]) -> Result<()>,
+    ) -> Result<()> {
+        let mut parts = Vec::with_capacity(self.sources.len());
+        for t in 0..self.len() {
+            self.row(t, &mut parts);
+            f(t, &parts)?;
+        }
+        Ok(())
+    }
+
+    /// The rows at indices `picked`, in that order (each at most once).
+    fn select(self, picked: Vec<usize>) -> Self {
+        let tuples = match &self.tuples {
+            None => picked,
+            Some(_) => {
+                let mut tuples = Vec::with_capacity(picked.len() * self.sources.len());
+                for t in picked {
+                    self.push_positions(t, &mut tuples);
+                }
+                tuples
+            }
+        };
+        Self {
+            sources: self.sources,
+            tuples: Some(tuples),
+        }
+    }
+
+    /// The first `n` rows.
+    fn truncate(mut self, n: usize) -> Self {
+        let k = self.sources.len();
+        match (&mut self.tuples, self.sources.first_mut()) {
+            (Some(tuples), _) => tuples.truncate(n.saturating_mul(k)),
+            (None, Some(Cow::Borrowed(rows))) => *rows = rows.get(..n).unwrap_or(rows),
+            (None, Some(Cow::Owned(rows))) => rows.truncate(n),
+            (None, None) => {}
+        }
+        self
+    }
+
+    /// A join's output: `left`'s sources then `right`'s, over `tuples`,
+    /// which pair each output row's left positions with its right ones.
+    fn join(left: Self, right: Self, tuples: Vec<usize>) -> Self {
+        let mut sources = left.sources;
+        sources.extend(right.sources);
+        Self {
+            sources,
+            tuples: Some(tuples),
+        }
+    }
+
+    /// The rows themselves: the only place a row is built from positions.
+    fn into_rows(self) -> Vec<Row> {
+        let Self {
+            mut sources,
+            tuples,
+        } = self;
+        let Some(tuples) = tuples else {
+            return sources.pop().map_or_else(Vec::new, Cow::into_owned);
+        };
+        if sources.len() == 1 {
+            // Each position at most once: an owned source gives its rows up.
+            return match sources.pop() {
+                Some(Cow::Owned(mut rows)) => tuples
+                    .iter()
+                    .map(|&p| std::mem::take(&mut rows[p]))
+                    .collect(),
+                Some(Cow::Borrowed(rows)) => tuples.iter().map(|&p| rows[p].clone()).collect(),
+                None => Vec::new(),
+            };
+        }
+        let width: usize = sources
+            .iter()
+            .map(|rows| rows.first().map_or(0, Vec::len))
+            .sum();
+        tuples
+            .chunks_exact(sources.len())
+            .map(|positions| {
+                let mut row = Vec::with_capacity(width);
+                for (rows, &p) in sources.iter().zip(positions) {
+                    row.extend_from_slice(&rows[p]);
+                }
+                row
+            })
+            .collect()
+    }
+}
 
 /// Executes `plan` against the database catalog, under a statement
 /// governor drawn from the session options (deadline, memory budget,
@@ -49,7 +203,7 @@ type Rows<'a> = Cow<'a, [Row]>;
 pub fn execute(plan: &Plan, db: &Database) -> Result<Table> {
     // One governor (and thus one deadline) spans the whole plan tree.
     let rows = execute_node(plan, db, &db.statement_governor(), 0, None)?;
-    Ok(Table::from_parts(plan.schema().clone(), rows.into_owned()))
+    Ok(Table::from_parts(plan.schema().clone(), rows.into_rows()))
 }
 
 /// `EXPLAIN ANALYZE` entry point: executes `plan` with per-node actuals
@@ -65,7 +219,7 @@ pub(crate) fn execute_with_stats(
 ) -> Result<(Table, Vec<NodeStat>)> {
     let stats = RefCell::new(vec![NodeStat::default(); plan.node_count()]);
     let rows = execute_node(plan, db, governor, 0, Some(&stats))?;
-    let table = Table::from_parts(plan.schema().clone(), rows.into_owned());
+    let table = Table::from_parts(plan.schema().clone(), rows.into_rows());
     Ok((table, stats.into_inner()))
 }
 
@@ -79,7 +233,7 @@ fn execute_node<'a>(
     governor: &QueryGovernor,
     id: usize,
     stats: Option<&RefCell<Vec<NodeStat>>>,
-) -> Result<Rows<'a>> {
+) -> Result<RowSet<'a>> {
     let started = stats.map(|_| Instant::now());
     let out = execute_inner(plan, db, governor, id, stats)?;
     if let (Some(stats), Some(started)) = (stats, started) {
@@ -96,43 +250,43 @@ fn execute_inner<'a>(
     governor: &QueryGovernor,
     id: usize,
     stats: Option<&RefCell<Vec<NodeStat>>>,
-) -> Result<Rows<'a>> {
+) -> Result<RowSet<'a>> {
     let execute = |plan: &Plan, child_id: usize| execute_node(plan, db, governor, child_id, stats);
     match plan {
-        Plan::Scan { table, .. } => Ok(Cow::Borrowed(&db.table(table)?.rows)),
+        Plan::Scan { table, .. } => Ok(RowSet::new(Cow::Borrowed(&db.table(table)?.rows))),
         Plan::Filter { input, predicate } => {
             let rows = execute(input, id + 1)?;
-            let mut kept = Vec::with_capacity(rows.len());
-            match rows {
-                // Clone only the rows that pass; an owned input moves them.
-                Cow::Borrowed(rows) => {
-                    for row in rows {
-                        if predicate.eval_predicate(row)? {
-                            kept.push(row.clone());
-                        }
-                    }
+            let mut kept = Vec::new();
+            rows.try_for_each(|t, row| {
+                if predicate.eval_predicate_in(row)? {
+                    kept.push(t);
                 }
-                Cow::Owned(rows) => {
-                    for row in rows {
-                        if predicate.eval_predicate(&row)? {
-                            kept.push(row);
-                        }
-                    }
-                }
-            }
-            Ok(Cow::Owned(kept))
+                Ok(())
+            })?;
+            Ok(rows.select(kept))
         }
         Plan::Project { input, exprs, .. } => {
-            let input = execute(input, id + 1)?;
-            let mut rows = Vec::with_capacity(input.len());
-            for row in input.iter() {
-                let mut out = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    out.push(e.eval(row)?);
-                }
-                rows.push(out);
+            let rows = execute(input, id + 1)?;
+            // Every input column in order (`SELECT *`, a subquery's
+            // re-qualification): the input passes through.
+            let identity = exprs.len() == input.schema().len()
+                && exprs
+                    .iter()
+                    .enumerate()
+                    .all(|(i, e)| matches!(e, BoundExpr::Column(c) if *c == i));
+            if identity {
+                return Ok(rows);
             }
-            Ok(Cow::Owned(rows))
+            let mut out = Vec::with_capacity(rows.len());
+            rows.try_for_each(|_, row| {
+                let mut cells = Vec::with_capacity(exprs.len());
+                for e in exprs {
+                    cells.push(e.eval_in(row)?);
+                }
+                out.push(cells);
+                Ok(())
+            })?;
+            Ok(RowSet::new(Cow::Owned(out)))
         }
         Plan::HashJoin {
             left,
@@ -145,45 +299,42 @@ fn execute_inner<'a>(
             let r = execute(right, id + 1 + left.node_count())?;
             // Build on the right input.
             let mut build: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-            'rows: for (i, row) in r.iter().enumerate() {
-                let mut key = Vec::with_capacity(right_keys.len());
-                for k in right_keys {
-                    let v = k.eval(row)?;
-                    if v.is_null() {
-                        continue 'rows; // NULL keys never join
-                    }
-                    key.push(v);
-                }
-                build.entry(key).or_default().push(i);
-            }
-            let mut rows = Vec::new();
-            'probe: for lrow in l.iter() {
-                let mut key = Vec::with_capacity(left_keys.len());
-                for k in left_keys {
-                    let v = k.eval(lrow)?;
-                    if v.is_null() {
-                        continue 'probe;
-                    }
-                    key.push(v);
-                }
-                if let Some(matches) = build.get(&key) {
-                    for &ri in matches {
-                        rows.push(concat(lrow, &r[ri]));
+            let mut key = Vec::with_capacity(right_keys.len());
+            r.try_for_each(|i, row| {
+                if join_key(right_keys, row, &mut key)? {
+                    match build.get_mut(key.as_slice()) {
+                        Some(matches) => matches.push(i),
+                        None => {
+                            build.insert(key.clone(), vec![i]);
+                        }
                     }
                 }
-            }
-            Ok(Cow::Owned(rows))
+                Ok(())
+            })?;
+            // Probe order, then build order within a key.
+            let mut tuples = Vec::new();
+            l.try_for_each(|li, row| {
+                if join_key(left_keys, row, &mut key)? {
+                    for &ri in build.get(key.as_slice()).into_iter().flatten() {
+                        l.push_positions(li, &mut tuples);
+                        r.push_positions(ri, &mut tuples);
+                    }
+                }
+                Ok(())
+            })?;
+            Ok(RowSet::join(l, r, tuples))
         }
         Plan::CrossJoin { left, right, .. } => {
             let l = execute(left, id + 1)?;
             let r = execute(right, id + 1 + left.node_count())?;
-            let mut rows = Vec::with_capacity(l.len() * r.len());
-            for lrow in l.iter() {
-                for rrow in r.iter() {
-                    rows.push(concat(lrow, rrow));
+            let mut tuples = Vec::new();
+            for li in 0..l.len() {
+                for ri in 0..r.len() {
+                    l.push_positions(li, &mut tuples);
+                    r.push_positions(ri, &mut tuples);
                 }
             }
-            Ok(Cow::Owned(rows))
+            Ok(RowSet::join(l, r, tuples))
         }
         Plan::HashAggregate {
             input,
@@ -193,22 +344,21 @@ fn execute_inner<'a>(
             outputs,
             ..
         } => {
-            let input = execute(input, id + 1)?;
+            let rows = execute(input, id + 1)?;
             // First-seen group order (like PostgreSQL's hash agg output is
             // unordered, but determinism helps tests).
-            let mut order: Vec<Vec<Value>> = Vec::new();
             let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
             let mut states: Vec<Vec<AggState>> = Vec::new();
-            for row in input.iter() {
-                let mut key = Vec::with_capacity(group_exprs.len());
+            let mut key = Vec::with_capacity(group_exprs.len());
+            rows.try_for_each(|_, row| {
+                key.clear();
                 for g in group_exprs {
-                    key.push(g.eval(row)?);
+                    key.push(g.eval_in(row)?);
                 }
-                let slot = match index.get(&key) {
+                let slot = match index.get(key.as_slice()) {
                     Some(&s) => s,
                     None => {
                         index.insert(key.clone(), states.len());
-                        order.push(key);
                         states.push(aggs.iter().map(AggState::new).collect());
                         states.len() - 1
                     }
@@ -216,19 +366,24 @@ fn execute_inner<'a>(
                 for (st, call) in states[slot].iter_mut().zip(aggs) {
                     st.update(call, row)?;
                 }
+                Ok(())
+            })?;
+            let mut keys = vec![Vec::new(); states.len()];
+            for (key, slot) in index {
+                keys[slot] = key;
             }
             // Global aggregation over empty input still yields one row.
             if group_exprs.is_empty() && states.is_empty() {
-                order.push(Vec::new());
+                keys.push(Vec::new());
                 states.push(aggs.iter().map(AggState::new).collect());
             }
-            let mut rows = Vec::with_capacity(states.len());
-            for (key, st) in order.into_iter().zip(states) {
+            let mut out = Vec::with_capacity(states.len());
+            for (key, st) in keys.into_iter().zip(states) {
                 let mut internal = key;
                 internal.extend(st.into_iter().map(AggState::finish));
-                rows.extend(group_output(&internal, having, outputs)?);
+                out.extend(group_output(&internal, having, outputs)?);
             }
-            Ok(Cow::Owned(rows))
+            Ok(RowSet::new(Cow::Owned(out)))
         }
         Plan::SimilarityGroupBy {
             input,
@@ -268,19 +423,21 @@ fn execute_inner<'a>(
             if let Some(stats) = stats {
                 stats.borrow_mut()[id].detail = similarity_detail(grouping.get(), &tel);
             }
-            Ok(Cow::Owned(out?))
+            Ok(RowSet::new(Cow::Owned(out?)))
         }
         Plan::Sort { input, keys } => {
-            let rows = execute(input, id + 1)?.into_owned();
-            // Pre-compute sort keys (decorate-sort-undecorate).
-            let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
-            for row in rows {
+            let rows = execute(input, id + 1)?;
+            // Pre-compute sort keys (decorate-sort-undecorate), then reorder
+            // positions: no row is copied.
+            let mut decorated: Vec<(Vec<Value>, usize)> = Vec::with_capacity(rows.len());
+            rows.try_for_each(|t, row| {
                 let mut ks = Vec::with_capacity(keys.len());
                 for (e, _) in keys {
-                    ks.push(e.eval(&row)?);
+                    ks.push(e.eval_in(row)?);
                 }
-                decorated.push((ks, row));
-            }
+                decorated.push((ks, t));
+                Ok(())
+            })?;
             decorated.sort_by(|(a, _), (b, _)| {
                 for ((x, y), (_, desc)) in a.iter().zip(b.iter()).zip(keys) {
                     let ord = match (x.is_null(), y.is_null()) {
@@ -296,25 +453,28 @@ fn execute_inner<'a>(
                 }
                 std::cmp::Ordering::Equal
             });
-            Ok(Cow::Owned(decorated.into_iter().map(|(_, r)| r).collect()))
+            Ok(rows.select(decorated.into_iter().map(|(_, t)| t).collect()))
         }
-        Plan::Limit { input, n } => Ok(match execute(input, id + 1)? {
-            Cow::Borrowed(rows) => Cow::Borrowed(rows.get(..*n).unwrap_or(rows)),
-            Cow::Owned(mut rows) => {
-                rows.truncate(*n);
-                Cow::Owned(rows)
-            }
-        }),
+        Plan::Limit { input, n } => Ok(execute(input, id + 1)?.truncate(*n)),
     }
 }
 
-/// A join output row: `left` then `right`, allocated once at its final
-/// width.
-fn concat(left: &[Value], right: &[Value]) -> Row {
-    let mut out = Vec::with_capacity(left.len() + right.len());
-    out.extend_from_slice(left);
-    out.extend_from_slice(right);
-    out
+/// Evaluates a join's key expressions over `row` into `key`, reusing its
+/// buffer; `false` at the first NULL, since NULL keys never join.
+fn join_key<R: RowView + ?Sized>(
+    exprs: &[BoundExpr],
+    row: &R,
+    key: &mut Vec<Value>,
+) -> Result<bool> {
+    key.clear();
+    for e in exprs {
+        let v = e.eval_in(row)?;
+        if v.is_null() {
+            return Ok(false);
+        }
+        key.push(v);
+    }
+    Ok(true)
 }
 
 /// Aggregates the rows of each answer group into one output row, applying
@@ -329,7 +489,7 @@ fn concat(left: &[Value], right: &[Value]) -> Row {
 /// ([`FloatAgg`]). Every other call folds member by member through
 /// [`AggState`], members outermost, so errors surface in the same order.
 fn aggregate_grouping(
-    rows: &[Row],
+    rows: &RowSet<'_>,
     grouping: &Grouping,
     aggs: &[AggCall],
     having: &Option<BoundExpr>,
@@ -354,15 +514,17 @@ fn aggregate_grouping(
     let mut out = Vec::with_capacity(grouping.num_groups() + 1);
     let mut accs: Vec<Acc> = Vec::with_capacity(aggs.len());
     let mut internal: Row = Vec::with_capacity(aggs.len());
+    let mut parts = Vec::with_capacity(rows.sources.len());
     for members in grouping.output_groups() {
         accs.extend(aggs.iter().zip(&folds).map(|(call, fold)| match fold {
             Some((agg, column)) => Acc::Column(*agg, column),
             None => Acc::Rows(AggState::new(call)),
         }));
         for &r in members {
+            rows.row(r, &mut parts);
             for (acc, call) in accs.iter_mut().zip(aggs) {
                 if let Acc::Rows(state) = acc {
-                    state.update(call, &rows[r])?;
+                    state.update(call, parts.as_slice())?;
                 }
             }
         }
@@ -386,10 +548,12 @@ enum Acc<'c> {
 
 /// Column `c` of every row as a dense vector, or `None` when some row
 /// holds anything but a `Value::Float` there (NULL, Int, string, date).
-fn float_column(rows: &[Row], c: usize) -> Option<Vec<f64>> {
+fn float_column(rows: &RowSet<'_>, c: usize) -> Option<Vec<f64>> {
     let mut column = Vec::with_capacity(rows.len());
-    for row in rows {
-        let Some(Value::Float(f)) = row.get(c) else {
+    let mut parts = Vec::with_capacity(rows.sources.len());
+    for t in 0..rows.len() {
+        rows.row(t, &mut parts);
+        let Some(Value::Float(f)) = parts.as_slice().cell(c) else {
             return None;
         };
         column.push(*f);
@@ -511,12 +675,17 @@ pub(crate) fn extract_points<const D: usize>(
     rows: &[Row],
     coords: &[BoundExpr],
 ) -> Result<Vec<Point<D>>> {
+    set_points(&RowSet::new(Cow::Borrowed(rows)), coords)
+}
+
+/// [`extract_points`] over a node's input.
+fn set_points<const D: usize>(rows: &RowSet<'_>, coords: &[BoundExpr]) -> Result<Vec<Point<D>>> {
     debug_assert_eq!(coords.len(), D);
     let mut points: Vec<Point<D>> = Vec::with_capacity(rows.len());
-    for row in rows {
+    rows.try_for_each(|_, row| {
         let mut c = [0.0f64; D];
         for (d, expr) in coords.iter().enumerate() {
-            let v = expr.eval(row)?;
+            let v = expr.eval_in(row)?;
             let Some(f) = v.as_f64() else {
                 return Err(Error::Eval(format!(
                     "similarity grouping attributes must be numeric and non-null, got {v}"
@@ -530,7 +699,8 @@ pub(crate) fn extract_points<const D: usize>(
             c[d] = f;
         }
         points.push(Point::new(c));
-    }
+        Ok(())
+    })?;
     Ok(points)
 }
 
@@ -566,7 +736,7 @@ fn run_similarity(
     db: &Database,
     node: &Plan,
     input: &Plan,
-    rows: &[Row],
+    rows: &RowSet<'_>,
     coords: &[BoundExpr],
     governor: &QueryGovernor,
     telemetry: &Telemetry,
@@ -609,13 +779,13 @@ fn run_similarity(
 /// given.
 fn run_similarity_d<const D: usize>(
     node: &Plan,
-    rows: &[Row],
+    rows: &RowSet<'_>,
     coords: &[BoundExpr],
     slot: Option<(Arc<Slot<D>>, u64)>,
     governor: &QueryGovernor,
     telemetry: &Telemetry,
 ) -> Result<Grouping> {
-    let extract = || extract_points::<D>(rows, coords);
+    let extract = || set_points::<D>(rows, coords);
     let points = match &slot {
         Some((slot, version)) => slot.points_for(*version, extract)?,
         None => Arc::new(extract()?),
@@ -772,7 +942,7 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, call: &AggCall, row: &[Value]) -> Result<()> {
+    fn update<R: RowView + ?Sized>(&mut self, call: &AggCall, row: &R) -> Result<()> {
         if let AggState::CountStar(n) = self {
             *n += 1;
             return Ok(());
@@ -783,7 +953,7 @@ impl AggState {
         let Some(arg_expr) = call.arg.as_ref() else {
             return Err(Error::Eval("aggregate call is missing its argument".into()));
         };
-        let arg = arg_expr.eval(row)?;
+        let arg = arg_expr.eval_in(row)?;
         if arg.is_null() {
             return Ok(()); // SQL aggregates skip NULLs
         }
@@ -884,7 +1054,7 @@ mod tests {
         let call = call(kind);
         let mut state = AggState::new(&call);
         for &r in members {
-            state.update(&call, &[Value::Float(column[r])]).unwrap();
+            state.update(&call, &[Value::Float(column[r])][..]).unwrap();
         }
         let (agg, _) = FloatAgg::of(&call).unwrap();
         (state.finish(), agg.fold(column, members))
@@ -988,11 +1158,11 @@ mod tests {
     #[test]
     fn float_column_rejects_any_non_float_cell() {
         let rows = |cell: Value| {
-            vec![
+            RowSet::new(Cow::Owned(vec![
                 vec![Value::Float(1.5)],
                 vec![cell],
                 vec![Value::Float(-0.0)],
-            ]
+            ]))
         };
         let gathered = float_column(&rows(Value::Float(f64::INFINITY)), 0).unwrap();
         assert_eq!(gathered, vec![1.5, f64::INFINITY, -0.0]);
@@ -1009,7 +1179,8 @@ mod tests {
             float_column(&rows(Value::Float(1.0)), 1).is_none(),
             "missing column"
         );
-        assert_eq!(float_column(&[], 3), Some(Vec::new()));
+        let empty = RowSet::new(Cow::Borrowed(&[]));
+        assert_eq!(float_column(&empty, 3), Some(Vec::new()));
     }
 
     #[test]
@@ -1026,9 +1197,9 @@ mod tests {
         assert_eq!(ids(&asc), vec![3, 6, 1, 4, 0, 2, 5]);
         let desc = db.query("SELECT * FROM t ORDER BY k DESC").unwrap().rows;
         assert_eq!(ids(&desc), vec![0, 2, 5, 1, 4, 3, 6]);
-        // `SELECT *` plans a Project over the Scan, so the Sort there
-        // sorts owned rows. A Limit straight over a Sort over a bare Scan
-        // sorts the catalog's borrowed rows.
+        // `SELECT *` plans an identity Project over the Scan, which passes
+        // the catalog's rows through, so both plans sort the positions of
+        // the catalog's borrowed rows and copy only the rows they keep.
         let bare = |n: usize, desc: bool| Plan::Limit {
             input: Box::new(Plan::Sort {
                 input: Box::new(Plan::Scan {

@@ -11,6 +11,7 @@
     clippy::panic
 )]
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fmt;
@@ -106,20 +107,57 @@ pub enum BoundExpr {
     },
 }
 
+/// A row as an expression reads it: one slice of cells, or the rows a join
+/// matched, side by side, read in place instead of copied into one row.
+pub(crate) trait RowView {
+    /// The cell in column `i`, or `None` past the row's end.
+    fn cell(&self, i: usize) -> Option<&Value>;
+}
+
+impl RowView for [Value] {
+    fn cell(&self, i: usize) -> Option<&Value> {
+        self.get(i)
+    }
+}
+
+/// A join's output row: its inputs' rows, left to right.
+impl RowView for [&[Value]] {
+    fn cell(&self, mut i: usize) -> Option<&Value> {
+        for part in self {
+            match part.get(i) {
+                Some(v) => return Some(v),
+                None => i -= part.len(),
+            }
+        }
+        None
+    }
+}
+
 impl BoundExpr {
     /// Evaluates against a row.
     pub fn eval(&self, row: &[Value]) -> Result<Value> {
+        self.eval_in(row)
+    }
+
+    /// Evaluates as a predicate: `true` only for a definite SQL TRUE
+    /// (NULL filters out, per WHERE semantics).
+    pub fn eval_predicate(&self, row: &[Value]) -> Result<bool> {
+        self.eval_predicate_in(row)
+    }
+
+    /// [`BoundExpr::eval`] over any row view.
+    pub(crate) fn eval_in<R: RowView + ?Sized>(&self, row: &R) -> Result<Value> {
         match self {
             BoundExpr::Literal(v) => Ok(v.clone()),
             BoundExpr::Column(i) => row
-                .get(*i)
+                .cell(*i)
                 .cloned()
                 .ok_or_else(|| Error::Eval(format!("column index {i} out of bounds"))),
             BoundExpr::Binary { op, left, right } => {
-                let arith = |sym| left.eval(row)?.arith(sym, &right.eval(row)?);
+                let arith = |sym| left.operand(row)?.arith(sym, &*right.operand(row)?);
                 // SQL comparison: NULL when either side is NULL.
                 let compare = |holds: fn(Ordering) -> bool| {
-                    let (l, r) = (left.eval(row)?, right.eval(row)?);
+                    let (l, r) = (left.operand(row)?, right.operand(row)?);
                     Ok(if l.is_null() || r.is_null() {
                         Value::Null
                     } else {
@@ -129,22 +167,22 @@ impl BoundExpr {
                 match op {
                     // Short-circuit three-valued AND/OR.
                     BinOp::And => {
-                        let l = left.eval(row)?.as_bool();
+                        let l = left.eval_in(row)?.as_bool();
                         if l == Some(false) {
                             return Ok(Value::Bool(false));
                         }
-                        Ok(match (l, right.eval(row)?.as_bool()) {
+                        Ok(match (l, right.eval_in(row)?.as_bool()) {
                             (_, Some(false)) => Value::Bool(false),
                             (Some(true), Some(true)) => Value::Bool(true),
                             _ => Value::Null,
                         })
                     }
                     BinOp::Or => {
-                        let l = left.eval(row)?.as_bool();
+                        let l = left.eval_in(row)?.as_bool();
                         if l == Some(true) {
                             return Ok(Value::Bool(true));
                         }
-                        Ok(match (l, right.eval(row)?.as_bool()) {
+                        Ok(match (l, right.eval_in(row)?.as_bool()) {
                             (_, Some(true)) => Value::Bool(true),
                             (Some(false), Some(false)) => Value::Bool(false),
                             _ => Value::Null,
@@ -162,34 +200,43 @@ impl BoundExpr {
                     BinOp::Ge => compare(Ordering::is_ge),
                 }
             }
-            BoundExpr::Neg(inner) => {
-                let v = inner.eval(row)?;
-                match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Int(i) => Ok(Value::Int(-i)),
-                    Value::Float(f) => Ok(Value::Float(-f)),
-                    other => Err(Error::Eval(format!("cannot negate {other}"))),
-                }
-            }
-            BoundExpr::Not(inner) => Ok(match inner.eval(row)?.as_bool() {
+            BoundExpr::Neg(inner) => match inner.eval_in(row)? {
+                Value::Null => Ok(Value::Null),
+                Value::Int(i) => Ok(Value::Int(-i)),
+                Value::Float(f) => Ok(Value::Float(-f)),
+                other => Err(Error::Eval(format!("cannot negate {other}"))),
+            },
+            BoundExpr::Not(inner) => Ok(match inner.eval_in(row)?.as_bool() {
                 Some(b) => Value::Bool(!b),
                 None => Value::Null,
             }),
             BoundExpr::InSet { expr, set, negated } => {
-                let probe = expr.eval(row)?;
+                let probe = expr.operand(row)?;
                 if probe.is_null() {
                     return Ok(Value::Null);
                 }
-                let hit = set.contains(&probe);
+                let hit = set.contains(&*probe);
                 Ok(Value::Bool(hit != *negated))
             }
         }
     }
 
-    /// Evaluates as a predicate: `true` only for a definite SQL TRUE
-    /// (NULL filters out, per WHERE semantics).
-    pub fn eval_predicate(&self, row: &[Value]) -> Result<bool> {
-        Ok(self.eval(row)?.as_bool() == Some(true))
+    /// [`BoundExpr::eval_predicate`] over any row view.
+    pub(crate) fn eval_predicate_in<R: RowView + ?Sized>(&self, row: &R) -> Result<bool> {
+        Ok(self.eval_in(row)?.as_bool() == Some(true))
+    }
+
+    /// An operand's value: a column or literal read in place, anything else
+    /// evaluated. Comparisons and set probes read cells without cloning them.
+    fn operand<'r, R: RowView + ?Sized>(&'r self, row: &'r R) -> Result<Cow<'r, Value>> {
+        match self {
+            BoundExpr::Literal(v) => Ok(Cow::Borrowed(v)),
+            BoundExpr::Column(i) => row
+                .cell(*i)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| Error::Eval(format!("column index {i} out of bounds"))),
+            _ => self.eval_in(row).map(Cow::Owned),
+        }
     }
 
     /// Collects the input column indices this expression reads.

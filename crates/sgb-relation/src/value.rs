@@ -195,13 +195,15 @@ impl Hash for Value {
                 b.hash(state);
             }
             // Int and Float must hash identically when numerically equal
-            // (they compare equal): hash via the f64 bits of the value.
+            // (they compare equal): hash via the f64 bits of the value, with
+            // -0.0 as +0.0 (they compare equal too, and `Int(0)` is +0.0).
             Value::Int(i) => {
                 2u8.hash(state);
                 (*i as f64).to_bits().hash(state);
             }
             Value::Float(f) => {
                 2u8.hash(state);
+                let f = if *f == 0.0 { 0.0 } else { *f };
                 f.to_bits().hash(state);
             }
             Value::Str(s) => {
@@ -454,6 +456,47 @@ mod tests {
         set.insert(Value::Int(42));
         assert!(set.contains(&Value::Float(42.0)));
         assert!(!set.contains(&Value::Float(42.5)));
+    }
+
+    #[test]
+    fn signed_zeros_hash_alike() {
+        use std::collections::HashSet;
+        let set: HashSet<Value> = [Value::Float(0.0)].into_iter().collect();
+        assert!(set.contains(&Value::Float(-0.0)));
+        assert!(set.contains(&Value::Int(0)));
+        let set: HashSet<Value> = [Value::Float(-0.0)].into_iter().collect();
+        assert!(set.contains(&Value::Float(0.0)));
+        assert!(set.contains(&Value::Int(0)));
+    }
+
+    /// GROUP BY, a hash join and `IN (subquery)` hash their keys; a plain
+    /// filter compares them. All four must treat -0.0 as 0.0.
+    #[test]
+    fn signed_zeros_agree_across_group_by_joins_in_and_filters() {
+        let mut db = crate::engine::Database::new();
+        for sql in [
+            "CREATE TABLE a (k FLOAT)",
+            "CREATE TABLE b (k FLOAT)",
+            "INSERT INTO a VALUES (0.0), (-0.0), (1.0)",
+            "INSERT INTO b VALUES (0.0), (1.0)",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        let count = |sql: &str| db.query(sql).unwrap().len();
+        let groups = db
+            .query("SELECT k, count(*) FROM a GROUP BY k")
+            .unwrap()
+            .rows;
+        assert_eq!(
+            groups,
+            vec![
+                vec![Value::Float(0.0), Value::Int(2)],
+                vec![Value::Float(1.0), Value::Int(1)],
+            ]
+        );
+        assert_eq!(count("SELECT a.k FROM a, b WHERE a.k = b.k"), 3);
+        assert_eq!(count("SELECT k FROM a WHERE k IN (SELECT k FROM b)"), 3);
+        assert_eq!(count("SELECT k FROM a WHERE k = 0"), 2);
     }
 
     #[test]
