@@ -55,7 +55,7 @@ use sgb_geom::{Metric, Point};
 use sgb_spatial::{JoinPass, JoinShard, JoinTally, RTree, SortedCells};
 use sgb_telemetry::{Counter, Phase, Telemetry};
 
-use crate::governor::{Pacer, QueryGovernor, SgbError, CHECK_INTERVAL};
+use crate::governor::{run_jobs, Pacer, QueryGovernor, SgbError, CHECK_INTERVAL};
 use crate::{Grouping, RecordId};
 
 /// The all-pairs batch kernel: the pairwise loop with a [`Pacer`] tick per
@@ -168,21 +168,21 @@ pub(crate) fn join_grid<const D: usize>(
 /// labels its input's ε-components with this forest too (one shard,
 /// under a disabled telemetry handle).
 ///
-/// The join runs as two passes of one worker pool over the layout:
-/// [`JoinPass::Cells`] on every shard, then [`JoinPass::Neighbours`],
-/// which reads what the first pass recorded about every cell and so
-/// starts only after every shard of it succeeded. With `threads > 1` each
-/// pass runs one shard per worker, each shard owning a contiguous range of
-/// the sorted cells that holds about `n / threads` points, and each shard
-/// unions into its own forest. Every decision of the join depends only on
-/// the cells involved, so the union of the per-shard forests has the
-/// components a sequential run finds, and merging them yields a
-/// bit-identical grouping (asserted by
-/// `tests/proptest_parallel.rs`). Each shard paces against the shared
-/// governor at cell-row boundaries, every ≤ [`CHECK_INTERVAL`] candidates,
-/// and parks its verdict in its own slot; a panicking worker surfaces as
-/// [`SgbError::WorkerPanicked`]. On `Err`, everything built here is
-/// dropped — no partial forest escapes.
+/// The join runs as two passes over the layout, each one [`run_jobs`]
+/// call with one job per shard: [`JoinPass::Cells`] on every shard, then
+/// [`JoinPass::Neighbours`], which reads what the first pass recorded
+/// about every cell and so starts only after every shard of it succeeded.
+/// Each shard owns a contiguous range of the sorted cells that holds about
+/// `n / threads` points, and unions into its own forest (shard 0, run on
+/// the calling thread, into the result). Every decision of the join
+/// depends only on the cells involved, so the union of the per-shard
+/// forests has the components one shard finds, and merging them yields a
+/// bit-identical grouping (asserted by `tests/proptest_parallel.rs`).
+/// Each shard paces against the shared governor at cell-row boundaries,
+/// every ≤ [`CHECK_INTERVAL`] candidates, and parks its verdict in its
+/// own slot; a panicking shard surfaces as [`SgbError::WorkerPanicked`].
+/// On `Err`, everything built here is dropped — no partial forest
+/// escapes.
 pub(crate) fn connect_grid<const D: usize>(
     n: usize,
     eps: f64,
@@ -203,25 +203,13 @@ pub(crate) fn connect_grid<const D: usize>(
     let mut runs: Vec<ShardRun> = (0..shards).map(|_| ShardRun::default()).collect();
     let join = tel.phase(Phase::Join);
     let mut connect = index.connectivity_join(eps, metric);
-    let mut pool = scoped_threadpool::Pool::new(shards as u32);
     for pass in [JoinPass::Cells, JoinPass::Neighbours] {
         let jobs = connect.split(pass, shards);
         let targets = std::iter::once(&mut dsu).chain(forests.iter_mut());
         let work = jobs.into_iter().zip(targets).zip(runs.iter_mut());
-        if shards == 1 {
-            for ((job, forest), run) in work {
-                run_shard(job, forest, run, governor, enabled);
-            }
-        } else {
-            pool.try_scoped(|scope| {
-                for ((job, forest), run) in work {
-                    scope.execute(move || run_shard(job, forest, run, governor, enabled));
-                }
-            })
-            .map_err(|p| SgbError::WorkerPanicked {
-                message: p.message().to_owned(),
-            })?;
-        }
+        run_jobs(
+            work.map(|((job, forest), run)| move || run_shard(job, forest, run, governor, enabled)),
+        )?;
         if runs.iter().any(|run| run.error.is_some()) {
             break;
         }
@@ -237,9 +225,7 @@ pub(crate) fn connect_grid<const D: usize>(
         tel.add(Counter::CandidatePairs, total.candidate_pairs);
         tel.add(Counter::CellsProbed, total.cells_visited);
         tel.add(Counter::GovernorPolls, polls);
-        if shards > 1 {
-            tel.record_max(Counter::ThreadsUsed, shards as u64);
-        }
+        tel.record_max(Counter::ThreadsUsed, shards as u64);
     }
     if let Some(error) = runs.into_iter().find_map(|run| run.error) {
         return Err(error);

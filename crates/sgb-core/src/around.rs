@@ -36,14 +36,22 @@
 //! grid's ring search computes the same canonical distances with the same
 //! `(distance, payload)`-lexicographic argmin.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
+
 use std::sync::Arc;
 
 use sgb_geom::{Metric, Point};
 use sgb_spatial::rtree::DEFAULT_MAX_ENTRIES;
 use sgb_spatial::{Grid, RTree};
+use sgb_telemetry::{Phase, Telemetry};
 
-use crate::governor::{Pacer, QueryGovernor, SgbError};
-use crate::{Algorithm, Grouping, RecordId, SgbQuery};
+use crate::governor::{run_jobs, Pacer, QueryGovernor, SgbError};
+use crate::{Algorithm, Grouping, SgbQuery};
 
 /// Index of a center in the query's center list.
 pub type CenterId = usize;
@@ -98,7 +106,7 @@ pub(crate) fn build_center_index<const D: usize>(
 
 /// The assignment rule of one SGB-Around query: its centers, metric and
 /// radius bound, plus the search structure over the centers. Shared by
-/// the batch engine and the incremental engine.
+/// [`assign_batch`] and the incremental engine.
 #[derive(Clone, Debug)]
 pub(crate) struct CenterRule<const D: usize> {
     centers: Vec<Point<D>>,
@@ -182,10 +190,15 @@ impl<const D: usize> CenterRule<D> {
     }
 }
 
-/// The SGB-Around engine behind [`SgbQuery::around`] runs: assign a batch
-/// of points, then [`finish`](Self::finish). The grouping is
-/// order-independent: only member order within a group follows arrival
-/// order.
+/// The slot of a point beyond the radius bound: no center has this index.
+const OUTLIER: CenterId = CenterId::MAX;
+
+/// The SGB-Around batch behind [`SgbQuery::around`] runs: assigns every
+/// point of `points` to its nearest center under `rule`, or to the outlier
+/// group, and materialises the answer groups: the non-empty center groups
+/// in center order, each with its center, plus the outlier set. The
+/// grouping is order-independent; only member order within a group
+/// follows arrival order.
 ///
 /// ```
 /// use sgb_core::SgbQuery;
@@ -201,134 +214,74 @@ impl<const D: usize> CenterRule<D> {
 /// assert_eq!(out.group_centers(), &[0, 1]);
 /// assert_eq!(out.outliers(), &[3]); // (5, 5) is > 3 away from both
 /// ```
-#[derive(Clone, Debug)]
-pub(crate) struct SgbAround<const D: usize> {
-    rule: CenterRule<D>,
-    /// Per-center member lists, index-aligned with the center list.
-    groups: Vec<Vec<RecordId>>,
-    outliers: Vec<RecordId>,
-    pushed: usize,
-    /// Traversal scratch for the indexed nearest-center query, reused
-    /// across pushes so the hot loop allocates nothing per tuple.
-    scratch: Vec<usize>,
-}
-
-impl<const D: usize> SgbAround<D> {
-    /// Creates the engine for an assignment rule.
-    pub(crate) fn new(rule: CenterRule<D>) -> Self {
-        let groups = vec![Vec::new(); rule.num_centers()];
-        Self {
-            rule,
-            groups,
-            outliers: Vec::new(),
-            pushed: 0,
-            scratch: Vec::new(),
-        }
+///
+/// The points are cut into `4 × threads` chunks (`threads` as the caller
+/// resolved it, see [`crate::cost::threads_for_around`]), dealt round-robin
+/// to one [`run_jobs`] job per worker, so an uneven cluster layout still
+/// balances. Each job classifies its chunks into their own slots, ticking
+/// a pacer of its own against the shared governor once per point; then,
+/// only when every job succeeded, an arrival-order pass appends each
+/// record id to its group, so member order matches a one-worker run
+/// exactly (asserted by `tests/proptest_parallel.rs`). Points must be
+/// finite (validated by the callers). On `Err`, nothing built here
+/// escapes.
+pub(crate) fn assign_batch<const D: usize>(
+    rule: &CenterRule<D>,
+    points: &[Point<D>],
+    threads: usize,
+    governor: &QueryGovernor,
+    tel: &Telemetry,
+) -> Result<Grouping, SgbError> {
+    failpoints::fail_point!("sgb_core::around::assign", |_| Err(SgbError::Cancelled));
+    governor.check()?;
+    let join = tel.phase(Phase::Join);
+    let workers = threads.max(1);
+    let chunk = points.len().div_ceil(4 * workers).max(1);
+    let mut slots = vec![OUTLIER; points.len()];
+    let mut dealt: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
+    let pairs = points.chunks(chunk).zip(slots.chunks_mut(chunk));
+    for (k, pair) in pairs.enumerate() {
+        dealt[k % workers].push(pair);
     }
-
-    /// Assigns one point to its nearest center (or the outlier group),
-    /// returning its record id.
-    pub(crate) fn push(&mut self, p: Point<D>) -> RecordId {
-        debug_assert!(p.is_finite(), "validated by the callers");
-        let c = self.rule.assign(&mut self.scratch, &p);
-        self.record(c)
-    }
-
-    /// Appends the next record id to center `c`'s group, or to the
-    /// outliers for `None`.
-    fn record(&mut self, c: Option<CenterId>) -> RecordId {
-        let id = self.pushed;
-        self.pushed += 1;
-        match c {
-            Some(c) => self.groups[c].push(id),
-            None => self.outliers.push(id),
-        }
-        id
-    }
-
-    /// Assigns a complete batch of points, equivalent to pushing each in
-    /// order, with a deadline/cancellation check per tuple. With more than
-    /// one worker (`threads`, as the caller resolved it — see
-    /// [`crate::cost::threads_for_around`]), each worker classifies its
-    /// chunk independently into a shared slot array, pacing against the
-    /// shared governor and parking its verdict in a per-chunk slot; a
-    /// sequential arrival-order stitch then appends record ids to their
-    /// groups — only when every chunk succeeded — reproducing the member
-    /// order of a sequential run exactly (asserted by
-    /// `tests/proptest_parallel.rs`). Points must be finite (validated by
-    /// the callers).
-    ///
-    /// On `Err`, the state may have absorbed a prefix of the batch —
-    /// **discard the engine**; the query entry points build a fresh
-    /// engine per call, so no partial grouping is observable.
-    pub(crate) fn try_extend_from_slice(
-        &mut self,
-        points: &[Point<D>],
-        threads: usize,
-        governor: &QueryGovernor,
-    ) -> Result<(), SgbError> {
-        failpoints::fail_point!("sgb_core::around::assign", |_| Err(SgbError::Cancelled));
-        governor.check()?;
-        if threads <= 1 {
+    let jobs = dealt.into_iter().filter(|chunks| !chunks.is_empty());
+    let verdicts = run_jobs(jobs.map(|chunks| {
+        move || {
+            let mut scratch = Vec::new();
             let mut pacer = Pacer::new();
-            for p in points {
-                pacer.tick(governor)?;
-                self.push(*p);
+            for (pts, out) in chunks {
+                for (p, slot) in pts.iter().zip(out) {
+                    pacer.tick(governor)?;
+                    debug_assert!(p.is_finite(), "validated by the callers");
+                    *slot = rule.assign(&mut scratch, p).unwrap_or(OUTLIER);
+                }
             }
-            return Ok(());
+            Ok(())
         }
-        assert!(
-            self.rule.num_centers() < u32::MAX as usize,
-            "too many centers for the parallel assignment encoding"
-        );
-        const OUTLIER: u32 = u32::MAX;
-        let mut assign = vec![OUTLIER; points.len()];
-        // Several chunks per worker so an uneven cluster layout still
-        // balances; chunk geometry never affects results.
-        let chunk = points.len().div_ceil(threads * 4).max(1);
-        let mut verdicts: Vec<Result<(), SgbError>> = vec![Ok(()); points.len().div_ceil(chunk)];
-        let rule = &self.rule;
-        let mut pool = scoped_threadpool::Pool::new(threads as u32);
-        pool.try_scoped(|scope| {
-            for ((pts, out), verdict) in points
-                .chunks(chunk)
-                .zip(assign.chunks_mut(chunk))
-                .zip(verdicts.iter_mut())
-            {
-                scope.execute(move || {
-                    let mut scratch = Vec::new();
-                    let mut pacer = Pacer::new();
-                    *verdict = pts.iter().zip(out.iter_mut()).try_for_each(|(p, slot)| {
-                        pacer.tick(governor)?;
-                        debug_assert!(p.is_finite(), "validated by the callers");
-                        *slot = rule.assign(&mut scratch, p).map_or(OUTLIER, |c| c as u32);
-                        Ok(())
-                    });
-                });
-            }
-        })
-        .map_err(|p| SgbError::WorkerPanicked {
-            message: p.message().to_owned(),
-        })?;
-        for verdict in verdicts {
-            verdict?;
+    }))?;
+    verdicts.into_iter().collect::<Result<(), SgbError>>()?;
+    let mut groups = vec![Vec::new(); rule.num_centers()];
+    let mut outliers = Vec::new();
+    for (id, &c) in slots.iter().enumerate() {
+        match groups.get_mut(c) {
+            Some(group) => group.push(id),
+            None => outliers.push(id),
         }
-        for &code in &assign {
-            self.record((code != OUTLIER).then_some(code as usize));
-        }
-        Ok(())
     }
-
-    /// Materialises the answer groups: the non-empty center groups in
-    /// center order, each with its center, plus the outlier set.
-    pub(crate) fn finish(self) -> Grouping {
-        Grouping::around(self.groups, self.outliers)
-    }
+    drop(join);
+    let _merge = tel.phase(Phase::Merge);
+    Ok(Grouping::around(groups, outliers))
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 mod tests {
     use super::*;
+    use crate::RecordId;
 
     /// Maps each record id in `0..n` to its center (`None` for outliers).
     fn centers_of(out: &Grouping, n: usize) -> Vec<Option<CenterId>> {

@@ -196,17 +196,17 @@ pub(crate) fn any_cost_model(
 ///
 /// * its cell key, `8·dims`, held for the whole build;
 /// * then the larger of the radix sort's two `(number, position)` buffers,
-///   32, and the finished layout: the point's position, 16 (the sort's
-///   buffer is kept for it), its coordinates, `8·dims`, and its cell's run
-///   start, up to 16 (that vector grows by doubling), and record (key,
-///   bounding box, first position and length), `24·dims + 16`.
+///   32, and the finished layout: the point's position, 8, its
+///   coordinates, `8·dims`, and its cell's run start, 8, and record (key,
+///   bounding box, first position and length), `24·dims + 16`. Positions
+///   and run starts are allocated at their exact sizes.
 ///
 /// Plus the sort's bucket counts and a fixed base. Occupied cells are
 /// usually far fewer than points, so a real build stays well under this
 /// (`tests/grid_memory.rs` measures it); the governor's memory budget is an
 /// admission control, not an allocator.
 pub fn estimated_grid_bytes(n: usize, dims: usize) -> usize {
-    let layout = 16 + 8 * dims + 16 + 24 * dims + 16;
+    let layout = 8 + 8 * dims + 8 + 24 * dims + 16;
     let per_point = 8 * dims + layout.max(32);
     n.saturating_mul(per_point)
         .saturating_add(RADIX_COUNT_BYTES + 1024)
@@ -394,52 +394,31 @@ pub fn resolve_around(
 /// bit-identical to their sequential twins (see `proptest_parallel`), so
 /// this choice, like algorithm selection, only moves *when* the answer
 /// arrives.
-pub fn resolve_threads(requested: usize, n: usize) -> (usize, String) {
+pub fn resolve_threads(requested: usize, n: usize) -> usize {
     if requested > 0 {
-        return (requested, configured());
+        return requested;
     }
     if n < PARALLEL_MIN_N {
-        return (
-            1,
-            format!("auto: n = {n} < {PARALLEL_MIN_N}, sequential (spawn + merge would dominate)"),
-        );
+        return 1;
     }
     let available = std::thread::available_parallelism().map_or(1, |p| p.get());
     let useful = (n / (PARALLEL_MIN_N / 2)).max(1);
-    let threads = available.min(useful).max(1);
-    (
-        threads,
-        format!("auto: n = {n}, {available} hardware threads, using {threads}"),
-    )
-}
-
-/// Threads for SGB-All: always 1. The operator's semantics are
-/// arrival-order sensitive (ON-OVERLAP arbitration depends on which groups
-/// already exist when a point arrives), so there is no parallel twin to be
-/// bit-identical to; a requested thread count is accepted and ignored.
-pub fn threads_for_all() -> (usize, String) {
-    (
-        1,
-        "sequential: SGB-All arbitration is arrival-order sensitive".to_owned(),
-    )
+    available.min(useful).max(1)
 }
 
 /// Threads for a *resolved* (concrete) SGB-Any algorithm: only the ε-grid
 /// path shards its close-pair join, so the other paths run sequentially
 /// regardless of the request.
-pub fn threads_for_any(algorithm: Algorithm, requested: usize, n: usize) -> (usize, String) {
+pub fn threads_for_any(algorithm: Algorithm, requested: usize, n: usize) -> usize {
     match algorithm {
         Algorithm::Grid => resolve_threads(requested, n),
-        _ => (
-            1,
-            "sequential: only the grid eps-join shards across threads".to_owned(),
-        ),
+        _ => 1,
     }
 }
 
 /// Threads for SGB-Around over `n` tuples: the nearest-center assignment
 /// is independent per tuple, so every concrete algorithm parallelises.
-pub fn threads_for_around(requested: usize, n: usize) -> (usize, String) {
+pub fn threads_for_around(requested: usize, n: usize) -> usize {
     resolve_threads(requested, n)
 }
 
@@ -538,42 +517,36 @@ mod tests {
     #[test]
     fn explicit_thread_requests_always_win() {
         for n in [1, PARALLEL_MIN_N, 1_000_000] {
-            let (t, reason) = resolve_threads(7, n);
-            assert_eq!(t, 7);
-            assert!(reason.contains("configured"), "{reason}");
+            assert_eq!(resolve_threads(7, n), 7);
         }
     }
 
     #[test]
     fn auto_threads_stay_sequential_below_the_threshold() {
         for n in [0, 1, PARALLEL_MIN_N - 1] {
-            let (t, reason) = resolve_threads(0, n);
-            assert_eq!(t, 1);
-            assert!(reason.contains("sequential"), "{reason}");
+            assert_eq!(resolve_threads(0, n), 1);
         }
     }
 
     #[test]
     fn auto_threads_are_bounded_by_useful_work() {
         // A shard must own at least PARALLEL_MIN_N / 2 tuples.
-        let (t, _) = resolve_threads(0, PARALLEL_MIN_N);
+        let t = resolve_threads(0, PARALLEL_MIN_N);
         assert!(t <= PARALLEL_MIN_N / (PARALLEL_MIN_N / 2));
-        let (t, _) = resolve_threads(0, 1_000_000);
+        let t = resolve_threads(0, 1_000_000);
         let available = std::thread::available_parallelism().map_or(1, |p| p.get());
         assert!(t >= 1 && t <= available);
     }
 
     #[test]
     fn operator_thread_policies() {
-        // SGB-All never parallelises, even when asked.
-        assert_eq!(threads_for_all().0, 1);
         // SGB-Any: only the grid path shards.
-        assert_eq!(threads_for_any(Algorithm::Grid, 3, 100_000).0, 3);
-        assert_eq!(threads_for_any(Algorithm::AllPairs, 3, 100_000).0, 1);
-        assert_eq!(threads_for_any(Algorithm::Indexed, 3, 100_000).0, 1);
+        assert_eq!(threads_for_any(Algorithm::Grid, 3, 100_000), 3);
+        assert_eq!(threads_for_any(Algorithm::AllPairs, 3, 100_000), 1);
+        assert_eq!(threads_for_any(Algorithm::Indexed, 3, 100_000), 1);
         // SGB-Around parallelises on every concrete path.
-        assert_eq!(threads_for_around(5, 10).0, 5);
-        assert_eq!(threads_for_around(0, 10).0, 1);
+        assert_eq!(threads_for_around(5, 10), 5);
+        assert_eq!(threads_for_around(0, 10), 1);
     }
 
     #[test]

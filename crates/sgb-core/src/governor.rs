@@ -17,6 +17,9 @@
 //!   merge, nearest-center assignment, incremental delta application)
 //!   through a crate-internal pacer that amortises the clock read over
 //!   [`CHECK_INTERVAL`]-sized batches of work.
+//! * The crate-internal worker helper both parallel engines run through,
+//!   which turns a panicking worker job into
+//!   [`SgbError::WorkerPanicked`].
 //!
 //! The governed entry points are
 //! [`SgbQuery::try_run`](crate::SgbQuery::try_run) /
@@ -45,6 +48,7 @@
 //! assert_eq!(SgbQuery::any(1.5).try_run(&points, &gov), Err(SgbError::Cancelled));
 //! ```
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,8 +73,10 @@ pub enum SgbError {
         /// The configured budget in bytes.
         budget: usize,
     },
-    /// A worker thread panicked mid-query; the panic payload's message.
-    /// The remaining shards were cancelled and the pool is reusable.
+    /// A worker job panicked mid-query: the panic payload's message. The
+    /// one-worker run counts too, whose single job runs on the calling
+    /// thread. The other jobs ran to their end, and nothing they built
+    /// escapes.
     WorkerPanicked {
         /// The panic message (conventional `&str`/`String` payloads).
         message: String,
@@ -99,6 +105,52 @@ impl std::fmt::Display for SgbError {
 }
 
 impl std::error::Error for SgbError {}
+
+/// Runs `jobs` side by side and returns their outputs in job order, once
+/// every job has finished. The first job runs on the calling thread and
+/// each other job on a scoped thread of its own, so a job may borrow
+/// anything that outlives the call, each shard its own `&mut` slice say.
+///
+/// A panicking job does not unwind through the caller: it is caught, the
+/// other jobs run to their end, and the call returns
+/// [`SgbError::WorkerPanicked`] with the panic message of the first
+/// panicking job in job order.
+pub(crate) fn run_jobs<T, J>(jobs: impl IntoIterator<Item = J>) -> Result<Vec<T>, SgbError>
+where
+    T: Send,
+    J: FnOnce() -> T + Send,
+{
+    // Each job mutates only what it was handed, and every caller drops all
+    // of that on `Err`, so no broken state outlives a caught panic.
+    let run = |job: J| {
+        catch_unwind(AssertUnwindSafe(|| {
+            failpoints::fail_point!("sgb_core::governor::run_job");
+            job()
+        }))
+    };
+    let mut jobs = jobs.into_iter();
+    let first = jobs.next();
+    let outcomes: Vec<std::thread::Result<T>> = std::thread::scope(|scope| {
+        let others: Vec<_> = jobs.map(|job| scope.spawn(move || run(job))).collect();
+        let first = first.map(run);
+        let others = others.into_iter().map(|h| h.join().unwrap_or_else(Err));
+        first.into_iter().chain(others).collect()
+    });
+    outcomes
+        .into_iter()
+        .map(|outcome| {
+            outcome.map_err(|payload| SgbError::WorkerPanicked {
+                message: match payload.downcast::<String>() {
+                    Ok(message) => *message,
+                    Err(payload) => payload
+                        .downcast_ref::<&str>()
+                        .map_or("worker panicked with a non-string payload", |s| s)
+                        .to_owned(),
+                },
+            })
+        })
+        .collect()
+}
 
 /// A cooperative cancellation flag. Clone it (cheap — one `Arc`) into a
 /// controller thread and call [`cancel`](Self::cancel); every governed
@@ -345,6 +397,96 @@ mod tests {
             assert_eq!(pacer.tick(&gov), Ok(()));
         }
         assert_eq!(pacer.tick(&gov), Err(SgbError::Cancelled));
+    }
+
+    #[test]
+    fn run_jobs_runs_every_job_on_its_own_chunk() {
+        for jobs in [1, 2, 7] {
+            let mut data = vec![0; 50];
+            let chunk = data.len().div_ceil(jobs);
+            let outputs = run_jobs(data.chunks_mut(chunk).enumerate().map(|(j, part)| {
+                move || {
+                    part.fill(j + 1);
+                    j
+                }
+            }))
+            .unwrap();
+            assert_eq!(outputs, (0..jobs).collect::<Vec<_>>(), "{jobs} jobs");
+            for (i, v) in data.iter().enumerate() {
+                assert_eq!(*v, i / chunk + 1, "{jobs} jobs, slot {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_is_a_typed_error_and_the_first_in_job_order_wins() {
+        // Each job alone, the first (run on the calling thread) included;
+        // the other jobs still run to their end.
+        for jobs in [1, 2, 3] {
+            for bad in 0..jobs {
+                let ran = std::sync::atomic::AtomicUsize::new(0);
+                let err = run_jobs((0..jobs).map(|j| {
+                    let ran = &ran;
+                    move || {
+                        if j == bad {
+                            panic!("job {j} exploded");
+                        }
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    }
+                }))
+                .unwrap_err();
+                assert_eq!(
+                    err,
+                    SgbError::WorkerPanicked {
+                        message: format!("job {bad} exploded")
+                    }
+                );
+                assert_eq!(ran.load(Ordering::Relaxed), jobs - 1);
+            }
+        }
+        // Two panics: the earlier job wins, though it panics last. Job 1
+        // waits until job 3 is unwinding (its guard's drop raises the flag).
+        struct Raise<'a>(&'a AtomicBool);
+        impl Drop for Raise<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let unwinding = AtomicBool::new(false);
+        let err = run_jobs((0..4).map(|j| {
+            let unwinding = &unwinding;
+            move || match j {
+                1 => {
+                    while !unwinding.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    panic!("job 1");
+                }
+                3 => {
+                    let _raise = Raise(unwinding);
+                    panic!("job 3");
+                }
+                _ => {}
+            }
+        }))
+        .unwrap_err();
+        assert_eq!(
+            err,
+            SgbError::WorkerPanicked {
+                message: "job 1".into()
+            }
+        );
+    }
+
+    #[test]
+    fn a_non_string_panic_payload_gets_the_fallback_message() {
+        let err = run_jobs::<(), _>([|| std::panic::panic_any(42_u32)]).unwrap_err();
+        assert_eq!(
+            err,
+            SgbError::WorkerPanicked {
+                message: "worker panicked with a non-string payload".into()
+            }
+        );
     }
 
     #[test]

@@ -57,7 +57,7 @@ use sgb_telemetry::{Counter, Phase, Telemetry};
 
 use crate::all::{Components, SgbAll};
 use crate::any;
-use crate::around::{build_center_index, CenterRule, SgbAround};
+use crate::around::{self, build_center_index, CenterRule};
 use crate::cache::SgbCache;
 use crate::governor::{QueryGovernor, SgbError};
 use crate::{cost, Algorithm, OverlapAction, RecordId};
@@ -408,9 +408,9 @@ impl<const D: usize> SgbQuery<D> {
     ///   group R-tree (the reason on the grouping records the fallback); an
     ///   explicitly requested grid fails with [`SgbError::BudgetExceeded`]
     ///   instead.
-    /// * A panic on a parallel worker is captured and surfaced as
-    ///   [`SgbError::WorkerPanicked`] — never a process abort, never a
-    ///   poisoned lock.
+    /// * A panic in any worker job, the one-worker run's single job on the
+    ///   calling thread included, is caught and surfaced as
+    ///   [`SgbError::WorkerPanicked`] — never a process abort.
     ///
     /// On `Ok`, the grouping is **bit-identical** to [`run`](Self::run)
     /// under the same knobs (modulo the recorded reason when the budget
@@ -540,7 +540,6 @@ impl<const D: usize> SgbQuery<D> {
     ) -> Result<Grouping, SgbError> {
         let tel = &self.telemetry;
         let (resolved, reason) = cost::resolve_all(self.algorithm, points.len(), D, governor)?;
-        let (threads, _) = cost::threads_for_all();
         let components = if resolved == Algorithm::Grid {
             let build = tel.phase(Phase::IndexBuild);
             let found =
@@ -564,7 +563,8 @@ impl<const D: usize> SgbQuery<D> {
         let merge = tel.phase(Phase::Merge);
         let out = op.finish();
         drop(merge);
-        Ok(out.ran(resolved, reason, threads))
+        // One worker: the ON-OVERLAP arbitration is arrival-order sensitive.
+        Ok(out.ran(resolved, reason, 1))
     }
 
     /// SGB-Any: resolve against the cache view and the memory budget, take
@@ -587,7 +587,7 @@ impl<const D: usize> SgbQuery<D> {
             cache.is_some_and(|(cache, version)| cache.has_tree(version)),
             governor,
         )?;
-        let (threads, _) = cost::threads_for_any(resolved, self.threads, n);
+        let threads = cost::threads_for_any(resolved, self.threads, n);
         let entries = || points.iter().enumerate().map(|(i, p)| (*p, i));
         // The resolver admitted any index build under the budget.
         let out = match resolved {
@@ -635,7 +635,7 @@ impl<const D: usize> SgbQuery<D> {
         let cached = cache.and_then(|(cache, _)| cache.cached_center_algorithm(centers));
         let (resolved, reason) =
             cost::resolve_around(self.algorithm, centers.len(), D, cached, governor)?;
-        let (threads, _) = cost::threads_for_around(self.threads, points.len());
+        let threads = cost::threads_for_around(self.threads, points.len());
         let build = tel.phase(Phase::IndexBuild);
         let index = match (cache, resolved) {
             (Some((cache, _)), Algorithm::Indexed | Algorithm::Grid) => {
@@ -644,11 +644,9 @@ impl<const D: usize> SgbQuery<D> {
             // The brute scan has no structure worth caching.
             _ => Arc::new(build_center_index(resolved, centers)),
         };
-        let mut op = SgbAround::new(CenterRule::new(self, centers, max_radius, index));
+        let rule = CenterRule::new(self, centers, max_radius, index);
         drop(build);
-        let join = tel.phase(Phase::Join);
-        op.try_extend_from_slice(points, threads, governor)?;
-        drop(join);
+        let out = around::assign_batch(&rule, points, threads, governor, tel)?;
         // Approximate candidate count: the brute scan compares every point
         // against every center; the indexed paths probe once per point.
         let per_point = match resolved {
@@ -656,9 +654,6 @@ impl<const D: usize> SgbQuery<D> {
             _ => 1,
         };
         tel.add(Counter::CandidatePairs, points.len() as u64 * per_point);
-        let merge = tel.phase(Phase::Merge);
-        let out = op.finish();
-        drop(merge);
         Ok(out.ran(resolved, reason, threads))
     }
 

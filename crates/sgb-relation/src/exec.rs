@@ -39,7 +39,7 @@ use crate::expr::{BoundExpr, RowView};
 use crate::plan::{AggCall, AggKind, NodeStat, Plan, SgbMode};
 use crate::subscription::{GroupingSnapshot, QueryKey};
 use crate::table::{Row, Table};
-use crate::value::Value;
+use crate::value::{cmp_float, Value};
 
 /// The rows a plan node yields, as positions into the row slices they come
 /// from.
@@ -592,9 +592,9 @@ impl FloatAgg {
     /// One group's aggregate over its members' entries of a float column,
     /// bit for bit what [`AggState::update`] and [`AggState::finish`] give
     /// over the same `Value::Float`s: sums add in member order from `0.0`,
-    /// and min and max replace only on a strictly smaller or larger value,
-    /// so ±0.0 ties and NaN resolve as [`Value::cmp_non_null`] resolves
-    /// them (NaN compares equal to everything).
+    /// and min and max replace only on a strictly smaller or larger value
+    /// by [`cmp_float`], as [`Value::cmp_non_null`] does, so ±0.0 ties keep
+    /// the first member and NaN is the largest value.
     fn fold(self, column: &[f64], members: &[RecordId]) -> Value {
         let values = members.iter().map(|&r| column[r]);
         // Not `Iterator::sum`, which starts from -0.0.
@@ -610,8 +610,8 @@ impl FloatAgg {
             _ if members.is_empty() => Value::Null,
             FloatAgg::Sum => Value::Float(sum()),
             FloatAgg::Avg => Value::Float(sum() / members.len() as i64 as f64),
-            FloatAgg::Min => extreme(|v, best| v < best),
-            FloatAgg::Max => extreme(|v, best| v > best),
+            FloatAgg::Min => extreme(|v, best| cmp_float(v, best).is_lt()),
+            FloatAgg::Max => extreme(|v, best| cmp_float(v, best).is_gt()),
         }
     }
 }
@@ -1061,7 +1061,7 @@ mod tests {
     }
 
     /// The value's variant and, for a float, its bits: `Value`'s own
-    /// equality holds NaN equal to everything and `0.0` equal to `-0.0`.
+    /// equality holds every NaN equal and `0.0` equal to `-0.0`.
     fn bits(v: &Value) -> String {
         match v {
             Value::Float(f) => format!("Float({:#x})", f.to_bits()),
@@ -1119,11 +1119,14 @@ mod tests {
         ] {
             assert_paths_agree(&column, members);
         }
-        // NaN first sticks as min and max; NaN last never replaces.
+        // NaN is the largest value, first or last, and of two NaNs the
+        // first stays.
         let (_, min) = both_paths(AggKind::Min, &column, &[0, 1, 2]);
-        assert_eq!(bits(&min), bits(&Value::Float(f64::NAN)));
+        assert_eq!(bits(&min), bits(&Value::Float(-2.0)));
         let (_, max) = both_paths(AggKind::Max, &column, &[1, 2, 0]);
-        assert_eq!(bits(&max), bits(&Value::Float(3.0)));
+        assert_eq!(bits(&max), bits(&Value::Float(f64::NAN)));
+        let (_, max) = both_paths(AggKind::Max, &column, &[4, 3, 0]);
+        assert_eq!(bits(&max), bits(&Value::Float(-f64::NAN)));
     }
 
     #[test]

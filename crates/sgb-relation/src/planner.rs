@@ -195,7 +195,9 @@ impl<'a> Planner<'a> {
                     overlap: *overlap,
                     algorithm: resolved,
                     seed: self.db.session().seed,
-                    threads: sgb_core::cost::threads_for_all().0,
+                    // One worker: the ON-OVERLAP arbitration is
+                    // arrival-order sensitive.
+                    threads: 1,
                     selection: session_selection(configured, selection),
                     // SGB-All's index tracks the *live groups*, which only
                     // exist mid-run — never shareable across queries.
@@ -243,7 +245,7 @@ impl<'a> Planner<'a> {
                     cached_tree,
                     &governor,
                 )?;
-                let (threads, _) =
+                let threads =
                     sgb_core::cost::threads_for_any(resolved, self.db.session().threads, n);
                 let index = match resolved {
                     Algorithm::AllPairs => IndexCacheStatus::NotApplicable,
@@ -505,7 +507,7 @@ impl<'a> Planner<'a> {
             cached,
             &governor,
         )?;
-        let (threads, _) = sgb_core::cost::threads_for_around(
+        let threads = sgb_core::cost::threads_for_around(
             self.db.session().threads,
             estimate_rows(&input, self.db),
         );

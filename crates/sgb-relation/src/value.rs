@@ -82,16 +82,17 @@ impl Value {
     }
 
     /// Total ordering for non-null values of comparable types; numeric
-    /// types inter-compare, otherwise same-variant comparisons only.
-    /// Cross-type incomparables order by a stable type rank (so sorting
-    /// never panics).
+    /// types inter-compare, floats in PostgreSQL's order (NaN equals NaN
+    /// and sorts above every other number, -0.0 equals 0.0), otherwise
+    /// same-variant comparisons only. Cross-type incomparables order by a
+    /// stable type rank (so sorting never panics).
     pub fn cmp_non_null(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {
             (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.partial_cmp(b).unwrap_or(Ordering::Equal),
-            (Int(a), Float(b)) => (*a as f64).partial_cmp(b).unwrap_or(Ordering::Equal),
-            (Float(a), Int(b)) => a.partial_cmp(&(*b as f64)).unwrap_or(Ordering::Equal),
+            (Float(a), Float(b)) => cmp_float(*a, *b),
+            (Int(a), Float(b)) => cmp_float(*a as f64, *b),
+            (Float(a), Int(b)) => cmp_float(*a, *b as f64),
             (Bool(a), Bool(b)) => a.cmp(b),
             (Str(a), Str(b)) => a.cmp(b),
             (Date(a), Date(b)) => a.cmp(b),
@@ -170,6 +171,15 @@ impl Value {
     }
 }
 
+/// The order of SQL floats, PostgreSQL's (its manual, §8.1.3): NaN
+/// equals NaN and sorts above every other number, and -0.0 equals 0.0.
+/// Comparisons, sorts, and min and max all follow it, and [`Value`]'s
+/// hash agrees with it.
+pub(crate) fn cmp_float(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
 fn type_err(a: &Value, op: char, b: &Value) -> Error {
     Error::Eval(format!("cannot compute {a} {op} {b}"))
 }
@@ -196,14 +206,21 @@ impl Hash for Value {
             }
             // Int and Float must hash identically when numerically equal
             // (they compare equal): hash via the f64 bits of the value, with
-            // -0.0 as +0.0 (they compare equal too, and `Int(0)` is +0.0).
+            // -0.0 as +0.0 and every NaN as one NaN (each pair compares
+            // equal too, and `Int(0)` is +0.0).
             Value::Int(i) => {
                 2u8.hash(state);
                 (*i as f64).to_bits().hash(state);
             }
             Value::Float(f) => {
                 2u8.hash(state);
-                let f = if *f == 0.0 { 0.0 } else { *f };
+                let f = if *f == 0.0 {
+                    0.0
+                } else if f.is_nan() {
+                    f64::NAN
+                } else {
+                    *f
+                };
                 f.to_bits().hash(state);
             }
             Value::Str(s) => {
@@ -497,6 +514,43 @@ mod tests {
         assert_eq!(count("SELECT a.k FROM a, b WHERE a.k = b.k"), 3);
         assert_eq!(count("SELECT k FROM a WHERE k IN (SELECT k FROM b)"), 3);
         assert_eq!(count("SELECT k FROM a WHERE k = 0"), 2);
+    }
+
+    /// NaN equals NaN and sorts above every number, in filters, hash
+    /// joins and GROUP BY alike, over `k / k`: NaN for the 0.0 row, 1.0
+    /// otherwise.
+    #[test]
+    fn nan_agrees_across_group_by_joins_and_filters() {
+        let mut db = crate::engine::Database::new();
+        for sql in [
+            "CREATE TABLE t (k FLOAT)",
+            "INSERT INTO t VALUES (0.0), (1.0), (2.0)",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        let count = |sql: &str| db.query(sql).unwrap().len();
+        assert_eq!(count("SELECT k FROM t WHERE k / k = 5"), 0);
+        assert_eq!(count("SELECT k FROM t WHERE k / k = 0.0 / 0.0"), 1);
+        assert_eq!(count("SELECT k FROM t WHERE k / k > 1000"), 1);
+        assert_eq!(count("SELECT count(*) FROM t GROUP BY k / k"), 2);
+        // The same predicate as a hash join and as a filter.
+        let join = "SELECT a.k FROM t a, t b WHERE a.k / a.k = b.k / b.k";
+        let filter = "SELECT a.k FROM t a, t b WHERE NOT (a.k / a.k <> b.k / b.k)";
+        assert_eq!((count(join), count(filter)), (5, 5));
+        let sorted = db
+            .query("SELECT k / k AS q FROM t ORDER BY q")
+            .unwrap()
+            .rows;
+        assert!(matches!(sorted[2][0], Value::Float(q) if q.is_nan()));
+        let extremes = db
+            .query("SELECT min(k / k), max(k / k) FROM t")
+            .unwrap()
+            .rows;
+        assert_eq!(extremes[0][0], Value::Float(1.0));
+        assert!(matches!(extremes[0][1], Value::Float(q) if q.is_nan()));
+        assert_eq!(cmp_float(f64::NAN, -f64::NAN), Ordering::Equal);
+        assert_eq!(cmp_float(f64::NAN, f64::INFINITY), Ordering::Greater);
+        assert_eq!(cmp_float(-0.0, 0.0), Ordering::Equal);
     }
 
     #[test]

@@ -311,13 +311,19 @@ fn sorted_order<const D: usize>(
         }
     }
     let starts = run_starts(items.len(), |k| items[k].0 == items[k - 1].0);
-    (items.into_iter().map(|(_, i)| i).collect(), starts)
+    // Collected from a borrow, not in place: an in-place collect would keep
+    // the 16-byte items' buffer for the 8-byte positions.
+    (items.iter().map(|&(_, i)| i).collect(), starts)
 }
 
 /// The positions `0..=n` that start a run, plus `n`: those `k` where
 /// `same(k)` says position `k` does not share its cell with `k − 1`.
+/// Counted first, so the vector is allocated at its exact size.
 fn run_starts(n: usize, same: impl Fn(usize) -> bool) -> Vec<usize> {
-    (0..=n).filter(|&k| k == 0 || k == n || !same(k)).collect()
+    let starts = || (0..=n).filter(|&k| k == 0 || k == n || !same(k));
+    let mut out = Vec::with_capacity(starts().count());
+    out.extend(starts());
+    out
 }
 
 /// The connectivity ε-join behind one-shot SGB-Any, prepared by

@@ -99,7 +99,11 @@ const PROBES: &[&str] = &[
 fn chaos_faults_never_corrupt_the_session() {
     // ---- Phase A: a worker panic surfaces as a typed error, not an abort.
     disarm();
-    failpoints::cfg("scoped_threadpool::run_job", "panic(injected worker crash)").unwrap();
+    failpoints::cfg(
+        "sgb_core::governor::run_job",
+        "panic(injected worker crash)",
+    )
+    .unwrap();
     let pts: Vec<Point<2>> = (0..512)
         .map(|i| Point::new([f64::from(i % 32), f64::from(i / 32)]))
         .collect();
@@ -116,7 +120,7 @@ fn chaos_faults_never_corrupt_the_session() {
         }
         ref other => panic!("expected WorkerPanicked, got {other:?}"),
     }
-    failpoints::remove("scoped_threadpool::run_job");
+    failpoints::remove("sgb_core::governor::run_job");
     // The same query completes once the fault is gone (nothing poisoned).
     let clean = SgbQuery::any(0.75)
         .algorithm(Algorithm::Grid)

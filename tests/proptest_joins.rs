@@ -8,9 +8,8 @@
 //! sort for ORDER BY), floats down to their bits.
 //!
 //! Keys mix Int, Float, NULL and Str values, `Int(1)` beside `Float(1.0)`,
-//! both signed zeros, and repeats; tables may be empty. NaN is left out:
-//! `Value::cmp_non_null` holds NaN equal to everything, while hashing keeps
-//! it apart by its bits, so the two disagree on it by design.
+//! both signed zeros, NaNs of both signs, and repeats; tables may be
+//! empty.
 
 use std::cmp::Ordering;
 
@@ -39,6 +38,8 @@ fn key() -> impl Strategy<Value = Value> {
         Value::Float(-0.0),
         Value::Float(1.0),
         Value::Float(2.5),
+        Value::Float(f64::NAN),
+        Value::Float(-f64::NAN),
         Value::Str("a".into()),
         Value::Str("b".into()),
         Value::Null,
