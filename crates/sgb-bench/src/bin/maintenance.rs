@@ -15,6 +15,14 @@
 //! reader to take a published snapshot from a live subscription at the
 //! relation layer (an `Arc` clone under a read lock — independent of `n`).
 //!
+//! The `sql_delete` and `sql_update` rows time whole SQL statements —
+//! `DELETE … WHERE uid = k` and `UPDATE … SET x = x + dx WHERE uid = k` —
+//! against a check-in table with one SGB-Any subscription, at two table
+//! sizes, beside the same statements on the table without it. Each row
+//! asserts that the subscription's final snapshot serves the answer of a
+//! fresh cache-off database over the final table, and reports both group
+//! counts for the same CI diff.
+//!
 //! ```text
 //! maintenance [--scale f] [--out path]
 //! ```
@@ -29,8 +37,9 @@ use std::time::Instant;
 use sgb_bench::report::{parse_bench_cli, Report};
 use sgb_core::incremental::MaintainedGrouping;
 use sgb_core::query::SgbQuery;
+use sgb_datagen::CheckinConfig;
 use sgb_geom::{Metric, Point};
-use sgb_relation::{Database, Schema, Table, Value};
+use sgb_relation::{Database, Row, Schema, SessionOptions, Table, Value};
 
 /// Default output path: `<repo root>/BENCH_incremental.json`.
 fn default_out() -> String {
@@ -46,6 +55,14 @@ const FULL_UPDATES: usize = 6;
 
 /// Snapshot reads timed at the relation layer.
 const SNAPSHOT_READS: usize = 100_000;
+
+/// Statements per SQL row.
+const SQL_STATEMENTS: usize = 40;
+
+/// The subscribed SGB-Any of the SQL rows, over check-ins in the unit
+/// square: the statement benchmark's `session-mix` subscription.
+const SQL_SUBSCRIBED: &str =
+    "SELECT count(*), avg(x), avg(y) FROM checkins GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.002";
 
 /// A deterministic LCG (same constants as the core tests) so the data and
 /// the update stream are reproducible without `rand`.
@@ -190,6 +207,124 @@ fn run_op(op: &'static str, query: &SgbQuery<2>, points: &[Point<2>]) -> OpRow {
     }
 }
 
+/// One SQL row: a write kind at one table size.
+struct SqlRow {
+    op: &'static str,
+    n: usize,
+    subscribed: Latencies,
+    unsubscribed: Latencies,
+    groups_incremental: usize,
+    groups_recompute: usize,
+}
+
+/// Statement latencies in ms: median, 90th percentile (nearest rank) and
+/// maximum.
+struct Latencies {
+    p50_ms: f64,
+    p90_ms: f64,
+    max_ms: f64,
+}
+
+/// Runs `statements` in order on `db`, timing each.
+fn time_statements(db: &mut Database, statements: &[String]) -> Latencies {
+    let mut ms: Vec<f64> = statements
+        .iter()
+        .map(|sql| {
+            let t0 = Instant::now();
+            db.execute(sql).expect("benchmark statements are valid");
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let rank = |q: f64| ms[((q * ms.len() as f64).ceil() as usize).clamp(1, ms.len()) - 1];
+    Latencies {
+        p50_ms: rank(0.5),
+        p90_ms: rank(0.9),
+        max_ms: rank(1.0),
+    }
+}
+
+/// A database holding `rows` as the check-in table.
+fn checkin_db(options: SessionOptions, rows: Vec<Row>) -> Database {
+    let mut db = Database::with_options(options);
+    db.register(
+        "checkins",
+        Table::new(Schema::new(["uid", "x", "y"]), rows).expect("check-in rows have three columns"),
+    );
+    db
+}
+
+/// Times `SQL_STATEMENTS` DELETE-by-user (`op` = `sql_delete`) or
+/// UPDATE-by-user statements against `n` Brightkite-like check-ins (about
+/// a dozen per user, most at the user's home hotspot) with and without
+/// the SGB-Any subscription, then checks the subscription against a
+/// fresh cache-off database over the final table.
+fn run_sql(op: &'static str, n: usize) -> SqlRow {
+    let config = CheckinConfig::brightkite_like(n);
+    let data = config.generate();
+    let rows: Vec<Row> = data
+        .checkins
+        .iter()
+        .zip(data.normalized_points())
+        .map(|(c, p)| {
+            vec![
+                Value::Int(i64::from(c.user)),
+                Value::Float(p.x()),
+                Value::Float(p.y()),
+            ]
+        })
+        .collect();
+    let mut rng = Lcg(0x5e1_0000 + n as u64 + op.len() as u64);
+    let statements: Vec<String> = (0..SQL_STATEMENTS)
+        .map(|_| {
+            let uid = rng.next_usize(config.users);
+            if op == "sql_delete" {
+                format!("DELETE FROM checkins WHERE uid = {uid}")
+            } else {
+                let dx = (rng.next_f64() - 0.5) * 0.002;
+                format!("UPDATE checkins SET x = x + {dx} WHERE uid = {uid}")
+            }
+        })
+        .collect();
+
+    let mut db = checkin_db(SessionOptions::new(), rows.clone());
+    let sub = db
+        .subscribe(SQL_SUBSCRIBED)
+        .expect("subscription over a registered base table");
+    let subscribed = time_statements(&mut db, &statements);
+    let mut bare = checkin_db(SessionOptions::new(), rows);
+    let unsubscribed = time_statements(&mut bare, &statements);
+
+    // Equivalence gate: the snapshot-served answer equals a fresh cache-off
+    // recompute over the final table.
+    let final_rows = db
+        .table("checkins")
+        .expect("the check-in table stays registered")
+        .rows
+        .clone();
+    let mut fresh = checkin_db(
+        SessionOptions::new()
+            .with_cache(false)
+            .with_subscriptions(false),
+        final_rows,
+    );
+    let recompute = fresh.execute(SQL_SUBSCRIBED).expect("fresh recompute");
+    assert!(sub.is_active(), "{op}: the subscription stays active");
+    assert_eq!(
+        db.execute(SQL_SUBSCRIBED).expect("snapshot-served read"),
+        recompute,
+        "{op} at n = {n}: the subscription must serve the fresh answer"
+    );
+    SqlRow {
+        op,
+        n,
+        subscribed,
+        unsubscribed,
+        groups_incremental: sub.snapshot().grouping().num_groups(),
+        groups_recompute: recompute.len(),
+    }
+}
+
 /// Times a published-snapshot read at the relation layer: `n` rows,
 /// one live subscription, one mutation so the snapshot is epoch 1.
 fn snapshot_read_ns(points: &[Point<2>]) -> f64 {
@@ -251,6 +386,31 @@ fn main() -> ExitCode {
     let read_ns = snapshot_read_ns(&points);
     eprintln!("# published-snapshot read: {read_ns:.0} ns (Arc clone under a read lock)");
 
+    eprintln!(
+        "# SQL writes with an SGB-Any subscription: {SQL_STATEMENTS} statements per row (ms)"
+    );
+    eprintln!(
+        "{:<11} {:>7} {:>8} {:>8} {:>8} {:>11} {:>8}",
+        "op", "n", "p50", "p90", "max", "bare_p50", "groups"
+    );
+    let mut sql_rows = Vec::new();
+    for size in [n, n * 5 / 2] {
+        for op in ["sql_delete", "sql_update"] {
+            let row = run_sql(op, size);
+            eprintln!(
+                "{:<11} {:>7} {:>8.2} {:>8.2} {:>8.2} {:>11.2} {:>8}",
+                row.op,
+                row.n,
+                row.subscribed.p50_ms,
+                row.subscribed.p90_ms,
+                row.subscribed.max_ms,
+                row.unsubscribed.p50_ms,
+                row.groups_incremental
+            );
+            sql_rows.push(row);
+        }
+    }
+
     let mut report = Report::new("incremental_maintenance")
         .field_num("scale", cli.scale)
         .field_num("n", n as f64)
@@ -268,6 +428,23 @@ fn main() -> ExitCode {
             row.incr_updates_per_sec,
             row.full_seconds_per_update,
             row.speedup,
+            row.groups_incremental,
+            row.groups_recompute
+        ));
+    }
+    for row in &sql_rows {
+        report.push_row(format!(
+            "{{\"op\": \"{}\", \"n\": {}, \"statements\": {SQL_STATEMENTS}, \
+             \"stmt_p50_ms\": {:.3}, \"stmt_p90_ms\": {:.3}, \"stmt_max_ms\": {:.3}, \
+             \"unsubscribed_p50_ms\": {:.3}, \"unsubscribed_p90_ms\": {:.3}, \
+             \"groups_incremental\": {}, \"groups_recompute\": {}}}",
+            row.op,
+            row.n,
+            row.subscribed.p50_ms,
+            row.subscribed.p90_ms,
+            row.subscribed.max_ms,
+            row.unsubscribed.p50_ms,
+            row.unsubscribed.p90_ms,
             row.groups_incremental,
             row.groups_recompute
         ));

@@ -11,23 +11,30 @@
 //! * **SGB-Any** depends only on the ε-edge set. A [`TrackedDsu`] holds the
 //!   connected components together with per-component member lists and
 //!   exact edge counts. Inserts union the new tuple into its neighboring
-//!   components (one grid probe). Deletes remove the tuple in place when
+//!   components (one grid probe). Deletes run as one batch
+//!   ([`try_delete_many`](MaintainedGrouping::try_delete_many); a single
+//!   delete is a batch of one). Each target is removed in place when
 //!   connectivity provably survives — the tuple was isolated, a leaf, or
-//!   the remaining member set is a complete graph — and otherwise fall
-//!   back to a *scoped* re-cluster of just that component's members (every
-//!   within-ε neighbor of a member belonged to the same component, so the
-//!   probes never leak across components).
+//!   the remaining member set is a complete graph — and otherwise marks
+//!   its component. Each marked component is then dissolved and
+//!   re-clustered **once**, however many members the batch took from it,
+//!   by one sorted ε-join over its survivors (every within-ε neighbor of a
+//!   survivor belonged to the same component, so the join never needs
+//!   points outside it). Because the edge set alone decides the groups,
+//!   settling a batch together gives the answer of deleting its slots one
+//!   at a time.
 //! * **SGB-Around** assignment is per-tuple independent: inserts classify
-//!   exactly one tuple against the fixed center index, deletes drop one
-//!   slot. Nothing else moves.
+//!   exactly one tuple against the fixed center index, deletes drop their
+//!   slots. Nothing else moves.
 //! * **SGB-All** arbitration is arrival-order sensitive, so the engine
 //!   keeps a live replica (the `SgbAll` engine behind [`SgbQuery::run`])
 //!   whose state always equals a from-scratch run over the live points in
-//!   slot order. Inserts push one point. Deletes take the fast path when
-//!   the tuple is ε-isolated from every other input point — such a tuple
-//!   formed a pristine singleton group that no other tuple's candidate or
-//!   overlap sets ever saw (and that consumed no arbitration randomness),
-//!   so the group is marked dead in place. Any other delete drops the
+//!   slot order. Inserts push one point. A batch deletes slot by slot:
+//!   each takes the fast path when the tuple is ε-isolated from every
+//!   other input point — such a tuple formed a pristine singleton group
+//!   that no other tuple's candidate or overlap sets ever saw (and that
+//!   consumed no arbitration randomness), so the group is marked dead in
+//!   place. Any other delete drops the
 //!   replica and the next [`snapshot`](MaintainedGrouping::snapshot)
 //!   rebuilds it lazily — the honest fallback, since a clique that loses a
 //!   member can cascade through the `ON-OVERLAP` arbitration of every
@@ -45,6 +52,7 @@
     clippy::panic
 )]
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use sgb_dsu::TrackedDsu;
@@ -365,20 +373,50 @@ impl<const D: usize> MaintainedGrouping<D> {
         Ok(slot)
     }
 
-    /// Governed twin of [`delete`](Self::delete), with the same failure
-    /// atomicity contract as [`try_insert`](Self::try_insert): errors
-    /// before the `_pre` site leave the state untouched; an `Err` after it
-    /// means the caller must rebuild.
+    /// Governed twin of [`delete`](Self::delete): the one-slot case of
+    /// [`try_delete_many`](Self::try_delete_many), with its failure
+    /// atomicity contract.
     pub fn try_delete(&mut self, slot: SlotId, governor: &QueryGovernor) -> Result<bool, SgbError> {
-        governor.check()?;
-        failpoints::fail_point!("sgb_core::incremental::delete_pre", |_| Err(
-            SgbError::Cancelled
-        ));
-        let applied = self.delete(slot);
-        failpoints::fail_point!("sgb_core::incremental::delete_post", |_| Err(
-            SgbError::Cancelled
-        ));
-        Ok(applied)
+        Ok(self.try_delete_many(&[slot], governor)? == 1)
+    }
+
+    /// Applies the deletion of `slots` as one batch and returns how many
+    /// live slots it removed; unknown, dead and repeated entries are
+    /// skipped. The epoch advances by one per removed slot, and the result
+    /// equals deleting the slots one at a time in order.
+    ///
+    /// Cost: SGB-Any settles every removal that provably cannot split its
+    /// component in place (one grid probe each, as in
+    /// [`delete`](Self::delete)) and re-clusters every other affected
+    /// component **once**, however many of its members the batch removes,
+    /// with one sorted ε-join over its survivors. SGB-Around and SGB-All
+    /// apply their per-slot deltas in order.
+    ///
+    /// Failure atomicity, as for [`try_insert`](Self::try_insert): the
+    /// governor check and the `_pre` chaos site run once per slot before
+    /// the batch touches any state, so an error there leaves the state
+    /// untouched. The governor is polled again before each re-cluster, and
+    /// the `_post` site fires once per slot after the batch applied; an
+    /// `Err` from either means the caller must rebuild (the relation layer
+    /// restores its pre-delta copy on a timeout).
+    pub fn try_delete_many(
+        &mut self,
+        slots: &[SlotId],
+        governor: &QueryGovernor,
+    ) -> Result<usize, SgbError> {
+        for _ in slots {
+            governor.check()?;
+            failpoints::fail_point!("sgb_core::incremental::delete_pre", |_| Err(
+                SgbError::Cancelled
+            ));
+        }
+        let removed = self.delete_batch(slots, governor)?;
+        for _ in slots {
+            failpoints::fail_point!("sgb_core::incremental::delete_post", |_| Err(
+                SgbError::Cancelled
+            ));
+        }
+        Ok(removed)
     }
 
     /// Raises the epoch to at least `floor`. Serving layers that replace a
@@ -390,70 +428,100 @@ impl<const D: usize> MaintainedGrouping<D> {
     }
 
     /// Applies one delete delta. Returns `false` (and changes nothing)
-    /// when `slot` is unknown or already deleted.
-    ///
-    /// Cost: one grid probe plus — only when the deleted tuple could have
-    /// split its component — a re-cluster scoped to that component's
-    /// members (SGB-Any); O(1) (SGB-Around); one grid probe, plus a lazy
-    /// rebuild deferred to the next snapshot when the tuple was not
-    /// ε-isolated (SGB-All).
+    /// when `slot` is unknown or already deleted. It is the one-slot case
+    /// of [`try_delete_many`](Self::try_delete_many), whose cost docs
+    /// apply: O(degree) when the removal cannot split the tuple's
+    /// component, else one sorted re-cluster of that component (SGB-Any);
+    /// O(1) (SGB-Around); one grid probe, plus a lazy rebuild deferred to
+    /// the next snapshot when the tuple was not ε-isolated (SGB-All).
     pub fn delete(&mut self, slot: SlotId) -> bool {
-        let Some(Some(p)) = self.slots.get(slot).copied() else {
-            return false;
-        };
+        // An unrestricted governor never fails.
+        matches!(
+            self.delete_batch(&[slot], &QueryGovernor::unrestricted()),
+            Ok(1)
+        )
+    }
+
+    /// The one delete path behind [`delete`](Self::delete) and
+    /// [`try_delete_many`](Self::try_delete_many); polls `governor` before
+    /// each SGB-Any re-cluster.
+    fn delete_batch(
+        &mut self,
+        slots: &[SlotId],
+        governor: &QueryGovernor,
+    ) -> Result<usize, SgbError> {
+        // Taking each target out of the slot table first makes a repeated
+        // entry find its slot dead.
+        let targets: Vec<(SlotId, Point<D>)> = slots
+            .iter()
+            .filter_map(|&slot| Some((slot, self.slots.get_mut(slot)?.take()?)))
+            .collect();
         let metric = self.query.configured_metric();
         match &mut self.state {
             OpState::Any { eps, grid, dsu } => {
                 let eps = *eps;
-                let removed = grid.remove(&p, &slot);
-                debug_assert!(removed, "live slot is in the grid");
-                // Exact live ε-degree of the deleted tuple (p itself is
-                // already out of the grid).
-                let mut neighbors = Vec::new();
-                grid.for_each_within(&p, eps, |q, &s| {
-                    if metric.within(q, &p, eps) {
-                        neighbors.push(s);
+                // Roots of the components some target may split. Nothing
+                // merges or dissolves before the re-clusters below, so a
+                // component keeps its root until then.
+                let mut marked = BTreeSet::new();
+                for &(slot, p) in &targets {
+                    let removed = grid.remove(&p, &slot);
+                    debug_assert!(removed, "live slot is in the grid");
+                    let root = dsu.find(slot);
+                    if marked.contains(&root) {
+                        continue;
                     }
-                });
-                let deg = neighbors.len() as u64;
-                let m = dsu.component_members(slot).len() as u64;
-                let e = dsu.edge_count(slot);
-                debug_assert!(e >= deg);
-                let remaining = m - 1;
-                // Removal provably cannot split the component when the
-                // tuple is isolated (deg 0), a leaf (deg 1: any survivor
-                // path through it would need two edges), or the remaining
-                // members form a complete graph.
-                if deg <= 1 || e - deg == remaining * remaining.saturating_sub(1) / 2 {
-                    dsu.remove_member(slot, deg);
-                } else {
-                    // Scoped re-cluster: dissolve this component only and
-                    // re-derive the surviving edges by probing each member.
-                    // Every within-ε neighbor of a member was connected to
-                    // it before the delete, so the probes stay inside the
-                    // dissolved set; `s < q` admits each unordered pair
-                    // exactly once, keeping the edge counts exact.
-                    let members = dsu.dissolve_component(slot);
-                    dsu.remove_member(slot, 0);
-                    let mut hits = Vec::new();
-                    for &q in &members {
-                        let q = q as usize;
-                        if q == slot {
-                            continue;
+                    // Exact ε-degree of the tuple among its component's
+                    // members still in the forest: the targets settled
+                    // before it are out of the grid, those after it are
+                    // not, and no probe hit leaves the component.
+                    let mut deg = 0u64;
+                    grid.for_each_within(&p, eps, |q, _| {
+                        if metric.within(q, &p, eps) {
+                            deg += 1;
                         }
-                        // A dead member has no edges to re-derive.
-                        debug_assert!(self.slots[q].is_some(), "component members are live");
-                        let Some(qp) = self.slots[q] else { continue };
-                        hits.clear();
-                        grid.for_each_within(&qp, eps, |r, &s| {
-                            if s < q && metric.within(r, &qp, eps) {
-                                hits.push(s);
+                    });
+                    let m = dsu.component_members(slot).len() as u64;
+                    let e = dsu.edge_count(slot);
+                    debug_assert!(e >= deg);
+                    let remaining = m - 1;
+                    // Removal provably cannot split the component when the
+                    // tuple is isolated (deg 0), a leaf (deg 1: any survivor
+                    // path through it would need two edges), or the remaining
+                    // members form a complete graph.
+                    if deg <= 1 || e - deg == remaining * remaining.saturating_sub(1) / 2 {
+                        dsu.remove_member(slot, deg);
+                    } else {
+                        marked.insert(root);
+                    }
+                }
+                // One re-cluster per marked component: dissolve it, drop its
+                // targets, and re-derive the survivors' edges with the exact
+                // sorted ε-join, which finds each within-ε pair once, as
+                // `new` builds them. Every within-ε neighbour of a survivor
+                // was in its component, so the join needs no other points.
+                let side = Grid::<D, SlotId>::side_for_eps(eps);
+                for root in marked {
+                    governor.check()?;
+                    let mut survivors = Vec::new();
+                    let mut points = Vec::new();
+                    for member in dsu.dissolve_component(root) {
+                        let member = member as usize;
+                        match self.slots[member] {
+                            Some(p) => {
+                                survivors.push(member);
+                                points.push(p);
                             }
-                        });
-                        for &s in &hits {
-                            dsu.add_edge(q, s);
+                            None => dsu.remove_member(member, 0),
                         }
                     }
+                    SortedCells::from_points(side, &points).for_each_pair_within(
+                        eps,
+                        metric,
+                        |a, b| {
+                            dsu.add_edge(survivors[a], survivors[b]);
+                        },
+                    );
                 }
             }
             OpState::Around { .. } => {
@@ -464,9 +532,10 @@ impl<const D: usize> MaintainedGrouping<D> {
                 eps, grid, replica, ..
             } => {
                 let eps = *eps;
-                let removed = grid.remove(&p, &slot);
-                debug_assert!(removed, "live slot is in the grid");
-                if let Some(r) = replica {
+                for &(slot, p) in &targets {
+                    let removed = grid.remove(&p, &slot);
+                    debug_assert!(removed, "live slot is in the grid");
+                    let Some(r) = replica else { continue };
                     let mut isolated = true;
                     grid.for_each_within(&p, eps, |q, _| {
                         if isolated && metric.within(q, &p, eps) {
@@ -479,10 +548,9 @@ impl<const D: usize> MaintainedGrouping<D> {
                 }
             }
         }
-        self.slots[slot] = None;
-        self.live -= 1;
-        self.epoch += 1;
-        true
+        self.live -= targets.len();
+        self.epoch += targets.len() as u64;
+        Ok(targets.len())
     }
 
     /// Materialises the current grouping, with record ids densely
@@ -608,6 +676,108 @@ mod tests {
         assert_eq!(snap.num_groups(), 2);
         assert_eq!(snap, q.run(&m.live_points()));
         assert!(!m.delete(1), "double delete is a no-op");
+    }
+
+    /// Brute-force check of the SGB-Any forest: ε-neighbours share a
+    /// component, and every component's edge count equals its within-ε
+    /// pairs of live slots.
+    fn assert_exact_edge_counts(m: &mut MaintainedGrouping<2>) {
+        let metric = m.query.configured_metric();
+        let OpState::Any { eps, dsu, .. } = &mut m.state else {
+            unreachable!()
+        };
+        let live: Vec<(SlotId, Point<2>)> = m
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, p)| Some((slot, (*p)?)))
+            .collect();
+        let mut want = std::collections::HashMap::new();
+        for (i, &(a, p)) in live.iter().enumerate() {
+            for &(b, q) in &live[i + 1..] {
+                if metric.within(&p, &q, *eps) {
+                    let root = dsu.find(a);
+                    assert_eq!(root, dsu.find(b), "ε-neighbours share a component");
+                    *want.entry(root).or_insert(0u64) += 1;
+                }
+            }
+        }
+        for &(slot, _) in &live {
+            let root = dsu.find(slot);
+            let edges = want.get(&root).copied().unwrap_or(0);
+            assert_eq!(dsu.edge_count(slot), edges, "slot {slot}");
+        }
+    }
+
+    #[test]
+    fn any_batch_delete_splits_a_path_cut_twice() {
+        // Path 0–1–2–3: each of 1 and 2 is a leaf once the other is gone,
+        // but together they cut the path, so the batch must re-cluster.
+        let q = SgbQuery::any(1.0);
+        let pts = [pt(0.0, 0.0), pt(1.0, 0.0), pt(2.0, 0.0), pt(3.0, 0.0)];
+        let mut m = MaintainedGrouping::new(q.clone(), &pts);
+        let free = QueryGovernor::unrestricted();
+        assert_eq!(m.try_delete_many(&[2, 1, 2], &free).unwrap(), 2);
+        assert_eq!(m.epoch(), 2);
+        assert_exact_edge_counts(&mut m);
+        let snap = m.snapshot();
+        assert_eq!(snap.num_groups(), 2);
+        assert_eq!(snap, q.run(&m.live_points()));
+    }
+
+    #[test]
+    fn any_batch_delete_equals_single_deletes_and_keeps_edge_counts_exact() {
+        // A dense cloud, where most components are large, and a jittered
+        // line, where most are paths: a batch removes some targets in
+        // place and marks the others' components for one re-cluster.
+        let line: Vec<Point<2>> = cloud(120, 0xBC, 1.0)
+            .iter()
+            .enumerate()
+            .map(|(i, p)| pt(i as f64 * 0.5 + p.coord(0), p.coord(1)))
+            .collect();
+        for (points, eps) in [(cloud(200, 0xBA, 6.0), 0.6), (line, 0.9)] {
+            for metric in Metric::ALL {
+                batch_delete_script(SgbQuery::any(eps).metric(metric), &points);
+            }
+        }
+    }
+
+    /// Random batches (some slots repeat, some are dead already) against
+    /// the same slots deleted one at a time, with inserts between.
+    fn batch_delete_script(q: SgbQuery<2>, points: &[Point<2>]) {
+        let metric = q.configured_metric();
+        let mut batched = MaintainedGrouping::new(q.clone(), points);
+        let mut single = MaintainedGrouping::new(q.clone(), points);
+        let mut state = 0xBBu64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        for round in 0..10 {
+            let batch: Vec<SlotId> = (0..16).map(|_| next() % batched.slot_count()).collect();
+            let before = batched.epoch();
+            let removed = batched
+                .try_delete_many(&batch, &QueryGovernor::unrestricted())
+                .unwrap();
+            let one_by_one = batch.iter().filter(|&&slot| single.delete(slot)).count();
+            assert_eq!(removed, one_by_one, "{metric} round {round}");
+            assert_eq!(batched.epoch(), before + removed as u64);
+            assert_exact_edge_counts(&mut batched);
+            let snap = batched.snapshot();
+            assert_eq!(snap, single.snapshot(), "{metric} round {round}");
+            assert_eq!(
+                snap,
+                q.run(&batched.live_points()),
+                "{metric} round {round}"
+            );
+            for p in cloud(6, round, 6.0) {
+                batched.insert(p);
+                single.insert(p);
+            }
+            assert_exact_edge_counts(&mut batched);
+        }
     }
 
     #[test]

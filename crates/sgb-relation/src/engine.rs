@@ -24,7 +24,7 @@ use crate::session::SessionOptions;
 use crate::sql::ast::{Select, Statement};
 use crate::sql::parser::parse_statement;
 use crate::subscription::{build_maintained, QueryKey, SubscriptionHandle, SubscriptionSet};
-use crate::table::{Row, Table};
+use crate::table::{retain_kept, Row, Table};
 use crate::value::Value;
 
 /// An in-memory database: named tables plus the session's engine options
@@ -690,21 +690,4 @@ fn rows_where<T>(
         }
     }
     Ok(out)
-}
-
-/// Removes the rows at the given pre-delete indices (out-of-range entries
-/// ignored), preserving the survivors' order.
-fn retain_kept(rows: &mut Vec<Row>, removed: &[usize]) {
-    let mut keep = vec![true; rows.len()];
-    for &i in removed {
-        if let Some(k) = keep.get_mut(i) {
-            *k = false;
-        }
-    }
-    let mut i = 0;
-    rows.retain(|_| {
-        let kept = keep[i];
-        i += 1;
-        kept
-    });
 }

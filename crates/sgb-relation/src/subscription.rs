@@ -46,7 +46,7 @@ use crate::error::{Error, Result};
 use crate::exec::{extract_points, lower, not_similarity};
 use crate::expr::BoundExpr;
 use crate::plan::{Plan, SgbMode, SnapshotInfo};
-use crate::table::Row;
+use crate::table::{retain_kept, Row};
 
 /// The result-relevant identity of a similarity query — the parameters
 /// that decide the *answer*, excluding execution knobs (algorithm, thread
@@ -253,12 +253,12 @@ impl Maintained {
         }
     }
 
-    /// Applies one deletion as a governed delta; same recovery contract
-    /// as [`Maintained::try_insert_row`].
-    fn try_delete(&mut self, slot: usize, governor: &QueryGovernor) -> Result<bool> {
+    /// Applies the deletion of `slots` as one governed batch delta; same
+    /// recovery contract as [`Maintained::try_insert_row`].
+    fn try_delete_many(&mut self, slots: &[usize], governor: &QueryGovernor) -> Result<usize> {
         match self {
-            Maintained::D2(m) => Ok(m.try_delete(slot, governor)?),
-            Maintained::D3(m) => Ok(m.try_delete(slot, governor)?),
+            Maintained::D2(m) => Ok(m.try_delete_many(slots, governor)?),
+            Maintained::D3(m) => Ok(m.try_delete_many(slots, governor)?),
         }
     }
 
@@ -477,7 +477,11 @@ impl SubscriptionSet {
     /// Applies a deletion of `removed` (ascending pre-delete row indices)
     /// from `table` (now at `version`, `all_rows` its full post-delete
     /// contents) and republishes, settling the delta as
-    /// [`SubscriptionSet::apply_delta`] describes.
+    /// [`SubscriptionSet::apply_delta`] describes. Each subscription gets
+    /// all of the statement's slots in one
+    /// [`MaintainedGrouping::try_delete_many`] call, so an SGB-Any
+    /// component loses any number of rows for one re-cluster. UPDATE's
+    /// delete half arrives here too.
     pub(crate) fn on_delete(
         &mut self,
         table: &str,
@@ -494,15 +498,12 @@ impl SubscriptionSet {
             deadline,
             registry,
             |sub, governor| {
-                let mut keep = vec![true; sub.row_slots.len()];
-                for &i in removed {
-                    if let Some(k) = keep.get_mut(i) {
-                        *k = false;
-                        sub.maintained.try_delete(sub.row_slots[i], governor)?;
-                    }
-                }
-                let mut it = keep.iter();
-                sub.row_slots.retain(|_| matches!(it.next(), Some(true)));
+                let slots: Vec<usize> = removed
+                    .iter()
+                    .filter_map(|&i| sub.row_slots.get(i).copied())
+                    .collect();
+                sub.maintained.try_delete_many(&slots, governor)?;
+                retain_kept(&mut sub.row_slots, removed);
                 Ok(())
             },
         );

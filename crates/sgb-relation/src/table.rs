@@ -166,6 +166,24 @@ impl Table {
     }
 }
 
+/// Removes the entries at the given pre-delete indices (out-of-range
+/// entries ignored), preserving the survivors' order: a DELETE's rows and
+/// each subscription's row-to-slot map.
+pub(crate) fn retain_kept<T>(items: &mut Vec<T>, removed: &[usize]) {
+    let mut keep = vec![true; items.len()];
+    for &i in removed {
+        if let Some(k) = keep.get_mut(i) {
+            *k = false;
+        }
+    }
+    let mut i = 0;
+    items.retain(|_| {
+        let kept = keep[i];
+        i += 1;
+        kept
+    });
+}
+
 impl fmt::Display for Table {
     /// Pretty-prints an aligned ASCII table (header + rows).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

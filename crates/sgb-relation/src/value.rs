@@ -82,17 +82,19 @@ impl Value {
     }
 
     /// Total ordering for non-null values of comparable types; numeric
-    /// types inter-compare, floats in PostgreSQL's order (NaN equals NaN
-    /// and sorts above every other number, -0.0 equals 0.0), otherwise
-    /// same-variant comparisons only. Cross-type incomparables order by a
-    /// stable type rank (so sorting never panics).
+    /// types inter-compare, an Int with a Float exactly (the f64 cast
+    /// decides, a tie compares as integers), floats in PostgreSQL's order
+    /// (NaN equals NaN and sorts above every other number, -0.0 equals
+    /// 0.0), otherwise same-variant comparisons only. Cross-type
+    /// incomparables order by a stable type rank (so sorting never
+    /// panics).
     pub fn cmp_non_null(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => cmp_float(*a, *b),
-            (Int(a), Float(b)) => cmp_float(*a as f64, *b),
-            (Float(a), Int(b)) => cmp_float(*a, *b as f64),
+            (Int(a), Float(b)) => cmp_int_float(*a, *b),
+            (Float(a), Int(b)) => cmp_int_float(*b, *a).reverse(),
             (Bool(a), Bool(b)) => a.cmp(b),
             (Str(a), Str(b)) => a.cmp(b),
             (Date(a), Date(b)) => a.cmp(b),
@@ -180,6 +182,18 @@ pub(crate) fn cmp_float(a: f64, b: f64) -> Ordering {
         .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
+/// An Int against a Float, exactly, so equality stays transitive across
+/// the two: the f64 cast decides, except on a tie, where the float is
+/// integral and the two compare as integers (the cast rounds above 2^53,
+/// so 2^53 + 1 ties with 2^53 as a float). NaN stays above every number.
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    match cmp_float(i as f64, f) {
+        // A tie makes `f` an integral value within ±2^63: exact in i128.
+        Ordering::Equal => i128::from(i).cmp(&(f as i128)),
+        unequal => unequal,
+    }
+}
+
 fn type_err(a: &Value, op: char, b: &Value) -> Error {
     Error::Eval(format!("cannot compute {a} {op} {b}"))
 }
@@ -204,10 +218,10 @@ impl Hash for Value {
                 1u8.hash(state);
                 b.hash(state);
             }
-            // Int and Float must hash identically when numerically equal
-            // (they compare equal): hash via the f64 bits of the value, with
-            // -0.0 as +0.0 and every NaN as one NaN (each pair compares
-            // equal too, and `Int(0)` is +0.0).
+            // Int and Float must hash identically when they compare equal,
+            // which needs the Int's f64 cast to equal the Float: hash via
+            // the f64 bits of the value, with -0.0 as +0.0 and every NaN as
+            // one NaN (each pair compares equal too, and `Int(0)` is +0.0).
             Value::Int(i) => {
                 2u8.hash(state);
                 (*i as f64).to_bits().hash(state);
@@ -551,6 +565,81 @@ mod tests {
         assert_eq!(cmp_float(f64::NAN, -f64::NAN), Ordering::Equal);
         assert_eq!(cmp_float(f64::NAN, f64::INFINITY), Ordering::Greater);
         assert_eq!(cmp_float(-0.0, 0.0), Ordering::Equal);
+    }
+
+    /// Above 2^53 an Int's f64 cast rounds, so 2^53 + 1 must not equal
+    /// the float 2^53 even though its cast does: equality stays
+    /// transitive and GROUP BY gives the same groups in every insertion
+    /// order.
+    #[test]
+    fn int_float_equality_is_exact_and_order_free() {
+        let (odd, float, even) = (
+            Value::Int(9007199254740993),
+            Value::Float(9007199254740992.0),
+            Value::Int(9007199254740992),
+        );
+        assert_eq!(odd.cmp_non_null(&float), Ordering::Greater);
+        assert_eq!(float.cmp_non_null(&odd), Ordering::Less);
+        assert_eq!(even.cmp_non_null(&float), Ordering::Equal);
+        // The casts of i64::MAX and i64::MIN tie with ±2^63.
+        assert_eq!(
+            Value::Int(i64::MAX).cmp_non_null(&Value::Float(9223372036854775808.0)),
+            Ordering::Less
+        );
+        assert_eq!(
+            Value::Int(i64::MIN).cmp_non_null(&Value::Float(-9223372036854775808.0)),
+            Ordering::Equal
+        );
+        assert_eq!(
+            Value::Int(1).cmp_non_null(&Value::Float(f64::NAN)),
+            Ordering::Less
+        );
+        assert_eq!(
+            Value::Int(0).cmp_non_null(&Value::Float(-0.0)),
+            Ordering::Equal
+        );
+        let rows = ["9007199254740993", "9007199254740992.0", "9007199254740992"];
+        for order in [
+            [0, 1, 2],
+            [1, 0, 2],
+            [0, 2, 1],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
+            let mut db = crate::engine::Database::new();
+            db.execute("CREATE TABLE t (k FLOAT)").unwrap();
+            for i in order {
+                db.execute(&format!("INSERT INTO t VALUES ({})", rows[i]))
+                    .unwrap();
+            }
+            let counts = |sql: &str| -> Vec<Value> {
+                let mut counts: Vec<Value> = db
+                    .query(sql)
+                    .unwrap()
+                    .rows
+                    .into_iter()
+                    .map(|r| r[0].clone())
+                    .collect();
+                counts.sort_by(Value::cmp_non_null);
+                counts
+            };
+            assert_eq!(
+                counts("SELECT count(*) FROM t GROUP BY k"),
+                vec![Value::Int(1), Value::Int(2)],
+                "insertion order {order:?}"
+            );
+            assert_eq!(
+                counts("SELECT count(*) FROM t WHERE k = 9007199254740992.0"),
+                vec![Value::Int(2)],
+                "insertion order {order:?}"
+            );
+            assert_eq!(
+                counts("SELECT count(*) FROM t WHERE k = 9007199254740993"),
+                vec![Value::Int(1)],
+                "insertion order {order:?}"
+            );
+        }
     }
 
     #[test]

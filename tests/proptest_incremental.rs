@@ -1,5 +1,5 @@
 //! Property tests for the incremental maintenance engine: over random
-//! insert/delete edit scripts, a [`MaintainedGrouping`] must stay equal —
+//! insert/delete/batch-delete edit scripts, a [`MaintainedGrouping`] must stay equal —
 //! full `Grouping` equality (groups, eliminated, outliers), not just group
 //! counts — to a from-scratch `SgbQuery::run` over the live points, for
 //! all three operator families × all three metrics. A multi-threaded
@@ -11,24 +11,27 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use sgb::core::incremental::MaintainedGrouping;
-use sgb::core::{OverlapAction, SgbQuery};
+use sgb::core::{OverlapAction, QueryGovernor, SgbQuery};
 use sgb::geom::{Metric, Point};
 use sgb::relation::Database;
 
 /// One step of a random edit script. `Delete` carries a raw index that is
 /// reduced modulo the current slot count, so scripts stay valid however
 /// many inserts precede them — and sometimes hit an already-deleted slot,
-/// which must be a reported no-op.
+/// which must be a reported no-op. `DeleteMany` is one batch of such raw
+/// indices, so its slots may repeat or be dead already.
 #[derive(Clone, Debug)]
 enum Edit {
     Insert(f64, f64),
     Delete(usize),
+    DeleteMany(Vec<usize>),
 }
 
 fn arb_edit() -> impl Strategy<Value = Edit> {
     prop_oneof![
         (0.0f64..8.0, 0.0f64..8.0).prop_map(|(x, y)| Edit::Insert(x, y)),
         (0usize..64).prop_map(Edit::Delete),
+        vec(0usize..64, 1..8).prop_map(Edit::DeleteMany),
     ]
 }
 
@@ -100,6 +103,28 @@ proptest! {
                     let was_live = mirror[slot].is_some();
                     prop_assert_eq!(maintained.delete(slot), was_live);
                     mirror[slot] = None;
+                }
+                Edit::DeleteMany(raws) => {
+                    if mirror.is_empty() {
+                        continue;
+                    }
+                    let slots: Vec<usize> = raws.iter().map(|raw| raw % mirror.len()).collect();
+                    let mut live_removed = 0;
+                    for &slot in &slots {
+                        if mirror[slot].take().is_some() {
+                            live_removed += 1;
+                        }
+                    }
+                    let before = maintained.epoch();
+                    let removed = maintained
+                        .try_delete_many(&slots, &QueryGovernor::unrestricted())
+                        .unwrap();
+                    prop_assert_eq!(removed, live_removed, "counts the live slots removed");
+                    prop_assert_eq!(
+                        maintained.epoch(),
+                        before + live_removed as u64,
+                        "one epoch per removed slot"
+                    );
                 }
             }
             let live: Vec<Point<2>> = mirror.iter().flatten().copied().collect();
