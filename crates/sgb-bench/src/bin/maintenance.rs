@@ -15,13 +15,14 @@
 //! reader to take a published snapshot from a live subscription at the
 //! relation layer (an `Arc` clone under a read lock — independent of `n`).
 //!
-//! The `sql_delete` and `sql_update` rows time whole SQL statements —
-//! `DELETE … WHERE uid = k` and `UPDATE … SET x = x + dx WHERE uid = k` —
-//! against a check-in table with one SGB-Any subscription, at two table
-//! sizes, beside the same statements on the table without it. Each row
-//! asserts that the subscription's final snapshot serves the answer of a
-//! fresh cache-off database over the final table, and reports both group
-//! counts for the same CI diff.
+//! The `sql_insert`, `sql_delete` and `sql_update` rows time whole SQL
+//! statements — 10-row `INSERT`s, `DELETE … WHERE uid = k` and
+//! `UPDATE … SET x = x + dx WHERE uid = k` — against a check-in table with
+//! one SGB-Any subscription, at two table sizes, beside the same
+//! statements on the table without it. Each row asserts that the
+//! subscription's final snapshot serves the answer of a fresh cache-off
+//! database over the final table, and reports both group counts for the
+//! same CI diff.
 //!
 //! ```text
 //! maintenance [--scale f] [--out path]
@@ -58,6 +59,9 @@ const SNAPSHOT_READS: usize = 100_000;
 
 /// Statements per SQL row.
 const SQL_STATEMENTS: usize = 40;
+
+/// Rows per statement of the `sql_insert` rows.
+const INSERT_ROWS: usize = 10;
 
 /// The subscribed SGB-Any of the SQL rows, over check-ins in the unit
 /// square: the statement benchmark's `session-mix` subscription.
@@ -254,15 +258,22 @@ fn checkin_db(options: SessionOptions, rows: Vec<Row>) -> Database {
     db
 }
 
-/// Times `SQL_STATEMENTS` DELETE-by-user (`op` = `sql_delete`) or
-/// UPDATE-by-user statements against `n` Brightkite-like check-ins (about
-/// a dozen per user, most at the user's home hotspot) with and without
-/// the SGB-Any subscription, then checks the subscription against a
-/// fresh cache-off database over the final table.
+/// Times `SQL_STATEMENTS` statements against `n` Brightkite-like
+/// check-ins (about a dozen per user, most at the user's home hotspot)
+/// with and without the SGB-Any subscription, then checks the
+/// subscription against a fresh cache-off database over the final table.
+/// `op` = `sql_insert` inserts `INSERT_ROWS` check-ins per statement, the
+/// tail of a map generated with that many more; `sql_delete` and
+/// `sql_update` delete or move one user's check-ins per statement.
 fn run_sql(op: &'static str, n: usize) -> SqlRow {
-    let config = CheckinConfig::brightkite_like(n);
+    let inserted = if op == "sql_insert" {
+        SQL_STATEMENTS * INSERT_ROWS
+    } else {
+        0
+    };
+    let config = CheckinConfig::brightkite_like(n + inserted);
     let data = config.generate();
-    let rows: Vec<Row> = data
+    let mut rows: Vec<Row> = data
         .checkins
         .iter()
         .zip(data.normalized_points())
@@ -274,18 +285,33 @@ fn run_sql(op: &'static str, n: usize) -> SqlRow {
             ]
         })
         .collect();
-    let mut rng = Lcg(0x5e1_0000 + n as u64 + op.len() as u64);
-    let statements: Vec<String> = (0..SQL_STATEMENTS)
-        .map(|_| {
-            let uid = rng.next_usize(config.users);
-            if op == "sql_delete" {
-                format!("DELETE FROM checkins WHERE uid = {uid}")
-            } else {
-                let dx = (rng.next_f64() - 0.5) * 0.002;
-                format!("UPDATE checkins SET x = x + {dx} WHERE uid = {uid}")
-            }
-        })
-        .collect();
+    let tail = rows.split_off(n);
+    let statements: Vec<String> = if op == "sql_insert" {
+        // `Value` prints an integral float as `x.0` and any other one in
+        // full, so the statements insert exactly the tail's rows.
+        tail.chunks(INSERT_ROWS)
+            .map(|chunk| {
+                let values: Vec<String> = chunk
+                    .iter()
+                    .map(|row| format!("({}, {}, {})", row[0], row[1], row[2]))
+                    .collect();
+                format!("INSERT INTO checkins VALUES {}", values.join(", "))
+            })
+            .collect()
+    } else {
+        let mut rng = Lcg(0x5e1_0000 + n as u64 + op.len() as u64);
+        (0..SQL_STATEMENTS)
+            .map(|_| {
+                let uid = rng.next_usize(config.users);
+                if op == "sql_delete" {
+                    format!("DELETE FROM checkins WHERE uid = {uid}")
+                } else {
+                    let dx = (rng.next_f64() - 0.5) * 0.002;
+                    format!("UPDATE checkins SET x = x + {dx} WHERE uid = {uid}")
+                }
+            })
+            .collect()
+    };
 
     let mut db = checkin_db(SessionOptions::new(), rows.clone());
     let sub = db
@@ -395,7 +421,7 @@ fn main() -> ExitCode {
     );
     let mut sql_rows = Vec::new();
     for size in [n, n * 5 / 2] {
-        for op in ["sql_delete", "sql_update"] {
+        for op in ["sql_insert", "sql_delete", "sql_update"] {
             let row = run_sql(op, size);
             eprintln!(
                 "{:<11} {:>7} {:>8.2} {:>8.2} {:>8.2} {:>11.2} {:>8}",

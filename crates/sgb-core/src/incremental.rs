@@ -8,21 +8,24 @@
 //! order-independence analysis (arXiv:1412.4303) proves about each
 //! operator:
 //!
-//! * **SGB-Any** depends only on the ε-edge set. A [`TrackedDsu`] holds the
-//!   connected components together with per-component member lists and
-//!   exact edge counts. Inserts union the new tuple into its neighboring
-//!   components (one grid probe). Deletes run as one batch
+//! * **SGB-Any** groups are the connected components of the ε-graph, and
+//!   nothing else decides them. A [`TrackedDsu`] holds those components
+//!   with their member lists, and tracks connectivity only: any spanning
+//!   subset of the ε-edges gives the same components. The build and every
+//!   re-cluster union the pairs of one connectivity join
+//!   ([`SortedCells::try_connect`], the spanning-pair join one-shot SGB-Any
+//!   runs, on one shard). Inserts union the new tuple with each
+//!   ε-neighbor (one grid probe). Deletes run as one batch
 //!   ([`try_delete_many`](MaintainedGrouping::try_delete_many); a single
-//!   delete is a batch of one). Each target is removed in place when
-//!   connectivity provably survives — the tuple was isolated, a leaf, or
-//!   the remaining member set is a complete graph — and otherwise marks
-//!   its component. Each marked component is then dissolved and
-//!   re-clustered **once**, however many members the batch took from it,
-//!   by one sorted ε-join over its survivors (every within-ε neighbor of a
-//!   survivor belonged to the same component, so the join never needs
-//!   points outside it). Because the edge set alone decides the groups,
-//!   settling a batch together gives the answer of deleting its slots one
-//!   at a time.
+//!   delete is a batch of one). A target with at most one ε-neighbor left
+//!   (isolated, or a leaf: any survivor path through it would need two
+//!   edges) is removed in place; any other marks its component. Each
+//!   marked component is then dissolved and re-clustered **once**, however
+//!   many members the batch took from it, by one connectivity join over
+//!   its survivors (every within-ε neighbor of a survivor belonged to the
+//!   same component, so the join never needs points outside it). Because
+//!   the ε-graph alone decides the groups, settling a batch together gives
+//!   the answer of deleting its slots one at a time.
 //! * **SGB-Around** assignment is per-tuple independent: inserts classify
 //!   exactly one tuple against the fixed center index, deletes drop their
 //!   slots. Nothing else moves.
@@ -53,6 +56,7 @@
 )]
 
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use sgb_dsu::TrackedDsu;
@@ -61,7 +65,7 @@ use sgb_spatial::{Grid, SortedCells};
 
 use crate::all::SgbAll;
 use crate::around::{build_center_index, CenterRule};
-use crate::governor::{QueryGovernor, SgbError};
+use crate::governor::{QueryGovernor, SgbError, CHECK_INTERVAL};
 use crate::query::{Grouping, OpSpec, SgbQuery};
 use crate::{cost, Algorithm, OverlapAction, RecordId};
 
@@ -78,7 +82,7 @@ pub type SlotId = usize;
 /// probe structure; SGB-Around needs no ε-probes.
 #[derive(Clone, Debug)]
 enum OpState<const D: usize> {
-    /// ε-connectivity components with member lists and edge counts.
+    /// ε-connectivity components with their member lists.
     Any {
         eps: f64,
         grid: Grid<D, SlotId>,
@@ -202,12 +206,15 @@ impl<const D: usize> MaintainedGrouping<D> {
                     grid.insert(*p, slot);
                     dsu.push();
                 }
-                // The exact bulk ε-join surfaces each within-ε pair exactly
-                // once — the contract the edge counts rely on. Slot ids
-                // are input positions, the sorted layout's payloads.
-                SortedCells::from_points(side, points).for_each_pair_within(eps, metric, |a, b| {
-                    dsu.add_edge(a, b);
-                });
+                // Slot ids are input positions, the sorted layout's
+                // payloads; nothing paces the build.
+                let Ok(()) = SortedCells::from_points(side, points).try_connect(
+                    eps,
+                    metric,
+                    |a, b| dsu.union(a, b),
+                    usize::MAX,
+                    || Ok::<(), Infallible>(()),
+                );
                 OpState::Any { eps, grid, dsu }
             }
             OpSpec::Around {
@@ -306,17 +313,12 @@ impl<const D: usize> MaintainedGrouping<D> {
             OpState::Any { eps, grid, dsu } => {
                 let (eps, id) = (*eps, dsu.push());
                 debug_assert_eq!(id, slot, "dsu ids track slots");
-                // Probe before inserting p, so p never pairs with itself;
-                // each neighbor yields exactly one new edge.
-                let mut neighbors = Vec::new();
+                // Probe before inserting p, so p never pairs with itself.
                 grid.for_each_within(&p, eps, |q, &s| {
                     if metric.within(q, &p, eps) {
-                        neighbors.push(s);
+                        dsu.union(slot, s);
                     }
                 });
-                for n in neighbors {
-                    dsu.add_edge(slot, n);
-                }
                 grid.insert(p, slot);
             }
             OpState::Around {
@@ -351,9 +353,9 @@ impl<const D: usize> MaintainedGrouping<D> {
     /// leaves the maintained state untouched. The `_post` chaos site fires
     /// **after** the delta applied — modelling a fault mid-transaction —
     /// so on any `Err` the caller must treat the state as unspecified and
-    /// rebuild from its source of truth (the relation layer rebuilds from
-    /// the table and restores the epoch with
-    /// [`advance_epoch_to`](Self::advance_epoch_to)).
+    /// rebuild from its source of truth (the relation layer deactivates the
+    /// subscription on a timeout, and otherwise rebuilds from the table and
+    /// restores the epoch with [`advance_epoch_to`](Self::advance_epoch_to)).
     pub fn try_insert(
         &mut self,
         p: Point<D>,
@@ -385,20 +387,21 @@ impl<const D: usize> MaintainedGrouping<D> {
     /// skipped. The epoch advances by one per removed slot, and the result
     /// equals deleting the slots one at a time in order.
     ///
-    /// Cost: SGB-Any settles every removal that provably cannot split its
-    /// component in place (one grid probe each, as in
-    /// [`delete`](Self::delete)) and re-clusters every other affected
-    /// component **once**, however many of its members the batch removes,
-    /// with one sorted ε-join over its survivors. SGB-Around and SGB-All
-    /// apply their per-slot deltas in order.
+    /// Cost: SGB-Any settles every removal of an isolated tuple or a leaf
+    /// in place (one grid probe each, as in [`delete`](Self::delete)) and
+    /// re-clusters every other affected component **once**, however many
+    /// of its members the batch removes, with one connectivity join over
+    /// its survivors. SGB-Around and SGB-All apply their per-slot deltas in
+    /// order.
     ///
     /// Failure atomicity, as for [`try_insert`](Self::try_insert): the
     /// governor check and the `_pre` chaos site run once per slot before
     /// the batch touches any state, so an error there leaves the state
-    /// untouched. The governor is polled again before each re-cluster, and
-    /// the `_post` site fires once per slot after the batch applied; an
-    /// `Err` from either means the caller must rebuild (the relation layer
-    /// restores its pre-delta copy on a timeout).
+    /// untouched. The governor is checked again before each re-cluster and
+    /// paces its join every [`CHECK_INTERVAL`] candidates, and the `_post`
+    /// site fires once per slot after the batch applied; an `Err` from
+    /// either means the caller must rebuild (the relation layer
+    /// deactivates the subscription on a timeout).
     pub fn try_delete_many(
         &mut self,
         slots: &[SlotId],
@@ -430,8 +433,8 @@ impl<const D: usize> MaintainedGrouping<D> {
     /// Applies one delete delta. Returns `false` (and changes nothing)
     /// when `slot` is unknown or already deleted. It is the one-slot case
     /// of [`try_delete_many`](Self::try_delete_many), whose cost docs
-    /// apply: O(degree) when the removal cannot split the tuple's
-    /// component, else one sorted re-cluster of that component (SGB-Any);
+    /// apply: O(degree) when the tuple is isolated or a leaf, else one
+    /// re-cluster of its component (SGB-Any);
     /// O(1) (SGB-Around); one grid probe, plus a lazy rebuild deferred to
     /// the next snapshot when the tuple was not ε-isolated (SGB-All).
     pub fn delete(&mut self, slot: SlotId) -> bool {
@@ -471,35 +474,31 @@ impl<const D: usize> MaintainedGrouping<D> {
                     if marked.contains(&root) {
                         continue;
                     }
-                    // Exact ε-degree of the tuple among its component's
-                    // members still in the forest: the targets settled
-                    // before it are out of the grid, those after it are
-                    // not, and no probe hit leaves the component.
-                    let mut deg = 0u64;
+                    // The tuple's ε-neighbours among its component's
+                    // members still in the forest, counted up to two: the
+                    // targets settled before it are out of the grid, those
+                    // after it are not, and no probe hit leaves the
+                    // component.
+                    let mut degree = 0;
                     grid.for_each_within(&p, eps, |q, _| {
-                        if metric.within(q, &p, eps) {
-                            deg += 1;
+                        if degree < 2 && metric.within(q, &p, eps) {
+                            degree += 1;
                         }
                     });
-                    let m = dsu.component_members(slot).len() as u64;
-                    let e = dsu.edge_count(slot);
-                    debug_assert!(e >= deg);
-                    let remaining = m - 1;
-                    // Removal provably cannot split the component when the
-                    // tuple is isolated (deg 0), a leaf (deg 1: any survivor
-                    // path through it would need two edges), or the remaining
-                    // members form a complete graph.
-                    if deg <= 1 || e - deg == remaining * remaining.saturating_sub(1) / 2 {
-                        dsu.remove_member(slot, deg);
+                    // An isolated tuple or a leaf cannot split its
+                    // component: any survivor path through it would need
+                    // two of its edges.
+                    if degree < 2 {
+                        dsu.remove_member(slot);
                     } else {
                         marked.insert(root);
                     }
                 }
                 // One re-cluster per marked component: dissolve it, drop its
-                // targets, and re-derive the survivors' edges with the exact
-                // sorted ε-join, which finds each within-ε pair once, as
-                // `new` builds them. Every within-ε neighbour of a survivor
-                // was in its component, so the join needs no other points.
+                // targets, and union the pairs of one connectivity join over
+                // its survivors, as `new` builds the components. Every
+                // within-ε neighbour of a survivor was in its component, so
+                // the join needs no other points.
                 let side = Grid::<D, SlotId>::side_for_eps(eps);
                 for root in marked {
                     governor.check()?;
@@ -512,16 +511,16 @@ impl<const D: usize> MaintainedGrouping<D> {
                                 survivors.push(member);
                                 points.push(p);
                             }
-                            None => dsu.remove_member(member, 0),
+                            None => dsu.remove_member(member),
                         }
                     }
-                    SortedCells::from_points(side, &points).for_each_pair_within(
+                    SortedCells::from_points(side, &points).try_connect(
                         eps,
                         metric,
-                        |a, b| {
-                            dsu.add_edge(survivors[a], survivors[b]);
-                        },
-                    );
+                        |a, b| dsu.union(survivors[a], survivors[b]),
+                        CHECK_INTERVAL as usize,
+                        || governor.check(),
+                    )?;
                 }
             }
             OpState::Around { .. } => {
@@ -678,10 +677,9 @@ mod tests {
         assert!(!m.delete(1), "double delete is a no-op");
     }
 
-    /// Brute-force check of the SGB-Any forest: ε-neighbours share a
-    /// component, and every component's edge count equals its within-ε
-    /// pairs of live slots.
-    fn assert_exact_edge_counts(m: &mut MaintainedGrouping<2>) {
+    /// Brute-force check of the SGB-Any forest: every two live slots
+    /// within ε share a component.
+    fn assert_neighbours_share_a_component(m: &mut MaintainedGrouping<2>) {
         let metric = m.query.configured_metric();
         let OpState::Any { eps, dsu, .. } = &mut m.state else {
             unreachable!()
@@ -692,20 +690,12 @@ mod tests {
             .enumerate()
             .filter_map(|(slot, p)| Some((slot, (*p)?)))
             .collect();
-        let mut want = std::collections::HashMap::new();
         for (i, &(a, p)) in live.iter().enumerate() {
             for &(b, q) in &live[i + 1..] {
                 if metric.within(&p, &q, *eps) {
-                    let root = dsu.find(a);
-                    assert_eq!(root, dsu.find(b), "ε-neighbours share a component");
-                    *want.entry(root).or_insert(0u64) += 1;
+                    assert_eq!(dsu.find(a), dsu.find(b), "ε-neighbours {a}, {b}");
                 }
             }
-        }
-        for &(slot, _) in &live {
-            let root = dsu.find(slot);
-            let edges = want.get(&root).copied().unwrap_or(0);
-            assert_eq!(dsu.edge_count(slot), edges, "slot {slot}");
         }
     }
 
@@ -719,7 +709,7 @@ mod tests {
         let free = QueryGovernor::unrestricted();
         assert_eq!(m.try_delete_many(&[2, 1, 2], &free).unwrap(), 2);
         assert_eq!(m.epoch(), 2);
-        assert_exact_edge_counts(&mut m);
+        assert_neighbours_share_a_component(&mut m);
         let snap = m.snapshot();
         assert_eq!(snap.num_groups(), 2);
         assert_eq!(snap, q.run(&m.live_points()));
@@ -764,7 +754,7 @@ mod tests {
             let one_by_one = batch.iter().filter(|&&slot| single.delete(slot)).count();
             assert_eq!(removed, one_by_one, "{metric} round {round}");
             assert_eq!(batched.epoch(), before + removed as u64);
-            assert_exact_edge_counts(&mut batched);
+            assert_neighbours_share_a_component(&mut batched);
             let snap = batched.snapshot();
             assert_eq!(snap, single.snapshot(), "{metric} round {round}");
             assert_eq!(
@@ -776,7 +766,7 @@ mod tests {
                 batched.insert(p);
                 single.insert(p);
             }
-            assert_exact_edge_counts(&mut batched);
+            assert_neighbours_share_a_component(&mut batched);
         }
     }
 

@@ -188,32 +188,29 @@ impl DisjointSet {
 }
 
 /// A deletion-aware disjoint-set forest: [`DisjointSet`] extended with
-/// per-component **member lists** and **edge counts**, the bookkeeping the
-/// incremental SGB-Any engine needs to decide whether removing a tuple can
-/// split its ε-connectivity component without re-clustering.
+/// per-component **member lists** and **ghosts**, the bookkeeping the
+/// incremental SGB-Any engine needs to take tuples out of its
+/// ε-connectivity components.
 ///
 /// Elements are dense slot ids added with [`TrackedDsu::push`]; ids are
-/// never reused. Edges are added with [`TrackedDsu::add_edge`] — the caller
-/// must add each unordered ε-pair **exactly once** so that
-/// [`edge_count`](Self::edge_count) equals the true edge cardinality of the
-/// component (the completeness test `|E| = m(m−1)/2` relies on it).
+/// never reused. [`TrackedDsu::union`] merges two components, so unioning
+/// any spanning subset of the ε-edges yields the ε-graph's components. The
+/// forest keeps connectivity only, so an edge unioned twice changes
+/// nothing.
 ///
 /// Deletion never restructures the forest: a removed element becomes a
 /// *ghost* — it stays in the parent array (possibly even as a component's
 /// root, holding that component's member list) but is excluded from member
 /// lists and [`groups`](Self::groups). When a removal could split a
 /// component the caller dissolves it with
-/// [`dissolve_component`](Self::dissolve_component) and re-adds the
-/// surviving edges.
+/// [`dissolve_component`](Self::dissolve_component) and unions the
+/// survivors' ε-edges again.
 #[derive(Clone, Debug, Default)]
 pub struct TrackedDsu {
     /// parent[i] is i for roots; chains may pass through ghosts.
     parent: Vec<u32>,
     /// Live member ids per component; meaningful only at roots.
     members: Vec<Vec<u32>>,
-    /// Number of edges ever added to the component minus those removed
-    /// with members; meaningful only at roots.
-    edges: Vec<u64>,
     /// `false` once an element has been removed (ghost).
     alive: Vec<bool>,
     /// Number of live elements.
@@ -237,7 +234,6 @@ impl TrackedDsu {
         );
         self.parent.push(id as u32);
         self.members.push(vec![id as u32]);
-        self.edges.push(0);
         self.alive.push(true);
         self.live += 1;
         self.components += 1;
@@ -301,18 +297,14 @@ impl TrackedDsu {
         cur as usize
     }
 
-    /// Records the ε-edge `{a, b}` (both must be live, `a ≠ b`), merging
-    /// their components when distinct. Returns the root of the (possibly
-    /// merged) component. Each unordered pair must be added exactly once
-    /// for the edge count to stay exact.
-    pub fn add_edge(&mut self, a: usize, b: usize) -> usize {
-        debug_assert!(a != b, "self-loops are not ε-edges");
-        debug_assert!(self.alive[a] && self.alive[b], "edges join live members");
+    /// Merges the components of `a` and `b` (both must be live); a no-op
+    /// when they are already connected.
+    pub fn union(&mut self, a: usize, b: usize) {
+        debug_assert!(self.alive[a] && self.alive[b], "unions join live members");
         let ra = self.find(a);
         let rb = self.find(b);
         if ra == rb {
-            self.edges[ra] += 1;
-            return ra;
+            return;
         }
         // Union by live member count: small-to-large keeps the total
         // member-list merge cost O(n log n).
@@ -324,62 +316,40 @@ impl TrackedDsu {
         self.parent[small] = big as u32;
         let moved = std::mem::take(&mut self.members[small]);
         self.members[big].extend(moved);
-        self.edges[big] += self.edges[small] + 1;
-        self.edges[small] = 0;
         self.components -= 1;
-        big
-    }
-
-    /// Live members of `x`'s component (unordered).
-    pub fn component_members(&mut self, x: usize) -> &[u32] {
-        let r = self.find(x);
-        &self.members[r]
-    }
-
-    /// Number of edges currently attributed to `x`'s component.
-    pub fn edge_count(&mut self, x: usize) -> u64 {
-        let r = self.find(x);
-        self.edges[r]
     }
 
     /// Removes `x` from its component without restructuring: `x` becomes a
-    /// ghost, its component loses one member and `degree` edges (the
-    /// caller supplies `x`'s exact live ε-degree). **Only sound when the
-    /// removal cannot split the component** — `x` is a singleton, a leaf
-    /// (`degree ≤ 1`), or the caller has proven the remainder connected
-    /// (e.g. the remaining edge count equals the complete-graph count).
-    pub fn remove_member(&mut self, x: usize, degree: u64) {
+    /// ghost and its component loses one member. **Only sound when the
+    /// removal cannot split the component**: `x` has at most one live
+    /// ε-neighbour (a singleton or a leaf), or the caller re-clusters the
+    /// component (see [`dissolve_component`](Self::dissolve_component)).
+    pub fn remove_member(&mut self, x: usize) {
         assert!(self.alive[x], "cannot remove a ghost");
         let r = self.find(x);
-        debug_assert!(self.edges[r] >= degree);
         let pos = self.members[r]
             .iter()
             .position(|&m| m as usize == x)
             .expect("live member is listed at its root");
         self.members[r].swap_remove(pos);
-        self.edges[r] -= degree;
         self.alive[x] = false;
         self.live -= 1;
         if self.members[r].is_empty() {
-            self.edges[r] = 0;
             self.components -= 1;
         }
     }
 
     /// Dissolves `x`'s component: every live member (including `x`) is
-    /// reset to a singleton with zero edges, and the former member list is
-    /// returned. The caller then re-adds the surviving edges (each
-    /// unordered pair once) — the scoped re-cluster path of a deletion
-    /// that may have split the component.
+    /// reset to a singleton, and the former member list is returned. The
+    /// caller then unions the surviving ε-edges again — the re-cluster of
+    /// a deletion that may have split the component.
     pub fn dissolve_component(&mut self, x: usize) -> Vec<u32> {
         let r = self.find(x);
         let members = std::mem::take(&mut self.members[r]);
-        self.edges[r] = 0;
         self.components -= 1;
         for &m in &members {
             self.parent[m as usize] = m;
             self.members[m as usize] = vec![m];
-            self.edges[m as usize] = 0;
             self.components += 1;
         }
         members
@@ -537,33 +507,30 @@ mod tests {
             dsu.push();
         }
         assert_eq!(dsu.components(), 5);
-        dsu.add_edge(0, 1);
-        dsu.add_edge(1, 2);
-        dsu.add_edge(0, 2); // intra-component edge: count bumps, no merge
+        dsu.union(0, 1);
+        dsu.union(1, 2);
+        let root = dsu.find(0);
+        // An edge inside one component changes nothing.
+        dsu.union(0, 2);
+        assert_eq!(dsu.find(2), root);
         assert_eq!(dsu.components(), 3);
-        assert_eq!(dsu.edge_count(0), 3);
-        let mut m = dsu.component_members(2).to_vec();
-        m.sort_unstable();
-        assert_eq!(m, vec![0, 1, 2]);
-        assert_eq!(dsu.edge_count(3), 0);
         assert_eq!(dsu.groups(), vec![vec![0, 1, 2], vec![3], vec![4]]);
     }
 
     #[test]
     fn tracked_leaf_removal_keeps_component_intact() {
-        // 0–1–2 chain plus 0–2: removing leaf-ish 1 (degree 2 here, but
-        // remainder {0,2} is complete) must keep {0,2} together.
+        // 0–1–2 chain plus 0–2: removing 1 leaves {0, 2} connected, so it
+        // may go in place; the forest drops the member, not the unions.
         let mut dsu = TrackedDsu::new();
         for _ in 0..3 {
             dsu.push();
         }
-        dsu.add_edge(0, 1);
-        dsu.add_edge(1, 2);
-        dsu.add_edge(0, 2);
-        dsu.remove_member(1, 2);
+        dsu.union(0, 1);
+        dsu.union(1, 2);
+        dsu.union(0, 2);
+        dsu.remove_member(1);
         assert!(!dsu.is_alive(1));
         assert_eq!(dsu.live_count(), 2);
-        assert_eq!(dsu.edge_count(0), 1);
         assert_eq!(dsu.groups(), vec![vec![0, 2]]);
     }
 
@@ -575,37 +542,39 @@ mod tests {
         for _ in 0..3 {
             dsu.push();
         }
-        dsu.add_edge(0, 1);
-        dsu.add_edge(0, 2);
-        dsu.add_edge(1, 2);
-        dsu.remove_member(0, 2);
+        dsu.union(0, 1);
+        dsu.union(0, 2);
+        dsu.union(1, 2);
+        let root = dsu.find(1);
+        dsu.remove_member(root);
+        assert!(!dsu.is_alive(root));
+        assert_eq!(dsu.find(2), root, "the ghost stays the root");
         assert_eq!(dsu.groups(), vec![vec![1, 2]]);
-        assert_eq!(dsu.edge_count(1), 1);
         assert_eq!(dsu.components(), 1);
     }
 
     #[test]
     fn tracked_dissolve_and_recluster_splits() {
         // Star around 2: 0–2, 1–2, 3–2. Deleting the hub splits the rest
-        // into singletons; the caller dissolves and re-adds no edges.
+        // into singletons; the caller dissolves and unions no survivors.
         let mut dsu = TrackedDsu::new();
         for _ in 0..4 {
             dsu.push();
         }
-        dsu.add_edge(0, 2);
-        dsu.add_edge(1, 2);
-        dsu.add_edge(3, 2);
+        dsu.union(0, 2);
+        dsu.union(1, 2);
+        dsu.union(3, 2);
         assert_eq!(dsu.components(), 1);
         let mut members = dsu.dissolve_component(2);
         members.sort_unstable();
         assert_eq!(members, vec![0, 1, 2, 3]);
         assert_eq!(dsu.components(), 4);
-        dsu.remove_member(2, 0);
+        dsu.remove_member(2);
         assert_eq!(dsu.groups(), vec![vec![0], vec![1], vec![3]]);
         // Re-cluster with a surviving edge: 0–1 reconnects part of it.
-        dsu.add_edge(0, 1);
+        dsu.union(0, 1);
         assert_eq!(dsu.groups(), vec![vec![0, 1], vec![3]]);
-        assert_eq!(dsu.edge_count(0), 1);
+        assert!(!dsu.is_alive(2));
     }
 
     #[test]
@@ -613,7 +582,7 @@ mod tests {
         let mut dsu = TrackedDsu::new();
         dsu.push();
         dsu.push();
-        dsu.remove_member(0, 0);
+        dsu.remove_member(0);
         assert_eq!(dsu.components(), 1);
         assert_eq!(dsu.live_count(), 1);
         assert_eq!(dsu.groups(), vec![vec![1]]);
@@ -630,7 +599,7 @@ mod tests {
         }
         let edges = [(0, 5), (5, 7), (2, 3), (3, 2), (8, 9), (10, 11), (9, 10)];
         for (a, b) in edges {
-            tracked.add_edge(a, b);
+            tracked.union(a, b);
             plain.union(a, b);
         }
         assert_eq!(tracked.groups(), plain.into_groups());

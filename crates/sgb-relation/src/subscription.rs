@@ -225,7 +225,7 @@ fn delta_governor(deadline: Option<Duration>) -> QueryGovernor {
 }
 
 /// The maintained grouping, dimension-erased.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) enum Maintained {
     D2(MaintainedGrouping<2>),
     D3(MaintainedGrouping<3>),
@@ -515,11 +515,11 @@ impl SubscriptionSet {
     /// [`Subscription::recover`]: the grouping is rebuilt from `all_rows`
     /// with a strictly advancing epoch, so readers never observe a
     /// half-applied delta or an epoch rollback. Exception: a delta that
-    /// overruns the `deadline` is **rejected atomically** — the pre-delta
-    /// state is restored, nothing is published (the snapshot epoch does
-    /// not advance), and the subscription deactivates, because its
-    /// maintained state would otherwise desynchronise from the table's rows
-    /// the next time a delta arrived.
+    /// overruns the `deadline` is **rejected atomically** — nothing is
+    /// published (the snapshot epoch does not advance) and the subscription
+    /// deactivates, keeping its last snapshot readable. Its maintained
+    /// state may be mid-delta, but nothing reads it again: an inactive
+    /// subscription takes no deltas and serves no reads.
     fn apply_delta(
         &mut self,
         table: &str,
@@ -534,20 +534,12 @@ impl SubscriptionSet {
             if sub.table != table || !sub.is_active() {
                 continue;
             }
-            // The rollback copy is only taken when a deadline could
-            // actually reject the delta; the common ungoverned path clones
-            // nothing.
-            let backup = deadline.map(|_| (sub.maintained.clone(), sub.row_slots.clone()));
             let outcome = match delta(sub, &governor) {
                 Ok(()) => {
                     sub.publish(version);
                     "applied"
                 }
                 Err(Error::Aborted(SgbError::Timeout)) => {
-                    if let Some((maintained, row_slots)) = backup {
-                        sub.maintained = maintained;
-                        sub.row_slots = row_slots;
-                    }
                     sub.deactivate();
                     "rejected"
                 }

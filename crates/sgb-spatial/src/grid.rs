@@ -26,9 +26,9 @@
 //!   [`crate::RTree::nearest_one_with`].
 //!
 //! Incremental maintenance and SGB-Around's center index use this grid.
-//! The bulk ε-joins over a complete point set run over the sort-built
-//! layout of [`crate::sorted`] instead, which needs no cell lookups; its
-//! joins are tested here, beside the probes and over the same fixtures.
+//! The bulk ε-join over a complete point set runs over the sort-built
+//! layout of [`crate::sorted`] instead, which needs no cell lookups; it is
+//! tested here, beside the probes and over the same fixtures.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -547,36 +547,6 @@ mod tests {
         }
     }
 
-    /// The positions of `entries`, whose payloads are their indices.
-    fn positions(entries: &[(Point<2>, usize)]) -> Vec<Point<2>> {
-        entries.iter().map(|&(p, _)| p).collect()
-    }
-
-    /// The pairs the exact join of the sorted layout accepts, as sorted
-    /// pairs of input positions.
-    fn join_pairs(points: &[Point<2>], cell: f64, eps: f64, metric: Metric) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::new();
-        SortedCells::from_points(cell, points)
-            .for_each_pair_within(eps, metric, |a, b| pairs.push((a.min(b), a.max(b))));
-        pairs.sort_unstable();
-        pairs
-    }
-
-    /// The independent oracle: every unordered pair of `points` within
-    /// ε by a brute-force [`Metric::within`] filter, as sorted pairs of
-    /// input positions.
-    fn brute_pairs(points: &[Point<2>], eps: f64, metric: Metric) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::new();
-        for (a, pa) in points.iter().enumerate() {
-            for (b, pb) in points.iter().enumerate().skip(a + 1) {
-                if metric.within(pa, pb, eps) {
-                    pairs.push((a, b));
-                }
-            }
-        }
-        pairs
-    }
-
     #[test]
     fn probe_visits_every_boundary_tie() {
         // Awkward non-representable coordinates whose distances tie with ε
@@ -618,105 +588,6 @@ mod tests {
         });
         hits.sort_unstable();
         assert_eq!(hits, vec!['a', 'b']);
-    }
-
-    #[test]
-    fn close_pair_join_covers_every_predicate_pair_exactly_once() {
-        let points = positions(&lattice(400));
-        let straddling = straddling_hotspots();
-        let wide = wide_key_box();
-        let mut matrix: Vec<(&[Point<2>], f64, f64)> = Vec::new();
-        for (cell, eps) in [(1.0, 1.0), (2.5, 2.5), (1.0, 3.0), (0.7, 0.0)] {
-            matrix.push((&points, cell, eps));
-            matrix.push((&straddling, cell, eps));
-        }
-        // The wide key box at ε = cell and at ε = 3 × cell, the window
-        // the cache's ε-superset reuse widens to.
-        matrix.push((&wide, 1e-3, 1e-3));
-        matrix.push((&wide, 1e-3, 3e-3));
-        for metric in Metric::ALL {
-            for &(points, cell, eps) in &matrix {
-                let layout = SortedCells::from_points(cell, points);
-                // seen[(i, j)] with i < j → number of times the pair
-                // surfaced (must be exactly once).
-                let mut seen = HashMap::new();
-                layout.for_each_pair_within(eps, metric, |a, b| {
-                    *seen.entry((a.min(b), a.max(b))).or_insert(0usize) += 1;
-                });
-                for (&(a, b), &count) in &seen {
-                    assert_eq!(count, 1, "{metric} cell={cell} eps={eps} pair ({a},{b})");
-                }
-                let mut got: Vec<(usize, usize)> = seen.into_keys().collect();
-                got.sort_unstable();
-                assert_eq!(
-                    got,
-                    brute_pairs(points, eps, metric),
-                    "{metric} cell={cell} eps={eps}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pair_within_matches_verified_close_pairs_sharded_and_not() {
-        // The exact join must accept exactly the pairs the brute-force
-        // canonical predicate accepts.
-        let points = positions(&lattice(350));
-        for metric in Metric::ALL {
-            for (cell, eps) in [(1.0, 1.0), (2.5, 2.5), (1.0, 3.0), (0.7, 0.0)] {
-                assert_eq!(
-                    join_pairs(&points, cell, eps, metric),
-                    brute_pairs(&points, eps, metric),
-                    "{metric} cell={cell} eps={eps}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn close_pair_join_eps_zero_still_pairs_exact_duplicates() {
-        // Degenerate ε = 0: the probe window must not collapse below the
-        // cell pair's own cell — coordinate-identical points (and only
-        // those) must still surface.
-        let points = vec![pt(1.0, 1.0), pt(1.0, 1.0), pt(2.0, 2.0)];
-        for metric in Metric::ALL {
-            let pairs = join_pairs(&points, 1.0, 0.0, metric);
-            assert_eq!(pairs, vec![(0, 1)], "{metric}");
-            assert_eq!(pairs, brute_pairs(&points, 0.0, metric), "{metric}");
-        }
-    }
-
-    #[test]
-    fn close_pair_join_eps_much_larger_than_cell_is_bounded_and_complete() {
-        // ε/cell = 10⁹: before the occupied-span clamp and the
-        // occupied-pair fallback this enumerated a ~(2·10⁹)² offset
-        // window (an effective hang); it must instead terminate promptly
-        // and still find every pair.
-        let points: Vec<Point<2>> = (0..40)
-            .map(|i| pt((i % 8) as f64 * 0.1, (i / 8) as f64 * 0.1))
-            .collect();
-        for metric in Metric::ALL {
-            let pairs = join_pairs(&points, 1e-6, 1e3, metric);
-            // Every one of the 40·39/2 pairs is within ε = 1000.
-            assert_eq!(pairs.len(), 40 * 39 / 2, "{metric}");
-            assert_eq!(pairs, brute_pairs(&points, 1e3, metric), "{metric}");
-        }
-    }
-
-    #[test]
-    fn close_pair_join_survives_saturated_cell_keys() {
-        // Coordinates near the i64 cell-key saturation boundary: the join
-        // must terminate, not overflow, and keep every verified pair.
-        let points = vec![
-            pt(1e300, 0.0),
-            pt(1e300, 0.0), // same saturated cell, distance 0
-            pt(-1e300, 0.0),
-            pt(0.25, 0.0),
-            pt(0.2501, 0.0),
-        ];
-        let pairs = join_pairs(&points, 1e-3, 0.01, Metric::L2);
-        assert_eq!(pairs, vec![(0, 1), (3, 4)]);
-        assert_eq!(pairs, brute_pairs(&points, 0.01, Metric::L2));
     }
 
     #[test]
@@ -1065,9 +936,9 @@ mod tests {
 
     /// Checks the connectivity join of `points` on a sorted layout of
     /// side `cell` against the brute-force components, checks that every
-    /// emitted pair passes `Metric::within` and is emitted once, and that
-    /// pairs and tallies do not depend on the shard count. Returns the
-    /// sequential tally.
+    /// emitted pair passes `Metric::within` and is emitted once, that the
+    /// sequential driver emits the same pairs, and that pairs and tallies
+    /// do not depend on the shard count. Returns the sequential tally.
     fn check_connectivity<const D: usize>(
         points: &[Point<D>],
         cell: f64,
@@ -1098,6 +969,17 @@ mod tests {
         );
         // Every emitted pair was a candidate.
         assert!(tally.candidate_pairs >= pairs.len() as u64, "{label}");
+        // The sequential driver emits exactly the one-shard pairs.
+        let mut driven = Vec::new();
+        let Ok(()) = layout.try_connect(
+            eps,
+            metric,
+            |a, b| driven.push((a.min(b), a.max(b))),
+            16,
+            || Ok::<(), Infallible>(()),
+        );
+        driven.sort_unstable();
+        assert_eq!(driven, pairs, "{label}: try_connect");
         for shards in [2usize, 3, 7] {
             let sharded = connect::<D, Infallible>(&layout, eps, metric, shards, 16, |_| Ok(()));
             assert_eq!(sharded.pairs, pairs, "{label} shards={shards}");
@@ -1140,7 +1022,7 @@ mod tests {
     /// the occupied key box holds ~10²⁰ cells, more than a `u64` numbers,
     /// with no saturated key, so the layout sorts them by comparison. The
     /// clusters occupy more cells than the offset window at ε = cell and
-    /// at ε = 3 × cell, so both joins find neighbours by their cursors.
+    /// at ε = 3 × cell, so at both ε the join finds neighbours by its cursors.
     fn wide_key_box() -> Vec<Point<2>> {
         let jitter = hotspots(400, 1, 1.0, 0x51DE);
         [(-5e6, -5e6), (5e6, 5e6), (0.0, 0.0), (-5e6, 5e6)]

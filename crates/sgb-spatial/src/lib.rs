@@ -23,8 +23,9 @@
 //! * the [`Grid`] — hashed cells, for point-wise probes over a changing
 //!   point set (incremental maintenance, SGB-Around's center index);
 //! * [`SortedCells`] — one immutable layout sorted on the cell key, for
-//!   the bulk ε-joins over a complete point set (one-shot SGB-Any and
-//!   SGB-All's component pre-pass).
+//!   the bulk ε-join over a complete point set (one-shot SGB-Any, SGB-All's
+//!   component pre-pass, and the maintained SGB-Any components' builds
+//!   and re-clusters).
 
 pub mod grid;
 pub mod rtree;

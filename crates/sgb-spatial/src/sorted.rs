@@ -1,4 +1,4 @@
-//! The sort-built ε-grid behind the bulk ε-joins.
+//! The sort-built ε-grid behind the bulk ε-join.
 //!
 //! SGB-Any's answer is the set of connected components of the ε-graph, and
 //! those do not depend on the order in which its edges are found
@@ -16,17 +16,18 @@
 //! * per cell the layout keeps its key, its first position and its
 //!   bounding box, plus the occupied key box.
 //!
-//! A point's payload is its input position. Two joins run over a layout:
+//! A point's payload is its input position. One join runs over a layout:
+//! [`SortedCells::connectivity_join`]. It emits a spanning subset of the
+//! within-ε pairs with exactly the ε-graph's connected components, skipping
+//! the pairs between two cells already known to be connected. It is
+//! sharded, paced and optionally tallied for one-shot SGB-Any and SGB-All's
+//! component pre-pass; [`SortedCells::try_connect`] runs it on one shard,
+//! for incremental SGB-Any maintenance, which unions those pairs into its
+//! components when it builds them and when it re-clusters one after a
+//! delete. Nothing needs every within-ε pair: the components alone decide
+//! SGB-Any's groups.
 //!
-//! * [`SortedCells::connectivity_join`], behind one-shot SGB-Any. It emits
-//!   a spanning subset of the within-ε pairs with exactly the ε-graph's
-//!   connected components, skipping the pairs between two cells already
-//!   known to be connected. It is sharded, paced and optionally tallied.
-//! * [`SortedCells::for_each_pair_within`], the exact join: every within-ε
-//!   pair exactly once. Incremental SGB-Any maintenance needs every pair
-//!   for its per-component edge counts.
-//!
-//! **Neighbour cells.** Both joins pair each cell with the cells at the
+//! **Neighbour cells.** The join pairs each cell with the cells at the
 //! lexicographically positive offsets whose minimum inter-cell distance
 //! passes ε, so each unordered cell pair is joined once, by the cell that
 //! sorts first. The offsets that share their first `D − 1` components form
@@ -34,7 +35,7 @@
 //! the sorted cells. One forward-only cursor per run finds it: as the
 //! owning cell advances in key order, so does every run's first key. When
 //! the offset window holds more cells than are occupied (ε ≫ cell, or
-//! saturated keys), the joins scan all pairs of occupied cells instead.
+//! saturated keys), the join scans all pairs of occupied cells instead.
 //! Either way an exact bounding-box prune drops the cell pairs that cannot
 //! hold a within-ε pair.
 
@@ -45,7 +46,6 @@
     clippy::panic
 )]
 
-use std::convert::Infallible;
 use std::ops::Range;
 
 use sgb_geom::{Metric, Point};
@@ -107,8 +107,10 @@ struct Cell<const D: usize> {
 /// ];
 /// let layout = SortedCells::from_points(1.0, &points);
 /// let mut pairs = Vec::new();
-/// layout.for_each_pair_within(1.0, Metric::L2, |a, b| pairs.push((a.min(b), a.max(b))));
+/// let pace = || Ok::<(), ()>(());
+/// layout.try_connect(1.0, Metric::L2, |a, b| pairs.push((a.min(b), a.max(b))), 1024, pace)?;
 /// assert_eq!(pairs, vec![(0, 2)]);
+/// # Ok::<(), ()>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct SortedCells<const D: usize> {
@@ -128,8 +130,8 @@ pub struct SortedCells<const D: usize> {
 impl<const D: usize> SortedCells<D> {
     /// Lays out `points` on a grid of side `cell`; each point's payload is
     /// its position in `points`. A side that is not finite and positive
-    /// falls back to `1.0`. That costs speed only, never pairs: the joins
-    /// widen their window with ε / cell.
+    /// falls back to `1.0`. That costs speed only, never pairs: the join
+    /// widens its window with ε / cell.
     pub fn from_points(cell: f64, points: &[Point<D>]) -> Self {
         let cell = if cell.is_finite() && cell > 0.0 {
             cell
@@ -183,38 +185,34 @@ impl<const D: usize> SortedCells<D> {
         }
     }
 
-    /// The exact bulk ε-join: invokes `visit` once for every unordered
-    /// pair of points within `eps` by the canonical [`Metric::within`], as
-    /// input positions. One-shot SGB-Any needs only the components of
-    /// these pairs and runs the cheaper
-    /// [`connectivity_join`](Self::connectivity_join) instead.
+    /// The [connectivity join](Self::connectivity_join) on one shard: the
+    /// `Cells` pass over every cell, then the `Neighbours` pass, calling
+    /// `visit` with the input positions of every emitted pair. Their
+    /// components are the ε-graph's.
     ///
     /// * **Any ε.** Above the cell side the window widens to
-    ///   `ceil(eps / cell) + 1` cells per side, so one layout serves every
-    ///   larger ε′ (the shared-work cache's ε-superset reuse).
-    /// * **Verification** reads contiguous coordinate columns in the
-    ///   point-wise kernels' operation order, so the accepted set equals
-    ///   filtering every candidate through `Metric::within`.
-    pub fn for_each_pair_within(
+    ///   `ceil(eps / cell) + 1` cells per side.
+    /// * **Pacing.** `pace` runs at cell-row boundaries, at least once
+    ///   every `interval` candidates, as in [`JoinShard::try_join`].
+    ///
+    /// # Errors
+    /// The first error `pace` reports; the pairs emitted until then are
+    /// a subset of the full join's.
+    pub fn try_connect<E>(
         &self,
         eps: f64,
         metric: Metric,
         mut visit: impl FnMut(usize, usize),
-    ) {
-        let join = Join::new(self, eps, metric);
-        // No tally, and a pace that never runs out or fails.
-        let mut pacing = Pacing::new(usize::MAX, || Ok::<(), Infallible>(()), None);
-        let mut job = |rows: usize, cols: usize| {
-            let (row_ids, col_ids) = (self.ids_of(rows), self.ids_of(cols));
-            join.join_rows(rows, cols, &mut pacing, |r, c| {
-                visit(row_ids[r], col_ids[c]);
-                AfterHit::Continue
-            })
-        };
-        for slot in 0..self.cells.len() {
-            let Ok(()) = job(slot, slot);
+        interval: usize,
+        mut pace: impl FnMut() -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut join = self.connectivity_join(eps, metric);
+        for pass in [JoinPass::Cells, JoinPass::Neighbours] {
+            for shard in join.split(pass, 1) {
+                shard.try_join(&mut visit, interval, &mut pace, None)?;
+            }
         }
-        let Ok(()) = join.for_each_neighbour_pair(0..self.cells.len(), job);
+        Ok(())
     }
 
     /// Prepares the connectivity ε-join of this layout at `eps` under
@@ -605,7 +603,7 @@ impl<'c, const D: usize> Join<'c, D> {
         }
     }
 
-    /// The neighbour enumeration of the bulk ε-joins: invokes `job(owner,
+    /// The neighbour enumeration of the connectivity join: invokes `job(owner,
     /// other)` once for every pair of occupied cells that could hold a
     /// within-ε pair and whose owner (the cell that sorts first) lies in
     /// `owned`. The first error `job` returns stops the enumeration and is

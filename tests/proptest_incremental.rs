@@ -1,11 +1,13 @@
 //! Property tests for the incremental maintenance engine: over random
-//! insert/delete/batch-delete edit scripts, a [`MaintainedGrouping`] must stay equal —
-//! full `Grouping` equality (groups, eliminated, outliers), not just group
-//! counts — to a from-scratch `SgbQuery::run` over the live points, for
-//! all three operator families × all three metrics. A multi-threaded
-//! smoke test then pins the relation layer's serving contract: concurrent
-//! readers of a subscription only ever observe complete, epoch-monotone
-//! snapshots while a writer streams INSERT / DELETE statements.
+//! insert/delete/batch-delete edit scripts, a [`MaintainedGrouping`] must
+//! stay equal — full `Grouping` equality (groups, eliminated, outliers),
+//! not just group counts — to a from-scratch `SgbQuery::run` over the live
+//! points, for all three operator families × all three metrics, on a
+//! sparse input and on a dense one whose batches take several members of
+//! one component. A multi-threaded smoke test then pins the relation
+//! layer's serving contract: concurrent readers of a subscription only
+//! ever observe complete, epoch-monotone snapshots while a writer streams
+//! INSERT / DELETE statements.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -69,6 +71,109 @@ fn arb_query() -> impl Strategy<Value = SgbQuery<2>> {
     ]
 }
 
+/// Runs `edits` against a [`MaintainedGrouping`] built over `initial` and
+/// checks, after **every** edit, that it equals the from-scratch recompute
+/// over the live points.
+fn check_edit_script(
+    query: &SgbQuery<2>,
+    initial: &[(f64, f64)],
+    edits: Vec<Edit>,
+) -> Result<(), String> {
+    let points: Vec<Point<2>> = initial.iter().map(|&(x, y)| Point::new([x, y])).collect();
+    let mut maintained = MaintainedGrouping::new(query.clone(), &points);
+    // Mirror of the slot table: `None` once deleted, never shrinks.
+    let mut mirror: Vec<Option<Point<2>>> = points.into_iter().map(Some).collect();
+    for edit in edits {
+        match edit {
+            Edit::Insert(x, y) => {
+                let slot = maintained.insert(Point::new([x, y]));
+                prop_assert_eq!(slot, mirror.len(), "slots are append-only");
+                mirror.push(Some(Point::new([x, y])));
+            }
+            Edit::Delete(raw) => {
+                if mirror.is_empty() {
+                    continue;
+                }
+                let slot = raw % mirror.len();
+                let was_live = mirror[slot].is_some();
+                prop_assert_eq!(maintained.delete(slot), was_live);
+                mirror[slot] = None;
+            }
+            Edit::DeleteMany(raws) => {
+                if mirror.is_empty() {
+                    continue;
+                }
+                let slots: Vec<usize> = raws.iter().map(|raw| raw % mirror.len()).collect();
+                let mut live_removed = 0;
+                for &slot in &slots {
+                    if mirror[slot].take().is_some() {
+                        live_removed += 1;
+                    }
+                }
+                let before = maintained.epoch();
+                let removed = maintained
+                    .try_delete_many(&slots, &QueryGovernor::unrestricted())
+                    .unwrap();
+                prop_assert_eq!(removed, live_removed, "counts the live slots removed");
+                prop_assert_eq!(
+                    maintained.epoch(),
+                    before + live_removed as u64,
+                    "one epoch per removed slot"
+                );
+            }
+        }
+        let live: Vec<Point<2>> = mirror.iter().flatten().copied().collect();
+        prop_assert_eq!(maintained.live_points(), live.clone());
+        prop_assert_eq!(maintained.len(), live.len());
+        let incremental = maintained.snapshot();
+        let scratch = query.run(&live);
+        prop_assert_eq!(
+            &incremental,
+            &scratch,
+            "maintained grouping diverged from recompute after {} edits",
+            maintained.epoch()
+        );
+        incremental.check_partition(live.len());
+    }
+    // Deleting past the slot table is a reported no-op.
+    prop_assert!(!maintained.delete(mirror.len()));
+    Ok(())
+}
+
+/// The dense input's ε: its box is 6ε wide, so tens of points sit near
+/// the ε-graph's percolation threshold, where components are large and
+/// hold paths and cut points.
+const DENSE_EPS: f64 = 0.5;
+
+/// An ε-operator query at [`DENSE_EPS`]. SGB-Around is left to the sparse
+/// input: its deltas are per-tuple, so density does not change them.
+fn arb_dense_query() -> impl Strategy<Value = SgbQuery<2>> {
+    prop_oneof![
+        (0usize..3).prop_map(|m| SgbQuery::any(DENSE_EPS).metric(metric(m))),
+        (0usize..3, 0usize..3, 0u64..4).prop_map(|(m, o, s)| {
+            let overlap = [
+                OverlapAction::JoinAny,
+                OverlapAction::Eliminate,
+                OverlapAction::FormNewGroup,
+            ][o];
+            SgbQuery::all(DENSE_EPS)
+                .metric(metric(m))
+                .overlap(overlap)
+                .seed(s)
+        }),
+    ]
+}
+
+/// A dense edit: inserts land in the dense box, and a batch takes up to
+/// 23 raw slots, so it often hits several members of one component.
+fn arb_dense_edit() -> impl Strategy<Value = Edit> {
+    prop_oneof![
+        (0.0f64..3.0, 0.0f64..3.0).prop_map(|(x, y)| Edit::Insert(x, y)),
+        (0usize..64).prop_map(Edit::Delete),
+        vec(0usize..64, 1..24).prop_map(Edit::DeleteMany),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -82,65 +187,26 @@ proptest! {
         initial in vec((0.0f64..8.0, 0.0f64..8.0), 0..12),
         edits in vec(arb_edit(), 1..16),
     ) {
-        let points: Vec<Point<2>> =
-            initial.iter().map(|&(x, y)| Point::new([x, y])).collect();
-        let mut maintained = MaintainedGrouping::new(query.clone(), &points);
-        // Mirror of the slot table: `None` once deleted, never shrinks.
-        let mut mirror: Vec<Option<Point<2>>> =
-            points.into_iter().map(Some).collect();
-        for edit in edits {
-            match edit {
-                Edit::Insert(x, y) => {
-                    let slot = maintained.insert(Point::new([x, y]));
-                    prop_assert_eq!(slot, mirror.len(), "slots are append-only");
-                    mirror.push(Some(Point::new([x, y])));
-                }
-                Edit::Delete(raw) => {
-                    if mirror.is_empty() {
-                        continue;
-                    }
-                    let slot = raw % mirror.len();
-                    let was_live = mirror[slot].is_some();
-                    prop_assert_eq!(maintained.delete(slot), was_live);
-                    mirror[slot] = None;
-                }
-                Edit::DeleteMany(raws) => {
-                    if mirror.is_empty() {
-                        continue;
-                    }
-                    let slots: Vec<usize> = raws.iter().map(|raw| raw % mirror.len()).collect();
-                    let mut live_removed = 0;
-                    for &slot in &slots {
-                        if mirror[slot].take().is_some() {
-                            live_removed += 1;
-                        }
-                    }
-                    let before = maintained.epoch();
-                    let removed = maintained
-                        .try_delete_many(&slots, &QueryGovernor::unrestricted())
-                        .unwrap();
-                    prop_assert_eq!(removed, live_removed, "counts the live slots removed");
-                    prop_assert_eq!(
-                        maintained.epoch(),
-                        before + live_removed as u64,
-                        "one epoch per removed slot"
-                    );
-                }
-            }
-            let live: Vec<Point<2>> = mirror.iter().flatten().copied().collect();
-            prop_assert_eq!(maintained.live_points(), live.clone());
-            prop_assert_eq!(maintained.len(), live.len());
-            let incremental = maintained.snapshot();
-            let scratch = query.run(&live);
-            prop_assert_eq!(
-                &incremental, &scratch,
-                "maintained grouping diverged from recompute after {} edits",
-                maintained.epoch()
-            );
-            incremental.check_partition(live.len());
-        }
-        // Deleting past the slot table is a reported no-op.
-        prop_assert!(!maintained.delete(mirror.len()));
+        check_edit_script(&query, &initial, edits)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The same check on a dense input: tens of initial points in a box
+    /// 6ε wide, so the ε-operators' components are large, and one batch
+    /// delete takes several members of one component. A batch settles
+    /// some targets in place and re-clusters the other components, and
+    /// this pins which is which: a mutation that counts the targets'
+    /// neighbours with every target already gone fails here.
+    #[test]
+    fn incremental_equals_recompute_after_every_edit_on_dense_input(
+        query in arb_dense_query(),
+        initial in vec((0.0f64..3.0, 0.0f64..3.0), 20..60),
+        edits in vec(arb_dense_edit(), 1..16),
+    ) {
+        check_edit_script(&query, &initial, edits)?;
     }
 }
 
