@@ -1,7 +1,10 @@
-//! SGB-Around benchmark: brute-force center scan (`Algorithm::AllPairs`
+//! SGB-Around benchmark: the brute-force center scan (`Algorithm::AllPairs`
 //! on the unified `SgbQuery` surface; the JSON label stays "BruteForce"
-//! for report continuity) vs the bulk-loaded center R-tree, swept over
-//! input cardinality and center count, written as JSON so the repository
+//! for report continuity), the bulk-loaded center R-tree and the center
+//! grid, swept over input cardinality and center count on a Gaussian
+//! mixture, and over center count with centers drawn from 50k check-ins
+//! (`session-mix`'s AROUND read). Every sweep point asserts that the three
+//! paths return the same grouping. Written as JSON so the repository
 //! accumulates a perf trajectory for the operator.
 //!
 //! ```text
@@ -10,8 +13,8 @@
 //!
 //! By default the report is written to `BENCH_around.json` at the
 //! repository root (resolved relative to this crate's manifest) and a
-//! human-readable table goes to stderr. The grid path and the cost-based
-//! `Auto` selection are benchmarked separately by the `grid` binary.
+//! human-readable table goes to stderr. The cost-based `Auto` selection
+//! and the thread sweep are benchmarked by the `grid` binary.
 
 use std::process::ExitCode;
 
@@ -35,15 +38,23 @@ fn main() -> ExitCode {
 
     let (radius, rows) = around_comparison(cli.scale);
 
-    eprintln!("# SGB-Around brute vs indexed: radius = {radius}");
+    eprintln!("# SGB-Around scan vs R-tree vs grid: mixture radius = {radius}");
     eprintln!(
-        "{:<8} {:>8} {:>8} {:<12} {:>10} {:>9} {:>9}",
-        "sweep", "x", "fixed", "algorithm", "seconds", "occupied", "outliers"
+        "{:<8} {:>8} {:>8} {:<12} {:>7} {:>10} {:>9} {:>9}",
+        "sweep", "x", "fixed", "algorithm", "radius", "seconds", "occupied", "outliers"
     );
+    let radius_text = |r: Option<f64>| r.map_or("null".to_owned(), |r| r.to_string());
     for r in &rows {
         eprintln!(
-            "{:<8} {:>8} {:>8} {:<12} {:>10.4} {:>9} {:>9}",
-            r.sweep, r.x, r.fixed, r.algorithm, r.seconds, r.occupied, r.outliers
+            "{:<8} {:>8} {:>8} {:<12} {:>7} {:>10.4} {:>9} {:>9}",
+            r.sweep,
+            r.x,
+            r.fixed,
+            r.algorithm,
+            radius_text(r.radius),
+            r.seconds,
+            r.occupied,
+            r.outliers
         );
     }
 
@@ -53,8 +64,15 @@ fn main() -> ExitCode {
     for r in &rows {
         report.push_row(format!(
             "{{\"sweep\": \"{}\", \"x\": {}, \"fixed\": {}, \"algorithm\": \"{}\", \
-             \"seconds\": {:.6}, \"occupied\": {}, \"outliers\": {}}}",
-            r.sweep, r.x, r.fixed, r.algorithm, r.seconds, r.occupied, r.outliers
+             \"radius\": {}, \"seconds\": {:.6}, \"occupied\": {}, \"outliers\": {}}}",
+            r.sweep,
+            r.x,
+            r.fixed,
+            r.algorithm,
+            radius_text(r.radius),
+            r.seconds,
+            r.occupied,
+            r.outliers
         ));
     }
     if let Err(e) = report.write(&out_path) {

@@ -5,6 +5,8 @@
 //! down from the paper's so a full run finishes on one machine; the
 //! `scale` argument multiplies them (≈25× reaches the paper's sizes).
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use sgb_cluster::{birch, dbscan, kmeans, BirchConfig, DbscanConfig, KMeansConfig};
 use sgb_core::{Algorithm, CancelToken, Grouping, OverlapAction, QueryGovernor, SgbQuery};
 use sgb_datagen::{
@@ -537,14 +539,16 @@ pub fn metric_comparison(scale: f64) -> (usize, f64, Vec<MetricBenchRow>) {
 /// algorithm.
 #[derive(Clone, Debug)]
 pub struct AroundBenchRow {
-    /// Which variable the sweep varies: `"n"` or `"centers"`.
+    /// Which variable the sweep varies: `"n"`, `"centers"` or `"drawn"`.
     pub sweep: &'static str,
     /// The varied value (input cardinality or center count).
     pub x: usize,
     /// The fixed other variable (center count or input cardinality).
     pub fixed: usize,
-    /// Algorithm label (`"BruteForce"` / `"Indexed"`).
+    /// Algorithm label (`"BruteForce"` / `"Indexed"` / `"Grid"`).
     pub algorithm: &'static str,
+    /// The radius bound, if any.
+    pub radius: Option<f64>,
     /// Wall-clock seconds for one run.
     pub seconds: f64,
     /// Centers that attracted at least one point (sanity anchor: fixed per
@@ -554,68 +558,117 @@ pub struct AroundBenchRow {
     pub outliers: usize,
 }
 
-/// The SGB-Around brute-vs-indexed comparison behind the `around` binary:
-/// one sweep over input cardinality at a fixed center count, one over
-/// center count at a fixed cardinality. Points come from a Gaussian
-/// mixture and the operator is seeded with the ground-truth mixture
-/// centers (the "derive centers, then regroup relationally" scenario); a
-/// radius bound keeps the outlier path hot. Returns `(radius, rows)`.
+/// Up to `k` distinct points of `points`, drawn by a seeded partial
+/// shuffle: AROUND rejects duplicate centers, and dense hotspots repeat
+/// coordinates.
+fn drawn_centers(points: &[Point<2>], k: usize, seed: u64) -> Vec<Point<2>> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut order: Vec<usize> = (0..points.len()).collect();
+    let mut centers: Vec<Point<2>> = Vec::with_capacity(k);
+    for i in 0..points.len() {
+        if centers.len() == k {
+            break;
+        }
+        order.swap(i, rng.gen_range(i..points.len()));
+        let p = points[order[i]];
+        if !centers.iter().any(|c| c.coords() == p.coords()) {
+            centers.push(p);
+        }
+    }
+    centers
+}
+
+/// The SGB-Around comparison behind the `around` binary: the brute center
+/// scan, the center R-tree and the center grid, timed over three sweeps.
+/// Two draw points from a Gaussian mixture and seed the operator with the
+/// ground-truth mixture centers (the "derive centers, then regroup
+/// relationally" scenario), with a radius bound that keeps the outlier
+/// path hot: one over input cardinality at a fixed center count, one over
+/// center count at a fixed cardinality. The third is `session-mix`'s
+/// AROUND read: 50k check-ins, centers drawn from the check-ins
+/// themselves, so they crowd the same hotspots, and no radius. Every
+/// sweep point asserts that the three paths return the same `Grouping`.
+/// Returns `(radius, rows)`.
 pub fn around_comparison(scale: f64) -> (f64, Vec<AroundBenchRow>) {
     // The JSON labels predate the unified enum ("BruteForce" is
     // `Algorithm::AllPairs` for SGB-Around) and stay stable so the
     // committed BENCH_around.json trajectory remains comparable.
-    const ALGOS: [(&str, Algorithm); 2] = [
+    const ALGOS: [(&str, Algorithm); 3] = [
         ("BruteForce", Algorithm::AllPairs),
         ("Indexed", Algorithm::Indexed),
+        ("Grid", Algorithm::Grid),
     ];
     // 3σ of the mixture spread: ~1% of the mass of a 2-D Gaussian falls
     // outside, so the outlier path stays hot without dominating.
     let radius = 0.03;
     let mut rows = Vec::new();
 
-    let mut run_point =
-        |sweep: &'static str, x: usize, fixed: usize, n: usize, centers_n: usize| {
-            let (points, centers) = clustered_points_with_centers::<2>(n, centers_n, 0.01, 0xA401);
-            let mut sanity = Vec::new();
-            for (name, algorithm) in ALGOS {
-                let query = SgbQuery::around(centers.clone())
-                    .max_radius(radius)
-                    .algorithm(algorithm);
-                let (out, secs) = time(|| query.run(&points));
-                sanity.push((out.num_groups(), out.outliers().len()));
-                eprintln!(
-                    "#   around {sweep}={x} {name}: {secs:.4}s \
-                     ({} occupied, {} outliers)",
-                    out.num_groups(),
-                    out.outliers().len()
-                );
-                rows.push(AroundBenchRow {
-                    sweep,
-                    x,
-                    fixed,
-                    algorithm: name,
-                    seconds: secs,
-                    occupied: out.num_groups(),
-                    outliers: out.outliers().len(),
-                });
-            }
-            assert!(
-                sanity.windows(2).all(|w| w[0] == w[1]),
-                "SGB-Around algorithms disagree at {sweep}={x}: {sanity:?}"
-            );
+    let mut run_point = |sweep: &'static str,
+                         fixed: usize,
+                         points: &[Point<2>],
+                         centers: &[Point<2>],
+                         radius: Option<f64>| {
+        let x = if sweep == "n" {
+            points.len()
+        } else {
+            centers.len()
         };
+        let mut reference: Option<Grouping> = None;
+        for (name, algorithm) in ALGOS {
+            let mut query = SgbQuery::around(centers.to_vec()).algorithm(algorithm);
+            if let Some(r) = radius {
+                query = query.max_radius(r);
+            }
+            let (out, secs) = time(|| query.run(points));
+            eprintln!(
+                "#   around {sweep}={x} {name}: {secs:.4}s \
+                 ({} occupied, {} outliers)",
+                out.num_groups(),
+                out.outliers().len()
+            );
+            rows.push(AroundBenchRow {
+                sweep,
+                x,
+                fixed,
+                algorithm: name,
+                radius,
+                seconds: secs,
+                occupied: out.num_groups(),
+                outliers: out.outliers().len(),
+            });
+            match &reference {
+                Some(expected) => assert_eq!(
+                    &out, expected,
+                    "SGB-Around {name} disagrees with BruteForce at {sweep}={x}"
+                ),
+                None => reference = Some(out),
+            }
+        }
+    };
 
     // Sweep 1: input cardinality at a fixed center count.
     let centers_fixed = 64;
     for base in [5_000usize, 10_000, 20_000, 40_000] {
         let n = scaled(base, scale);
-        run_point("n", n, centers_fixed, n, centers_fixed);
+        let (points, centers) = clustered_points_with_centers::<2>(n, centers_fixed, 0.01, 0xA401);
+        run_point("n", centers_fixed, &points, &centers, Some(radius));
     }
     // Sweep 2: center count at a fixed cardinality (the regime where the
-    // center R-tree pays off over the per-tuple center scan).
+    // center indexes pay off over the per-tuple center scan).
     let n_fixed = scaled(20_000, scale);
     for centers_n in [4usize, 16, 64, 256, 1024] {
-        run_point("centers", centers_n, n_fixed, n_fixed, centers_n);
+        let (points, centers) =
+            clustered_points_with_centers::<2>(n_fixed, centers_n, 0.01, 0xA401);
+        run_point("centers", n_fixed, &points, &centers, Some(radius));
+    }
+    // Sweep 3: centers drawn from check-ins (`session-mix` draws 256).
+    let n_drawn = scaled(50_000, scale);
+    let checkins = CheckinConfig::brightkite_like(n_drawn)
+        .generate()
+        .normalized_points();
+    for centers_n in [8usize, 32, 128, 256, 1024] {
+        let centers = drawn_centers(&checkins, centers_n, 0xD4A3);
+        run_point("drawn", checkins.len(), &checkins, &centers, None);
     }
     (radius, rows)
 }
@@ -1194,9 +1247,10 @@ mod tests {
     fn around_comparison_smoke() {
         let (radius, rows) = around_comparison(0.01);
         assert!(radius > 0.0);
-        // (4 cardinalities + 5 center counts) × 2 algorithms.
-        assert_eq!(rows.len(), 18);
-        for sweep in ["n", "centers"] {
+        // (4 cardinalities + 5 mixture and 5 drawn center counts)
+        // × 3 algorithms.
+        assert_eq!(rows.len(), 42);
+        for sweep in ["n", "centers", "drawn"] {
             assert!(rows.iter().any(|r| r.sweep == sweep));
         }
         // Occupied/outlier counts agree across algorithms per sweep point.

@@ -21,8 +21,10 @@
 //!   (sort-tile-recursive packing, no per-center inserts) and answers each
 //!   tuple with a metric-aware nearest-neighbour query;
 //! * [`Algorithm::Grid`] bulk-loads the centers into a uniform [`Grid`]
-//!   sized for roughly one center per cell and answers each tuple with an
-//!   expanding-ring search.
+//!   sized for roughly one center per cell. A batch searches per block of
+//!   that grid's cells, not per tuple: tuples that share a block share its
+//!   list of candidate centers (below). A single tuple (a maintained
+//!   insert) takes the grid's expanding-ring search.
 //!
 //! [`Algorithm::Auto`] cost-selects among them from the center count
 //! ([`crate::cost::resolve_around`] — centers are part of the query, so
@@ -33,8 +35,42 @@
 //! canonical [`sgb_geom::Metric::distance`] values, the R-tree's best-first
 //! search reports the same values for point entries (see
 //! [`RTree::nearest`]) with ties in ascending payload order, and the
-//! grid's ring search computes the same canonical distances with the same
-//! `(distance, payload)`-lexicographic argmin.
+//! grid's ring search and cell lists compute the same canonical distances
+//! with the same `(distance, center)`-lexicographic argmin.
+//!
+//! ## The grid path's cell lists
+//!
+//! A batch on the `Grid` path groups its tuples by **memo cell**: a block
+//! of `span` center-grid cells per side, with `span` a power of two
+//! chosen so that a worker's tuples fill each memo cell with about 16 on
+//! average (one center-grid cell when tuples crowd the centers' cells,
+//! as on check-in hotspots). Each worker memoises, per memo cell it meets,
+//! the list of centers that can be nearest to some point of the cell's
+//! box, padded by a relative rounding slack:
+//!
+//! * `c0` is the center nearest to the box's middle, and `U` the distance
+//!   from `c0` to the box corner farthest from it. Every point of the box
+//!   lies within `U` of `c0`, so its nearest center lies within `U` of it,
+//!   and so within `U` of the box.
+//! * One ε-probe of the center grid around the middle, `U` plus half the
+//!   box's width wide, visits every such center. The list keeps those
+//!   within `U` of the box, by ascending box distance, ties by center
+//!   index, and drops any beyond the smallest farthest-corner distance of
+//!   a visited center, which bounds every tuple's answer as `U` does.
+//!
+//! A tuple scans its cell's list in that order, stops at the first center
+//! whose box distance exceeds its best distance so far, and keeps the
+//! `(distance, center)`-lexicographic argmin: exactly the scan's answer.
+//! No step needs an error bound. A center's box distance is the metric
+//! over per-axis gaps no larger than a tuple's own, its farthest-corner
+//! distance over gaps no smaller, and every step of
+//! [`sgb_geom::Metric::distance`] rounds monotonically. So for every tuple
+//! of the box, computed box distance ≤ computed tuple distance ≤ computed
+//! farthest-corner distance, bit for bit. The box padding only
+//! keeps tuples in their cell's list: a tuple outside its cell's padded
+//! box (a saturated cell key, or a floor that rounded across the edge)
+//! takes the ring search instead. The memo is cleared past 65,536 cells
+//! or list entries, so a worker's memory stays bounded on any layout.
 
 #![deny(
     clippy::unwrap_used,
@@ -43,9 +79,13 @@
     clippy::panic
 )]
 
+use std::collections::HashMap;
+use std::convert::Infallible;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use sgb_geom::{Metric, Point};
+use sgb_spatial::grid::{CellHasher, CellKey};
 use sgb_spatial::rtree::DEFAULT_MAX_ENTRIES;
 use sgb_spatial::{Grid, RTree};
 use sgb_telemetry::{Phase, Telemetry};
@@ -152,11 +192,17 @@ impl<const D: usize> CenterRule<D> {
     #[inline]
     pub(crate) fn assign(&self, scratch: &mut Vec<usize>, p: &Point<D>) -> Option<CenterId> {
         let c = self.nearest(scratch, p);
-        // Radius bound with the canonical predicate, evaluated identically
-        // on every path (never against the index's reported distance).
+        self.joins(p, c).then_some(c)
+    }
+
+    /// Whether `p` joins its nearest center `c`: the radius bound with the
+    /// canonical predicate, evaluated identically on every path (never
+    /// against an index's reported distance).
+    #[inline]
+    fn joins(&self, p: &Point<D>, c: CenterId) -> bool {
         match self.max_radius {
-            Some(r) if !self.metric.within(p, &self.centers[c], r) => None,
-            _ => Some(c),
+            Some(r) => self.metric.within(p, &self.centers[c], r),
+            None => true,
         }
     }
 
@@ -188,6 +234,236 @@ impl<const D: usize> CenterRule<D> {
             CenterIndex::Cells(grid) => grid.nearest_one(p, metric).map_or(0, |hit| hit.1),
         }
     }
+
+    /// Fresh scratch for one worker of a batch that hands it about
+    /// `tuples` points.
+    fn batch_scratch(&self, tuples: usize) -> BatchScratch<D> {
+        let span = match &*self.index {
+            CenterIndex::Cells(grid) => memo_span::<D>(tuples, grid.occupied_cells()),
+            _ => 1,
+        };
+        BatchScratch {
+            tree: Vec::new(),
+            cells: CellMemo::new(span),
+        }
+    }
+
+    /// Assigns each point of `points` to the slot beside it in `out`: its
+    /// center, or [`OUTLIER`]. Calls `tick` once per point, before the
+    /// point, and stops at its first error. The `Grid` path searches per
+    /// cell through `scratch`'s memo; the others search per point, exactly
+    /// as [`assign`](Self::assign) does.
+    fn assign_chunk<E>(
+        &self,
+        scratch: &mut BatchScratch<D>,
+        points: &[Point<D>],
+        out: &mut [CenterId],
+        mut tick: impl FnMut() -> Result<(), E>,
+    ) -> Result<(), E> {
+        for (p, slot) in points.iter().zip(out) {
+            tick()?;
+            debug_assert!(p.is_finite(), "validated by the callers");
+            let c = match &*self.index {
+                CenterIndex::Cells(grid) => {
+                    scratch.cells.nearest(grid, &self.centers, self.metric, p)
+                }
+                _ => self.nearest(&mut scratch.tree, p),
+            };
+            *slot = if self.joins(p, c) { c } else { OUTLIER };
+        }
+        Ok(())
+    }
+}
+
+/// One worker's scratch for a batch: R-tree traversal scratch, and the
+/// `Grid` path's cell memo.
+#[derive(Debug)]
+struct BatchScratch<const D: usize> {
+    tree: Vec<usize>,
+    cells: CellMemo<D>,
+}
+
+/// The memo is cleared when it holds this many cells or list entries, so
+/// a worker's memo stays under a few MiB whatever the layout.
+const MEMO_CAP: usize = 1 << 16;
+
+/// A memo cell should receive about this many of a worker's tuples, so its
+/// list, which costs a few ring searches to build, pays for itself.
+const TUPLES_PER_MEMO_CELL: usize = 16;
+
+/// The widest memo cell, in center-grid cells per side.
+const MAX_MEMO_SPAN: i64 = 8;
+
+/// How many center-grid cells per side one memo cell spans: the smallest
+/// power of two at which a worker's `tuples` fill each memo cell over the
+/// `occupied` center cells with [`TUPLES_PER_MEMO_CELL`] on average
+/// (tuples tend to lie where the centers do). Wider cells share a list
+/// among more tuples, but every tuple scans the centers inside its cell.
+fn memo_span<const D: usize>(tuples: usize, occupied: usize) -> i64 {
+    let mut span = 1;
+    let mut per_cell = tuples as f64 / occupied.max(1) as f64;
+    while span < MAX_MEMO_SPAN && per_cell < TUPLES_PER_MEMO_CELL as f64 {
+        span *= 2;
+        per_cell *= 2f64.powi(D as i32);
+    }
+    span
+}
+
+/// The `Grid` path's per-worker memo: for each memo cell met so far, the
+/// centers that can be nearest to some point of it (see the module docs).
+#[derive(Debug)]
+struct CellMemo<const D: usize> {
+    /// Center-grid cells per memo cell side ([`memo_span`]).
+    span: i64,
+    /// Each memo cell met so far, with its list, or `None` when the cell
+    /// cannot be listed (a box or bound out of floating-point range): its
+    /// tuples take the ring search.
+    cells: HashMap<CellKey<D>, Option<CellList<D>>, BuildHasherDefault<CellHasher>>,
+    /// Every list's `(box distance, center)` entries, each list one sorted
+    /// run.
+    candidates: Vec<(f64, CenterId)>,
+}
+
+/// A listed cell: its padded box and its run in [`CellMemo::candidates`].
+#[derive(Clone, Copy, Debug)]
+struct CellList<const D: usize> {
+    lo: [f64; D],
+    hi: [f64; D],
+    run: (usize, usize),
+}
+
+impl<const D: usize> CellList<D> {
+    /// Whether `p` lies in the padded box (edges included).
+    #[inline]
+    fn holds(&self, p: &Point<D>) -> bool {
+        (0..D).all(|d| self.lo[d] <= p.coord(d) && p.coord(d) <= self.hi[d])
+    }
+}
+
+impl<const D: usize> CellMemo<D> {
+    /// An empty memo of memo cells `span` center-grid cells wide.
+    fn new(span: i64) -> Self {
+        Self {
+            span,
+            cells: HashMap::default(),
+            candidates: Vec::new(),
+        }
+    }
+
+    /// The nearest center of `p` under `metric`, ties towards the lowest
+    /// center index: exactly [`CenterRule::nearest`]'s answer.
+    fn nearest(
+        &mut self,
+        grid: &Grid<D, CenterId>,
+        centers: &[Point<D>],
+        metric: Metric,
+        p: &Point<D>,
+    ) -> CenterId {
+        let key = grid.cell_of(p).map(|k| k.div_euclid(self.span));
+        let list = match self.cells.get(&key) {
+            Some(list) => *list,
+            None => {
+                if self.cells.len() >= MEMO_CAP || self.candidates.len() >= MEMO_CAP {
+                    self.cells.clear();
+                    self.candidates.clear();
+                }
+                let list = self.list(grid, centers, metric, &key);
+                self.cells.insert(key, list);
+                list
+            }
+        };
+        let Some(list) = list.filter(|list| list.holds(p)) else {
+            return grid.nearest_one(p, metric).map_or(0, |hit| hit.1);
+        };
+        let mut best = (f64::INFINITY, CenterId::MAX);
+        for &(gap, c) in &self.candidates[list.run.0..list.run.1] {
+            // Every later center is at least `gap` from `p` (module docs).
+            if gap > best.0 {
+                break;
+            }
+            let d = metric.distance(p, &centers[c]);
+            if d < best.0 || (d == best.0 && c < best.1) {
+                best = (d, c);
+            }
+        }
+        best.1
+    }
+
+    /// Lists the memo cell `key` (see the module docs), appending its run
+    /// to `candidates`; `None` when its box or bound is not finite.
+    fn list(
+        &mut self,
+        grid: &Grid<D, CenterId>,
+        centers: &[Point<D>],
+        metric: Metric,
+        key: &CellKey<D>,
+    ) -> Option<CellList<D>> {
+        let side = grid.cell_side();
+        let (mut lo, mut hi, mut mid) = ([0.0; D], [0.0; D], [0.0; D]);
+        let mut reach = 0.0f64;
+        for d in 0..D {
+            let first = i128::from(key[d]) * i128::from(self.span);
+            let (l, h) = (
+                first as f64 * side,
+                (first + i128::from(self.span)) as f64 * side,
+            );
+            // Catches the tuples whose `floor(x / side)` rounded up across
+            // the box's edge (they stay correct either way).
+            let pad = (D + 2) as f64 * f64::EPSILON * l.abs().max(h.abs());
+            (lo[d], hi[d]) = (l - pad, h + pad);
+            mid[d] = lo[d] + (hi[d] - lo[d]) / 2.0;
+            reach = reach.max(mid[d] - lo[d]).max(hi[d] - mid[d]);
+        }
+        let mid = Point::new(mid);
+        // A finite middle means a finite box.
+        if !mid.is_finite() {
+            return None;
+        }
+        let (_, c0) = grid.nearest_one(&mid, metric)?;
+        // Every point of the box lies within `bound` of `c0`.
+        let bound = farthest_corner(metric, &lo, &hi, &centers[c0]);
+        if !bound.is_finite() {
+            return None;
+        }
+        let start = self.candidates.len();
+        let mut tightest = bound;
+        grid.for_each_within(&mid, bound + reach, |c, &id| {
+            tightest = tightest.min(farthest_corner(metric, &lo, &hi, c));
+            let nearest = Point::new(std::array::from_fn(|d| c.coord(d).max(lo[d]).min(hi[d])));
+            let gap = metric.distance(&nearest, c);
+            if gap <= bound {
+                self.candidates.push((gap, id));
+            }
+        });
+        let listed = &mut self.candidates;
+        listed[start..].sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let kept = listed[start..].partition_point(|&(gap, _)| gap <= tightest);
+        listed.truncate(start + kept);
+        let run = (start, listed.len());
+        // The center nearest to `mid` is always listed.
+        (run.0 < run.1).then_some(CellList { lo, hi, run })
+    }
+}
+
+/// The distance from `c` to the corner of the box `lo..=hi` farthest from
+/// it: no point of the box is farther from `c`, and by monotone rounding
+/// no computed distance is either.
+#[inline]
+fn farthest_corner<const D: usize>(
+    metric: Metric,
+    lo: &[f64; D],
+    hi: &[f64; D],
+    c: &Point<D>,
+) -> f64 {
+    let corner = std::array::from_fn(|d| {
+        let x = c.coord(d);
+        if (x - lo[d]).abs() > (hi[d] - x).abs() {
+            lo[d]
+        } else {
+            hi[d]
+        }
+    });
+    metric.distance(&Point::new(corner), c)
 }
 
 /// The slot of a point beyond the radius bound: no center has this index.
@@ -219,8 +495,9 @@ const OUTLIER: CenterId = CenterId::MAX;
 /// resolved it, see [`crate::cost::threads_for_around`]), dealt round-robin
 /// to one [`run_jobs`] job per worker, so an uneven cluster layout still
 /// balances. Each job classifies its chunks into their own slots, ticking
-/// a pacer of its own against the shared governor once per point; then,
-/// only when every job succeeded, an arrival-order pass appends each
+/// a pacer of its own against the shared governor once per point; on the
+/// `Grid` path it keeps one cell memo across its chunks (module docs).
+/// Then, only when every job succeeded, an arrival-order pass appends each
 /// record id to its group, so member order matches a one-worker run
 /// exactly (asserted by `tests/proptest_parallel.rs`). Points must be
 /// finite (validated by the callers). On `Err`, nothing built here
@@ -237,6 +514,7 @@ pub(crate) fn assign_batch<const D: usize>(
     let join = tel.phase(Phase::Join);
     let workers = threads.max(1);
     let chunk = points.len().div_ceil(4 * workers).max(1);
+    let per_worker = points.len().div_ceil(workers);
     let mut slots = vec![OUTLIER; points.len()];
     let mut dealt: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
     let pairs = points.chunks(chunk).zip(slots.chunks_mut(chunk));
@@ -246,14 +524,10 @@ pub(crate) fn assign_batch<const D: usize>(
     let jobs = dealt.into_iter().filter(|chunks| !chunks.is_empty());
     let verdicts = run_jobs(jobs.map(|chunks| {
         move || {
-            let mut scratch = Vec::new();
+            let mut scratch = rule.batch_scratch(per_worker);
             let mut pacer = Pacer::new();
             for (pts, out) in chunks {
-                for (p, slot) in pts.iter().zip(out) {
-                    pacer.tick(governor)?;
-                    debug_assert!(p.is_finite(), "validated by the callers");
-                    *slot = rule.assign(&mut scratch, p).unwrap_or(OUTLIER);
-                }
+                rule.assign_chunk(&mut scratch, pts, out, || pacer.tick(governor))?;
             }
             Ok(())
         }
@@ -270,6 +544,28 @@ pub(crate) fn assign_batch<const D: usize>(
     drop(join);
     let _merge = tel.phase(Phase::Merge);
     Ok(Grouping::around(groups, outliers))
+}
+
+/// Every point's assignment in one sequential pass, through the same
+/// per-chunk search as [`assign_batch`], for callers that neither pace nor
+/// group (the maintained grouping's build): `Some(center)`, or `None` for
+/// an outlier.
+pub(crate) fn assign_all<const D: usize>(
+    rule: &CenterRule<D>,
+    points: &[Point<D>],
+) -> Vec<Option<CenterId>> {
+    let mut slots = vec![OUTLIER; points.len()];
+    let mut scratch = rule.batch_scratch(points.len());
+    let Ok(()) = rule.assign_chunk(
+        &mut scratch,
+        points,
+        &mut slots,
+        || Ok::<(), Infallible>(()),
+    );
+    slots
+        .into_iter()
+        .map(|c| (c != OUTLIER).then_some(c))
+        .collect()
 }
 
 #[cfg(test)]
@@ -527,6 +823,47 @@ mod tests {
                 let out = query.run(&points);
                 assert_eq!(out.groups(), &[vec![0, 2], vec![1]], "{algo:?} {metric}");
                 assert_eq!(out.group_centers(), &[0, 1], "{algo:?} {metric}");
+            }
+        }
+    }
+
+    /// The scan's answer: the `(distance, index)`-lexicographic argmin.
+    fn scan_nearest(centers: &[Point<2>], metric: Metric, p: &Point<2>) -> CenterId {
+        let mut best = (f64::INFINITY, 0);
+        for (c, q) in centers.iter().enumerate() {
+            let d = metric.distance(p, q);
+            if d < best.0 {
+                best = (d, c);
+            }
+        }
+        best.1
+    }
+
+    #[test]
+    fn memo_cells_of_every_span_answer_like_the_scan() {
+        // In the 8-wide memo cell [0, 8]², center 1 is nearest to the tuples
+        // near (8, 8) under L2, though it lies 9 cells above the middle: the
+        // probe must reach past the middle's own bound by half the cell.
+        let wide = pts(&[[4.0, 4.0], [8.0, 13.0]]);
+        let lattice: Vec<Point<2>> = (0..=32)
+            .flat_map(|i| (0..=32).map(move |j| Point::new([i as f64 / 4.0, j as f64 / 4.0])))
+            .collect();
+        // Sparse centers, with tuples inside and far outside their box.
+        let sparse = cloud(40, 0x5EED, 40.0);
+        let strays = cloud(400, 0x57A7, 60.0);
+        for (centers, tuples) in [(&wide, &lattice), (&sparse, &strays)] {
+            let grid = Grid::from_points(1.0, centers.iter().copied().zip(0..));
+            for metric in Metric::ALL {
+                for span in [1, 2, 4, 8] {
+                    let mut memo = CellMemo::new(span);
+                    for p in tuples {
+                        assert_eq!(
+                            memo.nearest(&grid, centers, metric, p),
+                            scan_nearest(centers, metric, p),
+                            "{metric} span {span} tuple {p:?}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -77,9 +77,13 @@ pub const ANY_ALL_PAIRS_MAX_N: usize = 512;
 
 /// Up to this many centers SGB-Around's `Auto` uses the brute center scan:
 /// BENCH_around.json shows the R-tree path losing below ~1k centers
-/// because index construction dominates the per-tuple savings, and the
-/// BENCH_grid.json center sweep brackets the grid's crossover between 64
-/// (brute 0.0007s vs grid 0.0038s) and 256 centers (0.0108s vs 0.0080s).
+/// because index construction dominates the per-tuple savings. The value
+/// was set against the grid's per-tuple ring search, whose crossover
+/// BENCH_grid.json bracketed between 64 and 256 centers. Since the grid
+/// shares one candidate list per block of cells, BENCH_around.json puts
+/// the crossover between 4 and 16 mixture centers and between 32 and 128
+/// centers drawn from check-ins; the value stays until `Auto` is checked
+/// against every path.
 pub const AROUND_BRUTE_MAX_CENTERS: usize = 128;
 
 /// Highest dimensionality at which the ε-grid is selected; beyond it the

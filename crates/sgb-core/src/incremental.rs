@@ -64,7 +64,7 @@ use sgb_geom::Point;
 use sgb_spatial::{Grid, SortedCells};
 
 use crate::all::SgbAll;
-use crate::around::{build_center_index, CenterRule};
+use crate::around::{self, build_center_index, CenterRule};
 use crate::governor::{QueryGovernor, SgbError, CHECK_INTERVAL};
 use crate::query::{Grouping, OpSpec, SgbQuery};
 use crate::{cost, Algorithm, OverlapAction, RecordId};
@@ -225,15 +225,11 @@ impl<const D: usize> MaintainedGrouping<D> {
                     cost::around_cost_model(query.configured_algorithm(), centers.len(), D);
                 let index = build_center_index(resolved, centers);
                 let rule = CenterRule::new(&query, centers, *max_radius, Arc::new(index));
-                let mut scratch = Vec::new();
-                let assign = points
-                    .iter()
-                    .map(|p| rule.assign(&mut scratch, p))
-                    .collect();
+                let assign = around::assign_all(&rule, points);
                 OpState::Around {
                     rule,
                     assign,
-                    scratch,
+                    scratch: Vec::new(),
                 }
             }
             OpSpec::All { eps, overlap } => {

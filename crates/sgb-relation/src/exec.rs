@@ -486,8 +486,10 @@ fn join_key<R: RowView + ?Sized>(
 /// A count, sum, avg, min or max over a plain column that holds a
 /// `Value::Float` in every input row folds each group from that column,
 /// read once into a dense vector, without touching member rows
-/// ([`FloatAgg`]). Every other call folds member by member through
-/// [`AggState`], members outermost, so errors surface in the same order.
+/// ([`FloatAgg`]), and `count(*)` is each group's member count. Every
+/// other call folds member by member through [`AggState`], members
+/// outermost, so errors surface in the same order; with no such call, no
+/// member row is read.
 fn aggregate_grouping(
     rows: &RowSet<'_>,
     grouping: &Grouping,
@@ -511,25 +513,34 @@ fn aggregate_grouping(
             Some((agg, column))
         })
         .collect();
+    // Only the calls left to `AggState` read member rows.
+    let walk_members = aggs
+        .iter()
+        .zip(&folds)
+        .any(|(call, fold)| call.kind != AggKind::CountStar && fold.is_none());
     let mut out = Vec::with_capacity(grouping.num_groups() + 1);
     let mut accs: Vec<Acc> = Vec::with_capacity(aggs.len());
     let mut internal: Row = Vec::with_capacity(aggs.len());
     let mut parts = Vec::with_capacity(rows.sources.len());
     for members in grouping.output_groups() {
         accs.extend(aggs.iter().zip(&folds).map(|(call, fold)| match fold {
+            _ if call.kind == AggKind::CountStar => Acc::Members,
             Some((agg, column)) => Acc::Column(*agg, column),
             None => Acc::Rows(AggState::new(call)),
         }));
-        for &r in members {
-            rows.row(r, &mut parts);
-            for (acc, call) in accs.iter_mut().zip(aggs) {
-                if let Acc::Rows(state) = acc {
-                    state.update(call, parts.as_slice())?;
+        if walk_members {
+            for &r in members {
+                rows.row(r, &mut parts);
+                for (acc, call) in accs.iter_mut().zip(aggs) {
+                    if let Acc::Rows(state) = acc {
+                        state.update(call, parts.as_slice())?;
+                    }
                 }
             }
         }
         internal.clear();
         internal.extend(accs.drain(..).map(|acc| match acc {
+            Acc::Members => Value::Int(members.len() as i64),
             Acc::Column(agg, column) => agg.fold(column, members),
             Acc::Rows(state) => state.finish(),
         }));
@@ -540,6 +551,8 @@ fn aggregate_grouping(
 
 /// How a similarity node aggregates one call over the current group.
 enum Acc<'c> {
+    /// `count(*)`: the group's member count.
+    Members,
     /// Folded from the call's gathered float column.
     Column(FloatAgg, &'c [f64]),
     /// Updated row by row.

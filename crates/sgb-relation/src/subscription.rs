@@ -517,9 +517,11 @@ impl SubscriptionSet {
     /// half-applied delta or an epoch rollback. Exception: a delta that
     /// overruns the `deadline` is **rejected atomically** — nothing is
     /// published (the snapshot epoch does not advance) and the subscription
-    /// deactivates, keeping its last snapshot readable. Its maintained
-    /// state may be mid-delta, but nothing reads it again: an inactive
-    /// subscription takes no deltas and serves no reads.
+    /// deactivates, keeping its last snapshot readable. Once the delta
+    /// settles, every inactive subscription leaves the set, and its
+    /// maintained state (possibly mid-delta) with it: an inactive
+    /// subscription takes no deltas and serves no reads, and its handle
+    /// keeps the last snapshot through its own share of [`Shared`].
     fn apply_delta(
         &mut self,
         table: &str,
@@ -550,6 +552,7 @@ impl SubscriptionSet {
             };
             registry.inc(DELTAS_COUNTER, &[("outcome", outcome)], 1);
         }
+        self.subs.retain(Subscription::is_active);
     }
 
     /// Drops every subscription of `table` (deactivating their handles) —
@@ -637,5 +640,52 @@ pub(crate) fn build_maintained(
         n => Err(Error::Unsupported(format!(
             "similarity grouping over {n} attributes (2 or 3 supported)"
         ))),
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use std::time::Duration;
+
+    use crate::Database;
+
+    const SQL: &str = "SELECT count(*) FROM t GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.5";
+
+    fn subscribed_db() -> (Database, super::SubscriptionHandle) {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (x DOUBLE, y DOUBLE)").unwrap();
+        db.execute("INSERT INTO t VALUES (0.0, 0.0), (0.3, 0.0), (5.0, 5.0)")
+            .unwrap();
+        let sub = db.subscribe(SQL).unwrap();
+        assert_eq!(db.subscriptions().subs.len(), 1);
+        (db, sub)
+    }
+
+    /// A delta rejected by the deadline drops the subscription's maintained
+    /// state from the session; the handle still reads its last snapshot.
+    #[test]
+    fn timed_out_delta_leaves_no_subscription_state() {
+        let (mut db, sub) = subscribed_db();
+        let before = sub.snapshot();
+        let opts = db
+            .session()
+            .with_statement_timeout(Some(Duration::from_nanos(1)));
+        *db.session_mut() = opts;
+        db.execute("INSERT INTO t VALUES (9.0, 9.0)").unwrap();
+        assert!(!sub.is_active());
+        assert!(db.subscriptions().subs.is_empty(), "state left behind");
+        assert_eq!(sub.snapshot().epoch(), before.epoch());
+        assert_eq!(sub.snapshot().grouping(), before.grouping());
+    }
+
+    /// So does a delta whose recovery rebuild fails.
+    #[test]
+    fn failed_recovery_leaves_no_subscription_state() {
+        let (mut db, sub) = subscribed_db();
+        db.execute("INSERT INTO t VALUES (1.0, 'oops')").unwrap();
+        assert!(!sub.is_active());
+        assert!(db.subscriptions().subs.is_empty(), "state left behind");
+        assert_eq!(sub.snapshot().epoch(), 0);
     }
 }

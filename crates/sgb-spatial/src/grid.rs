@@ -171,6 +171,13 @@ impl<const D: usize, T> Grid<D, T> {
         grid
     }
 
+    /// The cell side length: cell `k` spans `[k·side, (k + 1)·side)` per
+    /// dimension, up to the rounding of [`cell_of`](Self::cell_of).
+    #[inline]
+    pub fn cell_side(&self) -> f64 {
+        self.cell
+    }
+
     /// Number of stored entries.
     #[inline]
     pub fn len(&self) -> usize {

@@ -6,6 +6,9 @@
 //! NULL values unchanged (`Value::arith`), but it is not a plain column,
 //! so it always takes the per-member path.
 //!
+//! `count(*)` is each group's member count; its oracle is `count(x * 1)`
+//! over the never-NULL `x`.
+//!
 //! The borrowed-root cases pin what a bare scan hands the caller: the
 //! catalog's own rows, cut or sorted, with the catalog left as it was.
 
@@ -186,6 +189,54 @@ proptest! {
         };
         let plain = statement(|c| &c.0);
         let oracle = statement(|c| &c.1);
+        if serve {
+            db.subscribe(&plain).unwrap();
+            prop_assert!(db.explain(&oracle).unwrap().contains("snapshot: subscription"));
+        }
+        let (got, want) = (run(&db, &plain), run(&db, &oracle));
+        match (&got, &want) {
+            (Ok(got), Ok(want)) => prop_assert!(
+                same_rows(got, want),
+                "{plain}\n  got: {got:?}\n want: {want:?} ({oracle})"
+            ),
+            _ => prop_assert_eq!(&got, &want, "{} vs {}", plain, oracle),
+        }
+    }
+
+    /// `count(*)`, folded from each group's member count, equals a per-member
+    /// count of the never-NULL `x * 1`, alone (no member row is read) or
+    /// beside the five float folds, with and without HAVING on it, under
+    /// every operator, computed or served from a subscription.
+    #[test]
+    fn count_star_matches_per_member_count(
+        draws in vec(row_draw(), 0..48),
+        special_share in prop::sample::select(vec![0u8, 5, 40]),
+        palette in 0u8..3,
+        column in 0u8..4,
+        alone in any::<bool>(),
+        op in 0u8..5,
+        eps in prop::sample::select(vec![0.5f64, 1.0, 2.5]),
+        having in (any::<bool>(), -2i64..3),
+        serve in any::<bool>(),
+    ) {
+        let rows = build_rows(&draws, special_share, palette);
+        let mut db = db_with(&rows);
+        let folds: Vec<(String, String)> = if alone {
+            Vec::new()
+        } else {
+            (0..5).map(|kind| call(kind, column)).collect()
+        };
+        let clause = grouping_clause(op, eps);
+        let statement = |count: &str, pick: fn(&(String, String)) -> &String| {
+            let list: String = folds.iter().map(|c| format!(", {}", pick(c))).collect();
+            let having = match having {
+                (true, n) => format!(" HAVING {count} > {n}"),
+                (false, _) => String::new(),
+            };
+            format!("SELECT {count}{list} FROM t GROUP BY x, y {clause}{having}")
+        };
+        let plain = statement("count(*)", |c| &c.0);
+        let oracle = statement("count(x * 1)", |c| &c.1);
         if serve {
             db.subscribe(&plain).unwrap();
             prop_assert!(db.explain(&oracle).unwrap().contains("snapshot: subscription"));
