@@ -1,9 +1,9 @@
-//! SGB-Around benchmark: the brute-force center scan (`Algorithm::AllPairs`
-//! on the unified `SgbQuery` surface; the JSON label stays "BruteForce"
-//! for report continuity), the bulk-loaded center R-tree and the center
-//! grid, swept over input cardinality and center count on a Gaussian
-//! mixture, and over center count with centers drawn from 50k check-ins
-//! (`session-mix`'s AROUND read). Every sweep point asserts that the three
+//! SGB-Around benchmark: the operator's two paths, the brute-force center
+//! scan (`Algorithm::AllPairs` on the unified `SgbQuery` surface; the JSON
+//! label stays "BruteForce" for report continuity) and the center grid,
+//! swept over input cardinality and center count on a Gaussian mixture,
+//! and over center count with centers drawn from 50k check-ins
+//! (`session-mix`'s AROUND read). Every sweep point asserts that both
 //! paths return the same grouping. Written as JSON so the repository
 //! accumulates a perf trajectory for the operator.
 //!

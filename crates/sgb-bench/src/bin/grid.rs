@@ -1,7 +1,7 @@
 //! Grid-engine benchmark: the ε-grid execution paths vs the R-tree-indexed
-//! paths vs the scan baselines for all three similarity operators, with an
-//! `Auto` row per sweep point showing the cost-based selection tracking
-//! the per-configuration winner. Every operator is driven through the
+//! paths (SGB-All, SGB-Any) vs the scan baselines for all three similarity
+//! operators, with an `Auto` row per sweep point showing the cost-based
+//! selection tracking the per-configuration winner. Every operator is driven through the
 //! unified `SgbQuery` surface with the family-wide `Algorithm` selector
 //! (the SGB-Around "BruteForce" label is `Algorithm::AllPairs`, kept for
 //! report continuity). Results are written as JSON so the repository

@@ -545,7 +545,7 @@ pub struct AroundBenchRow {
     pub x: usize,
     /// The fixed other variable (center count or input cardinality).
     pub fixed: usize,
-    /// Algorithm label (`"BruteForce"` / `"Indexed"` / `"Grid"`).
+    /// Algorithm label (`"BruteForce"` / `"Grid"`).
     pub algorithm: &'static str,
     /// The radius bound, if any.
     pub radius: Option<f64>,
@@ -578,8 +578,8 @@ fn drawn_centers(points: &[Point<2>], k: usize, seed: u64) -> Vec<Point<2>> {
     centers
 }
 
-/// The SGB-Around comparison behind the `around` binary: the brute center
-/// scan, the center R-tree and the center grid, timed over three sweeps.
+/// The SGB-Around comparison behind the `around` binary: its two paths,
+/// the brute center scan and the center grid, timed over three sweeps.
 /// Two draw points from a Gaussian mixture and seed the operator with the
 /// ground-truth mixture centers (the "derive centers, then regroup
 /// relationally" scenario), with a radius bound that keeps the outlier
@@ -587,15 +587,14 @@ fn drawn_centers(points: &[Point<2>], k: usize, seed: u64) -> Vec<Point<2>> {
 /// center count at a fixed cardinality. The third is `session-mix`'s
 /// AROUND read: 50k check-ins, centers drawn from the check-ins
 /// themselves, so they crowd the same hotspots, and no radius. Every
-/// sweep point asserts that the three paths return the same `Grouping`.
+/// sweep point asserts that both paths return the same `Grouping`.
 /// Returns `(radius, rows)`.
 pub fn around_comparison(scale: f64) -> (f64, Vec<AroundBenchRow>) {
     // The JSON labels predate the unified enum ("BruteForce" is
     // `Algorithm::AllPairs` for SGB-Around) and stay stable so the
     // committed BENCH_around.json trajectory remains comparable.
-    const ALGOS: [(&str, Algorithm); 3] = [
+    const ALGOS: [(&str, Algorithm); 2] = [
         ("BruteForce", Algorithm::AllPairs),
-        ("Indexed", Algorithm::Indexed),
         ("Grid", Algorithm::Grid),
     ];
     // 3σ of the mixture spread: ~1% of the mass of a 2-D Gaussian falls
@@ -654,7 +653,7 @@ pub fn around_comparison(scale: f64) -> (f64, Vec<AroundBenchRow>) {
         run_point("n", centers_fixed, &points, &centers, Some(radius));
     }
     // Sweep 2: center count at a fixed cardinality (the regime where the
-    // center indexes pay off over the per-tuple center scan).
+    // center grid pays off over the per-tuple center scan).
     let n_fixed = scaled(20_000, scale);
     for centers_n in [4usize, 16, 64, 256, 1024] {
         let (points, centers) =
@@ -739,10 +738,10 @@ fn time_algorithms(
 }
 
 /// The grid-engine comparison behind the `grid` binary: Grid vs the
-/// R-tree-indexed paths vs the scan baselines for all three operators,
-/// over input-cardinality and ε / center-count sweeps, with an `Auto` row
-/// per sweep point showing the cost model tracking the per-configuration
-/// winner, plus a worker-thread sweep over the two parallelisable grid
+/// R-tree-indexed paths (SGB-All, SGB-Any) vs the scan baselines for all
+/// three operators, over input-cardinality and ε / center-count sweeps,
+/// with an `Auto` row per sweep point showing the cost model tracking the
+/// per-configuration winner, plus a worker-thread sweep over the two parallelisable grid
 /// paths (SGB-Any's sharded ε-join and SGB-Around's chunked assignment)
 /// and SGB-All's worst case for `Grid`, a single ε-component.
 /// `threads` overrides the worker count for the main sweeps (0 = auto).
@@ -767,9 +766,8 @@ pub fn grid_comparison(scale: f64, threads: usize) -> Vec<GridBenchRow> {
     ];
     // "BruteForce" is `Algorithm::AllPairs` for SGB-Around; the label is
     // kept for BENCH_grid.json continuity.
-    const AROUND_ALGOS: [(&str, Algorithm); 4] = [
+    const AROUND_ALGOS: [(&str, Algorithm); 3] = [
         ("BruteForce", Algorithm::AllPairs),
-        ("Indexed", Algorithm::Indexed),
         ("Grid", Algorithm::Grid),
         ("Auto", Algorithm::Auto),
     ];
@@ -818,8 +816,8 @@ pub fn grid_comparison(scale: f64, threads: usize) -> Vec<GridBenchRow> {
         run_all_any("eps", eps, n_fixed, eps);
     }
 
-    // Sweep 3: SGB-Around over center count (the BENCH_around.json regime
-    // where the old Indexed default loses below ~1k centers).
+    // Sweep 3: SGB-Around over center count, at the BENCH_around.json
+    // mixture sweep's shape.
     let n_around = scaled(20_000, scale);
     for centers_n in [16usize, 64, 256, 1024, 4096] {
         let centers_n_scaled = scaled(centers_n, scale).min(n_around);
@@ -1248,8 +1246,8 @@ mod tests {
         let (radius, rows) = around_comparison(0.01);
         assert!(radius > 0.0);
         // (4 cardinalities + 5 mixture and 5 drawn center counts)
-        // × 3 algorithms.
-        assert_eq!(rows.len(), 42);
+        // × 2 algorithms.
+        assert_eq!(rows.len(), 28);
         for sweep in ["n", "centers", "drawn"] {
             assert!(rows.iter().any(|r| r.sweep == sweep));
         }
@@ -1267,10 +1265,10 @@ mod tests {
     fn grid_comparison_smoke() {
         let rows = grid_comparison(0.01, 0);
         // (4 n-points + 3 eps-points) × (5 All + 4 Any algorithms)
-        // + 5 center-points × 4 Around algorithms
+        // + 5 center-points × 3 Around algorithms
         // + 3 thread-counts × 2 parallelisable grid paths
         // + 2 single-component points × 5 All algorithms.
-        assert_eq!(rows.len(), 7 * 9 + 5 * 4 + 6 + 2 * 5);
+        assert_eq!(rows.len(), 7 * 9 + 5 * 3 + 6 + 2 * 5);
         // The thread sweep pins explicit worker counts (1, 2, 4) and the
         // auto-resolved rows report the threads they actually ran on.
         let thread_rows: Vec<&GridBenchRow> =

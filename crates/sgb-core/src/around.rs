@@ -14,49 +14,51 @@
 //! natural high-throughput member of the family — assignments are
 //! embarrassingly parallel and need no inter-group reconciliation.
 //!
-//! Three interchangeable search strategies:
+//! Two interchangeable search strategies:
 //!
 //! * [`Algorithm::AllPairs`] scans every center per tuple;
-//! * [`Algorithm::Indexed`] bulk-loads the centers into an [`RTree`] once
-//!   (sort-tile-recursive packing, no per-center inserts) and answers each
-//!   tuple with a metric-aware nearest-neighbour query;
 //! * [`Algorithm::Grid`] bulk-loads the centers into a uniform [`Grid`]
-//!   sized for roughly one center per cell. A batch searches per block of
+//!   sized for roughly one center per cell, and searches per block of
 //!   that grid's cells, not per tuple: tuples that share a block share its
-//!   list of candidate centers (below). A single tuple (a maintained
-//!   insert) takes the grid's expanding-ring search.
+//!   list of candidate centers (below). Batches and a maintained
+//!   grouping's inserts search the same way.
 //!
-//! [`Algorithm::Auto`] cost-selects among them from the center count
+//! [`Algorithm::Auto`] cost-selects between them from the center count
 //! ([`crate::cost::resolve_around`] — centers are part of the query, so
 //! the input's size never enters the choice).
 //!
-//! All paths break exact distance ties towards the **lowest center
-//! index** and produce bit-identical groupings: the brute path compares
-//! canonical [`sgb_geom::Metric::distance`] values, the R-tree's best-first
-//! search reports the same values for point entries (see
-//! [`RTree::nearest`]) with ties in ascending payload order, and the
-//! grid's ring search and cell lists compute the same canonical distances
+//! Both paths break exact distance ties towards the **lowest center
+//! index** and produce bit-identical groupings: the scan and the cell
+//! lists compare the same canonical [`sgb_geom::Metric::distance`] values
 //! with the same `(distance, center)`-lexicographic argmin.
 //!
 //! ## The grid path's cell lists
 //!
-//! A batch on the `Grid` path groups its tuples by **memo cell**: a block
-//! of `span` center-grid cells per side, with `span` a power of two
-//! chosen so that a worker's tuples fill each memo cell with about 16 on
-//! average (one center-grid cell when tuples crowd the centers' cells,
-//! as on check-in hotspots). Each worker memoises, per memo cell it meets,
-//! the list of centers that can be nearest to some point of the cell's
-//! box, padded by a relative rounding slack:
+//! The `Grid` path groups its tuples by **memo cell**: a block of `span`
+//! center-grid cells per side, with `span` a power of two chosen so that
+//! a worker's tuples fill each memo cell with about 16 on average (one
+//! center-grid cell when tuples crowd the centers' cells, as on check-in
+//! hotspots). Each worker memoises, per memo cell it meets, the list of
+//! centers that can be nearest to some point of the cell's box, padded by
+//! a relative rounding slack. With `r` half the padded box's width and
+//! `T` the smallest distance from a center to the box corner farthest
+//! from it, the list holds every center within `T` of the box, by
+//! ascending box distance, ties by center index. Every point of the box
+//! lies within `T` of that center, so its nearest center lies within `T`
+//! of it, and so within `T` of the box. One growing probe finds them:
 //!
-//! * `c0` is the center nearest to the box's middle, and `U` the distance
-//!   from `c0` to the box corner farthest from it. Every point of the box
-//!   lies within `U` of `c0`, so its nearest center lies within `U` of it,
-//!   and so within `U` of the box.
-//! * One ε-probe of the center grid around the middle, `U` plus half the
-//!   box's width wide, visits every such center. The list keeps those
-//!   within `U` of the box, by ascending box distance, ties by center
-//!   index, and drops any beyond the smallest farthest-corner distance of
-//!   a visited center, which bounds every tuple's answer as `U` does.
+//! * It probes the center grid around the box's middle, `R` wide in L∞,
+//!   starting at `R = r` and doubling `R` while the probe finds nothing.
+//!   `T` is the smallest farthest-corner distance of a center it visited.
+//! * A center within `T` of the box lies within `T + r` of the middle in
+//!   L∞ (every metric bounds L∞ from above; the probe's one-cell pad
+//!   absorbs rounding). So one more probe, `R = T + r` wide, visits every
+//!   such center. It can only shrink `T`, and it lists the centers within
+//!   the final `T` of the box.
+//!
+//! The final `T` is the smallest farthest-corner distance over all
+//! centers, so the list does not depend on where the probe started, and
+//! every tuple scans the same entries.
 //!
 //! A tuple scans its cell's list in that order, stops at the first center
 //! whose box distance exceeds its best distance so far, and keeps the
@@ -66,11 +68,12 @@
 //! distance over gaps no smaller, and every step of
 //! [`sgb_geom::Metric::distance`] rounds monotonically. So for every tuple
 //! of the box, computed box distance ≤ computed tuple distance ≤ computed
-//! farthest-corner distance, bit for bit. The box padding only
-//! keeps tuples in their cell's list: a tuple outside its cell's padded
-//! box (a saturated cell key, or a floor that rounded across the edge)
-//! takes the ring search instead. The memo is cleared past 65,536 cells
-//! or list entries, so a worker's memory stays bounded on any layout.
+//! farthest-corner distance, bit for bit. The box padding only keeps
+//! tuples in their cell's list: a tuple outside its cell's padded box (a
+//! saturated cell key, or a floor that rounded across the edge), or in a
+//! cell whose box or `T` is not finite, takes the scan instead. The memo
+//! is cleared past 65,536 cells or list entries, so a worker's memory
+//! stays bounded on any layout.
 
 #![deny(
     clippy::unwrap_used,
@@ -86,8 +89,7 @@ use std::sync::Arc;
 
 use sgb_geom::{Metric, Point};
 use sgb_spatial::grid::{CellHasher, CellKey};
-use sgb_spatial::rtree::DEFAULT_MAX_ENTRIES;
-use sgb_spatial::{Grid, RTree};
+use sgb_spatial::Grid;
 use sgb_telemetry::{Phase, Telemetry};
 
 use crate::governor::{run_jobs, Pacer, QueryGovernor, SgbError};
@@ -96,83 +98,50 @@ use crate::{Algorithm, Grouping, SgbQuery};
 /// Index of a center in the query's center list.
 pub type CenterId = usize;
 
-/// The per-tuple nearest-center search structure, per concrete algorithm.
-/// Crate-visible (behind an `Arc`) so the session index cache can build a
-/// center index once and share it across queries — its construction reads
-/// only the query's center coordinates, never the table, so a cached
-/// entry stays valid across table versions and metrics.
-#[derive(Clone, Debug)]
-pub(crate) enum CenterIndex<const D: usize> {
-    /// Brute force: scan the configured center list.
-    Scan,
-    /// Center R-tree, STR bulk-loaded once at construction.
-    Tree(RTree<D, CenterId>),
-    /// Center grid, bulk-loaded once at construction.
-    Cells(Grid<D, CenterId>),
-}
+/// The `Grid` path's search structure: a grid over the centers, each
+/// entry's payload its center index. Its construction reads only the
+/// query's center coordinates, never the table or the metric, so the
+/// session index cache can share one build across queries and table
+/// versions.
+pub(crate) type CenterGrid<const D: usize> = Grid<D, CenterId>;
 
-impl<const D: usize> CenterIndex<D> {
-    /// The concrete algorithm this structure serves.
-    pub(crate) fn algorithm(&self) -> Algorithm {
-        match self {
-            CenterIndex::Scan => Algorithm::AllPairs,
-            CenterIndex::Tree(_) => Algorithm::Indexed,
-            CenterIndex::Cells(_) => Algorithm::Grid,
-        }
-    }
-}
-
-/// Bulk-loads the center search structure for a resolved algorithm, split
-/// out so the session cache can build (and retain) an index without an
-/// operator instance.
-pub(crate) fn build_center_index<const D: usize>(
-    algorithm: Algorithm,
-    centers: &[Point<D>],
-) -> CenterIndex<D> {
-    match algorithm {
-        Algorithm::Indexed => CenterIndex::Tree(RTree::from_points(
-            DEFAULT_MAX_ENTRIES,
-            centers.iter().enumerate().map(|(c, p)| (*p, c)),
-        )),
-        Algorithm::Grid => CenterIndex::Cells(Grid::from_points(
-            Grid::<D, CenterId>::side_for_points(centers),
-            centers.iter().enumerate().map(|(c, p)| (*p, c)),
-        )),
-        // Resolution never yields `Auto` (and the builder rejects
-        // `BoundsChecking`); both share the scan's arm.
-        Algorithm::AllPairs | Algorithm::Auto | Algorithm::BoundsChecking => CenterIndex::Scan,
-    }
+/// Bulk-loads the center grid, sized for roughly one center per cell.
+pub(crate) fn build_center_grid<const D: usize>(centers: &[Point<D>]) -> CenterGrid<D> {
+    Grid::from_points(
+        Grid::<D, CenterId>::side_for_points(centers),
+        centers.iter().enumerate().map(|(c, p)| (*p, c)),
+    )
 }
 
 /// The assignment rule of one SGB-Around query: its centers, metric and
-/// radius bound, plus the search structure over the centers. Shared by
+/// radius bound, plus the center grid of the `Grid` path. Shared by
 /// [`assign_batch`] and the incremental engine.
 #[derive(Clone, Debug)]
 pub(crate) struct CenterRule<const D: usize> {
     centers: Vec<Point<D>>,
     metric: Metric,
     max_radius: Option<f64>,
-    /// Nearest-center search structure, bulk-loaded once (centers never
-    /// change during a run). Shared (`Arc`) so the session index cache
-    /// can hand the same built structure to many queries; it must have
-    /// been built from `centers` in order.
-    index: Arc<CenterIndex<D>>,
+    /// The center grid, built from `centers` in order, or `None` for the
+    /// scan. Shared (`Arc`) so the session index cache can hand the same
+    /// build to many queries.
+    grid: Option<Arc<CenterGrid<D>>>,
 }
 
 impl<const D: usize> CenterRule<D> {
     /// The rule of an SGB-Around `query` with `centers` and `max_radius`
-    /// (its operator knobs), searching through `index`.
+    /// (its operator knobs), searching through `grid` (the scan when
+    /// `None`).
     pub(crate) fn new(
         query: &SgbQuery<D>,
         centers: &[Point<D>],
         max_radius: Option<f64>,
-        index: Arc<CenterIndex<D>>,
+        grid: Option<Arc<CenterGrid<D>>>,
     ) -> Self {
         Self {
             centers: centers.to_vec(),
             metric: query.metric,
             max_radius,
-            index,
+            grid,
         }
     }
 
@@ -183,16 +152,10 @@ impl<const D: usize> CenterRule<D> {
 
     /// The concrete search strategy.
     pub(crate) fn algorithm(&self) -> Algorithm {
-        self.index.algorithm()
-    }
-
-    /// The center `p` joins, or `None` when `p` lies beyond the radius
-    /// bound (an outlier). `scratch` is traversal scratch for the R-tree,
-    /// reused across calls.
-    #[inline]
-    pub(crate) fn assign(&self, scratch: &mut Vec<usize>, p: &Point<D>) -> Option<CenterId> {
-        let c = self.nearest(scratch, p);
-        self.joins(p, c).then_some(c)
+        match self.grid {
+            Some(_) => Algorithm::Grid,
+            None => Algorithm::AllPairs,
+        }
     }
 
     /// Whether `p` joins its nearest center `c`: the radius bound with the
@@ -206,56 +169,23 @@ impl<const D: usize> CenterRule<D> {
         }
     }
 
-    /// The nearest center of `p` under the metric, ties towards the lowest
-    /// center index.
-    ///
-    /// The brute path compares canonical [`sgb_geom::Metric::distance`]
-    /// values so its tie set is identical to the indexed path's
-    /// ([`RTree::nearest_one_with`] reports the same floating-point
-    /// distances for point entries and breaks ties by ascending payload).
-    /// The builder rejects an empty center list; were one to get here,
-    /// every path would answer center 0.
-    fn nearest(&self, scratch: &mut Vec<usize>, p: &Point<D>) -> CenterId {
-        let metric = self.metric;
-        match &*self.index {
-            CenterIndex::Scan => {
-                let mut best = (f64::INFINITY, 0);
-                for (c, q) in self.centers.iter().enumerate() {
-                    let d = metric.distance(p, q);
-                    if d < best.0 {
-                        best = (d, c);
-                    }
-                }
-                best.1
-            }
-            CenterIndex::Tree(ix) => ix
-                .nearest_one_with(p, metric, scratch)
-                .map_or(0, |hit| hit.1),
-            CenterIndex::Cells(grid) => grid.nearest_one(p, metric).map_or(0, |hit| hit.1),
-        }
-    }
-
-    /// Fresh scratch for one worker of a batch that hands it about
-    /// `tuples` points.
-    fn batch_scratch(&self, tuples: usize) -> BatchScratch<D> {
-        let span = match &*self.index {
-            CenterIndex::Cells(grid) => memo_span::<D>(tuples, grid.occupied_cells()),
-            _ => 1,
-        };
-        BatchScratch {
-            tree: Vec::new(),
-            cells: CellMemo::new(span),
-        }
+    /// A fresh cell memo for one worker that classifies about `tuples`
+    /// points. The scan never reads it.
+    pub(crate) fn memo(&self, tuples: usize) -> CellMemo<D> {
+        let span = self
+            .grid
+            .as_ref()
+            .map_or(1, |grid| memo_span::<D>(tuples, grid.occupied_cells()));
+        CellMemo::new(span)
     }
 
     /// Assigns each point of `points` to the slot beside it in `out`: its
     /// center, or [`OUTLIER`]. Calls `tick` once per point, before the
     /// point, and stops at its first error. The `Grid` path searches per
-    /// cell through `scratch`'s memo; the others search per point, exactly
-    /// as [`assign`](Self::assign) does.
+    /// memo cell through `memo`; the scan searches per point.
     fn assign_chunk<E>(
         &self,
-        scratch: &mut BatchScratch<D>,
+        memo: &mut CellMemo<D>,
         points: &[Point<D>],
         out: &mut [CenterId],
         mut tick: impl FnMut() -> Result<(), E>,
@@ -263,11 +193,9 @@ impl<const D: usize> CenterRule<D> {
         for (p, slot) in points.iter().zip(out) {
             tick()?;
             debug_assert!(p.is_finite(), "validated by the callers");
-            let c = match &*self.index {
-                CenterIndex::Cells(grid) => {
-                    scratch.cells.nearest(grid, &self.centers, self.metric, p)
-                }
-                _ => self.nearest(&mut scratch.tree, p),
+            let c = match &self.grid {
+                Some(grid) => memo.nearest(grid, &self.centers, self.metric, p),
+                None => scan_nearest(&self.centers, self.metric, p),
             };
             *slot = if self.joins(p, c) { c } else { OUTLIER };
         }
@@ -275,12 +203,20 @@ impl<const D: usize> CenterRule<D> {
     }
 }
 
-/// One worker's scratch for a batch: R-tree traversal scratch, and the
-/// `Grid` path's cell memo.
-#[derive(Debug)]
-struct BatchScratch<const D: usize> {
-    tree: Vec<usize>,
-    cells: CellMemo<D>,
+/// The scan's answer: the nearest center of `p` under `metric`, ties
+/// towards the lowest center index (the `(distance, index)`-lexicographic
+/// argmin of the canonical [`sgb_geom::Metric::distance`] values). The
+/// builder rejects an empty center list; were one to get here, the answer
+/// would be center 0.
+fn scan_nearest<const D: usize>(centers: &[Point<D>], metric: Metric, p: &Point<D>) -> CenterId {
+    let mut best = (f64::INFINITY, 0);
+    for (c, q) in centers.iter().enumerate() {
+        let d = metric.distance(p, q);
+        if d < best.0 {
+            best = (d, c);
+        }
+    }
+    best.1
 }
 
 /// The memo is cleared when it holds this many cells or list entries, so
@@ -288,7 +224,7 @@ struct BatchScratch<const D: usize> {
 const MEMO_CAP: usize = 1 << 16;
 
 /// A memo cell should receive about this many of a worker's tuples, so its
-/// list, which costs a few ring searches to build, pays for itself.
+/// list, which costs a few grid probes to build, pays for itself.
 const TUPLES_PER_MEMO_CELL: usize = 16;
 
 /// The widest memo cell, in center-grid cells per side.
@@ -309,15 +245,16 @@ fn memo_span<const D: usize>(tuples: usize, occupied: usize) -> i64 {
     span
 }
 
-/// The `Grid` path's per-worker memo: for each memo cell met so far, the
-/// centers that can be nearest to some point of it (see the module docs).
-#[derive(Debug)]
-struct CellMemo<const D: usize> {
+/// The `Grid` path's memo: for each memo cell met so far, the centers
+/// that can be nearest to some point of it (see the module docs). A batch
+/// keeps one per worker, a maintained grouping one for its lifetime.
+#[derive(Clone, Debug)]
+pub(crate) struct CellMemo<const D: usize> {
     /// Center-grid cells per memo cell side ([`memo_span`]).
     span: i64,
     /// Each memo cell met so far, with its list, or `None` when the cell
     /// cannot be listed (a box or bound out of floating-point range): its
-    /// tuples take the ring search.
+    /// tuples take the scan.
     cells: HashMap<CellKey<D>, Option<CellList<D>>, BuildHasherDefault<CellHasher>>,
     /// Every list's `(box distance, center)` entries, each list one sorted
     /// run.
@@ -351,10 +288,10 @@ impl<const D: usize> CellMemo<D> {
     }
 
     /// The nearest center of `p` under `metric`, ties towards the lowest
-    /// center index: exactly [`CenterRule::nearest`]'s answer.
+    /// center index: exactly [`scan_nearest`]'s answer.
     fn nearest(
         &mut self,
-        grid: &Grid<D, CenterId>,
+        grid: &CenterGrid<D>,
         centers: &[Point<D>],
         metric: Metric,
         p: &Point<D>,
@@ -367,13 +304,13 @@ impl<const D: usize> CellMemo<D> {
                     self.cells.clear();
                     self.candidates.clear();
                 }
-                let list = self.list(grid, centers, metric, &key);
+                let list = self.list(grid, metric, &key);
                 self.cells.insert(key, list);
                 list
             }
         };
         let Some(list) = list.filter(|list| list.holds(p)) else {
-            return grid.nearest_one(p, metric).map_or(0, |hit| hit.1);
+            return scan_nearest(centers, metric, p);
         };
         let mut best = (f64::INFINITY, CenterId::MAX);
         for &(gap, c) in &self.candidates[list.run.0..list.run.1] {
@@ -389,12 +326,12 @@ impl<const D: usize> CellMemo<D> {
         best.1
     }
 
-    /// Lists the memo cell `key` (see the module docs), appending its run
-    /// to `candidates`; `None` when its box or bound is not finite.
+    /// Lists the memo cell `key` with the growing probe of the module
+    /// docs, appending its run to `candidates`; `None` when its box or
+    /// bound is not finite, or the grid is empty.
     fn list(
         &mut self,
-        grid: &Grid<D, CenterId>,
-        centers: &[Point<D>],
+        grid: &CenterGrid<D>,
         metric: Metric,
         key: &CellKey<D>,
     ) -> Option<CellList<D>> {
@@ -419,12 +356,31 @@ impl<const D: usize> CellMemo<D> {
         if !mid.is_finite() {
             return None;
         }
-        let (_, c0) = grid.nearest_one(&mid, metric)?;
-        // Every point of the box lies within `bound` of `c0`.
-        let bound = farthest_corner(metric, &lo, &hi, &centers[c0]);
+        // Grow the probe until it visits a center: `bound`, the smallest
+        // farthest-corner distance of a visited center, bounds every
+        // tuple's answer.
+        let mut probe = reach;
+        let bound = loop {
+            let (mut bound, mut visited) = (f64::INFINITY, false);
+            grid.for_each_within(&mid, probe, |c, _| {
+                visited = true;
+                bound = bound.min(farthest_corner(metric, &lo, &hi, c));
+            });
+            if visited {
+                break bound;
+            }
+            if probe == f64::INFINITY {
+                // An infinite probe visits every occupied cell.
+                return None;
+            }
+            probe *= 2.0;
+        };
         if !bound.is_finite() {
             return None;
         }
+        // Every center within `bound` of the box lies within `bound +
+        // reach` of the middle, so this probe visits them all; it can only
+        // tighten the bound.
         let start = self.candidates.len();
         let mut tightest = bound;
         grid.for_each_within(&mid, bound + reach, |c, &id| {
@@ -439,9 +395,12 @@ impl<const D: usize> CellMemo<D> {
         listed[start..].sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let kept = listed[start..].partition_point(|&(gap, _)| gap <= tightest);
         listed.truncate(start + kept);
-        let run = (start, listed.len());
-        // The center nearest to `mid` is always listed.
-        (run.0 < run.1).then_some(CellList { lo, hi, run })
+        // The center of the smallest farthest-corner distance is listed.
+        Some(CellList {
+            lo,
+            hi,
+            run: (start, listed.len()),
+        })
     }
 }
 
@@ -524,10 +483,10 @@ pub(crate) fn assign_batch<const D: usize>(
     let jobs = dealt.into_iter().filter(|chunks| !chunks.is_empty());
     let verdicts = run_jobs(jobs.map(|chunks| {
         move || {
-            let mut scratch = rule.batch_scratch(per_worker);
+            let mut memo = rule.memo(per_worker);
             let mut pacer = Pacer::new();
             for (pts, out) in chunks {
-                rule.assign_chunk(&mut scratch, pts, out, || pacer.tick(governor))?;
+                rule.assign_chunk(&mut memo, pts, out, || pacer.tick(governor))?;
             }
             Ok(())
         }
@@ -546,26 +505,20 @@ pub(crate) fn assign_batch<const D: usize>(
     Ok(Grouping::around(groups, outliers))
 }
 
-/// Every point's assignment in one sequential pass, through the same
-/// per-chunk search as [`assign_batch`], for callers that neither pace nor
-/// group (the maintained grouping's build): `Some(center)`, or `None` for
-/// an outlier.
-pub(crate) fn assign_all<const D: usize>(
+/// Appends the assignment of every point of `points` to `out`, in one
+/// sequential pass through `memo`: the per-chunk search of
+/// [`assign_batch`], for a maintained grouping's build and inserts, which
+/// neither pace nor group. A slot holds its point's center, or
+/// [`OUTLIER`], an index past every center.
+pub(crate) fn assign_into<const D: usize>(
     rule: &CenterRule<D>,
+    memo: &mut CellMemo<D>,
     points: &[Point<D>],
-) -> Vec<Option<CenterId>> {
-    let mut slots = vec![OUTLIER; points.len()];
-    let mut scratch = rule.batch_scratch(points.len());
-    let Ok(()) = rule.assign_chunk(
-        &mut scratch,
-        points,
-        &mut slots,
-        || Ok::<(), Infallible>(()),
-    );
-    slots
-        .into_iter()
-        .map(|c| (c != OUTLIER).then_some(c))
-        .collect()
+    out: &mut Vec<CenterId>,
+) {
+    let start = out.len();
+    out.resize(start + points.len(), OUTLIER);
+    let Ok(()) = rule.assign_chunk(memo, points, &mut out[start..], || Ok::<(), Infallible>(()));
 }
 
 #[cfg(test)]
@@ -587,7 +540,7 @@ mod tests {
             .collect()
     }
 
-    const ALGOS: [Algorithm; 3] = [Algorithm::AllPairs, Algorithm::Indexed, Algorithm::Grid];
+    const ALGOS: [Algorithm; 2] = [Algorithm::AllPairs, Algorithm::Grid];
 
     fn pts(raw: &[[f64; 2]]) -> Vec<Point<2>> {
         raw.iter().map(|&c| Point::new(c)).collect()
@@ -731,7 +684,7 @@ mod tests {
                     query.run(&points)
                 };
                 let brute = run(Algorithm::AllPairs);
-                for algo in [Algorithm::Indexed, Algorithm::Grid, Algorithm::Auto] {
+                for algo in [Algorithm::Grid, Algorithm::Auto] {
                     assert_eq!(brute, run(algo), "{algo:?} {metric} radius {radius:?}");
                 }
                 brute.check_partition(points.len());
@@ -746,9 +699,9 @@ mod tests {
         let many = SgbQuery::around(cloud(700, 2, 5.0)).run(&[]);
         assert_eq!(many.resolved_algorithm(), Algorithm::Grid);
         let explicit = SgbQuery::around(cloud(8, 3, 5.0))
-            .algorithm(Algorithm::Indexed)
+            .algorithm(Algorithm::Grid)
             .run(&[]);
-        assert_eq!(explicit.resolved_algorithm(), Algorithm::Indexed);
+        assert_eq!(explicit.resolved_algorithm(), Algorithm::Grid);
     }
 
     #[test]
@@ -825,18 +778,6 @@ mod tests {
                 assert_eq!(out.group_centers(), &[0, 1], "{algo:?} {metric}");
             }
         }
-    }
-
-    /// The scan's answer: the `(distance, index)`-lexicographic argmin.
-    fn scan_nearest(centers: &[Point<2>], metric: Metric, p: &Point<2>) -> CenterId {
-        let mut best = (f64::INFINITY, 0);
-        for (c, q) in centers.iter().enumerate() {
-            let d = metric.distance(p, q);
-            if d < best.0 {
-                best = (d, c);
-            }
-        }
-        best.1
     }
 
     #[test]

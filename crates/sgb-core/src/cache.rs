@@ -17,9 +17,9 @@
 //!   share one build. A grid is considered usable while ε′ stays within
 //!   [`GRID_REUSE_MAX_RATIO`]× its cell side; beyond that the widened
 //!   window would visit more cells than a right-sized build saves.
-//! * **Center indexes** (SGB-Around) are keyed on their algorithm and the
-//!   center coordinates themselves — construction never reads the table or
-//!   the metric, so entries survive table mutations and serve every metric.
+//! * **Center grids** (SGB-Around's `Grid` path) are keyed on the center
+//!   coordinates alone — construction never reads the table or the
+//!   metric, so entries survive table mutations and serve every metric.
 //! * **Whole-`Grouping` results** are keyed on the query fingerprint for
 //!   exact repeat queries, version-scoped like the point indexes; the 128
 //!   most recently used are kept.
@@ -57,9 +57,9 @@ use std::sync::{Arc, Mutex};
 use sgb_geom::Point;
 use sgb_spatial::{Grid, RTree, SortedCells};
 
-use crate::around::{build_center_index, CenterIndex};
+use crate::around::{build_center_grid, CenterGrid};
 use crate::query::Grouping;
-use crate::{Algorithm, RecordId};
+use crate::RecordId;
 
 /// A cached grid with cell side `c` serves an ε-query while
 /// `side_for_eps(ε) / c` stays at or below this ratio. Past it, the
@@ -73,7 +73,7 @@ const GRIDS_CAP: usize = 4;
 /// How many whole groupings one cache retains per table version.
 const RESULTS_CAP: usize = 128;
 
-/// How many distinct center indexes one cache retains (version-free).
+/// How many distinct center grids one cache retains (version-free).
 const CENTER_INDEXES_CAP: usize = 8;
 
 /// Cache effectiveness counters, all monotone over the cache's lifetime.
@@ -82,7 +82,7 @@ const CENTER_INDEXES_CAP: usize = 8;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Index lookups served from a cached structure (grid, point R-tree,
-    /// or center index).
+    /// or center grid).
     pub index_hits: u64,
     /// Index lookups that had to build (and cache) a new structure.
     pub index_misses: u64,
@@ -110,10 +110,10 @@ impl CacheStats {
     }
 }
 
-/// Key of a cached center index: its concrete algorithm and the exact
-/// center coordinates (bit pattern). Construction reads nothing else, so
-/// nothing else may distinguish entries.
-type CenterKey = (Algorithm, Vec<u64>);
+/// Key of a cached center grid: the exact center coordinates (bit
+/// pattern). Construction reads nothing else, so nothing else may
+/// distinguish entries.
+type CenterKey = Vec<u64>;
 
 /// Everything behind the lock: the cached structures plus the version
 /// they are scoped to.
@@ -128,8 +128,8 @@ struct CacheInner<const D: usize> {
     grids: Vec<(u64, Arc<SortedCells<D>>)>,
     /// The point R-tree over the table's points.
     tree: Option<Arc<RTree<D, RecordId>>>,
-    /// Center indexes, version-free (built from query centers), LRU.
-    centers: Vec<(CenterKey, Arc<CenterIndex<D>>)>,
+    /// Center grids, version-free (built from query centers), LRU.
+    centers: Vec<(CenterKey, Arc<CenterGrid<D>>)>,
     /// Whole-result cache, `(query fingerprint, grouping)`, LRU.
     results: Vec<(Vec<u64>, Grouping)>,
     stats: CacheStats,
@@ -219,25 +219,11 @@ impl<const D: usize> SgbCache<D> {
         inner.version == version && inner.tree.is_some()
     }
 
-    /// Read-only probe: is a center index for exactly this concrete
-    /// algorithm and center list cached?
-    pub fn has_center_index(&self, algorithm: Algorithm, centers: &[Point<D>]) -> bool {
-        let key: CenterKey = (algorithm, center_bits(centers));
+    /// Read-only probe: is a center grid for exactly this center list
+    /// cached? Feeds [`crate::cost::resolve_around`].
+    pub fn has_center_index(&self, centers: &[Point<D>]) -> bool {
+        let key = center_bits(centers);
         self.lock().centers.iter().any(|(k, _)| *k == key)
-    }
-
-    /// Read-only probe: the concrete algorithm of a cached center index
-    /// for exactly these centers, if one exists. Feeds
-    /// [`crate::cost::resolve_around`].
-    pub fn cached_center_algorithm(&self, centers: &[Point<D>]) -> Option<Algorithm> {
-        let bits = center_bits(centers);
-        let inner = self.lock();
-        inner
-            .centers
-            .iter()
-            .rev()
-            .find(|((_, b), _)| *b == bits)
-            .map(|((algorithm, _), _)| *algorithm)
     }
 
     /// The cached ε-grid for `version`, reusing any grid whose cell side
@@ -297,15 +283,10 @@ impl<const D: usize> SgbCache<D> {
         tree
     }
 
-    /// The cached center index for a *concrete* indexed algorithm over
-    /// exactly these centers, built on a miss. Version-free: center
-    /// indexes read only the query's centers.
-    pub(crate) fn get_or_build_center_index(
-        &self,
-        algorithm: Algorithm,
-        centers: &[Point<D>],
-    ) -> Arc<CenterIndex<D>> {
-        let key: CenterKey = (algorithm, center_bits(centers));
+    /// The cached center grid over exactly these centers, built on a
+    /// miss. Version-free: center grids read only the query's centers.
+    pub(crate) fn get_or_build_center_index(&self, centers: &[Point<D>]) -> Arc<CenterGrid<D>> {
+        let key = center_bits(centers);
         let mut inner = self.lock();
         if let Some(i) = inner.centers.iter().position(|(k, _)| *k == key) {
             inner.stats.index_hits += 1;
@@ -315,7 +296,7 @@ impl<const D: usize> SgbCache<D> {
             return ix;
         }
         inner.stats.index_misses += 1;
-        let ix = Arc::new(build_center_index(algorithm, centers));
+        let ix = Arc::new(build_center_grid(centers));
         if inner.centers.len() >= CENTER_INDEXES_CAP {
             inner.centers.remove(0);
             inner.stats.evictions += 1;
@@ -360,7 +341,7 @@ impl<const D: usize> SgbCache<D> {
 
 impl<const D: usize> CacheInner<D> {
     /// Moves the cache to `version`, dropping every version-scoped entry
-    /// when it changed (center indexes survive: they never read the
+    /// when it changed (center grids survive: they never read the
     /// table).
     fn enter_version(&mut self, version: u64) {
         if self.version == version {

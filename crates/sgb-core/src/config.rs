@@ -51,13 +51,16 @@ impl OverlapAction {
 /// The operator-independent algorithm selector of the
 /// [`crate::SgbQuery`] surface.
 ///
-/// Every member of the SGB family offers the same *kinds* of execution
-/// path — a plain scan, an R-tree, an ε-grid, and a cost-based default —
-/// plus one operator-specific extra (SGB-All's rectangle directory). This
-/// enum names each kind once, for every operator: the query builder
-/// rejects the one combination that does not exist (`BoundsChecking` for
-/// SGB-Any / SGB-Around), the cost model in [`crate::cost`] resolves
-/// `Auto` to a concrete variant, and `EXPLAIN`'s `path:` line and
+/// The members of the SGB family share the *kinds* of execution path — a
+/// plain scan, an ε-grid, and a cost-based default — and the ε-operators
+/// add an R-tree, plus SGB-All's rectangle directory. This enum names
+/// each kind once, for every operator; each operator's own list
+/// ([`Algorithm::SGB_ALL`], [`Algorithm::SGB_ANY`],
+/// [`Algorithm::SGB_AROUND`]) says which it runs. The query builder, the
+/// SQL planner and the executor reject the combinations outside it
+/// (`BoundsChecking` for SGB-Any, `BoundsChecking` and `Indexed` for
+/// SGB-Around), the cost model in [`crate::cost`] resolves `Auto` to a
+/// concrete variant, and `EXPLAIN`'s `path:` line and
 /// [`crate::Grouping::resolved_algorithm`] report the resolved variant.
 ///
 /// Selection never affects results: all concrete paths of an operator are
@@ -79,11 +82,12 @@ pub enum Algorithm {
     /// SGB-Around.
     BoundsChecking,
     /// R-tree-indexed search: an on-the-fly group tree for SGB-All
-    /// (Procedure 5), STR bulk-loaded point and center trees for SGB-Any
-    /// (Procedure 8) and SGB-Around.
+    /// (Procedure 5), an STR bulk-loaded point tree for SGB-Any
+    /// (Procedure 8). Not applicable to SGB-Around.
     Indexed,
-    /// ε-grid search: neighbour-cell probes, no tree descent. For
-    /// SGB-All, the grid labels the input's ε-components instead (the
+    /// ε-grid search: neighbour-cell probes, no tree descent. SGB-Around
+    /// probes a grid over its centers instead, one candidate list per
+    /// block of cells (see [`crate::around`]). For SGB-All, the grid labels the input's ε-components instead (the
     /// SGB-Any grid kernel's connectivity join), and each point searches
     /// only its own component's groups: a group directory per component
     /// with the Bounds-Checking tests, or the group R-tree for a component
@@ -102,6 +106,27 @@ impl Algorithm {
         Algorithm::Indexed,
         Algorithm::Grid,
     ];
+
+    /// The paths SGB-All runs: every variant.
+    pub const SGB_ALL: &'static [Algorithm] = &Algorithm::ALL;
+
+    /// The paths SGB-Any (`DISTANCE-TO-ANY`) runs.
+    pub const SGB_ANY: &'static [Algorithm] = &[
+        Algorithm::Auto,
+        Algorithm::AllPairs,
+        Algorithm::Indexed,
+        Algorithm::Grid,
+    ];
+
+    /// The paths SGB-Around runs: the center scan and the center grid.
+    pub const SGB_AROUND: &'static [Algorithm] =
+        &[Algorithm::Auto, Algorithm::AllPairs, Algorithm::Grid];
+
+    /// `paths` as errors list them: `"Auto, AllPairs, Grid"`.
+    pub fn names(paths: &[Algorithm]) -> String {
+        let names: Vec<String> = paths.iter().map(Algorithm::to_string).collect();
+        names.join(", ")
+    }
 }
 
 impl std::fmt::Display for Algorithm {

@@ -8,13 +8,13 @@
 //! dimensionality — with thresholds calibrated against the committed
 //! benchmark reports at the repository root:
 //!
-//! * `BENCH_around.json` — the center-R-tree path *loses* to the brute
-//!   center scan below roughly 1k centers because index construction
-//!   dominates; the brute path stays within ~2× even at 1024 centers.
-//!   Hence [`AROUND_BRUTE_MAX_CENTERS`].
+//! * `BENCH_around.json` — SGB-Around's two paths, the brute center scan
+//!   and the center grid, over center counts: the scan wins while the
+//!   centers are few, and the grid's build and list setup pay off past a
+//!   crossover of tens of centers. Hence [`AROUND_BRUTE_MAX_CENTERS`].
 //! * `BENCH_grid.json`'s SGB-Any `n` sweep — at n = 10k the ε-grid path
-//!   takes 2.0 ms (2 threads) against 37.0 ms for the on-the-fly R-tree
-//!   and 144 ms for the all-pairs scan, and the grid leads at every
+//!   takes 1.7 ms (2 threads) against 37.7 ms for the on-the-fly R-tree
+//!   and 130 ms for the all-pairs scan, and the grid leads at every
 //!   swept n (2k–20k). The sweep starts at n = 2,000, so no committed row
 //!   measures the small-n crossovers behind [`ANY_ALL_PAIRS_MAX_N`] and
 //!   [`ALL_ALL_PAIRS_MAX_N`], below which no index amortises its
@@ -28,7 +28,8 @@
 //!   rather than scanned (its `component` sweep times both sides).
 //! * The grid probe examines `5^D` cells per point (the 3^D neighbourhood
 //!   plus a one-cell rounding pad), so past [`GRID_MAX_DIMS`] dimensions
-//!   the R-tree's adaptive partitioning wins. The shipped operators are
+//!   the R-tree's adaptive partitioning wins, and SGB-Around, which has
+//!   no tree, keeps the center scan. The shipped operators are
 //!   instantiated at 2-D/3-D, where the grid always qualifies.
 //!
 //! Every resolver returns the chosen *concrete* algorithm together with a
@@ -53,7 +54,7 @@ use crate::Algorithm;
 /// scan: group structures are tiny and building any accelerator, the
 /// component pre-pass included, is expected to cost more than it saves.
 /// Not yet measured: BENCH_grid.json's SGB-All `n` sweep starts at
-/// n = 2,000, where `Grid` already beats the scan (0.87 ms vs 2.06 ms).
+/// n = 2,000, where `Grid` already beats the scan (0.58 ms vs 1.40 ms).
 pub const ALL_ALL_PAIRS_MAX_N: usize = 256;
 
 /// The per-component bound of SGB-All's `Grid` path: a point whose
@@ -63,27 +64,26 @@ pub const ALL_ALL_PAIRS_MAX_N: usize = 256;
 /// for the component's live groups `G_c`, the R-tree probe `O(log |G_c|)`
 /// plus its upkeep, so the tree pays off only on large components.
 /// BENCH_grid.json's `component` sweep times both sides on one uniform
-/// ε-component: at 2k points the scan runs level with Bounds-Checking,
-/// and at 20k points the R-tree runs within 1.2× of `Indexed`, where
-/// Bounds-Checking takes 1.8× as long. The largest component of the
+/// ε-component: at 2k points the scan runs within 1.2× of
+/// Bounds-Checking, and at 20k points the R-tree runs within 1.1× of
+/// `Indexed`, where Bounds-Checking takes 1.9× as long. The largest component of the
 /// `checkin-all` benchmark data holds 3.35k–3.63k points (seeds 3, 7 and
 /// 11), under the bound, so that workload always scans.
 pub const ALL_BOUNDS_MAX_N: usize = 4_096;
 
 /// Below this input cardinality SGB-Any's `Auto` stays with the all-pairs
 /// scan. Not yet measured: BENCH_grid.json's SGB-Any `n` sweep starts at
-/// n = 2,000, where `Grid` already beats the scan (0.40 ms vs 5.73 ms).
+/// n = 2,000, where `Grid` already beats the scan (0.27 ms vs 3.63 ms).
 pub const ANY_ALL_PAIRS_MAX_N: usize = 512;
 
-/// Up to this many centers SGB-Around's `Auto` uses the brute center scan:
-/// BENCH_around.json shows the R-tree path losing below ~1k centers
-/// because index construction dominates the per-tuple savings. The value
-/// was set against the grid's per-tuple ring search, whose crossover
-/// BENCH_grid.json bracketed between 64 and 256 centers. Since the grid
-/// shares one candidate list per block of cells, BENCH_around.json puts
-/// the crossover between 4 and 16 mixture centers and between 32 and 128
-/// centers drawn from check-ins; the value stays until `Auto` is checked
-/// against every path.
+/// Up to this many centers SGB-Around's `Auto` uses the brute center scan,
+/// above it the center grid. The value was set against the grid's former
+/// per-tuple ring search, whose crossover BENCH_grid.json bracketed
+/// between 64 and 256 centers. Since the grid shares one candidate list
+/// per block of cells, BENCH_around.json puts the crossover between 4 and
+/// 16 mixture centers and between 32 and 128 centers drawn from
+/// check-ins; the value stays until `Auto` is checked against both paths
+/// (ROADMAP item 3).
 pub const AROUND_BRUTE_MAX_CENTERS: usize = 128;
 
 /// Highest dimensionality at which the ε-grid is selected; beyond it the
@@ -306,7 +306,8 @@ fn admit(
 /// the per-tuple cost actually depends on — centers are known up front, so
 /// one-shot runs and maintained groupings resolve identically) in `dims`
 /// dimensions, before any cache or budget input is considered.
-/// [`Algorithm::AllPairs`] is SGB-Around's brute center scan.
+/// [`Algorithm::AllPairs`] is SGB-Around's brute center scan, and the
+/// scan also serves every dimensionality past [`GRID_MAX_DIMS`].
 pub(crate) fn around_cost_model(
     configured_algo: Algorithm,
     centers: usize,
@@ -324,7 +325,7 @@ pub(crate) fn around_cost_model(
                 )
             } else if dims > GRID_MAX_DIMS {
                 (
-                    Algorithm::Indexed,
+                    Algorithm::AllPairs,
                     format!("auto: {dims}-D exceeds the grid sweet spot (<= {GRID_MAX_DIMS}-D)"),
                 )
             } else {
@@ -342,38 +343,37 @@ pub(crate) fn around_cost_model(
 }
 
 /// Resolves the SGB-Around algorithm for `centers` centers in `dims`
-/// dimensions, given the algorithm of a center index the session cache
-/// holds for exactly these centers (`cached`) and the [`QueryGovernor`]'s
-/// memory budget.
+/// dimensions, given whether the session cache holds a center grid for
+/// exactly these centers (`cached`) and the [`QueryGovernor`]'s memory
+/// budget.
 ///
-/// * Center indexes read only the query's centers, so a cached one has
+/// * Center grids read only the query's centers, so a cached one has
 ///   zero build cost and `Auto` reuses it even below the brute crossover.
-/// * An index build over the budget ([`estimated_rtree_bytes`] over the
-///   centers: the R-tree bound is the pessimistic superset of both
-///   concrete center indexes, as the grid stores one corner per entry
-///   where the tree stores two) degrades `Auto` to the brute center scan,
-///   with the fallback recorded;
-///   an explicit index path fails instead. A cached index of the resolved
-///   shape is always admitted.
+/// * A grid build over the budget degrades `Auto` to the brute center
+///   scan, with the fallback recorded; an explicit `Grid` fails instead.
+///   The estimate is [`estimated_rtree_bytes`] over the centers, an upper
+///   bound on the grid, which stores one point per entry where a tree
+///   stores a rectangle. A cached grid is always admitted.
 ///
 /// # Errors
-/// [`SgbError::BudgetExceeded`] for an explicit index over the budget.
+/// [`SgbError::BudgetExceeded`] for an explicit `Grid` over the budget.
 pub fn resolve_around(
     configured_algo: Algorithm,
     centers: usize,
     dims: usize,
-    cached: Option<Algorithm>,
+    cached: bool,
     governor: &QueryGovernor,
 ) -> Result<(Algorithm, String), SgbError> {
     let auto = configured_algo == Algorithm::Auto;
-    let resolved = match cached {
-        Some(algo @ (Algorithm::Grid | Algorithm::Indexed)) if auto && dims <= GRID_MAX_DIMS => (
-            algo,
+    let resolved = if cached && auto && dims <= GRID_MAX_DIMS {
+        (
+            Algorithm::Grid,
             format!("auto: cached center index, zero build cost ({centers} centers)"),
-        ),
-        _ => around_cost_model(configured_algo, centers, dims),
+        )
+    } else {
+        around_cost_model(configured_algo, centers, dims)
     };
-    if !matches!(resolved.0, Algorithm::Indexed | Algorithm::Grid) || cached == Some(resolved.0) {
+    if resolved.0 != Algorithm::Grid || cached {
         return Ok(resolved);
     }
     admit(
@@ -421,7 +421,7 @@ pub fn threads_for_any(algorithm: Algorithm, requested: usize, n: usize) -> usiz
 }
 
 /// Threads for SGB-Around over `n` tuples: the nearest-center assignment
-/// is independent per tuple, so every concrete algorithm parallelises.
+/// is independent per tuple, so both concrete paths parallelise.
 pub fn threads_for_around(requested: usize, n: usize) -> usize {
     resolve_threads(requested, n)
 }
@@ -460,7 +460,7 @@ mod tests {
             configured,
             centers,
             dims,
-            None,
+            false,
             &QueryGovernor::unrestricted(),
         )
         .unwrap()
@@ -482,7 +482,7 @@ mod tests {
             any(Algorithm::AllPairs, 1_000_000, 2).0,
             Algorithm::AllPairs
         );
-        assert_eq!(around(Algorithm::Indexed, 5000, 2).0, Algorithm::Indexed);
+        assert_eq!(around(Algorithm::Grid, 5, 2).0, Algorithm::Grid);
     }
 
     #[test]
@@ -515,7 +515,13 @@ mod tests {
     #[test]
     fn auto_prefers_rtree_in_high_dims() {
         assert_eq!(any(Algorithm::Auto, 10_000, 5).0, Algorithm::Indexed);
-        assert_eq!(around(Algorithm::Auto, 4096, 4).0, Algorithm::Indexed);
+        // SGB-Around has no tree: past the grid's range it keeps the scan.
+        let (algo, reason) = around(Algorithm::Auto, 4096, 4);
+        assert_eq!(algo, Algorithm::AllPairs);
+        assert!(
+            reason.contains("4-D exceeds the grid sweet spot"),
+            "{reason}"
+        );
     }
 
     #[test]
@@ -583,18 +589,17 @@ mod tests {
             any(Algorithm::Auto, 10, 2)
         );
 
-        let (algo, reason) =
-            resolve_around(Algorithm::Auto, 3, 2, Some(Algorithm::Grid), &free).unwrap();
+        let (algo, reason) = resolve_around(Algorithm::Auto, 3, 2, true, &free).unwrap();
         assert_eq!(algo, Algorithm::Grid);
         assert!(reason.contains("zero build cost"), "{reason}");
         assert_eq!(
             around(Algorithm::Auto, 3, 2),
             around_cost_model(Algorithm::Auto, 3, 2)
         );
-        // A cached brute "index" is no index at all: fall through.
+        // Past the grid's range a cached grid is no reason to leave the scan.
         assert_eq!(
-            resolve_around(Algorithm::Auto, 3, 2, Some(Algorithm::AllPairs), &free).unwrap(),
-            around(Algorithm::Auto, 3, 2)
+            resolve_around(Algorithm::Auto, 4096, 4, true, &free).unwrap(),
+            around(Algorithm::Auto, 4096, 4)
         );
     }
 
@@ -684,21 +689,18 @@ mod tests {
         );
         let tight = QueryGovernor::unrestricted().with_memory_budget(64);
         // Auto above the brute crossover degrades back to the brute scan…
-        let (algo, reason) = resolve_around(Algorithm::Auto, 4096, 2, None, &tight).unwrap();
+        let (algo, reason) = resolve_around(Algorithm::Auto, 4096, 2, false, &tight).unwrap();
         assert_eq!(algo, Algorithm::AllPairs);
         assert!(reason.contains("memory budget"), "{reason}");
         assert!(reason.contains("brute center scan"), "{reason}");
-        // …while explicit index requests fail loudly.
-        for explicit in [Algorithm::Indexed, Algorithm::Grid] {
-            let err = resolve_around(explicit, 4096, 2, None, &tight).unwrap_err();
-            assert!(matches!(err, SgbError::BudgetExceeded { .. }), "{err:?}");
-        }
-        // A cached index of the resolved shape is admitted under any budget.
-        let (algo, _) =
-            resolve_around(Algorithm::Grid, 4096, 2, Some(Algorithm::Grid), &tight).unwrap();
+        // …while an explicit grid request fails loudly.
+        let err = resolve_around(Algorithm::Grid, 4096, 2, false, &tight).unwrap_err();
+        assert!(matches!(err, SgbError::BudgetExceeded { .. }), "{err:?}");
+        // A cached grid is admitted under any budget.
+        let (algo, _) = resolve_around(Algorithm::Grid, 4096, 2, true, &tight).unwrap();
         assert_eq!(algo, Algorithm::Grid);
         // The brute scan needs no structure, so it always passes.
-        let (algo, _) = resolve_around(Algorithm::AllPairs, 4096, 2, None, &tight).unwrap();
+        let (algo, _) = resolve_around(Algorithm::AllPairs, 4096, 2, false, &tight).unwrap();
         assert_eq!(algo, Algorithm::AllPairs);
     }
 

@@ -27,7 +27,8 @@
 //!   the ε-graph alone decides the groups, settling a batch together gives
 //!   the answer of deleting its slots one at a time.
 //! * **SGB-Around** assignment is per-tuple independent: inserts classify
-//!   exactly one tuple against the fixed center index, deletes drop their
+//!   exactly one tuple by the batch's own per-chunk search, through a cell
+//!   memo the grouping keeps (on the `Grid` path), and deletes drop their
 //!   slots. Nothing else moves.
 //! * **SGB-All** arbitration is arrival-order sensitive, so the engine
 //!   keeps a live replica (the `SgbAll` engine behind [`SgbQuery::run`])
@@ -64,7 +65,7 @@ use sgb_geom::Point;
 use sgb_spatial::{Grid, SortedCells};
 
 use crate::all::SgbAll;
-use crate::around::{self, build_center_index, CenterRule};
+use crate::around::{self, build_center_grid, CellMemo, CenterId, CenterRule};
 use crate::governor::{QueryGovernor, SgbError, CHECK_INTERVAL};
 use crate::query::{Grouping, OpSpec, SgbQuery};
 use crate::{cost, Algorithm, OverlapAction, RecordId};
@@ -88,12 +89,14 @@ enum OpState<const D: usize> {
         grid: Grid<D, SlotId>,
         dsu: TrackedDsu,
     },
-    /// Fixed assignment rule plus the per-slot assignment (`Some(center)`
-    /// or `None` = outlier; entries of deleted slots are stale and skipped).
+    /// Fixed assignment rule, its cell memo (bounded, see
+    /// [`crate::around`]), and the per-slot assignment: the center, or an
+    /// index past every center for an outlier (entries of deleted slots
+    /// are stale and skipped).
     Around {
         rule: CenterRule<D>,
-        assign: Vec<Option<usize>>,
-        scratch: Vec<usize>,
+        memo: CellMemo<D>,
+        assign: Vec<CenterId>,
     },
     /// The live replica, or `None` while a lazy rebuild is pending
     /// after a non-isolated delete.
@@ -223,14 +226,13 @@ impl<const D: usize> MaintainedGrouping<D> {
             } => {
                 let (resolved, _) =
                     cost::around_cost_model(query.configured_algorithm(), centers.len(), D);
-                let index = build_center_index(resolved, centers);
-                let rule = CenterRule::new(&query, centers, *max_radius, Arc::new(index));
-                let assign = around::assign_all(&rule, points);
-                OpState::Around {
-                    rule,
-                    assign,
-                    scratch: Vec::new(),
-                }
+                let grid =
+                    (resolved == Algorithm::Grid).then(|| Arc::new(build_center_grid(centers)));
+                let rule = CenterRule::new(&query, centers, *max_radius, grid);
+                let mut memo = rule.memo(points.len());
+                let mut assign = Vec::with_capacity(points.len());
+                around::assign_into(&rule, &mut memo, points, &mut assign);
+                OpState::Around { rule, memo, assign }
             }
             OpSpec::All { eps, overlap } => {
                 let mut grid = Grid::new(Grid::<D, SlotId>::side_for_eps(*eps));
@@ -317,11 +319,9 @@ impl<const D: usize> MaintainedGrouping<D> {
                 });
                 grid.insert(p, slot);
             }
-            OpState::Around {
-                rule,
-                assign,
-                scratch,
-            } => assign.push(rule.assign(scratch, &p)),
+            OpState::Around { rule, memo, assign } => {
+                around::assign_into(rule, memo, &[p], assign);
+            }
             OpState::All { grid, replica, .. } => {
                 grid.insert(p, slot);
                 // Without a replica, the pending rebuild will push every
@@ -589,8 +589,8 @@ impl<const D: usize> MaintainedGrouping<D> {
                     if s.is_none() {
                         continue;
                     }
-                    match assign[slot] {
-                        Some(c) => groups[c].push(rank[slot]),
+                    match groups.get_mut(assign[slot]) {
+                        Some(group) => group.push(rank[slot]),
                         None => outliers.push(rank[slot]),
                     }
                 }

@@ -57,7 +57,7 @@ use sgb_telemetry::{Counter, Phase, Telemetry};
 
 use crate::all::{Components, SgbAll};
 use crate::any;
-use crate::around::{self, build_center_index, CenterRule};
+use crate::around::{self, build_center_grid, CenterRule};
 use crate::cache::SgbCache;
 use crate::governor::{QueryGovernor, SgbError};
 use crate::{cost, Algorithm, OverlapAction, RecordId};
@@ -85,6 +85,15 @@ impl<const D: usize> OpSpec<D> {
             OpSpec::All { .. } => "SGB-All",
             OpSpec::Any { .. } => "SGB-Any",
             OpSpec::Around { .. } => "SGB-Around",
+        }
+    }
+
+    /// The execution paths this operator runs.
+    fn paths(&self) -> &'static [Algorithm] {
+        match self {
+            OpSpec::All { .. } => Algorithm::SGB_ALL,
+            OpSpec::Any { .. } => Algorithm::SGB_ANY,
+            OpSpec::Around { .. } => Algorithm::SGB_AROUND,
         }
     }
 }
@@ -195,18 +204,17 @@ impl<const D: usize> SgbQuery<D> {
     }
 
     /// Selects the execution path (default [`Algorithm::Auto`], resolved
-    /// by the cost model at run time). Panics when the algorithm does not
-    /// exist for this query's operator (`BoundsChecking` is SGB-All-only).
+    /// by the cost model at run time). Panics when the algorithm is not
+    /// one of the operator's paths ([`Algorithm::SGB_ANY`],
+    /// [`Algorithm::SGB_AROUND`]; SGB-All runs every variant).
     #[must_use]
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        let applicable = match self.op {
-            OpSpec::All { .. } => true,
-            OpSpec::Any { .. } | OpSpec::Around { .. } => algorithm != Algorithm::BoundsChecking,
-        };
+        let paths = self.op.paths();
         assert!(
-            applicable,
-            "{algorithm} is not an execution path of {} (valid: Auto, AllPairs, Indexed, Grid)",
-            self.op.name()
+            paths.contains(&algorithm),
+            "{algorithm} is not an execution path of {} (valid: {})",
+            self.op.name(),
+            Algorithm::names(paths)
         );
         self.algorithm = algorithm;
         self
@@ -436,7 +444,7 @@ impl<const D: usize> SgbQuery<D> {
     /// * the SGB-Any ε-grid — including **ε-superset reuse**, where one
     ///   grid serves nearby larger ε values by widening the probe window;
     /// * the SGB-Any point R-tree;
-    /// * the SGB-Around center index — version-free, since it is built
+    /// * the SGB-Around center grid — version-free, since it is built
     ///   from the query's centers, never the table;
     /// * the complete [`Grouping`] of an exact repeat query;
     /// * the once-per-version finiteness validation, skipping the O(n·d)
@@ -620,8 +628,8 @@ impl<const D: usize> SgbQuery<D> {
         Ok(out.ran(resolved, reason, threads))
     }
 
-    /// SGB-Around: resolve against the cached center index and the memory
-    /// budget, take the center index from the cache or build it fresh
+    /// SGB-Around: resolve against the cached center grid and the memory
+    /// budget, take the center grid from the cache or build it fresh
     /// (the index-build phase), then assign the batch (the join).
     fn execute_around(
         &self,
@@ -632,23 +640,21 @@ impl<const D: usize> SgbQuery<D> {
         cache: Option<(&SgbCache<D>, u64)>,
     ) -> Result<Grouping, SgbError> {
         let tel = &self.telemetry;
-        let cached = cache.and_then(|(cache, _)| cache.cached_center_algorithm(centers));
+        let cached = cache.is_some_and(|(cache, _)| cache.has_center_index(centers));
         let (resolved, reason) =
             cost::resolve_around(self.algorithm, centers.len(), D, cached, governor)?;
         let threads = cost::threads_for_around(self.threads, points.len());
         let build = tel.phase(Phase::IndexBuild);
-        let index = match (cache, resolved) {
-            (Some((cache, _)), Algorithm::Indexed | Algorithm::Grid) => {
-                cache.get_or_build_center_index(resolved, centers)
-            }
-            // The brute scan has no structure worth caching.
-            _ => Arc::new(build_center_index(resolved, centers)),
-        };
-        let rule = CenterRule::new(self, centers, max_radius, index);
+        // The brute scan has no structure to build or cache.
+        let grid = (resolved == Algorithm::Grid).then(|| match cache {
+            Some((cache, _)) => cache.get_or_build_center_index(centers),
+            None => Arc::new(build_center_grid(centers)),
+        });
+        let rule = CenterRule::new(self, centers, max_radius, grid);
         drop(build);
         let out = around::assign_batch(&rule, points, threads, governor, tel)?;
         // Approximate candidate count: the brute scan compares every point
-        // against every center; the indexed paths probe once per point.
+        // against every center; the grid path counts one per point.
         let per_point = match resolved {
             Algorithm::AllPairs => centers.len() as u64,
             _ => 1,
@@ -766,6 +772,13 @@ mod tests {
     #[should_panic(expected = "not an execution path of SGB-Around")]
     fn bounds_checking_rejected_for_around() {
         let _ = SgbQuery::around(pts(&[[0.0, 0.0]])).algorithm(Algorithm::BoundsChecking);
+    }
+
+    #[test]
+    #[should_panic(expected = "Indexed is not an execution path of SGB-Around \
+                               (valid: Auto, AllPairs, Grid)")]
+    fn indexed_rejected_for_around() {
+        let _ = SgbQuery::around(pts(&[[0.0, 0.0]])).algorithm(Algorithm::Indexed);
     }
 
     #[test]
@@ -933,27 +946,23 @@ mod tests {
         ];
         let mut cases: Vec<(SgbQuery<2>, Vec<Point<2>>)> = Vec::new();
         for (side, n) in all_n.into_iter().enumerate() {
-            for algorithm in Algorithm::ALL {
+            for &algorithm in Algorithm::SGB_ALL {
                 let q = SgbQuery::all(0.4).algorithm(algorithm);
                 cases.push((q, cloud(n, 11 + side as u64, 10.0)));
             }
         }
         for (side, n) in any_n.into_iter().enumerate() {
-            for algorithm in Algorithm::ALL {
-                if algorithm != Algorithm::BoundsChecking {
-                    let q = SgbQuery::any(0.3).algorithm(algorithm);
-                    cases.push((q, cloud(n, 21 + side as u64, 10.0)));
-                }
+            for &algorithm in Algorithm::SGB_ANY {
+                let q = SgbQuery::any(0.3).algorithm(algorithm);
+                cases.push((q, cloud(n, 21 + side as u64, 10.0)));
             }
         }
         for (side, centers) in around_centers.into_iter().enumerate() {
-            for algorithm in Algorithm::ALL {
-                if algorithm != Algorithm::BoundsChecking {
-                    let q = SgbQuery::around(cloud(centers, 31 + side as u64, 10.0))
-                        .max_radius(0.5)
-                        .algorithm(algorithm);
-                    cases.push((q, cloud(300, 41, 10.0)));
-                }
+            for &algorithm in Algorithm::SGB_AROUND {
+                let q = SgbQuery::around(cloud(centers, 31 + side as u64, 10.0))
+                    .max_radius(0.5)
+                    .algorithm(algorithm);
+                cases.push((q, cloud(300, 41, 10.0)));
             }
         }
         let free = QueryGovernor::unrestricted();

@@ -16,17 +16,10 @@
 //! poison would only turn one failed statement into a session whose
 //! cache always panics.
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable,
-    clippy::panic
-)]
-
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use sgb_core::{Algorithm, CacheStats, SgbCache};
+use sgb_core::{CacheStats, SgbCache};
 use sgb_geom::Point;
 
 use crate::error::Result;
@@ -161,43 +154,22 @@ impl SessionCaches {
         }
     }
 
-    /// Read-only: is a center index for exactly this concrete algorithm
-    /// and center list cached? (Center indexes are version-free, so no
-    /// version parameter.)
+    /// Read-only: is a center grid for exactly this center list cached?
+    /// (Center grids are version-free, so no version parameter.)
     pub(crate) fn has_center_index(
         &self,
         table: &str,
         coords_key: &str,
-        algorithm: Algorithm,
         centers: &[Vec<f64>],
     ) -> bool {
         match self.peek(table, coords_key) {
-            Some(DimSlot::D2(s)) => center_points::<2>(centers)
-                .is_some_and(|pts| s.core().has_center_index(algorithm, &pts)),
-            Some(DimSlot::D3(s)) => center_points::<3>(centers)
-                .is_some_and(|pts| s.core().has_center_index(algorithm, &pts)),
+            Some(DimSlot::D2(s)) => {
+                center_points::<2>(centers).is_some_and(|pts| s.core().has_center_index(&pts))
+            }
+            Some(DimSlot::D3(s)) => {
+                center_points::<3>(centers).is_some_and(|pts| s.core().has_center_index(&pts))
+            }
             None => false,
-        }
-    }
-
-    /// Read-only: the concrete algorithm of a cached center index for
-    /// exactly these centers, if one exists. Center indexes are
-    /// version-free, so no version parameter.
-    pub(crate) fn cached_center_algorithm(
-        &self,
-        table: &str,
-        coords_key: &str,
-        centers: &[Vec<f64>],
-    ) -> Option<Algorithm> {
-        match self.peek(table, coords_key)? {
-            DimSlot::D2(s) => {
-                let pts = center_points::<2>(centers)?;
-                s.core().cached_center_algorithm(&pts)
-            }
-            DimSlot::D3(s) => {
-                let pts = center_points::<3>(centers)?;
-                s.core().cached_center_algorithm(&pts)
-            }
         }
     }
 

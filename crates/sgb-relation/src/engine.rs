@@ -1,10 +1,4 @@
 //! The database façade: catalog + SQL entry points.
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable,
-    clippy::panic
-)]
 
 use std::collections::HashMap;
 use std::sync::Arc;

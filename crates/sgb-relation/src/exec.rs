@@ -14,12 +14,6 @@
 //! deadline, gets cancelled, or exceeds the memory budget fails with
 //! [`Error::Aborted`] — and fails *cleanly*: no partial grouping enters
 //! the session caches, and the database stays fully usable.
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable,
-    clippy::panic
-)]
 
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -864,7 +858,7 @@ pub(crate) fn lower<const D: usize>(node: &Plan) -> Result<SgbQuery<D>> {
         } => {
             // The planner only emits algorithms the operator implements;
             // a hand-built plan must get an Err, not the builder's panic.
-            if *algorithm == Algorithm::BoundsChecking {
+            if !Algorithm::SGB_ANY.contains(algorithm) {
                 return Err(Error::Eval(format!(
                     "{algorithm} is not an execution path of DISTANCE-TO-ANY"
                 )));
@@ -904,7 +898,7 @@ pub(crate) fn lower<const D: usize>(node: &Plan) -> Result<SgbQuery<D>> {
                 }
                 center_points.push(Point::new(arr));
             }
-            if *algorithm == Algorithm::BoundsChecking {
+            if !Algorithm::SGB_AROUND.contains(algorithm) {
                 return Err(Error::Eval(format!(
                     "{algorithm} is not an execution path of AROUND"
                 )));
@@ -1037,12 +1031,6 @@ impl AggState {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable,
-    clippy::panic
-)]
 mod tests {
     use super::*;
 

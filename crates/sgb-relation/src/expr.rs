@@ -4,12 +4,6 @@
 //! planner *binds* them against an input schema, resolving column references
 //! to positions and materialising uncorrelated `IN (SELECT …)` subqueries
 //! into hash sets. The result is a [`BoundExpr`] evaluable against a row.
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable,
-    clippy::panic
-)]
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -255,12 +249,6 @@ impl BoundExpr {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable,
-    clippy::panic
-)]
 mod tests {
     use super::*;
 

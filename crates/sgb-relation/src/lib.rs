@@ -37,6 +37,17 @@
 //! assert_eq!(counts, vec!["2", "2"]);
 //! ```
 
+// Library code answers every failure with a typed `Error`; tests may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::unreachable,
+        clippy::panic
+    )
+)]
+
 mod cache;
 pub mod engine;
 pub mod error;

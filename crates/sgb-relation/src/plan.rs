@@ -288,8 +288,7 @@ pub enum Plan {
         /// Optional maximum radius (`WITHIN r`).
         radius: Option<f64>,
         /// Search strategy (resolved — never `Auto`; `AllPairs` is the
-        /// brute center scan, `Indexed` the center R-tree, `Grid` the
-        /// center grid).
+        /// brute center scan, `Grid` the center grid).
         algorithm: Algorithm,
         /// Worker threads the executor will use (resolved at plan time;
         /// the nearest-center assignment parallelises on every path).
@@ -297,7 +296,7 @@ pub enum Plan {
         /// Why `algorithm` was chosen ("configured explicitly" or the
         /// cost model's reason).
         selection: String,
-        /// Cache disposition of the node's center index.
+        /// Cache disposition of the node's center grid.
         index: IndexCacheStatus,
         /// Set when a fresh subscription snapshot will serve this node.
         snapshot: Option<SnapshotInfo>,

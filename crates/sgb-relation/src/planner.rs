@@ -7,12 +7,6 @@
 //! *equi-join extraction* (WHERE `a = b` conjuncts across inputs become
 //! hash joins instead of filtered cartesian products). Uncorrelated
 //! `IN (SELECT …)` subqueries are materialised once at plan time.
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable,
-    clippy::panic
-)]
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -208,10 +202,11 @@ impl<'a> Planner<'a> {
             (Some(GroupBy::SimilarityAny { exprs, metric, eps }), _) => {
                 let n = estimate_rows(&acc, self.db);
                 let configured = self.db.session().any_algorithm;
-                if configured == Algorithm::BoundsChecking {
+                if !Algorithm::SGB_ANY.contains(&configured) {
                     return Err(Error::Unsupported(format!(
                         "session algorithm {configured} is not an execution path of \
-                         DISTANCE-TO-ANY (valid: Auto, AllPairs, Indexed, Grid)"
+                         DISTANCE-TO-ANY (valid: {})",
+                        Algorithm::names(Algorithm::SGB_ANY)
                     )));
                 }
                 // Probe the session cache (read-only) when the operator
@@ -476,29 +471,31 @@ impl<'a> Planner<'a> {
         };
         // `Auto` resolves from the center count (the quantity the
         // per-tuple cost depends on); the reason lands in EXPLAIN. A
-        // cached center index (version-free: it is built from the query's
+        // cached center grid (version-free: it is built from the query's
         // centers, never the table) has zero build cost, so `Auto`
         // prefers it below the cold crossover.
         let configured = self.db.session().around_algorithm;
-        if configured == Algorithm::BoundsChecking {
+        if !Algorithm::SGB_AROUND.contains(&configured) {
             return Err(Error::Unsupported(format!(
                 "session algorithm {configured} is not an execution path of \
-                 AROUND (valid: Auto, AllPairs, Indexed, Grid)"
+                 AROUND (valid: {})",
+                Algorithm::names(Algorithm::SGB_AROUND)
             )));
         }
-        let probe = bare_scan_table(&input)
+        let cached = bare_scan_table(&input)
             .filter(|_| self.db.session().cache)
-            .map(|t| (t.to_ascii_lowercase(), slot_key(&coords)));
-        let cached = probe.as_ref().and_then(|(table, coords_key)| {
-            self.db
-                .caches()
-                .cached_center_algorithm(table, coords_key, centers)
-        });
+            .is_some_and(|table| {
+                self.db.caches().has_center_index(
+                    &table.to_ascii_lowercase(),
+                    &slot_key(&coords),
+                    centers,
+                )
+            });
         // Resolve under the session's memory budget, mirroring SGB-Any:
-        // a budget that rules out the center index degrades `Auto` to the
+        // a budget that rules out the center grid degrades `Auto` to the
         // brute scan (EXPLAIN records why) and fails a session-pinned
-        // `Indexed` / `Grid` with `BudgetExceeded`; a cached center index
-        // costs no new memory and is always admitted.
+        // `Grid` with `BudgetExceeded`; a cached center grid costs no new
+        // memory and is always admitted.
         let governor = self.db.statement_governor();
         let (resolved, selection) = sgb_core::cost::resolve_around(
             configured,
@@ -514,15 +511,7 @@ impl<'a> Planner<'a> {
         let index = match resolved {
             Algorithm::AllPairs => IndexCacheStatus::NotApplicable,
             _ if !self.db.session().cache => IndexCacheStatus::Disabled,
-            concrete
-                if probe.as_ref().is_some_and(|(table, coords_key)| {
-                    self.db
-                        .caches()
-                        .has_center_index(table, coords_key, concrete, centers)
-                }) =>
-            {
-                IndexCacheStatus::Hit
-            }
+            _ if cached => IndexCacheStatus::Hit,
             _ => IndexCacheStatus::Built,
         };
         let snapshot =

@@ -41,12 +41,14 @@ pub struct SessionOptions {
     /// Execution path for `DISTANCE-TO-ALL` queries (every [`Algorithm`]
     /// variant applies).
     pub all_algorithm: Algorithm,
-    /// Execution path for `DISTANCE-TO-ANY` queries. `BoundsChecking` is
-    /// SGB-All-only; a query planned under it fails with a clear error.
+    /// Execution path for `DISTANCE-TO-ANY` queries, one of
+    /// [`Algorithm::SGB_ANY`]: `BoundsChecking` is SGB-All-only, and a
+    /// query planned under it fails with a clear error.
     pub any_algorithm: Algorithm,
-    /// Execution path for `AROUND` queries (`AllPairs` is the brute
-    /// center scan). `BoundsChecking` is SGB-All-only; a query planned
-    /// under it fails with a clear error.
+    /// Execution path for `AROUND` queries, one of
+    /// [`Algorithm::SGB_AROUND`]: `Auto`, `AllPairs` (the brute center
+    /// scan) or `Grid` (the center grid). A query planned under
+    /// `BoundsChecking` or `Indexed` fails with a clear error.
     pub around_algorithm: Algorithm,
     /// Seed for `ON-OVERLAP JOIN-ANY` arbitration (reproducible runs).
     pub seed: u64,
@@ -60,7 +62,7 @@ pub struct SessionOptions {
     pub threads: usize,
     /// Shared-work caching across the session's queries (on by default):
     /// built spatial indexes — the SGB-Any ε-grid (with ε-superset reuse)
-    /// and R-tree, the SGB-Around center index — plus whole groupings of
+    /// and R-tree, the SGB-Around center grid — plus whole groupings of
     /// exact repeat queries, invalidated by the table's version counter on
     /// any mutation. Caching never changes results, only build work;
     /// `EXPLAIN` reports the disposition per node (`index: cached (hit)` /

@@ -1,10 +1,4 @@
 //! SQL tokenizer.
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable,
-    clippy::panic
-)]
 
 use crate::error::{Error, Result};
 
@@ -232,12 +226,6 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable,
-    clippy::panic
-)]
 mod tests {
     use super::*;
 

@@ -644,7 +644,6 @@ pub(crate) fn build_maintained(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use std::time::Duration;
 

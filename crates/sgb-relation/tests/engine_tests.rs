@@ -693,6 +693,31 @@ fn sgb_around_composes_with_aggregates_and_having() {
 }
 
 #[test]
+fn around_session_pinned_to_indexed_is_a_typed_error() {
+    // SGB-Around runs the center scan and the center grid only: the
+    // planner rejects `Indexed` with a typed error listing both paths.
+    let mut db = Database::new();
+    db.execute("CREATE TABLE gps (lat DOUBLE, lon DOUBLE)")
+        .unwrap();
+    db.execute("INSERT INTO gps VALUES (1.0, 1.0)").unwrap();
+    db.session_mut().around_algorithm = Algorithm::Indexed;
+    let err = db
+        .query("SELECT count(*) FROM gps GROUP BY lat, lon AROUND ((1, 1))")
+        .unwrap_err();
+    assert!(
+        matches!(err, sgb_relation::Error::Unsupported(_)),
+        "got: {err:?}"
+    );
+    let text = err.to_string();
+    assert!(
+        text.contains("Indexed")
+            && text.contains("AROUND")
+            && text.contains("valid: Auto, AllPairs, Grid"),
+        "got: {text}"
+    );
+}
+
+#[test]
 fn sgb_around_explain_names_centers_metric_radius_and_path() {
     let mut db = Database::new();
     db.execute("CREATE TABLE gps (lat DOUBLE, lon DOUBLE)")
@@ -712,11 +737,11 @@ fn sgb_around_explain_names_centers_metric_radius_and_path() {
     assert!(plan.contains("path: AllPairs"), "{plan}");
     assert!(plan.contains("auto: 3 centers"), "{plan}");
     // An explicit setting shows up as such (resolved path + reason).
-    db.session_mut().around_algorithm = sgb_core::Algorithm::Indexed;
+    db.session_mut().around_algorithm = sgb_core::Algorithm::Grid;
     let plan = db
         .explain("SELECT count(*) FROM gps GROUP BY lat, lon AROUND ((1, 1))")
         .unwrap();
-    assert!(plan.contains("path: Indexed"), "{plan}");
+    assert!(plan.contains("path: Grid"), "{plan}");
     assert!(plan.contains("pinned by session options"), "{plan}");
     assert!(!plan.contains("WITHIN"), "no radius → no WITHIN: {plan}");
     db.session_mut().around_algorithm = sgb_core::Algorithm::AllPairs;
@@ -848,7 +873,7 @@ fn programmatic_around_plan_with_bad_centers_errors_cleanly() {
         centers,
         metric: sgb_core::Metric::L2,
         radius,
-        algorithm: sgb_core::Algorithm::Indexed,
+        algorithm: sgb_core::Algorithm::Grid,
         threads: 1,
         selection: "hand-built".into(),
         index: sgb_relation::IndexCacheStatus::Built,
@@ -875,12 +900,17 @@ fn programmatic_around_plan_with_bad_centers_errors_cleanly() {
     // every node; hand-built plans carrying it for an operator that does
     // not implement it must error cleanly too (the planner rejects the
     // combination earlier on the SQL path).
-    let mut bad_around = around(vec![vec![0.0, 0.0]], None);
-    if let Plan::SimilarityAround { algorithm, .. } = &mut bad_around {
-        *algorithm = sgb_core::Algorithm::BoundsChecking;
+    for bad in [
+        sgb_core::Algorithm::BoundsChecking,
+        sgb_core::Algorithm::Indexed,
+    ] {
+        let mut bad_around = around(vec![vec![0.0, 0.0]], None);
+        if let Plan::SimilarityAround { algorithm, .. } = &mut bad_around {
+            *algorithm = bad;
+        }
+        let err = execute(&bad_around, &db).unwrap_err();
+        assert!(err.to_string().contains(&bad.to_string()), "got: {err}");
     }
-    let err = execute(&bad_around, &db).unwrap_err();
-    assert!(err.to_string().contains("BoundsChecking"), "got: {err}");
 
     let bad_any = Plan::SimilarityGroupBy {
         input: Box::new(scan.clone()),

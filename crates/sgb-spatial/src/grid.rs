@@ -9,31 +9,34 @@
 //!
 //! Cells are keyed by `floor(coord / cell)` per dimension and stored in a
 //! hash map, so only occupied cells cost memory, the domain never needs
-//! bounds, and entries come and go one at a time. Two query shapes are
-//! provided:
+//! bounds, and entries come and go one at a time. The one query shape,
+//! [`Grid::for_each_within`], is the ε-probe. It visits a guaranteed
+//! **superset** of the entries satisfying the canonical predicate
+//! [`Metric::within`](sgb_geom::Metric::within); callers verify each hit
+//! exactly like `VerifyPoints` of the paper's Procedure 8. The cell window
+//! is padded by one whole cell per side, which makes the superset
+//! guarantee robust against floating-point rounding of the `coord / cell`
+//! quantisation (no epsilon-juggling proofs required — the pad absorbs a
+//! full cell of error where the actual error is a few ulps).
 //!
-//! * [`Grid::for_each_within`] — the ε-probe. It visits a guaranteed
-//!   **superset** of the entries satisfying the canonical predicate
-//!   [`Metric::within`]; callers verify each hit exactly like
-//!   `VerifyPoints` of the paper's Procedure 8. The cell window is padded
-//!   by one whole cell per side, which makes the superset guarantee robust
-//!   against floating-point rounding of the `coord / cell` quantisation
-//!   (no epsilon-juggling proofs required — the pad absorbs a full cell of
-//!   error where the actual error is a few ulps).
-//! * [`Grid::nearest_one`] — expanding-ring nearest-neighbour search for
-//!   SGB-Around. Distances are the canonical [`Metric::distance`] values
-//!   and exact ties resolve by ascending payload, bit-compatible with
-//!   [`crate::RTree::nearest_one_with`].
-//!
-//! Incremental maintenance and SGB-Around's center index use this grid.
-//! The bulk ε-join over a complete point set runs over the sort-built
-//! layout of [`crate::sorted`] instead, which needs no cell lookups; it is
-//! tested here, beside the probes and over the same fixtures.
+//! Incremental maintenance and SGB-Around's center grid use this grid;
+//! SGB-Around builds its nearest-center search from growing probes (see
+//! `sgb_core::around`). The bulk ε-join over a complete point set runs
+//! over the sort-built layout of [`crate::sorted`] instead, which needs no
+//! cell lookups; it is tested here, beside the probes and over the same
+//! fixtures.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable,
+    clippy::panic
+)]
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use sgb_geom::{Metric, Point};
+use sgb_geom::Point;
 
 /// Cell coordinates: `floor(coord / cell)` per dimension.
 pub type CellKey<const D: usize> = [i64; D];
@@ -100,22 +103,24 @@ type CellMap<const D: usize, T> =
 pub struct Grid<const D: usize, T> {
     cell: f64,
     cells: CellMap<D, T>,
-    /// Occupied-cell bounding box (valid only when `len > 0`); bounds the
-    /// expanding-ring search of [`nearest_one`](Self::nearest_one).
+    /// Occupied-cell bounding box (valid only when `len > 0`); clamps the
+    /// cell window of [`for_each_within`](Self::for_each_within).
     lo: CellKey<D>,
     hi: CellKey<D>,
     len: usize,
 }
 
 impl<const D: usize, T> Grid<D, T> {
-    /// An empty grid with the given cell side length.
+    /// An empty grid with the given cell side length, or with a side of
+    /// `1.0` when `cell` is not finite and positive (as
+    /// [`SortedCells::from_points`](crate::SortedCells::from_points) does).
     pub fn new(cell: f64) -> Self {
-        assert!(
-            cell.is_finite() && cell > 0.0,
-            "grid cell side must be finite and positive"
-        );
         Self {
-            cell,
+            cell: if cell.is_finite() && cell > 0.0 {
+                cell
+            } else {
+                1.0
+            },
             cells: CellMap::default(),
             lo: [0; D],
             hi: [0; D],
@@ -257,7 +262,7 @@ impl<const D: usize, T> Grid<D, T> {
 
     /// The ε-probe: invokes `visit` for every entry stored in a cell that
     /// could hold a point within `eps` of `center` — a guaranteed superset
-    /// of the canonical predicate [`Metric::within`] under every metric
+    /// of the canonical predicate [`Metric::within`](sgb_geom::Metric::within) under every metric
     /// (the visited window covers `[center − eps, center + eps]` per
     /// dimension, padded by one full cell against quantisation rounding).
     /// Callers verify each hit with `Metric::within`, exactly like
@@ -311,121 +316,6 @@ impl<const D: usize, T> Grid<D, T> {
                         visit(p, item);
                     }
                 }
-            }
-        }
-    }
-
-    /// The entry nearest to `q` under `metric`, as `(distance, payload)` —
-    /// expanding-ring search over cells. Reported distances are the
-    /// canonical [`Metric::distance`] values and exact ties resolve to the
-    /// smallest payload, so the result is bit-identical to a brute-force
-    /// `(distance, payload)`-lexicographic argmin (and to
-    /// [`crate::RTree::nearest_one_with`] over point entries).
-    pub fn nearest_one(&self, q: &Point<D>, metric: Metric) -> Option<(f64, T)>
-    where
-        T: Ord + Clone,
-    {
-        if self.len == 0 {
-            return None;
-        }
-        let qc = self.cell_of(q);
-        // Rings beyond the occupied bounding box hold nothing.
-        let mut max_ring = 0i64;
-        for (d, &qcd) in qc.iter().enumerate() {
-            let lo_gap = (qcd as i128 - self.lo[d] as i128).unsigned_abs();
-            let hi_gap = (qcd as i128 - self.hi[d] as i128).unsigned_abs();
-            let gap = lo_gap.max(hi_gap).min(i64::MAX as u128) as i64;
-            max_ring = max_ring.max(gap);
-        }
-        let mut best: Option<(f64, &T)> = None;
-        for k in 0..=max_ring {
-            if let Some((bd, _)) = best {
-                // Any point in ring k is at least (k − 1) cells away under
-                // L∞ (and δ₁ ≥ δ₂ ≥ δ∞); one extra cell of slack makes the
-                // cut-off immune to the quantisation rounding of `cell_of`.
-                if (k as f64 - 2.0) * self.cell > bd {
-                    break;
-                }
-            }
-            self.for_each_ring_cell(&qc, k, |entries| {
-                for (p, item) in entries {
-                    let d = metric.distance(q, p);
-                    let better = match best {
-                        None => true,
-                        Some((bd, bt)) => d < bd || (d == bd && item < bt),
-                    };
-                    if better {
-                        best = Some((d, item));
-                    }
-                }
-            });
-        }
-        best.map(|(d, item)| (d, item.clone()))
-    }
-
-    /// Invokes `f` with the entry list of every occupied cell at Chebyshev
-    /// cell-distance exactly `k` from `qc`, clamped to the occupied
-    /// bounding box.
-    ///
-    /// Walks only the ring **shell**, never the cube interior: for each
-    /// dimension `d` the two faces `c_d = qc_d ± k` are enumerated, with
-    /// dimensions before `d` restricted to the open interval
-    /// `(qc − k, qc + k)` so face intersections (edges/corners) are
-    /// visited exactly once. The per-ring cost is therefore proportional
-    /// to the clamped ring surface, not to the clamped bounding box — a
-    /// query far from the population pays O(surface) per ring instead of
-    /// re-enumerating the whole occupied box every ring.
-    fn for_each_ring_cell<'a, F: FnMut(&'a [(Point<D>, T)])>(
-        &'a self,
-        qc: &CellKey<D>,
-        k: i64,
-        mut f: F,
-    ) {
-        if k == 0 {
-            if (0..D).all(|d| self.lo[d] <= qc[d] && qc[d] <= self.hi[d]) {
-                if let Some(entries) = self.cells.get(qc) {
-                    f(entries);
-                }
-            }
-            return;
-        }
-        let mut lo = [0i64; D];
-        let mut hi = [0i64; D];
-        for face_dim in 0..D {
-            for face in [
-                qc[face_dim].saturating_sub(k),
-                qc[face_dim].saturating_add(k),
-            ] {
-                if face < self.lo[face_dim] || face > self.hi[face_dim] {
-                    continue;
-                }
-                let mut empty = false;
-                for d in 0..D {
-                    if d == face_dim {
-                        lo[d] = face;
-                        hi[d] = face;
-                        continue;
-                    }
-                    // Earlier dimensions already contributed their own
-                    // ±k faces; keep them strictly inside the ring there.
-                    let slack = if d < face_dim { k - 1 } else { k };
-                    let l = qc[d].saturating_sub(slack).max(self.lo[d]);
-                    let h = qc[d].saturating_add(slack).min(self.hi[d]);
-                    if l > h {
-                        empty = true;
-                        break;
-                    }
-                    lo[d] = l;
-                    hi[d] = h;
-                }
-                if empty {
-                    continue;
-                }
-                for_each_key_in_box(&lo, &hi, |key| {
-                    if let Some(entries) = self.cells.get(key) {
-                        f(entries);
-                    }
-                });
             }
         }
     }
@@ -483,6 +373,7 @@ mod tests {
     use super::*;
     use crate::sorted::CellForest;
     use crate::{JoinPass, JoinTally, SortedCells};
+    use sgb_geom::Metric;
     use std::convert::Infallible;
 
     fn pt(x: f64, y: f64) -> Point<2> {
@@ -504,13 +395,18 @@ mod tests {
         let mut visited = 0;
         grid.for_each_within(&pt(0.0, 0.0), 10.0, |_, _| visited += 1);
         assert_eq!(visited, 0);
-        assert_eq!(grid.nearest_one(&pt(0.0, 0.0), Metric::L2), None);
     }
 
     #[test]
-    #[should_panic(expected = "cell side")]
-    fn rejects_zero_cell() {
-        let _: Grid<2, usize> = Grid::new(0.0);
+    fn unusable_cell_side_falls_back_to_one() {
+        for side in [0.0, -2.0, f64::NAN, f64::INFINITY] {
+            let mut grid: Grid<2, usize> = Grid::new(side);
+            assert_eq!(grid.cell_side(), 1.0, "{side}");
+            grid.insert(pt(0.5, 0.5), 0);
+            let mut hits = Vec::new();
+            grid.for_each_within(&pt(0.0, 0.0), 1.0, |_, &i| hits.push(i));
+            assert_eq!(hits, vec![0], "{side}");
+        }
     }
 
     #[test]
@@ -598,48 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn nearest_one_matches_brute_force_argmin() {
-        let grid: Grid<2, usize> = Grid::from_points(1.7, lattice(400));
-        let probes = [
-            pt(7.3, 4.9),
-            pt(-2.0, 40.0),
-            pt(10.0, 10.0),
-            pt(15.0, 8.0),
-            pt(200.0, -50.0), // far outside the population
-        ];
-        for metric in Metric::ALL {
-            for q in &probes {
-                let got = grid.nearest_one(q, metric).unwrap();
-                let mut best = (f64::INFINITY, 0usize);
-                for &(p, i) in &lattice(400) {
-                    let d = metric.distance(q, &p);
-                    if d < best.0 {
-                        best = (d, i);
-                    }
-                }
-                assert_eq!(got, best, "{metric} {q:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn nearest_one_breaks_exact_ties_by_ascending_payload() {
-        // Duplicate positions with scrambled payloads at exactly equal
-        // distance: the smallest payload must win, regardless of insertion
-        // order or cell layout.
-        let ring = [pt(11.0, 10.0), pt(9.0, 10.0), pt(10.0, 11.0), pt(10.0, 9.0)];
-        for metric in Metric::ALL {
-            let mut grid: Grid<2, usize> = Grid::new(0.8);
-            for (j, payload) in [5usize, 1, 7, 3, 0, 6, 2, 4].iter().enumerate() {
-                grid.insert(ring[j % ring.len()], *payload);
-            }
-            let got = grid.nearest_one(&pt(10.0, 10.0), metric).unwrap();
-            assert_eq!(got.1, 0, "{metric}");
-            assert!((got.0 - 1.0).abs() < 1e-12, "{metric}");
-        }
-    }
-
-    #[test]
     fn incremental_and_bulk_loads_agree() {
         let mut inc: Grid<2, usize> = Grid::new(2.0);
         for (p, i) in lattice(300) {
@@ -657,7 +511,6 @@ mod tests {
                 out
             };
             assert_eq!(collect(&inc), collect(&bulk), "{metric}");
-            assert_eq!(inc.nearest_one(&q, metric), bulk.nearest_one(&q, metric));
         }
     }
 
@@ -685,22 +538,6 @@ mod tests {
                 .map(|&(_, i)| i)
                 .collect();
             assert_eq!(hits, expected, "{metric}");
-            // Nearest agrees with brute force too.
-            let got = grid.nearest_one(&q, metric).unwrap();
-            let best = points
-                .iter()
-                .map(|(p, i)| (metric.distance(&q, p), *i))
-                .fold(
-                    (f64::INFINITY, 0),
-                    |acc, cur| {
-                        if cur.0 < acc.0 {
-                            cur
-                        } else {
-                            acc
-                        }
-                    },
-                );
-            assert_eq!(got, best, "{metric}");
         }
     }
 
@@ -721,28 +558,6 @@ mod tests {
         });
         hits.sort_unstable();
         assert_eq!(hits, vec![2], "only the unsaturated point is in range");
-        // Nearest search still terminates and finds the true argmin.
-        assert_eq!(grid.nearest_one(&pt(0.3, 0.0), Metric::L2).unwrap().1, 2);
-    }
-
-    #[test]
-    fn nearest_one_far_diagonal_query_is_cheap_and_correct() {
-        // A query far outside the population (diagonally) must still
-        // return the exact argmin; the ring walk only touches shell
-        // cells, so this terminates quickly even with many rings.
-        let grid: Grid<2, usize> = Grid::from_points(0.5, lattice(500));
-        for metric in Metric::ALL {
-            let q = pt(5000.0, -4000.0);
-            let got = grid.nearest_one(&q, metric).unwrap();
-            let mut best = (f64::INFINITY, 0usize);
-            for &(p, i) in &lattice(500) {
-                let d = metric.distance(&q, &p);
-                if d < best.0 {
-                    best = (d, i);
-                }
-            }
-            assert_eq!(got, best, "{metric}");
-        }
     }
 
     #[test]
@@ -782,10 +597,6 @@ mod tests {
                 out
             };
             assert_eq!(collect(&grid), collect(&fresh), "{metric}");
-            assert_eq!(
-                grid.nearest_one(&pt(4.0, 4.0), metric),
-                fresh.nearest_one(&pt(4.0, 4.0), metric)
-            );
         }
     }
 
@@ -806,8 +617,9 @@ mod tests {
         assert!(grid.is_empty());
         assert_eq!(grid.occupied_cells(), 0, "no empty cells accumulate");
         grid.insert(pt(1.5, 1.5), 99);
-        let got = grid.nearest_one(&pt(0.0, 0.0), Metric::L2).unwrap();
-        assert_eq!(got.1, 99);
+        let mut hits = Vec::new();
+        grid.for_each_within(&pt(0.0, 0.0), 2.0, |_, &i| hits.push(i));
+        assert_eq!(hits, vec![99]);
     }
 
     #[test]

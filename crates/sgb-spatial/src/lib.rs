@@ -21,7 +21,7 @@
 //! with no tree descent at all):
 //!
 //! * the [`Grid`] — hashed cells, for point-wise probes over a changing
-//!   point set (incremental maintenance, SGB-Around's center index);
+//!   point set (incremental maintenance, SGB-Around's center grid);
 //! * [`SortedCells`] — one immutable layout sorted on the cell key, for
 //!   the bulk ε-join over a complete point set (one-shot SGB-Any, SGB-All's
 //!   component pre-pass, and the maintained SGB-Any components' builds

@@ -1,5 +1,11 @@
 //! Dynamic R-tree with quadratic split (Guttman's original algorithm).
 //!
+//! Two paths of the paper use it: SGB-All's group tree (Procedure 5) and
+//! SGB-Any's point tree (Procedure 8), both through ε-range queries
+//! ([`RTree::query_within`]) whose hits the caller verifies. The tree
+//! answers no nearest-neighbour queries: SGB-Around's nearest-center
+//! search runs over a center grid (see `sgb_core::around`).
+//!
 //! Deletion audit (incremental-maintenance engine): unlike [`crate::Grid`],
 //! which only gained [`crate::Grid::remove`] when delta maintenance was
 //! added, the R-tree has supported removal from the start —
@@ -10,7 +16,6 @@
 //! and treats R-trees as per-query rebuilt indexes.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use sgb_geom::{Metric, Point, Rect};
 
@@ -95,7 +100,7 @@ impl<const D: usize, T: Clone + PartialEq> RTree<D, T> {
     /// instead — and produces near-full, spatially coherent nodes. Queries
     /// on the result are exact as ever; only the tree *shape* differs, and
     /// no SGB answer depends on tree shape (range queries are verified by
-    /// the caller, nearest-neighbour ties are payload-ordered).
+    /// the caller).
     ///
     /// The packing honours the same fan-out bounds as dynamic insertion
     /// (underfull tails are rebalanced with their left sibling), so
@@ -407,8 +412,7 @@ impl<const D: usize, T: Clone + PartialEq> RTree<D, T> {
         self.for_each_within(center, eps, metric, &mut stack, visit);
     }
 
-    /// Allocation-free sibling of [`query_within`](Self::query_within)
-    /// (mirroring [`nearest_one_with`](Self::nearest_one_with)): the
+    /// Allocation-free sibling of [`query_within`](Self::query_within): the
     /// traversal stack is caller-provided scratch, cleared on entry, so
     /// per-tuple hot loops pay no heap allocation per query. Semantics are
     /// identical — same pruning, same relaxed threshold, same
@@ -455,157 +459,6 @@ impl<const D: usize, T: Clone + PartialEq> RTree<D, T> {
                 NodeKind::Internal(children) => stack.extend_from_slice(children),
             }
         }
-    }
-
-    /// The `k` entries nearest to `q` under `metric`, as
-    /// `(distance, payload)` sorted by ascending distance. Best-first search
-    /// over node MBR lower bounds.
-    ///
-    /// Edge cases are fully defined:
-    ///
-    /// * `k = 0` or an empty tree returns an empty vector;
-    /// * `k > len` returns every entry (sorted), without error;
-    /// * entries at *exactly* equal distance are returned in ascending
-    ///   payload order — the output is sorted by `(distance, payload)`
-    ///   lexicographically, independent of tree shape or insertion history
-    ///   (hence the `T: Ord` bound). SGB-Around relies on this for its
-    ///   deterministic lowest-center-index tie-breaking.
-    ///
-    /// For point entries (degenerate rectangles) the reported distance is
-    /// bit-identical to [`Metric::distance`]: the per-dimension clamp gaps
-    /// of [`Rect::min_distance`] reduce to `|qᵈ − pᵈ|` and are folded in
-    /// the same dimension order.
-    pub fn nearest(&self, q: &Point<D>, k: usize, metric: Metric) -> Vec<(f64, T)>
-    where
-        T: Ord,
-    {
-        enum Cand<T> {
-            Node(NodeId),
-            Entry(T),
-        }
-        /// Pop priority at equal distance: nodes expand before entries are
-        /// emitted (a node with mindist `d` may still hide an entry at
-        /// distance `d` with a smaller payload), and tied entries pop in
-        /// ascending payload order.
-        struct HeapItem<T>(f64, Cand<T>);
-        impl<T: Ord> HeapItem<T> {
-            /// `Greater` when `self` must pop before `other`.
-            fn priority(&self, other: &Self) -> Ordering {
-                match other.0.partial_cmp(&self.0).unwrap_or(Ordering::Equal) {
-                    Ordering::Equal => match (&self.1, &other.1) {
-                        (Cand::Node(_), Cand::Entry(_)) => Ordering::Greater,
-                        (Cand::Entry(_), Cand::Node(_)) => Ordering::Less,
-                        (Cand::Node(_), Cand::Node(_)) => Ordering::Equal,
-                        (Cand::Entry(a), Cand::Entry(b)) => b.cmp(a),
-                    },
-                    ord => ord,
-                }
-            }
-        }
-        impl<T: Ord> PartialEq for HeapItem<T> {
-            fn eq(&self, other: &Self) -> bool {
-                self.priority(other) == Ordering::Equal
-            }
-        }
-        impl<T: Ord> Eq for HeapItem<T> {}
-        impl<T: Ord> PartialOrd for HeapItem<T> {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl<T: Ord> Ord for HeapItem<T> {
-            fn cmp(&self, other: &Self) -> Ordering {
-                self.priority(other)
-            }
-        }
-
-        let mut out = Vec::with_capacity(k.min(self.len));
-        if self.len == 0 || k == 0 {
-            return out;
-        }
-        let mut heap: BinaryHeap<HeapItem<T>> = BinaryHeap::new();
-        heap.push(HeapItem(
-            self.nodes[self.root].rect.min_distance(q, metric),
-            Cand::Node(self.root),
-        ));
-        while let Some(HeapItem(dist, cand)) = heap.pop() {
-            match cand {
-                Cand::Entry(item) => {
-                    out.push((dist, item));
-                    if out.len() == k {
-                        break;
-                    }
-                }
-                Cand::Node(id) => match &self.nodes[id].kind {
-                    NodeKind::Leaf(entries) => {
-                        for (r, item) in entries {
-                            heap.push(HeapItem(
-                                r.min_distance(q, metric),
-                                Cand::Entry(item.clone()),
-                            ));
-                        }
-                    }
-                    NodeKind::Internal(children) => {
-                        for &c in children {
-                            heap.push(HeapItem(
-                                self.nodes[c].rect.min_distance(q, metric),
-                                Cand::Node(c),
-                            ));
-                        }
-                    }
-                },
-            }
-        }
-        out
-    }
-
-    /// The single entry nearest to `q` under `metric` — equivalent to
-    /// `self.nearest(q, 1, metric).pop()`, including the
-    /// `(distance, payload)`-lexicographic tie-breaking, but implemented as
-    /// a branch-and-bound descent over `stack` (caller-provided scratch,
-    /// cleared on entry) so per-query hot loops pay no heap allocations.
-    pub fn nearest_one_with(
-        &self,
-        q: &Point<D>,
-        metric: Metric,
-        stack: &mut Vec<usize>,
-    ) -> Option<(f64, T)>
-    where
-        T: Ord,
-    {
-        if self.len == 0 {
-            return None;
-        }
-        let mut best: Option<(f64, &T)> = None;
-        stack.clear();
-        stack.push(self.root);
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id];
-            // Prune strictly-farther subtrees only: an equal lower bound
-            // may still hide an equal-distance entry with a smaller
-            // payload.
-            if let Some((bd, _)) = best {
-                if node.rect.min_distance(q, metric) > bd {
-                    continue;
-                }
-            }
-            match &node.kind {
-                NodeKind::Leaf(entries) => {
-                    for (r, item) in entries {
-                        let d = r.min_distance(q, metric);
-                        let better = match best {
-                            None => true,
-                            Some((bd, bt)) => d < bd || (d == bd && item < bt),
-                        };
-                        if better {
-                            best = Some((d, item));
-                        }
-                    }
-                }
-                NodeKind::Internal(children) => stack.extend_from_slice(children),
-            }
-        }
-        best.map(|(d, item)| (d, item.clone()))
     }
 
     /// Removes the entry matching `(rect, item)` exactly. Returns `true`
@@ -986,7 +839,6 @@ mod tests {
             tree.query_collect(&Rect::centered(pt(0.0, 0.0), 10.0)),
             Vec::<usize>::new()
         );
-        assert!(tree.nearest(&pt(0.0, 0.0), 3, Metric::L2).is_empty());
     }
 
     #[test]
@@ -1100,133 +952,6 @@ mod tests {
         assert_eq!(tree.len(), 2000);
         assert!(tree.height() > 1, "2000 points must split the root");
         tree.check_invariants();
-    }
-
-    #[test]
-    fn nearest_neighbours_match_brute_force() {
-        let tree = grid_tree(400);
-        let q = pt(7.3, 4.9);
-        for metric in [Metric::L2, Metric::LInf] {
-            let got = tree.nearest(&q, 5, metric);
-            assert_eq!(got.len(), 5);
-            let mut brute: Vec<(f64, usize)> = (0..400)
-                .map(|i| {
-                    (
-                        metric.distance(&pt((i % 31) as f64, (i / 31) as f64), &q),
-                        i,
-                    )
-                })
-                .collect();
-            brute.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-            for (k, (d, _)) in got.iter().enumerate() {
-                assert!(
-                    (d - brute[k].0).abs() < 1e-12,
-                    "kNN distance #{k} mismatch under {metric:?}"
-                );
-            }
-            // Distances are non-decreasing.
-            assert!(got.windows(2).all(|w| w[0].0 <= w[1].0));
-        }
-    }
-
-    #[test]
-    fn nearest_k_edge_cases() {
-        // k = 0 on a populated tree: empty, no panic.
-        let tree = grid_tree(50);
-        assert!(tree.nearest(&pt(1.0, 1.0), 0, Metric::L2).is_empty());
-        // Empty tree with k > 0: empty.
-        let empty: RTree<2, usize> = RTree::new();
-        assert!(empty.nearest(&pt(0.0, 0.0), 5, Metric::L1).is_empty());
-        // k > len: every entry, sorted, no duplicates.
-        for metric in Metric::ALL {
-            let all = tree.nearest(&pt(3.3, 0.7), 1000, metric);
-            assert_eq!(all.len(), 50, "{metric}");
-            assert!(all.windows(2).all(|w| w[0].0 <= w[1].0), "{metric}");
-            let mut ids: Vec<usize> = all.iter().map(|(_, i)| *i).collect();
-            ids.sort_unstable();
-            assert_eq!(ids, (0..50).collect::<Vec<_>>(), "{metric}");
-        }
-    }
-
-    #[test]
-    fn nearest_breaks_exact_ties_by_ascending_payload() {
-        // Eight entries at exactly distance 1 from the query (plus fillers
-        // farther away), inserted in scrambled payload order and enough of
-        // them to force node splits: the tie block must come back in
-        // ascending payload order regardless of tree shape.
-        let q = pt(10.0, 10.0);
-        let ring = [pt(11.0, 10.0), pt(9.0, 10.0), pt(10.0, 11.0), pt(10.0, 9.0)];
-        for metric in Metric::ALL {
-            let mut tree: RTree<2, usize> = RTree::with_max_entries(4);
-            // Scrambled insertion order, duplicate positions across payloads.
-            for (j, payload) in [5usize, 1, 7, 3, 0, 6, 2, 4].iter().enumerate() {
-                tree.insert(Rect::point(ring[j % ring.len()]), *payload);
-            }
-            for filler in 8..40 {
-                tree.insert(Rect::point(pt(30.0 + filler as f64, 30.0)), filler);
-            }
-            let got = tree.nearest(&q, 8, metric);
-            let payloads: Vec<usize> = got.iter().map(|(_, i)| *i).collect();
-            assert_eq!(payloads, vec![0, 1, 2, 3, 4, 5, 6, 7], "{metric}");
-            assert!(
-                got.iter().all(|(d, _)| (*d - 1.0).abs() < 1e-12),
-                "{metric}"
-            );
-            // A truncated k cuts the same order short.
-            let got3 = tree.nearest(&q, 3, metric);
-            let payloads3: Vec<usize> = got3.iter().map(|(_, i)| *i).collect();
-            assert_eq!(payloads3, vec![0, 1, 2], "{metric}");
-        }
-    }
-
-    #[test]
-    fn nearest_one_with_agrees_with_nearest_k1() {
-        // Including on exact ties (the duplicate-position ring) and the
-        // empty tree.
-        let empty: RTree<2, usize> = RTree::new();
-        let mut stack = Vec::new();
-        assert_eq!(
-            empty.nearest_one_with(&pt(0.0, 0.0), Metric::L2, &mut stack),
-            None
-        );
-
-        let tree = grid_tree(500);
-        let mut ring: RTree<2, usize> = RTree::with_max_entries(4);
-        for (j, payload) in [5usize, 1, 7, 3, 0, 6, 2, 4].iter().enumerate() {
-            let ps = [pt(11.0, 10.0), pt(9.0, 10.0), pt(10.0, 11.0), pt(10.0, 9.0)];
-            ring.insert(Rect::point(ps[j % 4]), *payload);
-        }
-        let probes = [pt(3.3, 7.1), pt(-2.0, 40.0), pt(10.0, 10.0), pt(15.0, 8.0)];
-        for metric in Metric::ALL {
-            for t in [&tree, &ring] {
-                for q in &probes {
-                    assert_eq!(
-                        t.nearest_one_with(q, metric, &mut stack),
-                        t.nearest(q, 1, metric).pop(),
-                        "{metric} {q:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn nearest_point_distances_match_metric_distance_exactly() {
-        // For point entries the reported distance must be bit-identical to
-        // the canonical Metric::distance (SGB-Around's brute/indexed
-        // equivalence rests on this).
-        let tree = grid_tree(300);
-        let q = pt(4.721, 7.913);
-        for metric in Metric::ALL {
-            for (d, i) in tree.nearest(&q, 300, metric) {
-                let p = pt((i % 31) as f64, (i / 31) as f64);
-                assert!(
-                    d == metric.distance(&p, &q),
-                    "{metric} entry {i}: {d} vs {}",
-                    metric.distance(&p, &q)
-                );
-            }
-        }
     }
 
     #[test]
@@ -1379,12 +1104,6 @@ mod tests {
                 out
             };
             assert_eq!(collect(&bulk), collect(&inc), "{metric}");
-            // Nearest-neighbour results are tree-shape independent.
-            assert_eq!(
-                bulk.nearest(&q, 7, metric),
-                inc.nearest(&q, 7, metric),
-                "{metric}"
-            );
         }
         // A bulk-loaded tree stays freely mutable.
         let mut bulk = bulk;

@@ -181,8 +181,8 @@ fn around_recovers_ground_truth_mixture_centers() {
             query.run(&points)
         };
         let brute = run(Algorithm::AllPairs);
-        let indexed = run(Algorithm::Indexed);
-        assert_eq!(brute, indexed, "{metric}");
+        let grid = run(Algorithm::Grid);
+        assert_eq!(brute, grid, "{metric}");
         brute.check_partition(points.len());
         assert_eq!(brute.grouped_records(), points.len());
         // Every center of a 16-component mixture over 2000 points should

@@ -295,17 +295,17 @@ fn rtree_build_is_priced_and_cached_tree_admitted() {
     assert_eq!(warm_db.execute(sql).unwrap(), warm);
 }
 
-/// The SGB-Around center-index build is priced into the budget too: a
-/// pinned `Indexed` center index over-budget fails with `BudgetExceeded`,
+/// The SGB-Around center-grid build is priced into the budget too: a
+/// pinned `Grid` center grid over-budget fails with `BudgetExceeded`,
 /// `Auto` degrades to the O(1)-memory brute center scan with a
-/// bit-identical answer, and a cached center index is admitted.
+/// bit-identical answer, and a cached center grid is admitted.
 #[test]
 fn around_center_index_is_priced_and_cached_index_admitted() {
     let sql = "SELECT count(*) FROM t \
                GROUP BY x, y AROUND ((10, 10), (30, 30), (50, 50), (70, 70)) L2 WITHIN 5";
     let mut pinned = Database::with_options(
         SessionOptions::new()
-            .with_around_algorithm(Algorithm::Indexed)
+            .with_around_algorithm(Algorithm::Grid)
             .with_memory_budget(Some(64)),
     );
     pinned
@@ -333,16 +333,16 @@ fn around_center_index_is_priced_and_cached_index_admitted() {
     let mut free = cloud_db(600);
     assert_eq!(governed, free.execute(sql).unwrap());
 
-    // Warm session: cache the center index, then clamp the budget.
+    // Warm session: cache the center grid, then clamp the budget.
     let mut warm_db =
-        Database::with_options(SessionOptions::new().with_around_algorithm(Algorithm::Indexed));
+        Database::with_options(SessionOptions::new().with_around_algorithm(Algorithm::Grid));
     warm_db
         .execute("CREATE TABLE t (x DOUBLE, y DOUBLE)")
         .unwrap();
     warm_db
         .execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
         .unwrap();
-    let warm = warm_db.execute(sql).unwrap(); // builds and caches the center index
+    let warm = warm_db.execute(sql).unwrap(); // builds and caches the center grid
     warm_db.execute("SET MEMORY_BUDGET = 64").unwrap();
     assert_eq!(warm_db.execute(sql).unwrap(), warm);
 }

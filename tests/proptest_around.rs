@@ -97,7 +97,7 @@ proptest! {
         radius in prop_oneof![Just(None), (0.0f64..4.0).prop_map(Some)],
     ) {
         let expected = reference_assignment(&points, &centers, metric, radius);
-        for algorithm in [Algorithm::AllPairs, Algorithm::Indexed] {
+        for algorithm in [Algorithm::AllPairs, Algorithm::Grid] {
             let mut query = SgbQuery::around(centers.clone())
                 .metric(metric)
                 .algorithm(algorithm);
@@ -151,7 +151,7 @@ proptest! {
         let k = centers.len();
         let mut doubled = centers.clone();
         doubled.extend(centers.iter().copied());
-        for algorithm in [Algorithm::AllPairs, Algorithm::Indexed] {
+        for algorithm in [Algorithm::AllPairs, Algorithm::Grid] {
             let base = SgbQuery::around(centers.clone()).metric(metric).algorithm(algorithm).run(&points);
             let dup = SgbQuery::around(doubled.clone()).metric(metric).algorithm(algorithm).run(&points);
             prop_assert_eq!(

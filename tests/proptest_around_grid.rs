@@ -15,11 +15,15 @@
 //!
 //! Over every metric, in 2-D and 3-D, with and without a radius, at 1, 2
 //! and 3 threads, `Grid` must equal `AllPairs` (full `Grouping` equality:
-//! groups with member order, centers and outliers).
+//! groups with member order, centers and outliers). A maintained grouping
+//! pinned to `Grid` classifies its inserts through the same lists, so it
+//! must equal `AllPairs` over its live tuples after every insert and
+//! delete.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use sgb::core::MaintainedGrouping;
 use sgb::spatial::Grid;
 use sgb::{Algorithm, Metric, Point, SgbQuery};
 
@@ -151,6 +155,55 @@ fn grid_matches_scan<const D: usize>(
     Ok(())
 }
 
+/// The maintained property: a grouping pinned to `Grid` is built over all
+/// but the last `stream` tuples, then takes those one insert at a time.
+/// After the `k`-th insert, `deletes[k]` (when drawn) deletes one slot.
+/// After every edit the snapshot must equal `AllPairs` over the live
+/// tuples.
+fn maintained_grid_matches_scan<const D: usize>(
+    points: &[Point<D>],
+    centers: &[Point<D>],
+    metric: Metric,
+    radius: Option<f64>,
+    stream: usize,
+    deletes: &[Option<usize>],
+) -> Result<(), String> {
+    let query = |algorithm: Algorithm| {
+        let query = SgbQuery::around(centers.to_vec())
+            .metric(metric)
+            .algorithm(algorithm);
+        match radius {
+            Some(r) => query.max_radius(r),
+            None => query,
+        }
+    };
+    let scan = query(Algorithm::AllPairs);
+    let check = |m: &mut MaintainedGrouping<D>, edit: &str| {
+        let (got, want) = (m.snapshot(), scan.run(&m.live_points()));
+        match got == want {
+            true => Ok(()),
+            false => Err(format!(
+                "{D}-D {metric} radius {radius:?} after {edit}: \
+                 maintained {got:?} != AllPairs {want:?}"
+            )),
+        }
+    };
+    let split = points.len() - stream.min(points.len());
+    let mut maintained = MaintainedGrouping::new(query(Algorithm::Grid), &points[..split]);
+    check(&mut maintained, "the build")?;
+    for (k, p) in points[split..].iter().enumerate() {
+        let slot = maintained.insert(*p);
+        check(&mut maintained, &format!("inserting slot {slot}"))?;
+        if let Some(&Some(pick)) = deletes.get(k) {
+            let slot = pick % maintained.slot_count();
+            if maintained.delete(slot) {
+                check(&mut maintained, &format!("deleting slot {slot}"))?;
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -203,5 +256,34 @@ proptest! {
         let centers = drawn_centers(&chosen, chosen.len(), 1);
         let points = with_edge_tuples(&points, &centers);
         grid_matches_scan(&points, &centers, metric, radius)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Hotspot, lattice, edge and far tuples, centers drawn from the
+    /// tuples, through a maintained grouping in 2-D and 3-D.
+    #[test]
+    fn maintained_grid_equals_scan_after_every_edit(
+        hotspots in vec((0.0f64..10.0, 0.0f64..10.0, 0.0f64..10.0), 1..6),
+        spread in arb_spread(),
+        offset in arb_offset(),
+        draws in vec((0usize..6, -1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0, 0u8..3), 1..160),
+        count in 1usize..64,
+        stream in 1usize..48,
+        deletes in vec(prop_oneof![Just(None), (0usize..1000).prop_map(Some)], 0..48),
+        metric in arb_metric(),
+        radius in prop_oneof![Just(None), (0.0f64..1.0).prop_map(Some)],
+    ) {
+        let points = drawn_points::<2>(&hotspots, spread, offset, &draws);
+        let centers = drawn_centers(&points, count, 1);
+        let points = with_edge_tuples(&points, &centers);
+        maintained_grid_matches_scan(&points, &centers, metric, radius, stream, &deletes)?;
+
+        let points = drawn_points::<3>(&hotspots, spread, offset, &draws);
+        let centers = drawn_centers(&points, count, 1);
+        let points = with_edge_tuples(&points, &centers);
+        maintained_grid_matches_scan(&points, &centers, metric, radius, stream, &deletes)?;
     }
 }

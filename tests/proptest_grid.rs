@@ -204,11 +204,7 @@ proptest! {
             prop_assert_eq!(&any_auto, &query.run(&points), "any {:?}", algo);
         }
         let around_auto = SgbQuery::around(centers.clone()).metric(metric).run(&points);
-        for algo in [
-            Algorithm::AllPairs,
-            Algorithm::Indexed,
-            Algorithm::Grid,
-        ] {
+        for algo in [Algorithm::AllPairs, Algorithm::Grid] {
             let query = SgbQuery::around(centers.clone())
                 .metric(metric)
                 .algorithm(algo);

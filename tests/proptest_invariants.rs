@@ -164,27 +164,6 @@ proptest! {
         prop_assert_eq!(hits, expected);
     }
 
-    /// R-tree kNN distances agree with brute force.
-    #[test]
-    fn rtree_knn_equals_brute_force(
-        points in vec(arb_point(), 1..120),
-        query in arb_point(),
-        k in 1usize..12,
-        metric in arb_metric(),
-    ) {
-        let mut tree: RTree<2, usize> = RTree::new();
-        for (i, p) in points.iter().enumerate() {
-            tree.insert(Rect::point(*p), i);
-        }
-        let got = tree.nearest(&query, k, metric);
-        let mut brute: Vec<f64> = points.iter().map(|p| metric.distance(p, &query)).collect();
-        brute.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        prop_assert_eq!(got.len(), k.min(points.len()));
-        for (i, (d, _)) in got.iter().enumerate() {
-            prop_assert!((d - brute[i]).abs() < 1e-9);
-        }
-    }
-
     /// Convex hull: contains all input points; hull of hull is idempotent;
     /// the admit test equals the all-members check.
     #[test]

@@ -125,7 +125,6 @@ proptest! {
         radius in prop_oneof![Just(None), (0.0f64..4.0).prop_map(Some)],
         algorithm in prop_oneof![
             Just(Algorithm::AllPairs),
-            Just(Algorithm::Indexed),
             Just(Algorithm::Grid),
             Just(Algorithm::Auto),
         ],
