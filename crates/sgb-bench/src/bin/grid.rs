@@ -15,11 +15,14 @@
 //! root (resolved relative to this crate's manifest) and a human-readable
 //! table goes to stderr. `--threads` overrides the worker count for the
 //! main sweeps (0 = auto); a dedicated `threads` sweep always measures the
-//! parallel grid paths at 1/2/4 workers, and a `component` sweep times
-//! SGB-All on one ε-component, the worst case of its `Grid` path. Every
-//! sweep point asserts that all algorithms — and all thread counts —
-//! return the same grouping, so a full run doubles as an equivalence
-//! check.
+//! parallel grid paths at 1/2/4 workers, a `component` sweep times
+//! SGB-All on one ε-component, the worst case of its `Grid` path, and an
+//! `overlap` sweep times SGB-All under each `ON-OVERLAP` clause on
+//! `checkin-all`'s check-ins. Each row's seconds are the median of five
+//! rounds that interleave its sweep point's algorithms (or thread
+//! counts). Every sweep point asserts that all algorithms — and all thread
+//! counts — return the same grouping, so a full run doubles as an
+//! equivalence check.
 
 use std::process::ExitCode;
 
@@ -45,20 +48,31 @@ fn main() -> ExitCode {
 
     eprintln!("# grid engine vs indexed vs scan (Auto = cost-based selection)");
     eprintln!(
-        "{:<12} {:<9} {:>8} {:>8} {:<15} {:>8} {:>10} {:>8}",
-        "op", "sweep", "x", "n", "algorithm", "threads", "seconds", "groups"
+        "{:<12} {:<9} {:>8} {:>8} {:<14} {:<15} {:>8} {:>10} {:>8}",
+        "op", "sweep", "x", "n", "overlap", "algorithm", "threads", "seconds", "groups"
     );
     for r in &rows {
         eprintln!(
-            "{:<12} {:<9} {:>8} {:>8} {:<15} {:>8} {:>10.4} {:>8}",
-            r.op, r.sweep, r.x, r.n, r.algorithm, r.threads, r.seconds, r.groups
+            "{:<12} {:<9} {:>8} {:>8} {:<14} {:<15} {:>8} {:>10.4} {:>8}",
+            r.op,
+            r.sweep,
+            r.x,
+            r.n,
+            r.overlap.unwrap_or("-"),
+            r.algorithm,
+            r.threads,
+            r.seconds,
+            r.groups
         );
     }
 
     let mut report = Report::new("grid_comparison").field_num("scale", cli.scale);
     for r in &rows {
+        let overlap = r
+            .overlap
+            .map_or_else(|| "null".to_owned(), |o| format!("\"{o}\""));
         report.push_row(format!(
-            "{{\"op\": \"{}\", \"sweep\": \"{}\", \"x\": {}, \"n\": {}, \
+            "{{\"op\": \"{}\", \"sweep\": \"{}\", \"x\": {}, \"n\": {}, \"overlap\": {overlap}, \
              \"algorithm\": \"{}\", \"threads\": {}, \"seconds\": {:.6}, \"groups\": {}}}",
             r.op, r.sweep, r.x, r.n, r.algorithm, r.threads, r.seconds, r.groups
         ));

@@ -17,7 +17,7 @@ use sgb_relation::Database;
 use sgb_telemetry::{Counter, Telemetry};
 
 use crate::queries;
-use crate::timing::time;
+use crate::timing::{time, time_paths};
 
 /// One plotted series: a name and `(x, seconds)` rows.
 #[derive(Clone, Debug)]
@@ -549,7 +549,9 @@ pub struct AroundBenchRow {
     pub algorithm: &'static str,
     /// The radius bound, if any.
     pub radius: Option<f64>,
-    /// Wall-clock seconds for one run.
+    /// Wall-clock seconds of one run: the median of
+    /// [`ROUNDS`](crate::timing::ROUNDS) rounds that interleave the sweep
+    /// point's algorithms ([`time_paths`]).
     pub seconds: f64,
     /// Centers that attracted at least one point (sanity anchor: fixed per
     /// sweep point across algorithms).
@@ -586,8 +588,10 @@ fn drawn_centers(points: &[Point<2>], k: usize, seed: u64) -> Vec<Point<2>> {
 /// path hot: one over input cardinality at a fixed center count, one over
 /// center count at a fixed cardinality. The third is `session-mix`'s
 /// AROUND read: 50k check-ins, centers drawn from the check-ins
-/// themselves, so they crowd the same hotspots, and no radius. Every
-/// sweep point asserts that both paths return the same `Grouping`.
+/// themselves, so they crowd the same hotspots, and no radius. Each row is
+/// the median of [`ROUNDS`](crate::timing::ROUNDS) interleaved rounds of
+/// its sweep point, and every sweep point asserts that both paths return
+/// the same `Grouping`.
 /// Returns `(radius, rows)`.
 pub fn around_comparison(scale: f64) -> (f64, Vec<AroundBenchRow>) {
     // The JSON labels predate the unified enum ("BruteForce" is
@@ -612,13 +616,16 @@ pub fn around_comparison(scale: f64) -> (f64, Vec<AroundBenchRow>) {
         } else {
             centers.len()
         };
-        let mut reference: Option<Grouping> = None;
-        for (name, algorithm) in ALGOS {
-            let mut query = SgbQuery::around(centers.to_vec()).algorithm(algorithm);
-            if let Some(r) = radius {
-                query = query.max_radius(r);
+        let queries = ALGOS.map(|(_, algorithm)| {
+            let query = SgbQuery::around(centers.to_vec()).algorithm(algorithm);
+            match radius {
+                Some(r) => query.max_radius(r),
+                None => query,
             }
-            let (out, secs) = time(|| query.run(points));
+        });
+        let timed = time_paths(&queries, |query| query.run(points));
+        let mut reference: Option<Grouping> = None;
+        for ((name, _), (out, secs)) in ALGOS.into_iter().zip(timed) {
             eprintln!(
                 "#   around {sweep}={x} {name}: {secs:.4}s \
                  ({} occupied, {} outliers)",
@@ -678,18 +685,25 @@ pub fn around_comparison(scale: f64) -> (f64, Vec<AroundBenchRow>) {
 pub struct GridBenchRow {
     /// `"sgb-all"`, `"sgb-any"`, or `"sgb-around"`.
     pub op: &'static str,
-    /// Which variable the sweep varies: `"n"`, `"eps"`, or `"centers"`.
+    /// Which variable the sweep varies: `"n"`, `"eps"`, `"centers"`,
+    /// `"threads"`, `"component"` or `"overlap"`.
     pub sweep: &'static str,
-    /// The varied value.
+    /// The varied value (ε for the `overlap` sweep, whose clause is
+    /// `overlap`).
     pub x: f64,
     /// Input cardinality at this sweep point.
     pub n: usize,
+    /// SGB-All's `ON-OVERLAP` clause (`None` for the other operators).
+    pub overlap: Option<&'static str>,
     /// Algorithm label (concrete algorithms plus `"Auto"`).
     pub algorithm: &'static str,
     /// Worker threads the run actually executed on (resolved by the cost
     /// model when the override is 0 = auto).
     pub threads: usize,
-    /// Wall-clock seconds for one run.
+    /// Wall-clock seconds of one run: the median of
+    /// [`ROUNDS`](crate::timing::ROUNDS) rounds that interleave the sweep
+    /// point's algorithms, or its thread counts
+    /// ([`time_paths`]).
     pub seconds: f64,
     /// Number of answer groups — the sanity anchor: fixed per sweep point
     /// across algorithms *and thread counts* (asserted by the runner).
@@ -705,30 +719,33 @@ fn assert_same_grouping(reference: &mut Option<Grouping>, out: &Grouping, what: 
     }
 }
 
-/// Times `query` under each of `algos` on `points`, one [`GridBenchRow`]
-/// per algorithm, asserting that every algorithm returns the same
-/// grouping.
+/// Times `query` under each of `algos` on `points` in interleaved rounds
+/// ([`time_paths`]), one [`GridBenchRow`] per algorithm, asserting that
+/// every algorithm returns the same grouping.
 fn time_algorithms(
     rows: &mut Vec<GridBenchRow>,
-    (op, sweep, x): (&'static str, &'static str, f64),
+    (op, sweep, x, overlap): (&'static str, &'static str, f64, Option<&'static str>),
     points: &[Point<2>],
     algos: &[(&'static str, Algorithm)],
     query: impl Fn(Algorithm) -> SgbQuery<2>,
 ) {
+    let queries: Vec<SgbQuery<2>> = algos.iter().map(|&(_, algo)| query(algo)).collect();
+    let timed = time_paths(&queries, |query| query.run(points));
     let mut reference = None;
-    for &(name, algo) in algos {
-        let (out, secs) = time(|| query(algo).run(points));
+    for (&(name, _), (out, secs)) in algos.iter().zip(timed) {
+        let what = format!("{op} {sweep}={x} {} {name}", overlap.unwrap_or(""));
         eprintln!(
-            "#   grid {op} {sweep}={x} {name}: {secs:.4}s ({} groups, {} outliers)",
+            "#   grid {what}: {secs:.4}s ({} groups, {} outliers)",
             out.num_groups(),
             out.outliers().len()
         );
-        assert_same_grouping(&mut reference, &out, &format!("{op} {sweep}={x} {name}"));
+        assert_same_grouping(&mut reference, &out, &what);
         rows.push(GridBenchRow {
             op,
             sweep,
             x,
             n: points.len(),
+            overlap,
             algorithm: name,
             threads: out.threads(),
             seconds: secs,
@@ -784,14 +801,14 @@ pub fn grid_comparison(scale: f64, threads: usize) -> Vec<GridBenchRow> {
         let points = fig9_workload(n, 0x0F19);
         time_algorithms(
             &mut rows,
-            ("sgb-all", sweep, x),
+            ("sgb-all", sweep, x, Some("JOIN-ANY")),
             &points,
             &ALL_ALGOS,
             all(eps),
         );
         time_algorithms(
             &mut rows,
-            ("sgb-any", sweep, x),
+            ("sgb-any", sweep, x, None),
             &points,
             &ANY_ALGOS,
             |algo| {
@@ -825,7 +842,7 @@ pub fn grid_comparison(scale: f64, threads: usize) -> Vec<GridBenchRow> {
             clustered_points_with_centers::<2>(n_around, centers_n_scaled, 0.01, 0xA401);
         time_algorithms(
             &mut rows,
-            ("sgb-around", "centers", centers_n_scaled as f64),
+            ("sgb-around", "centers", centers_n_scaled as f64, None),
             &points,
             &AROUND_ALGOS,
             |algo| {
@@ -849,52 +866,43 @@ pub fn grid_comparison(scale: f64, threads: usize) -> Vec<GridBenchRow> {
         0.01,
         0xA401,
     );
-    let (mut any_reference, mut around_reference) = (None, None);
-    for t in [1usize, 2, 4] {
-        let query = SgbQuery::any(0.3)
+    let thread_counts = [1usize, 2, 4];
+    let any_queries = thread_counts.map(|t| {
+        SgbQuery::any(0.3)
             .metric(Metric::L2)
             .algorithm(Algorithm::Grid)
-            .threads(t);
-        let (out, secs) = time(|| query.run(&points));
-        eprintln!(
-            "#   grid sgb-any threads={t} Grid: {secs:.4}s ({} groups)",
-            out.num_groups()
-        );
-        assert_same_grouping(&mut any_reference, &out, &format!("sgb-any threads={t}"));
-        rows.push(GridBenchRow {
-            op: "sgb-any",
-            sweep: "threads",
-            x: t as f64,
-            n: n_threads,
-            algorithm: "Grid",
-            threads: out.threads(),
-            seconds: secs,
-            groups: out.num_groups(),
-        });
-        let query = SgbQuery::around(around_centers.clone())
+            .threads(t)
+    });
+    let around_queries = thread_counts.map(|t| {
+        SgbQuery::around(around_centers.clone())
             .max_radius(0.03)
             .algorithm(Algorithm::Grid)
-            .threads(t);
-        let (out, secs) = time(|| query.run(&around_points));
-        eprintln!(
-            "#   grid sgb-around threads={t} Grid: {secs:.4}s ({} occupied)",
-            out.num_groups()
-        );
-        assert_same_grouping(
-            &mut around_reference,
-            &out,
-            &format!("sgb-around threads={t}"),
-        );
-        rows.push(GridBenchRow {
-            op: "sgb-around",
-            sweep: "threads",
-            x: t as f64,
-            n: n_threads,
-            algorithm: "Grid",
-            threads: out.threads(),
-            seconds: secs,
-            groups: out.num_groups(),
-        });
+            .threads(t)
+    });
+    for (op, queries, points) in [
+        ("sgb-any", any_queries, &points),
+        ("sgb-around", around_queries, &around_points),
+    ] {
+        let timed = time_paths(&queries, |query| query.run(points));
+        let mut reference = None;
+        for (t, (out, secs)) in thread_counts.into_iter().zip(timed) {
+            eprintln!(
+                "#   grid {op} threads={t} Grid: {secs:.4}s ({} groups)",
+                out.num_groups()
+            );
+            assert_same_grouping(&mut reference, &out, &format!("{op} threads={t}"));
+            rows.push(GridBenchRow {
+                op,
+                sweep: "threads",
+                x: t as f64,
+                n: n_threads,
+                overlap: None,
+                algorithm: "Grid",
+                threads: out.threads(),
+                seconds: secs,
+                groups: out.num_groups(),
+            });
+        }
     }
 
     // Sweep 5: SGB-All on uniform points that form one ε-component (about
@@ -911,13 +919,50 @@ pub fn grid_comparison(scale: f64, threads: usize) -> Vec<GridBenchRow> {
         assert_eq!(components, 1, "the component sweep's input at n = {n}");
         time_algorithms(
             &mut rows,
-            ("sgb-all", "component", n as f64),
+            ("sgb-all", "component", n as f64, Some("JOIN-ANY")),
             &points,
             &ALL_ALGOS,
             all(eps),
         );
     }
+
+    // Sweep 6: SGB-All under each ON-OVERLAP clause on `checkin-all`'s
+    // data: 20k check-ins sampled from one Brightkite-like map, at ε =
+    // 0.004 under L2. Dense hotspots make ELIMINATE and FORM-NEW-GROUP
+    // process many overlap groups, and FORM-NEW-GROUP regroup its deferred
+    // points over tens of passes. The all-pairs scan takes 0.2–0.7 s a
+    // run here at full scale.
+    let checkins = checkin_sample(scaled(20_000, scale), 7);
+    for (clause, overlap) in [
+        ("JOIN-ANY", OverlapAction::JoinAny),
+        ("ELIMINATE", OverlapAction::Eliminate),
+        ("FORM-NEW-GROUP", OverlapAction::FormNewGroup),
+    ] {
+        time_algorithms(
+            &mut rows,
+            ("sgb-all", "overlap", 0.004, Some(clause)),
+            &checkins,
+            &ALL_ALGOS,
+            |algo| all(0.004)(algo).overlap(overlap),
+        );
+    }
     rows
+}
+
+/// `n` check-ins as `sgbbench`'s `checkin-all` workload draws them: a
+/// Brightkite-like map of `4n` check-ins from the generator's own seed,
+/// normalised to the unit square, of which a partial Fisher–Yates shuffle
+/// seeded by `seed` keeps `n`, in shuffle order.
+fn checkin_sample(n: usize, seed: u64) -> Vec<Point<2>> {
+    let map = CheckinConfig::brightkite_like(4 * n)
+        .generate()
+        .normalized_points();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut order: Vec<usize> = (0..map.len()).collect();
+    for i in 0..n {
+        order.swap(i, rng.gen_range(i..map.len()));
+    }
+    order[..n].iter().map(|&i| map[i]).collect()
 }
 
 /// Fits the slope of `log(seconds)` against `log(x)` — the empirical
@@ -1267,8 +1312,9 @@ mod tests {
         // (4 n-points + 3 eps-points) × (5 All + 4 Any algorithms)
         // + 5 center-points × 3 Around algorithms
         // + 3 thread-counts × 2 parallelisable grid paths
-        // + 2 single-component points × 5 All algorithms.
-        assert_eq!(rows.len(), 7 * 9 + 5 * 3 + 6 + 2 * 5);
+        // + 2 single-component points × 5 All algorithms
+        // + 3 ON-OVERLAP clauses × 5 All algorithms.
+        assert_eq!(rows.len(), 7 * 9 + 5 * 3 + 6 + 2 * 5 + 3 * 5);
         // The thread sweep pins explicit worker counts (1, 2, 4) and the
         // auto-resolved rows report the threads they actually ran on.
         let thread_rows: Vec<&GridBenchRow> =
@@ -1285,11 +1331,24 @@ mod tests {
                 "{op} needs an Auto row"
             );
         }
-        // Group counts agree across algorithms per (op, sweep, x) — the
-        // runner asserts this too; double-check on the returned rows.
+        // Every SGB-All row names its clause; the overlap sweep runs all
+        // three.
+        for r in &rows {
+            assert_eq!(r.overlap.is_some(), r.op == "sgb-all", "{r:?}");
+        }
+        let clauses: Vec<&str> = rows
+            .iter()
+            .filter(|r| r.sweep == "overlap" && r.algorithm == "Grid")
+            .filter_map(|r| r.overlap)
+            .collect();
+        assert_eq!(clauses, ["JOIN-ANY", "ELIMINATE", "FORM-NEW-GROUP"]);
+        // Group counts agree across algorithms per (op, sweep, x, clause)
+        // — the runner asserts this too; double-check on the returned rows.
         for r in &rows {
             for other in &rows {
-                if r.op == other.op && r.sweep == other.sweep && r.x == other.x {
+                if (r.op, r.sweep, r.x, r.overlap)
+                    == (other.op, other.sweep, other.x, other.overlap)
+                {
                     assert_eq!(r.groups, other.groups, "{r:?} vs {other:?}");
                 }
             }

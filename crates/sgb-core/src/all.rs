@@ -23,28 +23,55 @@
 //!    (no candidates), the unique candidate, or per the `ON-OVERLAP` clause.
 //! 3. `ProcessOverlap` realises `ELIMINATE` / `FORM-NEW-GROUP` on the
 //!    overlap groups' affected members; `FORM-NEW-GROUP` re-groups the
-//!    deferred set `S'` recursively at the end.
+//!    deferred set `S'` recursively at the end, one pass at a time, each
+//!    pass polling the governor once per point as the main pass does.
 //!
-//! **One directory per ε-component (`Grid`).** A point joins a group only
+//! **One flat directory.** Every group has one entry in one array: its id
+//! beside its allowed and reach rectangles, each padded by the group's
+//! rounding slack. A scan streams through the entries and reads group
+//! state only on a filter hit; an R-tree hit reads its group's entry
+//! through the slot the group keeps. `Bounds-Checking` and `Indexed` file
+//! every group in the shared range, which grows in creation order;
+//! `Bounds-Checking` scans all of it, as Procedure 4 scans the directory.
+//!
+//! **One range per ε-component (`Grid`).** A point joins a group only
 //! while it is within ε of every member, so all of a group's members share
 //! one connected component of the ε-graph (one SGB-Any group). A candidate
 //! or overlap group has a member within ε of the arriving point, so it lies
 //! in that point's component. A one-shot `Grid` run therefore first labels
 //! every point with its ε-component (`Components::find`, the SGB-Any grid
-//! kernel's connectivity join) and keeps, per component, the ids of its
-//! groups in creation order. A point scans only its own component's
-//! directory, with the Bounds-Checking tests; a component of more than the
-//! per-component bound ([`crate::cost::ALL_BOUNDS_MAX_N`] points) is
-//! searched through the group R-tree, which holds only such components'
-//! groups. Directories list ids in creation order and R-tree hits are
-//! sorted, so candidates reach the arbitration in group-id order on every
-//! path, JOIN-ANY draws the same random numbers, and the answer never
-//! depends on the path. FORM-NEW-GROUP passes keep each record's main-pass
-//! label: the ε-graph of the deferred points has components that nest
-//! inside the main ones. The incremental engine's replica takes one point
-//! per insert and never knows the components, so its `Grid` engine treats
-//! the input as one component of unknown size and searches the group
-//! R-tree, as `Indexed` does.
+//! kernel's connectivity join), and the directory keeps one contiguous
+//! range per component, its groups in creation order. A point scans only
+//! its own component's range, with the Bounds-Checking tests; a component
+//! of more than the per-component bound ([`crate::cost::ALL_BOUNDS_MAX_N`]
+//! points) is searched through the group R-tree, which holds only such
+//! components' groups, and their entries go to the shared range. Each
+//! pass sizes the ranges before its first point: a group is created by one
+//! of the pass's points, so a component never holds more groups in a pass
+//! than the pass has points in it. The main pass takes the component
+//! sizes the labelling counted; a FORM-NEW-GROUP pass counts its deferred
+//! points' labels. So a pass allocates its directory once. Ranges keep
+//! creation order and R-tree hits are sorted, so candidates
+//! reach the arbitration in group-id order on every path, JOIN-ANY draws
+//! the same random numbers, and the answer never depends on the path.
+//! FORM-NEW-GROUP passes keep each record's main-pass label: the ε-graph
+//! of the deferred points has components that nest inside the main ones.
+//! The incremental engine's replica takes one point per insert and never
+//! knows the components, so its `Grid` engine treats the input as one
+//! component of unknown size and searches the group R-tree, as `Indexed`
+//! does.
+//!
+//! **Reach first.** Under ELIMINATE and FORM-NEW-GROUP an entry's padded
+//! reach rectangle is tested first, so one test settles a far group. The
+//! order cannot change a group's outcome: the allowed region is the
+//! intersection of the members' ε-boxes and the reach region their union,
+//! taken over the same rounded bounds `q ± ε`, so the allowed rectangle's
+//! bounds lie inside the reach rectangle's in every dimension, and
+//! dilating both by the same slack keeps that, because rounding is
+//! monotone. A point outside the padded reach rectangle is therefore
+//! outside the padded allowed one too, which the allowed-first order would
+//! also have called far. JOIN-ANY tracks no overlaps and tests the allowed
+//! rectangle only.
 //!
 //! [`SgbQuery::all`] drives this engine: its runs push the points in
 //! arrival order (the arbitration is order-sensitive, so SGB-All never
@@ -113,11 +140,11 @@ fn to2<const D: usize>(p: &Point<D>) -> Point<2> {
 pub(crate) struct Components {
     /// Dense component label of each record, indexed by record id.
     labels: Vec<u32>,
-    /// Per label: whether the component is small enough for a directory
-    /// scan. A larger one is searched through the group R-tree.
-    scanned: Vec<bool>,
-    /// Points in the largest component.
-    largest: usize,
+    /// Points per label.
+    sizes: Vec<usize>,
+    /// The largest component whose groups a directory scan searches; a
+    /// larger one is searched through the group R-tree.
+    max_scanned: usize,
 }
 
 impl Components {
@@ -170,26 +197,31 @@ impl Components {
         }
         Self {
             labels,
-            scanned: sizes.iter().map(|&size| size <= max_scanned).collect(),
-            largest: sizes.iter().copied().max().unwrap_or(0),
+            sizes,
+            max_scanned,
         }
     }
 
     /// Number of components.
     pub(crate) fn count(&self) -> usize {
-        self.scanned.len()
+        self.sizes.len()
     }
 
     /// Points in the largest component (0 for an empty input).
     pub(crate) fn largest(&self) -> usize {
-        self.largest
+        self.sizes.iter().copied().max().unwrap_or(0)
     }
 
-    /// The directory that holds the groups of `ext`'s component, or `None`
-    /// when that component is searched through the group R-tree.
+    /// Whether a directory scan searches the groups of component `label`.
+    fn scanned(&self, label: usize) -> bool {
+        self.sizes[label] <= self.max_scanned
+    }
+
+    /// The label of `ext`'s component when a directory scan searches its
+    /// groups, or `None` when they are searched through the group R-tree.
     fn directory(&self, ext: RecordId) -> Option<usize> {
         let label = *self.labels.get(ext)? as usize;
-        self.scanned.get(label)?.then_some(label)
+        self.scanned(label).then_some(label)
     }
 }
 
@@ -210,6 +242,8 @@ struct GroupState<const D: usize> {
     /// Rectangle currently registered for this group in `Groups_IX`
     /// (`None` for a group that was never in it, or has left it).
     indexed_rect: Option<Rect<D>>,
+    /// Index of this group's [`Entry`] in the flat directory.
+    entry: usize,
 }
 
 impl<const D: usize> GroupState<D> {
@@ -227,6 +261,29 @@ enum GroupTest {
     Candidate,
     /// Some but not all members within ε — `OverlapGroups` material.
     Overlap,
+}
+
+/// A group's place in the flat directory: its id beside its allowed and
+/// reach regions, each padded by the group's rounding slack (so neither
+/// rejects a point the canonical predicate accepts). A scan streams
+/// through these entries and touches group state only on filter hits. A
+/// dead group, and a slot no group holds yet, have empty rectangles.
+#[derive(Clone, Copy, Debug)]
+struct Entry<const D: usize> {
+    gid: GroupId,
+    allowed: Rect<D>,
+    reach: Rect<D>,
+}
+
+impl<const D: usize> Entry<D> {
+    /// A slot of a component's range that no group holds yet.
+    fn vacant() -> Self {
+        Self {
+            gid: GroupId::MAX,
+            allowed: Rect::empty(),
+            reach: Rect::empty(),
+        }
+    }
 }
 
 /// Files group `gid` under `FindCloseGroups`' output lists per its test.
@@ -267,6 +324,13 @@ fn dilate<const D: usize>(rect: &Rect<D>, by: f64) -> Rect<D> {
         hi[d] += by;
     }
     Rect::new(lo, hi)
+}
+
+/// The convex hull of `points`, gathered in the reusable `scratch` buffer.
+fn hull_of(scratch: &mut Vec<Point<2>>, points: impl IntoIterator<Item = Point<2>>) -> ConvexHull {
+    scratch.clear();
+    scratch.extend(points);
+    ConvexHull::build(scratch)
 }
 
 /// The Convex Hull Test needs this many rounding slacks between the
@@ -347,16 +411,20 @@ fn scan_overlap<const D: usize>(g: &GroupState<D>, p: &Point<D>, cfg: &Params) -
 struct Engine<const D: usize> {
     cfg: Params,
     groups: Vec<GroupState<D>>,
-    /// Structure-of-arrays mirror of each group's allowed region, so the
-    /// Bounds-Checking scan streams through a dense rectangle directory
-    /// (the paper keeps the rectangles in the aggregate hash-table
-    /// directory for the same reason). Each is padded by the group's
-    /// rounding slack, so it never rejects a point the canonical predicate
-    /// accepts. Dead groups hold an empty rect.
-    allowed_cache: Vec<Rect<D>>,
-    /// Mirror of each group's reach region (MBR dilated by ε), padded the
-    /// same way; only read when overlap groups are tracked.
-    reach_cache: Vec<Rect<D>>,
+    /// The flat group directory: every group's [`Entry`], so a scan
+    /// streams through one dense array (the paper keeps the rectangles in
+    /// the aggregate hash-table directory for the same reason). First one
+    /// range per component label, sized for the pass (see [`Engine::new`]);
+    /// then, from `shared_start`, the groups of no scanned component in
+    /// creation order.
+    entries: Vec<Entry<D>>,
+    /// Per component label: `(start, len)` of its groups' range in
+    /// `entries`, its groups in creation order (components that are not
+    /// scanned keep an empty range).
+    ranges: Vec<(usize, usize)>,
+    /// Where the shared range starts: the groups of no scanned component,
+    /// in creation order (every group, on the paths without components).
+    shared_start: usize,
     /// `Groups_IX` of Procedure 5: every group under
     /// [`Algorithm::Indexed`]; under [`Algorithm::Grid`], the groups of the
     /// components too big to scan (every group when the components are
@@ -364,9 +432,6 @@ struct Engine<const D: usize> {
     index: Option<RTree<D, GroupId>>,
     /// The input's ε-components (one-shot [`Algorithm::Grid`] runs only).
     components: Option<Components>,
-    /// Per component label: the ids of its groups in creation order (only
-    /// for components that are scanned, see [`Components`]).
-    directories: Vec<Vec<GroupId>>,
     rng: SmallRng,
     /// `S'`: points deferred by FORM-NEW-GROUP.
     deferred: Vec<(RecordId, Point<D>)>,
@@ -379,6 +444,8 @@ struct Engine<const D: usize> {
     /// Traversal scratch for the R-tree range probe, so the indexed hot
     /// loop allocates nothing per point.
     scratch_stack: Vec<usize>,
+    /// The points a group's hull is built from ([`hull_of`]).
+    scratch_hull: Vec<Point<2>>,
     /// Candidate/overlap groups surfaced by `FindCloseGroups` across every
     /// processed point — the SGB-All analogue of a join's candidate-pair
     /// count, surfaced through the query telemetry.
@@ -386,21 +453,60 @@ struct Engine<const D: usize> {
 }
 
 impl<const D: usize> Engine<D> {
-    /// A fresh pass. `components` is read only under [`Algorithm::Grid`].
-    fn new(cfg: Params, rng: SmallRng, components: Option<Components>) -> Self {
+    /// A fresh pass. `components` is read only under [`Algorithm::Grid`],
+    /// where the pass lays out its directory before its first point: each
+    /// group is created by one of the pass's points, so a component never
+    /// holds more groups in a pass than the pass has points in it, and its
+    /// range is sized to that count. `pass` lists the pass's points, or is
+    /// `None` for the main pass, which processes every labelled record.
+    fn new(
+        cfg: Params,
+        rng: SmallRng,
+        components: Option<Components>,
+        pass: Option<&[(RecordId, Point<D>)]>,
+    ) -> Self {
         let index = matches!(cfg.algorithm, Algorithm::Indexed | Algorithm::Grid).then(RTree::new);
         let components = components.filter(|_| cfg.algorithm == Algorithm::Grid);
-        let directories = components
-            .as_ref()
-            .map_or_else(Vec::new, |c| vec![Vec::new(); c.count()]);
+        // A pass creates at most one group per point.
+        let capacity = match (pass, &components) {
+            (Some(points), _) => points.len(),
+            (None, Some(c)) => c.labels.len(),
+            (None, None) => 0,
+        };
+        let mut entries = Vec::with_capacity(capacity);
+        let mut ranges = Vec::new();
+        if let Some(c) = &components {
+            // Count each scanned component's points in `len`, then turn the
+            // counts into consecutive empty ranges.
+            ranges = match pass {
+                None => (c.sizes.iter().enumerate())
+                    .map(|(label, &size)| (0, if c.scanned(label) { size } else { 0 }))
+                    .collect(),
+                Some(points) => {
+                    let mut counts = vec![(0, 0); c.count()];
+                    for &(ext, _) in points {
+                        if let Some(label) = c.directory(ext) {
+                            counts[label].1 += 1;
+                        }
+                    }
+                    counts
+                }
+            };
+            let mut start = 0;
+            for (range_start, len) in &mut ranges {
+                *range_start = start;
+                start += std::mem::take(len);
+            }
+            entries.resize(start, Entry::vacant());
+        }
         Self {
             cfg,
             groups: Vec::new(),
-            allowed_cache: Vec::new(),
-            reach_cache: Vec::new(),
+            shared_start: entries.len(),
+            entries,
+            ranges,
             index,
             components,
-            directories,
             rng,
             deferred: Vec::new(),
             eliminated: Vec::new(),
@@ -408,6 +514,7 @@ impl<const D: usize> Engine<D> {
             scratch_overlaps: Vec::new(),
             scratch_window: Vec::new(),
             scratch_stack: Vec::new(),
+            scratch_hull: Vec::new(),
             candidates_tested: 0,
         }
     }
@@ -419,9 +526,9 @@ impl<const D: usize> Engine<D> {
         self.cfg.metric.needs_refinement() && D == 2
     }
 
-    /// The directory holding the groups of `ext`'s component, or `None`
-    /// when its groups live in the group R-tree (or nowhere but the dense
-    /// rectangle directory, for the paths without components).
+    /// The label of `ext`'s component when its groups have a range of
+    /// their own, or `None` when they live in the group R-tree (or only in
+    /// the shared range, for the paths without components).
     #[inline]
     fn directory_of(&self, ext: RecordId) -> Option<usize> {
         self.components.as_ref()?.directory(ext)
@@ -496,14 +603,16 @@ impl<const D: usize> Engine<D> {
                     }
                 }
             }
+            // Every group lives in the shared range, in creation order.
             Algorithm::BoundsChecking => {
-                let every_group = 0..self.groups.len();
+                let every_group = self.shared_start..self.entries.len();
                 self.scan_directory(every_group, p, track_overlaps, candidates, overlaps);
             }
             Algorithm::Indexed => self.probe_index(p, track_overlaps, candidates, overlaps),
             Algorithm::Grid => match self.directory_of(ext) {
                 Some(label) => {
-                    let own_component = self.directories[label].iter().copied();
+                    let (start, len) = self.ranges[label];
+                    let own_component = start..start + len;
                     self.scan_directory(own_component, p, track_overlaps, candidates, overlaps);
                 }
                 None => self.probe_index(p, track_overlaps, candidates, overlaps),
@@ -511,34 +620,38 @@ impl<const D: usize> Engine<D> {
         }
     }
 
-    /// Procedure 4 over the groups `ids`, in the order given:
-    /// constant-time rectangle tests per group, streaming through the
-    /// dense rectangle directory (the rect caches) and touching group state
-    /// only on filter hits. Dead groups hold empty rectangles and never
-    /// pass.
+    /// Procedure 4 over the directory entries in `range`, in order:
+    /// constant-time rectangle tests per group, streaming through the flat
+    /// directory and touching group state only on filter hits. Dead groups
+    /// hold empty rectangles and never pass.
     fn scan_directory(
         &self,
-        ids: impl IntoIterator<Item = GroupId>,
+        range: std::ops::Range<usize>,
         p: &Point<D>,
         track_overlaps: bool,
         candidates: &mut Vec<GroupId>,
         overlaps: &mut Vec<GroupId>,
     ) {
-        for gid in ids {
-            let test = self.test_group(gid, p, track_overlaps);
-            file(test, gid, candidates, overlaps);
+        for entry in &self.entries[range] {
+            let test = self.test_entry(entry, p, track_overlaps);
+            file(test, entry.gid, candidates, overlaps);
         }
     }
 
-    /// The Bounds-Checking tests of group `gid` against `p`: the padded
-    /// allowed rectangle, then the padded reach rectangle, each hit settled
-    /// exactly.
+    /// The Bounds-Checking tests of one directory entry against `p`, each
+    /// hit settled exactly. When overlaps are tracked the padded reach
+    /// rectangle goes first: it contains the padded allowed rectangle, so
+    /// a point outside it passes neither test, and one test settles a far
+    /// group (see the module docs). JOIN-ANY tests the allowed rectangle
+    /// only.
     #[inline(always)]
-    fn test_group(&self, gid: GroupId, p: &Point<D>, track_overlaps: bool) -> GroupTest {
-        if self.allowed_cache[gid].contains_point(p) {
-            refine_candidate(&self.groups[gid], p, &self.cfg, track_overlaps)
-        } else if track_overlaps && self.reach_cache[gid].contains_point(p) {
-            scan_overlap(&self.groups[gid], p, &self.cfg)
+    fn test_entry(&self, entry: &Entry<D>, p: &Point<D>, track_overlaps: bool) -> GroupTest {
+        if track_overlaps && !entry.reach.contains_point(p) {
+            GroupTest::Far
+        } else if entry.allowed.contains_point(p) {
+            refine_candidate(&self.groups[entry.gid], p, &self.cfg, track_overlaps)
+        } else if track_overlaps {
+            scan_overlap(&self.groups[entry.gid], p, &self.cfg)
         } else {
             GroupTest::Far
         }
@@ -572,7 +685,8 @@ impl<const D: usize> Engine<D> {
         }
         gset.sort_unstable();
         for &gid in &gset {
-            let test = self.test_group(gid, p, track_overlaps);
+            let entry = &self.entries[self.groups[gid].entry];
+            let test = self.test_entry(entry, p, track_overlaps);
             file(test, gid, candidates, overlaps);
         }
         self.scratch_window = gset;
@@ -603,51 +717,62 @@ impl<const D: usize> Engine<D> {
         for &gid in overlaps {
             let g = &mut self.groups[gid];
             debug_assert!(!g.is_dead());
-            let mut removed = Vec::new();
-            g.members.retain(|(id, q)| {
-                if metric.within(p, q, eps) {
-                    removed.push((*id, *q));
-                    false
-                } else {
-                    true
+            let before = g.members.len();
+            let (eliminated, deferred) = (&mut self.eliminated, &mut self.deferred);
+            g.members.retain(|&(id, q)| {
+                let keep = !metric.within(p, &q, eps);
+                if !keep {
+                    match removal {
+                        Removal::Drop => eliminated.push(id),
+                        Removal::Defer => deferred.push((id, q)),
+                    }
                 }
+                keep
             });
             debug_assert!(
-                !removed.is_empty(),
+                g.members.len() < before,
                 "overlap group without overlapped members"
             );
-            match removal {
-                Removal::Drop => self.eliminated.extend(removed.iter().map(|(id, _)| *id)),
-                Removal::Defer => self.deferred.extend(removed),
-            }
             self.rebuild_group(gid);
         }
     }
 
     /// Creates a group for record `ext` and files it where its component's
-    /// points will look for it: the component's directory, or the group
-    /// R-tree.
+    /// points will look for it: the next slot of the component's range, or
+    /// the shared range (and, where one is kept, the group R-tree).
     fn create_group(&mut self, ext: RecordId, p: Point<D>) {
         let gid = self.groups.len();
-        let mut state = GroupState {
-            members: vec![(ext, p)],
-            region: EpsAllRegion::with_first(self.cfg.eps, p),
-            hull: None,
-            indexed_rect: None,
-        };
-        match self.directory_of(ext) {
-            Some(label) => self.directories[label].push(gid),
+        let region = EpsAllRegion::with_first(self.cfg.eps, p);
+        let mut indexed_rect = None;
+        let entry = match self.directory_of(ext) {
+            Some(label) => {
+                let (start, len) = &mut self.ranges[label];
+                let slot = *start + *len;
+                *len += 1;
+                let end = self
+                    .ranges
+                    .get(label + 1)
+                    .map_or(self.shared_start, |r| r.0);
+                debug_assert!(slot < end, "component {label} outgrew its range");
+                slot
+            }
             None => {
                 if let Some(ix) = &mut self.index {
-                    let rect = state.region.mbr();
+                    let rect = region.mbr();
                     ix.insert(rect, gid);
-                    state.indexed_rect = Some(rect);
+                    indexed_rect = Some(rect);
                 }
+                self.entries.push(Entry::vacant());
+                self.entries.len() - 1
             }
-        }
-        self.groups.push(state);
-        self.allowed_cache.push(Rect::empty());
-        self.reach_cache.push(Rect::empty());
+        };
+        self.groups.push(GroupState {
+            members: vec![(ext, p)],
+            region,
+            hull: None,
+            indexed_rect,
+            entry,
+        });
         self.refresh_rects(gid);
     }
 
@@ -661,13 +786,12 @@ impl<const D: usize> Engine<D> {
             // Incremental maintenance: hull(S ∪ {p}) = hull(vertices ∪ {p}).
             let p2 = to2(&p);
             if !h.contains(&p2) {
-                let mut vs = h.vertices().to_vec();
-                vs.push(p2);
-                g.hull = Some(ConvexHull::build(&vs));
+                let vertices = h.vertices().iter().copied().chain([p2]);
+                g.hull = Some(hull_of(&mut self.scratch_hull, vertices));
             }
         } else if maintain_hull && g.members.len() >= self.cfg.hull_threshold {
-            let pts2: Vec<Point<2>> = g.members.iter().map(|(_, q)| to2(q)).collect();
-            g.hull = Some(ConvexHull::build(&pts2));
+            let members = g.members.iter().map(|(_, q)| to2(q));
+            g.hull = Some(hull_of(&mut self.scratch_hull, members));
         }
         self.refresh_rects(gid);
         self.sync_index(gid);
@@ -678,23 +802,21 @@ impl<const D: usize> Engine<D> {
     fn rebuild_group(&mut self, gid: GroupId) {
         let maintain_hull = self.hull_maintained();
         let g = &mut self.groups[gid];
-        let points: Vec<Point<D>> = g.members.iter().map(|(_, q)| *q).collect();
-        g.region.rebuild(points.iter());
-        if g.is_dead() {
-            g.hull = None;
-        } else if maintain_hull && g.members.len() >= self.cfg.hull_threshold {
-            let pts2: Vec<Point<2>> = points.iter().map(to2).collect();
-            g.hull = Some(ConvexHull::build(&pts2));
-        } else {
-            g.hull = None;
-        }
+        g.region.rebuild(g.members.iter().map(|(_, q)| q));
+        g.hull = (maintain_hull && !g.is_dead() && g.members.len() >= self.cfg.hull_threshold)
+            .then(|| {
+                hull_of(
+                    &mut self.scratch_hull,
+                    g.members.iter().map(|(_, q)| to2(q)),
+                )
+            });
         self.refresh_rects(gid);
         self.sync_index(gid);
     }
 
-    /// Re-mirrors group `gid`'s allowed and reach regions into the dense
-    /// rectangle directory, padded by the group's rounding slack (empty
-    /// for a dead group).
+    /// Writes group `gid`'s directory entry: its allowed and reach
+    /// regions, padded by the group's rounding slack (empty for a dead
+    /// group).
     fn refresh_rects(&mut self, gid: GroupId) {
         let g = &self.groups[gid];
         let (allowed, reach) = if g.is_dead() {
@@ -706,8 +828,11 @@ impl<const D: usize> Engine<D> {
                 dilate(&g.region.reach(), slack),
             )
         };
-        self.allowed_cache[gid] = allowed;
-        self.reach_cache[gid] = reach;
+        self.entries[g.entry] = Entry {
+            gid,
+            allowed,
+            reach,
+        };
     }
 
     /// Keeps an indexed group's `Groups_IX` entry in sync with its MBR; a
@@ -799,7 +924,7 @@ impl<const D: usize> SgbAll<D> {
             hull_threshold: HULL_THRESHOLD,
         };
         Self {
-            engine: Engine::new(cfg, SmallRng::seed_from_u64(query.seed), components),
+            engine: Engine::new(cfg, SmallRng::seed_from_u64(query.seed), components, None),
             pushed: 0,
         }
     }
@@ -831,8 +956,16 @@ impl<const D: usize> SgbAll<D> {
     }
 
     /// Completes the operator: runs the FORM-NEW-GROUP recursion over `S'`
-    /// (Section 6.2.1) and materialises the answer groups.
-    pub(crate) fn finish(mut self) -> Grouping {
+    /// (Section 6.2.1) and materialises the answer groups. Calls `poll`
+    /// before each point a recursion pass processes, as the main pass
+    /// polls the governor before each push, and stops at its first error.
+    ///
+    /// # Errors
+    /// The first error `poll` returns.
+    pub(crate) fn finish<E>(
+        mut self,
+        mut poll: impl FnMut() -> Result<(), E>,
+    ) -> Result<Grouping, E> {
         let mut groups = Vec::new();
         self.engine.drain_groups_into(&mut groups);
         let mut eliminated = std::mem::take(&mut self.engine.eliminated);
@@ -848,9 +981,10 @@ impl<const D: usize> SgbAll<D> {
         // groups' members survive), so this terminates. Every pass keeps
         // the main pass's component labels.
         while !pending.is_empty() {
-            let mut sub = Engine::new(cfg, rng.clone(), components);
+            let mut sub = Engine::new(cfg, rng.clone(), components, Some(&pending));
             let before = pending.len();
             for (ext, p) in pending.drain(..) {
+                poll()?;
                 sub.process(ext, p);
             }
             sub.drain_groups_into(&mut groups);
@@ -863,7 +997,7 @@ impl<const D: usize> SgbAll<D> {
                 "FORM-NEW-GROUP recursion failed to make progress"
             );
         }
-        Grouping::flat(groups, eliminated)
+        Ok(Grouping::flat(groups, eliminated))
     }
 }
 
@@ -888,6 +1022,12 @@ mod tests {
 
     fn pts(raw: &[[f64; 2]]) -> Vec<Point<2>> {
         raw.iter().map(|&c| Point::new(c)).collect()
+    }
+
+    /// `op`'s answer, with a recursion nothing can stop.
+    fn finish<const D: usize>(op: SgbAll<D>) -> Grouping {
+        let Ok(grouping) = op.finish(|| Ok::<(), std::convert::Infallible>(()));
+        grouping
     }
 
     /// Figure 2 of the paper: groups g1 {a1, a2} and g2 {a3, a4}; a5 is
@@ -958,6 +1098,31 @@ mod tests {
             [17.0, 1.0], // d2   g4
             [6.0, 4.0],  // x
         ])
+    }
+
+    #[test]
+    fn form_new_group_recursion_stops_at_the_first_failed_poll() {
+        // a5 is deferred, so FORM-NEW-GROUP's recursion polls once and
+        // gives up on the error; ELIMINATE defers nothing and never polls.
+        for overlap in [OverlapAction::Eliminate, OverlapAction::FormNewGroup] {
+            let query = SgbQuery::all(3.0).metric(Metric::LInf).overlap(overlap);
+            let mut op = SgbAll::new(&query, 3.0, overlap, Algorithm::BoundsChecking, None);
+            for p in fig2_points() {
+                op.push(p);
+            }
+            let mut polls = 0;
+            let out = op.finish(|| {
+                polls += 1;
+                Err(SgbError::Timeout)
+            });
+            if overlap == OverlapAction::FormNewGroup {
+                assert_eq!(out, Err(SgbError::Timeout));
+                assert_eq!(polls, 1);
+            } else {
+                assert_eq!(out.map(|g| g.sorted_sizes()), Ok(vec![2, 2]));
+                assert_eq!(polls, 0);
+            }
+        }
     }
 
     #[test]
@@ -1210,7 +1375,7 @@ mod tests {
                             op.push(*p);
                         }
                         assert_eq!(
-                            op.finish(),
+                            finish(op),
                             reference,
                             "{metric} {overlap:?} threshold {hull_threshold} {algorithm:?}"
                         );
@@ -1400,12 +1565,12 @@ mod tests {
                     op.push(*p);
                 }
                 // Both kinds of search ran: some groups went to the tree,
-                // some to a component directory.
+                // some to a component's range of the directory.
                 let engine = &op.engine;
                 assert!(engine.groups.iter().any(|g| g.indexed_rect.is_some()));
-                assert!(engine.directories.iter().any(|d| !d.is_empty()));
+                assert!(engine.ranges.iter().any(|&(_, len)| len > 0));
                 let reference = query.clone().algorithm(Algorithm::AllPairs).run(&points);
-                assert_eq!(op.finish(), reference, "{metric} {overlap:?}");
+                assert_eq!(finish(op), reference, "{metric} {overlap:?}");
 
                 // The incremental engine's replica knows no components:
                 // every point takes the group R-tree, with the same answer

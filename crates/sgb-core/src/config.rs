@@ -78,8 +78,10 @@ pub enum Algorithm {
     /// index construction.
     AllPairs,
     /// SGB-All's dense rectangle directory (Procedure 4): constant-time
-    /// ε-All rectangle tests per group. Not applicable to SGB-Any /
-    /// SGB-Around.
+    /// ε-All rectangle tests per group, in creation order. Under ELIMINATE
+    /// and FORM-NEW-GROUP a group's reach rectangle is tested before its
+    /// allowed rectangle, which it contains, so a far group costs one
+    /// test. Not applicable to SGB-Any / SGB-Around.
     BoundsChecking,
     /// R-tree-indexed search: an on-the-fly group tree for SGB-All
     /// (Procedure 5), an STR bulk-loaded point tree for SGB-Any
@@ -87,9 +89,10 @@ pub enum Algorithm {
     Indexed,
     /// ε-grid search: neighbour-cell probes, no tree descent. SGB-Around
     /// probes a grid over its centers instead, one candidate list per
-    /// block of cells (see [`crate::around`]). For SGB-All, the grid labels the input's ε-components instead (the
-    /// SGB-Any grid kernel's connectivity join), and each point searches
-    /// only its own component's groups: a group directory per component
+    /// block of cells (see [`crate::around`]). For SGB-All, the grid
+    /// labels the input's ε-components instead (the SGB-Any grid kernel's
+    /// connectivity join), and each point searches only its own
+    /// component's groups: the component's range of the group directory,
     /// with the Bounds-Checking tests, or the group R-tree for a component
     /// of more than [`crate::cost::ALL_BOUNDS_MAX_N`] points. The replica
     /// of a [`crate::MaintainedGrouping`] never knows the components, so

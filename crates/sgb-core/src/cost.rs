@@ -13,9 +13,9 @@
 //!   centers are few, and the grid's build and list setup pay off past a
 //!   crossover of tens of centers. Hence [`AROUND_BRUTE_MAX_CENTERS`].
 //! * `BENCH_grid.json`'s SGB-Any `n` sweep — at n = 10k the ε-grid path
-//!   takes 1.7 ms (2 threads) against 37.7 ms for the on-the-fly R-tree
-//!   and 130 ms for the all-pairs scan, and the grid leads at every
-//!   swept n (2k–20k). The sweep starts at n = 2,000, so no committed row
+//!   takes 1.5 ms (2 threads) against 38.9 ms for the on-the-fly R-tree
+//!   and 133 ms for the all-pairs scan (medians of five interleaved
+//!   rounds), and the grid leads at every swept n (2k–20k). The sweep starts at n = 2,000, so no committed row
 //!   measures the small-n crossovers behind [`ANY_ALL_PAIRS_MAX_N`] and
 //!   [`ALL_ALL_PAIRS_MAX_N`], below which no index amortises its
 //!   construction; those two bounds are estimates until a cost-model
@@ -54,7 +54,7 @@ use crate::Algorithm;
 /// scan: group structures are tiny and building any accelerator, the
 /// component pre-pass included, is expected to cost more than it saves.
 /// Not yet measured: BENCH_grid.json's SGB-All `n` sweep starts at
-/// n = 2,000, where `Grid` already beats the scan (0.58 ms vs 1.40 ms).
+/// n = 2,000, where `Grid` already beats the scan (0.79 ms vs 1.97 ms).
 pub const ALL_ALL_PAIRS_MAX_N: usize = 256;
 
 /// The per-component bound of SGB-All's `Grid` path: a point whose
@@ -64,24 +64,26 @@ pub const ALL_ALL_PAIRS_MAX_N: usize = 256;
 /// for the component's live groups `G_c`, the R-tree probe `O(log |G_c|)`
 /// plus its upkeep, so the tree pays off only on large components.
 /// BENCH_grid.json's `component` sweep times both sides on one uniform
-/// ε-component: at 2k points the scan runs within 1.2× of
-/// Bounds-Checking, and at 20k points the R-tree runs within 1.1× of
-/// `Indexed`, where Bounds-Checking takes 1.9× as long. The largest component of the
-/// `checkin-all` benchmark data holds 3.35k–3.63k points (seeds 3, 7 and
-/// 11), under the bound, so that workload always scans.
+/// ε-component: at 2k points the scan runs within 1.3× of
+/// Bounds-Checking (2.04 against 1.56 ms), and at 20k points the R-tree
+/// runs within 1.1× of `Indexed` (60.5 against 58.5 ms), where
+/// Bounds-Checking takes 2.3× as long (132 ms). The largest component
+/// of the `checkin-all` benchmark data holds 3.35k–3.63k points (seeds 3,
+/// 7 and 11), under the bound, so that workload always scans; the
+/// `overlap` sweep times it there, under every `ON-OVERLAP` clause.
 pub const ALL_BOUNDS_MAX_N: usize = 4_096;
 
 /// Below this input cardinality SGB-Any's `Auto` stays with the all-pairs
 /// scan. Not yet measured: BENCH_grid.json's SGB-Any `n` sweep starts at
-/// n = 2,000, where `Grid` already beats the scan (0.27 ms vs 3.63 ms).
+/// n = 2,000, where `Grid` already beats the scan (0.28 ms vs 5.21 ms).
 pub const ANY_ALL_PAIRS_MAX_N: usize = 512;
 
 /// Up to this many centers SGB-Around's `Auto` uses the brute center scan,
 /// above it the center grid. The value was set against the grid's former
 /// per-tuple ring search, whose crossover BENCH_grid.json bracketed
 /// between 64 and 256 centers. Since the grid shares one candidate list
-/// per block of cells, BENCH_around.json puts the crossover between 4 and
-/// 16 mixture centers and between 32 and 128 centers drawn from
+/// per block of cells, BENCH_around.json puts the crossover between 16
+/// and 64 mixture centers and between 32 and 128 centers drawn from
 /// check-ins; the value stays until `Auto` is checked against both paths
 /// (ROADMAP item 3).
 pub const AROUND_BRUTE_MAX_CENTERS: usize = 128;

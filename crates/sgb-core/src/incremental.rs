@@ -605,7 +605,13 @@ impl<const D: usize> MaintainedGrouping<D> {
                 let r = replica.get_or_insert_with(|| {
                     AllReplica::build(&self.query, *eps, *overlap, &self.slots, self.live)
                 });
-                let finished = r.engine.as_ref().clone().finish();
+                // The replica's snapshot is not governed: nothing can
+                // stop its recursion.
+                let Ok(finished) = r
+                    .engine
+                    .as_ref()
+                    .clone()
+                    .finish(|| Ok::<(), Infallible>(()));
                 let remap = |ids: &[RecordId]| -> Vec<RecordId> {
                     ids.iter().map(|&rec| rank[r.pushed[rec]]).collect()
                 };

@@ -533,7 +533,8 @@ impl<const D: usize> SgbQuery<D> {
     /// SGB-All: the engine fed one point at a time in arrival order (its
     /// arbitration is order-sensitive, so it never parallelises), with a
     /// governor check per tuple — each push does a candidate search, so the
-    /// check is cheap relative to the work it bounds. On the `Grid` path a
+    /// check is cheap relative to the work it bounds — and again per point
+    /// of each FORM-NEW-GROUP recursion pass. On the `Grid` path a
     /// pre-pass first labels every point with its ε-component (timed as
     /// the index build), so each point searches only its own component's
     /// groups. Nothing it builds outlives the run (the group index tracks
@@ -567,10 +568,14 @@ impl<const D: usize> SgbQuery<D> {
         }
         drop(join);
         tel.add(Counter::CandidatePairs, op.candidates_tested());
-        tel.add(Counter::GovernorPolls, 1 + points.len() as u64);
+        let mut polls = 1 + points.len() as u64;
         let merge = tel.phase(Phase::Merge);
-        let out = op.finish();
+        let out = op.finish(|| {
+            polls += 1;
+            governor.check()
+        })?;
         drop(merge);
+        tel.add(Counter::GovernorPolls, polls);
         // One worker: the ON-OVERLAP arbitration is arrival-order sensitive.
         Ok(out.ran(resolved, reason, 1))
     }

@@ -8,9 +8,10 @@
 
 use std::time::{Duration, Instant};
 
-use sgb::core::{Algorithm, CancelToken, QueryGovernor, SgbError, SgbQuery};
-use sgb::geom::Point;
+use sgb::core::{Algorithm, CancelToken, OverlapAction, QueryGovernor, SgbError, SgbQuery};
+use sgb::geom::{Metric, Point};
 use sgb::relation::{Database, Error, SessionOptions};
+use sgb::telemetry::{Counter, Telemetry};
 
 /// Deterministic point cloud in `[0, 100)²` — xorshift64*, no RNG crate,
 /// so every run and every platform sees the same data.
@@ -45,6 +46,31 @@ fn cloud_db(n: usize) -> Database {
 // ---------------------------------------------------------------------------
 // Deadlines
 // ---------------------------------------------------------------------------
+
+/// FORM-NEW-GROUP's recursion polls the governor too, once per point it
+/// regroups, so a deadline can stop it. In Figure 2 of the paper (ε = 3,
+/// L∞), a5 is within ε of both groups and is deferred once: the recursion
+/// regroups one point, one poll more than ELIMINATE, which drops a5.
+#[test]
+fn form_new_group_recursion_polls_the_governor_per_deferred_point() {
+    let points: Vec<Point<2>> = [[1.0, 7.0], [2.0, 6.0], [6.0, 2.0], [7.0, 1.0], [4.0, 4.0]]
+        .into_iter()
+        .map(Point::new)
+        .collect();
+    let polls = |overlap| {
+        let telemetry = Telemetry::new();
+        SgbQuery::all(3.0)
+            .metric(Metric::LInf)
+            .overlap(overlap)
+            .telemetry(telemetry.clone())
+            .try_run(&points, &QueryGovernor::unrestricted())
+            .unwrap();
+        telemetry.profile().unwrap().counter(Counter::GovernorPolls)
+    };
+    let eliminate = polls(OverlapAction::Eliminate);
+    assert_eq!(eliminate, 1 + points.len() as u64);
+    assert_eq!(polls(OverlapAction::FormNewGroup), eliminate + 1);
+}
 
 /// The acceptance bar: a 1 ms deadline over n = 100 000 comes back as
 /// `Err(Timeout)` in bounded time — the operator gives up mid-flight
