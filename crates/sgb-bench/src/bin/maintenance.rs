@@ -4,7 +4,8 @@
 //! every update — one row per operator family. The incremental figure
 //! charges the full serving cost at the engine's native cadence: every
 //! delta application plus the snapshot materialisation that publishes the
-//! result (SGB-All's lazily deferred rebuild is therefore *included*).
+//! result (SGB-All's deltas only store or clear slots, and its snapshot is
+//! one recompute, which the figure includes).
 //! The baseline figure is the per-update cost of the only alternative, a
 //! full `SgbQuery::run` over the live points. Each row asserts that the
 //! final maintained snapshot equals the from-scratch recompute — full
@@ -148,8 +149,8 @@ fn run_op(op: &'static str, query: &SgbQuery<2>, points: &[Point<2>]) -> OpRow {
     let stream = schedule(&mut rng, UPDATES);
 
     // Incremental: apply every delta, then materialise the snapshot the
-    // serving layer would publish (this is where SGB-All pays any owed
-    // rebuild, so the figure is end to end).
+    // serving layer would publish (this is where SGB-All recomputes, so the
+    // figure is end to end).
     let mut maintained = MaintainedGrouping::new(query.clone(), points);
     let mut live: Vec<usize> = (0..points.len()).collect();
     let t0 = Instant::now();

@@ -56,10 +56,6 @@
 //! the same random numbers, and the answer never depends on the path.
 //! FORM-NEW-GROUP passes keep each record's main-pass label: the ε-graph
 //! of the deferred points has components that nest inside the main ones.
-//! The incremental engine's replica takes one point per insert and never
-//! knows the components, so its `Grid` engine treats the input as one
-//! component of unknown size and searches the group R-tree, as `Indexed`
-//! does.
 //!
 //! **Reach first.** Under ELIMINATE and FORM-NEW-GROUP an entry's padded
 //! reach rectangle is tested first, so one test settles a far group. The
@@ -75,7 +71,7 @@
 //!
 //! [`SgbQuery::all`] drives this engine: its runs push the points in
 //! arrival order (the arbitration is order-sensitive, so SGB-All never
-//! parallelises), and the incremental engine keeps a live replica.
+//! parallelises).
 
 #![deny(
     clippy::unwrap_used,
@@ -226,7 +222,7 @@ impl Components {
 }
 
 /// State of one (possibly emptied) group.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct GroupState<const D: usize> {
     /// Members in join order, with their points (so overlap processing and
     /// hull rebuilds never need an external lookup).
@@ -405,9 +401,8 @@ fn scan_overlap<const D: usize>(g: &GroupState<D>, p: &Point<D>, cfg: &Params) -
 
 /// One processing pass of the SGB-All framework over a stream of points.
 /// `FORM-NEW-GROUP` runs several passes (the recursion over `S'`), each on a
-/// fresh `Engine`. `Clone` lets the incremental engine materialise a
-/// snapshot (clone + [`SgbAll::finish`]) without disturbing the live state.
-#[derive(Clone, Debug)]
+/// fresh `Engine`.
+#[derive(Debug)]
 struct Engine<const D: usize> {
     cfg: Params,
     groups: Vec<GroupState<D>>,
@@ -427,10 +422,9 @@ struct Engine<const D: usize> {
     shared_start: usize,
     /// `Groups_IX` of Procedure 5: every group under
     /// [`Algorithm::Indexed`]; under [`Algorithm::Grid`], the groups of the
-    /// components too big to scan (every group when the components are
-    /// unknown).
+    /// components too big to scan.
     index: Option<RTree<D, GroupId>>,
-    /// The input's ε-components (one-shot [`Algorithm::Grid`] runs only).
+    /// The input's ε-components ([`Algorithm::Grid`] runs only).
     components: Option<Components>,
     rng: SmallRng,
     /// `S'`: points deferred by FORM-NEW-GROUP.
@@ -454,11 +448,12 @@ struct Engine<const D: usize> {
 
 impl<const D: usize> Engine<D> {
     /// A fresh pass. `components` is read only under [`Algorithm::Grid`],
-    /// where the pass lays out its directory before its first point: each
-    /// group is created by one of the pass's points, so a component never
-    /// holds more groups in a pass than the pass has points in it, and its
-    /// range is sized to that count. `pass` lists the pass's points, or is
-    /// `None` for the main pass, which processes every labelled record.
+    /// which needs it: the pass lays out its directory before its first
+    /// point. Each group is created by one of the pass's points, so a
+    /// component never holds more groups in a pass than the pass has
+    /// points in it, and its range is sized to that count. `pass` lists the
+    /// pass's points, or is `None` for the main pass, which processes every
+    /// labelled record.
     fn new(
         cfg: Params,
         rng: SmallRng,
@@ -467,6 +462,10 @@ impl<const D: usize> Engine<D> {
     ) -> Self {
         let index = matches!(cfg.algorithm, Algorithm::Indexed | Algorithm::Grid).then(RTree::new);
         let components = components.filter(|_| cfg.algorithm == Algorithm::Grid);
+        debug_assert!(
+            cfg.algorithm != Algorithm::Grid || components.is_some(),
+            "a Grid pass searches by its input's ε-components"
+        );
         // A pass creates at most one group per point.
         let capacity = match (pass, &components) {
             (Some(points), _) => points.len(),
@@ -856,32 +855,6 @@ impl<const D: usize> Engine<D> {
         }
     }
 
-    /// Removes a record that forms a live **singleton** group, marking the
-    /// group dead in place. Returns `false` when no live singleton group
-    /// holds `ext`.
-    ///
-    /// This is only sound for records that are ε-isolated from every other
-    /// input point: such a record created its own group on arrival, never
-    /// appeared in any other point's candidate or overlap sets (so it
-    /// consumed no arbitration randomness and triggered no overlap
-    /// processing), and its group's regions never admitted another point.
-    /// Marking the group dead therefore leaves the engine in exactly the
-    /// state a from-scratch run over the remaining points (in the same
-    /// relative order) produces, up to dead-group padding that every scan
-    /// skips and that group creation order ignores.
-    fn remove_isolated_singleton(&mut self, ext: RecordId) -> bool {
-        let Some(gid) = self
-            .groups
-            .iter()
-            .position(|g| !g.is_dead() && g.members.len() == 1 && g.members[0].0 == ext)
-        else {
-            return false;
-        };
-        self.groups[gid].members.clear();
-        self.rebuild_group(gid);
-        true
-    }
-
     /// Drains the live groups (record ids in join order, groups in creation
     /// order) into `out`.
     fn drain_groups_into(&mut self, out: &mut Vec<Vec<RecordId>>) {
@@ -893,10 +866,9 @@ impl<const D: usize> Engine<D> {
     }
 }
 
-/// The SGB-All engine behind [`SgbQuery::all`] runs and the incremental
-/// engine's replica: push points in arrival order, then
-/// [`finish`](Self::finish).
-#[derive(Clone, Debug)]
+/// The SGB-All engine behind [`SgbQuery::all`] runs: push points in
+/// arrival order, then [`finish`](Self::finish).
+#[derive(Debug)]
 pub(crate) struct SgbAll<const D: usize> {
     engine: Engine<D>,
     pushed: usize,
@@ -905,10 +877,9 @@ pub(crate) struct SgbAll<const D: usize> {
 impl<const D: usize> SgbAll<D> {
     /// Creates the engine for an SGB-All `query` with threshold `eps` and
     /// overlap action `overlap` (the query's operator knobs), running the
-    /// concrete `algorithm` the caller resolved. Under
-    /// [`Algorithm::Grid`], `components` labels the records about to be
-    /// pushed (a one-shot run); without it every point searches the group
-    /// R-tree.
+    /// concrete `algorithm` the caller resolved. [`Algorithm::Grid`] needs
+    /// `components`, the labels of the records about to be pushed; the
+    /// other paths ignore it.
     pub(crate) fn new(
         query: &SgbQuery<D>,
         eps: f64,
@@ -937,22 +908,12 @@ impl<const D: usize> SgbAll<D> {
         self.engine.candidates_tested
     }
 
-    /// Processes one point (Procedure 1 body), returning its record id.
-    pub(crate) fn push(&mut self, p: Point<D>) -> RecordId {
+    /// Processes the next point (Procedure 1 body); its record id is its
+    /// position in arrival order.
+    pub(crate) fn push(&mut self, p: Point<D>) {
         debug_assert!(p.is_finite(), "validated by the callers");
-        let id = self.pushed;
+        self.engine.process(self.pushed, p);
         self.pushed += 1;
-        self.engine.process(id, p);
-        id
-    }
-
-    /// Removes a previously pushed record that is ε-isolated from every
-    /// other input point (the incremental engine's delete fast path — see
-    /// `Engine::remove_isolated_singleton` for why isolation makes the
-    /// in-place removal exact). Returns `false` when `ext` is not held by a
-    /// live singleton group; callers must then fall back to a rebuild.
-    pub(crate) fn remove_isolated_singleton(&mut self, ext: RecordId) -> bool {
-        self.engine.remove_isolated_singleton(ext)
     }
 
     /// Completes the operator: runs the FORM-NEW-GROUP recursion over `S'`
@@ -1010,7 +971,6 @@ impl<const D: usize> SgbAll<D> {
 )]
 mod tests {
     use super::*;
-    use crate::MaintainedGrouping;
     use sgb_geom::Metric;
 
     const ALGOS: [Algorithm; 4] = [
@@ -1538,10 +1498,6 @@ mod tests {
         let (eps, bound) = (0.4, 4);
         let free = QueryGovernor::unrestricted();
         for metric in Metric::ALL {
-            // The delete below must not take the isolated fast path.
-            assert!(points[1..]
-                .iter()
-                .any(|q| metric.within(&points[0], q, eps)));
             let components = Components::find(&points, eps, metric, bound, &free).unwrap();
             assert!(components.largest() > bound, "{metric}: no big component");
             assert!(
@@ -1571,25 +1527,6 @@ mod tests {
                 assert!(engine.ranges.iter().any(|&(_, len)| len > 0));
                 let reference = query.clone().algorithm(Algorithm::AllPairs).run(&points);
                 assert_eq!(finish(op), reference, "{metric} {overlap:?}");
-
-                // The incremental engine's replica knows no components:
-                // every point takes the group R-tree, with the same answer
-                // as a run, also once a non-isolated delete has forced the
-                // lazy rebuild.
-                let grid = query.clone().algorithm(Algorithm::Grid);
-                let run = grid.run(&points);
-                assert_eq!(run, reference, "{metric} {overlap:?}");
-                let mut maintained = MaintainedGrouping::new(grid.clone(), &points);
-                let snapshot = maintained.snapshot();
-                assert_eq!(snapshot.resolved_algorithm(), Algorithm::Grid);
-                assert_eq!(snapshot, run, "{metric} {overlap:?}");
-                assert!(maintained.delete(0));
-                let rerun = grid.run(&maintained.live_points());
-                assert_eq!(
-                    maintained.snapshot(),
-                    rerun,
-                    "{metric} {overlap:?} after delete"
-                );
             }
         }
     }

@@ -94,9 +94,7 @@ pub enum Algorithm {
     /// connectivity join), and each point searches only its own
     /// component's groups: the component's range of the group directory,
     /// with the Bounds-Checking tests, or the group R-tree for a component
-    /// of more than [`crate::cost::ALL_BOUNDS_MAX_N`] points. The replica
-    /// of a [`crate::MaintainedGrouping`] never knows the components, so
-    /// its SGB-All `Grid` searches the group R-tree.
+    /// of more than [`crate::cost::ALL_BOUNDS_MAX_N`] points.
     Grid,
 }
 

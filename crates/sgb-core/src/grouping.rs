@@ -47,10 +47,9 @@ pub struct Grouping {
     threads: usize,
     /// The telemetry handle the producing run recorded into — off unless
     /// the query had one installed ([`crate::SgbQuery::telemetry`]).
-    /// Carrying the live handle (not a snapshot) lets later stages — the
-    /// relational aggregation, for one — keep recording into the same
-    /// profile; a snapshot is materialised on demand by
-    /// [`Grouping::profile`].
+    /// Carrying the live handle (not a snapshot) lets [`Grouping::profile`]
+    /// also show what later stages holding a clone of it — the relational
+    /// aggregation, for one — record after the run.
     telemetry: Telemetry,
 }
 
@@ -211,14 +210,6 @@ impl Grouping {
     #[must_use]
     pub fn profile(&self) -> Option<QueryProfile> {
         self.telemetry.profile()
-    }
-
-    /// The live telemetry handle behind [`profile`](Self::profile), so
-    /// downstream stages (relational aggregation) can keep recording into
-    /// the same sink after the operator returns.
-    #[must_use]
-    pub fn telemetry_handle(&self) -> &Telemetry {
-        &self.telemetry
     }
 
     /// Installs the telemetry handle this grouping reports through.

@@ -30,19 +30,13 @@
 //!   exactly one tuple by the batch's own per-chunk search, through a cell
 //!   memo the grouping keeps (on the `Grid` path), and deletes drop their
 //!   slots. Nothing else moves.
-//! * **SGB-All** arbitration is arrival-order sensitive, so the engine
-//!   keeps a live replica (the `SgbAll` engine behind [`SgbQuery::run`])
-//!   whose state always equals a from-scratch run over the live points in
-//!   slot order. Inserts push one point. A batch deletes slot by slot:
-//!   each takes the fast path when the tuple is ε-isolated from every
-//!   other input point — such a tuple formed a pristine singleton group
-//!   that no other tuple's candidate or overlap sets ever saw (and that
-//!   consumed no arbitration randomness), so the group is marked dead in
-//!   place. Any other delete drops the
-//!   replica and the next [`snapshot`](MaintainedGrouping::snapshot)
-//!   rebuilds it lazily — the honest fallback, since a clique that loses a
-//!   member can cascade through the `ON-OVERLAP` arbitration of every
-//!   later arrival.
+//! * **SGB-All** arbitration depends on arrival order (arXiv:1412.4303):
+//!   a clique that loses a member can change the `ON-OVERLAP` outcome of
+//!   every later arrival, so no delete stays local. Its deltas only store
+//!   or clear a slot (O(1)), and each
+//!   [`snapshot`](MaintainedGrouping::snapshot) is one recompute over the
+//!   live points in slot order: the one-shot engine, with its ε-component
+//!   labels on the `Grid` path.
 //!
 //! Ground truth: [`snapshot`](MaintainedGrouping::snapshot) is always equal
 //! (full [`Grouping`] equality) to `query.run(&live_points)` over the live
@@ -64,11 +58,10 @@ use sgb_dsu::TrackedDsu;
 use sgb_geom::Point;
 use sgb_spatial::{Grid, SortedCells};
 
-use crate::all::SgbAll;
 use crate::around::{self, build_center_grid, CellMemo, CenterId, CenterRule};
 use crate::governor::{QueryGovernor, SgbError, CHECK_INTERVAL};
 use crate::query::{Grouping, OpSpec, SgbQuery};
-use crate::{cost, Algorithm, OverlapAction, RecordId};
+use crate::{cost, Algorithm, RecordId};
 
 /// Stable identifier of a maintained point: its insertion slot. Slots are
 /// dense, append-only, and never reused, so a `SlotId` stays valid across
@@ -78,9 +71,10 @@ use crate::{cost, Algorithm, OverlapAction, RecordId};
 /// live points would assign.
 pub type SlotId = usize;
 
-/// Per-operator incremental state. The ε-operators keep their ε and an
-/// ε-grid over the live points (cell side = ε), the delta engine's own
-/// probe structure; SGB-Around needs no ε-probes.
+/// Per-operator incremental state. SGB-Any keeps its ε and an ε-grid over
+/// the live points (cell side = ε), the delta engine's own probe
+/// structure; SGB-Around needs no ε-probes, and SGB-All keeps nothing but
+/// the slots.
 #[derive(Clone, Debug)]
 enum OpState<const D: usize> {
     /// ε-connectivity components with their member lists.
@@ -98,69 +92,17 @@ enum OpState<const D: usize> {
         memo: CellMemo<D>,
         assign: Vec<CenterId>,
     },
-    /// The live replica, or `None` while a lazy rebuild is pending
-    /// after a non-isolated delete.
-    All {
-        eps: f64,
-        overlap: OverlapAction,
-        grid: Grid<D, SlotId>,
-        replica: Option<AllReplica<D>>,
-    },
-}
-
-/// Live replica of a from-scratch SGB-All run over the live slots in
-/// slot order, running the concrete `algorithm` resolved when it was
-/// built. `pushed[rec]` is the slot the engine's record id `rec` was
-/// assigned to; `rec_of[slot]` is the inverse (stale for dead slots).
-#[derive(Clone, Debug)]
-struct AllReplica<const D: usize> {
-    engine: Box<SgbAll<D>>,
-    algorithm: Algorithm,
-    pushed: Vec<SlotId>,
-    rec_of: Vec<RecordId>,
-}
-
-impl<const D: usize> AllReplica<D> {
-    /// Pushes the `live` points of `slots` in slot order through a fresh
-    /// engine for `query` ([`crate::Algorithm::Auto`] resolved from
-    /// `live` — the concrete strategies are output-identical, so any
-    /// resolution preserves snapshot ≡ recompute).
-    fn build(
-        query: &SgbQuery<D>,
-        eps: f64,
-        overlap: OverlapAction,
-        slots: &[Option<Point<D>>],
-        live: usize,
-    ) -> Self {
-        // The replica builds no pre-pass grid, so it resolves without a
-        // budget, as `resolve_all` does under an unrestricted governor.
-        let (algorithm, _) = cost::all_cost_model(query.configured_algorithm(), live);
-        let mut engine = SgbAll::new(query, eps, overlap, algorithm, None);
-        let mut pushed = Vec::with_capacity(live);
-        let mut rec_of = vec![usize::MAX; slots.len()];
-        for (slot, s) in slots.iter().enumerate() {
-            if let Some(p) = s {
-                rec_of[slot] = engine.push(*p);
-                pushed.push(slot);
-            }
-        }
-        Self {
-            engine: Box::new(engine),
-            algorithm,
-            pushed,
-            rec_of,
-        }
-    }
+    /// Nothing beyond the slots: every snapshot recomputes.
+    All,
 }
 
 /// A similarity grouping maintained under point deltas.
 ///
 /// Holds the points (in stable [`SlotId`] slots) and the live
 /// per-operator state, and applies [`insert`](Self::insert) /
-/// [`delete`](Self::delete) in sub-linear time (SGB-All deletes of
-/// non-isolated tuples defer an O(n) rebuild to the next snapshot —
-/// see the module docs). [`snapshot`](Self::snapshot) materialises a
-/// [`Grouping`] equal to `query.run(&live_points)`.
+/// [`delete`](Self::delete) in sub-linear time. [`snapshot`](Self::snapshot)
+/// materialises a [`Grouping`] equal to `query.run(&live_points)`; for
+/// SGB-All it is that run (see the module docs).
 ///
 /// ```
 /// use sgb_core::{MaintainedGrouping, SgbQuery};
@@ -234,19 +176,7 @@ impl<const D: usize> MaintainedGrouping<D> {
                 around::assign_into(&rule, &mut memo, points, &mut assign);
                 OpState::Around { rule, memo, assign }
             }
-            OpSpec::All { eps, overlap } => {
-                let mut grid = Grid::new(Grid::<D, SlotId>::side_for_eps(*eps));
-                for (slot, p) in points.iter().enumerate() {
-                    grid.insert(*p, slot);
-                }
-                let replica = AllReplica::build(&query, *eps, *overlap, &slots, live);
-                OpState::All {
-                    eps: *eps,
-                    overlap: *overlap,
-                    grid,
-                    replica: Some(replica),
-                }
-            }
+            OpSpec::All { .. } => OpState::All,
         };
         Self {
             query,
@@ -284,12 +214,6 @@ impl<const D: usize> MaintainedGrouping<D> {
         self.slots.len()
     }
 
-    /// The point stored in `slot`, or `None` when the slot was deleted or
-    /// never allocated.
-    pub fn point(&self, slot: SlotId) -> Option<Point<D>> {
-        self.slots.get(slot).copied().flatten()
-    }
-
     /// The live points in slot order — the exact input a from-scratch
     /// `query.run()` equal to [`snapshot`](Self::snapshot) would receive.
     pub fn live_points(&self) -> Vec<Point<D>> {
@@ -299,7 +223,7 @@ impl<const D: usize> MaintainedGrouping<D> {
     /// Applies one insert delta, returning the new point's slot id.
     ///
     /// Cost: one grid probe + DSU unions (SGB-Any), one nearest-center
-    /// query (SGB-Around), one engine push (SGB-All).
+    /// query (SGB-Around), O(1) (SGB-All).
     ///
     /// # Panics
     /// If `p` has a non-finite coordinate.
@@ -322,17 +246,7 @@ impl<const D: usize> MaintainedGrouping<D> {
             OpState::Around { rule, memo, assign } => {
                 around::assign_into(rule, memo, &[p], assign);
             }
-            OpState::All { grid, replica, .. } => {
-                grid.insert(p, slot);
-                // Without a replica, the pending rebuild will push every
-                // live slot.
-                if let Some(r) = replica {
-                    let rec = r.engine.push(p);
-                    debug_assert_eq!(rec, r.pushed.len());
-                    r.pushed.push(slot);
-                    r.rec_of.push(rec);
-                }
-            }
+            OpState::All => {}
         }
         self.slots.push(Some(p));
         self.live += 1;
@@ -387,8 +301,7 @@ impl<const D: usize> MaintainedGrouping<D> {
     /// in place (one grid probe each, as in [`delete`](Self::delete)) and
     /// re-clusters every other affected component **once**, however many
     /// of its members the batch removes, with one connectivity join over
-    /// its survivors. SGB-Around and SGB-All apply their per-slot deltas in
-    /// order.
+    /// its survivors. SGB-Around and SGB-All only clear the slots.
     ///
     /// Failure atomicity, as for [`try_insert`](Self::try_insert): the
     /// governor check and the `_pre` chaos site run once per slot before
@@ -430,9 +343,8 @@ impl<const D: usize> MaintainedGrouping<D> {
     /// when `slot` is unknown or already deleted. It is the one-slot case
     /// of [`try_delete_many`](Self::try_delete_many), whose cost docs
     /// apply: O(degree) when the tuple is isolated or a leaf, else one
-    /// re-cluster of its component (SGB-Any);
-    /// O(1) (SGB-Around); one grid probe, plus a lazy rebuild deferred to
-    /// the next snapshot when the tuple was not ε-isolated (SGB-All).
+    /// re-cluster of its component (SGB-Any); O(1) (SGB-Around and
+    /// SGB-All).
     pub fn delete(&mut self, slot: SlotId) -> bool {
         // An unrestricted governor never fails.
         matches!(
@@ -519,29 +431,10 @@ impl<const D: usize> MaintainedGrouping<D> {
                     )?;
                 }
             }
-            OpState::Around { .. } => {
-                // Assignment is per-tuple: dropping the slot is the whole
-                // delta (the stale `assign` entry is skipped by snapshots).
-            }
-            OpState::All {
-                eps, grid, replica, ..
-            } => {
-                let eps = *eps;
-                for &(slot, p) in &targets {
-                    let removed = grid.remove(&p, &slot);
-                    debug_assert!(removed, "live slot is in the grid");
-                    let Some(r) = replica else { continue };
-                    let mut isolated = true;
-                    grid.for_each_within(&p, eps, |q, _| {
-                        if isolated && metric.within(q, &p, eps) {
-                            isolated = false;
-                        }
-                    });
-                    if !(isolated && r.engine.remove_isolated_singleton(r.rec_of[slot])) {
-                        *replica = None;
-                    }
-                }
-            }
+            // SGB-Around assignment is per-tuple, so dropping the slot is
+            // the whole delta (the stale `assign` entry is skipped by
+            // snapshots); SGB-All recomputes at the snapshot.
+            OpState::Around { .. } | OpState::All => {}
         }
         self.live -= targets.len();
         self.epoch += targets.len() as u64;
@@ -550,29 +443,27 @@ impl<const D: usize> MaintainedGrouping<D> {
 
     /// Materialises the current grouping, with record ids densely
     /// re-ranked over the live slots — equal (full [`Grouping`] equality)
-    /// to `self.query().run(&self.live_points())`.
-    ///
-    /// Takes `&mut self` because SGB-All may owe a lazy rebuild after a
-    /// non-isolated delete; concurrent readers are served published
-    /// `Arc<Grouping>` snapshots by the relation layer, never this call.
-    pub fn snapshot(&mut self) -> Grouping {
+    /// to `self.query().run(&self.live_points())`. For SGB-All it is that
+    /// run, ungoverned, with the epoch as its reason.
+    pub fn snapshot(&self) -> Grouping {
+        let selection = format!("maintained incrementally (epoch {})", self.epoch);
         // Dense rank of each live slot — the record ids a from-scratch run
         // over the live points would use.
-        let mut rank = vec![usize::MAX; self.slots.len()];
-        let mut next = 0;
-        for (slot, s) in self.slots.iter().enumerate() {
-            if s.is_some() {
+        let rank = || {
+            let mut rank = vec![usize::MAX; self.slots.len()];
+            let live = self.slots.iter().enumerate().filter(|(_, s)| s.is_some());
+            for (next, (slot, _)) in live.enumerate() {
                 rank[slot] = next;
-                next += 1;
             }
-        }
-        let selection = format!("maintained incrementally (epoch {})", self.epoch);
-        match &mut self.state {
+            rank
+        };
+        match &self.state {
             OpState::Any { dsu, .. } => {
                 // `groups()` orders components by smallest member and
                 // members ascending; ranks are monotone in slots, so the
                 // remap preserves exactly the order `into_groups` produces
                 // over dense ids.
+                let rank = rank();
                 let groups: Vec<Vec<RecordId>> = dsu
                     .groups()
                     .into_iter()
@@ -583,6 +474,7 @@ impl<const D: usize> MaintainedGrouping<D> {
                 Grouping::flat(groups, Vec::new()).ran(resolved, selection, 1)
             }
             OpState::Around { rule, assign, .. } => {
+                let rank = rank();
                 let mut groups = vec![Vec::new(); rule.num_centers()];
                 let mut outliers = Vec::new();
                 for (slot, s) in self.slots.iter().enumerate() {
@@ -596,27 +488,10 @@ impl<const D: usize> MaintainedGrouping<D> {
                 }
                 Grouping::around(groups, outliers).ran(rule.algorithm(), selection, 1)
             }
-            OpState::All {
-                eps,
-                overlap,
-                replica,
-                ..
-            } => {
-                let r = replica.get_or_insert_with(|| {
-                    AllReplica::build(&self.query, *eps, *overlap, &self.slots, self.live)
-                });
-                // The replica's snapshot is not governed: nothing can
-                // stop its recursion.
-                let Ok(finished) = r
-                    .engine
-                    .as_ref()
-                    .clone()
-                    .finish(|| Ok::<(), Infallible>(()));
-                let remap = |ids: &[RecordId]| -> Vec<RecordId> {
-                    ids.iter().map(|&rec| rank[r.pushed[rec]]).collect()
-                };
-                let groups = finished.groups().iter().map(|g| remap(g)).collect();
-                Grouping::flat(groups, remap(finished.eliminated())).ran(r.algorithm, selection, 1)
+            OpState::All => {
+                let out = self.query.run(&self.live_points());
+                let resolved = out.resolved_algorithm();
+                out.ran(resolved, selection, 1)
             }
         }
     }
@@ -784,29 +659,22 @@ mod tests {
     }
 
     #[test]
-    fn all_isolated_delete_takes_the_fast_path() {
-        let q = SgbQuery::all(1.0).overlap(OverlapAction::Eliminate);
-        let pts = [pt(0.0, 0.0), pt(0.5, 0.0), pt(50.0, 50.0)];
-        let mut m = MaintainedGrouping::new(q.clone(), &pts);
-        assert!(m.delete(2)); // isolated singleton: in-place removal
-        match &m.state {
-            OpState::All { replica, .. } => {
-                assert!(replica.is_some(), "isolated delete must stay clean");
+    fn all_snapshot_is_the_run_over_the_live_points() {
+        // Past the all-pairs bound, so `Auto` resolves to `Grid` and the
+        // snapshot runs the component pre-pass.
+        let points = cloud(400, 0xA1, 8.0);
+        for overlap in [OverlapAction::JoinAny, OverlapAction::FormNewGroup] {
+            let q = SgbQuery::all(0.6).overlap(overlap);
+            let mut m = MaintainedGrouping::new(q.clone(), &points);
+            for slot in [0, 7, 7, 399] {
+                m.delete(slot);
+                m.insert(pt(4.0, f64::from(slot as u32) * 0.01));
+                let snap = m.snapshot();
+                assert_eq!(snap, q.run(&m.live_points()), "{overlap:?}");
+                assert_eq!(snap.resolved_algorithm(), Algorithm::Grid);
+                let reason = format!("maintained incrementally (epoch {})", m.epoch());
+                assert_eq!(snap.selection_reason(), reason);
             }
-            _ => unreachable!(),
-        }
-        assert_eq!(m.snapshot(), q.run(&m.live_points()));
-        assert!(m.delete(0)); // clustered: lazy rebuild
-        match &m.state {
-            OpState::All { replica, .. } => assert!(replica.is_none()),
-            _ => unreachable!(),
-        }
-        assert_eq!(m.snapshot(), q.run(&m.live_points()));
-        match &m.state {
-            OpState::All { replica, .. } => {
-                assert!(replica.is_some(), "snapshot settles the rebuild");
-            }
-            _ => unreachable!(),
         }
     }
 

@@ -290,7 +290,7 @@ impl Maintained {
         }
     }
 
-    fn snapshot(&mut self) -> Grouping {
+    fn snapshot(&self) -> Grouping {
         match self {
             Maintained::D2(m) => m.snapshot(),
             Maintained::D3(m) => m.snapshot(),
@@ -345,10 +345,10 @@ impl Subscription {
         self.shared.active.load(Ordering::Acquire)
     }
 
-    /// Rebuilds and atomically publishes the snapshot. The (possibly lazy)
-    /// regrouping work happens here on the writer, outside the lock; the
-    /// write lock is held only for the pointer swap.
-    fn publish(&mut self, table_version: u64) {
+    /// Rebuilds and atomically publishes the snapshot. The regrouping work
+    /// (SGB-All's recompute included) happens here on the writer, outside
+    /// the lock; the write lock is held only for the pointer swap.
+    fn publish(&self, table_version: u64) {
         let snapshot = Arc::new(GroupingSnapshot {
             grouping: self.maintained.snapshot(),
             epoch: self.maintained.epoch(),
@@ -417,7 +417,7 @@ impl SubscriptionSet {
         coords_key: String,
         coords: Vec<BoundExpr>,
         key: QueryKey,
-        mut maintained: Maintained,
+        maintained: Maintained,
         n_rows: usize,
         version: u64,
     ) -> SubscriptionHandle {
