@@ -711,6 +711,12 @@ impl<const D: usize> Engine<D> {
     /// satisfy the predicate with `p` are removed, and `removal` says
     /// whether they are dropped (ELIMINATE) or deferred to `S'`
     /// (FORM-NEW-GROUP).
+    ///
+    /// Kept out of line, so that `process`, which every point runs, stays
+    /// small: inlined into it together with `rebuild_group`, its one
+    /// callee, it made sgbbench's `checkin-all` statements about 4% slower
+    /// at the median, JOIN-ANY's (which never call it) included.
+    #[inline(never)]
     fn process_overlap(&mut self, p: &Point<D>, overlaps: &[GroupId], removal: Removal) {
         let (eps, metric) = (self.cfg.eps, self.cfg.metric);
         for &gid in overlaps {
