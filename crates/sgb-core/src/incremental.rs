@@ -446,24 +446,23 @@ impl<const D: usize> MaintainedGrouping<D> {
     /// to `self.query().run(&self.live_points())`. For SGB-All it is that
     /// run, ungoverned, with the epoch as its reason.
     pub fn snapshot(&self) -> Grouping {
-        let selection = format!("maintained incrementally (epoch {})", self.epoch);
         // Dense rank of each live slot — the record ids a from-scratch run
         // over the live points would use.
-        let rank = || {
-            let mut rank = vec![usize::MAX; self.slots.len()];
-            let live = self.slots.iter().enumerate().filter(|(_, s)| s.is_some());
-            for (next, (slot, _)) in live.enumerate() {
+        let mut rank = vec![usize::MAX; self.slots.len()];
+        let mut next = 0;
+        for (slot, s) in self.slots.iter().enumerate() {
+            if s.is_some() {
                 rank[slot] = next;
+                next += 1;
             }
-            rank
-        };
+        }
+        let selection = format!("maintained incrementally (epoch {})", self.epoch);
         match &self.state {
             OpState::Any { dsu, .. } => {
                 // `groups()` orders components by smallest member and
                 // members ascending; ranks are monotone in slots, so the
                 // remap preserves exactly the order `into_groups` produces
                 // over dense ids.
-                let rank = rank();
                 let groups: Vec<Vec<RecordId>> = dsu
                     .groups()
                     .into_iter()
@@ -474,7 +473,6 @@ impl<const D: usize> MaintainedGrouping<D> {
                 Grouping::flat(groups, Vec::new()).ran(resolved, selection, 1)
             }
             OpState::Around { rule, assign, .. } => {
-                let rank = rank();
                 let mut groups = vec![Vec::new(); rule.num_centers()];
                 let mut outliers = Vec::new();
                 for (slot, s) in self.slots.iter().enumerate() {
