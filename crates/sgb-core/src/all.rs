@@ -90,6 +90,7 @@ use sgb_telemetry::Telemetry;
 
 use crate::any;
 use crate::governor::{QueryGovernor, SgbError};
+use crate::grouping::GroupsBuilder;
 use crate::{Algorithm, Grouping, OverlapAction, RecordId, SgbQuery};
 
 type GroupId = usize;
@@ -861,12 +862,12 @@ impl<const D: usize> Engine<D> {
         }
     }
 
-    /// Drains the live groups (record ids in join order, groups in creation
-    /// order) into `out`.
-    fn drain_groups_into(&mut self, out: &mut Vec<Vec<RecordId>>) {
-        for g in &mut self.groups {
+    /// Appends the live groups (record ids in join order, groups in
+    /// creation order) to `out`.
+    fn drain_groups_into(&self, out: &mut GroupsBuilder) {
+        for g in &self.groups {
             if !g.is_dead() {
-                out.push(g.members.iter().map(|(id, _)| *id).collect());
+                out.push(g.members.iter().map(|&(id, _)| id));
             }
         }
     }
@@ -933,7 +934,7 @@ impl<const D: usize> SgbAll<D> {
         mut self,
         mut poll: impl FnMut() -> Result<(), E>,
     ) -> Result<Grouping, E> {
-        let mut groups = Vec::new();
+        let mut groups = GroupsBuilder::default();
         self.engine.drain_groups_into(&mut groups);
         let mut eliminated = std::mem::take(&mut self.engine.eliminated);
         let mut pending = std::mem::take(&mut self.engine.deferred);
@@ -964,7 +965,7 @@ impl<const D: usize> SgbAll<D> {
                 "FORM-NEW-GROUP recursion failed to make progress"
             );
         }
-        Ok(Grouping::flat(groups, eliminated))
+        Ok(groups.finish(eliminated))
     }
 }
 
@@ -1043,7 +1044,7 @@ mod tests {
             let out = query.run(&fig2_points());
             assert_eq!(out.sorted_sizes(), vec![2, 2, 1], "{algo:?}");
             // a5 ends up alone in the newly formed group.
-            assert!(out.groups().iter().any(|g| g == &vec![4]), "{algo:?}");
+            assert!(out.groups().iter().any(|g| g == [4]), "{algo:?}");
             out.check_partition(5);
         }
     }
@@ -1119,7 +1120,7 @@ mod tests {
             // (they are within 4 of each other).
             assert!(
                 out.groups().iter().any(|g| {
-                    let mut g = g.clone();
+                    let mut g = g.to_vec();
                     g.sort_unstable();
                     g == vec![2, 10]
                 }),
@@ -1326,7 +1327,7 @@ mod tests {
                 largest = reference
                     .groups()
                     .iter()
-                    .map(Vec::len)
+                    .map(<[RecordId]>::len)
                     .fold(largest, usize::max);
                 for hull_threshold in [1, 4, HULL_THRESHOLD, usize::MAX] {
                     for algorithm in [

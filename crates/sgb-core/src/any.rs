@@ -270,10 +270,24 @@ fn run_shard<const D: usize>(
 }
 
 /// The connected components of a kernel's finished forest as the answer
-/// set (the merge phase).
-fn components(dsu: DisjointSet, tel: &Telemetry) -> Grouping {
+/// set (the merge phase): components ordered by smallest member, members
+/// ascending. One pass numbers each record's component in order of first
+/// appearance (a root takes its number when its smallest member reaches
+/// it, and each record copies its root's), and [`Grouping::by_label`]
+/// counts and places the records in two more.
+fn components(mut dsu: DisjointSet, tel: &Telemetry) -> Grouping {
     let _merge = tel.phase(Phase::Merge);
-    Grouping::flat(dsu.into_groups(), Vec::new())
+    let mut labels = vec![u32::MAX; dsu.len()];
+    let mut count = 0;
+    for record in 0..labels.len() {
+        let root = dsu.find(record);
+        if labels[root] == u32::MAX {
+            labels[root] = count;
+            count += 1;
+        }
+        labels[record] = labels[root];
+    }
+    Grouping::by_label(labels.iter().map(|&l| l as usize), count as usize, false)
 }
 
 #[cfg(test)]
@@ -285,6 +299,7 @@ fn components(dsu: DisjointSet, tel: &Telemetry) -> Grouping {
 )]
 mod tests {
     use super::*;
+    use crate::grouping::GroupsBuilder;
     use crate::{Algorithm, SgbQuery};
     use sgb_geom::Metric;
     use sgb_spatial::Grid;
@@ -303,7 +318,11 @@ mod tests {
                 }
             }
         }
-        Grouping::flat(dsu.into_groups(), Vec::new())
+        let mut groups = GroupsBuilder::default();
+        for g in dsu.into_groups() {
+            groups.push(g);
+        }
+        groups.finish(Vec::new())
     }
 
     #[test]
@@ -454,15 +473,11 @@ mod tests {
         let backward = query.run(&rev);
         // Map reversed ids back to original ids before comparing.
         let n = points.len();
-        let remapped = Grouping::flat(
-            backward
-                .groups()
-                .iter()
-                .map(|g| g.iter().map(|&i| n - 1 - i).collect())
-                .collect(),
-            vec![],
-        );
-        assert_eq!(remapped.normalized(), forward);
+        let mut remapped = GroupsBuilder::default();
+        for g in backward.groups() {
+            remapped.push(g.iter().map(|&i| n - 1 - i));
+        }
+        assert_eq!(remapped.finish(vec![]).normalized(), forward);
     }
 
     #[test]

@@ -456,9 +456,10 @@ const OUTLIER: CenterId = CenterId::MAX;
 /// balances. Each job classifies its chunks into their own slots, ticking
 /// a pacer of its own against the shared governor once per point; on the
 /// `Grid` path it keeps one cell memo across its chunks (module docs).
-/// Then, only when every job succeeded, an arrival-order pass appends each
-/// record id to its group, so member order matches a one-worker run
-/// exactly (asserted by `tests/proptest_parallel.rs`). Points must be
+/// Then, only when every job succeeded, a counting sort of the slots by
+/// center ([`Grouping::by_label`]) lays out the groups, members in arrival
+/// order, so they match a one-worker run exactly (asserted by
+/// `tests/proptest_parallel.rs`). Points must be
 /// finite (validated by the callers). On `Err`, nothing built here
 /// escapes.
 pub(crate) fn assign_batch<const D: usize>(
@@ -492,17 +493,13 @@ pub(crate) fn assign_batch<const D: usize>(
         }
     }))?;
     verdicts.into_iter().collect::<Result<(), SgbError>>()?;
-    let mut groups = vec![Vec::new(); rule.num_centers()];
-    let mut outliers = Vec::new();
-    for (id, &c) in slots.iter().enumerate() {
-        match groups.get_mut(c) {
-            Some(group) => group.push(id),
-            None => outliers.push(id),
-        }
-    }
     drop(join);
     let _merge = tel.phase(Phase::Merge);
-    Ok(Grouping::around(groups, outliers))
+    Ok(Grouping::by_label(
+        slots.iter().copied(),
+        rule.num_centers(),
+        true,
+    ))
 }
 
 /// Appends the assignment of every point of `points` to `out`, in one

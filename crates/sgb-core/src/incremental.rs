@@ -60,8 +60,8 @@ use sgb_spatial::{Grid, SortedCells};
 
 use crate::around::{self, build_center_grid, CellMemo, CenterId, CenterRule};
 use crate::governor::{QueryGovernor, SgbError, CHECK_INTERVAL};
-use crate::query::{Grouping, OpSpec, SgbQuery};
-use crate::{cost, Algorithm, RecordId};
+use crate::query::{infallible, Grouping, OpSpec, SgbQuery};
+use crate::{cost, Algorithm};
 
 /// Stable identifier of a maintained point: its insertion slot. Slots are
 /// dense, append-only, and never reused, so a `SlotId` stays valid across
@@ -444,52 +444,64 @@ impl<const D: usize> MaintainedGrouping<D> {
     /// Materialises the current grouping, with record ids densely
     /// re-ranked over the live slots — equal (full [`Grouping`] equality)
     /// to `self.query().run(&self.live_points())`. For SGB-All it is that
-    /// run, ungoverned, with the epoch as its reason.
+    /// run, with the epoch as its reason. The unrestricted case of
+    /// [`try_snapshot`](Self::try_snapshot).
+    ///
+    /// # Panics
+    /// Where [`SgbQuery::run`] panics: only SGB-All runs the query here,
+    /// and an unrestricted governor never stops it.
     pub fn snapshot(&self) -> Grouping {
-        // Dense rank of each live slot — the record ids a from-scratch run
-        // over the live points would use.
-        let mut rank = vec![usize::MAX; self.slots.len()];
-        let mut next = 0;
-        for (slot, s) in self.slots.iter().enumerate() {
-            if s.is_some() {
-                rank[slot] = next;
-                next += 1;
-            }
-        }
+        infallible(self.try_snapshot(&QueryGovernor::unrestricted()))
+    }
+
+    /// [`snapshot`](Self::snapshot) under `governor`. SGB-Any and
+    /// SGB-Around lay out the grouping in a few linear passes over the
+    /// slots, which never fail; SGB-All's recompute is
+    /// [`SgbQuery::try_run`] under `governor`.
+    ///
+    /// # Errors
+    /// What SGB-All's [`SgbQuery::try_run`] returns: for a serving layer,
+    /// [`SgbError::Timeout`] when the recompute overruns the deadline.
+    pub fn try_snapshot(&self, governor: &QueryGovernor) -> Result<Grouping, SgbError> {
         let selection = format!("maintained incrementally (epoch {})", self.epoch);
+        // The i-th live slot is record i, its dense rank: the record ids a
+        // from-scratch run over the live points would use.
+        let live = self.slots.iter().enumerate().filter(|(_, s)| s.is_some());
         match &self.state {
             OpState::Any { dsu, .. } => {
-                // `groups()` orders components by smallest member and
-                // members ascending; ranks are monotone in slots, so the
-                // remap preserves exactly the order `into_groups` produces
-                // over dense ids.
-                let groups: Vec<Vec<RecordId>> = dsu
-                    .groups()
-                    .into_iter()
-                    .map(|g| g.into_iter().map(|s| rank[s]).collect())
-                    .collect();
+                // One pass numbers the components in order of their first
+                // live slot (a root takes its number when its first live
+                // member reaches it; ghost roots included) and lists each
+                // record's number. Numbering by smallest member, members
+                // ascending, is the order a one-shot run produces.
+                let mut root_label = vec![u32::MAX; self.slots.len()];
+                let mut labels = Vec::with_capacity(self.live);
+                let mut count = 0;
+                for (slot, _) in live {
+                    let root = dsu.find_immutable(slot);
+                    if root_label[root] == u32::MAX {
+                        root_label[root] = count;
+                        count += 1;
+                    }
+                    labels.push(root_label[root]);
+                }
                 let (resolved, _) =
                     cost::any_cost_model(self.query.configured_algorithm(), self.live, D);
-                Grouping::flat(groups, Vec::new()).ran(resolved, selection, 1)
+                let labels = labels.iter().map(|&l| l as usize);
+                Ok(Grouping::by_label(labels, count as usize, false).ran(resolved, selection, 1))
             }
             OpState::Around { rule, assign, .. } => {
-                let mut groups = vec![Vec::new(); rule.num_centers()];
-                let mut outliers = Vec::new();
-                for (slot, s) in self.slots.iter().enumerate() {
-                    if s.is_none() {
-                        continue;
-                    }
-                    match groups.get_mut(assign[slot]) {
-                        Some(group) => group.push(rank[slot]),
-                        None => outliers.push(rank[slot]),
-                    }
-                }
-                Grouping::around(groups, outliers).ran(rule.algorithm(), selection, 1)
+                let centers = live.map(|(slot, _)| assign[slot]);
+                Ok(Grouping::by_label(centers, rule.num_centers(), true).ran(
+                    rule.algorithm(),
+                    selection,
+                    1,
+                ))
             }
             OpState::All => {
-                let out = self.query.run(&self.live_points());
+                let out = self.query.try_run(&self.live_points(), governor)?;
                 let resolved = out.resolved_algorithm();
-                out.ran(resolved, selection, 1)
+                Ok(out.ran(resolved, selection, 1))
             }
         }
     }
@@ -673,6 +685,24 @@ mod tests {
                 let reason = format!("maintained incrementally (epoch {})", m.epoch());
                 assert_eq!(snap.selection_reason(), reason);
             }
+        }
+    }
+
+    #[test]
+    fn all_try_snapshot_honors_the_deadline() {
+        // A 1 ns deadline has passed by the recompute's first governor
+        // check; SGB-Any and SGB-Around lay out their snapshot without one.
+        let points = cloud(400, 0xA2, 8.0);
+        let expired =
+            QueryGovernor::unrestricted().with_deadline(std::time::Duration::from_nanos(1));
+        let all = MaintainedGrouping::new(SgbQuery::all(0.6), &points);
+        assert!(matches!(all.try_snapshot(&expired), Err(SgbError::Timeout)));
+        let free = QueryGovernor::unrestricted();
+        assert_eq!(all.try_snapshot(&free).unwrap(), all.snapshot());
+        let around = SgbQuery::around(vec![pt(2.0, 2.0), pt(6.0, 6.0)]);
+        for q in [SgbQuery::any(0.6), around] {
+            let m = MaintainedGrouping::new(q, &points);
+            assert_eq!(m.try_snapshot(&expired).unwrap(), m.snapshot());
         }
     }
 

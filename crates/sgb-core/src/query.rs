@@ -707,7 +707,7 @@ impl<const D: usize> SgbQuery<D> {
 /// The outcome of an execution under [`QueryGovernor::unrestricted`],
 /// which fails only where the infallible entry points document a panic
 /// (non-finite coordinates) or when a worker panicked — re-raised here.
-fn infallible(result: Result<Grouping, SgbError>) -> Grouping {
+pub(crate) fn infallible(result: Result<Grouping, SgbError>) -> Grouping {
     match result {
         Ok(grouping) => grouping,
         Err(e) => panic!("{e}"),

@@ -201,9 +201,8 @@ impl DisjointSet {
 /// Deletion never restructures the forest: a removed element becomes a
 /// *ghost* — it stays in the parent array (possibly even as a component's
 /// root, holding that component's member list) but is excluded from member
-/// lists and [`groups`](Self::groups). When a removal could split a
-/// component the caller dissolves it with
-/// [`dissolve_component`](Self::dissolve_component) and unions the
+/// lists. When a removal could split a component the caller dissolves it
+/// with [`dissolve_component`](Self::dissolve_component) and unions the
 /// survivors' ε-edges again.
 #[derive(Clone, Debug, Default)]
 pub struct TrackedDsu {
@@ -354,36 +353,26 @@ impl TrackedDsu {
         }
         members
     }
-
-    /// Groups all live elements by component: one `Vec` of member ids per
-    /// component, members in increasing id order, components ordered by
-    /// smallest member id — the same canonical order as
-    /// [`DisjointSet::into_groups`] over the live subset.
-    pub fn groups(&self) -> Vec<Vec<usize>> {
-        let n = self.parent.len();
-        let mut by_root: Vec<Vec<usize>> = Vec::new();
-        let mut root_slot: Vec<u32> = vec![u32::MAX; n];
-        for x in 0..n {
-            if !self.alive[x] {
-                continue;
-            }
-            let r = self.find_immutable(x);
-            let slot = if root_slot[r] == u32::MAX {
-                root_slot[r] = by_root.len() as u32;
-                by_root.push(Vec::new());
-                by_root.len() - 1
-            } else {
-                root_slot[r] as usize
-            };
-            by_root[slot].push(x);
-        }
-        by_root
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The live elements by component: members ascending, components
+    /// ordered by smallest member — [`DisjointSet::into_groups`]'s order.
+    fn groups(dsu: &TrackedDsu) -> Vec<Vec<usize>> {
+        let mut by_root: Vec<Vec<usize>> = Vec::new();
+        let mut root_slot: Vec<Option<usize>> = vec![None; dsu.len()];
+        for x in (0..dsu.len()).filter(|&x| dsu.is_alive(x)) {
+            let slot = *root_slot[dsu.find_immutable(x)].get_or_insert_with(|| {
+                by_root.push(Vec::new());
+                by_root.len() - 1
+            });
+            by_root[slot].push(x);
+        }
+        by_root
+    }
 
     #[test]
     fn try_merge_from_pauses_and_propagates_errors() {
@@ -514,7 +503,7 @@ mod tests {
         dsu.union(0, 2);
         assert_eq!(dsu.find(2), root);
         assert_eq!(dsu.components(), 3);
-        assert_eq!(dsu.groups(), vec![vec![0, 1, 2], vec![3], vec![4]]);
+        assert_eq!(groups(&dsu), vec![vec![0, 1, 2], vec![3], vec![4]]);
     }
 
     #[test]
@@ -531,7 +520,7 @@ mod tests {
         dsu.remove_member(1);
         assert!(!dsu.is_alive(1));
         assert_eq!(dsu.live_count(), 2);
-        assert_eq!(dsu.groups(), vec![vec![0, 2]]);
+        assert_eq!(groups(&dsu), vec![vec![0, 2]]);
     }
 
     #[test]
@@ -549,7 +538,7 @@ mod tests {
         dsu.remove_member(root);
         assert!(!dsu.is_alive(root));
         assert_eq!(dsu.find(2), root, "the ghost stays the root");
-        assert_eq!(dsu.groups(), vec![vec![1, 2]]);
+        assert_eq!(groups(&dsu), vec![vec![1, 2]]);
         assert_eq!(dsu.components(), 1);
     }
 
@@ -570,10 +559,10 @@ mod tests {
         assert_eq!(members, vec![0, 1, 2, 3]);
         assert_eq!(dsu.components(), 4);
         dsu.remove_member(2);
-        assert_eq!(dsu.groups(), vec![vec![0], vec![1], vec![3]]);
+        assert_eq!(groups(&dsu), vec![vec![0], vec![1], vec![3]]);
         // Re-cluster with a surviving edge: 0–1 reconnects part of it.
         dsu.union(0, 1);
-        assert_eq!(dsu.groups(), vec![vec![0, 1], vec![3]]);
+        assert_eq!(groups(&dsu), vec![vec![0, 1], vec![3]]);
         assert!(!dsu.is_alive(2));
     }
 
@@ -585,12 +574,12 @@ mod tests {
         dsu.remove_member(0);
         assert_eq!(dsu.components(), 1);
         assert_eq!(dsu.live_count(), 1);
-        assert_eq!(dsu.groups(), vec![vec![1]]);
+        assert_eq!(groups(&dsu), vec![vec![1]]);
     }
 
     #[test]
     fn tracked_groups_match_plain_dsu_over_live_subset() {
-        // Same edge script into both structures; TrackedDsu::groups must
+        // Same edge script into both structures: the live components must
         // equal DisjointSet::into_groups when nothing was removed.
         let mut tracked = TrackedDsu::new();
         let mut plain = DisjointSet::with_len(12);
@@ -602,7 +591,7 @@ mod tests {
             tracked.union(a, b);
             plain.union(a, b);
         }
-        assert_eq!(tracked.groups(), plain.into_groups());
+        assert_eq!(groups(&tracked), plain.into_groups());
     }
 
     #[test]
