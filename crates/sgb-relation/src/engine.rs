@@ -240,7 +240,7 @@ impl Database {
                     .transpose()?;
                 let removed = rows_where(&t.rows, bound.as_ref(), |i, _| Ok(i))?;
                 if !removed.is_empty() {
-                    self.remove_rows(&table, &removed)?;
+                    self.remove_rows(&table, &removed, true)?;
                 }
                 Ok(Table::default())
             }
@@ -278,8 +278,9 @@ impl Database {
                     // batches, and the version bumps invalidate the
                     // session's shared-work caches. Updated rows therefore
                     // move to the end of the table, exactly as a manual
-                    // DELETE + INSERT would place them.
-                    self.remove_rows(&table, &touched)?;
+                    // DELETE + INSERT would place them. The insert half
+                    // publishes both, once, at the final version.
+                    self.remove_rows(&table, &touched, false)?;
                     self.append_rows(&table, replacements)?;
                 }
                 Ok(Table::default())
@@ -336,10 +337,11 @@ impl Database {
     }
 
     /// Removes the rows at the ascending indices `removed` from `table`
-    /// and applies their removal to its subscriptions as one delete delta.
-    /// The version bump is what invalidates the session's shared-work
-    /// caches — deletes exactly like inserts.
-    fn remove_rows(&mut self, table: &str, removed: &[usize]) -> Result<()> {
+    /// and applies their removal to its subscriptions as one delete delta,
+    /// which they publish when `publish` is set. The version bump is what
+    /// invalidates the session's shared-work caches — deletes exactly like
+    /// inserts.
+    fn remove_rows(&mut self, table: &str, removed: &[usize], publish: bool) -> Result<()> {
         let key = table.to_ascii_lowercase();
         let t = self
             .tables
@@ -351,7 +353,7 @@ impl Database {
             &key,
             removed,
             &t.rows,
-            t.version(),
+            publish.then_some(t.version()),
             self.session.statement_timeout,
             &self.registry,
         );

@@ -297,6 +297,13 @@ impl Maintained {
         }
     }
 
+    fn try_snapshot(&self, governor: &QueryGovernor) -> Result<Grouping> {
+        match self {
+            Maintained::D2(m) => Ok(m.try_snapshot(governor)?),
+            Maintained::D3(m) => Ok(m.try_snapshot(governor)?),
+        }
+    }
+
     fn epoch(&self) -> u64 {
         match self {
             Maintained::D2(m) => m.epoch(),
@@ -326,6 +333,9 @@ struct Subscription {
     row_slots: Vec<usize>,
     maintained: Maintained,
     shared: Arc<Shared>,
+    /// Snapshots published since the registration's.
+    #[cfg(test)]
+    publishes: usize,
 }
 
 impl Subscription {
@@ -345,12 +355,14 @@ impl Subscription {
         self.shared.active.load(Ordering::Acquire)
     }
 
-    /// Rebuilds and atomically publishes the snapshot. The regrouping work
-    /// (SGB-All's recompute included) happens here on the writer, outside
-    /// the lock; the write lock is held only for the pointer swap.
-    fn publish(&self, table_version: u64) {
+    /// Rebuilds and atomically publishes the snapshot, stamped with
+    /// `table_version`. The regrouping work (SGB-All's recompute included)
+    /// happens here on the writer under `governor`, outside the lock; the
+    /// write lock is held only for the pointer swap. On `Err` nothing is
+    /// published.
+    fn publish(&mut self, table_version: u64, governor: &QueryGovernor) -> Result<()> {
         let snapshot = Arc::new(GroupingSnapshot {
-            grouping: self.maintained.snapshot(),
+            grouping: self.maintained.try_snapshot(governor)?,
             epoch: self.maintained.epoch(),
             table_version,
         });
@@ -359,24 +371,36 @@ impl Subscription {
             .snapshot
             .write()
             .unwrap_or_else(|e| e.into_inner()) = snapshot;
+        #[cfg(test)]
+        {
+            self.publishes += 1;
+        }
+        Ok(())
     }
 
-    /// Recovery after a delta failed mid-apply (an injected fault or a
-    /// governed abort): the maintained state may be mid-transaction, so it
-    /// is rebuilt wholesale from the table's current rows — the source of
-    /// truth — under the same query configuration, and the epoch is
+    /// Recovery after a delta or its publish failed (an injected fault or
+    /// a governed abort): the maintained state may be mid-transaction, so
+    /// it is rebuilt wholesale from the table's current rows — the source
+    /// of truth — under the same query configuration, and the epoch is
     /// advanced past everything previously published so snapshot epochs
-    /// stay strictly monotone. Only when even the rebuild fails (e.g. the
-    /// table now holds a row with non-numeric grouping attributes) does
-    /// the subscription deactivate, keeping the last snapshot readable.
-    fn recover(&mut self, all_rows: &[Row], version: u64) {
+    /// stay strictly monotone. With `publish_at`, the rebuilt state is
+    /// published under `governor`, stamped with that table version;
+    /// without, a later delta of the same statement publishes it. Only
+    /// when the rebuild or its publish fails (e.g. the table now holds a
+    /// row with non-numeric grouping attributes) does the subscription
+    /// deactivate, keeping the last snapshot readable.
+    fn recover(&mut self, all_rows: &[Row], publish_at: Option<u64>, governor: &QueryGovernor) {
         let floor = self.maintained.epoch() + 1;
         match self.maintained.rebuilt_from(&self.coords, all_rows) {
             Ok(mut rebuilt) => {
                 rebuilt.advance_epoch_to(floor);
                 self.maintained = rebuilt;
                 self.row_slots = (0..all_rows.len()).collect();
-                self.publish(version);
+                if let Some(version) = publish_at {
+                    if self.publish(version, governor).is_err() {
+                        self.deactivate();
+                    }
+                }
             }
             Err(_) => self.deactivate(),
         }
@@ -440,6 +464,8 @@ impl SubscriptionSet {
             row_slots: (0..n_rows).collect(),
             maintained,
             shared,
+            #[cfg(test)]
+            publishes: 0,
         };
         let handle = sub.handle();
         self.subs.push(sub);
@@ -461,7 +487,7 @@ impl SubscriptionSet {
         self.apply_delta(
             table,
             all_rows,
-            version,
+            Some(version),
             deadline,
             registry,
             |sub, governor| {
@@ -475,26 +501,27 @@ impl SubscriptionSet {
     }
 
     /// Applies a deletion of `removed` (ascending pre-delete row indices)
-    /// from `table` (now at `version`, `all_rows` its full post-delete
-    /// contents) and republishes, settling the delta as
-    /// [`SubscriptionSet::apply_delta`] describes. Each subscription gets
-    /// all of the statement's slots in one
+    /// from `table` (`all_rows` its full post-delete contents), settling
+    /// the delta as [`SubscriptionSet::apply_delta`] describes, and with
+    /// `publish_at` republishes, stamped with that table version. Each
+    /// subscription gets all of the statement's slots in one
     /// [`MaintainedGrouping::try_delete_many`] call, so an SGB-Any
     /// component loses any number of rows for one re-cluster. UPDATE's
-    /// delete half arrives here too.
+    /// delete half arrives here too, without `publish_at`: its insert half
+    /// publishes both.
     pub(crate) fn on_delete(
         &mut self,
         table: &str,
         removed: &[usize],
         all_rows: &[Row],
-        version: u64,
+        publish_at: Option<u64>,
         deadline: Option<Duration>,
         registry: &MetricsRegistry,
     ) {
         self.apply_delta(
             table,
             all_rows,
-            version,
+            publish_at,
             deadline,
             registry,
             |sub, governor| {
@@ -511,22 +538,27 @@ impl SubscriptionSet {
 
     /// Runs `delta` on every active subscription of `table` under the
     /// session `deadline`, then settles it. A delta that succeeds is
-    /// published. A delta that fails mid-apply triggers
-    /// [`Subscription::recover`]: the grouping is rebuilt from `all_rows`
-    /// with a strictly advancing epoch, so readers never observe a
-    /// half-applied delta or an epoch rollback. Exception: a delta that
-    /// overruns the `deadline` is **rejected atomically** — nothing is
-    /// published (the snapshot epoch does not advance) and the subscription
-    /// deactivates, keeping its last snapshot readable. Once the delta
-    /// settles, every inactive subscription leaves the set, and its
-    /// maintained state (possibly mid-delta) with it: an inactive
-    /// subscription takes no deltas and serves no reads, and its handle
-    /// keeps the last snapshot through its own share of [`Shared`].
+    /// published when `publish_at` is given, stamped with that table
+    /// version and under the same deadline; without it, the state waits
+    /// for a later delta of the same statement to publish it (UPDATE's
+    /// insert half publishes its delete half too, so no reader sees the
+    /// updated rows missing). A
+    /// delta or publish that fails triggers [`Subscription::recover`]: the
+    /// grouping is rebuilt from `all_rows` with a strictly advancing
+    /// epoch, so readers never observe a half-applied delta or an epoch
+    /// rollback. Exception: a delta or publish that overruns the
+    /// `deadline` is **rejected atomically** — nothing is published (the
+    /// snapshot epoch does not advance) and the subscription deactivates,
+    /// keeping its last snapshot readable. Once the delta settles, every
+    /// inactive subscription leaves the set, and its maintained state
+    /// (possibly mid-delta) with it: an inactive subscription takes no
+    /// deltas and serves no reads, and its handle keeps the last snapshot
+    /// through its own share of [`Shared`].
     fn apply_delta(
         &mut self,
         table: &str,
         all_rows: &[Row],
-        version: u64,
+        publish_at: Option<u64>,
         deadline: Option<Duration>,
         registry: &MetricsRegistry,
         mut delta: impl FnMut(&mut Subscription, &QueryGovernor) -> Result<()>,
@@ -536,17 +568,18 @@ impl SubscriptionSet {
             if sub.table != table || !sub.is_active() {
                 continue;
             }
-            let outcome = match delta(sub, &governor) {
-                Ok(()) => {
-                    sub.publish(version);
-                    "applied"
-                }
+            let settled = delta(sub, &governor).and_then(|()| match publish_at {
+                Some(version) => sub.publish(version, &governor),
+                None => Ok(()),
+            });
+            let outcome = match settled {
+                Ok(()) => "applied",
                 Err(Error::Aborted(SgbError::Timeout)) => {
                     sub.deactivate();
                     "rejected"
                 }
                 Err(_) => {
-                    sub.recover(all_rows, version);
+                    sub.recover(all_rows, publish_at, &governor);
                     "recovered"
                 }
             };
@@ -676,6 +709,68 @@ mod tests {
         assert!(db.subscriptions().subs.is_empty(), "state left behind");
         assert_eq!(sub.snapshot().epoch(), before.epoch());
         assert_eq!(sub.snapshot().grouping(), before.grouping());
+    }
+
+    /// An UPDATE settles its delete half and its insert half, then
+    /// publishes once, at the table's final version. Each half still
+    /// counts as one delta and advances the epoch by its rows.
+    #[test]
+    fn update_publishes_once_at_the_final_version() {
+        let (mut db, sub) = subscribed_db();
+        db.execute("UPDATE t SET x = x + 0.1 WHERE y < 1.0")
+            .unwrap();
+        assert_eq!(db.subscriptions().subs[0].publishes, 1);
+        let snap = sub.snapshot();
+        assert_eq!(snap.epoch(), 4, "two rows deleted, two inserted");
+        assert_eq!(snap.table_version(), db.table("t").unwrap().version());
+        let applied = db
+            .metrics()
+            .counter_value("sgb_subscription_deltas_total", &[("outcome", "applied")]);
+        assert_eq!(applied, 2);
+        db.execute("DELETE FROM t WHERE x > 4.0").unwrap();
+        db.execute("INSERT INTO t VALUES (7.0, 7.0)").unwrap();
+        assert_eq!(db.subscriptions().subs[0].publishes, 3);
+    }
+
+    /// A publish runs under the statement deadline: an SGB-All recompute
+    /// that overruns it is rejected like a delta that does. Nothing is
+    /// published and the subscription deactivates.
+    #[test]
+    fn overrunning_publish_is_rejected() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (x DOUBLE, y DOUBLE)").unwrap();
+        // A dense cloud whose FORM-NEW-GROUP recompute takes far longer
+        // than the 1 ms deadline below.
+        let values: Vec<String> = (0..3000)
+            .map(|i| {
+                format!(
+                    "({}, {})",
+                    (i * 37 % 101) as f64 * 0.05,
+                    (i * 53 % 97) as f64 * 0.05
+                )
+            })
+            .collect();
+        db.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
+            .unwrap();
+        let sub = db
+            .subscribe(
+                "SELECT count(*) FROM t GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 0.3 \
+                 ON-OVERLAP FORM-NEW-GROUP",
+            )
+            .unwrap();
+        let before = sub.snapshot();
+        let opts = db
+            .session()
+            .with_statement_timeout(Some(Duration::from_millis(1)));
+        *db.session_mut() = opts;
+        db.execute("INSERT INTO t VALUES (9.0, 9.0)").unwrap();
+        assert!(!sub.is_active());
+        assert!(db.subscriptions().subs.is_empty(), "state left behind");
+        assert_eq!(sub.snapshot().epoch(), before.epoch());
+        let rejected = db
+            .metrics()
+            .counter_value("sgb_subscription_deltas_total", &[("outcome", "rejected")]);
+        assert_eq!(rejected, 1);
     }
 
     /// So does a delta whose recovery rebuild fails.
