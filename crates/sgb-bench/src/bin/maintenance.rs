@@ -5,12 +5,15 @@
 //! charges the full serving cost at the engine's native cadence: every
 //! delta application plus the snapshot materialisation that publishes the
 //! result (SGB-All's deltas only store or clear slots, and its snapshot is
-//! one recompute, which the figure includes).
-//! The baseline figure is the per-update cost of the only alternative, a
-//! full `SgbQuery::run` over the live points. Each row asserts that the
-//! final maintained snapshot equals the from-scratch recompute — full
-//! `Grouping` equality — so a run doubles as an equivalence check, and the
-//! per-row group counts let CI diff the two paths textually.
+//! one recompute, which the figure includes); the row also times that
+//! snapshot alone. The baseline figure is the per-update cost of the only
+//! alternative, a full `SgbQuery::run` over the live points. The three
+//! are timed in `timing::time_paths`'s interleaved rounds, each stream on
+//! a freshly built maintained grouping, and each row reports their
+//! medians. Each row asserts that the final maintained snapshot equals the
+//! from-scratch recompute — full `Grouping` equality — so a run doubles as
+//! an equivalence check, and the per-row group counts let CI diff the two
+//! paths textually.
 //!
 //! The header also reports `snapshot_read_ns`: the cost for a concurrent
 //! reader to take a published snapshot from a live subscription at the
@@ -37,6 +40,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use sgb_bench::report::{parse_bench_cli, Report};
+use sgb_bench::timing::{time_paths, ROUNDS};
 use sgb_core::incremental::MaintainedGrouping;
 use sgb_core::query::SgbQuery;
 use sgb_datagen::CheckinConfig;
@@ -133,7 +137,7 @@ fn schedule(rng: &mut Lcg, updates: usize) -> Vec<Update> {
 
 struct OpRow {
     op: &'static str,
-    seconds_deltas: f64,
+    seconds_incremental: f64,
     seconds_snapshot: f64,
     incr_updates_per_sec: f64,
     full_seconds_per_update: f64,
@@ -142,19 +146,22 @@ struct OpRow {
     groups_recompute: usize,
 }
 
-/// Runs one operator family: the timed incremental stream, the timed
-/// from-scratch baseline, and the end-state equivalence assertion.
-fn run_op(op: &'static str, query: &SgbQuery<2>, points: &[Point<2>]) -> OpRow {
-    let mut rng = Lcg(0xfeed_0000 + op.len() as u64);
-    let stream = schedule(&mut rng, UPDATES);
+/// The timed paths of one operator row.
+#[derive(Clone, Copy)]
+enum Path {
+    /// The update stream's deltas on a fresh maintained grouping, then the
+    /// snapshot that publishes them.
+    Stream,
+    /// One snapshot of the streamed grouping.
+    Snapshot,
+    /// The stream's first `FULL_UPDATES` updates, each followed by a
+    /// from-scratch run over the live points.
+    Recompute,
+}
 
-    // Incremental: apply every delta, then materialise the snapshot the
-    // serving layer would publish (this is where SGB-All recomputes, so the
-    // figure is end to end).
-    let mut maintained = MaintainedGrouping::new(query.clone(), points);
-    let mut live: Vec<usize> = (0..points.len()).collect();
-    let t0 = Instant::now();
-    for u in &stream {
+/// Applies `stream` to `maintained`, whose live slot ids `live` tracks.
+fn apply(maintained: &mut MaintainedGrouping<2>, live: &mut Vec<usize>, stream: &[Update]) {
+    for u in stream {
         match u {
             Update::Insert(p) => live.push(maintained.insert(*p)),
             Update::DeleteNth(raw) => {
@@ -163,46 +170,77 @@ fn run_op(op: &'static str, query: &SgbQuery<2>, points: &[Point<2>]) -> OpRow {
             }
         }
     }
-    let seconds_deltas = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let incremental = maintained.snapshot();
-    let seconds_snapshot = t1.elapsed().as_secs_f64();
+}
 
-    // Baseline: the same stream prefix, recomputing from scratch after
-    // every update — the only option without the maintenance engine.
+/// Runs one operator family: the incremental stream, its snapshot alone
+/// and the from-scratch baseline, timed in interleaved rounds, and the
+/// end-state equivalence assertion.
+fn run_op(op: &'static str, query: &SgbQuery<2>, points: &[Point<2>]) -> OpRow {
     let mut rng = Lcg(0xfeed_0000 + op.len() as u64);
-    let prefix = schedule(&mut rng, FULL_UPDATES);
-    let mut mirror: Vec<Option<Point<2>>> = points.iter().copied().map(Some).collect();
-    let mut live: Vec<usize> = (0..points.len()).collect();
-    let t2 = Instant::now();
-    for u in &prefix {
-        match u {
-            Update::Insert(p) => {
-                live.push(mirror.len());
-                mirror.push(Some(*p));
+    let stream = schedule(&mut rng, UPDATES);
+    let fresh_state = || {
+        let live: Vec<usize> = (0..points.len()).collect();
+        (MaintainedGrouping::new(query.clone(), points), live)
+    };
+    // Every round streams into a grouping built before the timing starts,
+    // and its spent state is dropped after the timing ends.
+    let mut fresh: Vec<_> = (0..ROUNDS).map(|_| fresh_state()).collect();
+    let mut spent = Vec::with_capacity(ROUNDS);
+    let (mut streamed, mut live) = fresh_state();
+    apply(&mut streamed, &mut live, &stream);
+
+    let timed = time_paths(&[Path::Stream, Path::Snapshot, Path::Recompute], |path| {
+        match path {
+            Path::Stream => {
+                let (mut maintained, mut live) = fresh.pop().expect("one fresh state per round");
+                apply(&mut maintained, &mut live, &stream);
+                let snapshot = maintained.snapshot();
+                spent.push(maintained);
+                snapshot
             }
-            Update::DeleteNth(raw) => {
-                let slot = live.swap_remove(raw % live.len());
-                mirror[slot] = None;
+            Path::Snapshot => streamed.snapshot(),
+            // The baseline: the same stream prefix, recomputing from
+            // scratch after every update — the only option without the
+            // maintenance engine.
+            Path::Recompute => {
+                let mut mirror: Vec<Option<Point<2>>> = points.iter().copied().map(Some).collect();
+                let mut live: Vec<usize> = (0..points.len()).collect();
+                let mut last = None;
+                for u in &stream[..FULL_UPDATES] {
+                    match u {
+                        Update::Insert(p) => {
+                            live.push(mirror.len());
+                            mirror.push(Some(*p));
+                        }
+                        Update::DeleteNth(raw) => {
+                            let slot = live.swap_remove(raw % live.len());
+                            mirror[slot] = None;
+                        }
+                    }
+                    let pts: Vec<Point<2>> = mirror.iter().flatten().copied().collect();
+                    last = Some(std::hint::black_box(query.run(&pts)));
+                }
+                last.expect("the baseline runs at least one update")
             }
         }
-        let pts: Vec<Point<2>> = mirror.iter().flatten().copied().collect();
-        std::hint::black_box(query.run(&pts));
-    }
-    let full_seconds_per_update = t2.elapsed().as_secs_f64() / FULL_UPDATES as f64;
+    });
+    let [(incremental, seconds_incremental), (_, seconds_snapshot), (_, full_seconds)] =
+        <[_; 3]>::try_from(timed).expect("one result per path");
+    drop(spent);
 
     // Equivalence gate: the maintained end state equals a from-scratch
     // run over the final live points (full Grouping equality).
-    let recompute = query.run(&maintained.live_points());
+    let recompute = query.run(&streamed.live_points());
     assert_eq!(
         incremental, recompute,
         "maintained {op} grouping must equal the from-scratch recompute"
     );
 
-    let incr_seconds_per_update = (seconds_deltas + seconds_snapshot) / UPDATES as f64;
+    let incr_seconds_per_update = seconds_incremental / UPDATES as f64;
+    let full_seconds_per_update = full_seconds / FULL_UPDATES as f64;
     OpRow {
         op,
-        seconds_deltas,
+        seconds_incremental,
         seconds_snapshot,
         incr_updates_per_sec: 1.0 / incr_seconds_per_update,
         full_seconds_per_update,
@@ -393,7 +431,7 @@ fn main() -> ExitCode {
     eprintln!("# incremental maintenance: n = {n}, {UPDATES} updates per operator");
     eprintln!(
         "{:<8} {:>12} {:>12} {:>14} {:>14} {:>9} {:>8}",
-        "op", "deltas_s", "snapshot_s", "incr_upd/s", "full_upd/s", "speedup", "groups"
+        "op", "incr_s", "snapshot_s", "incr_upd/s", "full_upd/s", "speedup", "groups"
     );
     let mut rows = Vec::new();
     for (op, query) in &queries {
@@ -401,7 +439,7 @@ fn main() -> ExitCode {
         eprintln!(
             "{:<8} {:>12.4} {:>12.4} {:>14.1} {:>14.1} {:>9.1} {:>8}",
             row.op,
-            row.seconds_deltas,
+            row.seconds_incremental,
             row.seconds_snapshot,
             row.incr_updates_per_sec,
             1.0 / row.full_seconds_per_update,
@@ -446,11 +484,11 @@ fn main() -> ExitCode {
         .field_num("snapshot_read_ns", read_ns);
     for row in &rows {
         report.push_row(format!(
-            "{{\"op\": \"{}\", \"seconds_deltas\": {:.6}, \"seconds_snapshot\": {:.6}, \
+            "{{\"op\": \"{}\", \"seconds_incremental\": {:.6}, \"seconds_snapshot\": {:.6}, \
              \"incr_updates_per_sec\": {:.1}, \"full_seconds_per_update\": {:.6}, \
              \"speedup\": {:.2}, \"groups_incremental\": {}, \"groups_recompute\": {}}}",
             row.op,
-            row.seconds_deltas,
+            row.seconds_incremental,
             row.seconds_snapshot,
             row.incr_updates_per_sec,
             row.full_seconds_per_update,
